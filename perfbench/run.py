@@ -4,10 +4,12 @@
 
 Run from the root of a checkout.  A run repeats whole rounds of the seeded
 workload for about S seconds (at least three rounds), each round in fresh
-processes started with `sys.executable`.  An operation's time is its least
-time over the rounds: the machine drifts between fast and slow phases lasting
-seconds, and the least time is what the program costs when nothing else does.
-The last line of standard output is one JSON object:
+processes started with `sys.executable`.  Every measured time is taken to the
+reference speed of `calibrate.py`, by probes of fixed work timed around it:
+the machine drifts between fast and slow phases that can outlast a run, and
+the probes drift with it.  An operation's time is the median over the rounds
+of its time at the reference speed.  The last line of standard output is one
+JSON object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -28,6 +30,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+import calibrate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MIN_ROUNDS = 3
@@ -62,6 +66,7 @@ def worker_round(ctx, workload: str, rnd: int, extra=()) -> dict:
     """One worker process: its setup time, its result and its peak RSS."""
     argv = [sys.executable, os.path.join(HERE, "worker.py"), "--workload", workload,
             "--seed", str(ctx.seed), "--round", str(rnd), "--trace", str(ctx.trace), *extra]
+    before = calibrate.SPAWN.measure()
     proc, start = _spawn(argv, ctx.env, ctx.root, subprocess.PIPE)
     with proc.stdout:
         ready = proc.stdout.readline()
@@ -71,7 +76,9 @@ def worker_round(ctx, workload: str, rnd: int, extra=()) -> dict:
     if ready.strip() != b"ready" or proc.returncode != 0:
         raise BenchError(f"{workload} worker exited with {proc.returncode} in round {rnd}")
     result = json.loads(rest.decode().strip().splitlines()[-1])
-    result.update(setup=setup, rss=rss)
+    # Phases last seconds, so the probe just before set-up stands for both sides.
+    result.update(setup=calibrate.SPAWN.at_reference(setup, before, before),
+                  setup_raw=setup, setup_probe=before, rss=rss)
     return result
 
 
@@ -82,7 +89,8 @@ def cli_round(ctx, rnd: int, commands) -> dict:
     shutil.rmtree(rdir, ignore_errors=True)
     os.makedirs(rdir)
     files = worker_round(ctx, "cli-files", rnd, ("--dir", rdir))
-    times, values, failed, rss, traces = [], [], [], 0.0, []
+    timer = calibrate.Timer(calibrate.SPAWN)
+    values, failed, rss, traces = [], [], 0.0, []
     for i, cmd in enumerate(commands):
         if ctx.trace:
             trace_file = os.path.join(rdir, f"trace-{i}.json")
@@ -97,13 +105,14 @@ def cli_round(ctx, rnd: int, commands) -> dict:
             stdout = fh.read()
         with open(err_path) as fh:
             stderr = fh.read()
-        times.append(end - start)
+        timer.add(end - start)
         rss = max(rss, peak)
         failed.append(proc.returncode != 0)
         values.append([proc.returncode, stdout, stderr])
         if ctx.trace:
             with open(trace_file) as fh:
                 traces.append({"argv": cmd["argv"], **json.load(fh)})
+    timer.finish()
     shutil.rmtree(rdir)
     problems = []
     if rnd == 0:
@@ -112,8 +121,9 @@ def cli_round(ctx, rnd: int, commands) -> dict:
     if ctx.trace:
         metrics = {m: sum(t["metrics"][m] for t in traces) for m in traces[0]["metrics"]}
         trace = {"metrics": metrics, "commands": traces}
-    return {"times": times, "values": values, "failed": failed, "problems": problems,
-            "trace": trace, "setup": files["setup"], "rss": rss}
+    return {"times": timer.times, "raw": timer.raw, "probes": timer.probes, "values": values,
+            "failed": failed, "problems": problems, "trace": trace, "setup": files["setup"],
+            "setup_raw": files["setup_raw"], "setup_probe": files["setup_probe"], "rss": rss}
 
 
 def cli_problems(commands, values, failed) -> list[str]:
@@ -145,6 +155,10 @@ class Context:
         path = [src, HERE] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         self.env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         sys.path[:0] = [src, HERE]
+        # One CPU for the probes and for every process they calibrate; the
+        # children inherit it.
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def run(args) -> dict:
@@ -174,18 +188,21 @@ def summarize(ctx, args, rounds) -> dict:
         if r["values"] != first["values"] or r["failed"] != first["failed"]:
             problems.append(f"round {i} gave other values than round 0")
     done = [i for i in range(n_ops) if not first["failed"][i]]
-    best = [min(r["times"][i] for r in rounds) for i in done]
+    typical = [statistics.median(r["times"][i] for r in rounds) for i in done]
     failed = sum(sum(r["failed"]) for r in rounds)
     result = {"correct": not problems, "attempted": n_ops * len(rounds), "failed": failed}
     summary = {
         "setup_s": statistics.median(r["setup"] for r in rounds),
-        "ops_per_s": len(best) / sum(best),
-        "op_p50_s": statistics.median(best),
+        "ops_per_s": len(typical) / sum(typical),
+        "op_p50_s": statistics.median(typical),
         "peak_rss_mb": max(r["rss"] for r in rounds),
     }
     record = {"workload": args.workload, "seed": args.seed, "rounds": len(rounds),
               "problems": problems, "summary": summary,
-              "times": [r["times"] for r in rounds], "setup": [r["setup"] for r in rounds]}
+              "times": [r["times"] for r in rounds], "raw": [r["raw"] for r in rounds],
+              "probes": [r["probes"] for r in rounds], "setup": [r["setup"] for r in rounds],
+              "setup_raw": [r["setup_raw"] for r in rounds],
+              "setup_probes": [r["setup_probe"] for r in rounds]}
     name = f"{args.workload}-{args.seed}.json"
     if args.trace:
         import layertrace

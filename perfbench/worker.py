@@ -4,11 +4,13 @@
 
 The worker sets up (imports the package, builds its inputs, warms what a user
 warms once per session), prints "ready", runs the round's operations one by
-one while timing each, and prints one JSON line with the times, the values
-and the problems found.  A fresh process per round means no operation is ever
-answered from a cache that an earlier round filled.  `cli-files` only writes
-the files of a cli round.  Output checks run after the timed operations, and
-only in round 0; the parent requires later rounds to give the same values.
+one while timing each and probing the machine's speed between them
+(`calibrate.py`), and prints one JSON line with the times, the probes, the
+values and the problems found.  A fresh process per round means no operation
+is ever answered from a cache that an earlier round filled.  `cli-files` only
+writes the files of a cli round.  Output checks run after the timed
+operations, and only in round 0; the parent requires later rounds to give the
+same values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 import time
 from fractions import Fraction
 
+import calibrate
 import workloads
 from upsilonkit import complexes, invariants, regions, zoo
 
@@ -37,26 +40,25 @@ def _tracing(on: bool):
         TRACER.enabled = on
 
 
-def _time(fn):
-    start = time.perf_counter()
-    value = fn()
-    return time.perf_counter() - start, value
-
-
 def _run_ops(ops):
-    """Time each thunk; an exception fails that operation only."""
-    times, values, failed = [], [], []
+    """Time each thunk; an exception fails that operation only.  Returns the
+    round's finished calibrate.Timer, the values and which operations failed."""
+    timer = calibrate.Timer()
+    values, failed = [], []
     for thunk in ops:
+        start = time.perf_counter()
         try:
-            elapsed, value = _time(thunk)
+            value = thunk()
+            elapsed = time.perf_counter() - start
             failed.append(False)
         except Exception as exc:  # a failing operation is counted, not fatal
             elapsed, value = 0.0, exc
             failed.append(True)
-        times.append(elapsed)
+        timer.add(elapsed)
         values.append(value)
     _tracing(False)
-    return times, values, failed
+    timer.finish()
+    return timer, values, failed
 
 
 def _sum_op(summands, op):
@@ -76,7 +78,7 @@ def sums(args):
     built = [[zoo.torus_knot(p, q) if s > 0 else complexes.mirror(zoo.torus_knot(p, q))
               for s, p, q in op["parts"]] for op in ops]
     _ready()
-    times, values, failed = _run_ops([_sum_op(b, op) for b, op in zip(built, ops)])
+    timer, values, failed = _run_ops([_sum_op(b, op) for b, op in zip(built, ops)])
     problems = []
     if args.round == 0:
         for op, value, bad in zip(ops, values, failed):
@@ -85,7 +87,7 @@ def sums(args):
                 if problem:
                     problems.append(problem)
     shown = [repr(v) if not isinstance(v, tuple) else repr((v[0].points, v[1])) for v in values]
-    return times, shown, failed, problems
+    return timer, shown, failed, problems
 
 
 def _query(k, q):
@@ -112,14 +114,14 @@ def session(args):
     queries = workloads.session_round(args.seed)
     thunks = [_query(k, q) for q in queries]
     _ready()
-    times, values, failed = _run_ops(thunks)
+    timer, values, failed = _run_ops(thunks)
     problems = []
     if args.round == 0:
         if any(failed):
             problems.append("a session query raised")
         else:
             problems = workloads.check_session(k, queries, values, invariants.nu_plus(k))
-    return times, [repr(v) for v in values], failed, problems
+    return timer, [repr(v) for v in values], failed, problems
 
 
 def cli_files(args):
@@ -128,7 +130,7 @@ def cli_files(args):
         with open(os.path.join(args.dir, name), "w") as fh:
             json.dump(data, fh)
     _ready()
-    return [], [], [], []
+    return None, [], [], []
 
 
 def main():
@@ -145,9 +147,11 @@ def main():
         TRACER = layertrace.install()
     run = {"sums": sums, "session": session, "cli-files": cli_files}[args.workload]
     _tracing(True)
-    times, values, failed, problems = run(args)
+    timer, values, failed, problems = run(args)
     _tracing(False)
-    result = {"times": times, "values": values, "failed": failed, "problems": problems,
+    times, raw, probes = (timer.times, timer.raw, timer.probes) if timer else ([], [], [])
+    result = {"times": times, "raw": raw, "probes": probes, "values": values,
+              "failed": failed, "problems": problems,
               "trace": TRACER.snapshot() if TRACER else None}
     print(json.dumps(result), flush=True)
 
