@@ -254,15 +254,21 @@ def _bits(x: int):
 def tensor(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     """Tensor product over F2[U, U^-1]; models the connected sum.
 
-    Generators are pairs (named "a*b"), positions and gradings add, and the
-    differential obeys the Leibniz rule.
+    Generators are pairs, named "a*b" after their factors a and b with any
+    "\\" or "*" in a factor name escaped by a backslash, so distinct pairs get
+    distinct names.  Positions and gradings add, and the differential obeys
+    the Leibniz rule.
     """
+
+    def pair(a: str, b: str) -> str:
+        return "*".join(n.replace("\\", "\\\\").replace("*", "\\*") for n in (a, b))
+
     gens = []
     for g1 in k1.generators:
         for g2 in k2.generators:
             gens.append(
                 BaseGenerator(
-                    f"{g1.name}*{g2.name}",
+                    pair(g1.name, g2.name),
                     g1.alexander + g2.alexander,
                     g1.algebraic + g2.algebraic,
                     g1.maslov + g2.maslov,
@@ -271,11 +277,11 @@ def tensor(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     arrows = []
     for g1 in k1.generators:
         for g2 in k2.generators:
-            src = f"{g1.name}*{g2.name}"
+            src = pair(g1.name, g2.name)
             for dst, m in k1.arrows_from(g1.name):
-                arrows.append((src, f"{dst}*{g2.name}", m))
+                arrows.append((src, pair(dst, g2.name), m))
             for dst, m in k2.arrows_from(g2.name):
-                arrows.append((src, f"{g1.name}*{dst}", m))
+                arrows.append((src, pair(g1.name, dst), m))
     return KnotComplex(tuple(gens), tuple(arrows))
 
 
@@ -328,22 +334,31 @@ def to_json_dict(k: KnotComplex) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """An integer field of complex JSON; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> KnotComplex:
     if not isinstance(data, dict) or "generators" not in data:
         raise ValueError("complex JSON must be an object with a 'generators' list")
     gens = []
     for entry in data["generators"]:
         try:
-            gens.append(
-                BaseGenerator(str(entry["id"]), int(entry["A"]), int(entry["j"]), int(entry["M"]))
-            )
+            gens.append(BaseGenerator(str(entry["id"]), _json_int(entry["A"], "A"),
+                                      _json_int(entry["j"], "j"), _json_int(entry["M"], "M")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad generator entry {entry!r}: {exc}") from None
     arrows = []
     for entry in data.get("arrows", []):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ValueError(f"bad arrow entry {entry!r}: expected [src, dst, upower]")
-        arrows.append((str(entry[0]), str(entry[1]), int(entry[2])))
+        try:
+            arrows.append((str(entry[0]), str(entry[1]), _json_int(entry[2], "upower")))
+        except ValueError as exc:
+            raise ValueError(f"bad arrow entry {entry!r}: {exc}") from None
     return KnotComplex(tuple(gens), tuple(arrows))
 
 

@@ -2,9 +2,11 @@
 
 Everything downstream is exact.  Rational numbers are `fractions.Fraction`
 (re-exported as `Rational`); linear algebra over the two-element field is done
-on bit-packed rows (a row is a Python int, bit i = column i), which keeps the
-Gaussian elimination loops tiny and fast for the matrix sizes that arise here
-(a few dozen rows/columns).
+on bit-packed rows (a row is a Python int, bit i = column i), so one XOR adds
+a whole row.  `F2Matrix` serves validation and representative cycles, and
+`F2Space` the span tests of the secondary invariant and the oracles; the
+invariant engine's filtered reduction works on the same packed masks directly,
+on differentials of several hundred rows and columns.
 """
 
 from __future__ import annotations

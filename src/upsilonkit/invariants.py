@@ -18,9 +18,13 @@ inside C_t.  Everything else is built from it:
 * eta: the least Alexander-direction truncation width at which the region
   invariant is already achieved.
 
-All minimization happens over finite rational candidate sets (entering times
-of lattice generators), with monotone feasibility tests solved by F2 linear
-algebra, so every value is exact.  `brute_force_upsilon` and
+Each of these least-t questions is answered by one filtered F2 reduction,
+the standard persistence reduction: order the degree-0 lattice generators by
+a key such as their entering time, echelonize the degree-1 boundary columns
+by their latest generator, and reduce a reference generating cycle against
+them.  The key left leading is the least, over all generating cycles, of the
+greatest key on a support.  Keys are exact (rational entering times, integer
+gradings), so every value is exact.  `brute_force_upsilon` and
 `brute_force_secondary` recompute the same quantities by enumerating entire
 cycle cosets; they share no solver code with the engines and serve as
 independent oracles in the tests.
@@ -36,11 +40,13 @@ from itertools import combinations
 from .complexes import (
     KnotComplex,
     LatticeGenerator,
+    _bits,
+    _column,
     boundary_matrix,
     maslov_slice,
     representative_cycle,
 )
-from .exact import F2Matrix, F2Space, Rational
+from .exact import F2Space
 from .regions import (
     PLFunction,
     SouthWestRegion,
@@ -98,18 +104,10 @@ class BreakingPoint:
 class _Engine:
     slice0: tuple[LatticeGenerator, ...]
     slice1: tuple[LatticeGenerator, ...]
-    d1_rows: tuple[int, ...]  # rows over slice0, columns over slice1
-    d1_cols: tuple[int, ...]  # the same matrix by columns (slice0 masks)
+    d1_cols: tuple[int, ...]  # the degree-1 differential by columns (slice0 masks)
     z_ref: int  # a reference generating cycle, as a slice0 mask
     pos0: tuple[tuple[int, int], ...]
     pos1: tuple[tuple[int, int], ...]
-
-
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 @lru_cache(maxsize=None)
@@ -121,37 +119,61 @@ def _engine(k: KnotComplex) -> _Engine:
     z_ref = 0
     for lg in representative_cycle(k):
         z_ref |= 1 << index0[lg]
-    cols = []
-    for j in range(d1.ncols):
-        col = 0
-        for i, row in enumerate(d1.rows):
-            if (row >> j) & 1:
-                col |= 1 << i
-        cols.append(col)
     return _Engine(
         slice0=slice0,
         slice1=slice1,
-        d1_rows=tuple(d1.rows),
-        d1_cols=tuple(cols),
+        d1_cols=tuple(_column(d1, j) for j in range(d1.ncols)),
         z_ref=z_ref,
         pos0=tuple(lg.pos for lg in slice0),
         pos1=tuple(lg.pos for lg in slice1),
     )
 
 
-def _surjective(eng: _Engine, inside_mask: int) -> bool:
-    """Is some cycle of the coset z_ref + im(d1) supported inside the mask?
+def _reduce(eng: _Engine, keys: list) -> tuple:
+    """Filtered reduction of the generating coset z_ref + im(d1).
 
-    Equivalent to solvability of (d1 x) = z_ref on the rows outside the mask.
+    The slice-0 rows are ordered by key and the d1 columns echelonized by
+    their latest row; each echelon vector carries, beside it, the same chain
+    in original row order.  Reducing z_ref against the echelon basis leaves
+    the coset member whose latest row is earliest, so the key of that row is
+    the least, over all generating cycles, of the greatest key on a support.
+
+    Returns that key, the reduced cycle (a slice0 mask) and the echelon
+    basis as (leading key, slice0 mask) pairs; the basis vectors with leading
+    key <= x span the boundaries supported on rows of key <= x.
     """
-    rows = []
-    b = 0
-    for i in range(len(eng.slice0)):
-        if not (inside_mask >> i) & 1:
-            if (eng.z_ref >> i) & 1:
-                b |= 1 << len(rows)
-            rows.append(eng.d1_rows[i])
-    return F2Matrix(len(rows), len(eng.slice1), rows).solve(b) is not None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+
+    def permute(v: int) -> int:
+        out = 0
+        for i in _bits(v):
+            out |= 1 << rank[i]
+        return out
+
+    pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
+    for col in eng.d1_cols:
+        v, w = permute(col), col
+        while v:
+            lead = v.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (v, w)
+                break
+            v ^= pivot[0]
+            w ^= pivot[1]
+    z, w = permute(eng.z_ref), eng.z_ref
+    while z and (pivot := pivots.get(z.bit_length() - 1)) is not None:
+        z ^= pivot[0]
+        w ^= pivot[1]
+    if not z:
+        raise ValueError("no generating cycle at the full translate; complex not knot-type?")
+    if permute(w) != z:
+        raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
+    basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
+    return keys[order[z.bit_length() - 1]], w, basis
 
 
 def _inside_mask(times: list[Fraction], t: Fraction) -> int:
@@ -162,41 +184,20 @@ def _inside_mask(times: list[Fraction], t: Fraction) -> int:
     return mask
 
 
-def _d1_apply(eng: _Engine, x: int) -> int:
-    out = 0
-    for j in _bits(x):
-        out ^= eng.d1_cols[j]
-    return out
-
-
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
     """True iff a degree-0 generating cycle lives inside the translate C_t."""
-    eng = _engine(k)
-    times = [entering_time(r, p) for p in eng.pos0]
-    return _surjective(eng, _inside_mask(times, Fraction(t)))
+    return upsilon_region(k, r) <= Fraction(t)
 
 
 @lru_cache(maxsize=None)
 def upsilon_region(k: KnotComplex, r: SouthWestRegion) -> Fraction:
     """The least t at which C_t supports a generating cycle.
 
-    The minimum over cycles of the max entering time of their support is
-    attained in the finite set of slice-0 entering times; feasibility is
-    monotone in t, so binary search over the sorted candidates suffices.
+    The minimum over cycles of the max entering time of their support is the
+    entering time left leading after one filtered reduction keyed by it.
     """
     eng = _engine(k)
-    times = [entering_time(r, p) for p in eng.pos0]
-    cands = sorted(set(times))
-    if not cands or not _surjective(eng, _inside_mask(times, cands[-1])):
-        raise ValueError("no generating cycle at the full translate; complex not knot-type?")
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _surjective(eng, _inside_mask(times, cands[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return cands[lo]
+    return _reduce(eng, [entering_time(r, p) for p in eng.pos0])[0]
 
 
 def upsilon_at(k: KnotComplex, t) -> Fraction:
@@ -415,38 +416,6 @@ def d_invariant(k: KnotComplex, q: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _restricted_cycle(eng: _Engine, allowed_mask: int) -> int:
-    """A generating cycle supported inside the mask (exists iff surjective)."""
-    rows = []
-    b = 0
-    for i in range(len(eng.slice0)):
-        if not (allowed_mask >> i) & 1:
-            if (eng.z_ref >> i) & 1:
-                b |= 1 << len(rows)
-            rows.append(eng.d1_rows[i])
-    x = F2Matrix(len(rows), len(eng.slice1), rows).solve(b)
-    if x is None:
-        raise ValueError("no generating cycle inside the region at its own invariant")
-    z = eng.z_ref ^ _d1_apply(eng, x)
-    if z & ~allowed_mask:
-        raise AssertionError("restricted cycle escaped its support constraint")
-    return z
-
-
-def _boundaries_within(eng: _Engine, allowed_mask: int) -> list[int]:
-    """A basis of the boundaries supported inside the mask (B_0 ∩ span(S))."""
-    outside_rows = [
-        eng.d1_rows[i] for i in range(len(eng.slice0)) if not (allowed_mask >> i) & 1
-    ]
-    mat = F2Matrix(len(outside_rows), len(eng.slice1), outside_rows)
-    out = []
-    for y in mat.nullspace():
-        v = _d1_apply(eng, y)
-        if v:
-            out.append(v)
-    return out
-
-
 def secondary(
     k: KnotComplex,
     cplus: SouthWestRegion,
@@ -457,54 +426,34 @@ def secondary(
 
     With gamma± the region invariants of C±, the exceptional cycles of C± are
     the generating cycles supported in C±_{gamma±} — an affine coset
-    z0± + V± where V± is the space of boundaries supported there.  If the two
-    cosets intersect (z0+ + z0- in V+ + V-) there is no obstruction.
+    z0± + V± where V± is the space of boundaries supported there; one
+    filtered reduction per region yields gamma±, z0± and a basis of V±.  If
+    the two cosets intersect (z0+ + z0- in V+ + V-) there is no obstruction.
     Otherwise the answer is the least entering time t of a degree-1 lattice
     generator into C such that z0+ + z0- becomes a boundary of a degree-1
-    chain supported in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t; feasibility is
-    monotone in t and always holds at the largest candidate, where the
-    allowed chains span all of B_0.
+    chain supported in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t: the columns are added
+    in order of entering time until the target lies in their span, which it
+    does once they span all of B_0.
     """
     eng = _engine(k)
-    gp = upsilon_region(k, cplus)
-    gm = upsilon_region(k, cminus)
-    times_p = [entering_time(cplus, p) for p in eng.pos0]
-    times_m = [entering_time(cminus, p) for p in eng.pos0]
-    mask_p = _inside_mask(times_p, gp)
-    mask_m = _inside_mask(times_m, gm)
-    zp = _restricted_cycle(eng, mask_p)
-    zm = _restricted_cycle(eng, mask_m)
-    vplus = _boundaries_within(eng, mask_p)
-    vminus = _boundaries_within(eng, mask_m)
+    gp, zp, basis_p = _reduce(eng, [entering_time(cplus, p) for p in eng.pos0])
+    gm, zm, basis_m = _reduce(eng, [entering_time(cminus, p) for p in eng.pos0])
+    space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
     target = zp ^ zm
-    if F2Space(vplus + vminus).contains(target):
+    if space.contains(target):
         return NO_OBSTRUCTION
 
-    n1 = len(eng.slice1)
-    base = [
-        entering_time(cplus, eng.pos1[j]) <= gp or entering_time(cminus, eng.pos1[j]) <= gm
-        for j in range(n1)
-    ]
-    times_c = [entering_time(c, p) for p in eng.pos1]
-
-    def feasible(t: Fraction) -> bool:
-        space = F2Space(vplus + vminus)
-        for j in range(n1):
-            if base[j] or times_c[j] <= t:
-                space.add(eng.d1_cols[j])
-        return space.contains(target)
-
-    cands = sorted(set(times_c))
-    if not cands or not feasible(cands[-1]):
-        raise AssertionError("secondary invariant: homologous at no candidate translate")
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return cands[lo]
+    by_time: dict[Fraction, list[int]] = {}
+    for col, p in zip(eng.d1_cols, eng.pos1):
+        if entering_time(cplus, p) <= gp or entering_time(cminus, p) <= gm:
+            space.add(col)
+        by_time.setdefault(entering_time(c, p), []).append(col)
+    for t in sorted(by_time):
+        for col in by_time[t]:
+            space.add(col)
+        if space.contains(target):
+            return t
+    raise AssertionError("secondary invariant: homologous at no candidate translate")
 
 
 def _kl_delta(k: KnotComplex, t_star: Fraction) -> Fraction:
@@ -543,13 +492,10 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
         )
 
     first = run(delta)
-    again = run(delta / 2)
-    if isinstance(first, NoObstructionType) or isinstance(again, NoObstructionType):
-        if first is not again:
-            raise AssertionError("secondary invariant unstable under delta halving")
-        return NO_OBSTRUCTION
-    if first != again:
+    if first != run(delta / 2):
         raise AssertionError("secondary invariant unstable under delta halving")
+    if first == NO_OBSTRUCTION:
+        return NO_OBSTRUCTION
     if t_star not in {bp.t for bp in breaking_points(k)}:
         raise ValueError(f"t = {t_star} is not a breaking point")
     return -2 * (first - upsilon_region(k, upsilon_halfplane(t_star)))
@@ -586,32 +532,17 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     """Least x such that truncating C at Alexander coordinate x does not
     change its region invariant.
 
-    Truncation composes with translation, so the test at width x is: does
-    C_gamma ∩ {A <= x + gamma} still support a generating cycle?  The answer
-    is monotone in x and the minimum is attained at some A(g) - gamma.
+    Truncation composes with translation, so the question at width x is:
+    does C_gamma ∩ {A <= x + gamma} still support a generating cycle?  One
+    filtered reduction keyed by (outside C_gamma, A) answers it for every x
+    at once: the least key over the generating cycles is (False, eta + gamma).
     """
     eng = _engine(k)
     gamma = upsilon_region(k, c)
-    times = [entering_time(c, p) for p in eng.pos0]
-
-    def feasible(x: Fraction) -> bool:
-        mask = 0
-        for i, (a, _) in enumerate(eng.pos0):
-            if times[i] <= gamma and a - x <= gamma:
-                mask |= 1 << i
-        return _surjective(eng, mask)
-
-    cands = sorted({Fraction(a) - gamma for a, _ in eng.pos0})
-    if not feasible(cands[-1]):
+    (outside, a), _, _ = _reduce(eng, [(entering_time(c, p) > gamma, p[0]) for p in eng.pos0])
+    if outside:
         raise AssertionError("eta: no generating cycle below the largest truncation")
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return cands[lo]
+    return a - gamma
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Command-line interface: grammar, payloads, exit codes, report pipelines."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import upsilonkit
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
@@ -13,7 +15,13 @@ from upsilonkit.cli import (
     main,
     parse_knot_expr,
 )
-from upsilonkit.complexes import KnotComplex, BaseGenerator, save_complex, validate_complex
+from upsilonkit.complexes import (
+    BaseGenerator,
+    KnotComplex,
+    save_complex,
+    to_json_dict,
+    validate_complex,
+)
 
 
 def run(capsys, *argv):
@@ -146,6 +154,13 @@ def test_upsilon_csv_output(capsys):
     assert lines[1] == "t,value"
     assert len(lines) == 2 + 5
     assert lines[4] == "1.000000000000,-1.000000000000"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_upsilon_csv_rejects_non_positive_samples(capsys, samples):
+    code, out, err = run(capsys, "upsilon", "T(2,3)", "--format", "csv", "--samples", samples)
+    assert code == 1 and "--samples" in err
+    assert out == ""
 
 
 def test_upsilon_at_with_oracle(capsys):
@@ -290,6 +305,34 @@ def test_missing_complex_file(capsys):
     assert code == 1
 
 
+def test_file_with_non_integer_fields_is_rejected(tmp_path, capsys):
+    for field, value in (("A", 0.9), ("j", False), ("M", "0")):
+        entry = {"id": "x", "A": 0, "j": 0, "M": 0, field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"generators": [entry], "arrows": []}))
+        code, out, err = run(capsys, "upsilon", f"file({path})")
+        assert code == 2 and f"field '{field}' must be an integer" in err
+        assert out == ""
+
+
+def _renamed_trefoil(path, names):
+    data = to_json_dict(build_complex(parse_knot_expr("T(2,3)")))
+    rename = dict(zip(sorted(g["id"] for g in data["generators"]), names))
+    for g in data["generators"]:
+        g["id"] = rename[g["id"]]
+    data["arrows"] = [[rename[a], rename[b], m] for a, b, m in data["arrows"]]
+    path.write_text(json.dumps(data))
+
+
+def test_sum_of_files_with_starred_names(tmp_path, capsys):
+    # unescaped "g*h" naming would give both a*(b*c) and (a*b)*c the name a*b*c
+    _renamed_trefoil(tmp_path / "a.json", ("a", "a*b", "a2"))
+    _renamed_trefoil(tmp_path / "b.json", ("b*c", "c", "c2"))
+    expr = f"file({tmp_path / 'a.json'}) # file({tmp_path / 'b.json'})"
+    payload = run_json(capsys, "upsilon", expr)
+    assert payload["value"]["breakpoints"] == [["0", "0"], ["1", "-2"], ["2", "0"]]
+
+
 # ---------------------------------------------------------------------------
 # report pipelines
 # ---------------------------------------------------------------------------
@@ -374,10 +417,13 @@ def test_pretzel_report_q9(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "upsilonkit", "upsilon-at", "T(2,3)", "--t", "1",
          "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == {"num": -1, "den": 1}

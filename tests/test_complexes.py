@@ -212,6 +212,16 @@ def test_tensor_gradings_add():
     assert by_name["y0*y0"].pos == (2, 2)
 
 
+def test_tensor_names_are_injective():
+    def named(*names):
+        return KnotComplex(tuple(BaseGenerator(n, 0, 0, 0) for n in names), ())
+
+    k = tensor(named("a", "a*b", "c\\"), named("b*c", "c", "\\*d"))
+    names = [g.name for g in k.generators]
+    assert len(set(names)) == 9
+    assert "a*b\\*c" in names and "a\\*b*c" in names
+
+
 def test_mirror_is_involution():
     for k in (trefoil_by_hand(), torus_knot(5, 3), thin_model(-2)):
         assert mirror(mirror(k)) == k
@@ -285,4 +295,19 @@ def test_from_json_dict_round_trip_in_memory():
 )
 def test_from_json_dict_rejects_malformed(data):
     with pytest.raises(ValueError):
+        from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"generators": [{"id": "x", "A": 0.9, "j": 0, "M": 0}]}, "A"),
+        ({"generators": [{"id": "x", "A": 0, "j": False, "M": 0}]}, "j"),
+        ({"generators": [{"id": "x", "A": 0, "j": 0, "M": 1.0}]}, "M"),
+        ({"generators": [{"id": "x", "A": 0, "j": 0, "M": 0}],
+          "arrows": [["x", "x", True]]}, "upower"),
+    ],
+)
+def test_from_json_dict_rejects_non_integer_fields(data, field):
+    with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
         from_json_dict(data)

@@ -43,6 +43,7 @@ from upsilonkit.regions import (
     pl_eval,
     pl_negate_scale,
     pl_singular_points,
+    truncate,
     union,
     upsilon_halfplane,
     v_region,
@@ -454,6 +455,68 @@ def test_box_insertion_preserves_everything():
         kim_livingston(k, F(2, 3), F(2, 3)),
         d_invariant(k, 7, 1),
     ) == baseline
+
+
+# ---------------------------------------------------------------------------
+# the filtered reduction against the oracles on random boxed sums
+# ---------------------------------------------------------------------------
+
+
+def _random_sum(rng):
+    """A sum of 1-3 small torus knots or mirrors, with 0-2 acyclic squares,
+    small enough that the oracles stay under their guard."""
+    parts = [(3, 2), (5, 2), (4, 3)]
+    while True:
+        chosen = [rng.choice(parts) for _ in range(rng.randint(1, 3))]
+        size = 1
+        for p, q in chosen:
+            size *= p if q == 2 else 5
+        if size <= 27:
+            break
+    k = None
+    for p, q in chosen:
+        part = torus_knot(p, q) if rng.random() < 0.5 else mirror(torus_knot(p, q))
+        k = part if k is None else tensor(k, part)
+    for _ in range(rng.randint(0, 2)):
+        k = add_box(k, (rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-2, 2))
+    return k
+
+
+def _random_region(rng):
+    kind = rng.choice(("H", "Q", "hp", "union", "trunc"))
+    if kind == "H":
+        return upsilon_halfplane(F(rng.randint(0, 12), 6))
+    if kind == "Q":
+        return v_region(rng.randint(-2, 2))
+    if kind == "hp":
+        return make_halfplane(rng.randint(0, 3), rng.randint(1, 3), rng.randint(-2, 2))
+    if kind == "union":
+        return union(upsilon_halfplane(F(rng.randint(0, 8), 4)), v_region(rng.randint(-2, 2)))
+    return truncate(upsilon_halfplane(F(rng.randint(0, 8), 4)), rng.randint(-1, 3))
+
+
+def test_filtered_reduction_matches_oracles_on_random_sums():
+    rng = random.Random(2024)
+    finite = 0
+    for _ in range(12):
+        k = _random_sum(rng)
+        assert validate_complex(k).ok
+        for _ in range(3):
+            r = _random_region(rng)
+            gamma = upsilon_region(k, r)
+            assert gamma == brute_force_upsilon(k, r)
+            x = eta(k, r)
+            assert brute_force_upsilon(k, truncate(r, x)) == gamma
+            assert brute_force_upsilon(k, truncate(r, x - F(1, 1000))) > gamma
+        t, d = F(rng.randint(2, 10), 6), F(1, 100)
+        for regions in (
+            (upsilon_halfplane(t + d), upsilon_halfplane(t - d), _random_region(rng)),
+            (_random_region(rng), _random_region(rng), _random_region(rng)),
+        ):
+            value = secondary(k, *regions)
+            assert value == brute_force_secondary(k, *regions)
+            finite += value != NO_OBSTRUCTION
+    assert finite > 0
 
 
 def test_upsilon_function_is_canonical_pl():
