@@ -40,6 +40,7 @@ from .invariants import (
     BreakingPoint,
     GuardExceeded,
     NoObstructionType,
+    NotABreakingPoint,
     SecondaryValue,
     breaking_points,
     brute_force_secondary,
@@ -110,8 +111,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AlexanderPolynomial", "BaseGenerator", "BreakingPoint", "Chain", "F2Matrix",
     "F2Space", "GuardExceeded", "HalfPlane", "KnotComplex", "LatticeGenerator",
-    "NO_OBSTRUCTION", "NoObstructionType", "PLFunction", "PuiseuxData", "Rational",
-    "RegionParseError", "SecondaryValue", "Semigroup", "SouthWestRegion",
+    "NO_OBSTRUCTION", "NoObstructionType", "NotABreakingPoint", "PLFunction",
+    "PuiseuxData", "Rational", "RegionParseError", "SecondaryValue", "Semigroup",
+    "SouthWestRegion",
     "ValidationReport", "add_box", "alexander_from_semigroup", "alexander_pretzel",
     "boundary_matrix", "breaking_points", "brute_force_secondary",
     "brute_force_upsilon", "check_jumps", "contains", "d_invariant", "eta",

@@ -17,7 +17,8 @@ R & R, R | R.  All numeric output is exact; JSON carries rationals as
 {"num", "den"} pairs or canonical "p/q" strings, CSV is display-only decimal.
 
 Exit codes: 0 success; 1 parse/usage error; 2 validation or precondition
-failure; 3 brute-force oracle guard exceeded.
+failure; 3 brute-force oracle guard exceeded; 4 internal check failed (an
+oracle mismatch or a self-check).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from fractions import Fraction
 
 from . import complexes, invariants, regions, zoo
 from .exact import rational_to_text
-from .invariants import NO_OBSTRUCTION, GuardExceeded, NoObstructionType
-from .regions import RegionParseError, upsilon_halfplane
+from .invariants import NO_OBSTRUCTION, GuardExceeded, NoObstructionType, NotABreakingPoint
+from .regions import RegionParseError, _Scanner, upsilon_halfplane
 
 
 # ---------------------------------------------------------------------------
@@ -94,49 +95,21 @@ class KnotParseError(ValueError):
         self.position = position
 
 
-class _KnotParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _KnotParser(_Scanner):
+    """Recursive descent over the knot expression grammar above."""
 
-    def parse(self) -> KnotExpr:
-        expr = self.sum_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise KnotParseError(
-                f"unexpected trailing input {self.text[self.pos:]!r}", self.pos
-            )
-        return expr
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise KnotParseError(f"expected {ch!r}, found {found!r}", self.pos)
-        self.pos += 1
+    error = KnotParseError
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        start = self.digits(signed=True)
         token = self.text[start:self.pos]
         try:
             return int(token)
         except ValueError:
             raise KnotParseError(f"expected an integer, found {token!r}", start) from None
 
-    def sum_expr(self) -> KnotExpr:
+    def expr(self) -> KnotExpr:
         expr = self.term()
         while self.peek() == "#":
             self.pos += 1
@@ -152,17 +125,10 @@ class _KnotParser:
     def atom(self) -> KnotExpr:
         if self.peek() == "(":
             self.pos += 1
-            expr = self.sum_expr()
+            expr = self.expr()
             self.expect(")")
             return expr
-        self.skip_ws()
-        start = self.pos
-        name = ""
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            name += self.text[self.pos]
-            self.pos += 1
-        if not name:
-            raise KnotParseError("expected a knot term", self.pos)
+        start, name = self.term_name("knot")
         if name == "T":
             self.expect("(")
             p = self.integer()
@@ -223,15 +189,11 @@ class _KnotParser:
             return FileExpr(path)
         raise KnotParseError(f"unknown knot term {name!r}", start)
 
-    @staticmethod
-    def _position_wrap(start: int, exc: ValueError) -> KnotParseError:
-        return KnotParseError(str(exc), start)
-
     def _validate(self, start: int, thunk):
         try:
             thunk()
         except ValueError as exc:
-            raise self._position_wrap(start, exc) from None
+            raise KnotParseError(str(exc), start) from None
 
 
 def parse_knot_expr(text: str) -> KnotExpr:
@@ -625,7 +587,7 @@ def _cmd_thin_check(args):
                         equal = lhs == rhs
                         entry.update(lhs=_sec_text(lhs), rhs=_sec_text(rhs), equal=equal,
                                      note="compared against the thin closed form at t=1")
-                    except ValueError:
+                    except NotABreakingPoint:
                         equal = rhs == NO_OBSTRUCTION
                         entry.update(lhs="undefined (not a breaking point)",
                                      rhs=_sec_text(rhs), equal=equal,
@@ -826,6 +788,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import (
     KnotComplex,
-    LatticeGenerator,
     _bits,
     _column,
     boundary_matrix,
@@ -78,6 +77,12 @@ class NoObstructionType:
 
 NO_OBSTRUCTION = NoObstructionType()
 
+
+class NotABreakingPoint(ValueError):
+    """kim_livingston found a finite secondary value at a parameter that is
+    not a breaking point, where the invariant is undefined."""
+
+
 SecondaryValue = Fraction | NoObstructionType
 
 
@@ -96,37 +101,49 @@ class BreakingPoint:
 
 
 # ---------------------------------------------------------------------------
-# Engine data: the degree-0/1 slices and differential of a complex, cached
+# The engine: what the filtered reduction reads of one complex
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Engine:
-    slice0: tuple[LatticeGenerator, ...]
-    slice1: tuple[LatticeGenerator, ...]
-    d1_cols: tuple[int, ...]  # the degree-1 differential by columns (slice0 masks)
-    z_ref: int  # a reference generating cycle, as a slice0 mask
-    pos0: tuple[tuple[int, int], ...]
-    pos1: tuple[tuple[int, int], ...]
+    """Generator positions of slices 0 and 1, the degree-1 differential by
+    columns and a reference generating cycle (as slice-0 masks), plus the
+    candidate kinks and the upsilon curve.  `of` builds it once per complex
+    and keeps it in the complex's instance dict, so it lives exactly as long
+    as the complex (KnotComplex equality, hash and repr read only fields).
+    """
 
+    def __init__(self, k: KnotComplex):
+        slice0 = maslov_slice(k, 0)
+        index0 = {lg: i for i, lg in enumerate(slice0)}
+        d1 = boundary_matrix(k, 1)
+        self.pos0 = tuple(lg.pos for lg in slice0)
+        self.pos1 = tuple(lg.pos for lg in maslov_slice(k, 1))
+        self.d1_cols = tuple(_column(d1, j) for j in range(d1.ncols))
+        self.z_ref = 0
+        for lg in representative_cycle(k):
+            self.z_ref |= 1 << index0[lg]
+        self.curve: PLFunction | None = None  # filled by upsilon_function
 
-@lru_cache(maxsize=None)
-def _engine(k: KnotComplex) -> _Engine:
-    slice0 = maslov_slice(k, 0)
-    slice1 = maslov_slice(k, 1)
-    d1 = boundary_matrix(k, 1)
-    index0 = {lg: i for i, lg in enumerate(slice0)}
-    z_ref = 0
-    for lg in representative_cycle(k):
-        z_ref |= 1 << index0[lg]
-    return _Engine(
-        slice0=slice0,
-        slice1=slice1,
-        d1_cols=tuple(_column(d1, j) for j in range(d1.ncols)),
-        z_ref=z_ref,
-        pos0=tuple(lg.pos for lg in slice0),
-        pos1=tuple(lg.pos for lg in slice1),
-    )
+    @staticmethod
+    def of(k: KnotComplex) -> "_Engine":
+        eng = vars(k).get("_engine")
+        if eng is None:
+            eng = vars(k)["_engine"] = _Engine(k)
+        return eng
+
+    @cached_property
+    def candidate_ts(self) -> tuple[Fraction, ...]:
+        """Candidate kink locations of t -> upsilon: every t in (0,2) where two
+        generator lines (t/2)A + (1-t/2)j cross, plus the endpoints."""
+        lines = {(a - j, j) for a, j in self.pos0}  # L(t) = j + (t/2)(A - j)
+        cands = {Fraction(0), Fraction(2)}
+        for (d1, j1), (d2, j2) in combinations(lines, 2):
+            if d1 != d2:
+                t = Fraction(2 * (j2 - j1), d1 - d2)
+                if 0 < t < 2:
+                    cands.add(t)
+        return tuple(sorted(cands))
 
 
 def _reduce(eng: _Engine, keys: list) -> tuple:
@@ -189,14 +206,13 @@ def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
     return upsilon_region(k, r) <= Fraction(t)
 
 
-@lru_cache(maxsize=None)
 def upsilon_region(k: KnotComplex, r: SouthWestRegion) -> Fraction:
     """The least t at which C_t supports a generating cycle.
 
     The minimum over cycles of the max entering time of their support is the
     entering time left leading after one filtered reduction keyed by it.
     """
-    eng = _engine(k)
+    eng = _Engine.of(k)
     return _reduce(eng, [entering_time(r, p) for p in eng.pos0])[0]
 
 
@@ -205,38 +221,27 @@ def upsilon_at(k: KnotComplex, t) -> Fraction:
     return -2 * upsilon_region(k, upsilon_halfplane(t))
 
 
-@lru_cache(maxsize=None)
-def _candidate_ts(k: KnotComplex) -> tuple[Fraction, ...]:
-    """Candidate kink locations of t -> upsilon: every t in (0,2) where two
-    generator lines (t/2)A + (1-t/2)j cross, plus the endpoints."""
-    eng = _engine(k)
-    lines = {(a - j, j) for a, j in eng.pos0}  # L(t) = j + (t/2)(A - j)
-    cands = {Fraction(0), Fraction(2)}
-    for (d1, j1), (d2, j2) in combinations(lines, 2):
-        if d1 != d2:
-            t = Fraction(2 * (j2 - j1), d1 - d2)
-            if 0 < t < 2:
-                cands.add(t)
-    return tuple(sorted(cands))
-
-
-@lru_cache(maxsize=None)
 def upsilon_function(k: KnotComplex) -> PLFunction:
-    """The exact knot-level upsilon function on [0, 2].
+    """The exact knot-level upsilon function on [0, 2], computed once per complex.
 
     Between consecutive candidate kinks no two generator lines cross, so the
     engine value is linear there; this is re-verified at every segment
     midpoint before the curve is assembled.
     """
-    ts = _candidate_ts(k)
-    vals = [upsilon_region(k, upsilon_halfplane(t)) for t in ts]
-    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        vm = upsilon_region(k, upsilon_halfplane((t0 + t1) / 2))
-        if 2 * vm != v0 + v1:
-            raise AssertionError(
-                f"upsilon not linear on [{t0}, {t1}]: candidate kink set incomplete"
-            )
-    return PLFunction(tuple((t, -2 * v) for t, v in zip(ts, vals)))
+    eng = _Engine.of(k)
+    if eng.curve is None:
+        ts = eng.candidate_ts
+        vals = [upsilon_region(k, upsilon_halfplane(t)) for t in ts]
+        for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
+            _check_linear(k, t0, v0, t1, v1)
+        eng.curve = PLFunction(tuple((t, -2 * v) for t, v in zip(ts, vals)))
+    return eng.curve
+
+
+def _check_linear(k: KnotComplex, t0: Fraction, v0: Fraction, t1: Fraction, v1: Fraction):
+    """Assert that the engine value at the midpoint of [t0, t1] lies on the chord."""
+    if 2 * upsilon_region(k, upsilon_halfplane((t0 + t1) / 2)) != v0 + v1:
+        raise AssertionError(f"upsilon not linear on [{t0}, {t1}]: candidate kink set incomplete")
 
 
 def breaking_points(k: KnotComplex) -> list[BreakingPoint]:
@@ -384,8 +389,7 @@ def vk(k: KnotComplex, s: int) -> Fraction:
 
 
 def _max_alexander(k: KnotComplex) -> int:
-    eng = _engine(k)
-    return max(a for a, _ in eng.pos0)
+    return max(a for a, _ in _Engine.of(k).pos0)
 
 
 def nu_plus(k: KnotComplex) -> int:
@@ -435,7 +439,7 @@ def secondary(
     in order of entering time until the target lies in their span, which it
     does once they span all of B_0.
     """
-    eng = _engine(k)
+    eng = _Engine.of(k)
     gp, zp, basis_p = _reduce(eng, [entering_time(cplus, p) for p in eng.pos0])
     gm, zm, basis_m = _reduce(eng, [entering_time(cminus, p) for p in eng.pos0])
     space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
@@ -460,8 +464,7 @@ def _kl_delta(k: KnotComplex, t_star: Fraction) -> Fraction:
     """Perturbation width at t_star: half the gap to the nearest other
     candidate kink or interval endpoint (so no kink sits strictly between
     t_star - delta and t_star + delta)."""
-    cands = set(_candidate_ts(k)) | {Fraction(0), Fraction(2)}
-    return min(abs(t_star - c) for c in cands if c != t_star) / 2
+    return min(abs(t_star - c) for c in _Engine.of(k).candidate_ts if c != t_star) / 2
 
 
 def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
@@ -474,7 +477,10 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     at delta/2 and asserted stable.  At a parameter that is not a breaking
     point the computation still returns NoObstruction when the exceptional
     cycle sets of the two perturbed half-planes intersect; a finite value
-    there is an error, since the invariant is only defined at breaking points.
+    there raises NotABreakingPoint.  That test is local: upsilon is linear on
+    [t_star - delta, t_star] and on [t_star, t_star + delta] (re-verified at
+    the midpoints), and t_star is a breaking point iff the engine value bends
+    down there.
     """
     t_star, s = Fraction(t_star), Fraction(s)
     if not 0 < t_star < 2:
@@ -496,9 +502,13 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
         raise AssertionError("secondary invariant unstable under delta halving")
     if first == NO_OBSTRUCTION:
         return NO_OBSTRUCTION
-    if t_star not in {bp.t for bp in breaking_points(k)}:
-        raise ValueError(f"t = {t_star} is not a breaking point")
-    return -2 * (first - upsilon_region(k, upsilon_halfplane(t_star)))
+    ts = (t_star - delta, t_star, t_star + delta)
+    lo, kink, hi = (upsilon_region(k, upsilon_halfplane(t)) for t in ts)
+    _check_linear(k, ts[0], lo, t_star, kink)
+    _check_linear(k, t_star, kink, ts[2], hi)
+    if lo + hi - 2 * kink >= 0:
+        raise NotABreakingPoint(f"t = {t_star} is not a breaking point")
+    return -2 * (first - kink)
 
 
 def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> SecondaryValue:
@@ -537,7 +547,7 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     filtered reduction keyed by (outside C_gamma, A) answers it for every x
     at once: the least key over the generating cycles is (False, eta + gamma).
     """
-    eng = _engine(k)
+    eng = _Engine.of(k)
     gamma = upsilon_region(k, c)
     (outside, a), _, _ = _reduce(eng, [(entering_time(c, p) > gamma, p[0]) for p in eng.pos0])
     if outside:
@@ -583,7 +593,7 @@ def brute_force_upsilon(k: KnotComplex, r: SouthWestRegion, guard: int = 20) -> 
     support.  Exponential in dim B_0 (guarded); exact; shares no code path
     with the solver engine.
     """
-    eng = _engine(k)
+    eng = _Engine.of(k)
     basis = _coset_basis(eng, guard, "brute_force_upsilon")
     times = [entering_time(r, p) for p in eng.pos0]
     best = None
@@ -609,7 +619,7 @@ def brute_force_secondary(
     the allowed degree-1 generators, comparing boundaries against all pair
     sums.  Exact and exponential (guarded).
     """
-    eng = _engine(k)
+    eng = _Engine.of(k)
     basis = _coset_basis(eng, guard, "brute_force_secondary")
     gp = brute_force_upsilon(k, cplus, guard)
     gm = brute_force_upsilon(k, cminus, guard)
@@ -628,7 +638,7 @@ def brute_force_secondary(
         return NO_OBSTRUCTION
     targets = {a ^ b for a in zplus for b in zminus}
 
-    n1 = len(eng.slice1)
+    n1 = len(eng.pos1)
     base = [
         entering_time(cplus, eng.pos1[j]) <= gp or entering_time(cminus, eng.pos1[j]) <= gm
         for j in range(n1)

@@ -214,19 +214,23 @@ class RegionParseError(ValueError):
         self.position = position
 
 
-class _RegionParser:
-    """Hand-rolled LL(1) recursive descent; & binds tighter than |."""
+class _Scanner:
+    """The lexing shared by the hand-rolled LL(1) parsers of the region and
+    knot DSLs.  `error` is the exception class raised, called with a message
+    and a position; `expr` is the subclass's top-level rule."""
+
+    error: type[ValueError]
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def parse(self) -> SouthWestRegion:
-        region = self.union_expr()
+    def parse(self):
+        result = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
-            raise RegionParseError(f"unexpected trailing input {self.text[self.pos:]!r}", self.pos)
-        return region
+            raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}", self.pos)
+        return result
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -236,14 +240,40 @@ class _RegionParser:
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
             found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise RegionParseError(f"expected {ch!r}, found {found!r}", self.pos)
+            raise self.error(f"expected {ch!r}, found {found!r}", self.pos)
         self.pos += 1
 
     def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def union_expr(self) -> SouthWestRegion:
+    def term_name(self, what: str) -> tuple[int, str]:
+        """Scan an alphabetic term name; returns its start and the name."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalpha():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error(f"expected a {what} term", self.pos)
+        return start, self.text[start:self.pos]
+
+    def digits(self, signed: bool = False) -> int:
+        """Scan a digit run, after an optional sign if `signed`; returns its start."""
+        start = self.pos
+        if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return start
+
+
+class _RegionParser(_Scanner):
+    """Recursive descent over the region DSL; & binds tighter than |."""
+
+    error = RegionParseError
+
+    def expr(self) -> SouthWestRegion:
+        """A union of intersections."""
         region = self.intersect_expr()
         while self.peek() == "|":
             self.pos += 1
@@ -258,19 +288,12 @@ class _RegionParser:
         return region
 
     def atom(self) -> SouthWestRegion:
-        self.skip_ws()
         if self.peek() == "(":
             self.pos += 1
-            region = self.union_expr()
+            region = self.expr()
             self.expect(")")
             return region
-        start = self.pos
-        name = ""
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            name += self.text[self.pos]
-            self.pos += 1
-        if not name:
-            raise RegionParseError("expected a region term", self.pos)
+        start, name = self.term_name("region")
         try:
             if name == "H":
                 self.expect("(")
@@ -293,7 +316,7 @@ class _RegionParser:
                 return make_halfplane(a, b, c)
             if name == "trunc":
                 self.expect("(")
-                region = self.union_expr()
+                region = self.expr()
                 self.expect(",")
                 x = self.rational()
                 self.expect(")")
@@ -306,15 +329,10 @@ class _RegionParser:
 
     def rational(self) -> Fraction:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        start = self.digits(signed=True)
         if self.pos < len(self.text) and self.text[self.pos] == "/":
             self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
+            self.digits()
         token = self.text[start:self.pos]
         try:
             return Fraction(token)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import upsilonkit
+from upsilonkit import invariants
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
@@ -267,6 +268,14 @@ def test_exit_3_on_guard(capsys):
     assert code == 3 and "guard exceeded" in err
 
 
+def test_exit_4_on_internal_check_failure(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "brute_force_upsilon", lambda k, r: 7)
+    code, out, err = run(capsys, "region-upsilon", "T(3,2)", "--region", "H(1)",
+                         "--check-oracle")
+    assert code == 4 and out == ""
+    assert err == "internal check failed: engine 1/2 != brute-force oracle 7\n"
+
+
 # ---------------------------------------------------------------------------
 # complex files
 # ---------------------------------------------------------------------------
@@ -378,6 +387,17 @@ def test_thin_check_shape_mismatch(capsys):
     assert value["upsilon_shape_matches_thin"] is False
     assert value["verdict"] == "obstructed"
     assert value["comparisons"] == []
+
+
+def test_thin_check_reports_other_errors(capsys, monkeypatch):
+    # only "not a breaking point" reads as an undefined value; any other
+    # error of the secondary invariant is reported and fails the command
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(invariants, "secondary", boom)
+    code, out, err = run(capsys, "thin-check", "T(3,2)")
+    assert code == 2 and err == "error: boom\n"
 
 
 def test_thin_check_text_output(capsys):

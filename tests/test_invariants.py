@@ -4,16 +4,20 @@ Values marked "desk" below were derived by hand from the staircase corner
 formulas before the engines existed, and are frozen here as oracles.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
+from upsilonkit import invariants
 from upsilonkit.complexes import add_box, mirror, tensor, validate_complex
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     GuardExceeded,
     NoObstructionType,
+    NotABreakingPoint,
     breaking_points,
     brute_force_secondary,
     brute_force_upsilon,
@@ -100,7 +104,7 @@ def test_h0_surjective_threshold():
     assert not h0_surjective(k, h1, F(49, 100))
 
 
-def test_upsilon_region_caches_by_value():
+def test_upsilon_region_equal_complexes_agree():
     k = torus_knot(3, 2)
     assert upsilon_region(k, upsilon_halfplane(1)) == upsilon_region(
         torus_knot(3, 2), upsilon_halfplane(1)
@@ -526,3 +530,61 @@ def test_upsilon_function_is_canonical_pl():
     assert f.points[0][0] == 0 and f.points[-1][0] == 2
     assert pl_singular_points(pl_add(f, pl_negate_scale(f, -1))) == []
     assert pl_add(f, pl_negate_scale(f, -1)) == pl_constant(0)
+
+
+# ---------------------------------------------------------------------------
+# one engine per complex
+# ---------------------------------------------------------------------------
+
+
+def test_complex_is_freed_after_queries():
+    # nothing at module level keeps a queried complex (or its engine) alive;
+    # the box makes k unequal to every complex other tests query
+    k = add_box(torus_knot(4, 3), (40, 41), 0)
+    t, d = F(2, 3), F(1, 100)
+    upsilon_function(k)
+    vk(k, 0)
+    eta(k, upsilon_halfplane(1))
+    secondary(k, upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(1))
+    assert kim_livingston(k, t, t) == F(-4, 3)
+    ref = weakref.ref(k)
+    del k
+    gc.collect()
+    assert ref() is None
+
+
+def test_upsilon_curve_is_computed_once_per_complex(monkeypatch):
+    k = torus_knot(5, 3)
+    f = upsilon_function(k)
+    other = upsilon_function(torus_knot(5, 3))  # an equal complex has its own engine
+    assert other == f and other is not f
+
+    def region(*args):
+        raise AssertionError("the curve was evaluated again")
+
+    monkeypatch.setattr(invariants, "upsilon_region", region)
+    assert upsilon_function(k) is f
+    assert [(bp.t, bp.jump) for bp in breaking_points(k)] == [
+        (t, jump) for t, jump in pl_singular_points(f) if jump > 0
+    ] != []
+
+
+def test_kim_livingston_decides_breaking_points_locally(monkeypatch):
+    # With the secondary value forced finite, kim_livingston must reach its
+    # breaking-point test; its local decision must agree with the whole curve.
+    def finite(*args):
+        return F(0)
+
+    for k in SMALL_ZOO + [mirror(torus_knot(4, 3)), torus_knot(8, 5)]:
+        f = upsilon_function(k)
+        bps = {bp.t for bp in breaking_points(k)}
+        kinks = [t for t, _ in f.points[1:-1]]
+        smooth = [(t0 + t1) / 2 for (t0, _), (t1, _) in zip(f.points, f.points[1:])]
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "secondary", finite)
+            for t in kinks + smooth:
+                if t in bps:
+                    assert kim_livingston(k, t, 1) == 2 * upsilon_region(k, upsilon_halfplane(t))
+                else:
+                    with pytest.raises(NotABreakingPoint, match="not a breaking point"):
+                        kim_livingston(k, t, 1)
