@@ -135,7 +135,7 @@ class _KnotParser(_Scanner):
             self.expect(",")
             q = self.integer()
             self.expect(")")
-            self._validate(start, lambda: zoo.torus_knot(p, q) and None)
+            self._validate(start, lambda: zoo.check_torus_parameters(p, q))
             return TorusExpr(p, q)
         if name == "P":
             self.expect("(")
@@ -513,10 +513,6 @@ def _flatten_sum(expr: KnotExpr, sign: int, acc: list[tuple[KnotExpr, int]]):
         acc.append((expr, sign))
 
 
-def _sec_text(value) -> str:
-    return "no obstruction" if isinstance(value, NoObstructionType) else rational_to_text(value)
-
-
 def _cmd_thin_check(args):
     """Test whether the expression could be concordant to a thin knot.
 
@@ -564,7 +560,7 @@ def _cmd_thin_check(args):
                     lhs = invariants.kim_livingston(a_side, t_star, t_star)
                     rhs = invariants.kim_livingston(b_side, t_star, t_star)
                     equal = lhs == rhs
-                    entry.update(lhs=_sec_text(lhs), rhs=_sec_text(rhs), equal=equal,
+                    entry.update(lhs=_value_text(lhs), rhs=_value_text(rhs), equal=equal,
                                  note="summand-side comparison (thin part smooth here)")
                     if not equal:
                         obstructed = True
@@ -585,12 +581,12 @@ def _cmd_thin_check(args):
                     try:
                         lhs = invariants.kim_livingston(a_side, Fraction(1), Fraction(1))
                         equal = lhs == rhs
-                        entry.update(lhs=_sec_text(lhs), rhs=_sec_text(rhs), equal=equal,
+                        entry.update(lhs=_value_text(lhs), rhs=_value_text(rhs), equal=equal,
                                      note="compared against the thin closed form at t=1")
                     except NotABreakingPoint:
                         equal = rhs == NO_OBSTRUCTION
                         entry.update(lhs="undefined (not a breaking point)",
-                                     rhs=_sec_text(rhs), equal=equal,
+                                     rhs=_value_text(rhs), equal=equal,
                                      note="t=1 is not a breaking point of the summand side")
                     if not equal:
                         obstructed = True

@@ -227,21 +227,20 @@ def representative_cycle(k: KnotComplex) -> Chain:
     slice0 = maslov_slice(k, 0)
     d0 = boundary_matrix(k, 0)
     d1 = boundary_matrix(k, 1)
-    boundaries = F2Space()
-    for j in range(d1.ncols):
-        boundaries.add(_column(d1, j))
+    boundaries = F2Space(_columns(d1))
     for z in d0.nullspace():
         if not boundaries.contains(z):
             return Chain(frozenset(slice0[i] for i in _bits(z)))
     raise ValueError("complex has no degree-0 homology generator (not knot-type)")
 
 
-def _column(m: F2Matrix, j: int) -> int:
-    col = 0
+def _columns(m: F2Matrix) -> list[int]:
+    """The columns of m as row masks, from one walk over each row's set bits."""
+    cols = [0] * m.ncols
     for i, row in enumerate(m.rows):
-        if (row >> j) & 1:
-            col |= 1 << i
-    return col
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
 
 
 def _bits(x: int):

@@ -23,8 +23,9 @@ the standard persistence reduction: order the degree-0 lattice generators by
 a key such as their entering time, echelonize the degree-1 boundary columns
 by their latest generator, and reduce a reference generating cycle against
 them.  The key left leading is the least, over all generating cycles, of the
-greatest key on a support.  Keys are exact (rational entering times, integer
-gradings), so every value is exact.  `brute_force_upsilon` and
+greatest key on a support.  Keys are exact integers (entering times as
+numerators over the region's common denominator, Alexander gradings), so
+every value is exact, and only the returned value is made a Fraction.  `brute_force_upsilon` and
 `brute_force_secondary` recompute the same quantities by enumerating entire
 cycle cosets; they share no solver code with the engines and serve as
 independent oracles in the tests.
@@ -36,11 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 
 from .complexes import (
     KnotComplex,
     _bits,
-    _column,
+    _columns,
     boundary_matrix,
     maslov_slice,
     representative_cycle,
@@ -49,6 +51,7 @@ from .exact import F2Space
 from .regions import (
     PLFunction,
     SouthWestRegion,
+    entering_numerators,
     entering_time,
     pl_singular_points,
     upsilon_halfplane,
@@ -107,10 +110,11 @@ class BreakingPoint:
 
 class _Engine:
     """Generator positions of slices 0 and 1, the degree-1 differential by
-    columns and a reference generating cycle (as slice-0 masks), plus the
-    candidate kinks and the upsilon curve.  `of` builds it once per complex
-    and keeps it in the complex's instance dict, so it lives exactly as long
-    as the complex (KnotComplex equality, hash and repr read only fields).
+    columns (as slice-0 masks and as tuples of row indices) and a reference
+    generating cycle (a slice-0 mask), plus the candidate kinks and the
+    upsilon curve.  `of` builds it once per complex and keeps it in the
+    complex's instance dict, so it lives exactly as long as the complex
+    (KnotComplex equality, hash and repr read only fields).
     """
 
     def __init__(self, k: KnotComplex):
@@ -119,7 +123,8 @@ class _Engine:
         d1 = boundary_matrix(k, 1)
         self.pos0 = tuple(lg.pos for lg in slice0)
         self.pos1 = tuple(lg.pos for lg in maslov_slice(k, 1))
-        self.d1_cols = tuple(_column(d1, j) for j in range(d1.ncols))
+        self.d1_cols = tuple(_columns(d1))
+        self.d1_supports = tuple(tuple(_bits(col)) for col in self.d1_cols)
         self.z_ref = 0
         for lg in representative_cycle(k):
             self.z_ref |= 1 << index0[lg]
@@ -137,12 +142,15 @@ class _Engine:
         """Candidate kink locations of t -> upsilon: every t in (0,2) where two
         generator lines (t/2)A + (1-t/2)j cross, plus the endpoints."""
         lines = {(a - j, j) for a, j in self.pos0}  # L(t) = j + (t/2)(A - j)
-        cands = {Fraction(0), Fraction(2)}
+        crossings = set()  # t = num / den in lowest terms, den > 0
         for (d1, j1), (d2, j2) in combinations(lines, 2):
-            if d1 != d2:
-                t = Fraction(2 * (j2 - j1), d1 - d2)
-                if 0 < t < 2:
-                    cands.add(t)
+            num, den = 2 * (j2 - j1), d1 - d2
+            if den < 0:
+                num, den = -num, -den
+            if 0 < num < 2 * den:
+                g = gcd(num, den)
+                crossings.add((num // g, den // g))
+        cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
         return tuple(sorted(cands))
 
 
@@ -164,15 +172,12 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
     for r, i in enumerate(order):
         rank[i] = r
 
-    def permute(v: int) -> int:
-        out = 0
-        for i in _bits(v):
-            out |= 1 << rank[i]
-        return out
+    def permute(rows) -> int:
+        return sum(1 << rank[i] for i in rows)
 
     pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
-    for col in eng.d1_cols:
-        v, w = permute(col), col
+    for col, support in zip(eng.d1_cols, eng.d1_supports):
+        v, w = permute(support), col
         while v:
             lead = v.bit_length() - 1
             pivot = pivots.get(lead)
@@ -181,13 +186,13 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
                 break
             v ^= pivot[0]
             w ^= pivot[1]
-    z, w = permute(eng.z_ref), eng.z_ref
+    z, w = permute(_bits(eng.z_ref)), eng.z_ref
     while z and (pivot := pivots.get(z.bit_length() - 1)) is not None:
         z ^= pivot[0]
         w ^= pivot[1]
     if not z:
         raise ValueError("no generating cycle at the full translate; complex not knot-type?")
-    if permute(w) != z:
+    if permute(_bits(w)) != z:
         raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
     basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
     return keys[order[z.bit_length() - 1]], w, basis
@@ -213,7 +218,8 @@ def upsilon_region(k: KnotComplex, r: SouthWestRegion) -> Fraction:
     entering time left leading after one filtered reduction keyed by it.
     """
     eng = _Engine.of(k)
-    return _reduce(eng, [entering_time(r, p) for p in eng.pos0])[0]
+    nums, d = entering_numerators(r, eng.pos0)
+    return Fraction(_reduce(eng, nums)[0], d)
 
 
 def upsilon_at(k: KnotComplex, t) -> Fraction:
@@ -440,23 +446,26 @@ def secondary(
     does once they span all of B_0.
     """
     eng = _Engine.of(k)
-    gp, zp, basis_p = _reduce(eng, [entering_time(cplus, p) for p in eng.pos0])
-    gm, zm, basis_m = _reduce(eng, [entering_time(cminus, p) for p in eng.pos0])
+    gp, zp, basis_p = _reduce(eng, entering_numerators(cplus, eng.pos0)[0])
+    gm, zm, basis_m = _reduce(eng, entering_numerators(cminus, eng.pos0)[0])
     space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
     target = zp ^ zm
     if space.contains(target):
         return NO_OBSTRUCTION
 
-    by_time: dict[Fraction, list[int]] = {}
-    for col, p in zip(eng.d1_cols, eng.pos1):
-        if entering_time(cplus, p) <= gp or entering_time(cminus, p) <= gm:
+    times_p = entering_numerators(cplus, eng.pos1)[0]
+    times_m = entering_numerators(cminus, eng.pos1)[0]
+    times_c, d = entering_numerators(c, eng.pos1)
+    by_time: dict[int, list[int]] = {}
+    for col, tp, tm, tc in zip(eng.d1_cols, times_p, times_m, times_c):
+        if tp <= gp or tm <= gm:
             space.add(col)
-        by_time.setdefault(entering_time(c, p), []).append(col)
+        by_time.setdefault(tc, []).append(col)
     for t in sorted(by_time):
         for col in by_time[t]:
             space.add(col)
         if space.contains(target):
-            return t
+            return Fraction(t, d)
     raise AssertionError("secondary invariant: homologous at no candidate translate")
 
 
@@ -548,11 +557,13 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     at once: the least key over the generating cycles is (False, eta + gamma).
     """
     eng = _Engine.of(k)
-    gamma = upsilon_region(k, c)
-    (outside, a), _, _ = _reduce(eng, [(entering_time(c, p) > gamma, p[0]) for p in eng.pos0])
+    nums, d = entering_numerators(c, eng.pos0)
+    gamma = _reduce(eng, nums)[0]
+    keys = [(n > gamma, p[0]) for n, p in zip(nums, eng.pos0)]
+    (outside, a), _, _ = _reduce(eng, keys)
     if outside:
         raise AssertionError("eta: no generating cycle below the largest truncation")
-    return a - gamma
+    return a - Fraction(gamma, d)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ of t) live here.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,6 +95,26 @@ def translate(r: SouthWestRegion, t) -> SouthWestRegion:
 def entering_time(r: SouthWestRegion, p: tuple[Rational, Rational]) -> Fraction:
     """Least t such that p lies in C_t (finite for every p: min of maxes)."""
     return min(max(hp.entering_time(p) for hp in atom) for atom in r.atoms)
+
+
+def entering_numerators(r: SouthWestRegion, points) -> tuple[list[int], int]:
+    """Entering times of integer points as integer numerators over one common
+    denominator d, the lcm of the denominators of every alpha, beta and c in r:
+    Fraction(n, d) == entering_time(r, p) for each point p and its n.
+
+    Scaling by d > 0 keeps both the order and the ties, so the engine sorts
+    and compares these ints and makes a Fraction only for its answer.
+    """
+    d = math.lcm(*(x.denominator for atom in r.atoms for hp in atom
+                   for x in (hp.alpha, hp.beta, hp.c)))
+    per_atom = []
+    for atom in r.atoms:
+        per_hp = []
+        for hp in atom:
+            a, b, c = int(hp.alpha * d), int(hp.beta * d), int(hp.c * d)
+            per_hp.append([a * x + b * y - c for x, y in points])
+        per_atom.append(per_hp[0] if len(per_hp) == 1 else list(map(max, *per_hp)))
+    return (per_atom[0] if len(per_atom) == 1 else list(map(min, *per_atom))), d
 
 
 def contains(r: SouthWestRegion, p: tuple[Rational, Rational], t) -> bool:

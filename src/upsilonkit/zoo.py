@@ -323,12 +323,17 @@ def staircase_from_jumps(jumps) -> KnotComplex:
     return kc
 
 
-def torus_knot(p: int, q: int) -> KnotComplex:
-    """The staircase of the positive (p, q) torus knot, from ⟨p, q⟩."""
+def check_torus_parameters(p: int, q: int) -> None:
+    """Raise ValueError unless (p, q) names a torus knot: coprime integers >= 2."""
     if not (isinstance(p, int) and isinstance(q, int)) or p < 2 or q < 2:
         raise ValueError(f"torus knot parameters must be integers >= 2, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
+
+
+def torus_knot(p: int, q: int) -> KnotComplex:
+    """The staircase of the positive (p, q) torus knot, from ⟨p, q⟩."""
+    check_torus_parameters(p, q)
     s = semigroup_from_generators((p, q))
     kc = staircase_from_jumps(jumps_from_semigroup(s))
     genus = (p - 1) * (q - 1) // 2

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import upsilonkit
-from upsilonkit import invariants
+from upsilonkit import invariants, zoo
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
@@ -119,6 +119,16 @@ def test_parse_error_position_points_at_atom():
     with pytest.raises(KnotParseError) as exc_info:
         parse_knot_expr("T(2,3) # T(4,6)")
     assert exc_info.value.position == 9
+
+
+def test_parse_validates_torus_without_building(monkeypatch):
+    def no_build(p, q):
+        raise AssertionError("parsing built a torus complex")
+
+    monkeypatch.setattr(zoo, "torus_knot", no_build)
+    assert knot_expr_to_text(parse_knot_expr("T(8,5) # -T(6,5)")) == "T(8,5) # -T(6,5)"
+    with pytest.raises(KnotParseError, match=r"coprime, got \(4, 6\) \(at position 9\)"):
+        parse_knot_expr("T(2,3) # T(4,6)")
 
 
 def test_build_complex_shapes():

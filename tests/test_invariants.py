@@ -10,6 +10,8 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upsilonkit import invariants
 from upsilonkit.complexes import add_box, mirror, tensor, validate_complex
@@ -209,6 +211,34 @@ def test_staircase_formulas_match_engine():
         assert [(b.t, b.jump) for b in engine_bps] == [
             (b.t, b.jump) for b in closed_bps
         ]
+
+
+@st.composite
+def balanced_jumps(draw):
+    """A staircase jump sequence: k odd-indexed jumps and a composition of
+    their sum into k even-indexed ones."""
+    k = draw(st.integers(0, 3))
+    odd = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    total = sum(odd)
+    cuts = sorted(draw(st.sets(st.integers(1, max(total - 1, 1)),
+                               min_size=max(k - 1, 0), max_size=max(k - 1, 0))))
+    even = [b - a for a, b in zip([0] + cuts, cuts + [total])] if k else []
+    return tuple(x for pair in zip(odd, even) for x in pair)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(balanced_jumps())
+def test_engine_matches_staircase_closed_forms(jumps):
+    k = staircase_from_jumps(jumps)
+    assert upsilon_function(k) == staircase_upsilon(jumps)
+    g = sum(jumps) // 2
+    for s in range(-g - 1, g + 2):
+        assert vk(k, s) == staircase_vk(jumps, s)
+    bps = staircase_breaking_points(jumps)
+    assert [(b.t, b.jump) for b in breaking_points(k)] == [(b.t, b.jump) for b in bps]
+    for b in bps:
+        for s in {b.t, F(0), F(1, 2), F(1), F(2)}:
+            assert kim_livingston(k, b.t, s) == staircase_kl(jumps, b.t, s)
 
 
 def test_staircase_breaking_point_indices_t85():

@@ -1,5 +1,6 @@
 """South-west regions, entering times, PL functions, and the region DSL."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from upsilonkit.regions import (
     PLFunction,
     RegionParseError,
     contains,
+    entering_numerators,
     entering_time,
     intersect,
     make_halfplane,
@@ -84,6 +86,43 @@ def test_contains_matches_entering_time():
     assert contains(r, (1, 0), 0)
     assert not contains(r, (2, 0), 0)
     assert contains(r, (2, 0), 1)
+
+
+def _random_region(rng, depth=2):
+    """H, Q and hp atoms with rational coefficients and signed c, combined by
+    union, intersect, translate and truncate."""
+    def rat():
+        return F(rng.randint(-12, 12), rng.randint(1, 6))
+
+    kind = rng.choice(("H", "Q", "hp") + ("union", "intersect", "translate", "trunc") * (depth > 0))
+    if kind == "H":
+        return upsilon_halfplane(F(rng.randint(0, 12), 6))
+    if kind == "Q":
+        return v_region(rat())
+    if kind == "hp":
+        return make_halfplane(F(rng.randint(0, 5), rng.randint(1, 4)),
+                              F(rng.randint(1, 5), rng.randint(1, 4)), rat())
+    r = _random_region(rng, depth - 1)
+    if kind == "union":
+        return union(r, _random_region(rng, depth - 1))
+    if kind == "intersect":
+        return intersect(r, _random_region(rng, depth - 1))
+    if kind == "translate":
+        return translate(r, rat())
+    return truncate(r, rat())
+
+
+def test_entering_numerators_match_entering_time():
+    rng = random.Random(11)
+    for _ in range(200):
+        r = _random_region(rng)
+        pts = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(rng.randint(0, 12))]
+        nums, d = entering_numerators(r, pts)
+        assert isinstance(d, int) and d > 0
+        assert len(nums) == len(pts)
+        for n, p in zip(nums, pts):
+            assert isinstance(n, int)
+            assert F(n, d) == entering_time(r, p)
 
 
 # ---------------------------------------------------------------------------
