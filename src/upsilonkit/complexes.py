@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from .exact import F2Matrix, F2Space
+from functools import cached_property
+
+from .exact import F2Matrix, F2Space, _bits, _columns
 
 
 @dataclass(frozen=True, order=True)
@@ -117,8 +119,18 @@ class KnotComplex:
     def by_name(self) -> dict[str, BaseGenerator]:
         return {g.name: g for g in self.generators}
 
+    @cached_property
+    def _arrows_by_src(self) -> dict[str, list[tuple[str, int]]]:
+        """(target, upower) of the arrows out of each generator, built once
+        and kept in the instance dict (equality, hash and repr read only
+        fields)."""
+        index: dict[str, list[tuple[str, int]]] = {}
+        for src, dst, m in self.arrows:
+            index.setdefault(src, []).append((dst, m))
+        return index
+
     def arrows_from(self, name: str) -> list[tuple[str, int]]:
-        return [(dst, m) for src, dst, m in self.arrows if src == name]
+        return list(self._arrows_by_src.get(name, ()))
 
 
 @dataclass(frozen=True)
@@ -153,12 +165,9 @@ def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
     src_slice = maslov_slice(k, d)
     dst_slice = maslov_slice(k, d - 1)
     dst_index = {(lg.base.name, lg.upower): i for i, lg in enumerate(dst_slice)}
-    arrows_by_src: dict[str, list[tuple[str, int]]] = {}
-    for src, dst, m in k.arrows:
-        arrows_by_src.setdefault(src, []).append((dst, m))
     rows = [0] * len(dst_slice)
     for j, lg in enumerate(src_slice):
-        for dst, m in arrows_by_src.get(lg.base.name, ()):
+        for dst, m in k._arrows_by_src.get(lg.base.name, ()):
             key = (dst, lg.upower + m)
             if key not in dst_index:
                 raise ValueError(
@@ -187,9 +196,7 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
             problems.append(f"arrow {src} -> U^{m}·{dst} increases the filtration")
 
     # d^2 = 0, tracked per (final target, total U-power): exact over the ring.
-    arrows_by_src: dict[str, list[tuple[str, int]]] = {}
-    for src, dst, m in k.arrows:
-        arrows_by_src.setdefault(src, []).append((dst, m))
+    arrows_by_src = k._arrows_by_src
     for g in k.generators:
         acc: set[tuple[str, int]] = set()
         for mid, m1 in arrows_by_src.get(g.name, ()):
@@ -234,22 +241,6 @@ def representative_cycle(k: KnotComplex) -> Chain:
     raise ValueError("complex has no degree-0 homology generator (not knot-type)")
 
 
-def _columns(m: F2Matrix) -> list[int]:
-    """The columns of m as row masks, from one walk over each row's set bits."""
-    cols = [0] * m.ncols
-    for i, row in enumerate(m.rows):
-        for j in _bits(row):
-            cols[j] |= 1 << i
-    return cols
-
-
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def tensor(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     """Tensor product over F2[U, U^-1]; models the connected sum.
 
@@ -274,12 +265,13 @@ def tensor(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
                 )
             )
     arrows = []
+    out1, out2 = k1._arrows_by_src, k2._arrows_by_src
     for g1 in k1.generators:
         for g2 in k2.generators:
             src = pair(g1.name, g2.name)
-            for dst, m in k1.arrows_from(g1.name):
+            for dst, m in out1.get(g1.name, ()):
                 arrows.append((src, pair(dst, g2.name), m))
-            for dst, m in k2.arrows_from(g2.name):
+            for dst, m in out2.get(g2.name, ()):
                 arrows.append((src, pair(g1.name, dst), m))
     return KnotComplex(tuple(gens), tuple(arrows))
 
@@ -333,10 +325,14 @@ def to_json_dict(k: KnotComplex) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
-    """An integer field of complex JSON; floats, strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _json_field(value, kind: type, field: str):
+    """A field of complex JSON, of exactly this kind: nothing is coerced with
+    int() or str(), and a boolean is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"field {field!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -344,18 +340,19 @@ def from_json_dict(data: dict) -> KnotComplex:
     if not isinstance(data, dict) or "generators" not in data:
         raise ValueError("complex JSON must be an object with a 'generators' list")
     gens = []
-    for entry in data["generators"]:
+    for entry in _json_field(data["generators"], list, "generators"):
         try:
-            gens.append(BaseGenerator(str(entry["id"]), _json_int(entry["A"], "A"),
-                                      _json_int(entry["j"], "j"), _json_int(entry["M"], "M")))
+            gens.append(BaseGenerator(_json_field(entry["id"], str, "id"),
+                                      *(_json_field(entry[f], int, f) for f in "AjM")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad generator entry {entry!r}: {exc}") from None
     arrows = []
-    for entry in data.get("arrows", []):
+    for entry in _json_field(data.get("arrows", []), list, "arrows"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ValueError(f"bad arrow entry {entry!r}: expected [src, dst, upower]")
         try:
-            arrows.append((str(entry[0]), str(entry[1]), _json_int(entry[2], "upower")))
+            arrows.append((_json_field(entry[0], str, "src"), _json_field(entry[1], str, "dst"),
+                           _json_field(entry[2], int, "upower")))
         except ValueError as exc:
             raise ValueError(f"bad arrow entry {entry!r}: {exc}") from None
     return KnotComplex(tuple(gens), tuple(arrows))

@@ -2,11 +2,12 @@
 
 Everything downstream is exact.  Rational numbers are `fractions.Fraction`
 (re-exported as `Rational`); linear algebra over the two-element field is done
-on bit-packed rows (a row is a Python int, bit i = column i), so one XOR adds
-a whole row.  `F2Matrix` serves validation and representative cycles, and
-`F2Space` the span tests of the secondary invariant and the oracles; the
-invariant engine's filtered reduction works on the same packed masks directly,
-on differentials of several hundred rows and columns.
+on bit-packed vectors (a Python int, bit i = coordinate i), so one XOR adds a
+whole row or column.  There is one echelon kernel, `_echelonize`: it reduces
+vectors by their leading bit against a dict of pivots, carrying a companion
+vector along to record which inputs were added.  `F2Matrix` rank, solve and
+nullspace, the `F2Space` span tests, and the invariant engine's filtered
+reduction and generating cycle all run on it.
 """
 
 from __future__ import annotations
@@ -70,72 +71,84 @@ class F2Matrix:
         return out
 
     def rank(self) -> int:
-        work = list(self.rows)
-        return len(_eliminate(work, self.ncols))
+        pivots: dict = {}
+        _echelonize(pivots, ((row, 0) for row in self.rows))
+        return len(pivots)
 
     def solve(self, b: int) -> int | None:
         """Solve A·x = b; return one solution as a column bitmask, or None.
 
-        The right-hand side `b` is a bitmask over rows.  The returned solution
-        is re-multiplied through the matrix and checked before returning.
+        The right-hand side `b` is a bitmask over rows.  The solution is the
+        one supported on the independent columns (each column not in the
+        span of the earlier ones); it is re-multiplied through the matrix and
+        checked before returning.
         """
-        aug = [row | (((b >> i) & 1) << self.ncols) for i, row in enumerate(self.rows)]
-        pivots = _eliminate(aug, self.ncols)
-        aug_bit = 1 << self.ncols
-        for row in aug[len(pivots):]:
-            if row == aug_bit:
-                return None
-        x = 0
-        for r, col in enumerate(pivots):
-            if aug[r] & aug_bit:
-                x |= 1 << col
+        pivots: dict = {}
+        _echelonize(pivots, ((col, 1 << j) for j, col in enumerate(_columns(self))))
+        rest, x = _reduce_pair(pivots, b, 0)
+        if rest:
+            return None
         if self.mat_vec(x) != b:  # re-multiplication check
             raise AssertionError("F2 solve produced a non-solution")
         return x
 
     def nullspace(self) -> list[int]:
-        """Basis of {x : A·x = 0}, as column bitmasks."""
-        work = list(self.rows)
-        pivots = _eliminate(work, self.ncols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = 1 << free
-            for r, col in enumerate(pivots):
-                if (work[r] >> free) & 1:
-                    v |= 1 << col
+        """Basis of {x : A·x = 0}, as column bitmasks.
+
+        One vector per column j in the span of the earlier columns: bit j
+        plus the independent columns that sum to column j (the reduced
+        echelon basis), in column order.
+        """
+        basis = _echelonize({}, ((col, 1 << j) for j, col in enumerate(_columns(self))))
+        for v in basis:
             if self.mat_vec(v) != 0:
                 raise AssertionError("F2 nullspace vector fails A·v = 0")
-            basis.append(v)
         return basis
 
 
-def _eliminate(rows: list[int], ncols: int) -> list[int]:
-    """In-place reduced row echelon form over the first `ncols` columns.
+def _reduce_pair(pivots: dict, v: int, c: int) -> tuple[int, int]:
+    """Reduce v against `pivots` (leading bit -> (vector, companion)) until
+    its leading bit has no pivot, XORing the companion c along with it."""
+    while v and (pivot := pivots.get(v.bit_length() - 1)) is not None:
+        v ^= pivot[0]
+        c ^= pivot[1]
+    return v, c
 
-    Returns the pivot columns in order; row i of the result is the row with
-    pivot `pivots[i]`.  Bits at positions >= ncols (augmentation) ride along.
+
+def _echelonize(pivots: dict, pairs) -> list[int]:
+    """The one F2 elimination kernel: reduce each (vector, companion) pair
+    against `pivots` and store it under its leading bit if it stays nonzero.
+
+    Returns the companions of the pairs that reduce to zero, in order.  A
+    stored companion records which inputs sum to its vector, so a zero
+    pair's companion is a relation among the inputs.
     """
-    pivots: list[int] = []
-    nrows = len(rows)
-    for col in range(ncols):
-        sel = None
-        for r in range(len(pivots), nrows):
-            if (rows[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        dest = len(pivots)
-        rows[dest], rows[sel] = rows[sel], rows[dest]
-        pivot_row = rows[dest]
-        for r in range(nrows):
-            if r != dest and (rows[r] >> col) & 1:
-                rows[r] ^= pivot_row
-        pivots.append(col)
-    return pivots
+    zeros = []
+    for v, c in pairs:  # `_reduce_pair` inlined: a call per vector slows a region query by ~7%
+        while v and (pivot := pivots.get(v.bit_length() - 1)) is not None:
+            v ^= pivot[0]
+            c ^= pivot[1]
+        if v:
+            pivots[v.bit_length() - 1] = (v, c)
+        else:
+            zeros.append(c)
+    return zeros
+
+
+def _columns(m: F2Matrix) -> list[int]:
+    """The columns of m as row masks, from one walk over each row's set bits."""
+    cols = [0] * m.ncols
+    for i, row in enumerate(m.rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
+
+
+def _bits(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 class F2Space:
@@ -146,30 +159,18 @@ class F2Space:
     """
 
     def __init__(self, vectors: "tuple[int, ...] | list[int]" = ()):
-        self._rows: dict[int, int] = {}
-        for v in vectors:
-            self.add(v)
+        self._pivots: dict[int, tuple[int, int]] = {}
+        _echelonize(self._pivots, ((v, 0) for v in vectors))
 
     def reduce(self, v: int) -> int:
-        rows = self._rows
-        while v:
-            lead = v.bit_length() - 1
-            pivot = rows.get(lead)
-            if pivot is None:
-                return v
-            v ^= pivot
-        return 0
+        return _reduce_pair(self._pivots, v, 0)[0]
 
     def add(self, v: int) -> bool:
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self._rows[v.bit_length() - 1] = v
-        return True
+        return not _echelonize(self._pivots, ((v, 0),))
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)

@@ -25,10 +25,14 @@ by their latest generator, and reduce a reference generating cycle against
 them.  The key left leading is the least, over all generating cycles, of the
 greatest key on a support.  Keys are exact integers (entering times as
 numerators over the region's common denominator, Alexander gradings), so
-every value is exact, and only the returned value is made a Fraction.  `brute_force_upsilon` and
+every value is exact, and only the returned value is made a Fraction.  The
+reference cycle itself is found once per complex by clearing, from the
+pivots of the same echelon kernel.  `brute_force_upsilon` and
 `brute_force_secondary` recompute the same quantities by enumerating entire
-cycle cosets; they share no solver code with the engines and serve as
-independent oracles in the tests.
+cycle cosets.  They share only the echelon kernel and the exported
+`boundary_matrix` and `representative_cycle` with the engine (not its
+generating cycle or any data it builds), and serve as independent oracles in
+the tests.
 """
 
 from __future__ import annotations
@@ -39,15 +43,8 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from .complexes import (
-    KnotComplex,
-    _bits,
-    _columns,
-    boundary_matrix,
-    maslov_slice,
-    representative_cycle,
-)
-from .exact import F2Space
+from .complexes import KnotComplex, boundary_matrix, maslov_slice, representative_cycle
+from .exact import F2Space, _bits, _columns, _echelonize, _reduce_pair
 from .regions import (
     PLFunction,
     SouthWestRegion,
@@ -119,15 +116,25 @@ class _Engine:
 
     def __init__(self, k: KnotComplex):
         slice0 = maslov_slice(k, 0)
-        index0 = {lg: i for i, lg in enumerate(slice0)}
-        d1 = boundary_matrix(k, 1)
+        d0 = boundary_matrix(k, 0)
         self.pos0 = tuple(lg.pos for lg in slice0)
         self.pos1 = tuple(lg.pos for lg in maslov_slice(k, 1))
-        self.d1_cols = tuple(_columns(d1))
+        self.d1_cols = tuple(_columns(boundary_matrix(k, 1)))
         self.d1_supports = tuple(tuple(_bits(col)) for col in self.d1_cols)
-        self.z_ref = 0
-        for lg in representative_cycle(k):
-            self.z_ref |= 1 << index0[lg]
+        # The generating cycle by clearing: a d0 column at the leading row of
+        # a boundary tops a cycle, so it is skipped.  The set of leading rows
+        # of im d1 does not depend on the basis, so the one other column that
+        # reduces to zero tops a cycle that no boundary tops: not a boundary.
+        tops: dict[int, tuple[int, int]] = {}
+        _echelonize(tops, ((col, 0) for col in self.d1_cols))
+        cycles = _echelonize(
+            {}, ((col, 1 << j) for j, col in enumerate(_columns(d0)) if j not in tops)
+        )
+        if not cycles:
+            raise ValueError("complex has no degree-0 homology generator (not knot-type)")
+        self.z_ref = cycles[0]
+        if d0.mat_vec(self.z_ref):
+            raise AssertionError("engine build: the cleared generating cycle fails d0·z = 0")
         self.curve: PLFunction | None = None  # filled by upsilon_function
 
     @staticmethod
@@ -176,20 +183,8 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
         return sum(1 << rank[i] for i in rows)
 
     pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
-    for col, support in zip(eng.d1_cols, eng.d1_supports):
-        v, w = permute(support), col
-        while v:
-            lead = v.bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (v, w)
-                break
-            v ^= pivot[0]
-            w ^= pivot[1]
-    z, w = permute(_bits(eng.z_ref)), eng.z_ref
-    while z and (pivot := pivots.get(z.bit_length() - 1)) is not None:
-        z ^= pivot[0]
-        w ^= pivot[1]
+    _echelonize(pivots, zip([permute(rows) for rows in eng.d1_supports], eng.d1_cols))
+    z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
     if not z:
         raise ValueError("no generating cycle at the full translate; complex not knot-type?")
     if permute(_bits(w)) != z:
@@ -567,52 +562,59 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles (independent enumeration; no solver shared with above)
+# Brute-force oracles (independent enumeration; no engine data shared)
 # ---------------------------------------------------------------------------
 
 
-def _coset_basis(eng: _Engine, guard: int, what: str) -> list[int]:
-    basis = []
-    space = F2Space()
-    for col in eng.d1_cols:
-        if space.add(col):
-            basis.append(col)
-    if len(basis) > guard:
-        raise GuardExceeded(
-            f"{what}: boundary space dimension {len(basis)} exceeds guard {guard}; "
-            "use the main engine"
-        )
-    return basis
+class _Oracle:
+    """What the oracles read of a complex, built from the exported routes
+    alone (`maslov_slice`, `boundary_matrix` and the nullspace route of
+    `representative_cycle`), so that a fault in the engine build cannot reach
+    them: slice positions, the d1 columns, a generating cycle and a basis of
+    the boundaries (at most `guard` vectors)."""
 
+    def __init__(self, k: KnotComplex, guard: int, what: str):
+        slice0 = maslov_slice(k, 0)
+        index0 = {lg: i for i, lg in enumerate(slice0)}
+        self.pos0 = [lg.pos for lg in slice0]
+        self.pos1 = [lg.pos for lg in maslov_slice(k, 1)]
+        self.d1_cols = _columns(boundary_matrix(k, 1))
+        self.z_ref = sum(1 << index0[lg] for lg in representative_cycle(k))
+        self.basis = []
+        space = F2Space()
+        for col in self.d1_cols:
+            if space.add(col):
+                self.basis.append(col)
+        if len(self.basis) > guard:
+            raise GuardExceeded(
+                f"{what}: boundary space dimension {len(self.basis)} exceeds guard {guard}; "
+                "use the main engine"
+            )
 
-def _enumerate_coset(eng: _Engine, basis: list[int]):
-    """Every generating cycle: z_ref + each element of span(basis), Gray-coded."""
-    z = eng.z_ref
-    yield z
-    gray_prev = 0
-    for i in range(1, 1 << len(basis)):
-        gray = i ^ (i >> 1)
-        z ^= basis[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
+    def cycles(self):
+        """Every generating cycle: z_ref + each element of span(basis), Gray-coded."""
+        z = self.z_ref
         yield z
+        gray_prev = 0
+        for i in range(1, 1 << len(self.basis)):
+            gray = i ^ (i >> 1)
+            z ^= self.basis[(gray ^ gray_prev).bit_length() - 1]
+            gray_prev = gray
+            yield z
+
+    def upsilon(self, r: SouthWestRegion) -> Fraction:
+        times = [entering_time(r, p) for p in self.pos0]
+        return min(max(times[i] for i in _bits(z)) for z in self.cycles())
 
 
 def brute_force_upsilon(k: KnotComplex, r: SouthWestRegion, guard: int = 20) -> Fraction:
     """Region invariant by enumerating every generating cycle.
 
     Minimum over the coset z_ref + B_0 of the maximal entering time over the
-    support.  Exponential in dim B_0 (guarded); exact; shares no code path
-    with the solver engine.
+    support.  Exponential in dim B_0 (guarded); exact; shares no data and no
+    code path with the engine beyond the echelon kernel.
     """
-    eng = _Engine.of(k)
-    basis = _coset_basis(eng, guard, "brute_force_upsilon")
-    times = [entering_time(r, p) for p in eng.pos0]
-    best = None
-    for z in _enumerate_coset(eng, basis):
-        value = max(times[i] for i in _bits(z))
-        if best is None or value < best:
-            best = value
-    return best
+    return _Oracle(k, guard, "brute_force_upsilon").upsilon(r)
 
 
 def brute_force_secondary(
@@ -630,17 +632,14 @@ def brute_force_secondary(
     the allowed degree-1 generators, comparing boundaries against all pair
     sums.  Exact and exponential (guarded).
     """
-    eng = _Engine.of(k)
-    basis = _coset_basis(eng, guard, "brute_force_secondary")
-    gp = brute_force_upsilon(k, cplus, guard)
-    gm = brute_force_upsilon(k, cminus, guard)
-    times_p = [entering_time(cplus, p) for p in eng.pos0]
-    times_m = [entering_time(cminus, p) for p in eng.pos0]
-    mask_p = _inside_mask(times_p, gp)
-    mask_m = _inside_mask(times_m, gm)
+    orc = _Oracle(k, guard, "brute_force_secondary")
+    gp = orc.upsilon(cplus)
+    gm = orc.upsilon(cminus)
+    mask_p = _inside_mask([entering_time(cplus, p) for p in orc.pos0], gp)
+    mask_m = _inside_mask([entering_time(cminus, p) for p in orc.pos0], gm)
     zplus = []
     zminus = []
-    for z in _enumerate_coset(eng, basis):
+    for z in orc.cycles():
         if z & ~mask_p == 0:
             zplus.append(z)
         if z & ~mask_m == 0:
@@ -649,14 +648,10 @@ def brute_force_secondary(
         return NO_OBSTRUCTION
     targets = {a ^ b for a in zplus for b in zminus}
 
-    n1 = len(eng.pos1)
-    base = [
-        entering_time(cplus, eng.pos1[j]) <= gp or entering_time(cminus, eng.pos1[j]) <= gm
-        for j in range(n1)
-    ]
-    times_c = [entering_time(c, p) for p in eng.pos1]
+    base = [entering_time(cplus, p) <= gp or entering_time(cminus, p) <= gm for p in orc.pos1]
+    times_c = [entering_time(c, p) for p in orc.pos1]
     for t in sorted(set(times_c)):
-        allowed = [j for j in range(n1) if base[j] or times_c[j] <= t]
+        allowed = [j for j, (b, tc) in enumerate(zip(base, times_c)) if b or tc <= t]
         if len(allowed) > guard:
             raise GuardExceeded(
                 f"brute_force_secondary: {len(allowed)} allowed degree-1 generators "
@@ -666,7 +661,7 @@ def brute_force_secondary(
         gray_prev = 0
         for i in range(1, 1 << len(allowed)):
             gray = i ^ (i >> 1)
-            bound ^= eng.d1_cols[allowed[(gray ^ gray_prev).bit_length() - 1]]
+            bound ^= orc.d1_cols[allowed[(gray ^ gray_prev).bit_length() - 1]]
             gray_prev = gray
             if bound in targets:
                 return t

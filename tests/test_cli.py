@@ -334,6 +334,23 @@ def test_file_with_non_integer_fields_is_rejected(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"generators": [{"id": "x", "A": 0, "j": 0, "M": 0}], "arrows": None}, "arrows"),
+        ({"generators": 5, "arrows": []}, "generators"),
+        ({"generators": [{"id": ["x"], "A": 0, "j": 0, "M": 0}], "arrows": []}, "id"),
+    ],
+)
+def test_file_with_wrong_shapes_is_rejected(tmp_path, capsys, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "upsilon", f"file({path})")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"field '{field}' must be a" in err
+    assert len(err.splitlines()) == 1
+
+
 def _renamed_trefoil(path, names):
     data = to_json_dict(build_complex(parse_knot_expr("T(2,3)")))
     rename = dict(zip(sorted(g["id"] for g in data["generators"]), names))

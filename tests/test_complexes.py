@@ -222,6 +222,18 @@ def test_tensor_names_are_injective():
     assert "a*b\\*c" in names and "a\\*b*c" in names
 
 
+def test_arrow_index_is_invisible():
+    k, twin = torus_knot(5, 3), torus_knot(5, 3)
+    before = (hash(k), repr(k))
+    for g in k.generators:
+        out = k.arrows_from(g.name)
+        assert out == [(dst, m) for src, dst, m in k.arrows if src == g.name]
+        out.append(("junk", 0))  # a fresh list each call: the index is untouched
+        assert ("junk", 0) not in k.arrows_from(g.name)
+    assert (hash(k), repr(k)) == before and k == twin
+    assert tensor(k, trefoil_by_hand()) == tensor(twin, trefoil_by_hand())
+
+
 def test_mirror_is_involution():
     for k in (trefoil_by_hand(), torus_knot(5, 3), thin_model(-2)):
         assert mirror(mirror(k)) == k
@@ -310,4 +322,24 @@ def test_from_json_dict_rejects_malformed(data):
 )
 def test_from_json_dict_rejects_non_integer_fields(data, field):
     with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+        from_json_dict(data)
+
+
+X = {"id": "x", "A": 0, "j": 0, "M": 0}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"generators": [X], "arrows": None}, "field 'arrows' must be a list"),
+        ({"generators": 5}, "field 'generators' must be a list"),
+        ({"generators": {"id": "x"}}, "field 'generators' must be a list"),
+        ({"generators": [dict(X, id=["x"])]}, "field 'id' must be a string"),
+        ({"generators": [dict(X, id=7)]}, "field 'id' must be a string"),
+        ({"generators": [X], "arrows": [[["x"], "x", 0]]}, "field 'src' must be a string"),
+        ({"generators": [X], "arrows": [["x", None, 0]]}, "field 'dst' must be a string"),
+    ],
+)
+def test_from_json_dict_rejects_wrong_shapes_without_coercing(data, message):
+    with pytest.raises(ValueError, match=message):
         from_json_dict(data)

@@ -135,6 +135,26 @@ def test_nullspace_spans_kernel(a, data):
         assert not space.contains(x)
 
 
+@given(matrices(), st.data())
+def test_nullspace_and_solve_are_the_reduced_echelon_ones(a, data):
+    # Column j is independent when it is not in the span of the earlier
+    # columns.  The nullspace has one vector per dependent column j, with top
+    # bit j and its other bits on independent columns, and solve returns the
+    # solution supported on independent columns: both are unique.
+    independent = 0
+    span = F2Space()
+    for j in range(a.ncols):
+        if span.add(sum(((row >> j) & 1) << i for i, row in enumerate(a.rows))):
+            independent |= 1 << j
+    basis = a.nullspace()
+    dependent = [j for j in range(a.ncols) if not (independent >> j) & 1]
+    assert [v.bit_length() - 1 for v in basis] == dependent
+    for j, v in zip(dependent, basis):
+        assert (v ^ (1 << j)) & ~independent == 0
+    x = data.draw(st.integers(0, max(0, (1 << a.ncols) - 1)))
+    assert a.solve(a.mat_vec(x)) & ~independent == 0
+
+
 # ---------------------------------------------------------------------------
 # F2Space
 # ---------------------------------------------------------------------------

@@ -14,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upsilonkit import invariants
-from upsilonkit.complexes import add_box, mirror, tensor, validate_complex
+from upsilonkit.complexes import (
+    KnotComplex,
+    add_box,
+    boundary_matrix,
+    maslov_slice,
+    mirror,
+    representative_cycle,
+    tensor,
+    validate_complex,
+)
+from upsilonkit.exact import F2Space
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     GuardExceeded,
@@ -551,6 +561,43 @@ def test_filtered_reduction_matches_oracles_on_random_sums():
             assert value == brute_force_secondary(k, *regions)
             finite += value != NO_OBSTRUCTION
     assert finite > 0
+
+
+def test_oracles_do_not_read_the_engine_build(monkeypatch):
+    # A wrong engine cycle must show up as an oracle mismatch.
+    build = invariants._Engine.__init__
+
+    def broken(self, k):
+        build(self, k)
+        self.z_ref = 1
+
+    monkeypatch.setattr(invariants._Engine, "__init__", broken)
+    k = tensor(torus_knot(3, 2), mirror(torus_knot(5, 2)))
+    r = upsilon_halfplane(F(3, 2))
+    assert upsilon_region(k, r) != brute_force_upsilon(k, r)
+
+
+# ---------------------------------------------------------------------------
+# the engine's generating cycle, found by clearing
+# ---------------------------------------------------------------------------
+
+
+def test_clearing_cycle_is_in_the_coset_of_the_nullspace_route():
+    rng = random.Random(77)
+    for k in SMALL_ZOO + [_random_sum(rng) for _ in range(12)]:
+        eng = invariants._Engine.of(k)
+        assert boundary_matrix(k, 0).mat_vec(eng.z_ref) == 0
+        index0 = {lg: i for i, lg in enumerate(maslov_slice(k, 0))}
+        rep = sum(1 << index0[lg] for lg in representative_cycle(k))
+        boundaries = F2Space(eng.d1_cols)
+        assert boundaries.contains(eng.z_ref ^ rep)
+        assert not boundaries.contains(eng.z_ref)
+
+
+def test_lone_acyclic_box_is_not_knot_type():
+    k = add_box(KnotComplex((), ()), (0, 0), 0)
+    with pytest.raises(ValueError, match="not knot-type"):
+        upsilon_region(k, upsilon_halfplane(1))
 
 
 def test_upsilon_function_is_canonical_pl():

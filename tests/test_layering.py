@@ -1,0 +1,40 @@
+"""The module map's layering: each module imports only the ones above it."""
+
+import ast
+from pathlib import Path
+
+import upsilonkit
+
+ORDER = ["exact", "complexes", "regions", "invariants", "zoo", "cli"]
+EXEMPT = {"__init__", "__main__"}
+PACKAGE = Path(upsilonkit.__file__).parent
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that a module imports, at any nesting depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("upsilonkit."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("upsilonkit."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - EXEMPT
+    assert modules == set(ORDER)
+
+
+def test_each_layer_imports_only_layers_above_it():
+    for name in ORDER:
+        imported = _package_imports(PACKAGE / f"{name}.py")
+        below = {m for m in imported if ORDER.index(m) >= ORDER.index(name)}
+        assert not below, f"{name} imports {sorted(below)}, which are not above it"
