@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: it parses knot expressions, wires the arguments and
+formats the output.  Every value, the thin-check and pretzel-report reports
+included, comes from the library.
 
 Knots are given as expressions over a small grammar:
 
@@ -11,6 +13,9 @@ Knots are given as expressions over a small grammar:
            | stair(a1, ..., a2k)       explicit staircase jumps
            | file(path)                complex from JSON (validated on load)
            | '(' expr ')'
+
+An expression that starts with '-' must follow '--'.  Nesting deeper than 100
+levels is a parse error.
 
 Regions use the DSL of the regions module: H(t), Q(s), hp(a,b,c), trunc(R,x),
 R & R, R | R.  All numeric output is exact; JSON carries rationals as
@@ -26,73 +31,84 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import complexes, invariants, regions, zoo
 from .exact import rational_to_text
-from .invariants import NO_OBSTRUCTION, GuardExceeded, NoObstructionType, NotABreakingPoint
+from .invariants import GuardExceeded, NoObstructionType
 from .regions import RegionParseError, _Scanner, upsilon_halfplane
 
 
 # ---------------------------------------------------------------------------
 # Knot expressions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TorusExpr:
-    p: int
-    q: int
-
-
-@dataclass(frozen=True)
-class PretzelExpr:
-    q: int
-
-
-@dataclass(frozen=True)
-class AlgebraicExpr:
-    a: int
-    qs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ThinExpr:
-    tau: int
-
-
-@dataclass(frozen=True)
-class StairExpr:
-    jumps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FileExpr:
-    path: str
-
-
-@dataclass(frozen=True)
-class MirrorExpr:
-    inner: "KnotExpr"
-
-
-@dataclass(frozen=True)
-class SumExpr:
-    left: "KnotExpr"
-    right: "KnotExpr"
-
-
-KnotExpr = (
-    TorusExpr | PretzelExpr | AlgebraicExpr | ThinExpr | StairExpr | FileExpr
-    | MirrorExpr | SumExpr
-)
+#
+# An expression is a tuple headed by its term: ("#", left, right) for a sum,
+# ("-", inner) for a mirror, or an atom such as ("T", 8, 5), ("alg", 4, (6, 7))
+# or ("file", path).
 
 
 class KnotParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class CliUsageError(Exception):
+    pass
+
+
+class ValidationFailure(Exception):
+    def __init__(self, problems):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+
+def _read_complex(path: str) -> complexes.KnotComplex:
+    """Load a complex file; an unreadable file is a usage error."""
+    try:
+        return complexes.load_complex(path)
+    except OSError as exc:
+        raise CliUsageError(f"cannot read complex file: {exc}") from None
+
+
+def _file_complex(path: str) -> complexes.KnotComplex:
+    """The file(path) atom: a complex file that must pass validation."""
+    k = _read_complex(path)
+    report = complexes.validate_complex(k)
+    if not report.ok:
+        raise ValidationFailure(report.problems)
+    return k
+
+
+def _list_text(values) -> str:
+    return ", ".join(map(str, values))
+
+
+# Atom name -> (parse-time check or None, printer, builder), each called with
+# the atom's arguments.  The zoo functions are looked up at call time, so a
+# replaced one (a test's monkeypatch, a tracing wrapper) is the one called.
+_ATOMS = {
+    "T": (lambda p, q: zoo.check_torus_parameters(p, q),
+          lambda p, q: f"T({p},{q})",
+          lambda p, q: zoo.torus_knot(p, q)),
+    "P": (lambda q: zoo.alexander_pretzel(q),
+          lambda q: f"P(-2,3,{q})",
+          lambda q: zoo.pretzel(q)),
+    "alg": (lambda a, qs: zoo.PuiseuxData(a, qs),
+            lambda a, qs: f"alg({a}; {_list_text(qs)})",
+            lambda a, qs: zoo.staircase_from_jumps(
+                zoo.jumps_from_semigroup(zoo.semigroup_from_puiseux(zoo.PuiseuxData(a, qs))))),
+    "thin": (None,
+             lambda tau: f"thin({tau})",
+             lambda tau: zoo.thin_model(tau)),
+    "stair": (lambda jumps: invariants.check_jumps(jumps),
+              lambda jumps: f"stair({_list_text(jumps)})",
+              lambda jumps: zoo.staircase_from_jumps(jumps)),
+    "file": (None,
+             lambda path: f"file({path})",
+             _file_complex),
+}
 
 
 class _KnotParser(_Scanner):
@@ -109,76 +125,47 @@ class _KnotParser(_Scanner):
         except ValueError:
             raise KnotParseError(f"expected an integer, found {token!r}", start) from None
 
-    def expr(self) -> KnotExpr:
+    def integers(self) -> tuple[int, ...]:
+        """One or more comma-separated integers."""
+        values = [self.integer()]
+        while self.peek() == ",":
+            self.pos += 1
+            values.append(self.integer())
+        return tuple(values)
+
+    def expr(self):
         expr = self.term()
         while self.peek() == "#":
+            # A sum sinks the summands before it one level deeper, so its level
+            # is kept to the end of the input: the cap then also bounds the
+            # tree that the printer and the builder recurse on.
+            self.descend()
             self.pos += 1
-            expr = SumExpr(expr, self.term())
+            expr = ("#", expr, self.term())
         return expr
 
-    def term(self) -> KnotExpr:
+    def term(self):
         if self.peek() == "-":
+            self.descend()
             self.pos += 1
-            return MirrorExpr(self.term())
+            expr = ("-", self.term())
+            self.depth -= 1
+            return expr
         return self.atom()
 
-    def atom(self) -> KnotExpr:
+    def atom(self):
         if self.peek() == "(":
+            self.descend()
             self.pos += 1
             expr = self.expr()
             self.expect(")")
+            self.depth -= 1
             return expr
         start, name = self.term_name("knot")
-        if name == "T":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            q = self.integer()
-            self.expect(")")
-            self._validate(start, lambda: zoo.check_torus_parameters(p, q))
-            return TorusExpr(p, q)
-        if name == "P":
-            self.expect("(")
-            first = self.integer()
-            self.expect(",")
-            second = self.integer()
-            self.expect(",")
-            q = self.integer()
-            self.expect(")")
-            if (first, second) != (-2, 3):
-                raise KnotParseError(
-                    f"only the P(-2,3,q) family is supported, got P({first},{second},{q})",
-                    start,
-                )
-            self._validate(start, lambda: zoo.alexander_pretzel(q) and None)
-            return PretzelExpr(q)
-        if name == "alg":
-            self.expect("(")
-            a = self.integer()
-            self.expect(";")
-            qs = [self.integer()]
-            while self.peek() == ",":
-                self.pos += 1
-                qs.append(self.integer())
-            self.expect(")")
-            self._validate(start, lambda: zoo.PuiseuxData(a, tuple(qs)) and None)
-            return AlgebraicExpr(a, tuple(qs))
-        if name == "thin":
-            self.expect("(")
-            tau = self.integer()
-            self.expect(")")
-            return ThinExpr(tau)
-        if name == "stair":
-            self.expect("(")
-            jumps = [self.integer()]
-            while self.peek() == ",":
-                self.pos += 1
-                jumps.append(self.integer())
-            self.expect(")")
-            self._validate(start, lambda: invariants.check_jumps(tuple(jumps)) and None)
-            return StairExpr(tuple(jumps))
+        if name not in _ATOMS:
+            raise KnotParseError(f"unknown knot term {name!r}", start)
+        self.expect("(")
         if name == "file":
-            self.expect("(")
             end = self.text.find(")", self.pos)
             if end < 0:
                 raise KnotParseError("unterminated file(...) path", self.pos)
@@ -186,81 +173,79 @@ class _KnotParser(_Scanner):
             if not path:
                 raise KnotParseError("empty file(...) path", self.pos)
             self.pos = end + 1
-            return FileExpr(path)
-        raise KnotParseError(f"unknown knot term {name!r}", start)
+            return ("file", path)
+        if name == "T":
+            p = self.integer()
+            self.expect(",")
+            args = (p, self.integer())
+        elif name == "P":
+            first = self.integer()
+            self.expect(",")
+            second = self.integer()
+            self.expect(",")
+            args = (self.integer(),)
+        elif name == "alg":
+            a = self.integer()
+            self.expect(";")
+            args = (a, self.integers())
+        elif name == "thin":
+            args = (self.integer(),)
+        else:  # stair
+            args = (self.integers(),)
+        self.expect(")")
+        if name == "P" and (first, second) != (-2, 3):
+            raise KnotParseError(
+                f"only the P(-2,3,q) family is supported, got P({first},{second},{args[0]})",
+                start,
+            )
+        check = _ATOMS[name][0]
+        if check is not None:
+            try:
+                check(*args)
+            except ValueError as exc:
+                raise KnotParseError(str(exc), start) from None
+        return (name, *args)
 
-    def _validate(self, start: int, thunk):
-        try:
-            thunk()
-        except ValueError as exc:
-            raise KnotParseError(str(exc), start) from None
 
-
-def parse_knot_expr(text: str) -> KnotExpr:
+def parse_knot_expr(text: str) -> tuple:
     """Parse a knot expression; raises KnotParseError with a position."""
     return _KnotParser(text).parse()
 
 
-def knot_expr_to_text(expr: KnotExpr) -> str:
+def knot_expr_to_text(expr: tuple) -> str:
     """Canonical printer; parse(print(e)) == e."""
-    if isinstance(expr, SumExpr):
-        right = knot_expr_to_text(expr.right)
-        if isinstance(expr.right, SumExpr):  # '#' parses left-associated
+    head = expr[0]
+    if head == "#":
+        right = knot_expr_to_text(expr[2])
+        if expr[2][0] == "#":  # '#' parses left-associated
             right = f"({right})"
-        return f"{knot_expr_to_text(expr.left)} # {right}"
-    if isinstance(expr, MirrorExpr):
-        inner = knot_expr_to_text(expr.inner)
-        if isinstance(expr.inner, SumExpr):
-            return f"-({inner})"
-        return f"-{inner}"
-    if isinstance(expr, TorusExpr):
-        return f"T({expr.p},{expr.q})"
-    if isinstance(expr, PretzelExpr):
-        return f"P(-2,3,{expr.q})"
-    if isinstance(expr, AlgebraicExpr):
-        return f"alg({expr.a}; " + ", ".join(map(str, expr.qs)) + ")"
-    if isinstance(expr, ThinExpr):
-        return f"thin({expr.tau})"
-    if isinstance(expr, StairExpr):
-        return "stair(" + ", ".join(map(str, expr.jumps)) + ")"
-    if isinstance(expr, FileExpr):
-        return f"file({expr.path})"
-    raise TypeError(f"not a knot expression: {expr!r}")
+        return f"{knot_expr_to_text(expr[1])} # {right}"
+    if head == "-":
+        inner = knot_expr_to_text(expr[1])
+        return f"-({inner})" if expr[1][0] == "#" else f"-{inner}"
+    return _ATOMS[head][1](*expr[1:])
 
 
-class ValidationFailure(Exception):
-    def __init__(self, problems):
-        super().__init__("; ".join(problems))
-        self.problems = list(problems)
-
-
-def build_complex(expr: KnotExpr) -> complexes.KnotComplex:
+def build_complex(expr: tuple) -> complexes.KnotComplex:
     """Evaluate an expression to a complex (sum = tensor, '-' = mirror)."""
-    if isinstance(expr, SumExpr):
-        return complexes.tensor(build_complex(expr.left), build_complex(expr.right))
-    if isinstance(expr, MirrorExpr):
-        return complexes.mirror(build_complex(expr.inner))
-    if isinstance(expr, TorusExpr):
-        return zoo.torus_knot(expr.p, expr.q)
-    if isinstance(expr, PretzelExpr):
-        return zoo.pretzel(expr.q)
-    if isinstance(expr, AlgebraicExpr):
-        semigroup = zoo.semigroup_from_puiseux(zoo.PuiseuxData(expr.a, expr.qs))
-        return zoo.staircase_from_jumps(zoo.jumps_from_semigroup(semigroup))
-    if isinstance(expr, ThinExpr):
-        return zoo.thin_model(expr.tau)
-    if isinstance(expr, StairExpr):
-        return zoo.staircase_from_jumps(expr.jumps)
-    if isinstance(expr, FileExpr):
-        try:
-            k = complexes.load_complex(expr.path)
-        except OSError as exc:
-            raise CliUsageError(f"cannot read complex file: {exc}") from None
-        report = complexes.validate_complex(k)
-        if not report.ok:
-            raise ValidationFailure(report.problems)
-        return k
-    raise TypeError(f"not a knot expression: {expr!r}")
+    head = expr[0]
+    if head == "#":
+        return complexes.tensor(build_complex(expr[1]), build_complex(expr[2]))
+    if head == "-":
+        return complexes.mirror(build_complex(expr[1]))
+    return _ATOMS[head][2](*expr[1:])
+
+
+def _flatten_sum(expr: tuple, sign: int, acc: list[tuple[tuple, int]]):
+    """Append each summand of expr with its sign (-1 under an odd number of mirrors)."""
+    head = expr[0]
+    if head == "#":
+        _flatten_sum(expr[1], sign, acc)
+        _flatten_sum(expr[2], sign, acc)
+    elif head == "-":
+        _flatten_sum(expr[1], -sign, acc)
+    else:
+        acc.append((expr, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -268,39 +253,21 @@ def build_complex(expr: KnotExpr) -> complexes.KnotComplex:
 # ---------------------------------------------------------------------------
 
 
-def _rat_json(x: Fraction) -> dict:
-    x = Fraction(x)
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _pl_json(f: regions.PLFunction) -> dict:
-    return {
-        "breakpoints": [[rational_to_text(t), rational_to_text(v)] for t, v in f.points]
-    }
-
-
 def _value_json(value):
     if isinstance(value, NoObstructionType):
         return "no-obstruction"
     if isinstance(value, regions.PLFunction):
-        return _pl_json(value)
+        return {"breakpoints": [[rational_to_text(t), rational_to_text(v)]
+                                for t, v in value.points]}
     if isinstance(value, (Fraction, int)):
-        return _rat_json(value)
+        return {"num": value.numerator, "den": value.denominator}
     return value  # already-structured report payloads
 
 
 def _value_text(value) -> str:
-    if isinstance(value, NoObstructionType):
-        return "no obstruction"
     if isinstance(value, regions.PLFunction):
         return "  ".join(f"({rational_to_text(t)}, {rational_to_text(v)})" for t, v in value.points)
-    if isinstance(value, (Fraction, int)):
-        return rational_to_text(Fraction(value))
-    return str(value)
-
-
-class CliUsageError(Exception):
-    pass
+    return str(value)  # a Fraction's str is its canonical text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,7 +304,7 @@ def _rational_flag(text: str) -> Fraction:
 
 def _get_complex(args) -> tuple[complexes.KnotComplex, str]:
     if getattr(args, "complex_file", None):
-        expr: KnotExpr = FileExpr(args.complex_file)
+        expr: tuple = ("file", args.complex_file)
     elif getattr(args, "expr", None):
         expr = parse_knot_expr(args.expr)
     else:
@@ -470,10 +437,7 @@ def _cmd_secondary(args):
 
 def _cmd_validate(args):
     if getattr(args, "complex_file", None):
-        try:
-            k = complexes.load_complex(args.complex_file)
-        except OSError as exc:
-            raise CliUsageError(f"cannot read complex file: {exc}") from None
+        k = _read_complex(args.complex_file)
         name = f"file({args.complex_file})"
     else:
         if not args.expr:
@@ -494,115 +458,22 @@ def _cmd_validate(args):
     return 0 if report.ok else 2
 
 
-def _fold_tensor(parts: list[complexes.KnotComplex]) -> complexes.KnotComplex:
-    if not parts:
-        return zoo.unknot()
-    out = parts[0]
-    for part in parts[1:]:
-        out = complexes.tensor(out, part)
-    return out
-
-
-def _flatten_sum(expr: KnotExpr, sign: int, acc: list[tuple[KnotExpr, int]]):
-    if isinstance(expr, SumExpr):
-        _flatten_sum(expr.left, sign, acc)
-        _flatten_sum(expr.right, sign, acc)
-    elif isinstance(expr, MirrorExpr):
-        _flatten_sum(expr.inner, -sign, acc)
-    else:
-        acc.append((expr, sign))
-
-
 def _cmd_thin_check(args):
-    """Test whether the expression could be concordant to a thin knot.
-
-    Writes K = A # -B with A, B sums of the positive/negated summands.  If K
-    were concordant to a thin knot J, then (1) the upsilon function of K must
-    be -tau (1 - |1 - t|), and (2) at every breaking point the secondary
-    invariant of A must match that of B # J; away from t = 1 the thin J is
-    smooth so the B # J value equals B's, and at t = 1 it equals J's closed
-    form provided B is smooth there.  Any computed mismatch obstructs.
-    """
+    """Test whether the expression could be concordant to a thin knot: the
+    summands of K = A # -B are split by sign and `zoo.thin_check` compares
+    the two sides."""
     expr = parse_knot_expr(args.expr)
     name = knot_expr_to_text(expr)
-    terms: list[tuple[KnotExpr, int]] = []
+    terms: list[tuple[tuple, int]] = []
     _flatten_sum(expr, 1, terms)
-    a_side = _fold_tensor([build_complex(e) for e, sign in terms if sign > 0])
-    b_side = _fold_tensor([build_complex(e) for e, sign in terms if sign < 0])
-    f_a = invariants.upsilon_function(a_side)
-    f_b = invariants.upsilon_function(b_side)
-    f_k = regions.pl_add(f_a, regions.pl_negate_scale(f_b, -1))
-
-    tau = -regions.pl_eval(f_k, 1)
-    shape_ok = tau.denominator == 1
-    if shape_ok:
-        expected = (
-            regions.PLFunction(((Fraction(0), Fraction(0)), (Fraction(1), -tau),
-                                (Fraction(2), Fraction(0))))
-            if tau != 0
-            else regions.pl_constant(0)
-        )
-        shape_ok = f_k == expected
-    tau_int = int(tau) if tau.denominator == 1 else None
-
-    comparisons = []
-    obstructed = not shape_ok
-    if shape_ok:
-        sing_a = {t for t, _ in regions.pl_singular_points(f_a)}
-        sing_b = {t for t, _ in regions.pl_singular_points(f_b)}
-        br_a = {bp.t for bp in invariants.breaking_points(a_side)}
-        br_b = {bp.t for bp in invariants.breaking_points(b_side)}
-        cands = sorted(br_a | br_b | ({Fraction(1)} if tau_int != 0 else set()))
-        for t_star in cands:
-            entry = {"t": rational_to_text(t_star)}
-            if t_star != 1:
-                if t_star in br_a and t_star in br_b:
-                    lhs = invariants.kim_livingston(a_side, t_star, t_star)
-                    rhs = invariants.kim_livingston(b_side, t_star, t_star)
-                    equal = lhs == rhs
-                    entry.update(lhs=_value_text(lhs), rhs=_value_text(rhs), equal=equal,
-                                 note="summand-side comparison (thin part smooth here)")
-                    if not equal:
-                        obstructed = True
-                elif (t_star in sing_a) != (t_star in sing_b):
-                    entry.update(equal=False,
-                                 note="singular on one side only away from t=1")
-                    obstructed = True
-                else:
-                    entry.update(equal=None,
-                                 note="skipped: kink without positive jump on both sides")
-            else:
-                if t_star in sing_b:
-                    entry.update(equal=None,
-                                 note="skipped: negated side also singular at t=1; "
-                                      "smoothness hypothesis fails")
-                else:
-                    rhs = zoo.thin_kl_closed(tau_int, 1)
-                    try:
-                        lhs = invariants.kim_livingston(a_side, Fraction(1), Fraction(1))
-                        equal = lhs == rhs
-                        entry.update(lhs=_value_text(lhs), rhs=_value_text(rhs), equal=equal,
-                                     note="compared against the thin closed form at t=1")
-                    except NotABreakingPoint:
-                        equal = rhs == NO_OBSTRUCTION
-                        entry.update(lhs="undefined (not a breaking point)",
-                                     rhs=_value_text(rhs), equal=equal,
-                                     note="t=1 is not a breaking point of the summand side")
-                    if not equal:
-                        obstructed = True
-            comparisons.append(entry)
-
-    value = {
-        "verdict": "obstructed" if obstructed else "not obstructed (by these invariants)",
-        "tau": rational_to_text(tau),
-        "upsilon_shape_matches_thin": shape_ok,
-        "comparisons": comparisons,
-    }
+    value = zoo.thin_check([build_complex(e) for e, sign in terms if sign > 0],
+                           [build_complex(e) for e, sign in terms if sign < 0])
     prov = ["upsilon_function", "breaking_points", "kim_livingston", "thin_kl_closed"]
     if args.format == "json":
         return _emit(args, "thin-check", value, prov, knot=name)
-    print(f"upsilon shape matches a thin knot: {shape_ok} (tau = {rational_to_text(tau)})")
-    for c in comparisons:
+    print(f"upsilon shape matches a thin knot: {value['upsilon_shape_matches_thin']} "
+          f"(tau = {value['tau']})")
+    for c in value["comparisons"]:
         lhs = c.get("lhs", "-")
         rhs = c.get("rhs", "-")
         print(f"t = {c['t']}: lhs {lhs} vs rhs {rhs} -> {c.get('equal')} [{c['note']}]")
@@ -611,64 +482,22 @@ def _cmd_thin_check(args):
 
 
 def _cmd_pretzel_report(args):
-    """tau, genus, singularities, eta, and the decomposition constraint table
-    for P(-2,3,q): which algebraic summands a concordance could use."""
-    q = args.q
-    k = zoo.pretzel(q)
-    name = f"P(-2,3,{q})"
-    f = invariants.upsilon_function(k)
-    genus = max(g.alexander for g in k.generators)
-    (t0, v0), (t1, v1) = f.points[0], f.points[1]
-    tau_engine = -(v1 - v0) / (t1 - t0)
-    if tau_engine != Fraction(q + 3, 2) or genus != (q + 3) // 2:
-        raise AssertionError("pretzel tau/genus mismatch with the closed form")
-    singular = [rational_to_text(t) for t, _ in regions.pl_singular_points(f)]
-    region = upsilon_halfplane(Fraction(2, 3))
-    eta_engine = invariants.eta(k, region)
-    eta_closed = Fraction(q - 3, 3)
-    if eta_engine != eta_closed:
-        raise AssertionError("pretzel eta mismatch with the closed form")
-
-    # Budget: for a connected sum of algebraic knots with exponents a in {2,3},
-    # eta over H(2/3) contributes (2/3) tau_i per summand minus 2 n(S_i) for
-    # each exponent-3 summand, while tau is additive.  The deficit
-    # (2/3) tau - eta therefore equals 2 * sum of n(S) over exponent-3 summands.
-    deficit = Fraction(2, 3) * tau_engine - eta_engine
-    n_sum = deficit / 2
-    n_table = {}
-    for p in range(4, 21):
-        if p % 3 == 0:
-            continue
-        n_table[f"(3,{p})"] = zoo.n_of_semigroup(zoo.semigroup_from_generators((3, p)), 3)
-    candidates = [label for label, n in n_table.items() if n == n_sum]
-
-    value = {
-        "tau": rational_to_text(tau_engine),
-        "genus": genus,
-        "upsilon_singularities": singular,
-        "eta_H_2_3": {"engine": rational_to_text(eta_engine),
-                      "closed_form": rational_to_text(eta_closed)},
-        "decomposition_constraints": {
-            "required_n_sum_over_exponent_3_summands": rational_to_text(n_sum),
-            "n_of_semigroup_3_p": n_table,
-            "forced_exponent_3_summand_one_of": candidates,
-            "note": (
-                "exponent-2 summands contribute (2/3)tau each and no n(S) deficit; "
-                "the remaining step distinguishing the candidates (a signature "
-                "comparison) is out of scope for this tool"
-            ),
-        },
-    }
+    """The `zoo.pretzel_report` of P(-2,3,q)."""
+    value = zoo.pretzel_report(args.q)
+    name = f"P(-2,3,{args.q})"
     prov = ["pretzel", "upsilon_function", "eta", "eta_closed_form", "n_of_semigroup"]
     if args.format == "json":
         return _emit(args, "pretzel-report", value, prov, knot=name)
-    print(f"{name}: tau = {value['tau']}, genus = {genus}")
-    print(f"upsilon singularities: {', '.join(singular)}")
-    print(f"eta over H(2/3): engine {value['eta_H_2_3']['engine']}, "
-          f"closed form {value['eta_H_2_3']['closed_form']}")
-    print(f"required n(S) sum over exponent-3 summands: {rational_to_text(n_sum)}")
-    print(f"forced exponent-3 summand: one of {', '.join(candidates)}")
-    print(value["decomposition_constraints"]["note"])
+    eta_h = value["eta_H_2_3"]
+    constraints = value["decomposition_constraints"]
+    print(f"{name}: tau = {value['tau']}, genus = {value['genus']}")
+    print(f"upsilon singularities: {', '.join(value['upsilon_singularities'])}")
+    print(f"eta over H(2/3): engine {eta_h['engine']}, closed form {eta_h['closed_form']}")
+    print("required n(S) sum over exponent-3 summands: "
+          f"{constraints['required_n_sum_over_exponent_3_summands']}")
+    print("forced exponent-3 summand: one of "
+          f"{', '.join(constraints['forced_exponent_3_summand_one_of'])}")
+    print(constraints["note"])
     return 0
 
 
@@ -677,11 +506,14 @@ def _cmd_pretzel_report(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *, knot=True, formats=("text", "json")):
-    if knot:
-        sub.add_argument("expr", nargs="?", help="knot expression")
-        sub.add_argument("--complex-file", help="load the complex from JSON instead")
+def _command(subs, name: str, help: str, func, formats=("text", "json")):
+    """A subcommand that reads a knot expression or --complex-file."""
+    sub = subs.add_parser(name, help=help)
+    sub.add_argument("expr", nargs="?", help="knot expression")
+    sub.add_argument("--complex-file", help="load the complex from JSON instead")
     sub.add_argument("--format", choices=formats, default="text")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def _build_parser() -> _Parser:
@@ -689,67 +521,47 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("upsilon", help="the full upsilon function")
-    _add_common(sub, formats=("text", "json", "csv"))
+    sub = _command(subs, "upsilon", "the full upsilon function", _cmd_upsilon,
+                   formats=("text", "json", "csv"))
     sub.add_argument("--samples", type=int, default=64,
                      help="sample count for CSV output (default 64)")
-    sub.set_defaults(func=_cmd_upsilon)
 
-    sub = subs.add_parser("upsilon-at", help="upsilon at one parameter")
-    _add_common(sub)
+    sub = _command(subs, "upsilon-at", "upsilon at one parameter", _cmd_upsilon_at)
     sub.add_argument("--t", type=_rational_flag, required=True)
     sub.add_argument("--check-oracle", action="store_true",
                      help="cross-check against the brute-force oracle")
-    sub.set_defaults(func=_cmd_upsilon_at)
 
-    sub = subs.add_parser("region-upsilon", help="region invariant (unscaled)")
-    _add_common(sub)
+    sub = _command(subs, "region-upsilon", "region invariant (unscaled)", _cmd_region_upsilon)
     sub.add_argument("--region", required=True)
     sub.add_argument("--check-oracle", action="store_true")
-    sub.set_defaults(func=_cmd_region_upsilon)
 
-    sub = subs.add_parser("vk", help="V(s), -2-scaled convention")
-    _add_common(sub)
+    sub = _command(subs, "vk", "V(s), -2-scaled convention", _cmd_vk)
     sub.add_argument("--s", type=int, required=True)
-    sub.set_defaults(func=_cmd_vk)
 
-    sub = subs.add_parser("nu-plus", help="least s with V(s) = 0")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_nu_plus)
+    _command(subs, "nu-plus", "least s with V(s) = 0", _cmd_nu_plus)
 
-    sub = subs.add_parser("dinv", help="surgery correction term")
-    _add_common(sub)
+    sub = _command(subs, "dinv", "surgery correction term", _cmd_dinv)
     sub.add_argument("--q", type=int, required=True, help="surgery coefficient")
     sub.add_argument("--m", type=int, required=True, help="spin-c index")
-    sub.set_defaults(func=_cmd_dinv)
 
-    sub = subs.add_parser("eta", help="Alexander-truncation invariant")
-    _add_common(sub)
+    sub = _command(subs, "eta", "Alexander-truncation invariant", _cmd_eta)
     sub.add_argument("--region", required=True)
-    sub.set_defaults(func=_cmd_eta)
 
-    sub = subs.add_parser("breaking-points", help="kinks with positive jump")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_breaking_points)
+    _command(subs, "breaking-points", "kinks with positive jump", _cmd_breaking_points)
 
-    sub = subs.add_parser("kl", help="secondary invariant at a breaking point")
-    _add_common(sub)
+    sub = _command(subs, "kl", "secondary invariant at a breaking point", _cmd_kl)
     sub.add_argument("--t", type=_rational_flag, required=True, help="breaking point")
     sub.add_argument("--s", type=_rational_flag, required=True, help="evaluation parameter")
     sub.add_argument("--check-oracle", action="store_true")
-    sub.set_defaults(func=_cmd_kl)
 
-    sub = subs.add_parser("secondary", help="raw secondary invariant for three regions")
-    _add_common(sub)
+    sub = _command(subs, "secondary", "raw secondary invariant for three regions",
+                   _cmd_secondary)
     sub.add_argument("--cplus", required=True)
     sub.add_argument("--cminus", required=True)
     sub.add_argument("--region", required=True)
     sub.add_argument("--check-oracle", action="store_true")
-    sub.set_defaults(func=_cmd_secondary)
 
-    sub = subs.add_parser("validate", help="check the knot-type conditions")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_validate)
+    _command(subs, "validate", "check the knot-type conditions", _cmd_validate)
 
     sub = subs.add_parser("thin-check", help="obstruct concordance to a thin knot")
     sub.add_argument("expr", help="knot expression")

@@ -74,6 +74,9 @@ class NoObstructionType:
     def __repr__(self) -> str:
         return "NoObstruction"
 
+    def __str__(self) -> str:
+        return "no obstruction"
+
 
 NO_OBSTRUCTION = NoObstructionType()
 
@@ -146,19 +149,24 @@ class _Engine:
 
     @cached_property
     def candidate_ts(self) -> tuple[Fraction, ...]:
-        """Candidate kink locations of t -> upsilon: every t in (0,2) where two
-        generator lines (t/2)A + (1-t/2)j cross, plus the endpoints."""
-        lines = {(a - j, j) for a, j in self.pos0}  # L(t) = j + (t/2)(A - j)
-        crossings = set()  # t = num / den in lowest terms, den > 0
-        for (d1, j1), (d2, j2) in combinations(lines, 2):
-            num, den = 2 * (j2 - j1), d1 - d2
-            if den < 0:
-                num, den = -num, -den
-            if 0 < num < 2 * den:
-                g = gcd(num, den)
-                crossings.add((num // g, den // g))
-        cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
-        return tuple(sorted(cands))
+        return _candidate_ts(self.pos0)
+
+
+def _candidate_ts(positions) -> tuple[Fraction, ...]:
+    """Candidate kink locations of t -> upsilon for generators at these (A, j)
+    positions: every t in (0,2) where two generator lines (t/2)A + (1-t/2)j
+    cross, plus the endpoints."""
+    lines = {(a - j, j) for a, j in positions}  # L(t) = j + (t/2)(A - j)
+    crossings = set()  # t = num / den in lowest terms, den > 0
+    for (d1, j1), (d2, j2) in combinations(lines, 2):
+        num, den = 2 * (j2 - j1), d1 - d2
+        if den < 0:
+            num, den = -num, -den
+        if 0 < num < 2 * den:
+            g = gcd(num, den)
+            crossings.add((num // g, den // g))
+    cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
+    return tuple(sorted(cands))
 
 
 def _reduce(eng: _Engine, keys: list) -> tuple:
@@ -464,11 +472,11 @@ def secondary(
     raise AssertionError("secondary invariant: homologous at no candidate translate")
 
 
-def _kl_delta(k: KnotComplex, t_star: Fraction) -> Fraction:
+def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:
     """Perturbation width at t_star: half the gap to the nearest other
     candidate kink or interval endpoint (so no kink sits strictly between
     t_star - delta and t_star + delta)."""
-    return min(abs(t_star - c) for c in _Engine.of(k).candidate_ts if c != t_star) / 2
+    return min(abs(t_star - c) for c in candidate_ts if c != t_star) / 2
 
 
 def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
@@ -491,7 +499,7 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
         raise ValueError(f"t_star must lie in (0, 2), got {t_star}")
     if not 0 <= s <= 2:
         raise ValueError(f"s must lie in [0, 2], got {s}")
-    delta = _kl_delta(k, t_star)
+    delta = _kl_delta(_Engine.of(k).candidate_ts, t_star)
 
     def run(d: Fraction) -> SecondaryValue:
         return secondary(
@@ -516,17 +524,20 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
 
 
 def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> SecondaryValue:
-    """Brute-force route to kim_livingston: the same perturbation width, but
-    both the secondary invariant and the kink value come from the enumerating
-    oracles.  No stability or breaking-point checks (single-shot oracle)."""
+    """Brute-force route to kim_livingston: the same perturbation width, from
+    the oracle's own generator positions, but both the secondary invariant and
+    the kink value come from the enumerating oracles, and nothing reads or
+    builds the engine.  No stability or breaking-point checks (single-shot
+    oracle)."""
     t_star, s = Fraction(t_star), Fraction(s)
     if not 0 < t_star < 2:
         raise ValueError(f"t_star must lie in (0, 2), got {t_star}")
     if not 0 <= s <= 2:
         raise ValueError(f"s must lie in [0, 2], got {s}")
-    delta = _kl_delta(k, t_star)
-    res = brute_force_secondary(
-        k,
+    orc = _Oracle(k, guard, "brute_force_secondary")  # the guard names the enumeration
+    delta = _kl_delta(_candidate_ts(orc.pos0), t_star)
+    res = _brute_secondary(
+        orc,
         upsilon_halfplane(t_star + delta),
         upsilon_halfplane(t_star - delta),
         upsilon_halfplane(s),
@@ -534,7 +545,7 @@ def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> Seconda
     )
     if isinstance(res, NoObstructionType):
         return NO_OBSTRUCTION
-    return -2 * (res - brute_force_upsilon(k, upsilon_halfplane(t_star), guard))
+    return -2 * (res - orc.upsilon(upsilon_halfplane(t_star)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +643,10 @@ def brute_force_secondary(
     the allowed degree-1 generators, comparing boundaries against all pair
     sums.  Exact and exponential (guarded).
     """
-    orc = _Oracle(k, guard, "brute_force_secondary")
+    return _brute_secondary(_Oracle(k, guard, "brute_force_secondary"), cplus, cminus, c, guard)
+
+
+def _brute_secondary(orc: _Oracle, cplus, cminus, c, guard: int) -> SecondaryValue:
     gp = orc.upsilon(cplus)
     gm = orc.upsilon(cminus)
     mask_p = _inside_mask([entering_time(cplus, p) for p in orc.pos0], gp)

@@ -235,16 +235,24 @@ class RegionParseError(ValueError):
         self.position = position
 
 
+# The deepest nesting either DSL accepts: the parsers recurse three frames a
+# level, so they (and the knot printer and builder) stay far below Python's
+# default limit of 1000 frames.
+MAX_NESTING = 100
+
+
 class _Scanner:
     """The lexing shared by the hand-rolled LL(1) parsers of the region and
     knot DSLs.  `error` is the exception class raised, called with a message
-    and a position; `expr` is the subclass's top-level rule."""
+    and a position; `expr` is the subclass's top-level rule.  `depth` counts
+    the levels entered by `descend` and not yet left (by decrementing it)."""
 
     error: type[ValueError]
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def parse(self):
         result = self.expr()
@@ -263,6 +271,12 @@ class _Scanner:
             found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
             raise self.error(f"expected {ch!r}, found {found!r}", self.pos)
         self.pos += 1
+
+    def descend(self):
+        """Enter one nesting level; past MAX_NESTING the input is rejected."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
 
     def peek(self) -> str:
         self.skip_ws()
@@ -310,9 +324,11 @@ class _RegionParser(_Scanner):
 
     def atom(self) -> SouthWestRegion:
         if self.peek() == "(":
+            self.descend()
             self.pos += 1
             region = self.expr()
             self.expect(")")
+            self.depth -= 1
             return region
         start, name = self.term_name("region")
         try:
@@ -336,8 +352,10 @@ class _RegionParser(_Scanner):
                 self.expect(")")
                 return make_halfplane(a, b, c)
             if name == "trunc":
+                self.descend()
                 self.expect("(")
                 region = self.expr()
+                self.depth -= 1
                 self.expect(",")
                 x = self.rational()
                 self.expect(")")

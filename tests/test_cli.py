@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,23 @@ def test_parse_validates_torus_without_building(monkeypatch):
         parse_knot_expr("T(2,3) # T(4,6)")
 
 
+def test_parse_rejects_nesting_past_the_cap(capsys):
+    # one parse error line and exit 1, not a RecursionError traceback
+    for argv in (["upsilon", "(" * 400 + "T(3,2)" + ")" * 400],
+                 ["upsilon", "--", "-" * 990 + "T(3,2)"],
+                 ["upsilon", " # ".join(["thin(0)"] * 1100)],
+                 ["region-upsilon", "T(3,2)", "--region", "trunc(" * 400 + "H(1)" + ", 3)" * 400]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("parse error: nesting deeper than 100 levels") and err.count("\n") == 1
+    # The deepest trees the cap admits still print and build.  Sums count for
+    # the rest of the input, so a tree is at most twice as deep as the cap.
+    deepest = parse_knot_expr("-" * 100 + "thin(0)" + " # thin(0)" * 100)
+    assert parse_knot_expr(knot_expr_to_text(deepest)) == deepest
+    assert build_complex(parse_knot_expr("-" * 100 + "T(3,2)")) == build_complex(
+        parse_knot_expr("T(3,2)"))
+
+
 def test_build_complex_shapes():
     k = build_complex(parse_knot_expr("T(2,3) # -T(2,3)"))
     assert len(k.generators) == 9
@@ -248,6 +266,13 @@ def test_secondary_command(capsys):
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+
+def test_leading_mirror_follows_double_dash(capsys):
+    code, out, _ = run(capsys, "upsilon", "--", "-T(3,2)")
+    assert code == 0 and out == "(0, 0)  (1, 1)  (2, 0)\n"
+    code, _, err = run(capsys, "upsilon", "-T(3,2)")
+    assert code == 1 and "unrecognized arguments" in err
 
 
 def test_exit_1_on_parse_error(capsys):
@@ -425,6 +450,36 @@ def test_thin_check_reports_other_errors(capsys, monkeypatch):
     monkeypatch.setattr(invariants, "secondary", boom)
     code, out, err = run(capsys, "thin-check", "T(3,2)")
     assert code == 2 and err == "error: boom\n"
+
+
+@pytest.mark.parametrize(
+    "text,positive,negative",
+    [
+        ("T(8,5) # -T(6,5) # -T(4,3)", [(8, 5)], [(6, 5), (4, 3)]),
+        ("T(3,2) # -T(5,2)", [(3, 2)], [(5, 2)]),  # smoothness fails at t=1
+        ("T(5,3)", [(5, 3)], []),  # upsilon shape is not thin
+    ],
+)
+def test_thin_check_library_matches_cli(capsys, text, positive, negative):
+    value = zoo.thin_check([zoo.torus_knot(*pq) for pq in positive],
+                           [zoo.torus_knot(*pq) for pq in negative])
+    assert value == run_json(capsys, "thin-check", text)["value"]
+
+
+def test_thin_check_self_check_exits_4(capsys, monkeypatch):
+    # the shape test forces equal breaking points away from t = 1
+    real = zoo.breaking_points
+    sides = []
+
+    def skewed(k):
+        sides.append(k)
+        extra = [invariants.BreakingPoint(Fraction(1, 2), Fraction(1))] if len(sides) == 1 else []
+        return real(k) + extra
+
+    monkeypatch.setattr(zoo, "breaking_points", skewed)
+    code, out, err = run(capsys, "thin-check", "T(2,3)")
+    assert code == 4 and out == ""
+    assert err.startswith("internal check failed: thin-check: ") and err.count("\n") == 1
 
 
 def test_thin_check_text_output(capsys):

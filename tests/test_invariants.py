@@ -577,6 +577,16 @@ def test_oracles_do_not_read_the_engine_build(monkeypatch):
     assert upsilon_region(k, r) != brute_force_upsilon(k, r)
 
 
+def test_kim_livingston_oracle_leaves_no_engine():
+    # its perturbation width comes from the oracle's own positions
+    for k, bp in [(k, bp) for k in SMALL_ZOO for bp in breaking_points(k)]:
+        for s in (F(0), bp.t, F(1), F(2)):
+            fresh = KnotComplex(k.generators, k.arrows)  # equal to k, never queried
+            value = kim_livingston_oracle(fresh, bp.t, s)
+            assert "_engine" not in vars(fresh)
+            assert value == kim_livingston(k, bp.t, s)
+
+
 # ---------------------------------------------------------------------------
 # the engine's generating cycle, found by clearing
 # ---------------------------------------------------------------------------

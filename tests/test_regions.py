@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from upsilonkit.regions import (
+    MAX_NESTING,
     PLFunction,
     RegionParseError,
     contains,
@@ -268,6 +269,17 @@ def test_parse_errors_carry_positions(text, pos_ge):
         parse_region(text)
     assert exc.value.position >= pos_ge
     assert "position" in str(exc.value)
+
+
+def test_parse_rejects_nesting_past_the_cap():
+    # a parse error, not a RecursionError
+    for wrap in (lambda r: f"({r})", lambda r: f"trunc({r}, 3)"):
+        text = "H(1)"
+        for _ in range(MAX_NESTING):
+            text = wrap(text)
+        assert parse_region(text) == parse_region(wrap("H(1)"))
+        with pytest.raises(RegionParseError, match="nesting deeper than 100 levels"):
+            parse_region(wrap(text))
 
 
 @given(regions())

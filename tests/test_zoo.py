@@ -27,6 +27,7 @@ from upsilonkit.zoo import (
     jumps_from_semigroup,
     n_of_semigroup,
     pretzel,
+    pretzel_report,
     semigroup_from_generators,
     semigroup_from_puiseux,
     staircase_from_jumps,
@@ -348,3 +349,23 @@ def test_staircase_corners_consistency_with_builders():
         corners = staircase_corners(jumps)
         k = staircase_from_jumps(jumps)
         assert sorted(g.pos for g in k.generators if g.maslov == 0) == sorted(corners)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_pretzel_report_matches_closed_forms(q):
+    report = pretzel_report(q)
+    jumps = (1, 2) + (1,) * (q - 3) + (2, 1)
+    assert report["tau"] == str(F(q + 3, 2)) and report["genus"] == (q + 3) // 2
+    assert report["upsilon_singularities"] == [
+        str(t) for t, _ in pl_singular_points(staircase_upsilon(jumps))
+    ]
+    assert report["eta_H_2_3"] == {"engine": str(F(q - 3, 3)), "closed_form": str(F(q - 3, 3))}
+    # The eta deficit (2/3) tau - eta = 2 needs n(S) = 1 from the exponent-3
+    # summands.  <3,p> has n = (p - 1) // 3 (p is its first member off 3Z), so
+    # p = 4 and p = 5 are the candidates.
+    constraints = report["decomposition_constraints"]
+    assert constraints["required_n_sum_over_exponent_3_summands"] == "1"
+    assert constraints["n_of_semigroup_3_p"] == {
+        f"(3,{p})": (p - 1) // 3 for p in range(4, 21) if p % 3
+    }
+    assert constraints["forced_exponent_3_summand_one_of"] == ["(3,4)", "(3,5)"]
