@@ -227,25 +227,23 @@ def knot_expr_to_text(expr: tuple) -> str:
 
 
 def build_complex(expr: tuple) -> complexes.KnotComplex:
-    """Evaluate an expression to a complex (sum = tensor, '-' = mirror)."""
+    """Evaluate an expression to a complex: one tensor product of its summands,
+    each mirrored under an odd number of '-' (a lone summand as built)."""
+    parts = []
+    for atom, sign in _flatten_sum(expr):
+        k = _ATOMS[atom[0]][2](*atom[1:])
+        parts.append(k if sign > 0 else complexes.mirror(k))
+    return parts[0] if len(parts) == 1 else complexes.tensor(*parts)
+
+
+def _flatten_sum(expr: tuple, sign: int = 1) -> list[tuple[tuple, int]]:
+    """Each summand of expr with its sign (-1 under an odd number of mirrors)."""
     head = expr[0]
     if head == "#":
-        return complexes.tensor(build_complex(expr[1]), build_complex(expr[2]))
+        return _flatten_sum(expr[1], sign) + _flatten_sum(expr[2], sign)
     if head == "-":
-        return complexes.mirror(build_complex(expr[1]))
-    return _ATOMS[head][2](*expr[1:])
-
-
-def _flatten_sum(expr: tuple, sign: int, acc: list[tuple[tuple, int]]):
-    """Append each summand of expr with its sign (-1 under an odd number of mirrors)."""
-    head = expr[0]
-    if head == "#":
-        _flatten_sum(expr[1], sign, acc)
-        _flatten_sum(expr[2], sign, acc)
-    elif head == "-":
-        _flatten_sum(expr[1], -sign, acc)
-    else:
-        acc.append((expr, sign))
+        return _flatten_sum(expr[1], -sign)
+    return [(expr, sign)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +462,7 @@ def _cmd_thin_check(args):
     the two sides."""
     expr = parse_knot_expr(args.expr)
     name = knot_expr_to_text(expr)
-    terms: list[tuple[tuple, int]] = []
-    _flatten_sum(expr, 1, terms)
+    terms = _flatten_sum(expr)
     value = zoo.thin_check([build_complex(e) for e, sign in terms if sign > 0],
                            [build_complex(e) for e, sign in terms if sign < 0])
     prov = ["upsilon_function", "breaking_points", "kim_livingston", "thin_kl_closed"]

@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
-from .exact import F2Matrix, F2Space, _bits, _columns
+from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask
 
 
 @dataclass(frozen=True, order=True)
@@ -155,26 +156,50 @@ def maslov_slice(k: KnotComplex, d: int) -> tuple[LatticeGenerator, ...]:
     return tuple(out)
 
 
+def _graded(k: KnotComplex) -> tuple[tuple, tuple]:
+    """The slices of Maslov grading 0 and 1 and the differential out of
+    each, from one walk over the generators and one over the arrows.
+
+    positions[p] lists, in generator order, the (A - u, j - u) of U^u times
+    each base generator of grading parity p, u = M // 2; columns[p] lists
+    the row indices in slice 1 - p of the differential of each of them.
+    These are all the graded pieces: slice d is U^(-(d // 2)) times slice
+    d % 2, and an arrow x -> U^m y drops the grading by one from every
+    slice exactly when M(y) - 2m = M(x) - 1, so the grading-d differential
+    is that of d % 2 and dim H_d is dim H_(d % 2).  Raises ValueError on an
+    arrow that breaks the grading.
+    """
+    where: dict[str, tuple[int, int, int]] = {}  # name -> (parity, index, M)
+    positions: tuple[list, list] = ([], [])
+    for g in k.generators:
+        p, u = g.maslov % 2, g.maslov // 2
+        where[g.name] = (p, len(positions[p]), g.maslov)
+        positions[p].append((g.alexander - u, g.algebraic - u))
+    columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
+    for src, dst, m in k.arrows:
+        p, j, mx = where[src]
+        _, i, my = where[dst]
+        if my - 2 * m != mx - 1:
+            raise ValueError(f"arrow {src} -> U^{m}·{dst} does not drop Maslov grading by 1")
+        columns[p][j].append(i)
+    return tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns)
+
+
 def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
     """The differential from the grading-d slice to the grading-(d-1) slice.
 
-    Rows are indexed by the (d-1)-slice, columns by the d-slice.  Requires
-    every arrow to drop Maslov grading by exactly one (raise otherwise; run
-    `validate_complex` first on untrusted input).
+    Rows are indexed by the (d-1)-slice, columns by the d-slice; the matrix
+    depends only on d % 2.  Requires every arrow to drop Maslov grading by
+    exactly one (raise otherwise; run `validate_complex` first on untrusted
+    input).
     """
-    src_slice = maslov_slice(k, d)
-    dst_slice = maslov_slice(k, d - 1)
-    dst_index = {(lg.base.name, lg.upower): i for i, lg in enumerate(dst_slice)}
-    rows = [0] * len(dst_slice)
-    for j, lg in enumerate(src_slice):
-        for dst, m in k._arrows_by_src.get(lg.base.name, ()):
-            key = (dst, lg.upower + m)
-            if key not in dst_index:
-                raise ValueError(
-                    f"arrow {lg.base.name} -> U^{m}·{dst} does not drop Maslov grading by 1"
-                )
-            rows[dst_index[key]] ^= 1 << j
-    return F2Matrix(len(dst_slice), len(src_slice), rows)
+    positions, columns = _graded(k)
+    p = d % 2
+    rows = [0] * len(positions[1 - p])
+    for j, col in enumerate(columns[p]):
+        for i in col:
+            rows[i] |= 1 << j
+    return F2Matrix(len(rows), len(columns[p]), rows)
 
 
 def validate_complex(k: KnotComplex) -> ValidationReport:
@@ -183,8 +208,8 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     Checks, in order: arrow grading and filtration legality (an arrow
     x -> U^m y must have M(y) - 2m = M(x) - 1 and position of U^m y
     coordinatewise <= position of x); d^2 = 0 over the ring; homology a
-    single U-tower (dim H_0 = 1 and dim H_1 = 0, which by U-periodicity of
-    the slices pins every grading).
+    single U-tower (dim H_0 = 1 and dim H_1 = 0, which by the periodicity of
+    `_graded` pins every grading).
     """
     problems: list[str] = []
     by_name = k.by_name
@@ -209,14 +234,11 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    n0 = len(maslov_slice(k, 0))
-    n1 = len(maslov_slice(k, 1))
-    r0 = boundary_matrix(k, 0).rank()
-    r1 = boundary_matrix(k, 1).rank()
-    # By periodicity the grading-2 differential is the grading-0 matrix, so
-    # dim H_0 = n0 - r0 - r1 and dim H_1 = n1 - r1 - r0.
-    h0 = n0 - r0 - r1
-    h1 = n1 - r1 - r0
+    (pos0, pos1), (d0, d1) = _graded(k)
+    r0, r1 = (len(cols) - len(_echelonize({}, ((_mask(rows), 0) for rows in cols)))
+              for cols in (d0, d1))
+    h0 = len(pos0) - r0 - r1
+    h1 = len(pos1) - r1 - r0
     if h0 != 1:
         problems.append(f"dim H_0 = {h0}, expected 1 (not a single U-tower)")
     if h1 != 0:
@@ -241,38 +263,30 @@ def representative_cycle(k: KnotComplex) -> Chain:
     raise ValueError("complex has no degree-0 homology generator (not knot-type)")
 
 
-def tensor(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
-    """Tensor product over F2[U, U^-1]; models the connected sum.
+def tensor(*factors: KnotComplex) -> KnotComplex:
+    """Tensor product over F2[U, U^-1] of any number of factors; models the
+    connected sum.
 
-    Generators are pairs, named "a*b" after their factors a and b with any
-    "\\" or "*" in a factor name escaped by a backslash, so distinct pairs get
-    distinct names.  Positions and gradings add, and the differential obeys
-    the Leibniz rule.
+    A generator picks one generator of each factor (in lexicographic order)
+    and is named by their names, each escaped once (a backslash before any
+    "\\" or "*") and joined by "*": "a*b" for two factors.  So names are
+    injective and grow linearly with the number of factors.  Positions and
+    gradings add, and the differential obeys the Leibniz rule.
+    `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names; no
+    factors give the unknot, as one generator named "".
     """
-
-    def pair(a: str, b: str) -> str:
-        return "*".join(n.replace("\\", "\\\\").replace("*", "\\*") for n in (a, b))
-
+    escaped = [{g.name: g.name.replace("\\", "\\\\").replace("*", "\\*") for g in k.generators}
+               for k in factors]
     gens = []
-    for g1 in k1.generators:
-        for g2 in k2.generators:
-            gens.append(
-                BaseGenerator(
-                    pair(g1.name, g2.name),
-                    g1.alexander + g2.alexander,
-                    g1.algebraic + g2.algebraic,
-                    g1.maslov + g2.maslov,
-                )
-            )
     arrows = []
-    out1, out2 = k1._arrows_by_src, k2._arrows_by_src
-    for g1 in k1.generators:
-        for g2 in k2.generators:
-            src = pair(g1.name, g2.name)
-            for dst, m in out1.get(g1.name, ()):
-                arrows.append((src, pair(dst, g2.name), m))
-            for dst, m in out2.get(g2.name, ()):
-                arrows.append((src, pair(g1.name, dst), m))
+    for combo in product(*(k.generators for k in factors)):
+        parts = [esc[g.name] for esc, g in zip(escaped, combo)]
+        src = "*".join(parts)
+        gens.append(BaseGenerator(src, sum(g.alexander for g in combo),
+                                  sum(g.algebraic for g in combo), sum(g.maslov for g in combo)))
+        for i, (k, g) in enumerate(zip(factors, combo)):
+            for dst, m in k._arrows_by_src.get(g.name, ()):
+                arrows.append((src, "*".join([*parts[:i], escaped[i][dst], *parts[i + 1:]]), m))
     return KnotComplex(tuple(gens), tuple(arrows))
 
 

@@ -151,6 +151,14 @@ def _bits(x: int):
         x ^= low
 
 
+def _mask(indices) -> int:
+    """The bit mask with these bits set: the inverse of `_bits`."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 class F2Space:
     """An incrementally built subspace of F2^n, for membership tests.
 

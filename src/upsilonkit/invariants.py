@@ -26,13 +26,13 @@ them.  The key left leading is the least, over all generating cycles, of the
 greatest key on a support.  Keys are exact integers (entering times as
 numerators over the region's common denominator, Alexander gradings), so
 every value is exact, and only the returned value is made a Fraction.  The
-reference cycle itself is found once per complex by clearing, from the
+engine reads positions and differentials from one pass over the arrows
+(`complexes._graded`) and finds its reference cycle by clearing, from the
 pivots of the same echelon kernel.  `brute_force_upsilon` and
 `brute_force_secondary` recompute the same quantities by enumerating entire
-cycle cosets.  They share only the echelon kernel and the exported
-`boundary_matrix` and `representative_cycle` with the engine (not its
-generating cycle or any data it builds), and serve as independent oracles in
-the tests.
+cycle cosets, as independent oracles in the tests.  They share the echelon
+kernel and the d1 of that pass (through `boundary_matrix`); their positions
+(`maslov_slice`) and generating cycle (a nullspace) are their own.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from .complexes import KnotComplex, boundary_matrix, maslov_slice, representative_cycle
-from .exact import F2Space, _bits, _columns, _echelonize, _reduce_pair
+from .complexes import KnotComplex, _graded, boundary_matrix, maslov_slice, representative_cycle
+from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from .regions import (
     PLFunction,
     SouthWestRegion,
@@ -118,12 +118,9 @@ class _Engine:
     """
 
     def __init__(self, k: KnotComplex):
-        slice0 = maslov_slice(k, 0)
-        d0 = boundary_matrix(k, 0)
-        self.pos0 = tuple(lg.pos for lg in slice0)
-        self.pos1 = tuple(lg.pos for lg in maslov_slice(k, 1))
-        self.d1_cols = tuple(_columns(boundary_matrix(k, 1)))
-        self.d1_supports = tuple(tuple(_bits(col)) for col in self.d1_cols)
+        (self.pos0, self.pos1), (d0_supports, self.d1_supports) = _graded(k)
+        self.d1_cols = tuple(map(_mask, self.d1_supports))
+        d0_cols = list(map(_mask, d0_supports))
         # The generating cycle by clearing: a d0 column at the leading row of
         # a boundary tops a cycle, so it is skipped.  The set of leading rows
         # of im d1 does not depend on the basis, so the one other column that
@@ -131,12 +128,15 @@ class _Engine:
         tops: dict[int, tuple[int, int]] = {}
         _echelonize(tops, ((col, 0) for col in self.d1_cols))
         cycles = _echelonize(
-            {}, ((col, 1 << j) for j, col in enumerate(_columns(d0)) if j not in tops)
+            {}, ((col, 1 << j) for j, col in enumerate(d0_cols) if j not in tops)
         )
         if not cycles:
             raise ValueError("complex has no degree-0 homology generator (not knot-type)")
         self.z_ref = cycles[0]
-        if d0.mat_vec(self.z_ref):
+        boundary = 0
+        for j in _bits(self.z_ref):
+            boundary ^= d0_cols[j]
+        if boundary:
             raise AssertionError("engine build: the cleared generating cycle fails d0·z = 0")
         self.curve: PLFunction | None = None  # filled by upsilon_function
 
@@ -201,14 +201,6 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
     return keys[order[z.bit_length() - 1]], w, basis
 
 
-def _inside_mask(times: list[Fraction], t: Fraction) -> int:
-    mask = 0
-    for i, time in enumerate(times):
-        if time <= t:
-            mask |= 1 << i
-    return mask
-
-
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
     """True iff a degree-0 generating cycle lives inside the translate C_t."""
     return upsilon_region(k, r) <= Fraction(t)
@@ -240,17 +232,21 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
     eng = _Engine.of(k)
     if eng.curve is None:
         ts = eng.candidate_ts
-        vals = [upsilon_region(k, upsilon_halfplane(t)) for t in ts]
-        for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-            _check_linear(k, t0, v0, t1, v1)
-        eng.curve = PLFunction(tuple((t, -2 * v) for t, v in zip(ts, vals)))
+        eng.curve = PLFunction(tuple((t, -2 * v) for t, v in zip(ts, _chord_checked(k, ts))))
     return eng.curve
 
 
-def _check_linear(k: KnotComplex, t0: Fraction, v0: Fraction, t1: Fraction, v1: Fraction):
-    """Assert that the engine value at the midpoint of [t0, t1] lies on the chord."""
-    if 2 * upsilon_region(k, upsilon_halfplane((t0 + t1) / 2)) != v0 + v1:
-        raise AssertionError(f"upsilon not linear on [{t0}, {t1}]: candidate kink set incomplete")
+def _chord_checked(k: KnotComplex, ts) -> list[Fraction]:
+    """The region invariants of the half-planes at these increasing
+    parameters, after asserting that the value at the midpoint of each
+    segment between them lies on the chord."""
+    vals = [upsilon_region(k, upsilon_halfplane(t)) for t in ts]
+    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
+        if 2 * upsilon_region(k, upsilon_halfplane((t0 + t1) / 2)) != v0 + v1:
+            raise AssertionError(
+                f"upsilon not linear on [{t0}, {t1}]: candidate kink set incomplete"
+            )
+    return vals
 
 
 def breaking_points(k: KnotComplex) -> list[BreakingPoint]:
@@ -306,23 +302,21 @@ def staircase_corners(jumps) -> tuple[tuple[int, int], ...]:
     return tuple(corners)
 
 
+def _corner_line(t: Fraction, n: int, m: int) -> Fraction:
+    """(t/2) n + (1 - t/2) m: the line of a corner (n, m), at a rational t."""
+    return t * n / 2 + (1 - t / 2) * m
+
+
 def _corner_envelope(corners) -> PLFunction:
     """min_i [(t/2) n_i + (1 - t/2) m_i] on [0, 2], exactly."""
-
-    def line(i, t):
-        n, m = corners[i]
-        return Fraction(t) * n / 2 + (1 - Fraction(t) / 2) * m
-
     cands = {Fraction(0), Fraction(2)}
     for (n1, m1), (n2, m2) in combinations(set(corners), 2):
         if n1 - m1 != n2 - m2:
             t = Fraction(2 * (m2 - m1), (n1 - m1) - (n2 - m2))
             if 0 < t < 2:
                 cands.add(t)
-    ts = sorted(cands)
-    return PLFunction(
-        tuple((t, min(line(i, t) for i in range(len(corners)))) for t in ts)
-    )
+    return PLFunction(tuple((t, min(_corner_line(t, n, m) for n, m in corners))
+                            for t in sorted(cands)))
 
 
 def staircase_upsilon(jumps) -> PLFunction:
@@ -340,14 +334,9 @@ def staircase_vk(jumps, s: int) -> Fraction:
 def staircase_breaking_points(jumps) -> list[BreakingPoint]:
     """Breaking points of a staircase, with the extreme minimizing indices."""
     corners = staircase_corners(jumps)
-
-    def line(i, t):
-        n, m = corners[i]
-        return t * n / 2 + (1 - t / 2) * m
-
     out = []
     for t, jump in pl_singular_points(_corner_envelope(corners)):
-        vals = [line(i, t) for i in range(len(corners))]
+        vals = [_corner_line(t, n, m) for n, m in corners]
         mn = min(vals)
         mins = [i for i, v in enumerate(vals) if v == mn]
         i_minus, i_plus = mins[0], mins[-1]
@@ -368,16 +357,13 @@ def staircase_kl(jumps, t_star, s) -> Fraction:
     """
     t_star, s = Fraction(t_star), Fraction(s)
     corners = staircase_corners(jumps)
-    vals = [Fraction(t_star) * n / 2 + (1 - Fraction(t_star) / 2) * m for n, m in corners]
+    vals = [_corner_line(t_star, n, m) for n, m in corners]
     mn = min(vals)
     mins = [i for i, v in enumerate(vals) if v == mn]
     if len(mins) < 2 or not 0 < t_star < 2:
         raise ValueError(f"t = {t_star} is not a breaking point of this staircase")
     i_minus, i_plus = mins[0], mins[-1]
-    peak = max(
-        Fraction(s) * corners[j][0] / 2 + (1 - Fraction(s) / 2) * corners[j + 1][1]
-        for j in range(i_minus, i_plus)
-    )
+    peak = max(_corner_line(s, corners[j][0], corners[j + 1][1]) for j in range(i_minus, i_plus))
     return -2 * (peak - mn)
 
 
@@ -472,6 +458,16 @@ def secondary(
     raise AssertionError("secondary invariant: homologous at no candidate translate")
 
 
+def _kl_parameters(t_star, s) -> tuple[Fraction, Fraction]:
+    """t_star and s as exact rationals, checked to lie in (0, 2) and [0, 2]."""
+    t_star, s = Fraction(t_star), Fraction(s)
+    if not 0 < t_star < 2:
+        raise ValueError(f"t_star must lie in (0, 2), got {t_star}")
+    if not 0 <= s <= 2:
+        raise ValueError(f"s must lie in [0, 2], got {s}")
+    return t_star, s
+
+
 def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:
     """Perturbation width at t_star: half the gap to the nearest other
     candidate kink or interval endpoint (so no kink sits strictly between
@@ -494,11 +490,7 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     the midpoints), and t_star is a breaking point iff the engine value bends
     down there.
     """
-    t_star, s = Fraction(t_star), Fraction(s)
-    if not 0 < t_star < 2:
-        raise ValueError(f"t_star must lie in (0, 2), got {t_star}")
-    if not 0 <= s <= 2:
-        raise ValueError(f"s must lie in [0, 2], got {s}")
+    t_star, s = _kl_parameters(t_star, s)
     delta = _kl_delta(_Engine.of(k).candidate_ts, t_star)
 
     def run(d: Fraction) -> SecondaryValue:
@@ -514,10 +506,7 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
         raise AssertionError("secondary invariant unstable under delta halving")
     if first == NO_OBSTRUCTION:
         return NO_OBSTRUCTION
-    ts = (t_star - delta, t_star, t_star + delta)
-    lo, kink, hi = (upsilon_region(k, upsilon_halfplane(t)) for t in ts)
-    _check_linear(k, ts[0], lo, t_star, kink)
-    _check_linear(k, t_star, kink, ts[2], hi)
+    lo, kink, hi = _chord_checked(k, (t_star - delta, t_star, t_star + delta))
     if lo + hi - 2 * kink >= 0:
         raise NotABreakingPoint(f"t = {t_star} is not a breaking point")
     return -2 * (first - kink)
@@ -529,11 +518,7 @@ def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> Seconda
     the kink value come from the enumerating oracles, and nothing reads or
     builds the engine.  No stability or breaking-point checks (single-shot
     oracle)."""
-    t_star, s = Fraction(t_star), Fraction(s)
-    if not 0 < t_star < 2:
-        raise ValueError(f"t_star must lie in (0, 2), got {t_star}")
-    if not 0 <= s <= 2:
-        raise ValueError(f"s must lie in [0, 2], got {s}")
+    t_star, s = _kl_parameters(t_star, s)
     orc = _Oracle(k, guard, "brute_force_secondary")  # the guard names the enumeration
     delta = _kl_delta(_candidate_ts(orc.pos0), t_star)
     res = _brute_secondary(
@@ -579,10 +564,12 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
 
 class _Oracle:
     """What the oracles read of a complex, built from the exported routes
-    alone (`maslov_slice`, `boundary_matrix` and the nullspace route of
-    `representative_cycle`), so that a fault in the engine build cannot reach
-    them: slice positions, the d1 columns, a generating cycle and a basis of
-    the boundaries (at most `guard` vectors)."""
+    (`maslov_slice`, `boundary_matrix` and the nullspace route of
+    `representative_cycle`): slice positions, the d1 columns, a generating
+    cycle and a basis of the boundaries (at most `guard` vectors).  The d1
+    columns come from the engine's one-pass build; the positions and the
+    cycle do not, so a fault in the engine's positions or its clearing cannot
+    reach them."""
 
     def __init__(self, k: KnotComplex, guard: int, what: str):
         slice0 = maslov_slice(k, 0)
@@ -590,12 +577,9 @@ class _Oracle:
         self.pos0 = [lg.pos for lg in slice0]
         self.pos1 = [lg.pos for lg in maslov_slice(k, 1)]
         self.d1_cols = _columns(boundary_matrix(k, 1))
-        self.z_ref = sum(1 << index0[lg] for lg in representative_cycle(k))
-        self.basis = []
+        self.z_ref = _mask(index0[lg] for lg in representative_cycle(k))
         space = F2Space()
-        for col in self.d1_cols:
-            if space.add(col):
-                self.basis.append(col)
+        self.basis = [col for col in self.d1_cols if space.add(col)]  # True if it grew
         if len(self.basis) > guard:
             raise GuardExceeded(
                 f"{what}: boundary space dimension {len(self.basis)} exceeds guard {guard}; "
@@ -603,19 +587,21 @@ class _Oracle:
             )
 
     def cycles(self):
-        """Every generating cycle: z_ref + each element of span(basis), Gray-coded."""
-        z = self.z_ref
-        yield z
-        gray_prev = 0
-        for i in range(1, 1 << len(self.basis)):
-            gray = i ^ (i >> 1)
-            z ^= self.basis[(gray ^ gray_prev).bit_length() - 1]
-            gray_prev = gray
-            yield z
+        """Every generating cycle: z_ref + each element of span(basis)."""
+        return _gray_sums(self.basis, self.z_ref)
 
     def upsilon(self, r: SouthWestRegion) -> Fraction:
         times = [entering_time(r, p) for p in self.pos0]
         return min(max(times[i] for i in _bits(z)) for z in self.cycles())
+
+
+def _gray_sums(vectors, start: int = 0):
+    """start plus each subset sum of vectors, in Gray-code order: step i
+    flips the vector at the lowest set bit of i, so each sum is one XOR."""
+    yield start
+    for i in range(1, 1 << len(vectors)):
+        start ^= vectors[(i & -i).bit_length() - 1]
+        yield start
 
 
 def brute_force_upsilon(k: KnotComplex, r: SouthWestRegion, guard: int = 20) -> Fraction:
@@ -649,8 +635,8 @@ def brute_force_secondary(
 def _brute_secondary(orc: _Oracle, cplus, cminus, c, guard: int) -> SecondaryValue:
     gp = orc.upsilon(cplus)
     gm = orc.upsilon(cminus)
-    mask_p = _inside_mask([entering_time(cplus, p) for p in orc.pos0], gp)
-    mask_m = _inside_mask([entering_time(cminus, p) for p in orc.pos0], gm)
+    mask_p = _mask(i for i, p in enumerate(orc.pos0) if entering_time(cplus, p) <= gp)
+    mask_m = _mask(i for i, p in enumerate(orc.pos0) if entering_time(cminus, p) <= gm)
     zplus = []
     zminus = []
     for z in orc.cycles():
@@ -671,12 +657,7 @@ def _brute_secondary(orc: _Oracle, cplus, cminus, c, guard: int) -> SecondaryVal
                 f"brute_force_secondary: {len(allowed)} allowed degree-1 generators "
                 f"exceed guard {guard}; use the main engine"
             )
-        bound = 0
-        gray_prev = 0
-        for i in range(1, 1 << len(allowed)):
-            gray = i ^ (i >> 1)
-            bound ^= orc.d1_cols[allowed[(gray ^ gray_prev).bit_length() - 1]]
-            gray_prev = gray
-            if bound in targets:
+        for bound in _gray_sums([orc.d1_cols[j] for j in allowed]):
+            if bound in targets:  # not the empty sum 0: the cycle sets do not overlap
                 return t
     raise AssertionError("brute_force_secondary: no candidate translate worked")

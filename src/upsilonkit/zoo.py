@@ -520,8 +520,7 @@ def thin_check(positive: list[KnotComplex], negative: list[KnotComplex]) -> dict
     Returns the verdict, tau, whether the shape matches and one comparison per
     candidate t (values as text; `equal` is None when the test is skipped).
     """
-    a_side, b_side = (reduce(tensor, parts) if parts else unknot()
-                      for parts in (positive, negative))
+    a_side, b_side = tensor(*positive), tensor(*negative)
     f_a = upsilon_function(a_side)
     f_b = upsilon_function(b_side)
     f_k = pl_add(f_a, pl_negate_scale(f_b, -1))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,24 @@ def test_parse_rejects_nesting_past_the_cap(capsys):
     assert parse_knot_expr(knot_expr_to_text(deepest)) == deepest
     assert build_complex(parse_knot_expr("-" * 100 + "T(3,2)")) == build_complex(
         parse_knot_expr("T(3,2)"))
+
+
+def test_long_sum_runs_in_linear_name_length(capsys):
+    # 101 summands, the most the nesting cap admits: each factor name is
+    # escaped once, so the product is built and evaluated at once.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "upsilon", " # ".join(["thin(0)"] * 101))
+    assert (code, out, err) == (0, "(0, 0)  (2, 0)\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sum_names_grow_linearly():
+    summands = ["T(3,2)"] + ["thin(0)", "-thin(0)"] * 6
+    for n in (2, 3, len(summands)):
+        k = build_complex(parse_knot_expr(" # ".join(summands[:n])))
+        assert len(k.generators) == 3 and validate_complex(k).ok
+        # n two-character names ("x0", "x1", "y0"; thin(0)'s "x0") and n - 1 stars
+        assert {len(g.name) for g in k.generators} == {3 * n - 1}
 
 
 def test_build_complex_shapes():

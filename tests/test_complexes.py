@@ -222,6 +222,37 @@ def test_tensor_names_are_injective():
     assert "a*b\\*c" in names and "a\\*b*c" in names
 
 
+def _same_up_to_names(k1, k2) -> bool:
+    """Equal after renaming k1's generators to k2's, in order."""
+    rename = {g1.name: g2.name for g1, g2 in zip(k1.generators, k2.generators)}
+    return (
+        len(k1.generators) == len(k2.generators)
+        and all((g1.pos, g1.maslov) == (g2.pos, g2.maslov)
+                for g1, g2 in zip(k1.generators, k2.generators))
+        and {(rename[s], rename[d], m) for s, d, m in k1.arrows} == set(k2.arrows)
+    )
+
+
+def test_tensor_of_three_factors():
+    def named(*names):
+        return KnotComplex(tuple(BaseGenerator(n, 0, 0, 0) for n in names), ())
+
+    a, b = named("a", "a*b", "c\\"), named("b*c", "c", "\\*d")
+    k = tensor(a, b, a)
+    assert len({g.name for g in k.generators}) == 27
+    assert "a\\*b*c*c\\\\" in {g.name for g in k.generators}  # each factor escaped once
+    assert _same_up_to_names(k, tensor(tensor(a, b), a))
+    t, m = trefoil_by_hand(), mirror(torus_knot(5, 2))
+    k = tensor(t, m, t)
+    assert validate_complex(k).ok and _same_up_to_names(k, tensor(tensor(t, m), t))
+    assert not _same_up_to_names(k, tensor(tensor(t, t), m))  # the order of factors is kept
+
+
+def test_tensor_of_no_factors_is_the_unknot():
+    assert tensor() == KnotComplex((BaseGenerator("", 0, 0, 0),), ())
+    assert validate_complex(tensor()).ok
+
+
 def test_arrow_index_is_invisible():
     k, twin = torus_knot(5, 3), torus_knot(5, 3)
     before = (hash(k), repr(k))

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upsilonkit import invariants
+from upsilonkit import complexes, invariants
 from upsilonkit.complexes import (
+    BaseGenerator,
     KnotComplex,
     add_box,
     boundary_matrix,
@@ -24,7 +25,7 @@ from upsilonkit.complexes import (
     tensor,
     validate_complex,
 )
-from upsilonkit.exact import F2Space
+from upsilonkit.exact import F2Space, _columns
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     GuardExceeded,
@@ -602,6 +603,111 @@ def test_clearing_cycle_is_in_the_coset_of_the_nullspace_route():
         boundaries = F2Space(eng.d1_cols)
         assert boundaries.contains(eng.z_ref ^ rep)
         assert not boundaries.contains(eng.z_ref)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass graded build
+# ---------------------------------------------------------------------------
+
+
+def _graded_cases():
+    rng = random.Random(5)
+    boxed = [add_box(torus_knot(4, 3), (1, -2), -1), add_box(mirror(torus_knot(5, 2)), (-3, 0), 1),
+             add_box(add_box(torus_knot(3, 2), (0, 0), -3), (2, 2), 2)]
+    return SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + boxed + [_random_sum(rng) for _ in range(12)]
+
+
+def _slice_columns(k, d):
+    """The grading-d differential by columns, read off the lattice generators
+    of slices d and d - 1 and the arrows alone."""
+    rows = {(lg.base.name, lg.upower): i for i, lg in enumerate(maslov_slice(k, d - 1))}
+    return [sum(1 << rows[dst, lg.upower + m] for src, dst, m in k.arrows if src == lg.base.name)
+            for lg in maslov_slice(k, d)]
+
+
+def test_graded_build_matches_the_slices():
+    for k in _graded_cases():
+        positions, columns = complexes._graded(k)
+        for d in range(-1, 3):
+            shift = d // 2
+            assert [lg.pos for lg in maslov_slice(k, d)] == [
+                (a + shift, j + shift) for a, j in positions[d % 2]]
+            cols = [sum(1 << i for i in rows) for rows in columns[d % 2]]
+            assert cols == _columns(boundary_matrix(k, d)) == _slice_columns(k, d)
+
+
+def test_boundary_matrix_has_period_two():
+    for k in _graded_cases()[:8]:
+        for d in range(-1, 2):
+            m, m2 = boundary_matrix(k, d), boundary_matrix(k, d + 2)
+            assert (m.nrows, m.ncols, m.rows) == (m2.nrows, m2.ncols, m2.rows)
+
+
+def test_engine_and_validation_build_no_slices(monkeypatch):
+    def big():
+        return tensor(tensor(torus_knot(8, 5), mirror(torus_knot(6, 5))), mirror(torus_knot(4, 3)))
+
+    t, d = F(1), F(1, 100)
+    regions = (upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(2, 3)))
+
+    def values(k):
+        return ([vk(k, s) for s in range(3)], eta(k, upsilon_halfplane(F(2, 3))),
+                secondary(k, *regions), kim_livingston(k, 1, F(1, 2)), validate_complex(k))
+
+    expected = values(big())
+
+    def refuse(*args):
+        raise AssertionError("a slice was built")
+
+    monkeypatch.setattr(complexes, "maslov_slice", refuse)
+    monkeypatch.setattr(complexes, "boundary_matrix", refuse)
+    monkeypatch.setattr(invariants, "maslov_slice", refuse)
+    monkeypatch.setattr(invariants, "boundary_matrix", refuse)
+    k = big()
+    assert upsilon_function(k) == upsilon_function(torus_knot(3, 2))
+    assert values(k) == expected
+    assert expected[-1].ok
+
+
+def test_ill_graded_arrow_of_either_parity_raises():
+    gens = (BaseGenerator("x", 0, 0, 0), BaseGenerator("y", 0, 0, 1), BaseGenerator("z", 0, 0, 1))
+    k = KnotComplex(gens, (("y", "z", 0),))  # odd source, target one grading too high
+    message = "arrow y -> U\\^0·z does not drop Maslov grading by 1"
+    for call in (lambda: upsilon_region(k, upsilon_halfplane(1)),
+                 lambda: boundary_matrix(k, 0), lambda: boundary_matrix(k, 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert "arrow y -> U^0·z violates the Maslov convention" in validate_complex(k).problems
+
+
+def test_chord_checks_evaluate_in_order(monkeypatch):
+    seen = []
+    region = invariants.upsilon_region
+
+    def record(k, r):
+        seen.append(r)
+        return region(k, r)
+
+    monkeypatch.setattr(invariants, "upsilon_region", record)
+    k = torus_knot(5, 3)
+    upsilon_function(k)
+    ts = invariants._Engine.of(k).candidate_ts
+    mids = [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
+    assert seen == [upsilon_halfplane(t) for t in list(ts) + mids]
+    seen.clear()
+    t = breaking_points(k)[0].t
+    delta = invariants._kl_delta(ts, t)
+    kim_livingston(k, t, t)
+    run = [t - delta, t, t + delta]
+    assert seen[-5:] == [upsilon_halfplane(x) for x in run + [t - delta / 2, t + delta / 2]]
+
+
+def test_kl_parameter_ranges_have_one_message():
+    k = torus_knot(3, 2)
+    for t_star, s, message in ((0, 1, "t_star must lie in"), (1, 3, "s must lie in")):
+        for route in (kim_livingston, kim_livingston_oracle):
+            with pytest.raises(ValueError, match=message):
+                route(k, t_star, s)
 
 
 def test_lone_acyclic_box_is_not_knot_type():
