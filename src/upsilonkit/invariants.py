@@ -28,11 +28,23 @@ numerators over the region's common denominator, Alexander gradings), so
 every value is exact, and only the returned value is made a Fraction.  The
 engine reads positions and differentials from one pass over the arrows
 (`complexes._graded`) and finds its reference cycle by clearing, from the
-pivots of the same echelon kernel.  `brute_force_upsilon` and
-`brute_force_secondary` recompute the same quantities by enumerating entire
-cycle cosets, as independent oracles in the tests.  They share the echelon
-kernel and the d1 of that pass (through `boundary_matrix`); their positions
-(`maslov_slice`) and generating cycle (a nullspace) are their own.
+pivots of the same echelon kernel.
+
+The upsilon curve is a kinetic sweep over these reductions rather than one
+per crossing of any two generator lines.  A reduction at t keyed by each
+line's value and then its right slope leaves leading the line that is the
+curve just right of t; only where another line crosses that one can the
+curve bend, so the sweep reduces next at the nearest such crossing, and ends
+at 2.  It asserts continuity at every event (the new leading line meets the
+old one) and the chord at the midpoint of every segment of the output curve.
+`candidate_ts`, every pairwise crossing, remains for the Kim-Livingston
+perturbation width.
+
+`brute_force_upsilon` and `brute_force_secondary` recompute the same
+quantities by enumerating entire cycle cosets, as independent oracles in the
+tests.  They share the echelon kernel and the d1 of that pass (through
+`boundary_matrix`); their positions (`maslov_slice`) and generating cycle (a
+nullspace) are their own.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from .regions import (
     PLFunction,
     SouthWestRegion,
+    _rat,
     entering_numerators,
     entering_time,
     pl_singular_points,
@@ -203,7 +216,7 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
 
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
     """True iff a degree-0 generating cycle lives inside the translate C_t."""
-    return upsilon_region(k, r) <= Fraction(t)
+    return upsilon_region(k, r) <= _rat(t)
 
 
 def upsilon_region(k: KnotComplex, r: SouthWestRegion) -> Fraction:
@@ -225,15 +238,53 @@ def upsilon_at(k: KnotComplex, t) -> Fraction:
 def upsilon_function(k: KnotComplex) -> PLFunction:
     """The exact knot-level upsilon function on [0, 2], computed once per complex.
 
-    Between consecutive candidate kinks no two generator lines cross, so the
-    engine value is linear there; this is re-verified at every segment
-    midpoint before the curve is assembled.
+    A kinetic sweep.  Each generator at (A, j) has the line
+    L(t) = j + (t/2)(A - j); the engine value at t is the least, over
+    generating cycles, of the top line on a support.  One reduction at t = n/d
+    keyed by (2d·L(t), A - j), the value and then the right slope, leaves
+    leading a line l that is the value on [t, t + eps].  Until another line
+    crosses l every line stays on its side of it, so the value is l up to the
+    nearest crossing of l after t; the sweep reduces there next, and ends at 2
+    when nothing crosses l before it.  Two checks guard it: at every event the
+    new leading line must meet the old one (continuity), and the value at the
+    midpoint of every segment of the output curve must lie on its chord.
     """
     eng = _Engine.of(k)
     if eng.curve is None:
-        ts = eng.candidate_ts
-        eng.curve = PLFunction(tuple((t, -2 * v) for t, v in zip(ts, _chord_checked(k, ts))))
+        curve = PLFunction(tuple((t, -2 * v) for t, v in _kinetic_sweep(eng)))
+        _check_chords(k, [t for t, _ in curve.points], [-v / 2 for _, v in curve.points])
+        eng.curve = curve
     return eng.curve
+
+
+def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
+    """(t, engine value) at 0, at each crossing of the leading line, and at 2."""
+    lines = {(a - j, j) for a, j in eng.pos0}  # (s, j): L(t) = j + (t/2)s
+    points = []
+    lead = None  # the line (s, j) leading after the last event
+    n, d = 0, 1  # the event t = n/d
+    while True:
+        (v, s), _, _ = _reduce(eng, [(2 * d * j + n * (a - j), a - j) for a, j in eng.pos0])
+        if lead is not None and v != 2 * d * lead[1] + n * lead[0]:
+            raise AssertionError(
+                f"upsilon curve: the line leading after t = {Fraction(n, d)} "
+                "does not meet the line leading before it"
+            )
+        lead = s, (v - n * s) // (2 * d)
+        points.append((Fraction(n, d), Fraction(v, 2 * d)))
+        bn, bd = 2, 1  # the nearest crossing of lead after n/d, as bn/bd
+        for s2, j2 in lines:
+            if s2 != s:
+                num, den = 2 * (j2 - lead[1]), s - s2
+                if den < 0:
+                    num, den = -num, -den
+                if num * d > n * den and num * bd < bn * den:
+                    bn, bd = num, den
+        if (bn, bd) == (2, 1):  # nothing crosses lead before 2
+            points.append((Fraction(2), Fraction(sum(lead))))
+            return points
+        g = gcd(bn, bd)
+        n, d = bn // g, bd // g
 
 
 def _chord_checked(k: KnotComplex, ts) -> list[Fraction]:
@@ -241,12 +292,16 @@ def _chord_checked(k: KnotComplex, ts) -> list[Fraction]:
     parameters, after asserting that the value at the midpoint of each
     segment between them lies on the chord."""
     vals = [upsilon_region(k, upsilon_halfplane(t)) for t in ts]
+    _check_chords(k, ts, vals)
+    return vals
+
+
+def _check_chords(k: KnotComplex, ts, vals) -> None:
+    """Assert that the region invariant of the half-plane at the midpoint of
+    each segment between these parameters lies on the chord of these values."""
     for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
         if 2 * upsilon_region(k, upsilon_halfplane((t0 + t1) / 2)) != v0 + v1:
-            raise AssertionError(
-                f"upsilon not linear on [{t0}, {t1}]: candidate kink set incomplete"
-            )
-    return vals
+            raise AssertionError(f"upsilon not linear on [{t0}, {t1}]: a kink was missed")
 
 
 def breaking_points(k: KnotComplex) -> list[BreakingPoint]:
@@ -355,7 +410,7 @@ def staircase_kl(jumps, t_star, s) -> Fraction:
     -2 * (max_{i_minus <= j < i_plus} [(s/2) n_j + (1 - s/2) m_{j+1}]
           - envelope minimum at t_star).
     """
-    t_star, s = Fraction(t_star), Fraction(s)
+    t_star, s = _rat(t_star), _rat(s)
     corners = staircase_corners(jumps)
     vals = [_corner_line(t_star, n, m) for n, m in corners]
     mn = min(vals)
@@ -378,7 +433,7 @@ def vk(k: KnotComplex, s: int) -> Fraction:
     Note the sign convention: V(0) of the positive trefoil is -2 here, i.e.
     -2 times the non-negative local h/V invariants common elsewhere.
     """
-    if not isinstance(s, int):
+    if not isinstance(s, int) or isinstance(s, bool):
         raise ValueError("V takes an integer parameter")
     return -2 * upsilon_region(k, v_region(s))
 
@@ -460,7 +515,7 @@ def secondary(
 
 def _kl_parameters(t_star, s) -> tuple[Fraction, Fraction]:
     """t_star and s as exact rationals, checked to lie in (0, 2) and [0, 2]."""
-    t_star, s = Fraction(t_star), Fraction(s)
+    t_star, s = _rat(t_star), _rat(s)
     if not 0 < t_star < 2:
         raise ValueError(f"t_star must lie in (0, 2), got {t_star}")
     if not 0 <= s <= 2:

@@ -330,6 +330,26 @@ def test_exit_4_on_internal_check_failure(capsys, monkeypatch):
     assert err == "internal check failed: engine 1/2 != brute-force oracle 7\n"
 
 
+def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
+    reduce = invariants._reduce
+    calls = []
+
+    def corrupt(eng, keys):  # the sweep's second event comes back one too high
+        calls.append(keys)
+        (v, s), w, basis = reduce(eng, keys)
+        return ((v + 1, s) if len(calls) == 2 else (v, s)), w, basis
+
+    monkeypatch.setattr(invariants, "_reduce", corrupt)
+    k = zoo.torus_knot(5, 3)
+    with pytest.raises(AssertionError, match="^upsilon curve: the line leading after t = "):
+        invariants.upsilon_function(k)
+    assert invariants._Engine.of(k).curve is None  # nothing unchecked is kept
+    calls.clear()
+    code, out, err = run(capsys, "upsilon", "T(5,3)")
+    assert code == 4 and out == ""
+    assert err.startswith("internal check failed: upsilon curve: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # complex files
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from upsilonkit.complexes import (
 from upsilonkit.exact import F2Space, _columns
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
+    BreakingPoint,
     GuardExceeded,
     NoObstructionType,
     NotABreakingPoint,
@@ -115,6 +117,13 @@ def test_h0_surjective_threshold():
     assert h0_surjective(k, h1, F(1, 2))
     assert h0_surjective(k, h1, 7)
     assert not h0_surjective(k, h1, F(49, 100))
+
+
+def test_h0_surjective_rejects_inexact_parameters():
+    k, h1 = torus_knot(3, 2), upsilon_halfplane(1)
+    for t in (0.5, "1/2"):
+        with pytest.raises(ValueError, match="expected an exact rational"):
+            h0_surjective(k, h1, t)
 
 
 def test_upsilon_region_equal_complexes_agree():
@@ -284,6 +293,9 @@ def test_vk_frozen_values():
 def test_vk_requires_integer():
     with pytest.raises(ValueError, match="integer"):
         vk(torus_knot(3, 2), F(1, 2))
+    for s in (True, False):  # a bool is an int to isinstance, not a parameter
+        with pytest.raises(ValueError, match="integer"):
+            vk(torus_knot(3, 2), s)
 
 
 def test_nu_plus_values():
@@ -423,6 +435,18 @@ def test_kim_livingston_domain_errors():
         kim_livingston(k, 2, 1)
     with pytest.raises(ValueError, match="s must"):
         kim_livingston(k, F(2, 3), F(5, 2))
+
+
+def test_kim_livingston_rejects_inexact_parameters():
+    # coerced, 0.9999999 is a binary fraction within 1e-7 of the breaking
+    # point 1, where the answer would be "no obstruction"
+    k = torus_knot(5, 3)
+    for route in (kim_livingston, kim_livingston_oracle):
+        for t_star, s in ((0.9999999, 1), (1, 0.5), ("x", 1), (1, "1")):
+            with pytest.raises(ValueError, match="expected an exact rational"):
+                route(k, t_star, s)
+    with pytest.raises(ValueError, match="expected an exact rational"):
+        staircase_kl(torus_jumps(5, 3), 1.0, 1)
 
 
 def test_breaking_points_thin():
@@ -690,16 +714,69 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
 
     monkeypatch.setattr(invariants, "upsilon_region", record)
     k = torus_knot(5, 3)
-    upsilon_function(k)
+    kinks = [t for t, _ in upsilon_function(k).points]
+    # the sweep's events reduce directly; the only region queries are the
+    # chord checks, one at the midpoint of each segment of the output curve
+    assert seen == [upsilon_halfplane((t0 + t1) / 2) for t0, t1 in zip(kinks, kinks[1:])]
     ts = invariants._Engine.of(k).candidate_ts
-    mids = [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
-    assert seen == [upsilon_halfplane(t) for t in list(ts) + mids]
     seen.clear()
     t = breaking_points(k)[0].t
     delta = invariants._kl_delta(ts, t)
     kim_livingston(k, t, t)
     run = [t - delta, t, t + delta]
     assert seen[-5:] == [upsilon_halfplane(x) for x in run + [t - delta / 2, t + delta / 2]]
+
+
+def _every_crossing_curve(k):
+    """The curve by the route the kinetic sweep replaced: the engine value at
+    every crossing of any two generator lines."""
+    ts = invariants._Engine.of(k).candidate_ts
+    return PLFunction(tuple((t, -2 * upsilon_region(k, upsilon_halfplane(t))) for t in ts))
+
+
+def _random_torus_sum(rng):
+    """A sum of 1-3 torus knots or mirrors (at most 250 generators), with 0-2
+    acyclic squares."""
+    parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
+    while True:
+        summands = [torus_knot(*rng.choice(parts)) for _ in range(rng.randint(1, 3))]
+        k = tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands))
+        if len(k.generators) <= 250:
+            break
+    for _ in range(rng.randint(0, 2)):
+        k = add_box(k, (rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-2, 2))
+    return k
+
+
+def test_kinetic_curve_matches_every_crossing_route():
+    rng = random.Random(909)
+    torus = [torus_knot(p, q) for p in range(3, 11) for q in range(2, p) if gcd(p, q) == 1]
+    knots = (
+        SMALL_ZOO + torus + [mirror(k) for k in torus]
+        + [pretzel(q) for q in range(7, 12, 2)] + [thin_model(n) for n in range(-3, 4)]
+        + [_random_torus_sum(rng) for _ in range(40)]
+    )
+    for k in knots:
+        f = _every_crossing_curve(k)
+        assert upsilon_function(k) == f
+        assert breaking_points(k) == [BreakingPoint(t, j) for t, j in pl_singular_points(f) if j > 0]
+
+
+def test_headline_curve_reduces_only_at_events(monkeypatch):
+    # the every-crossing route ran 481 reductions on this curve
+    calls = []
+    reduce = invariants._reduce
+
+    def count(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(invariants, "_reduce", count)
+    k = tensor(torus_knot(8, 5), mirror(torus_knot(6, 5)), mirror(torus_knot(4, 3)))
+    f = upsilon_function(k)
+    assert len(calls) <= 80
+    minus = [pl_negate_scale(staircase_upsilon(torus_jumps(p, q)), -1) for p, q in ((6, 5), (4, 3))]
+    assert f == pl_add(pl_add(staircase_upsilon(torus_jumps(8, 5)), minus[0]), minus[1])
 
 
 def test_kl_parameter_ranges_have_one_message():
