@@ -37,8 +37,8 @@ curve just right of t; only where another line crosses that one can the
 curve bend, so the sweep reduces next at the nearest such crossing, and ends
 at 2.  It asserts continuity at every event (the new leading line meets the
 old one) and the chord at the midpoint of every segment of the output curve.
-`candidate_ts`, every pairwise crossing, remains for the Kim-Livingston
-perturbation width.
+Kim-Livingston reads the same keys at t*, with the right and with the left
+slope: the limits of H_{t*+eps} and H_{t*-eps}, with no width to choose.
 
 `brute_force_upsilon` and `brute_force_secondary` recompute the same
 quantities by enumerating entire cycle cosets, as independent oracles in the
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -60,6 +59,7 @@ from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from .regions import (
     PLFunction,
     SouthWestRegion,
+    _int,
     _rat,
     entering_numerators,
     entering_time,
@@ -124,10 +124,10 @@ class BreakingPoint:
 class _Engine:
     """Generator positions of slices 0 and 1, the degree-1 differential by
     columns (as slice-0 masks and as tuples of row indices) and a reference
-    generating cycle (a slice-0 mask), plus the candidate kinks and the
-    upsilon curve.  `of` builds it once per complex and keeps it in the
-    complex's instance dict, so it lives exactly as long as the complex
-    (KnotComplex equality, hash and repr read only fields).
+    generating cycle (a slice-0 mask), plus the upsilon curve.  `of` builds it
+    once per complex and keeps it in the complex's instance dict, so it lives
+    exactly as long as the complex (KnotComplex equality, hash and repr read
+    only fields).
     """
 
     def __init__(self, k: KnotComplex):
@@ -160,27 +160,6 @@ class _Engine:
             eng = vars(k)["_engine"] = _Engine(k)
         return eng
 
-    @cached_property
-    def candidate_ts(self) -> tuple[Fraction, ...]:
-        return _candidate_ts(self.pos0)
-
-
-def _candidate_ts(positions) -> tuple[Fraction, ...]:
-    """Candidate kink locations of t -> upsilon for generators at these (A, j)
-    positions: every t in (0,2) where two generator lines (t/2)A + (1-t/2)j
-    cross, plus the endpoints."""
-    lines = {(a - j, j) for a, j in positions}  # L(t) = j + (t/2)(A - j)
-    crossings = set()  # t = num / den in lowest terms, den > 0
-    for (d1, j1), (d2, j2) in combinations(lines, 2):
-        num, den = 2 * (j2 - j1), d1 - d2
-        if den < 0:
-            num, den = -num, -den
-        if 0 < num < 2 * den:
-            g = gcd(num, den)
-            crossings.add((num // g, den // g))
-    cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
-    return tuple(sorted(cands))
-
 
 def _reduce(eng: _Engine, keys: list) -> tuple:
     """Filtered reduction of the generating coset z_ref + im(d1).
@@ -212,6 +191,14 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
         raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
     basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
     return keys[order[z.bit_length() - 1]], w, basis
+
+
+def _line_keys(positions, n: int, d: int, sign: int) -> list[tuple[int, int]]:
+    """The line L(t) = j + (t/2)(A - j) of each generator at (A, j), keyed at
+    t = n/d by (2d·L(n/d), sign·(A - j)): its value, then its slope.  With
+    sign 1 the keys order the lines as their values just right of n/d do, with
+    sign -1 as just left of it."""
+    return [(2 * d * j + n * (a - j), sign * (a - j)) for a, j in positions]
 
 
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
@@ -264,7 +251,7 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
     lead = None  # the line (s, j) leading after the last event
     n, d = 0, 1  # the event t = n/d
     while True:
-        (v, s), _, _ = _reduce(eng, [(2 * d * j + n * (a - j), a - j) for a, j in eng.pos0])
+        (v, s), _, _ = _reduce(eng, _line_keys(eng.pos0, n, d, 1))
         if lead is not None and v != 2 * d * lead[1] + n * lead[0]:
             raise AssertionError(
                 f"upsilon curve: the line leading after t = {Fraction(n, d)} "
@@ -285,15 +272,6 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
             return points
         g = gcd(bn, bd)
         n, d = bn // g, bd // g
-
-
-def _chord_checked(k: KnotComplex, ts) -> list[Fraction]:
-    """The region invariants of the half-planes at these increasing
-    parameters, after asserting that the value at the midpoint of each
-    segment between them lies on the chord."""
-    vals = [upsilon_region(k, upsilon_halfplane(t)) for t in ts]
-    _check_chords(k, ts, vals)
-    return vals
 
 
 def _check_chords(k: KnotComplex, ts, vals) -> None:
@@ -380,8 +358,12 @@ def staircase_upsilon(jumps) -> PLFunction:
     return PLFunction(tuple((t, -2 * v) for t, v in envelope.points))
 
 
+_V_PARAMETER = "V takes an integer parameter"  # the one check of vk and staircase_vk
+
+
 def staircase_vk(jumps, s: int) -> Fraction:
     """V(s) of a staircase: -2 * min over corners of max(n_i - s, m_i)."""
+    s = _int(s, _V_PARAMETER)
     corners = staircase_corners(jumps)
     return Fraction(-2 * min(max(n - s, m) for n, m in corners))
 
@@ -433,9 +415,7 @@ def vk(k: KnotComplex, s: int) -> Fraction:
     Note the sign convention: V(0) of the positive trefoil is -2 here, i.e.
     -2 times the non-negative local h/V invariants common elsewhere.
     """
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError("V takes an integer parameter")
-    return -2 * upsilon_region(k, v_region(s))
+    return -2 * upsilon_region(k, v_region(_int(s, _V_PARAMETER)))
 
 
 def _max_alexander(k: KnotComplex) -> int:
@@ -490,26 +470,32 @@ def secondary(
     does once they span all of B_0.
     """
     eng = _Engine.of(k)
-    gp, zp, basis_p = _reduce(eng, entering_numerators(cplus, eng.pos0)[0])
-    gm, zm, basis_m = _reduce(eng, entering_numerators(cminus, eng.pos0)[0])
+    sides = ([entering_numerators(r, p)[0] for p in (eng.pos0, eng.pos1)] for r in (cplus, cminus))
+    return _secondary(eng, *sides, c)[2]
+
+
+def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
+    """`secondary` with each side C± given as (slice-0 keys, slice-1 keys),
+    ordered as the generators enter C±; returns gamma+, gamma- and the value."""
+    (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
+    gp, zp, basis_p = _reduce(eng, keys_p)
+    gm, zm, basis_m = _reduce(eng, keys_m)
     space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
     target = zp ^ zm
     if space.contains(target):
-        return NO_OBSTRUCTION
+        return gp, gm, NO_OBSTRUCTION
 
-    times_p = entering_numerators(cplus, eng.pos1)[0]
-    times_m = entering_numerators(cminus, eng.pos1)[0]
     times_c, d = entering_numerators(c, eng.pos1)
     by_time: dict[int, list[int]] = {}
-    for col, tp, tm, tc in zip(eng.d1_cols, times_p, times_m, times_c):
-        if tp <= gp or tm <= gm:
+    for col, kp, km, tc in zip(eng.d1_cols, keys1_p, keys1_m, times_c):
+        if kp <= gp or km <= gm:
             space.add(col)
         by_time.setdefault(tc, []).append(col)
     for t in sorted(by_time):
         for col in by_time[t]:
             space.add(col)
         if space.contains(target):
-            return Fraction(t, d)
+            return gp, gm, Fraction(t, d)
     raise AssertionError("secondary invariant: homologous at no candidate translate")
 
 
@@ -523,55 +509,39 @@ def _kl_parameters(t_star, s) -> tuple[Fraction, Fraction]:
     return t_star, s
 
 
-def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:
-    """Perturbation width at t_star: half the gap to the nearest other
-    candidate kink or interval endpoint (so no kink sits strictly between
-    t_star - delta and t_star + delta)."""
-    return min(abs(t_star - c) for c in candidate_ts if c != t_star) / 2
-
-
 def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     """The secondary invariant at a breaking point t_star, evaluated against
     the half-plane family at parameter s:
-    -2 * (secondary(H_{t_star+delta}, H_{t_star-delta}, H_s) - kink value).
+    -2 * (secondary(H_{t_star+eps}, H_{t_star-eps}, H_s) - kink value) for
+    every small enough eps > 0.
 
-    delta is computed, not "small enough": half the gap from t_star to the
-    nearest other candidate kink (or endpoint), and the result is re-computed
-    at delta/2 and asserted stable.  At a parameter that is not a breaking
-    point the computation still returns NoObstruction when the exceptional
-    cycle sets of the two perturbed half-planes intersect; a finite value
-    there raises NotABreakingPoint.  That test is local: upsilon is linear on
-    [t_star - delta, t_star] and on [t_star, t_star + delta] (re-verified at
-    the midpoints), and t_star is a breaking point iff the engine value bends
-    down there.
+    The limit is exact: keyed by (value at t_star, ±slope), the generator
+    lines of slices 0 and 1 sort as they enter H_{t_star±eps}, so the two
+    reductions of `_secondary` leave leading the lines that the engine value
+    follows just right and just left of t_star.  They must meet at t_star
+    (asserted), where they give the kink value; t_star is a breaking point
+    iff the right slope is less than the left.  Elsewhere a finite value
+    raises NotABreakingPoint (NoObstruction is still returned).
     """
     t_star, s = _kl_parameters(t_star, s)
-    delta = _kl_delta(_Engine.of(k).candidate_ts, t_star)
-
-    def run(d: Fraction) -> SecondaryValue:
-        return secondary(
-            k,
-            upsilon_halfplane(t_star + d),
-            upsilon_halfplane(t_star - d),
-            upsilon_halfplane(s),
-        )
-
-    first = run(delta)
-    if first != run(delta / 2):
-        raise AssertionError("secondary invariant unstable under delta halving")
-    if first == NO_OBSTRUCTION:
+    eng = _Engine.of(k)
+    n, d = t_star.numerator, t_star.denominator
+    sides = ([_line_keys(pos, n, d, sign) for pos in (eng.pos0, eng.pos1)] for sign in (1, -1))
+    (v, right), (v_left, neg_left), value = _secondary(eng, *sides, upsilon_halfplane(s))
+    if v != v_left:
+        raise AssertionError(f"kim_livingston: the two sides of t = {t_star} do not meet there")
+    if value is NO_OBSTRUCTION:
         return NO_OBSTRUCTION
-    lo, kink, hi = _chord_checked(k, (t_star - delta, t_star, t_star + delta))
-    if lo + hi - 2 * kink >= 0:
+    if right >= -neg_left:
         raise NotABreakingPoint(f"t = {t_star} is not a breaking point")
-    return -2 * (first - kink)
+    return -2 * (value - Fraction(v, 2 * d))
 
 
 def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> SecondaryValue:
-    """Brute-force route to kim_livingston: the same perturbation width, from
-    the oracle's own generator positions, but both the secondary invariant and
-    the kink value come from the enumerating oracles, and nothing reads or
-    builds the engine.  No stability or breaking-point checks (single-shot
+    """Brute-force route to kim_livingston: the perturbed half-planes at an
+    explicit width, from the oracle's own generator positions, and both the
+    secondary invariant and the kink value from the enumerating oracles;
+    nothing reads or builds the engine.  No breaking-point check (single-shot
     oracle)."""
     t_star, s = _kl_parameters(t_star, s)
     orc = _Oracle(k, guard, "brute_force_secondary")  # the guard names the enumeration
@@ -586,6 +556,30 @@ def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> Seconda
     if isinstance(res, NoObstructionType):
         return NO_OBSTRUCTION
     return -2 * (res - orc.upsilon(upsilon_halfplane(t_star)))
+
+
+def _candidate_ts(positions) -> tuple[Fraction, ...]:
+    """Candidate kink locations of t -> upsilon for generators at these (A, j)
+    positions: every t in (0,2) where two generator lines (t/2)A + (1-t/2)j
+    cross, plus the endpoints."""
+    lines = {(a - j, j) for a, j in positions}  # L(t) = j + (t/2)(A - j)
+    crossings = set()  # t = num / den in lowest terms, den > 0
+    for (d1, j1), (d2, j2) in combinations(lines, 2):
+        num, den = 2 * (j2 - j1), d1 - d2
+        if den < 0:
+            num, den = -num, -den
+        if 0 < num < 2 * den:
+            g = gcd(num, den)
+            crossings.add((num // g, den // g))
+    cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
+    return tuple(sorted(cands))
+
+
+def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:
+    """Perturbation width at t_star: half the gap to the nearest other
+    candidate kink or interval endpoint (so no kink sits strictly between
+    t_star - delta and t_star + delta)."""
+    return min(abs(t_star - c) for c in candidate_ts if c != t_star) / 2
 
 
 # ---------------------------------------------------------------------------

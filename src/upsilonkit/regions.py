@@ -24,10 +24,16 @@ from fractions import Fraction
 from .exact import Rational
 
 
+def _int(x, message: str) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):  # isinstance counts a bool as an int
+        return x
+    raise ValueError(message)
+
+
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"expected an exact rational, got {x!r}")
 

@@ -44,6 +44,8 @@ from .invariants import (
 )
 from .regions import (
     PLFunction,
+    _int,
+    _rat,
     pl_add,
     pl_constant,
     pl_eval,
@@ -360,12 +362,13 @@ def torus_knot(p: int, q: int) -> KnotComplex:
     return kc
 
 
+_TAU = "tau must be an integer"  # the one check of thin_model, thin_three_param, thin_kl_closed
+
+
 def thin_model(tau: int) -> KnotComplex:
     """The thin-knot model: the unit staircase of tau (mirrored when tau < 0),
     acyclic square summands omitted — no invariant here can see them."""
-    if not isinstance(tau, int):
-        raise ValueError("tau must be an integer")
-    if tau < 0:
+    if _int(tau, _TAU) < 0:
         return mirror(thin_model(-tau))
     return staircase_from_jumps((1,) * (2 * tau))
 
@@ -481,9 +484,7 @@ def thin_three_param(tau: int, t, s, q) -> Fraction:
     corner index for either sign of tau, so the extremum sits at corner 0 and
     the two half-plane entering times min there.
     """
-    if not isinstance(tau, int):
-        raise ValueError("tau must be an integer")
-    t, s, q = Fraction(t), Fraction(s), Fraction(q)
+    tau, t, s, q = _int(tau, _TAU), _rat(t), _rat(s), _rat(q)
     if not (0 <= t <= 1 and 0 <= s <= 1):
         raise ValueError("closed form requires t, s in [0, 1]")
     return min(t * tau / 2, s * tau / 2 - q)
@@ -492,9 +493,7 @@ def thin_three_param(tau: int, t, s, q) -> Fraction:
 def thin_kl_closed(tau: int, s) -> SecondaryValue:
     """Secondary invariant of a thin knot at its breaking point t = 1:
     (1 - tau) |1 - s| - 1 for tau > 0; NoObstruction otherwise."""
-    if not isinstance(tau, int):
-        raise ValueError("tau must be an integer")
-    s = Fraction(s)
+    tau, s = _int(tau, _TAU), _rat(s)
     if not 0 <= s <= 2:
         raise ValueError(f"s must lie in [0, 2], got {s}")
     if tau <= 0:

@@ -350,6 +350,24 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
     assert err.startswith("internal check failed: upsilon curve: ") and err.count("\n") == 1
 
 
+def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
+    reduce = invariants._reduce
+    calls = []
+
+    def corrupt(eng, keys):  # the reduction just left of t* leads one too high
+        calls.append(keys)
+        (v, s), w, basis = reduce(eng, keys)
+        return ((v + 1, s) if len(calls) == 2 else (v, s)), w, basis
+
+    monkeypatch.setattr(invariants, "_reduce", corrupt)
+    with pytest.raises(AssertionError, match="^kim_livingston: the two sides of t = 2/3 do not meet"):
+        invariants.kim_livingston(zoo.torus_knot(4, 3), Fraction(2, 3), Fraction(2, 3))
+    calls.clear()
+    code, out, err = run(capsys, "kl", "T(4,3)", "--t", "2/3", "--s", "2/3")
+    assert code == 4 and out == ""
+    assert err == "internal check failed: kim_livingston: the two sides of t = 2/3 do not meet there\n"
+
+
 # ---------------------------------------------------------------------------
 # complex files
 # ---------------------------------------------------------------------------
@@ -486,7 +504,7 @@ def test_thin_check_reports_other_errors(capsys, monkeypatch):
     def boom(*args):
         raise ValueError("boom")
 
-    monkeypatch.setattr(invariants, "secondary", boom)
+    monkeypatch.setattr(invariants, "_secondary", boom)
     code, out, err = run(capsys, "thin-check", "T(3,2)")
     assert code == 2 and err == "error: boom\n"
 

@@ -62,6 +62,7 @@ from upsilonkit.regions import (
     pl_eval,
     pl_negate_scale,
     pl_singular_points,
+    translate,
     truncate,
     union,
     upsilon_halfplane,
@@ -75,6 +76,7 @@ from upsilonkit.zoo import (
     staircase_from_jumps,
     thin_kl_closed,
     thin_model,
+    thin_three_param,
     torus_knot,
     unknot,
 )
@@ -449,6 +451,44 @@ def test_kim_livingston_rejects_inexact_parameters():
         staircase_kl(torus_jumps(5, 3), 1.0, 1)
 
 
+_K53, _H1, _J53 = torus_knot(5, 3), upsilon_halfplane(1), torus_jumps(5, 3)
+_RATIONAL = "expected an exact rational"
+_EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
+    ("upsilon_at", lambda x: upsilon_at(_K53, x), _RATIONAL),
+    ("h0_surjective", lambda x: h0_surjective(_K53, _H1, x), _RATIONAL),
+    ("kim_livingston(t_star)", lambda x: kim_livingston(_K53, x, 1), _RATIONAL),
+    ("kim_livingston(s)", lambda x: kim_livingston(_K53, 1, x), _RATIONAL),
+    ("kim_livingston_oracle(t_star)", lambda x: kim_livingston_oracle(_K53, x, 1), _RATIONAL),
+    ("kim_livingston_oracle(s)", lambda x: kim_livingston_oracle(_K53, 1, x), _RATIONAL),
+    ("staircase_kl(t_star)", lambda x: staircase_kl(_J53, x, 1), _RATIONAL),
+    ("staircase_kl(s)", lambda x: staircase_kl(_J53, 1, x), _RATIONAL),
+    ("thin_kl_closed(s)", lambda x: thin_kl_closed(2, x), _RATIONAL),
+    ("thin_three_param(t)", lambda x: thin_three_param(2, x, 0, 0), _RATIONAL),
+    ("thin_three_param(s)", lambda x: thin_three_param(2, 0, x, 0), _RATIONAL),
+    ("thin_three_param(q)", lambda x: thin_three_param(2, 0, 0, x), _RATIONAL),
+    ("upsilon_halfplane", upsilon_halfplane, _RATIONAL),
+    ("make_halfplane(alpha)", lambda x: make_halfplane(x, 1, 0), _RATIONAL),
+    ("make_halfplane(beta)", lambda x: make_halfplane(1, x, 0), _RATIONAL),
+    ("make_halfplane(c)", lambda x: make_halfplane(1, 1, x), _RATIONAL),
+    ("translate", lambda x: translate(_H1, x), _RATIONAL),
+    ("vk", lambda x: vk(_K53, x), "V takes an integer parameter"),
+    ("staircase_vk", lambda x: staircase_vk(_J53, x), "V takes an integer parameter"),
+    ("thin_model(tau)", thin_model, "tau must be an integer"),
+    ("thin_three_param(tau)", lambda x: thin_three_param(x, 0, 0, 0), "tau must be an integer"),
+    ("thin_kl_closed(tau)", lambda x: thin_kl_closed(x, 1), "tau must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message", [pytest.param(call, message, id=name) for name, call, message in _EXACT_PARAMETERS]
+)
+def test_exact_parameters_reject_floats_and_bools(call, message):
+    # a bool is an int to isinstance, and a float is never exact
+    for x in (0.5, 1.0, True, False):
+        with pytest.raises(ValueError, match=message):
+            call(x)
+
+
 def test_breaking_points_thin():
     bps = breaking_points(thin_model(3))
     assert [(b.t, b.jump) for b in bps] == [(F(1), F(6))]
@@ -718,19 +758,17 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
     # the sweep's events reduce directly; the only region queries are the
     # chord checks, one at the midpoint of each segment of the output curve
     assert seen == [upsilon_halfplane((t0 + t1) / 2) for t0, t1 in zip(kinks, kinks[1:])]
-    ts = invariants._Engine.of(k).candidate_ts
+    # kim_livingston reads both sides of t* from its own two reductions
     seen.clear()
     t = breaking_points(k)[0].t
-    delta = invariants._kl_delta(ts, t)
     kim_livingston(k, t, t)
-    run = [t - delta, t, t + delta]
-    assert seen[-5:] == [upsilon_halfplane(x) for x in run + [t - delta / 2, t + delta / 2]]
+    assert seen == []
 
 
 def _every_crossing_curve(k):
     """The curve by the route the kinetic sweep replaced: the engine value at
     every crossing of any two generator lines."""
-    ts = invariants._Engine.of(k).candidate_ts
+    ts = invariants._candidate_ts(invariants._Engine.of(k).pos0)
     return PLFunction(tuple((t, -2 * upsilon_region(k, upsilon_halfplane(t))) for t in ts))
 
 
@@ -839,11 +877,34 @@ def test_upsilon_curve_is_computed_once_per_complex(monkeypatch):
     ] != []
 
 
+def test_kim_livingston_reduces_twice(monkeypatch):
+    # the two one-sided reductions at t* answer everything: the kink value,
+    # the breaking-point test and both exceptional cosets
+    calls = []
+    reduce = invariants._reduce
+
+    def count(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    def region(*args):
+        raise AssertionError("kim_livingston made a region query")
+
+    monkeypatch.setattr(invariants, "_reduce", count)
+    monkeypatch.setattr(invariants, "upsilon_region", region)
+    for t, s, expected in ((F(2, 3), F(2, 3), F(-4, 3)), (F(1), F(1), NO_OBSTRUCTION)):
+        calls.clear()
+        assert kim_livingston(torus_knot(4, 3), t, s) == expected
+        assert len(calls) == 2
+
+
 def test_kim_livingston_decides_breaking_points_locally(monkeypatch):
     # With the secondary value forced finite, kim_livingston must reach its
     # breaking-point test; its local decision must agree with the whole curve.
+    secondary_body = invariants._secondary
+
     def finite(*args):
-        return F(0)
+        return secondary_body(*args)[:2] + (F(0),)
 
     for k in SMALL_ZOO + [mirror(torus_knot(4, 3)), torus_knot(8, 5)]:
         f = upsilon_function(k)
@@ -851,10 +912,56 @@ def test_kim_livingston_decides_breaking_points_locally(monkeypatch):
         kinks = [t for t, _ in f.points[1:-1]]
         smooth = [(t0 + t1) / 2 for (t0, _), (t1, _) in zip(f.points, f.points[1:])]
         with monkeypatch.context() as m:
-            m.setattr(invariants, "secondary", finite)
+            m.setattr(invariants, "_secondary", finite)
             for t in kinks + smooth:
                 if t in bps:
                     assert kim_livingston(k, t, 1) == 2 * upsilon_region(k, upsilon_halfplane(t))
                 else:
                     with pytest.raises(NotABreakingPoint, match="not a breaking point"):
                         kim_livingston(k, t, 1)
+
+
+def _perturbation_route(k, candidates, t):
+    """kim_livingston at t by the route the one-sided reductions replaced, as
+    a function of s: the perturbed half-planes at half the gap from t to the
+    nearest crossing of any two generator lines (the candidates), and the
+    breaking-point test by the values there.  An error comes back as its
+    message."""
+    delta = invariants._kl_delta(candidates, t)
+    lo, kink, hi = (upsilon_region(k, upsilon_halfplane(x)) for x in (t - delta, t, t + delta))
+
+    def at(s):
+        value = secondary(k, upsilon_halfplane(t + delta), upsilon_halfplane(t - delta),
+                          upsilon_halfplane(s))
+        if value is NO_OBSTRUCTION:
+            return NO_OBSTRUCTION
+        if lo + hi - 2 * kink >= 0:
+            return f"t = {t} is not a breaking point"
+        return -2 * (value - kink)
+
+    return at
+
+
+def test_kim_livingston_matches_perturbation_route():
+    # every kink and segment midpoint of the curve of each knot, at several s
+    rng = random.Random(1010)
+    torus = [torus_knot(p, q) for p in range(3, 11) for q in range(2, p) if gcd(p, q) == 1]
+    knots = (
+        SMALL_ZOO + torus + [mirror(k) for k in torus]
+        + [pretzel(q) for q in range(7, 12, 2)] + [thin_model(n) for n in range(-3, 4)]
+        + [_random_torus_sum(rng) for _ in range(40)]
+    )
+    errors = 0
+    for k in knots:
+        candidates = invariants._candidate_ts(invariants._Engine.of(k).pos0)
+        points = [t for t, _ in upsilon_function(k).points]
+        for t in points[1:-1] + [(t0 + t1) / 2 for t0, t1 in zip(points, points[1:])]:
+            old = _perturbation_route(k, candidates, t)
+            for s in {F(0), t, F(1), F(7, 5)}:
+                try:
+                    new = kim_livingston(k, t, s)
+                except NotABreakingPoint as e:
+                    new = str(e)
+                    errors += 1
+                assert new == old(s), (k, t, s)
+    assert errors > 0  # the breaking-point test was reached off the breaking points
