@@ -20,15 +20,18 @@ inside C_t.  Everything else is built from it:
 
 Each of these least-t questions is answered by one filtered F2 reduction,
 the standard persistence reduction: order the degree-0 lattice generators by
-a key such as their entering time, echelonize the degree-1 boundary columns
+a key such as their entering time, echelonize a basis of the boundaries im d1
 by their latest generator, and reduce a reference generating cycle against
 them.  The key left leading is the least, over all generating cycles, of the
 greatest key on a support.  Keys are exact integers (entering times as
 numerators over the region's common denominator, Alexander gradings), so
 every value is exact, and only the returned value is made a Fraction.  The
 engine reads positions and differentials from one pass over the arrows
-(`complexes._graded`) and finds its reference cycle by clearing, from the
-pivots of the same echelon kernel.
+(`complexes._graded`).  One echelonization of the d1 columns at build fixes
+the basis of im d1 (the columns independent of the earlier ones; which
+columns are dependent does not depend on any key, so no reduction needs the
+others: the clearing idea of persistent homology) and, from the same pivots,
+the reference cycle by clearing.
 
 The upsilon curve is a kinetic sweep over these reductions rather than one
 per crossing of any two generator lines.  A reduction at t keyed by each
@@ -123,23 +126,29 @@ class BreakingPoint:
 
 class _Engine:
     """Generator positions of slices 0 and 1, the degree-1 differential by
-    columns (as slice-0 masks and as tuples of row indices) and a reference
-    generating cycle (a slice-0 mask), plus the upsilon curve.  `of` builds it
-    once per complex and keeps it in the complex's instance dict, so it lives
-    exactly as long as the complex (KnotComplex equality, hash and repr read
-    only fields).
+    columns (as slice-0 masks), a basis of im d1 fixed at build (as tuples of
+    row indices and as masks), a reference generating cycle (a slice-0 mask)
+    and the upsilon curve.  `of` builds it once per complex and keeps it in
+    the complex's instance dict, so it lives exactly as long as the complex
+    (KnotComplex equality, hash and repr read only fields).
     """
 
     def __init__(self, k: KnotComplex):
-        (self.pos0, self.pos1), (d0_supports, self.d1_supports) = _graded(k)
-        self.d1_cols = tuple(map(_mask, self.d1_supports))
+        (self.pos0, self.pos1), (d0_supports, d1_supports) = _graded(k)
+        self.d1_cols = tuple(map(_mask, d1_supports))
         d0_cols = list(map(_mask, d0_supports))
+        # The d1 columns that stay independent in column order are a basis of
+        # im d1.  Each stored pivot's companion is its own column's bit plus
+        # bits of earlier columns, so its top bit names the column it came from.
+        tops: dict[int, tuple[int, int]] = {}
+        _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
+        kept = sorted(c.bit_length() - 1 for _, c in tops.values())
+        self.basis_supports = tuple(d1_supports[i] for i in kept)
+        self.basis_cols = tuple(self.d1_cols[i] for i in kept)
         # The generating cycle by clearing: a d0 column at the leading row of
         # a boundary tops a cycle, so it is skipped.  The set of leading rows
         # of im d1 does not depend on the basis, so the one other column that
         # reduces to zero tops a cycle that no boundary tops: not a boundary.
-        tops: dict[int, tuple[int, int]] = {}
-        _echelonize(tops, ((col, 0) for col in self.d1_cols))
         cycles = _echelonize(
             {}, ((col, 1 << j) for j, col in enumerate(d0_cols) if j not in tops)
         )
@@ -164,26 +173,32 @@ class _Engine:
 def _reduce(eng: _Engine, keys: list) -> tuple:
     """Filtered reduction of the generating coset z_ref + im(d1).
 
-    The slice-0 rows are ordered by key and the d1 columns echelonized by
-    their latest row; each echelon vector carries, beside it, the same chain
-    in original row order.  Reducing z_ref against the echelon basis leaves
-    the coset member whose latest row is earliest, so the key of that row is
-    the least, over all generating cycles, of the greatest key on a support.
+    The slice-0 rows are ordered by key and the engine's basis of im d1
+    echelonized by their latest row; each echelon vector carries, beside it,
+    the same chain in original row order.  Which d1 columns are dependent
+    does not depend on the keys, so the basis fixed at build spans what all
+    the columns would, with none of them reducing to zero here.  Reducing
+    z_ref against the echelon basis leaves the coset member whose latest row
+    is earliest, so the key of that row is the least, over all generating
+    cycles, of the greatest key on a support.
 
     Returns that key, the reduced cycle (a slice0 mask) and the echelon
     basis as (leading key, slice0 mask) pairs; the basis vectors with leading
     key <= x span the boundaries supported on rows of key <= x.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(order)
+    bit = [0] * len(order)
     for r, i in enumerate(order):
-        rank[i] = r
+        bit[i] = 1 << r
 
     def permute(rows) -> int:
-        return sum(1 << rank[i] for i in rows)
+        mask = 0
+        for i in rows:
+            mask |= bit[i]
+        return mask
 
     pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
-    _echelonize(pivots, zip([permute(rows) for rows in eng.d1_supports], eng.d1_cols))
+    _echelonize(pivots, zip(map(permute, eng.basis_supports), eng.basis_cols))
     z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
     if not z:
         raise ValueError("no generating cycle at the full translate; complex not knot-type?")
@@ -431,10 +446,14 @@ def nu_plus(k: KnotComplex) -> int:
     raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
 
 
+_D_PARAMETERS = "d takes an integer surgery coefficient q and an integer spin-c index m"
+
+
 def d_invariant(k: KnotComplex, q: int, m: int) -> Fraction:
     """Correction term of q-surgery in the spin-c structure indexed by m:
     ((q - 2m)^2 - q) / (4q) + V(m), valid for large surgeries.
     """
+    q, m = (_int(x, _D_PARAMETERS) for x in (q, m))
     if q < 1:
         raise ValueError(f"surgery coefficient must be a positive integer, got {q}")
     g = max(0, _max_alexander(k))

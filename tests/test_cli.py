@@ -247,6 +247,13 @@ def test_dinv(capsys):
         {"num": -1, "den": 6}
 
 
+def test_dinv_rejects_floats_and_bools(capsys):
+    for flags in (("--q", "7.0", "--m", "0"), ("--q", "7", "--m", "0.5"),
+                  ("--q", "True", "--m", "0"), ("--q", "7", "--m", "False")):
+        code, out, err = run(capsys, "dinv", "T(3,2)", *flags)
+        assert code == 1 and out == "" and "invalid int value" in err
+
+
 def test_eta(capsys):
     payload = run_json(capsys, "eta", "P(-2,3,9)", "--region", "H(2/3)")
     assert payload["value"] == {"num": 2, "den": 1}

@@ -26,7 +26,7 @@ from upsilonkit.complexes import (
     tensor,
     validate_complex,
 )
-from upsilonkit.exact import F2Space, _columns
+from upsilonkit.exact import F2Space, _bits, _columns, _echelonize, _reduce_pair
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     BreakingPoint,
@@ -453,6 +453,7 @@ def test_kim_livingston_rejects_inexact_parameters():
 
 _K53, _H1, _J53 = torus_knot(5, 3), upsilon_halfplane(1), torus_jumps(5, 3)
 _RATIONAL = "expected an exact rational"
+_D_PARAMETERS = "d takes an integer surgery coefficient q and an integer spin-c index m"
 _EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
     ("upsilon_at", lambda x: upsilon_at(_K53, x), _RATIONAL),
     ("h0_surjective", lambda x: h0_surjective(_K53, _H1, x), _RATIONAL),
@@ -473,6 +474,8 @@ _EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
     ("translate", lambda x: translate(_H1, x), _RATIONAL),
     ("vk", lambda x: vk(_K53, x), "V takes an integer parameter"),
     ("staircase_vk", lambda x: staircase_vk(_J53, x), "V takes an integer parameter"),
+    ("d_invariant(q)", lambda x: d_invariant(_K53, x, 0), _D_PARAMETERS),
+    ("d_invariant(m)", lambda x: d_invariant(_K53, 9, x), _D_PARAMETERS),
     ("thin_model(tau)", thin_model, "tau must be an integer"),
     ("thin_three_param(tau)", lambda x: thin_three_param(x, 0, 0, 0), "tau must be an integer"),
     ("thin_kl_closed(tau)", lambda x: thin_kl_closed(x, 1), "tau must be an integer"),
@@ -965,3 +968,94 @@ def test_kim_livingston_matches_perturbation_route():
                     errors += 1
                 assert new == old(s), (k, t, s)
     assert errors > 0  # the breaking-point test was reached off the breaking points
+
+
+# ---------------------------------------------------------------------------
+# the engine's basis of im d1, fixed at build
+# ---------------------------------------------------------------------------
+
+
+def _headline():
+    return tensor(torus_knot(8, 5), mirror(torus_knot(6, 5)), mirror(torus_knot(4, 3)))
+
+
+def test_engine_basis_spans_the_boundaries():
+    rng = random.Random(31)
+    boxed = [add_box(torus_knot(4, 3), (1, -2), -1), add_box(mirror(torus_knot(5, 2)), (-3, 0), 1),
+             add_box(add_box(torus_knot(3, 2), (0, 0), -3), (2, 2), 2)]
+    for k in SMALL_ZOO + boxed + [_random_torus_sum(rng) for _ in range(12)] + [_headline()]:
+        eng = invariants._Engine.of(k)
+        kept = set(eng.basis_cols)
+        assert len(eng.basis_cols) == boundary_matrix(k, 1).rank() == F2Space(eng.basis_cols).dim
+        assert [sum(1 << i for i in rows) for rows in eng.basis_supports] == list(eng.basis_cols)
+        assert kept <= set(eng.d1_cols)
+        span = F2Space(eng.basis_cols)
+        assert all(span.contains(col) for col in eng.d1_cols if col not in kept)
+    assert (len(eng.basis_cols), len(eng.d1_cols)) == (215, 427)  # the headline
+
+
+def _full_column_reduce(eng, keys):
+    """The filtered reduction over every d1 column, dependent ones included:
+    the route before the engine fixed a basis of im d1."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+
+    def permute(mask):
+        return sum(1 << rank[i] for i in _bits(mask))
+
+    pivots = {}
+    _echelonize(pivots, ((permute(col), col) for col in eng.d1_cols))
+    z, w = _reduce_pair(pivots, permute(eng.z_ref), eng.z_ref)
+    assert z and permute(w) == z
+    basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
+    return keys[order[z.bit_length() - 1]], w, basis
+
+
+def _engine_values(k, rng):
+    """Every engine value on k, on a fresh equal complex (so nothing cached
+    is read): the curve, its kinks' Kim-Livingston values and a sample of
+    region, V, eta and secondary queries drawn from rng."""
+    k = KnotComplex(k.generators, k.arrows)
+    f = upsilon_function(k)
+    regions = [_random_region(rng) for _ in range(4)]
+    t, d = F(rng.randint(2, 10), 6), F(1, 100)
+    triples = [(upsilon_halfplane(t + d), upsilon_halfplane(t - d), regions[0]),
+               tuple(regions[1:])]
+    return (
+        f,
+        [kim_livingston(k, bp.t, s) for bp in breaking_points(k) for s in (F(0), bp.t, F(1))],
+        [upsilon_region(k, r) for r in regions],
+        [vk(k, s) for s in range(-2, 3)],
+        [eta(k, r) for r in regions],
+        [secondary(k, *triple) for triple in triples],
+    )
+
+
+def test_basis_reduction_matches_the_full_column_route(monkeypatch):
+    rng = random.Random(4242)
+    knots = [_random_sum(rng) for _ in range(6)] + [_random_torus_sum(rng) for _ in range(6)]
+    knots.append(_headline())  # past the oracles' guard
+    seeds = [rng.random() for _ in knots]
+    fast = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
+    monkeypatch.setattr(invariants, "_reduce", _full_column_reduce)
+    full = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
+    assert fast == full
+    assert any(kl for _, kl, *_ in fast)  # some kink was evaluated
+
+
+def test_region_query_echelonizes_only_the_basis(monkeypatch):
+    k = _headline()
+    invariants._Engine.of(k)  # the build echelonizes every column, once
+    columns = []
+    echelonize = invariants._echelonize
+
+    def count(pivots, pairs):
+        pairs = list(pairs)
+        columns.append(len(pairs))
+        return echelonize(pivots, pairs)
+
+    monkeypatch.setattr(invariants, "_echelonize", count)
+    upsilon_region(k, upsilon_halfplane(F(2, 3)))
+    assert columns == [boundary_matrix(k, 1).rank()] == [215]
