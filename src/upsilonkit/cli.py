@@ -333,7 +333,7 @@ def _cmd_upsilon(args):
 def _cmd_upsilon_at(args):
     k, name = _get_complex(args)
     value = invariants.upsilon_at(k, args.t)
-    prov = ["upsilon_region"]
+    prov = ["upsilon_at", "upsilon_region"]
     if args.check_oracle:
         oracle = -2 * invariants.brute_force_upsilon(k, upsilon_halfplane(args.t))
         if oracle != value:
@@ -366,20 +366,20 @@ def _cmd_vk(args):
 
 def _cmd_nu_plus(args):
     k, name = _get_complex(args)
-    return _emit(args, "nu-plus", invariants.nu_plus(k), ["nu_plus", "vk"], knot=name)
+    return _emit(args, "nu-plus", invariants.nu_plus(k), ["nu_plus"], knot=name)
 
 
 def _cmd_dinv(args):
     k, name = _get_complex(args)
     value = invariants.d_invariant(k, args.q, args.m)
-    return _emit(args, "dinv", value, ["d_invariant", "vk"], knot=name)
+    return _emit(args, "dinv", value, ["d_invariant", "vk", "upsilon_region"], knot=name)
 
 
 def _cmd_eta(args):
     k, name = _get_complex(args)
     r = regions.parse_region(args.region)
     value = invariants.eta(k, r)
-    return _emit(args, "eta", value, ["eta", "upsilon_region"], knot=name, region=args.region)
+    return _emit(args, "eta", value, ["eta"], knot=name, region=args.region)
 
 
 def _cmd_breaking_points(args):
@@ -398,7 +398,7 @@ def _cmd_breaking_points(args):
     }
     if args.format == "json":
         return _emit(args, "breaking-points", value,
-                     ["breaking_points", "upsilon_function"], knot=name)
+                     ["breaking_points", "upsilon_function", "upsilon_region"], knot=name)
     for bp in bps:
         print(f"t = {rational_to_text(bp.t)}   jump = {rational_to_text(bp.jump)}")
     if not bps:
@@ -409,12 +409,12 @@ def _cmd_breaking_points(args):
 def _cmd_kl(args):
     k, name = _get_complex(args)
     value = invariants.kim_livingston(k, args.t, args.s)
-    prov = ["kim_livingston", "secondary", "upsilon_region"]
+    prov = ["kim_livingston"]
     if args.check_oracle:
         oracle = invariants.kim_livingston_oracle(k, args.t, args.s)
         if value != oracle:
             raise AssertionError(f"engine {value!r} != brute-force oracle {oracle!r}")
-        prov += ["kim_livingston_oracle", "brute_force_secondary"]
+        prov.append("kim_livingston_oracle")
     return _emit(args, "kl", value, prov, knot=name)
 
 
@@ -424,7 +424,7 @@ def _cmd_secondary(args):
     cminus = regions.parse_region(args.cminus)
     c = regions.parse_region(args.region)
     value = invariants.secondary(k, cplus, cminus, c)
-    prov = ["secondary", "upsilon_region"]
+    prov = ["secondary"]
     if args.check_oracle:
         oracle = invariants.brute_force_secondary(k, cplus, cminus, c)
         if value != oracle:

@@ -6,8 +6,8 @@ on bit-packed vectors (a Python int, bit i = coordinate i), so one XOR adds a
 whole row or column.  There is one echelon kernel, `_echelonize`: it reduces
 vectors by their leading bit against a dict of pivots, carrying a companion
 vector along to record which inputs were added.  `F2Matrix` rank, solve and
-nullspace, the `F2Space` span tests, and the invariant engine's filtered
-reduction and generating cycle all run on it.
+nullspace, the `F2Space` span tests (which serve `representative_cycle` and
+the oracles only), and the engine's reductions and clearing all run on it.
 """
 
 from __future__ import annotations

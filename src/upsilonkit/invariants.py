@@ -18,18 +18,22 @@ inside C_t.  Everything else is built from it:
 * eta: the least Alexander-direction truncation width at which the region
   invariant is already achieved.
 
-Each of these least-t questions is answered by one filtered F2 reduction,
-the standard persistence reduction: order the degree-0 lattice generators by
-a key such as their entering time, echelonize a basis of the boundaries im d1
-by their latest generator, and reduce a reference generating cycle against
-them.  The key left leading is the least, over all generating cycles, of the
-greatest key on a support.  Keys are exact integers (entering times as
-numerators over the region's common denominator, Alexander gradings), so
-every value is exact, and only the returned value is made a Fraction.  The
-engine reads positions and differentials from one pass over the arrows
-(`complexes._graded`).  One echelonization of the d1 columns at build fixes
-the basis of im d1 (the columns independent of the earlier ones; which
-columns are dependent does not depend on any key, so no reduction needs the
+Each of these least-t questions is answered by one filtered F2 reduction, the
+standard persistence reduction.  Keyed by rows (`_reduce`): order the degree-0
+lattice generators by a key such as their entering time, echelonize a basis of
+the boundaries im d1 by their latest generator, and reduce a reference
+generating cycle against them; the key left leading is the least, over all
+generating cycles, of the greatest key on a support.  Keyed by columns
+(`_secondary`): echelonize degree-1 columns in key order, the r-th with
+companion bit r, and reduce a target boundary; a vector in the span of an
+echelon prefix reduces within it, so the top bit of its companion names the
+least key whose columns span it.  Keys are exact integers (entering times as
+numerators over the region's common denominator, Alexander gradings), so every
+value is exact, and only the returned value is made a Fraction.  The engine
+reads positions and differentials from one pass over the arrows
+(`complexes._graded`).  One echelonization of the d1 columns at build fixes the
+basis of im d1 (the columns independent of the earlier ones; which columns are
+dependent does not depend on any key, so no row-keyed reduction needs the
 others: the clearing idea of persistent homology) and, from the same pivots,
 the reference cycle by clearing.
 
@@ -433,17 +437,15 @@ def vk(k: KnotComplex, s: int) -> Fraction:
     return -2 * upsilon_region(k, v_region(_int(s, _V_PARAMETER)))
 
 
-def _max_alexander(k: KnotComplex) -> int:
-    return max(a for a, _ in _Engine.of(k).pos0)
-
-
 def nu_plus(k: KnotComplex) -> int:
-    """The least s >= 0 with V(s) = 0 (V stabilizes at 0 above the genus)."""
-    bound = max(0, _max_alexander(k)) + 1
-    for s in range(bound + 1):
-        if vk(k, s) == 0:
-            return s
-    raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
+    """The least s >= 0 with V(s) = 0, i.e. with a generating cycle in
+    {A <= s} & {j <= 0}: one reduction keyed by (j > 0, A), as in `eta`.  Below
+    A = 0 (no knot's case) the cycle may sit below j = 0 too; V(0) decides."""
+    eng = _Engine.of(k)
+    (outside, a), _, _ = _reduce(eng, [(j > 0, a) for a, j in eng.pos0])
+    if outside or a < 0 and vk(k, 0) != 0:
+        raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
+    return max(0, a)
 
 
 _D_PARAMETERS = "d takes an integer surgery coefficient q and an integer spin-c index m"
@@ -456,7 +458,7 @@ def d_invariant(k: KnotComplex, q: int, m: int) -> Fraction:
     q, m = (_int(x, _D_PARAMETERS) for x in (q, m))
     if q < 1:
         raise ValueError(f"surgery coefficient must be a positive integer, got {q}")
-    g = max(0, _max_alexander(k))
+    g = max(0, max(a for a, _ in _Engine.of(k).pos0))
     if q < 2 * g - 1:
         raise ValueError(f"need q >= 2g - 1 = {2 * g - 1} (large surgery), got {q}")
     if not -q <= 2 * m < q:
@@ -481,12 +483,10 @@ def secondary(
     the generating cycles supported in C±_{gamma±} — an affine coset
     z0± + V± where V± is the space of boundaries supported there; one
     filtered reduction per region yields gamma±, z0± and a basis of V±.  If
-    the two cosets intersect (z0+ + z0- in V+ + V-) there is no obstruction.
-    Otherwise the answer is the least entering time t of a degree-1 lattice
-    generator into C such that z0+ + z0- becomes a boundary of a degree-1
-    chain supported in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t: the columns are added
-    in order of entering time until the target lies in their span, which it
-    does once they span all of B_0.
+    z0+ + z0- reduces to zero against V+ + V-, the cosets intersect: no
+    obstruction.  Otherwise the least t with z0+ + z0- a boundary of a chain
+    in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t comes from one column reduction: the
+    degree-1 columns of the first two, then the rest by entering time into C.
     """
     eng = _Engine.of(k)
     sides = ([entering_numerators(r, p)[0] for p in (eng.pos0, eng.pos1)] for r in (cplus, cminus))
@@ -499,23 +499,22 @@ def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
     gp, zp, basis_p = _reduce(eng, keys_p)
     gm, zm, basis_m = _reduce(eng, keys_m)
-    space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
-    target = zp ^ zm
-    if space.contains(target):
+    base = [v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm]
+    pivots: dict[int, tuple[int, int]] = {}
+    _echelonize(pivots, ((v, 0) for v in base))
+    rest = _reduce_pair(pivots, zp ^ zm, 0)[0]
+    if not rest:
         return gp, gm, NO_OBSTRUCTION
 
+    # Base columns first (companion 0), then the late ones by time into C (bit r).
     times_c, d = entering_numerators(c, eng.pos1)
-    by_time: dict[int, list[int]] = {}
-    for col, kp, km, tc in zip(eng.d1_cols, keys1_p, keys1_m, times_c):
-        if kp <= gp or km <= gm:
-            space.add(col)
-        by_time.setdefault(tc, []).append(col)
-    for t in sorted(by_time):
-        for col in by_time[t]:
-            space.add(col)
-        if space.contains(target):
-            return gp, gm, Fraction(t, d)
-    raise AssertionError("secondary invariant: homologous at no candidate translate")
+    late = [kp > gp and km > gm for kp, km in zip(keys1_p, keys1_m)]
+    order = sorted(range(len(late)), key=lambda i: (late[i], times_c[i]))
+    _echelonize(pivots, ((eng.d1_cols[i], late[i] << r) for r, i in enumerate(order)))
+    rest, used = _reduce_pair(pivots, rest, 0)
+    if rest:
+        raise AssertionError("secondary: z+ + z- is not a boundary")
+    return gp, gm, Fraction(times_c[order[used.bit_length() - 1]], d)
 
 
 def _kl_parameters(t_star, s) -> tuple[Fraction, Fraction]:

@@ -1,5 +1,6 @@
 """Command-line interface: grammar, payloads, exit codes, report pipelines."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from upsilonkit.complexes import (
     to_json_dict,
     validate_complex,
 )
+from upsilonkit.regions import upsilon_halfplane
 
 
 def run(capsys, *argv):
@@ -373,6 +375,70 @@ def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
     code, out, err = run(capsys, "kl", "T(4,3)", "--t", "2/3", "--s", "2/3")
     assert code == 4 and out == ""
     assert err == "internal check failed: kim_livingston: the two sides of t = 2/3 do not meet there\n"
+
+
+def test_exit_4_when_the_secondary_target_is_not_a_boundary(capsys, monkeypatch):
+    reduce = invariants._reduce
+    calls = []
+
+    def corrupt(eng, keys):  # C+'s reduced cycle leaves the generating coset
+        calls.append(keys)
+        key, w, basis = reduce(eng, keys)
+        return key, (w ^ eng.z_ref if len(calls) == 1 else w), basis
+
+    monkeypatch.setattr(invariants, "_reduce", corrupt)
+    regions = [upsilon_halfplane(Fraction(t)) for t in ("1", "1/3", "2/3")]
+    with pytest.raises(AssertionError, match=r"^secondary: z\+ \+ z- is not a boundary$"):
+        invariants.secondary(zoo.torus_knot(4, 3), *regions)
+    calls.clear()
+    code, out, err = run(capsys, "secondary", "T(4,3)", "--cplus", "H(1)", "--cminus", "H(1/3)",
+                         "--region", "H(2/3)")
+    assert code == 4 and out == ""
+    assert err == "internal check failed: secondary: z+ + z- is not a boundary\n"
+
+
+# ---------------------------------------------------------------------------
+# provenance: the public routines of invariants that each command runs
+# ---------------------------------------------------------------------------
+
+PROVENANCE_COMMANDS = [  # (command, knot, flags)
+    ("upsilon", "T(4,3)"),
+    ("upsilon-at", "T(5,3)", "--t", "2/3"),
+    ("region-upsilon", "T(5,3)", "--region", "H(2/3) | Q(1)"),
+    ("vk", "T(5,3)", "--s", "1"),
+    ("nu-plus", "T(5,3)"),
+    ("dinv", "T(5,3)", "--q", "7", "--m", "1"),
+    ("eta", "T(5,3)", "--region", "H(2/3)"),
+    ("breaking-points", "T(5,3)"),
+    ("kl", "T(4,3)", "--t", "2/3", "--s", "2/3"),
+    ("secondary", "T(4,3)", "--cplus", "H(1)", "--cminus", "H(1/3)", "--region", "H(2/3)"),
+]
+ORACLE_COMMANDS = {"upsilon-at", "region-upsilon", "kl", "secondary"}
+PROVENANCE_CASES = PROVENANCE_COMMANDS + [
+    (*case, "--check-oracle") for case in PROVENANCE_COMMANDS if case[0] in ORACLE_COMMANDS
+]
+
+
+@pytest.mark.parametrize("case", PROVENANCE_CASES, ids=" ".join)
+def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, case):
+    command, knot, *flags = case
+    # The complex comes from a file: the zoo builders call invariants routines
+    # (staircase corners) that are no part of the command's route.
+    path = tmp_path / "knot.json"
+    save_complex(build_complex(parse_knot_expr(knot)), path)
+    called = []
+
+    def traced(name, f):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name, f in vars(invariants).copy().items():
+        if inspect.isfunction(f) and f.__module__ == invariants.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(invariants, name, traced(name, f))
+    payload = run_json(capsys, command, "--complex-file", str(path), *flags)
+    assert sorted(payload["provenance"]) == sorted(set(called))
 
 
 # ---------------------------------------------------------------------------

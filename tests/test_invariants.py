@@ -1059,3 +1059,117 @@ def test_region_query_echelonizes_only_the_basis(monkeypatch):
     monkeypatch.setattr(invariants, "_echelonize", count)
     upsilon_region(k, upsilon_halfplane(F(2, 3)))
     assert columns == [boundary_matrix(k, 1).rank()] == [215]
+
+
+# ---------------------------------------------------------------------------
+# nu+ and the secondary invariant, each one reduction
+# ---------------------------------------------------------------------------
+
+
+def _nu_plus_by_v_scan(k):
+    """nu+ by the route one keyed reduction replaced: V(s) for s = 0, 1, ...
+    up to one past the largest Alexander grading."""
+    bound = max(0, max(a for a, _ in invariants._Engine.of(k).pos0)) + 1
+    for s in range(bound + 1):
+        if vk(k, s) == 0:
+            return s
+    raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
+
+
+def _secondary_by_growing_span(eng, plus, minus, c):
+    """`invariants._secondary` by the route one column reduction replaced: an
+    F2Space grown one entering time into C at a time, with a membership test
+    after each."""
+    (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
+    gp, zp, basis_p = invariants._reduce(eng, keys_p)
+    gm, zm, basis_m = invariants._reduce(eng, keys_m)
+    space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
+    target = zp ^ zm
+    if space.contains(target):
+        return gp, gm, NO_OBSTRUCTION
+    times_c, d = invariants.entering_numerators(c, eng.pos1)
+    by_time = {}
+    for col, kp, km, tc in zip(eng.d1_cols, keys1_p, keys1_m, times_c):
+        if kp <= gp or km <= gm:
+            space.add(col)
+        by_time.setdefault(tc, []).append(col)
+    for t in sorted(by_time):
+        for col in by_time[t]:
+            space.add(col)
+        if space.contains(target):
+            return gp, gm, F(t, d)
+    raise AssertionError("secondary invariant: homologous at no candidate translate")
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_nu_plus_matches_the_v_scan():
+    rng = random.Random(77)
+    # Lone generators, each a single U-tower but no knot's: no cycle in {j <= 0},
+    # and a cycle below A = 0 at j = 0 and at j < 0 (V(0) = 0, and V(0) = 2).
+    lone = [KnotComplex((BaseGenerator("x", a, j, 0),), ()) for a, j in ((0, 1), (-2, 0), (-2, -1))]
+    knots = (SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + [_random_sum(rng) for _ in range(6)]
+             + [_random_torus_sum(rng) for _ in range(6)] + [_headline()] + lone)
+    new = [_outcome(nu_plus, k) for k in knots]
+    assert new == [_outcome(_nu_plus_by_v_scan, k) for k in knots]
+    error = (ValueError, "V(s) did not vanish up to the Alexander range; not knot-type?")
+    assert new[-3:] == [error, 0, error]
+    assert len(set(new)) > 3
+
+
+def test_secondary_matches_the_growing_span(monkeypatch):
+    rng = random.Random(78)
+    knots = SMALL_ZOO[1:] + [_random_sum(rng) for _ in range(4)] + [_headline()]
+    triples = [(k, tuple(_random_region(rng) for _ in range(3))) for k in knots for _ in range(6)]
+    sides = [(k, bp.t, s) for k in knots for bp in breaking_points(k)
+             for s in {F(0), F(1, 2), bp.t, F(1), F(7, 5), F(2)}]
+
+    def values():
+        return ([secondary(k, *triple) for k, triple in triples],
+                [kim_livingston(*side) for side in sides])
+
+    new = values()
+    monkeypatch.setattr(invariants, "_secondary", _secondary_by_growing_span)
+    assert new == values()
+    finite = [v for v in new[0] + new[1] if v is not NO_OBSTRUCTION]
+    assert len(finite) >= 10 and len(finite) < len(triples) + len(sides)
+
+
+def _headline_values(k):
+    """Every engine query type on the headline sum, each at one argument."""
+    t, d = F(1), F(1, 8000)
+    return (upsilon_function(k), vk(k, 1), nu_plus(k), d_invariant(k, 27, 3),
+            eta(k, upsilon_halfplane(F(2, 3))),
+            secondary(k, upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(1, 4))),
+            kim_livingston(k, t, t))
+
+
+def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
+    expected = _headline_values(_headline())
+    k = _headline()
+    calls = []
+    reduce = invariants._reduce
+
+    def count(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    def no_space(self, vectors=()):
+        raise AssertionError("an engine route built an F2Space")
+
+    monkeypatch.setattr(invariants, "_reduce", count)
+    monkeypatch.setattr(F2Space, "__init__", no_space)
+    assert nu_plus(k) == 1 and len(calls) == 1
+    t, d = F(2, 5), F(1, 8000)
+    for tc, value in ((F(1), 1), (t, NO_OBSTRUCTION)):  # finite, and the early exit
+        calls.clear()
+        plus, minus = upsilon_halfplane(tc + d), upsilon_halfplane(tc - d)
+        assert secondary(k, plus, minus, upsilon_halfplane(F(1, 4))) == value
+        assert len(calls) == 2
+    assert _headline_values(k) == expected
