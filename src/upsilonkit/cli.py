@@ -413,7 +413,7 @@ def _cmd_kl(args):
     if args.check_oracle:
         oracle = invariants.kim_livingston_oracle(k, args.t, args.s)
         if value != oracle:
-            raise AssertionError(f"engine {value!r} != brute-force oracle {oracle!r}")
+            raise AssertionError(f"engine {value} != brute-force oracle {oracle}")
         prov.append("kim_livingston_oracle")
     return _emit(args, "kl", value, prov, knot=name)
 
@@ -428,7 +428,7 @@ def _cmd_secondary(args):
     if args.check_oracle:
         oracle = invariants.brute_force_secondary(k, cplus, cminus, c)
         if value != oracle:
-            raise AssertionError(f"engine {value!r} != brute-force oracle {oracle!r}")
+            raise AssertionError(f"engine {value} != brute-force oracle {oracle}")
         prov.append("brute_force_secondary")
     return _emit(args, "secondary", value, prov, knot=name, region=args.region)
 

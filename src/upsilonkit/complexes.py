@@ -18,9 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
-from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask
+from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 
 
 @dataclass(frozen=True, order=True)
@@ -110,9 +109,13 @@ class KnotComplex:
             src, dst, m = arrow
             if src not in known or dst not in known:
                 raise ValueError(f"arrow endpoint not a generator: {arrow}")
-            if not isinstance(m, int):
+            if isinstance(m, bool) or not isinstance(m, int):
                 raise ValueError(f"arrow U-power must be an integer: {arrow}")
-            seen ^= {(src, dst, m)}  # F2 coefficients: equal arrows cancel
+            key = (src, dst, m)
+            if key in seen:  # F2 coefficients: equal arrows cancel
+                seen.remove(key)
+            else:
+                seen.add(key)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "arrows", tuple(sorted(seen)))
 
@@ -209,7 +212,10 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     x -> U^m y must have M(y) - 2m = M(x) - 1 and position of U^m y
     coordinatewise <= position of x); d^2 = 0 over the ring; homology a
     single U-tower (dim H_0 = 1 and dim H_1 = 0, which by the periodicity of
-    `_graded` pins every grading).
+    `_graded` pins every grading); and that tower generated at level 0 in
+    each filtration, as every knot's is: over all generating cycles, the
+    least greatest j and the least greatest A are both 0, which is
+    Upsilon(0) = Upsilon(2) = 0.
     """
     problems: list[str] = []
     by_name = k.by_name
@@ -235,15 +241,43 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
         return ValidationReport(tuple(problems))
 
     (pos0, pos1), (d0, d1) = _graded(k)
-    r0, r1 = (len(cols) - len(_echelonize({}, ((_mask(rows), 0) for rows in cols)))
-              for cols in (d0, d1))
+    boundaries: dict = {}
+    r1 = len(d1) - len(_echelonize(boundaries, ((_mask(rows), 0) for rows in d1)))
+    cycles = _echelonize({}, ((_mask(rows), 1 << j) for j, rows in enumerate(d0)))
+    r0 = len(d0) - len(cycles)
     h0 = len(pos0) - r0 - r1
     h1 = len(pos1) - r1 - r0
     if h0 != 1:
         problems.append(f"dim H_0 = {h0}, expected 1 (not a single U-tower)")
     if h1 != 0:
         problems.append(f"dim H_1 = {h1}, expected 0")
+    if problems:
+        return ValidationReport(tuple(problems))
+
+    # A cycle of the kernel basis that is not a boundary generates H_0.
+    z = next(z for z in cycles if _reduce_pair(boundaries, z, 0)[0])
+    a, j = (_least_max(z, [p[c] for p in pos0], d1) for c in (0, 1))
+    if (a, j) != (0, 0):
+        problems.append(f"H_0 is generated at filtration level (A, j) = ({a}, {j}), "
+                        "expected (0, 0)")
     return ValidationReport(tuple(problems))
+
+
+def _least_max(z: int, keys: list[int], d1_supports) -> int:
+    """The least, over the cycles z + im d1, of the greatest key on a support.
+
+    With the slice-0 rows ordered by key, reducing z against the d1 columns
+    echelonized by their latest row leaves the coset member whose latest row
+    is earliest.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    bit = [0] * len(order)
+    for r, i in enumerate(order):
+        bit[i] = 1 << r
+    pivots: dict = {}
+    _echelonize(pivots, ((sum(map(bit.__getitem__, col)), 0) for col in d1_supports))
+    z = _reduce_pair(pivots, sum(map(bit.__getitem__, _bits(z))), 0)[0]
+    return keys[order[z.bit_length() - 1]]
 
 
 def representative_cycle(k: KnotComplex) -> Chain:
@@ -274,20 +308,30 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     gradings add, and the differential obeys the Leibniz rule.
     `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names; no
     factors give the unknot, as one generator named "".
+
+    The product is built by index arithmetic, one factor at a time: with n
+    generators in the next factor, product generator c and its generator i
+    make generator c·n + i, whose name is built once from the name of c.  An
+    arrow s -> t of the product so far lifts to s·n + i -> t·n + i, and an
+    arrow a -> b of the factor to c·n + a -> c·n + b; arrows become names
+    only at the end.
     """
-    escaped = [{g.name: g.name.replace("\\", "\\\\").replace("*", "\\*") for g in k.generators}
-               for k in factors]
-    gens = []
-    arrows = []
-    for combo in product(*(k.generators for k in factors)):
-        parts = [esc[g.name] for esc, g in zip(escaped, combo)]
-        src = "*".join(parts)
-        gens.append(BaseGenerator(src, sum(g.alexander for g in combo),
-                                  sum(g.algebraic for g in combo), sum(g.maslov for g in combo)))
-        for i, (k, g) in enumerate(zip(factors, combo)):
-            for dst, m in k._arrows_by_src.get(g.name, ()):
-                arrows.append((src, "*".join([*parts[:i], escaped[i][dst], *parts[i + 1:]]), m))
-    return KnotComplex(tuple(gens), tuple(arrows))
+    names, alexander, algebraic, maslov = [""], [0], [0], [0]
+    arrows: list[tuple[int, int, int]] = []
+    for f, k in enumerate(factors):
+        gens = k.generators
+        n = len(gens)
+        escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in gens]
+        index = {g.name: i for i, g in enumerate(gens)}
+        own = [(index[src], index[dst], m) for src, dst, m in k.arrows]
+        arrows = [(s * n + i, t * n + i, m) for s, t, m in arrows for i in range(n)]
+        arrows += [(c * n + a, c * n + b, m) for c in range(len(names)) for a, b, m in own]
+        names = [prefix + "*" + e for prefix in names for e in escaped] if f else escaped
+        alexander = [x + g.alexander for x in alexander for g in gens]
+        algebraic = [x + g.algebraic for x in algebraic for g in gens]
+        maslov = [x + g.maslov for x in maslov for g in gens]
+    return KnotComplex(tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
+                       tuple([(names[s], names[t], m) for s, t, m in arrows]))
 
 
 def mirror(k: KnotComplex) -> KnotComplex:

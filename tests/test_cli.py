@@ -339,6 +339,38 @@ def test_exit_4_on_internal_check_failure(capsys, monkeypatch):
     assert err == "internal check failed: engine 1/2 != brute-force oracle 7\n"
 
 
+@pytest.mark.parametrize(
+    "oracle, argv, err",
+    [
+        ("brute_force_upsilon", ("upsilon-at", "T(4,3)", "--t", "2/3"),
+         "engine -2 != brute-force oracle -14"),
+        ("brute_force_upsilon", ("region-upsilon", "T(4,3)", "--region", "H(1/3)"),
+         "engine 1/2 != brute-force oracle 7"),
+        ("kim_livingston_oracle", ("kl", "T(4,3)", "--t", "2/3", "--s", "2/3"),
+         "engine -4/3 != brute-force oracle 7"),
+        ("brute_force_secondary", ("secondary", "T(4,3)", "--cplus", "H(1)", "--cminus",
+                                   "H(1/3)", "--region", "H(2/3)"),
+         "engine 5/3 != brute-force oracle 7"),
+    ],
+    ids=["upsilon-at", "region-upsilon", "kl", "secondary"],
+)
+def test_oracle_mismatch_prints_values_as_text(capsys, monkeypatch, oracle, argv, err):
+    monkeypatch.setattr(invariants, oracle, lambda *args: 7)
+    code, out, printed = run(capsys, *argv, "--check-oracle")
+    assert (code, out, printed) == (4, "", f"internal check failed: {err}\n")
+
+
+def test_exit_2_on_a_tower_off_level_zero(tmp_path, capsys):
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps({"generators": [{"id": "x", "A": -2, "j": -1, "M": 0}],
+                                "arrows": []}))
+    problem = "H_0 is generated at filtration level (A, j) = (-2, -1), expected (0, 0)"
+    code, out, err = run(capsys, "upsilon", f"file({path})")
+    assert (code, out, err) == (2, "", f"validation failure: {problem}\n")
+    code, out, err = run(capsys, "validate", "--complex-file", str(path))
+    assert (code, out, err) == (2, f"problem: {problem}\n", "")
+
+
 def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
     reduce = invariants._reduce
     calls = []

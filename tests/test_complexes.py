@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -98,12 +100,44 @@ def test_unknown_arrow_endpoint_rejected():
         KnotComplex((BaseGenerator("x", 0, 0, 0),), (("x", "ghost", 0),))
 
 
+XY = (BaseGenerator("x", 1, 0, 0), BaseGenerator("y", 1, 1, 1))
+
+
 def test_double_arrows_cancel():
     k = KnotComplex(
         (BaseGenerator("x", 1, 0, 0), BaseGenerator("y", 1, 1, 1)),
         (("y", "x", 0), ("y", "x", 0)),
     )
     assert k.arrows == ()
+    assert KnotComplex(XY, (("y", "x", 0),) * 3).arrows == (("y", "x", 0),)
+    assert KnotComplex(XY, (["y", "x", 0], ("y", "x", 0))).arrows == ()
+    assert KnotComplex(XY, (("y", "x", 0), ("y", "x", 1)) * 3).arrows == (
+        ("y", "x", 0), ("y", "x", 1))
+
+
+def test_list_arrow_is_stored_as_a_sorted_tuple():
+    k = KnotComplex(XY, [["y", "x", 1], ("x", "y", 0)])
+    assert k.arrows == (("x", "y", 0), ("y", "x", 1))
+    assert all(type(arrow) is tuple for arrow in k.arrows)
+    assert k == KnotComplex(XY, (("y", "x", 1), ("x", "y", 0)))
+
+
+@pytest.mark.parametrize(
+    "gens, arrows, message",
+    [
+        (XY + (BaseGenerator("x", 0, 0, 0),), (), "duplicate generator names"),
+        (XY, (("y", "ghost", 0),), "arrow endpoint not a generator: ('y', 'ghost', 0)"),
+        (XY, (["ghost", "x", 0],), "arrow endpoint not a generator: ['ghost', 'x', 0]"),
+        (XY, (("y", "x", 0.0),), "arrow U-power must be an integer: ('y', 'x', 0.0)"),
+        (XY, (("y", "x", "0"),), "arrow U-power must be an integer: ('y', 'x', '0')"),
+        (XY, (("y", "x", False),), "arrow U-power must be an integer: ('y', 'x', False)"),
+        (XY, (("y", "x", 0), ("y", "x", True)),
+         "arrow U-power must be an integer: ('y', 'x', True)"),
+    ],
+)
+def test_construction_errors_keep_their_messages(gens, arrows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KnotComplex(gens, arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +182,25 @@ def test_validate_reports_d_squared():
     )
     report = validate_complex(k)
     assert any(p.startswith("d^2(a)") for p in report.problems)
+
+
+def _shifted(k, da, dj):
+    return KnotComplex(tuple(BaseGenerator(g.name, g.alexander + da, g.algebraic + dj, g.maslov)
+                             for g in k.generators), k.arrows)
+
+
+def test_validate_reports_a_tower_off_level_zero():
+    low = KnotComplex((BaseGenerator("x", -2, -1, 0),), ())
+    assert validate_complex(low).problems == (
+        "H_0 is generated at filtration level (A, j) = (-2, -1), expected (0, 0)",)
+    for da, dj in [(1, 0), (0, -1), (3, 2), (-1, -1)]:
+        for k in (trefoil_by_hand(), torus_knot(5, 3), mirror(torus_knot(4, 3))):
+            assert validate_complex(_shifted(k, da, dj)).problems == (
+                f"H_0 is generated at filtration level (A, j) = ({da}, {dj}), expected (0, 0)",)
+    # x0 sits at j = 0 and x1 at A = 0: each level needs the other cycle, x0 + d(y0) = x1
+    assert validate_complex(trefoil_by_hand()).ok
+    # a boxed square far from the origin moves nothing
+    assert validate_complex(add_box(trefoil_by_hand(), (5, -4), 0)).ok
 
 
 def test_validate_reports_wrong_homology():
@@ -263,6 +316,74 @@ def test_arrow_index_is_invisible():
         assert ("junk", 0) not in k.arrows_from(g.name)
     assert (hash(k), repr(k)) == before and k == twin
     assert tensor(k, trefoil_by_hand()) == tensor(twin, trefoil_by_hand())
+
+
+def _product_tensor(*factors):
+    """The tensor product by the route of itertools.product over generator
+    tuples, joining the names of every arrow's ends: the reference the
+    index-arithmetic `tensor` must match exactly."""
+    escaped = [{g.name: g.name.replace("\\", "\\\\").replace("*", "\\*") for g in k.generators}
+               for k in factors]
+    by_src = []
+    for k in factors:
+        index = {}
+        for src, dst, m in k.arrows:
+            index.setdefault(src, []).append((dst, m))
+        by_src.append(index)
+    gens, arrows = [], []
+    for combo in product(*(k.generators for k in factors)):
+        parts = [esc[g.name] for esc, g in zip(escaped, combo)]
+        src = "*".join(parts)
+        gens.append(BaseGenerator(src, sum(g.alexander for g in combo),
+                                  sum(g.algebraic for g in combo), sum(g.maslov for g in combo)))
+        for i, g in enumerate(combo):
+            for dst, m in by_src[i].get(g.name, ()):
+                arrows.append((src, "*".join([*parts[:i], escaped[i][dst], *parts[i + 1:]]), m))
+    return KnotComplex(tuple(gens), tuple(arrows))
+
+
+def _renamed(k, rename):
+    return KnotComplex(
+        tuple(BaseGenerator(rename(g.name), g.alexander, g.algebraic, g.maslov)
+              for g in k.generators),
+        tuple((rename(src), rename(dst), m) for src, dst, m in k.arrows),
+    )
+
+
+def _tensor_cases():
+    zoo = [unknot(), torus_knot(3, 2), torus_knot(5, 2), torus_knot(4, 3), torus_knot(5, 3),
+           thin_model(2), thin_model(-2)]
+    for a, b in combinations_with_replacement(zoo, 2):
+        yield a, b
+        yield mirror(a), b
+        yield a, mirror(b)
+    t, m = trefoil_by_hand(), mirror(torus_knot(5, 2))
+    yield t, m, t
+    yield torus_knot(4, 3), mirror(torus_knot(3, 2)), thin_model(-1)
+    yield t, t, t, t
+    boxed = add_box(add_box(torus_knot(4, 3), (1, -2), -1), (0, 0), 2)
+    yield boxed, mirror(boxed)
+    yield t, add_box(mirror(t), (-3, 0), 1), boxed
+    starry = _renamed(t, lambda n: {"x0": "a*", "x1": "b\\", "y0": "\\*c*\\"}[n])
+    yield starry, t
+    yield starry, starry, mirror(starry)
+    yield _renamed(m, lambda n: "*" + n + "\\"), starry
+    # self-loops are legal arrows: the product has two copies of one, which cancel
+    loop = KnotComplex((BaseGenerator("p", 0, 0, 0), BaseGenerator("q", 0, 0, 1)),
+                       (("p", "p", 0), ("q", "p", 1)))
+    yield loop, loop
+    yield loop, loop, loop
+    yield ()
+    yield (t,)
+    yield (starry,)
+
+
+@pytest.mark.parametrize("factors", list(_tensor_cases()))
+def test_tensor_matches_the_product_route(factors):
+    k, ref = tensor(*factors), _product_tensor(*factors)
+    assert k.generators == ref.generators  # the order of generators included
+    assert k.arrows == ref.arrows
+    assert json.dumps(to_json_dict(k)) == json.dumps(to_json_dict(ref))
 
 
 def test_mirror_is_involution():

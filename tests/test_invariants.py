@@ -736,6 +736,32 @@ def test_engine_and_validation_build_no_slices(monkeypatch):
     assert expected[-1].ok
 
 
+def _shifted(k, da, dj):
+    return KnotComplex(tuple(BaseGenerator(g.name, g.alexander + da, g.algebraic + dj, g.maslov)
+                             for g in k.generators), k.arrows)
+
+
+def test_validation_finds_the_tower_level_the_engine_finds():
+    """The level that `validate_complex` reports is (-Upsilon(2)/2, -Upsilon(0)/2)
+    from the engine: the least greatest A and j over all generating cycles."""
+    rng = random.Random(53)
+    hand = [
+        KnotComplex((BaseGenerator("x", 0, 0, 0),), ()),
+        KnotComplex((BaseGenerator("x0", 1, 0, 0), BaseGenerator("x1", 0, 1, 0),
+                     BaseGenerator("y0", 1, 1, 1)), (("y0", "x0", 0), ("y0", "x1", 0))),
+        add_box(mirror(torus_knot(4, 3)), (4, 4), 0),
+    ]
+    knots = SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + hand + [_random_sum(rng) for _ in range(12)]
+    for k in knots:
+        for da, dj in [(0, 0), (1, 0), (0, -2), (-1, 3), (rng.randint(-4, 4), rng.randint(-4, 4))]:
+            moved = _shifted(k, da, dj)
+            a, j = -upsilon_at(moved, 2) / 2, -upsilon_at(moved, 0) / 2
+            assert (a, j) == (da, dj)
+            expected = () if (a, j) == (0, 0) else (
+                f"H_0 is generated at filtration level (A, j) = ({a}, {j}), expected (0, 0)",)
+            assert validate_complex(moved).problems == expected
+
+
 def test_ill_graded_arrow_of_either_parity_raises():
     gens = (BaseGenerator("x", 0, 0, 0), BaseGenerator("y", 0, 0, 1), BaseGenerator("z", 0, 0, 1))
     k = KnotComplex(gens, (("y", "z", 0),))  # odd source, target one grading too high
