@@ -11,6 +11,11 @@ of matching Maslov parity).
 "Knot-type" means the total homology is a single U-tower: H_0 = F2 (and hence
 H_d = F2 for all even d by U-periodicity) and H_1 = 0.  That is the shape the
 invariants in this package evaluate on.
+
+Each complex gets one engine (`_Engine`, kept with it) from the graded layout
+(`_graded`) and one clearing echelonization; `validate_complex` and every
+invariant query read it and its keyed reduction (`_reduce`).  The oracles
+take their positions and cycle from `maslov_slice` and `representative_cycle`.
 """
 
 from __future__ import annotations
@@ -188,6 +193,94 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple]:
     return tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns)
 
 
+class _Engine:
+    """Generator positions of slices 0 and 1, the degree-1 differential by
+    columns (as slice-0 masks), a basis of im d1 (as tuples of row indices
+    and as masks), the cycles that clearing leaves (slice-0 masks, a basis
+    of H_0), rank d0, the reference generating cycle z_ref (the first of
+    those cycles, or 0) and the upsilon curve.  `of` builds it once per
+    complex, for validation and queries alike, and keeps it in the complex's
+    instance dict, so it lives exactly as long as the complex (KnotComplex
+    equality, hash and repr read only fields).
+    """
+
+    def __init__(self, k: KnotComplex):
+        (self.pos0, self.pos1), (d0_supports, d1_supports) = _graded(k)
+        self.d1_cols = tuple(map(_mask, d1_supports))
+        d0_cols = list(map(_mask, d0_supports))
+        # The d1 columns that stay independent in column order are a basis of
+        # im d1.  Each stored pivot's companion is its own column's bit plus
+        # bits of earlier columns, so its top bit names the column it came from.
+        tops: dict[int, tuple[int, int]] = {}
+        _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
+        kept = sorted(c.bit_length() - 1 for _, c in tops.values())
+        self.basis_supports = tuple(d1_supports[i] for i in kept)
+        self.basis_cols = tuple(self.d1_cols[i] for i in kept)
+        # Clearing: a d0 column at the leading row of a boundary tops a cycle,
+        # so it is skipped, and the other columns still reach rank d0.  The
+        # set of leading rows of im d1 does not depend on the basis, so each
+        # column that reduces to zero tops a cycle that no sum of boundaries
+        # and the other such cycles tops: the cycles are a basis of H_0.
+        pivots: dict[int, tuple[int, int]] = {}
+        self.cycles = _echelonize(
+            pivots, ((col, 1 << j) for j, col in enumerate(d0_cols) if j not in tops)
+        )
+        self.rank0 = len(pivots)
+        self.z_ref = self.cycles[0] if self.cycles else 0
+        boundary = 0
+        for j in _bits(self.z_ref):
+            boundary ^= d0_cols[j]
+        if boundary:
+            raise AssertionError("engine build: the cleared generating cycle fails d0·z = 0")
+        self.curve = None  # the upsilon curve, filled by invariants.upsilon_function
+
+    @staticmethod
+    def of(k: KnotComplex) -> "_Engine":
+        eng = vars(k).get("_engine")
+        if eng is None:
+            eng = vars(k)["_engine"] = _Engine(k)
+        return eng
+
+
+def _reduce(eng: _Engine, keys: list) -> tuple:
+    """Filtered reduction of the generating coset z_ref + im(d1).
+
+    The slice-0 rows are ordered by key and the engine's basis of im d1
+    echelonized by their latest row; each echelon vector carries, beside it,
+    the same chain in original row order.  Which d1 columns are dependent
+    does not depend on the keys, so the basis fixed at build spans what all
+    the columns would, with none of them reducing to zero here.  Reducing
+    z_ref against the echelon basis leaves the coset member whose latest row
+    is earliest, so the key of that row is the least, over all generating
+    cycles, of the greatest key on a support.  (z_ref is a cleared cycle,
+    never a boundary, so it never reduces to zero.)
+
+    Returns that key, the reduced cycle (a slice0 mask) and the echelon
+    basis as (leading key, slice0 mask) pairs; the basis vectors with leading
+    key <= x span the boundaries supported on rows of key <= x.
+    """
+    if not eng.z_ref:
+        raise ValueError("complex has no degree-0 homology generator (not knot-type)")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    bit = [0] * len(order)
+    for r, i in enumerate(order):
+        bit[i] = 1 << r
+
+    def permute(rows) -> int:
+        mask = 0
+        for i in rows:
+            mask |= bit[i]
+        return mask
+
+    pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
+    _echelonize(pivots, zip(map(permute, eng.basis_supports), eng.basis_cols))
+    z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
+    if permute(_bits(w)) != z:
+        raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
+    basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
+    return keys[order[z.bit_length() - 1]], w, basis
+
+
 def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
     """The differential from the grading-d slice to the grading-(d-1) slice.
 
@@ -216,6 +309,9 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     each filtration, as every knot's is: over all generating cycles, the
     least greatest j and the least greatest A are both 0, which is
     Upsilon(0) = Upsilon(2) = 0.
+
+    The homology checks read the engine that later queries reuse: its
+    clearing gives the ranks, and `_reduce` keyed by A and by j the level.
     """
     problems: list[str] = []
     by_name = k.by_name
@@ -240,13 +336,9 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    (pos0, pos1), (d0, d1) = _graded(k)
-    boundaries: dict = {}
-    r1 = len(d1) - len(_echelonize(boundaries, ((_mask(rows), 0) for rows in d1)))
-    cycles = _echelonize({}, ((_mask(rows), 1 << j) for j, rows in enumerate(d0)))
-    r0 = len(d0) - len(cycles)
-    h0 = len(pos0) - r0 - r1
-    h1 = len(pos1) - r1 - r0
+    eng = _Engine.of(k)
+    h0 = len(eng.cycles)
+    h1 = len(eng.pos1) - len(eng.basis_cols) - eng.rank0
     if h0 != 1:
         problems.append(f"dim H_0 = {h0}, expected 1 (not a single U-tower)")
     if h1 != 0:
@@ -254,30 +346,11 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    # A cycle of the kernel basis that is not a boundary generates H_0.
-    z = next(z for z in cycles if _reduce_pair(boundaries, z, 0)[0])
-    a, j = (_least_max(z, [p[c] for p in pos0], d1) for c in (0, 1))
+    a, j = (_reduce(eng, [p[c] for p in eng.pos0])[0] for c in (0, 1))
     if (a, j) != (0, 0):
         problems.append(f"H_0 is generated at filtration level (A, j) = ({a}, {j}), "
                         "expected (0, 0)")
     return ValidationReport(tuple(problems))
-
-
-def _least_max(z: int, keys: list[int], d1_supports) -> int:
-    """The least, over the cycles z + im d1, of the greatest key on a support.
-
-    With the slice-0 rows ordered by key, reducing z against the d1 columns
-    echelonized by their latest row leaves the coset member whose latest row
-    is earliest.
-    """
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    bit = [0] * len(order)
-    for r, i in enumerate(order):
-        bit[i] = 1 << r
-    pivots: dict = {}
-    _echelonize(pivots, ((sum(map(bit.__getitem__, col)), 0) for col in d1_supports))
-    z = _reduce_pair(pivots, sum(map(bit.__getitem__, _bits(z))), 0)[0]
-    return keys[order[z.bit_length() - 1]]
 
 
 def representative_cycle(k: KnotComplex) -> Chain:
@@ -423,4 +496,7 @@ def save_complex(k: KnotComplex, path: str) -> None:
 
 def load_complex(path: str) -> KnotComplex:
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            return from_json_dict(json.load(fh))
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError("complex JSON nests too deeply to decode") from None

@@ -30,12 +30,12 @@ echelon prefix reduces within it, so the top bit of its companion names the
 least key whose columns span it.  Keys are exact integers (entering times as
 numerators over the region's common denominator, Alexander gradings), so every
 value is exact, and only the returned value is made a Fraction.  The engine
-reads positions and differentials from one pass over the arrows
-(`complexes._graded`).  One echelonization of the d1 columns at build fixes the
-basis of im d1 (the columns independent of the earlier ones; which columns are
-dependent does not depend on any key, so no row-keyed reduction needs the
-others: the clearing idea of persistent homology) and, from the same pivots,
-the reference cycle by clearing.
+and the row-keyed reduction live in `complexes` (`_Engine`, `_reduce`), where
+validation reads them too.  One echelonization of the d1 columns at build
+fixes the basis of im d1 (the columns independent of the earlier ones; which
+columns are dependent does not depend on any key, so no row-keyed reduction
+needs the others: the clearing idea of persistent homology) and, from the
+same pivots, the reference cycle by clearing.
 
 The upsilon curve is a kinetic sweep over these reductions rather than one
 per crossing of any two generator lines.  A reduction at t keyed by each
@@ -49,7 +49,7 @@ slope: the limits of H_{t*+eps} and H_{t*-eps}, with no width to choose.
 
 `brute_force_upsilon` and `brute_force_secondary` recompute the same
 quantities by enumerating entire cycle cosets, as independent oracles in the
-tests.  They share the echelon kernel and the d1 of that pass (through
+tests.  They share the echelon kernel and the one-pass d1 layout (through
 `boundary_matrix`); their positions (`maslov_slice`) and generating cycle (a
 nullspace) are their own.
 """
@@ -61,7 +61,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .complexes import KnotComplex, _graded, boundary_matrix, maslov_slice, representative_cycle
+from .complexes import (KnotComplex, _Engine, _reduce, boundary_matrix, maslov_slice,
+                        representative_cycle)
 from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from .regions import (
     PLFunction,
@@ -124,92 +125,8 @@ class BreakingPoint:
 
 
 # ---------------------------------------------------------------------------
-# The engine: what the filtered reduction reads of one complex
+# Region invariants and the upsilon curve: reductions on the complex's engine
 # ---------------------------------------------------------------------------
-
-
-class _Engine:
-    """Generator positions of slices 0 and 1, the degree-1 differential by
-    columns (as slice-0 masks), a basis of im d1 fixed at build (as tuples of
-    row indices and as masks), a reference generating cycle (a slice-0 mask)
-    and the upsilon curve.  `of` builds it once per complex and keeps it in
-    the complex's instance dict, so it lives exactly as long as the complex
-    (KnotComplex equality, hash and repr read only fields).
-    """
-
-    def __init__(self, k: KnotComplex):
-        (self.pos0, self.pos1), (d0_supports, d1_supports) = _graded(k)
-        self.d1_cols = tuple(map(_mask, d1_supports))
-        d0_cols = list(map(_mask, d0_supports))
-        # The d1 columns that stay independent in column order are a basis of
-        # im d1.  Each stored pivot's companion is its own column's bit plus
-        # bits of earlier columns, so its top bit names the column it came from.
-        tops: dict[int, tuple[int, int]] = {}
-        _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
-        kept = sorted(c.bit_length() - 1 for _, c in tops.values())
-        self.basis_supports = tuple(d1_supports[i] for i in kept)
-        self.basis_cols = tuple(self.d1_cols[i] for i in kept)
-        # The generating cycle by clearing: a d0 column at the leading row of
-        # a boundary tops a cycle, so it is skipped.  The set of leading rows
-        # of im d1 does not depend on the basis, so the one other column that
-        # reduces to zero tops a cycle that no boundary tops: not a boundary.
-        cycles = _echelonize(
-            {}, ((col, 1 << j) for j, col in enumerate(d0_cols) if j not in tops)
-        )
-        if not cycles:
-            raise ValueError("complex has no degree-0 homology generator (not knot-type)")
-        self.z_ref = cycles[0]
-        boundary = 0
-        for j in _bits(self.z_ref):
-            boundary ^= d0_cols[j]
-        if boundary:
-            raise AssertionError("engine build: the cleared generating cycle fails d0·z = 0")
-        self.curve: PLFunction | None = None  # filled by upsilon_function
-
-    @staticmethod
-    def of(k: KnotComplex) -> "_Engine":
-        eng = vars(k).get("_engine")
-        if eng is None:
-            eng = vars(k)["_engine"] = _Engine(k)
-        return eng
-
-
-def _reduce(eng: _Engine, keys: list) -> tuple:
-    """Filtered reduction of the generating coset z_ref + im(d1).
-
-    The slice-0 rows are ordered by key and the engine's basis of im d1
-    echelonized by their latest row; each echelon vector carries, beside it,
-    the same chain in original row order.  Which d1 columns are dependent
-    does not depend on the keys, so the basis fixed at build spans what all
-    the columns would, with none of them reducing to zero here.  Reducing
-    z_ref against the echelon basis leaves the coset member whose latest row
-    is earliest, so the key of that row is the least, over all generating
-    cycles, of the greatest key on a support.
-
-    Returns that key, the reduced cycle (a slice0 mask) and the echelon
-    basis as (leading key, slice0 mask) pairs; the basis vectors with leading
-    key <= x span the boundaries supported on rows of key <= x.
-    """
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    bit = [0] * len(order)
-    for r, i in enumerate(order):
-        bit[i] = 1 << r
-
-    def permute(rows) -> int:
-        mask = 0
-        for i in rows:
-            mask |= bit[i]
-        return mask
-
-    pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
-    _echelonize(pivots, zip(map(permute, eng.basis_supports), eng.basis_cols))
-    z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
-    if not z:
-        raise ValueError("no generating cycle at the full translate; complex not knot-type?")
-    if permute(_bits(w)) != z:
-        raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
-    basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
-    return keys[order[z.bit_length() - 1]], w, basis
 
 
 def _line_keys(positions, n: int, d: int, sign: int) -> list[tuple[int, int]]:

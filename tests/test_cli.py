@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import upsilonkit
-from upsilonkit import invariants, zoo
+from upsilonkit import complexes, invariants, zoo
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
@@ -384,7 +384,7 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
     k = zoo.torus_knot(5, 3)
     with pytest.raises(AssertionError, match="^upsilon curve: the line leading after t = "):
         invariants.upsilon_function(k)
-    assert invariants._Engine.of(k).curve is None  # nothing unchecked is kept
+    assert complexes._Engine.of(k).curve is None  # nothing unchecked is kept
     calls.clear()
     code, out, err = run(capsys, "upsilon", "T(5,3)")
     assert code == 4 and out == ""
@@ -502,6 +502,15 @@ def test_validate_rejects_non_knot_complex(tmp_path, capsys):
 
     code, _, err = run(capsys, "upsilon", f"file({path})")
     assert code == 2 and "validation failure" in err
+
+
+def test_deeply_nested_complex_json_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"generators": ' + "[" * 2000 + "]" * 2000 + "}")
+    for argv in (("validate", "--complex-file", str(path)), ("upsilon", f"file({path})")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: complex JSON nests too deeply to decode\n"
 
 
 def test_missing_complex_file(capsys):

@@ -26,7 +26,7 @@ from upsilonkit.complexes import (
     tensor,
     validate_complex,
 )
-from upsilonkit.exact import F2Space, _bits, _columns, _echelonize, _reduce_pair
+from upsilonkit.exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     BreakingPoint,
@@ -633,13 +633,13 @@ def test_filtered_reduction_matches_oracles_on_random_sums():
 
 def test_oracles_do_not_read_the_engine_build(monkeypatch):
     # A wrong engine cycle must show up as an oracle mismatch.
-    build = invariants._Engine.__init__
+    build = complexes._Engine.__init__
 
     def broken(self, k):
         build(self, k)
         self.z_ref = 1
 
-    monkeypatch.setattr(invariants._Engine, "__init__", broken)
+    monkeypatch.setattr(complexes._Engine, "__init__", broken)
     k = tensor(torus_knot(3, 2), mirror(torus_knot(5, 2)))
     r = upsilon_halfplane(F(3, 2))
     assert upsilon_region(k, r) != brute_force_upsilon(k, r)
@@ -663,7 +663,7 @@ def test_kim_livingston_oracle_leaves_no_engine():
 def test_clearing_cycle_is_in_the_coset_of_the_nullspace_route():
     rng = random.Random(77)
     for k in SMALL_ZOO + [_random_sum(rng) for _ in range(12)]:
-        eng = invariants._Engine.of(k)
+        eng = complexes._Engine.of(k)
         assert boundary_matrix(k, 0).mat_vec(eng.z_ref) == 0
         index0 = {lg: i for i, lg in enumerate(maslov_slice(k, 0))}
         rep = sum(1 << index0[lg] for lg in representative_cycle(k))
@@ -743,7 +743,8 @@ def _shifted(k, da, dj):
 
 def test_validation_finds_the_tower_level_the_engine_finds():
     """The level that `validate_complex` reports is (-Upsilon(2)/2, -Upsilon(0)/2)
-    from the engine: the least greatest A and j over all generating cycles."""
+    from the engine: the least greatest A and j over all generating cycles.
+    Within the oracle guard, enumerating every generating cycle finds it too."""
     rng = random.Random(53)
     hand = [
         KnotComplex((BaseGenerator("x", 0, 0, 0),), ()),
@@ -752,6 +753,7 @@ def test_validation_finds_the_tower_level_the_engine_finds():
         add_box(mirror(torus_knot(4, 3)), (4, 4), 0),
     ]
     knots = SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + hand + [_random_sum(rng) for _ in range(12)]
+    checked = 0
     for k in knots:
         for da, dj in [(0, 0), (1, 0), (0, -2), (-1, 3), (rng.randint(-4, 4), rng.randint(-4, 4))]:
             moved = _shifted(k, da, dj)
@@ -760,6 +762,133 @@ def test_validation_finds_the_tower_level_the_engine_finds():
             expected = () if (a, j) == (0, 0) else (
                 f"H_0 is generated at filtration level (A, j) = ({a}, {j}), expected (0, 0)",)
             assert validate_complex(moved).problems == expected
+            try:
+                level = tuple(brute_force_upsilon(moved, upsilon_halfplane(t)) for t in (2, 0))
+            except GuardExceeded:
+                continue
+            assert level == (a, j)
+            checked += 1
+    assert checked > len(knots)
+
+
+# ---------------------------------------------------------------------------
+# validation reads the engine: the route it replaced, as a reference
+# ---------------------------------------------------------------------------
+
+
+def _validate_by_separate_echelonizations(k):
+    """`validate_complex` as it was before it read the engine: its own
+    echelonizations of d1 and d0 for the ranks, a cycle that is not a
+    boundary, and a keyed reduction of that cycle against every d1 column."""
+    problems = []
+    by_name = k.by_name
+    for src, dst, m in k.arrows:
+        x, y = by_name[src], by_name[dst]
+        if y.maslov - 2 * m != x.maslov - 1:
+            problems.append(f"arrow {src} -> U^{m}·{dst} violates the Maslov convention")
+        if y.alexander - m > x.alexander or y.algebraic - m > x.algebraic:
+            problems.append(f"arrow {src} -> U^{m}·{dst} increases the filtration")
+    for g in k.generators:
+        acc = set()
+        for mid, m1 in k.arrows_from(g.name):
+            for dst, m2 in k.arrows_from(mid):
+                acc ^= {(dst, m1 + m2)}
+        if acc:
+            terms = ", ".join(f"U^{m}·{dst}" for dst, m in sorted(acc))
+            problems.append(f"d^2({g.name}) = {terms} != 0")
+    if problems:
+        return tuple(problems)
+
+    (pos0, pos1), (d0, d1) = complexes._graded(k)
+    boundaries = {}
+    r1 = len(d1) - len(_echelonize(boundaries, ((_mask(rows), 0) for rows in d1)))
+    cycles = _echelonize({}, ((_mask(rows), 1 << j) for j, rows in enumerate(d0)))
+    r0 = len(d0) - len(cycles)
+    h0, h1 = len(pos0) - r0 - r1, len(pos1) - r1 - r0
+    if h0 != 1:
+        problems.append(f"dim H_0 = {h0}, expected 1 (not a single U-tower)")
+    if h1 != 0:
+        problems.append(f"dim H_1 = {h1}, expected 0")
+    if problems:
+        return tuple(problems)
+
+    z = next(z for z in cycles if _reduce_pair(boundaries, z, 0)[0])
+    a, j = (_least_max(z, [p[c] for p in pos0], d1) for c in (0, 1))
+    if (a, j) != (0, 0):
+        problems.append(f"H_0 is generated at filtration level (A, j) = ({a}, {j}), "
+                        "expected (0, 0)")
+    return tuple(problems)
+
+
+def _least_max(z, keys, d1_supports):
+    """The least, over the cycles z + im d1, of the greatest key on a support:
+    reduce z against every d1 column, rows ordered by key."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    bit = [0] * len(order)
+    for r, i in enumerate(order):
+        bit[i] = 1 << r
+    pivots = {}
+    _echelonize(pivots, ((sum(map(bit.__getitem__, col)), 0) for col in d1_supports))
+    z = _reduce_pair(pivots, sum(map(bit.__getitem__, _bits(z))), 0)[0]
+    return keys[order[z.bit_length() - 1]]
+
+
+def _random_complex(rng):
+    """1-7 generators at A, j, M in {0, 1} and random arrows, nearly all of
+    them legal in grading and filtration, so that the complexes fail every
+    check that `validate_complex` makes, and some pass them all."""
+    n = rng.randint(1, 7)
+    gens = [BaseGenerator(f"g{i}", *(rng.randint(0, 1) for _ in range(3))) for i in range(n)]
+    arrows = []
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        x, y = rng.choice(gens), rng.choice(gens)
+        m = (y.maslov - x.maslov + 1) // 2  # drops the grading by one if the parities differ
+        legal = ((y.maslov - x.maslov) % 2 and y.alexander - m <= x.alexander
+                 and y.algebraic - m <= x.algebraic)
+        if legal or rng.random() < 0.1:
+            arrows.append((x.name, y.name, m))
+    return KnotComplex(tuple(gens), tuple(arrows))
+
+
+def test_validation_matches_the_separate_echelonization_route():
+    rng = random.Random(2024)
+    zoo = SMALL_ZOO + [mirror(k) for k in SMALL_ZOO]
+    cases = ([_random_complex(rng) for _ in range(1500)] + zoo
+             + [_shifted(k, rng.randint(-3, 3), rng.randint(-3, 3)) for k in zoo]
+             + [add_box(k, (rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-2, 2))
+                for k in zoo])
+    seen = set()
+    for k in cases:
+        problems = validate_complex(k).problems
+        assert problems == _validate_by_separate_echelonizations(k), k
+        seen.update(key for p in problems for key in ("Maslov", "filtration", "d^2", "dim H_0",
+                                                      "dim H_1", "filtration level") if key in p)
+        seen.add("ok" if not problems else "problem")
+    assert seen == {"Maslov", "filtration", "d^2", "dim H_0", "dim H_1", "filtration level",
+                    "ok", "problem"}
+
+
+def test_one_engine_build_serves_validation_and_every_query(monkeypatch):
+    graded = complexes._graded
+    calls = []
+
+    def count(k):
+        calls.append(k)
+        return graded(k)
+
+    monkeypatch.setattr(complexes, "_graded", count)
+    built = torus_knot(8, 5)  # the staircase build validates it
+    assert len(calls) == 1 and "_engine" in vars(built)
+    fresh = KnotComplex(built.generators, built.arrows)
+    assert validate_complex(fresh).ok
+    for k in (built, fresh):
+        upsilon_function(k)
+        vk(k, 1)
+        eta(k, upsilon_halfplane(F(2, 3)))
+        bp = breaking_points(k)[0]
+        kim_livingston(k, bp.t, F(1))
+        assert validate_complex(k).ok
+    assert len(calls) == 2  # one build for each complex
 
 
 def test_ill_graded_arrow_of_either_parity_raises():
@@ -797,7 +926,7 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
 def _every_crossing_curve(k):
     """The curve by the route the kinetic sweep replaced: the engine value at
     every crossing of any two generator lines."""
-    ts = invariants._candidate_ts(invariants._Engine.of(k).pos0)
+    ts = invariants._candidate_ts(complexes._Engine.of(k).pos0)
     return PLFunction(tuple((t, -2 * upsilon_region(k, upsilon_halfplane(t))) for t in ts))
 
 
@@ -982,7 +1111,7 @@ def test_kim_livingston_matches_perturbation_route():
     )
     errors = 0
     for k in knots:
-        candidates = invariants._candidate_ts(invariants._Engine.of(k).pos0)
+        candidates = invariants._candidate_ts(complexes._Engine.of(k).pos0)
         points = [t for t, _ in upsilon_function(k).points]
         for t in points[1:-1] + [(t0 + t1) / 2 for t0, t1 in zip(points, points[1:])]:
             old = _perturbation_route(k, candidates, t)
@@ -1010,7 +1139,7 @@ def test_engine_basis_spans_the_boundaries():
     boxed = [add_box(torus_knot(4, 3), (1, -2), -1), add_box(mirror(torus_knot(5, 2)), (-3, 0), 1),
              add_box(add_box(torus_knot(3, 2), (0, 0), -3), (2, 2), 2)]
     for k in SMALL_ZOO + boxed + [_random_torus_sum(rng) for _ in range(12)] + [_headline()]:
-        eng = invariants._Engine.of(k)
+        eng = complexes._Engine.of(k)
         kept = set(eng.basis_cols)
         assert len(eng.basis_cols) == boundary_matrix(k, 1).rank() == F2Space(eng.basis_cols).dim
         assert [sum(1 << i for i in rows) for rows in eng.basis_supports] == list(eng.basis_cols)
@@ -1073,16 +1202,16 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
 
 def test_region_query_echelonizes_only_the_basis(monkeypatch):
     k = _headline()
-    invariants._Engine.of(k)  # the build echelonizes every column, once
+    complexes._Engine.of(k)  # the build echelonizes every column, once
     columns = []
-    echelonize = invariants._echelonize
+    echelonize = complexes._echelonize
 
     def count(pivots, pairs):
         pairs = list(pairs)
         columns.append(len(pairs))
         return echelonize(pivots, pairs)
 
-    monkeypatch.setattr(invariants, "_echelonize", count)
+    monkeypatch.setattr(complexes, "_echelonize", count)
     upsilon_region(k, upsilon_halfplane(F(2, 3)))
     assert columns == [boundary_matrix(k, 1).rank()] == [215]
 
@@ -1095,7 +1224,7 @@ def test_region_query_echelonizes_only_the_basis(monkeypatch):
 def _nu_plus_by_v_scan(k):
     """nu+ by the route one keyed reduction replaced: V(s) for s = 0, 1, ...
     up to one past the largest Alexander grading."""
-    bound = max(0, max(a for a, _ in invariants._Engine.of(k).pos0)) + 1
+    bound = max(0, max(a for a, _ in complexes._Engine.of(k).pos0)) + 1
     for s in range(bound + 1):
         if vk(k, s) == 0:
             return s

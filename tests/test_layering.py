@@ -38,3 +38,20 @@ def test_each_layer_imports_only_layers_above_it():
         imported = _package_imports(PACKAGE / f"{name}.py")
         below = {m for m in imported if ORDER.index(m) >= ORDER.index(name)}
         assert not below, f"{name} imports {sorted(below)}, which are not above it"
+
+
+def test_only_complexes_reads_the_graded_layout():
+    # The engine and validation read `_graded` inside `complexes`; every
+    # other module goes through them, so the graded layout stays behind one module.
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "complexes":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert "_graded" not in names, f"{path.stem} references _graded"
