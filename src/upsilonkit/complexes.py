@@ -14,8 +14,12 @@ invariants in this package evaluate on.
 
 Each complex gets one engine (`_Engine`, kept with it) from the graded layout
 (`_graded`) and one clearing echelonization; `validate_complex` and every
-invariant query read it and its keyed reduction (`_reduce`).  The oracles
-take their positions and cycle from `maslov_slice` and `representative_cycle`.
+invariant query read it.  Two keyed reductions run on it.  `_least_top`
+answers the key-only queries (the tower's level here; Υ^C, the Υ sweep, V,
+ν⁺ and η in `invariants`) from the rows, and stops at the answer.
+`_reduce`, by columns, also returns the reduced cycle and the boundary
+basis that the secondary invariant needs.  The oracles take their positions
+and cycle from `maslov_slice` and `representative_cycle`.
 """
 
 from __future__ import annotations
@@ -113,9 +117,9 @@ class KnotComplex:
         for arrow in self.arrows:
             src, dst, m = arrow
             if src not in known or dst not in known:
-                raise ValueError(f"arrow endpoint not a generator: {arrow}")
+                raise ValueError(f"arrow endpoint not a generator: {_excerpt(arrow)}")
             if isinstance(m, bool) or not isinstance(m, int):
-                raise ValueError(f"arrow U-power must be an integer: {arrow}")
+                raise ValueError(f"arrow U-power must be an integer: {_excerpt(arrow)}")
             key = (src, dst, m)
             if key in seen:  # F2 coefficients: equal arrows cancel
                 seen.remove(key)
@@ -195,9 +199,10 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple]:
 
 class _Engine:
     """Generator positions of slices 0 and 1, the degree-1 differential by
-    columns (as slice-0 masks), a basis of im d1 (as tuples of row indices
-    and as masks), the cycles that clearing leaves (slice-0 masks, a basis
-    of H_0), rank d0, the reference generating cycle z_ref (the first of
+    columns (as slice-0 masks), a basis of im d1 (as tuples of row indices,
+    as masks, and by rows: per slice-0 generator, the mask of the basis
+    columns through it), the cycles that clearing leaves (slice-0 masks, a
+    basis of H_0), rank d0, the reference generating cycle z_ref (the first of
     those cycles, or 0) and the upsilon curve.  `of` builds it once per
     complex, for validation and queries alike, and keeps it in the complex's
     instance dict, so it lives exactly as long as the complex (KnotComplex
@@ -216,6 +221,11 @@ class _Engine:
         kept = sorted(c.bit_length() - 1 for _, c in tops.values())
         self.basis_supports = tuple(d1_supports[i] for i in kept)
         self.basis_cols = tuple(self.d1_cols[i] for i in kept)
+        rows = [0] * len(self.pos0)  # per slice-0 generator, the basis columns through it
+        for b, support in enumerate(self.basis_supports):
+            for i in support:
+                rows[i] |= 1 << b
+        self.basis_rows = tuple(rows)
         # Clearing: a d0 column at the leading row of a boundary tops a cycle,
         # so it is skipped, and the other columns still reach rank d0.  The
         # set of leading rows of im d1 does not depend on the basis, so each
@@ -257,7 +267,8 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
 
     Returns that key, the reduced cycle (a slice0 mask) and the echelon
     basis as (leading key, slice0 mask) pairs; the basis vectors with leading
-    key <= x span the boundaries supported on rows of key <= x.
+    key <= x span the boundaries supported on rows of key <= x.  A query that
+    needs only the key takes `_least_top`, which gives the same key.
     """
     if not eng.z_ref:
         raise ValueError("complex has no degree-0 homology generator (not knot-type)")
@@ -279,6 +290,33 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
         raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
     basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
     return keys[order[z.bit_length() - 1]], w, basis
+
+
+def _least_top(eng: _Engine, keys: list):
+    """The least, over all generating cycles, of the greatest key on a
+    support: the leading key of `_reduce`, found from the rows.
+
+    Every generating cycle meets a row set S an odd number of times exactly
+    when the sum of the basis rows of S is zero (it kills every boundary)
+    and S meets z_ref oddly.  So the rows are echelonized by decreasing key,
+    each with its z_ref bit as companion, and the first row to reduce to
+    zero with companion 1 closes such an S whose least key is its own: every
+    generating cycle reaches that key, and one stays at or below it, since
+    no such S exists among the rows of greater key.  The rows after it are
+    never read.
+    """
+    z_ref = eng.z_ref
+    if not z_ref:
+        raise ValueError("complex has no degree-0 homology generator (not knot-type)")
+    rows = eng.basis_rows
+    pivots: dict[int, tuple[int, int]] = {}
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        v, c = _reduce_pair(pivots, rows[i], z_ref >> i & 1)
+        if v:
+            pivots[v.bit_length() - 1] = (v, c)
+        elif c:
+            return keys[i]
+    raise AssertionError("least-top reduction: the generating cycle is a boundary")
 
 
 def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
@@ -311,7 +349,7 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     Upsilon(0) = Upsilon(2) = 0.
 
     The homology checks read the engine that later queries reuse: its
-    clearing gives the ranks, and `_reduce` keyed by A and by j the level.
+    clearing gives the ranks, and `_least_top` keyed by A and by j the level.
     """
     problems: list[str] = []
     by_name = k.by_name
@@ -346,7 +384,7 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    a, j = (_reduce(eng, [p[c] for p in eng.pos0])[0] for c in (0, 1))
+    a, j = (_least_top(eng, [p[c] for p in eng.pos0]) for c in (0, 1))
     if (a, j) != (0, 0):
         problems.append(f"H_0 is generated at filtration level (A, j) = ({a}, {j}), "
                         "expected (0, 0)")
@@ -459,11 +497,18 @@ def to_json_dict(k: KnotComplex) -> dict:
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list"}
 
 
+def _excerpt(value) -> str:
+    """repr(value), cut to at most 60 characters, so that an error message
+    about untrusted input stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _json_field(value, kind: type, field: str):
     """A field of complex JSON, of exactly this kind: nothing is coerced with
     int() or str(), and a boolean is not an integer."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"field {field!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"field {field!r} must be {_JSON_KINDS[kind]}, got {_excerpt(value)}")
     return value
 
 
@@ -476,16 +521,16 @@ def from_json_dict(data: dict) -> KnotComplex:
             gens.append(BaseGenerator(_json_field(entry["id"], str, "id"),
                                       *(_json_field(entry[f], int, f) for f in "AjM")))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad generator entry {entry!r}: {exc}") from None
+            raise ValueError(f"bad generator entry {_excerpt(entry)}: {exc}") from None
     arrows = []
     for entry in _json_field(data.get("arrows", []), list, "arrows"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError(f"bad arrow entry {entry!r}: expected [src, dst, upower]")
+            raise ValueError(f"bad arrow entry {_excerpt(entry)}: expected [src, dst, upower]")
         try:
             arrows.append((_json_field(entry[0], str, "src"), _json_field(entry[1], str, "dst"),
                            _json_field(entry[2], int, "upower")))
         except ValueError as exc:
-            raise ValueError(f"bad arrow entry {entry!r}: {exc}") from None
+            raise ValueError(f"bad arrow entry {_excerpt(entry)}: {exc}") from None
     return KnotComplex(tuple(gens), tuple(arrows))
 
 

@@ -5,9 +5,12 @@ Everything downstream is exact.  Rational numbers are `fractions.Fraction`
 on bit-packed vectors (a Python int, bit i = coordinate i), so one XOR adds a
 whole row or column.  There is one echelon kernel, `_echelonize`: it reduces
 vectors by their leading bit against a dict of pivots, carrying a companion
-vector along to record which inputs were added.  `F2Matrix` rank, solve and
-nullspace, the `F2Space` span tests (which serve `representative_cycle` and
-the oracles only), and the engine's reductions and clearing all run on it.
+vector along to record which inputs were added; `_reduce_pair` is its
+one-vector step.  `F2Matrix` rank, solve and nullspace, the `F2Space` span
+tests (which serve `representative_cycle` and the oracles only), and the
+engine's clearing and column reductions all run on `_echelonize`.  The
+engine's key-only reduction calls `_reduce_pair` once per row, since it
+stops at the first row that answers its query.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def _echelonize(pivots: dict, pairs) -> list[int]:
     pair's companion is a relation among the inputs.
     """
     zeros = []
-    for v, c in pairs:  # `_reduce_pair` inlined: a call per vector slows a region query by ~7%
+    for v, c in pairs:  # `_reduce_pair` inlined: a call per vector would slow every engine build
         while v and (pivot := pivots.get(v.bit_length() - 1)) is not None:
             v ^= pivot[0]
             c ^= pivot[1]

@@ -18,29 +18,36 @@ inside C_t.  Everything else is built from it:
 * eta: the least Alexander-direction truncation width at which the region
   invariant is already achieved.
 
-Each of these least-t questions is answered by one filtered F2 reduction, the
-standard persistence reduction.  Keyed by rows (`_reduce`): order the degree-0
-lattice generators by a key such as their entering time, echelonize a basis of
-the boundaries im d1 by their latest generator, and reduce a reference
-generating cycle against them; the key left leading is the least, over all
-generating cycles, of the greatest key on a support.  Keyed by columns
-(`_secondary`): echelonize degree-1 columns in key order, the r-th with
-companion bit r, and reduce a target boundary; a vector in the span of an
-echelon prefix reduces within it, so the top bit of its companion names the
-least key whose columns span it.  Keys are exact integers (entering times as
-numerators over the region's common denominator, Alexander gradings), so every
-value is exact, and only the returned value is made a Fraction.  The engine
-and the row-keyed reduction live in `complexes` (`_Engine`, `_reduce`), where
+Each of these least-t questions is answered by one filtered F2 reduction.
+Most ask only for the least, over all generating cycles, of the greatest key
+on a support, where each degree-0 lattice generator has a key such as its
+entering time: `upsilon_region`, the sweep and its chord checks, `vk`,
+`nu_plus` and `eta` take it from `_least_top`, the persistent-cohomology
+reduction.  It echelonizes the generators' rows of a basis of the boundaries
+im d1 by decreasing key, each with its bit of a reference generating cycle
+as companion; the first row that reduces to zero with companion 1 gives the
+answer, and the rest are never read.  `_secondary` also needs a cycle that
+attains it and the boundaries below it, so it takes `_reduce`, the
+persistent-homology reduction: order the generators by key, echelonize the
+basis columns by their latest generator and reduce the reference cycle
+against them; the key left leading is the same.  It then echelonizes
+degree-1 columns in key order, the r-th with companion bit r, and reduces a
+target boundary; a vector in the span of an echelon prefix reduces within
+it, so the top bit of its companion names the least key whose columns span
+it.  Keys are exact integers (entering times as numerators over the region's
+common denominator, Alexander gradings), so every value is exact, and only
+the returned value is made a Fraction.  The engine and both row-keyed
+reductions live in `complexes` (`_Engine`, `_least_top`, `_reduce`), where
 validation reads them too.  One echelonization of the d1 columns at build
 fixes the basis of im d1 (the columns independent of the earlier ones; which
-columns are dependent does not depend on any key, so no row-keyed reduction
-needs the others: the clearing idea of persistent homology) and, from the
-same pivots, the reference cycle by clearing.
+columns are dependent does not depend on any key, so no reduction needs the
+others: the clearing idea of persistent homology) and, from the same pivots,
+the reference cycle by clearing.
 
 The upsilon curve is a kinetic sweep over these reductions rather than one
 per crossing of any two generator lines.  A reduction at t keyed by each
-line's value and then its right slope leaves leading the line that is the
-curve just right of t; only where another line crosses that one can the
+line's value and then its right slope returns the key of the line that is
+the curve just right of t; only where another line crosses that one can the
 curve bend, so the sweep reduces next at the nearest such crossing, and ends
 at 2.  It asserts continuity at every event (the new leading line meets the
 old one) and the chord at the midpoint of every segment of the output curve.
@@ -61,8 +68,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .complexes import (KnotComplex, _Engine, _reduce, boundary_matrix, maslov_slice,
-                        representative_cycle)
+from .complexes import (KnotComplex, _Engine, _least_top, _reduce, boundary_matrix,
+                        maslov_slice, representative_cycle)
 from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from .regions import (
     PLFunction,
@@ -145,12 +152,12 @@ def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
 def upsilon_region(k: KnotComplex, r: SouthWestRegion) -> Fraction:
     """The least t at which C_t supports a generating cycle.
 
-    The minimum over cycles of the max entering time of their support is the
-    entering time left leading after one filtered reduction keyed by it.
+    The minimum over cycles of the max entering time of their support is
+    the key of one `_least_top` reduction keyed by entering time.
     """
     eng = _Engine.of(k)
     nums, d = entering_numerators(r, eng.pos0)
-    return Fraction(_reduce(eng, nums)[0], d)
+    return Fraction(_least_top(eng, nums), d)
 
 
 def upsilon_at(k: KnotComplex, t) -> Fraction:
@@ -164,8 +171,8 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
     A kinetic sweep.  Each generator at (A, j) has the line
     L(t) = j + (t/2)(A - j); the engine value at t is the least, over
     generating cycles, of the top line on a support.  One reduction at t = n/d
-    keyed by (2d·L(t), A - j), the value and then the right slope, leaves
-    leading a line l that is the value on [t, t + eps].  Until another line
+    keyed by (2d·L(t), A - j), the value and then the right slope, returns
+    the key of a line l that is the value on [t, t + eps].  Until another line
     crosses l every line stays on its side of it, so the value is l up to the
     nearest crossing of l after t; the sweep reduces there next, and ends at 2
     when nothing crosses l before it.  Two checks guard it: at every event the
@@ -187,7 +194,7 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
     lead = None  # the line (s, j) leading after the last event
     n, d = 0, 1  # the event t = n/d
     while True:
-        (v, s), _, _ = _reduce(eng, _line_keys(eng.pos0, n, d, 1))
+        v, s = _least_top(eng, _line_keys(eng.pos0, n, d, 1))
         if lead is not None and v != 2 * d * lead[1] + n * lead[0]:
             raise AssertionError(
                 f"upsilon curve: the line leading after t = {Fraction(n, d)} "
@@ -359,7 +366,7 @@ def nu_plus(k: KnotComplex) -> int:
     {A <= s} & {j <= 0}: one reduction keyed by (j > 0, A), as in `eta`.  Below
     A = 0 (no knot's case) the cycle may sit below j = 0 too; V(0) decides."""
     eng = _Engine.of(k)
-    (outside, a), _, _ = _reduce(eng, [(j > 0, a) for a, j in eng.pos0])
+    outside, a = _least_top(eng, [(j > 0, a) for a, j in eng.pos0])
     if outside or a < 0 and vk(k, 0) != 0:
         raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
     return max(0, a)
@@ -533,9 +540,9 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     """
     eng = _Engine.of(k)
     nums, d = entering_numerators(c, eng.pos0)
-    gamma = _reduce(eng, nums)[0]
+    gamma = _least_top(eng, nums)
     keys = [(n > gamma, p[0]) for n, p in zip(nums, eng.pos0)]
-    (outside, a), _, _ = _reduce(eng, keys)
+    outside, a = _least_top(eng, keys)
     if outside:
         raise AssertionError("eta: no generating cycle below the largest truncation")
     return a - Fraction(gamma, d)

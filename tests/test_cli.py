@@ -372,15 +372,15 @@ def test_exit_2_on_a_tower_off_level_zero(tmp_path, capsys):
 
 
 def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
-    reduce = invariants._reduce
+    least_top = invariants._least_top
     calls = []
 
     def corrupt(eng, keys):  # the sweep's second event comes back one too high
         calls.append(keys)
-        (v, s), w, basis = reduce(eng, keys)
-        return ((v + 1, s) if len(calls) == 2 else (v, s)), w, basis
+        v, s = least_top(eng, keys)
+        return (v + 1, s) if len(calls) == 2 else (v, s)
 
-    monkeypatch.setattr(invariants, "_reduce", corrupt)
+    monkeypatch.setattr(invariants, "_least_top", corrupt)
     k = zoo.torus_knot(5, 3)
     with pytest.raises(AssertionError, match="^upsilon curve: the line leading after t = "):
         invariants.upsilon_function(k)
@@ -389,6 +389,19 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
     code, out, err = run(capsys, "upsilon", "T(5,3)")
     assert code == 4 and out == ""
     assert err.startswith("internal check failed: upsilon curve: ") and err.count("\n") == 1
+
+
+def test_exit_4_when_the_generating_cycle_is_a_boundary(capsys, monkeypatch):
+    build = complexes._Engine.__init__
+
+    def boundary_cycle(self, k):
+        build(self, k)
+        self.z_ref = self.basis_cols[0]
+
+    monkeypatch.setattr(complexes._Engine, "__init__", boundary_cycle)
+    code, out, err = run(capsys, "upsilon", "T(5,3)")
+    assert (code, out) == (4, "")
+    assert err == "internal check failed: least-top reduction: the generating cycle is a boundary\n"
 
 
 def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
@@ -511,6 +524,17 @@ def test_deeply_nested_complex_json_is_one_error_line(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: complex JSON nests too deeply to decode\n"
+
+
+def test_bad_complex_entries_are_short_error_lines(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"generators": [' + "[" * 900 + "]" * 900 + "]}")
+    long_id = tmp_path / "long_id.json"
+    long_id.write_text(json.dumps({"generators": [{"id": "x" * 5000, "A": 0.5, "j": 0, "M": 0}]}))
+    for path, named in ((nested, "bad generator entry [[["), (long_id, "field 'A' must be an integer")):
+        code, out, err = run(capsys, "validate", "--complex-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1 and len(err) < 200
 
 
 def test_missing_complex_file(capsys):

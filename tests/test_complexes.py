@@ -495,3 +495,25 @@ X = {"id": "x", "A": 0, "j": 0, "M": 0}
 def test_from_json_dict_rejects_wrong_shapes_without_coercing(data, message):
     with pytest.raises(ValueError, match=message):
         from_json_dict(data)
+
+
+NESTED = [[]]
+for _ in range(900):
+    NESTED = [NESTED]
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"generators": [NESTED]}, "bad generator entry [[[["),
+        ({"generators": [dict(X, id="x" * 5000, A=0.5)]}, "field 'A' must be an integer, got 0.5"),
+        ({"generators": [X], "arrows": [["x", "x", "u" * 5000]]}, "field 'upower' must be an integer"),
+        ({"generators": [X], "arrows": [["x", "y" * 5000, 0]]}, "arrow endpoint not a generator"),
+    ],
+)
+def test_bad_entry_errors_stay_short(data, named):
+    # the repr of a bad entry or value is cut, whatever its size
+    with pytest.raises(ValueError) as info:
+        from_json_dict(data)
+    message = str(info.value)
+    assert named in message and len(message) < 200

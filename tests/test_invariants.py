@@ -961,16 +961,16 @@ def test_kinetic_curve_matches_every_crossing_route():
 def test_headline_curve_reduces_only_at_events(monkeypatch):
     # the every-crossing route ran 481 reductions on this curve
     calls = []
-    reduce = invariants._reduce
+    least_top = invariants._least_top
 
     def count(*args):
         calls.append(args)
-        return reduce(*args)
+        return least_top(*args)
 
-    monkeypatch.setattr(invariants, "_reduce", count)
+    monkeypatch.setattr(invariants, "_least_top", count)
     k = tensor(torus_knot(8, 5), mirror(torus_knot(6, 5)), mirror(torus_knot(4, 3)))
     f = upsilon_function(k)
-    assert len(calls) <= 80
+    assert 0 < len(calls) <= 80
     minus = [pl_negate_scale(staircase_upsilon(torus_jumps(p, q)), -1) for p, q in ((6, 5), (4, 3))]
     assert f == pl_add(pl_add(staircase_upsilon(torus_jumps(8, 5)), minus[0]), minus[1])
 
@@ -1195,25 +1195,69 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
     seeds = [rng.random() for _ in knots]
     fast = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
     monkeypatch.setattr(invariants, "_reduce", _full_column_reduce)
+    monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: _full_column_reduce(eng, keys)[0])
     full = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
     assert fast == full
     assert any(kl for _, kl, *_ in fast)  # some kink was evaluated
 
 
-def test_region_query_echelonizes_only_the_basis(monkeypatch):
+def test_region_query_stops_before_the_last_row(monkeypatch):
+    # the key-only kernel reads the rows from the latest key down and stops
+    # at the answer; it echelonizes no columns
     k = _headline()
-    complexes._Engine.of(k)  # the build echelonizes every column, once
-    columns = []
-    echelonize = complexes._echelonize
+    eng = complexes._Engine.of(k)  # the build echelonizes every column, once
+    r = upsilon_halfplane(F(2, 3))
+    nums, d = invariants.entering_numerators(r, eng.pos0)
+    expected = F(complexes._reduce(eng, nums)[0], d)
+    rows = []
+    reduce_pair = complexes._reduce_pair
 
-    def count(pivots, pairs):
-        pairs = list(pairs)
-        columns.append(len(pairs))
-        return echelonize(pivots, pairs)
+    def count(pivots, v, c):
+        rows.append(v)
+        return reduce_pair(pivots, v, c)
 
-    monkeypatch.setattr(complexes, "_echelonize", count)
-    upsilon_region(k, upsilon_halfplane(F(2, 3)))
-    assert columns == [boundary_matrix(k, 1).rank()] == [215]
+    def no_columns(pivots, pairs):
+        raise AssertionError("a region query echelonized columns")
+
+    monkeypatch.setattr(complexes, "_reduce_pair", count)
+    monkeypatch.setattr(complexes, "_echelonize", no_columns)
+    assert upsilon_region(k, r) == expected
+    assert 0 < len(rows) < len(eng.pos0) == 428
+    assert set(rows) <= set(eng.basis_rows)
+
+
+def _key_draws(rng, n):
+    """Keys for n rows of each kind the engine queries with: integers with
+    many ties, (value, slope) tuples and (outside, A) pairs."""
+    return ([rng.randint(0, 3) for _ in range(n)],
+            [(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(n)],
+            [(rng.random() < 0.3, rng.randint(-3, 3)) for _ in range(n)])
+
+
+def test_least_top_matches_the_column_reduction():
+    rng = random.Random(1515)
+    knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()]
+    cases = 0
+    for k in knots:
+        eng = complexes._Engine.of(k)
+        for _ in range(5):
+            for keys in _key_draws(rng, len(eng.pos0)):
+                assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0]
+                cases += 1
+        for t in (F(0), F(1, 3), F(1), F(2)):  # the engine's own keys
+            keys = invariants.entering_numerators(upsilon_halfplane(t), eng.pos0)[0]
+            assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0]
+    assert cases == 21 * 15
+
+
+def test_least_top_asserts_when_the_cycle_is_a_boundary():
+    k = torus_knot(5, 3)
+    eng = complexes._Engine.of(KnotComplex(k.generators, k.arrows))
+    keys = [a for a, _ in eng.pos0]
+    assert complexes._least_top(eng, keys) == 0
+    eng.z_ref = eng.basis_cols[0]
+    with pytest.raises(AssertionError, match="^least-top reduction: the generating cycle is a boundary$"):
+        complexes._least_top(eng, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -1309,22 +1353,27 @@ def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
     expected = _headline_values(_headline())
     k = _headline()
     calls = []
-    reduce = invariants._reduce
 
-    def count(*args):
-        calls.append(args)
-        return reduce(*args)
+    def counted(name):
+        kernel = getattr(invariants, name)
+
+        def count(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return count
 
     def no_space(self, vectors=()):
         raise AssertionError("an engine route built an F2Space")
 
-    monkeypatch.setattr(invariants, "_reduce", count)
+    for name in ("_reduce", "_least_top"):
+        monkeypatch.setattr(invariants, name, counted(name))
     monkeypatch.setattr(F2Space, "__init__", no_space)
-    assert nu_plus(k) == 1 and len(calls) == 1
+    assert nu_plus(k) == 1 and calls == ["_least_top"]
     t, d = F(2, 5), F(1, 8000)
     for tc, value in ((F(1), 1), (t, NO_OBSTRUCTION)):  # finite, and the early exit
         calls.clear()
         plus, minus = upsilon_halfplane(tc + d), upsilon_halfplane(tc - d)
         assert secondary(k, plus, minus, upsilon_halfplane(F(1, 4))) == value
-        assert len(calls) == 2
+        assert calls == ["_reduce", "_reduce"]
     assert _headline_values(k) == expected
