@@ -22,8 +22,8 @@ R & R, R | R.  All numeric output is exact; JSON carries rationals as
 {"num", "den"} pairs or canonical "p/q" strings, CSV is display-only decimal.
 
 Exit codes: 0 success; 1 parse/usage error; 2 validation or precondition
-failure; 3 brute-force oracle guard exceeded; 4 internal check failed (an
-oracle mismatch or a self-check).
+failure, or an input too large for memory; 3 brute-force oracle guard
+exceeded; 4 internal check failed (an oracle mismatch or a self-check).
 """
 
 from __future__ import annotations
@@ -592,6 +592,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large to evaluate", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

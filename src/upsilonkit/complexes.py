@@ -14,12 +14,16 @@ invariants in this package evaluate on.
 
 Each complex gets one engine (`_Engine`, kept with it) from the graded layout
 (`_graded`) and one clearing echelonization; `validate_complex` and every
-invariant query read it.  Two keyed reductions run on it.  `_least_top`
-answers the key-only queries (the tower's level here; Υ^C, the Υ sweep, V,
-ν⁺ and η in `invariants`) from the rows, and stops at the answer.
-`_reduce`, by columns, also returns the reduced cycle and the boundary
-basis that the secondary invariant needs.  The oracles take their positions
-and cycle from `maslov_slice` and `representative_cycle`.
+invariant query read it.  The engine groups each slice's generators by
+their (A, j) position, and both keyed reductions on it take one key per
+slice-0 position: every key a query builds depends on a generator only
+through its position, and the headline sum's 428 slice-0 generators sit at
+150 positions.  `_least_top` answers the key-only queries (the tower's
+level here; Υ^C, the Υ sweep, V, ν⁺ and η in `invariants`) from the rows,
+position by position, and stops at the answer.  `_reduce`, by columns,
+also returns the reduced cycle and the boundary basis that the secondary
+invariant needs.  The oracles take their positions and cycle from
+`maslov_slice` and `representative_cycle`.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def maslov_slice(k: KnotComplex, d: int) -> tuple[LatticeGenerator, ...]:
     return tuple(out)
 
 
-def _graded(k: KnotComplex) -> tuple[tuple, tuple]:
+def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     """The slices of Maslov grading 0 and 1 and the differential out of
     each, from one walk over the generators and one over the arrows.
 
@@ -178,39 +182,63 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple]:
     These are all the graded pieces: slice d is U^(-(d // 2)) times slice
     d % 2, and an arrow x -> U^m y drops the grading by one from every
     slice exactly when M(y) - 2m = M(x) - 1, so the grading-d differential
-    is that of d % 2 and dim H_d is dim H_(d % 2).  Raises ValueError on an
-    arrow that breaks the grading.
+    is that of d % 2 and dim H_d is dim H_(d % 2).  The third value is the
+    first arrow (src, dst, m) that increases the filtration (U^m y not
+    coordinatewise at most x), or None.  Raises ValueError on an arrow that
+    breaks the grading.
     """
-    where: dict[str, tuple[int, int, int]] = {}  # name -> (parity, index, M)
+    where: dict[str, tuple] = {}  # name -> (parity, index, M, A, j)
     positions: tuple[list, list] = ([], [])
     for g in k.generators:
         p, u = g.maslov % 2, g.maslov // 2
-        where[g.name] = (p, len(positions[p]), g.maslov)
+        where[g.name] = (p, len(positions[p]), g.maslov, g.alexander, g.algebraic)
         positions[p].append((g.alexander - u, g.algebraic - u))
     columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
-    for src, dst, m in k.arrows:
-        p, j, mx = where[src]
-        _, i, my = where[dst]
+    unfiltered = None
+    for arrow in k.arrows:
+        src, dst, m = arrow
+        p, c, mx, ax, jx = where[src]
+        _, i, my, ay, jy = where[dst]
         if my - 2 * m != mx - 1:
             raise ValueError(f"arrow {src} -> U^{m}·{dst} does not drop Maslov grading by 1")
-        columns[p][j].append(i)
-    return tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns)
+        if unfiltered is None and (ay - m > ax or jy - m > jx):
+            unfiltered = arrow
+        columns[p][c].append(i)
+    return (tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns),
+            unfiltered)
+
+
+def _by_position(positions) -> tuple[tuple, tuple]:
+    """The distinct positions, in order of first appearance, and for each
+    the indices of the generators there, in generator order."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(positions):
+        groups.setdefault(p, []).append(i)
+    return tuple(groups), tuple(map(tuple, groups.values()))
 
 
 class _Engine:
-    """Generator positions of slices 0 and 1, the degree-1 differential by
-    columns (as slice-0 masks), a basis of im d1 (as tuples of row indices,
-    as masks, and by rows: per slice-0 generator, the mask of the basis
-    columns through it), the cycles that clearing leaves (slice-0 masks, a
-    basis of H_0), rank d0, the reference generating cycle z_ref (the first of
-    those cycles, or 0) and the upsilon curve.  `of` builds it once per
-    complex, for validation and queries alike, and keeps it in the complex's
-    instance dict, so it lives exactly as long as the complex (KnotComplex
-    equality, hash and repr read only fields).
+    """Generator positions of slices 0 and 1 (`pos0`, `pos1`) and, since
+    every key a query builds depends on a generator only through its
+    position, the distinct positions of each slice (`at0`, `at1`) with the
+    generators at each (`gens0`, `gens1`): queries key positions, not
+    generators.  The degree-1 differential by columns (as slice-0 masks), a
+    basis of im d1 (as tuples of row indices, as masks, and by rows: per
+    slice-0 generator, the mask of the basis columns through it), the cycles
+    that clearing leaves (slice-0 masks, a basis of H_0), rank d0, the
+    reference generating cycle z_ref (the first of those cycles, or 0), the
+    rows that `_least_top` reads, grouped by slice-0 position (`groups0`),
+    the first arrow that increases the filtration, or None (`unfiltered`),
+    and the upsilon curve.  `of` builds it once per complex, for validation
+    and queries alike, and keeps it in the complex's instance dict, so it
+    lives exactly as long as the complex (KnotComplex equality, hash and
+    repr read only fields).
     """
 
     def __init__(self, k: KnotComplex):
-        (self.pos0, self.pos1), (d0_supports, d1_supports) = _graded(k)
+        (self.pos0, self.pos1), (d0_supports, d1_supports), self.unfiltered = _graded(k)
+        self.at0, self.gens0 = _by_position(self.pos0)
+        self.at1, self.gens1 = _by_position(self.pos1)
         self.d1_cols = tuple(map(_mask, d1_supports))
         d0_cols = list(map(_mask, d0_supports))
         # The d1 columns that stay independent in column order are a basis of
@@ -244,6 +272,13 @@ class _Engine:
             raise AssertionError("engine build: the cleared generating cycle fails d0·z = 0")
         self.curve = None  # the upsilon curve, filled by invariants.upsilon_function
 
+    @cached_property
+    def groups0(self) -> tuple:
+        """Per slice-0 position, the (basis row, z_ref bit) pair of each
+        generator there: the rows `_least_top` reads, built on first use."""
+        rows, z_ref = self.basis_rows, self.z_ref
+        return tuple(tuple((rows[i], z_ref >> i & 1) for i in gens) for gens in self.gens0)
+
     @staticmethod
     def of(k: KnotComplex) -> "_Engine":
         eng = vars(k).get("_engine")
@@ -253,17 +288,19 @@ class _Engine:
 
 
 def _reduce(eng: _Engine, keys: list) -> tuple:
-    """Filtered reduction of the generating coset z_ref + im(d1).
+    """Filtered reduction of the generating coset z_ref + im(d1), with one
+    key per slice-0 position (`eng.at0`).
 
-    The slice-0 rows are ordered by key and the engine's basis of im d1
-    echelonized by their latest row; each echelon vector carries, beside it,
-    the same chain in original row order.  Which d1 columns are dependent
-    does not depend on the keys, so the basis fixed at build spans what all
-    the columns would, with none of them reducing to zero here.  Reducing
-    z_ref against the echelon basis leaves the coset member whose latest row
-    is earliest, so the key of that row is the least, over all generating
-    cycles, of the greatest key on a support.  (z_ref is a cleared cycle,
-    never a boundary, so it never reduces to zero.)
+    The slice-0 rows are ordered by key, position by position, and the
+    engine's basis of im d1 echelonized by their latest row; each echelon
+    vector carries, beside it, the same chain in original row order.  Which
+    d1 columns are dependent does not depend on the keys, so the basis fixed
+    at build spans what all the columns would, with none of them reducing to
+    zero here.  Reducing z_ref against the echelon basis leaves the coset
+    member whose latest row is earliest, so the key of that row is the
+    least, over all generating cycles, of the greatest key on a support.
+    (z_ref is a cleared cycle, never a boundary, so it never reduces to
+    zero.)
 
     Returns that key, the reduced cycle (a slice0 mask) and the echelon
     basis as (leading key, slice0 mask) pairs; the basis vectors with leading
@@ -272,10 +309,12 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
     """
     if not eng.z_ref:
         raise ValueError("complex has no degree-0 homology generator (not knot-type)")
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    bit = [0] * len(order)
-    for r, i in enumerate(order):
-        bit[i] = 1 << r
+    bit = [0] * len(eng.basis_rows)
+    row_keys = []  # the key of each row, in key order
+    for p in sorted(range(len(keys)), key=keys.__getitem__):
+        for i in eng.gens0[p]:
+            bit[i] = 1 << len(row_keys)
+            row_keys.append(keys[p])
 
     def permute(rows) -> int:
         mask = 0
@@ -288,13 +327,14 @@ def _reduce(eng: _Engine, keys: list) -> tuple:
     z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
     if permute(_bits(w)) != z:
         raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
-    basis = [(keys[order[lead]], col) for lead, (_, col) in pivots.items()]
-    return keys[order[z.bit_length() - 1]], w, basis
+    basis = [(row_keys[lead], col) for lead, (_, col) in pivots.items()]
+    return row_keys[z.bit_length() - 1], w, basis
 
 
 def _least_top(eng: _Engine, keys: list):
     """The least, over all generating cycles, of the greatest key on a
-    support: the leading key of `_reduce`, found from the rows.
+    support: the leading key of `_reduce`, found from the rows, with one key
+    per slice-0 position (`eng.at0`).
 
     Every generating cycle meets a row set S an odd number of times exactly
     when the sum of the basis rows of S is zero (it kills every boundary)
@@ -303,19 +343,24 @@ def _least_top(eng: _Engine, keys: list):
     zero with companion 1 closes such an S whose least key is its own: every
     generating cycle reaches that key, and one stays at or below it, since
     no such S exists among the rows of greater key.  The rows after it are
-    never read.
+    never read.  The positions go by decreasing key and the rows of each in
+    turn (`eng.groups0`); rows of one position share its key, so their order
+    cannot change the answer.
     """
-    z_ref = eng.z_ref
-    if not z_ref:
+    if not eng.z_ref:
         raise ValueError("complex has no degree-0 homology generator (not knot-type)")
-    rows = eng.basis_rows
+    groups = eng.groups0
     pivots: dict[int, tuple[int, int]] = {}
-    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-        v, c = _reduce_pair(pivots, rows[i], z_ref >> i & 1)
-        if v:
-            pivots[v.bit_length() - 1] = (v, c)
-        elif c:
-            return keys[i]
+    get = pivots.get
+    for p in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        for v, c in groups[p]:  # `_reduce_pair` inlined: a call per row would slow every query
+            while v and (pivot := get(v.bit_length() - 1)) is not None:
+                v ^= pivot[0]
+                c ^= pivot[1]
+            if v:
+                pivots[v.bit_length() - 1] = (v, c)
+            elif c:
+                return keys[p]
     raise AssertionError("least-top reduction: the generating cycle is a boundary")
 
 
@@ -327,7 +372,7 @@ def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
     exactly one (raise otherwise; run `validate_complex` first on untrusted
     input).
     """
-    positions, columns = _graded(k)
+    positions, columns, _ = _graded(k)
     p = d % 2
     rows = [0] * len(positions[1 - p])
     for j, col in enumerate(columns[p]):
@@ -384,7 +429,7 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    a, j = (_least_top(eng, [p[c] for p in eng.pos0]) for c in (0, 1))
+    a, j = (_least_top(eng, [p[c] for p in eng.at0]) for c in (0, 1))
     if (a, j) != (0, 0):
         problems.append(f"H_0 is generated at filtration level (A, j) = ({a}, {j}), "
                         "expected (0, 0)")

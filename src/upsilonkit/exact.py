@@ -9,8 +9,9 @@ vector along to record which inputs were added; `_reduce_pair` is its
 one-vector step.  `F2Matrix` rank, solve and nullspace, the `F2Space` span
 tests (which serve `representative_cycle` and the oracles only), and the
 engine's clearing and column reductions all run on `_echelonize`.  The
-engine's key-only reduction calls `_reduce_pair` once per row, since it
-stops at the first row that answers its query.
+engine's key-only reduction inlines `_reduce_pair` once per row, and the
+secondary invariant's column scan calls it once per column, since each
+stops at the first vector that answers its query.
 """
 
 from __future__ import annotations

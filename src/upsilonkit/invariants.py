@@ -30,13 +30,16 @@ answer, and the rest are never read.  `_secondary` also needs a cycle that
 attains it and the boundaries below it, so it takes `_reduce`, the
 persistent-homology reduction: order the generators by key, echelonize the
 basis columns by their latest generator and reduce the reference cycle
-against them; the key left leading is the same.  It then echelonizes
-degree-1 columns in key order, the r-th with companion bit r, and reduces a
-target boundary; a vector in the span of an echelon prefix reduces within
-it, so the top bit of its companion names the least key whose columns span
-it.  Keys are exact integers (entering times as numerators over the region's
-common denominator, Alexander gradings), so every value is exact, and only
-the returned value is made a Fraction.  The engine and both row-keyed
+against them; the key left leading is the same.  It then stores the reduced
+target boundary as a pivot with a flag bit and echelonizes the degree-1
+columns that can still matter in key order; the first that reduces to zero
+with the flag set names the least key whose columns span the target.  Every
+key depends on a generator only through its (A, j) position, so each query
+keys the engine's distinct positions of a slice (`at0`, `at1`), not its
+generators, and the reductions expand them to rows.  Keys are exact
+integers (entering times as numerators over the region's common
+denominator, Alexander gradings), so every value is exact, and only the
+returned value is made a Fraction.  The engine and both row-keyed
 reductions live in `complexes` (`_Engine`, `_least_top`, `_reduce`), where
 validation reads them too.  One echelonization of the d1 columns at build
 fixes the basis of im d1 (the columns independent of the earlier ones; which
@@ -156,7 +159,7 @@ def upsilon_region(k: KnotComplex, r: SouthWestRegion) -> Fraction:
     the key of one `_least_top` reduction keyed by entering time.
     """
     eng = _Engine.of(k)
-    nums, d = entering_numerators(r, eng.pos0)
+    nums, d = entering_numerators(r, eng.at0)
     return Fraction(_least_top(eng, nums), d)
 
 
@@ -189,12 +192,12 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
 
 def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
     """(t, engine value) at 0, at each crossing of the leading line, and at 2."""
-    lines = {(a - j, j) for a, j in eng.pos0}  # (s, j): L(t) = j + (t/2)s
+    lines = {(a - j, j) for a, j in eng.at0}  # (s, j): L(t) = j + (t/2)s
     points = []
     lead = None  # the line (s, j) leading after the last event
     n, d = 0, 1  # the event t = n/d
     while True:
-        v, s = _least_top(eng, _line_keys(eng.pos0, n, d, 1))
+        v, s = _least_top(eng, _line_keys(eng.at0, n, d, 1))
         if lead is not None and v != 2 * d * lead[1] + n * lead[0]:
             raise AssertionError(
                 f"upsilon curve: the line leading after t = {Fraction(n, d)} "
@@ -366,7 +369,7 @@ def nu_plus(k: KnotComplex) -> int:
     {A <= s} & {j <= 0}: one reduction keyed by (j > 0, A), as in `eta`.  Below
     A = 0 (no knot's case) the cycle may sit below j = 0 too; V(0) decides."""
     eng = _Engine.of(k)
-    outside, a = _least_top(eng, [(j > 0, a) for a, j in eng.pos0])
+    outside, a = _least_top(eng, [(j > 0, a) for a, j in eng.at0])
     if outside or a < 0 and vk(k, 0) != 0:
         raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
     return max(0, a)
@@ -382,7 +385,7 @@ def d_invariant(k: KnotComplex, q: int, m: int) -> Fraction:
     q, m = (_int(x, _D_PARAMETERS) for x in (q, m))
     if q < 1:
         raise ValueError(f"surgery coefficient must be a positive integer, got {q}")
-    g = max(0, max(a for a, _ in _Engine.of(k).pos0))
+    g = max(0, max(a for a, _ in _Engine.of(k).at0))
     if q < 2 * g - 1:
         raise ValueError(f"need q >= 2g - 1 = {2 * g - 1} (large surgery), got {q}")
     if not -q <= 2 * m < q:
@@ -409,17 +412,37 @@ def secondary(
     filtered reduction per region yields gamma±, z0± and a basis of V±.  If
     z0+ + z0- reduces to zero against V+ + V-, the cosets intersect: no
     obstruction.  Otherwise the least t with z0+ + z0- a boundary of a chain
-    in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t comes from one column reduction: the
-    degree-1 columns of the first two, then the rest by entering time into C.
+    in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t comes from one scan of the degree-1
+    columns outside the first two, by entering time into C, which stops at
+    the first column that closes the target.  Needs the filtration condition
+    (ValueError otherwise; `validate_complex` checks it).
     """
     eng = _Engine.of(k)
-    sides = ([entering_numerators(r, p)[0] for p in (eng.pos0, eng.pos1)] for r in (cplus, cminus))
+    sides = ([entering_numerators(r, p)[0] for p in (eng.at0, eng.at1)] for r in (cplus, cminus))
     return _secondary(eng, *sides, c)[2]
 
 
 def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
     """`secondary` with each side C± given as (slice-0 keys, slice-1 keys),
-    ordered as the generators enter C±; returns gamma+, gamma- and the value."""
+    one key per position of the slice (`eng.at0`, `eng.at1`), ordered as
+    the positions enter C±; returns gamma+, gamma- and the value.
+
+    A degree-1 generator x that is not late (keyed at most gamma+ on the
+    plus side, or at most gamma- on the minus side) has d1·x supported on
+    rows keyed at most its own key, by the filtration condition, so d1·x
+    already lies in V+ + V- and its column is skipped.  The reduced target
+    z+ + z- is stored as a pivot whose companion is one flag bit, and the
+    late columns follow by entering time into C: the first that reduces to
+    zero with the flag set closes a sum of columns, all entered by its time,
+    that is the target plus a vector of V+ + V-, so its entering time is the
+    value.  Raises ValueError on a complex with an arrow that increases the
+    filtration, where neither the skip nor the sub-complexes C±_{gamma±} and
+    C_t mean anything.
+    """
+    if eng.unfiltered is not None:
+        src, dst, m = eng.unfiltered
+        raise ValueError(f"the secondary invariant needs the filtration condition: "
+                         f"arrow {src} -> U^{m}·{dst} increases the filtration")
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
     gp, zp, basis_p = _reduce(eng, keys_p)
     gm, zm, basis_m = _reduce(eng, keys_m)
@@ -430,15 +453,18 @@ def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
     if not rest:
         return gp, gm, NO_OBSTRUCTION
 
-    # Base columns first (companion 0), then the late ones by time into C (bit r).
-    times_c, d = entering_numerators(c, eng.pos1)
-    late = [kp > gp and km > gm for kp, km in zip(keys1_p, keys1_m)]
-    order = sorted(range(len(late)), key=lambda i: (late[i], times_c[i]))
-    _echelonize(pivots, ((eng.d1_cols[i], late[i] << r) for r, i in enumerate(order)))
-    rest, used = _reduce_pair(pivots, rest, 0)
-    if rest:
-        raise AssertionError("secondary: z+ + z- is not a boundary")
-    return gp, gm, Fraction(times_c[order[used.bit_length() - 1]], d)
+    pivots[rest.bit_length() - 1] = (rest, 1)
+    times_c, d = entering_numerators(c, eng.at1)
+    late = [p for p, (kp, km) in enumerate(zip(keys1_p, keys1_m)) if kp > gp and km > gm]
+    cols = eng.d1_cols
+    for p in sorted(late, key=times_c.__getitem__):
+        for i in eng.gens1[p]:
+            v, flag = _reduce_pair(pivots, cols[i], 0)
+            if v:
+                pivots[v.bit_length() - 1] = (v, flag)
+            elif flag:
+                return gp, gm, Fraction(times_c[p], d)
+    raise AssertionError("secondary: z+ + z- is not a boundary")
 
 
 def _kl_parameters(t_star, s) -> tuple[Fraction, Fraction]:
@@ -468,7 +494,7 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     t_star, s = _kl_parameters(t_star, s)
     eng = _Engine.of(k)
     n, d = t_star.numerator, t_star.denominator
-    sides = ([_line_keys(pos, n, d, sign) for pos in (eng.pos0, eng.pos1)] for sign in (1, -1))
+    sides = ([_line_keys(pos, n, d, sign) for pos in (eng.at0, eng.at1)] for sign in (1, -1))
     (v, right), (v_left, neg_left), value = _secondary(eng, *sides, upsilon_halfplane(s))
     if v != v_left:
         raise AssertionError(f"kim_livingston: the two sides of t = {t_star} do not meet there")
@@ -539,9 +565,9 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     at once: the least key over the generating cycles is (False, eta + gamma).
     """
     eng = _Engine.of(k)
-    nums, d = entering_numerators(c, eng.pos0)
+    nums, d = entering_numerators(c, eng.at0)
     gamma = _least_top(eng, nums)
-    keys = [(n > gamma, p[0]) for n, p in zip(nums, eng.pos0)]
+    keys = [(n > gamma, p[0]) for n, p in zip(nums, eng.at0)]
     outside, a = _least_top(eng, keys)
     if outside:
         raise AssertionError("eta: no generating cycle below the largest truncation")

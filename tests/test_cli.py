@@ -636,6 +636,17 @@ def test_thin_check_shape_mismatch(capsys):
     assert value["comparisons"] == []
 
 
+def test_exit_2_when_the_input_is_too_large_for_memory(capsys, monkeypatch):
+    # T(99999,99998) asks the semigroup for a membership table of about 10^10
+    # entries; the allocation's failure is raised here without allocating
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(zoo.Semigroup, "_table", property(exhausted))
+    code, out, err = run(capsys, "upsilon", "T(99999,99998)")
+    assert (code, out, err) == (2, "", "error: out of memory: the input is too large to evaluate\n")
+
+
 def test_thin_check_reports_other_errors(capsys, monkeypatch):
     # only "not a breaking point" reads as an undefined value; any other
     # error of the secondary invariant is reported and fails the command

@@ -56,6 +56,7 @@ from upsilonkit.invariants import (
 )
 from upsilonkit.regions import (
     PLFunction,
+    intersect,
     make_halfplane,
     pl_add,
     pl_constant,
@@ -694,7 +695,8 @@ def _slice_columns(k, d):
 
 def test_graded_build_matches_the_slices():
     for k in _graded_cases():
-        positions, columns = complexes._graded(k)
+        positions, columns, unfiltered = complexes._graded(k)
+        assert unfiltered is None
         for d in range(-1, 3):
             shift = d // 2
             assert [lg.pos for lg in maslov_slice(k, d)] == [
@@ -799,7 +801,7 @@ def _validate_by_separate_echelonizations(k):
     if problems:
         return tuple(problems)
 
-    (pos0, pos1), (d0, d1) = complexes._graded(k)
+    (pos0, pos1), (d0, d1), _ = complexes._graded(k)
     boundaries = {}
     r1 = len(d1) - len(_echelonize(boundaries, ((_mask(rows), 0) for rows in d1)))
     cycles = _echelonize({}, ((_mask(rows), 1 << j) for j, rows in enumerate(d0)))
@@ -1149,9 +1151,16 @@ def test_engine_basis_spans_the_boundaries():
     assert (len(eng.basis_cols), len(eng.d1_cols)) == (215, 427)  # the headline
 
 
+def _per_generator(at, pos, keys):
+    """Keys of the positions `at` expanded to one key per generator at `pos`."""
+    key_at = dict(zip(at, keys))
+    return [key_at[p] for p in pos]
+
+
 def _full_column_reduce(eng, keys):
-    """The filtered reduction over every d1 column, dependent ones included:
-    the route before the engine fixed a basis of im d1."""
+    """The filtered reduction over every d1 column, dependent ones included,
+    with one key per slice-0 generator: the route before the engine fixed a
+    basis of im d1 and keyed positions."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -1194,34 +1203,43 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
     knots.append(_headline())  # past the oracles' guard
     seeds = [rng.random() for _ in knots]
     fast = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
-    monkeypatch.setattr(invariants, "_reduce", _full_column_reduce)
-    monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: _full_column_reduce(eng, keys)[0])
+    monkeypatch.setattr(invariants, "_reduce", lambda eng, keys: _full_column_reduce(
+        eng, _per_generator(eng.at0, eng.pos0, keys)))
+    monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: _full_column_reduce(
+        eng, _per_generator(eng.at0, eng.pos0, keys))[0])
     full = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
     assert fast == full
     assert any(kl for _, kl, *_ in fast)  # some kink was evaluated
 
 
+class _CountedGroups(tuple):
+    """A tuple that records the indices read from it."""
+
+    def __getitem__(self, p):
+        self.read.append(p)
+        return tuple.__getitem__(self, p)
+
+
 def test_region_query_stops_before_the_last_row(monkeypatch):
-    # the key-only kernel reads the rows from the latest key down and stops
-    # at the answer; it echelonizes no columns
+    # the key-only kernel reads the rows from the latest key down, position
+    # by position, and stops at the answer; it echelonizes no columns
     k = _headline()
     eng = complexes._Engine.of(k)  # the build echelonizes every column, once
     r = upsilon_halfplane(F(2, 3))
-    nums, d = invariants.entering_numerators(r, eng.pos0)
+    nums, d = invariants.entering_numerators(r, eng.at0)
     expected = F(complexes._reduce(eng, nums)[0], d)
-    rows = []
-    reduce_pair = complexes._reduce_pair
-
-    def count(pivots, v, c):
-        rows.append(v)
-        return reduce_pair(pivots, v, c)
+    groups = eng.groups0
+    eng.groups0 = _CountedGroups(groups)
+    eng.groups0.read = []
 
     def no_columns(pivots, pairs):
         raise AssertionError("a region query echelonized columns")
 
-    monkeypatch.setattr(complexes, "_reduce_pair", count)
     monkeypatch.setattr(complexes, "_echelonize", no_columns)
     assert upsilon_region(k, r) == expected
+    read = eng.groups0.read
+    rows = [row for p in read for row, _ in groups[p]]  # every row of each group read
+    assert 0 < len(read) < len(eng.at0) == 150
     assert 0 < len(rows) < len(eng.pos0) == 428
     assert set(rows) <= set(eng.basis_rows)
 
@@ -1241,11 +1259,12 @@ def test_least_top_matches_the_column_reduction():
     for k in knots:
         eng = complexes._Engine.of(k)
         for _ in range(5):
-            for keys in _key_draws(rng, len(eng.pos0)):
-                assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0]
+            for keys in _key_draws(rng, len(eng.at0)):  # one key per position
+                expected = _least_top_by_generator(eng, _per_generator(eng.at0, eng.pos0, keys))
+                assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0] == expected
                 cases += 1
         for t in (F(0), F(1, 3), F(1), F(2)):  # the engine's own keys
-            keys = invariants.entering_numerators(upsilon_halfplane(t), eng.pos0)[0]
+            keys = invariants.entering_numerators(upsilon_halfplane(t), eng.at0)[0]
             assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0]
     assert cases == 21 * 15
 
@@ -1253,8 +1272,9 @@ def test_least_top_matches_the_column_reduction():
 def test_least_top_asserts_when_the_cycle_is_a_boundary():
     k = torus_knot(5, 3)
     eng = complexes._Engine.of(KnotComplex(k.generators, k.arrows))
-    keys = [a for a, _ in eng.pos0]
+    keys = [a for a, _ in eng.at0]
     assert complexes._least_top(eng, keys) == 0
+    eng = complexes._Engine(k)  # its rows are grouped with z_ref's bits on first use
     eng.z_ref = eng.basis_cols[0]
     with pytest.raises(AssertionError, match="^least-top reduction: the generating cycle is a boundary$"):
         complexes._least_top(eng, keys)
@@ -1278,8 +1298,10 @@ def _nu_plus_by_v_scan(k):
 def _secondary_by_growing_span(eng, plus, minus, c):
     """`invariants._secondary` by the route one column reduction replaced: an
     F2Space grown one entering time into C at a time, with a membership test
-    after each."""
+    after each.  It adds the columns of C±_{gamma±}, which `_secondary` skips,
+    and reads the slice-1 keys per generator."""
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
+    keys1_p, keys1_m = (_per_generator(eng.at1, eng.pos1, keys) for keys in (keys1_p, keys1_m))
     gp, zp, basis_p = invariants._reduce(eng, keys_p)
     gm, zm, basis_m = invariants._reduce(eng, keys_m)
     space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
@@ -1377,3 +1399,162 @@ def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
         assert secondary(k, plus, minus, upsilon_halfplane(F(1, 4))) == value
         assert calls == ["_reduce", "_reduce"]
     assert _headline_values(k) == expected
+
+
+# ---------------------------------------------------------------------------
+# queries keyed per distinct (A, j) position
+# ---------------------------------------------------------------------------
+
+
+def test_headline_engine_groups_its_generators_by_position():
+    eng = complexes._Engine.of(_headline())
+    assert (len(eng.pos0), len(eng.pos1)) == (428, 427)
+    assert (len(eng.at0), len(eng.at1)) == (150, 147)
+    for at, gens, pos in ((eng.at0, eng.gens0, eng.pos0), (eng.at1, eng.gens1, eng.pos1)):
+        assert sorted(i for group in gens for i in group) == list(range(len(pos)))
+        assert all(pos[i] == p for p, group in zip(at, gens) for i in group)
+    assert [[row for row, _ in group] for group in eng.groups0] == [
+        [eng.basis_rows[i] for i in group] for group in eng.gens0]
+    assert sum(bit << i for group, bits in zip(eng.gens0, eng.groups0)
+               for i, (_, bit) in zip(group, bits)) == eng.z_ref
+
+
+def _least_top_by_generator(eng, keys):
+    """`complexes._least_top` with one key per slice-0 generator: the rows
+    one at a time by decreasing key, as before the engine grouped them."""
+    pivots = {}
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        v, c = _reduce_pair(pivots, eng.basis_rows[i], eng.z_ref >> i & 1)
+        if v:
+            pivots[v.bit_length() - 1] = (v, c)
+        elif c:
+            return keys[i]
+    raise AssertionError("least-top reduction: the generating cycle is a boundary")
+
+
+def _any_region(rng):
+    """A region of `_random_region`'s kinds, or an intersection or a
+    translate of them."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _random_region(rng)
+    if kind == 1:
+        return intersect(_random_region(rng), _random_region(rng))
+    return translate(_random_region(rng), F(rng.randint(-6, 6), 4))
+
+
+def test_grouped_keys_equal_per_generator_keys(monkeypatch):
+    rng = random.Random(1616)
+    knots = [_random_torus_sum(rng) for _ in range(8)] + [_headline()]
+    cases = 0
+    for k in knots:
+        eng = complexes._Engine.of(k)
+        draws = []
+        for _ in range(6):
+            r = _any_region(rng)
+            (at, d), (per, d_per) = (invariants.entering_numerators(r, p) for p in (eng.at0, eng.pos0))
+            assert d == d_per
+            draws.append((at, per))
+            gamma = _least_top_by_generator(eng, per)
+            draws.append(([(n > gamma, a) for n, (a, _) in zip(at, eng.at0)],
+                          [(n > gamma, a) for n, (a, _) in zip(per, eng.pos0)]))  # eta's keys
+        t = F(rng.randint(1, 11), 6)
+        for sign in (1, -1):
+            draws.append(tuple(invariants._line_keys(p, t.numerator, t.denominator, sign)
+                               for p in (eng.at0, eng.pos0)))
+        for at, per in draws:
+            assert _per_generator(eng.at0, eng.pos0, at) == per
+            expected = _least_top_by_generator(eng, per)
+            assert complexes._least_top(eng, at) == expected
+            assert complexes._reduce(eng, at)[0] == expected == _full_column_reduce(eng, per)[0]
+            cases += 1
+    assert cases == len(knots) * 14
+
+    # the sweep, its chord checks and its continuity check, by generator
+    fast = [upsilon_function(KnotComplex(k.generators, k.arrows)) for k in knots]
+    monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: _least_top_by_generator(
+        eng, _per_generator(eng.at0, eng.pos0, keys)))
+    assert [upsilon_function(KnotComplex(k.generators, k.arrows)) for k in knots] == fast
+
+
+def test_secondary_refuses_a_complex_that_breaks_the_filtration():
+    # One U-tower at x, and y -> w cancelling in homology, but the arrow
+    # climbs from (0, 0) to (1, 1): skipping the columns of C±_{gamma±}
+    # rests on the filtration condition, and so do C±_{gamma±} and C_t.
+    k = KnotComplex((BaseGenerator("x", 0, 0, 0), BaseGenerator("y", 0, 0, 1),
+                     BaseGenerator("w", 1, 1, 0)), (("y", "w", 0),))
+    assert validate_complex(k).problems == ("arrow y -> U^0·w increases the filtration",)
+    eng = complexes._Engine.of(k)
+    assert len(eng.cycles) == 1 and eng.unfiltered == ("y", "w", 0)
+    assert upsilon_region(k, upsilon_halfplane(1)) == 0  # key-only queries still answer
+    message = ("^the secondary invariant needs the filtration condition: "
+               "arrow y -> U\\^0·w increases the filtration$")
+    with pytest.raises(ValueError, match=message):
+        secondary(k, upsilon_halfplane(F(3, 2)), upsilon_halfplane(F(1, 2)), upsilon_halfplane(1))
+    with pytest.raises(ValueError, match=message):
+        kim_livingston(k, F(1), F(1))
+    # the engine names the first arrow that validation reports as climbing
+    rng = random.Random(616)
+    climbing = 0
+    for k in [_random_complex(rng) for _ in range(300)]:
+        problems = validate_complex(k).problems
+        if any("Maslov" in p for p in problems):
+            continue
+        first = next((p for p in problems if "increases the filtration" in p), None)
+        unfiltered = complexes._Engine.of(k).unfiltered
+        assert first == (None if unfiltered is None else
+                         "arrow {} -> U^{}·{} increases the filtration".format(*unfiltered[::2], unfiltered[1]))
+        climbing += first is not None
+    assert climbing > 0
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a change of basis changes no invariant
+# ---------------------------------------------------------------------------
+
+
+def _basis_change(k, rng, moves):
+    """k after `moves` seeded changes of basis x -> x + U^m·y, with
+    M(y) - 2m = M(x) and U^m·y at or below x in both filtrations, and the
+    differential rewritten in the new basis.  Each is a bifiltered, graded
+    isomorphism, so no invariant may change; unlike `add_box`, it scrambles
+    the arrows of the generators already there."""
+    gens = k.generators
+    d = {g.name: set() for g in gens}  # name -> {(target, U-power)}
+    for src, dst, m in k.arrows:
+        d[src] ^= {(dst, m)}
+    legal = [(x.name, y.name, m) for x in gens for y in gens if x is not y
+             for m, odd in [divmod(y.maslov - x.maslov, 2)]
+             if not odd and y.alexander - m <= x.alexander and y.algebraic - m <= x.algebraic]
+    for x, y, m in (rng.choice(legal) for _ in range(moves)):
+        # d(x + U^m·y) = dx + U^m·dy, and a term U^i·x elsewhere is now
+        # U^i·(x + U^m·y) + U^(i+m)·y; neither dx nor dy has an x term.
+        d[x] ^= {(t, i + m) for t, i in d[y]}
+        for targets in d.values():
+            for i in [i for t, i in targets if t == x]:
+                targets ^= {(y, i + m)}
+    return KnotComplex(gens, tuple((src, dst, i) for src, targets in d.items() for dst, i in targets))
+
+
+def _invariants_at_breaking_points(k):
+    f = upsilon_function(k)
+    return (f, [vk(k, s) for s in range(-2, 5)], nu_plus(k),
+            eta(k, upsilon_halfplane(F(2, 3))),
+            [kim_livingston(k, bp.t, s) for bp in breaking_points(k)
+             for s in sorted({F(0), bp.t, F(1), F(2)})])
+
+
+def test_a_change_of_basis_changes_no_invariant():
+    rng = random.Random(66)
+    parts = [(3, 2), (5, 2), (4, 3), (5, 3), (7, 2)]
+    knots = []
+    for _ in range(6):
+        summands = [torus_knot(*rng.choice(parts)) for _ in range(2)]
+        knots.append(tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands)))
+    scrambled = 0
+    for k in knots + [mirror(k) for k in knots[:2]]:
+        moved = _basis_change(k, rng, rng.randint(1, 8))
+        scrambled += moved.arrows != k.arrows
+        assert validate_complex(moved).ok
+        assert _invariants_at_breaking_points(moved) == _invariants_at_breaking_points(k)
+    assert scrambled >= 6
