@@ -359,7 +359,7 @@ def _cmd_vk(args):
     k, name = _get_complex(args)
     value = invariants.vk(k, args.s)
     return _emit(
-        args, "vk", value, ["vk", "upsilon_region"], knot=name,
+        args, "vk", value, ["vk"], knot=name,
         extra_text=[f"V({args.s}), -2-scaled convention (V(0) of the positive trefoil is -2):"],
     )
 
@@ -372,7 +372,7 @@ def _cmd_nu_plus(args):
 def _cmd_dinv(args):
     k, name = _get_complex(args)
     value = invariants.d_invariant(k, args.q, args.m)
-    return _emit(args, "dinv", value, ["d_invariant", "vk", "upsilon_region"], knot=name)
+    return _emit(args, "dinv", value, ["d_invariant", "vk"], knot=name)
 
 
 def _cmd_eta(args):

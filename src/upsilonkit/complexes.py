@@ -18,12 +18,14 @@ invariant query read it.  The engine groups each slice's generators by
 their (A, j) position, and both keyed reductions on it take one key per
 slice-0 position: every key a query builds depends on a generator only
 through its position, and the headline sum's 428 slice-0 generators sit at
-150 positions.  `_least_top` answers the key-only queries (the tower's
-level here; Υ^C, the Υ sweep, V, ν⁺ and η in `invariants`) from the rows,
-position by position, and stops at the answer.  `_reduce`, by columns,
-also returns the reduced cycle and the boundary basis that the secondary
-invariant needs.  The oracles take their positions and cycle from
-`maslov_slice` and `representative_cycle`.
+150 positions.  `_least_top` answers every least-key question (the
+tower's level here; Υ^C, the Υ sweep, V, ν⁺, η and both sides of the
+secondary invariant in `invariants`) from the rows, position by position,
+and stops at the answer.  `_below` gives the secondary invariant, once that
+key is known, a generating cycle on the rows keyed at most it and the
+boundaries there, by eliminating only the rows keyed above it.  The oracles
+take their positions and cycle from `maslov_slice` and
+`representative_cycle`.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ class _Engine:
     that clearing leaves (slice-0 masks, a basis of H_0), rank d0, the
     reference generating cycle z_ref (the first of those cycles, or 0), the
     rows that `_least_top` reads, grouped by slice-0 position (`groups0`),
-    the first arrow that increases the filtration, or None (`unfiltered`),
-    and the upsilon curve.  `of` builds it once per complex, for validation
+    the mask of each slice-0 position's generators (`masks0`), the first
+    arrow that increases the filtration, or None (`unfiltered`), and the
+    upsilon curve.  `of` builds it once per complex, for validation
     and queries alike, and keeps it in the complex's instance dict, so it
     lives exactly as long as the complex (KnotComplex equality, hash and
     repr read only fields).
@@ -279,6 +282,12 @@ class _Engine:
         rows, z_ref = self.basis_rows, self.z_ref
         return tuple(tuple((rows[i], z_ref >> i & 1) for i in gens) for gens in self.gens0)
 
+    @cached_property
+    def masks0(self) -> tuple:
+        """Per slice-0 position, the mask of its generators: the rows that
+        `_below` drops together, built on first use."""
+        return tuple(map(_mask, self.gens0))
+
     @staticmethod
     def of(k: KnotComplex) -> "_Engine":
         eng = vars(k).get("_engine")
@@ -287,54 +296,10 @@ class _Engine:
         return eng
 
 
-def _reduce(eng: _Engine, keys: list) -> tuple:
-    """Filtered reduction of the generating coset z_ref + im(d1), with one
-    key per slice-0 position (`eng.at0`).
-
-    The slice-0 rows are ordered by key, position by position, and the
-    engine's basis of im d1 echelonized by their latest row; each echelon
-    vector carries, beside it, the same chain in original row order.  Which
-    d1 columns are dependent does not depend on the keys, so the basis fixed
-    at build spans what all the columns would, with none of them reducing to
-    zero here.  Reducing z_ref against the echelon basis leaves the coset
-    member whose latest row is earliest, so the key of that row is the
-    least, over all generating cycles, of the greatest key on a support.
-    (z_ref is a cleared cycle, never a boundary, so it never reduces to
-    zero.)
-
-    Returns that key, the reduced cycle (a slice0 mask) and the echelon
-    basis as (leading key, slice0 mask) pairs; the basis vectors with leading
-    key <= x span the boundaries supported on rows of key <= x.  A query that
-    needs only the key takes `_least_top`, which gives the same key.
-    """
-    if not eng.z_ref:
-        raise ValueError("complex has no degree-0 homology generator (not knot-type)")
-    bit = [0] * len(eng.basis_rows)
-    row_keys = []  # the key of each row, in key order
-    for p in sorted(range(len(keys)), key=keys.__getitem__):
-        for i in eng.gens0[p]:
-            bit[i] = 1 << len(row_keys)
-            row_keys.append(keys[p])
-
-    def permute(rows) -> int:
-        mask = 0
-        for i in rows:
-            mask |= bit[i]
-        return mask
-
-    pivots: dict[int, tuple[int, int]] = {}  # leading rank -> (permuted, original)
-    _echelonize(pivots, zip(map(permute, eng.basis_supports), eng.basis_cols))
-    z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
-    if permute(_bits(w)) != z:
-        raise AssertionError("filtered reduction: the tracked cycle does not match its reduced form")
-    basis = [(row_keys[lead], col) for lead, (_, col) in pivots.items()]
-    return row_keys[z.bit_length() - 1], w, basis
-
-
 def _least_top(eng: _Engine, keys: list):
     """The least, over all generating cycles, of the greatest key on a
-    support: the leading key of `_reduce`, found from the rows, with one key
-    per slice-0 position (`eng.at0`).
+    support, found from the rows, with one key per slice-0 position
+    (`eng.at0`).
 
     Every generating cycle meets a row set S an odd number of times exactly
     when the sum of the basis rows of S is zero (it kills every boundary)
@@ -362,6 +327,40 @@ def _least_top(eng: _Engine, keys: list):
             elif c:
                 return keys[p]
     raise AssertionError("least-top reduction: the generating cycle is a boundary")
+
+
+def _below(eng: _Engine, keys: list, g) -> tuple[int, list[int]]:
+    """A generating cycle supported on the rows keyed at most g, and vectors
+    that span the boundaries supported there, with one key per slice-0
+    position (`eng.at0`); g is `_least_top`'s answer for these keys, or more.
+
+    A sum of basis columns of im d1 lies on those rows exactly when its part
+    on the rows keyed above g (`high`) is zero.  So each basis column's high
+    part is echelonized with the whole column as companion: the columns with
+    no high part, and the companions of the columns that reduce to zero,
+    span those boundaries (the basis columns are independent, so these are
+    the kernel of the restriction to the high rows).  Reducing z_ref's high
+    part the same way, with z_ref as companion, leaves z_ref plus a boundary
+    off the high rows.  No order of the rows is needed, so none is sorted
+    and nothing is permuted.
+    """
+    high = 0
+    for key, mask in zip(keys, eng.masks0):
+        if key > g:
+            high |= mask
+    span, pairs = [], []
+    for col in eng.basis_cols:
+        if col & high:
+            pairs.append((col & high, col))
+        else:
+            span.append(col)
+    pivots: dict[int, tuple[int, int]] = {}
+    span += _echelonize(pivots, pairs)
+    z = _reduce_pair(pivots, eng.z_ref & high, eng.z_ref)[1]
+    if z & high:
+        raise AssertionError("below reduction: no generating cycle stays on the rows keyed "
+                             "at most the least top")
+    return z, span
 
 
 def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:

@@ -8,10 +8,11 @@ vectors by their leading bit against a dict of pivots, carrying a companion
 vector along to record which inputs were added; `_reduce_pair` is its
 one-vector step.  `F2Matrix` rank, solve and nullspace, the `F2Space` span
 tests (which serve `representative_cycle` and the oracles only), and the
-engine's clearing and column reductions all run on `_echelonize`.  The
-engine's key-only reduction inlines `_reduce_pair` once per row, and the
-secondary invariant's column scan calls it once per column, since each
-stops at the first vector that answers its query.
+engine's clearing and its elimination of the rows above a key (`_below`)
+all run on `_echelonize`.  The engine's least-key reduction inlines
+`_reduce_pair` once per row, and the secondary invariant's column scan
+calls it once per column, since each stops at the first vector that
+answers its query.
 """
 
 from __future__ import annotations

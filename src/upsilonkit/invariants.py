@@ -19,33 +19,34 @@ inside C_t.  Everything else is built from it:
   invariant is already achieved.
 
 Each of these least-t questions is answered by one filtered F2 reduction.
-Most ask only for the least, over all generating cycles, of the greatest key
-on a support, where each degree-0 lattice generator has a key such as its
-entering time: `upsilon_region`, the sweep and its chord checks, `vk`,
-`nu_plus` and `eta` take it from `_least_top`, the persistent-cohomology
-reduction.  It echelonizes the generators' rows of a basis of the boundaries
-im d1 by decreasing key, each with its bit of a reference generating cycle
-as companion; the first row that reduces to zero with companion 1 gives the
-answer, and the rest are never read.  `_secondary` also needs a cycle that
-attains it and the boundaries below it, so it takes `_reduce`, the
-persistent-homology reduction: order the generators by key, echelonize the
-basis columns by their latest generator and reduce the reference cycle
-against them; the key left leading is the same.  It then stores the reduced
-target boundary as a pivot with a flag bit and echelonizes the degree-1
-columns that can still matter in key order; the first that reduces to zero
-with the flag set names the least key whose columns span the target.  Every
-key depends on a generator only through its (A, j) position, so each query
-keys the engine's distinct positions of a slice (`at0`, `at1`), not its
-generators, and the reductions expand them to rows.  Keys are exact
-integers (entering times as numerators over the region's common
-denominator, Alexander gradings), so every value is exact, and only the
-returned value is made a Fraction.  The engine and both row-keyed
-reductions live in `complexes` (`_Engine`, `_least_top`, `_reduce`), where
-validation reads them too.  One echelonization of the d1 columns at build
-fixes the basis of im d1 (the columns independent of the earlier ones; which
-columns are dependent does not depend on any key, so no reduction needs the
-others: the clearing idea of persistent homology) and, from the same pivots,
-the reference cycle by clearing.
+Each asks for the least, over all generating cycles, of the greatest key on
+a support, where each degree-0 lattice generator has a key such as its
+entering time, and every route takes it from `_least_top`, the
+persistent-cohomology reduction.  It echelonizes the generators' rows of a
+basis of the boundaries im d1 by decreasing key, each with its bit of a
+reference generating cycle as companion; the first row that reduces to zero
+with companion 1 gives the answer, and the rest are never read.
+`_secondary` also needs, on each side, a cycle that attains that key and
+the boundaries supported on the rows keyed at most it.  `_below` finds both
+once the key is known, by eliminating only the rows keyed above it: the
+basis columns' parts there are echelonized with the whole columns as
+companions, so the columns that vanish there and the companions that reduce
+to zero span those boundaries, and the reference cycle reduced the same way
+attains the key.  `_secondary` then stores the reduced target boundary as a
+pivot with a flag bit and echelonizes the degree-1 columns that can still
+matter in key order; the first that reduces to zero with the flag set names
+the least key whose columns span the target.  Every key depends on a
+generator only through its (A, j) position, so each query keys the engine's
+distinct positions of a slice (`at0`, `at1`), not its generators, and the
+reductions expand them to rows.  Keys are exact integers (entering times as
+numerators over the region's common denominator, Alexander gradings), so
+every value is exact, and only the returned value is made a Fraction.  The
+engine and both kernels live in `complexes` (`_Engine`, `_least_top`,
+`_below`), where validation reads them too.  One echelonization of the d1
+columns at build fixes the basis of im d1 (the columns independent of the
+earlier ones; which columns are dependent does not depend on any key, so no
+reduction needs the others: the clearing idea of persistent homology) and,
+from the same pivots, the reference cycle by clearing.
 
 The upsilon curve is a kinetic sweep over these reductions rather than one
 per crossing of any two generator lines.  A reduction at t keyed by each
@@ -71,7 +72,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .complexes import (KnotComplex, _Engine, _least_top, _reduce, boundary_matrix,
+from .complexes import (KnotComplex, _below, _Engine, _least_top, boundary_matrix,
                         maslov_slice, representative_cycle)
 from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
 from .regions import (
@@ -83,7 +84,6 @@ from .regions import (
     entering_time,
     pl_singular_points,
     upsilon_halfplane,
-    v_region,
 )
 
 
@@ -358,10 +358,15 @@ def staircase_kl(jumps, t_star, s) -> Fraction:
 def vk(k: KnotComplex, s: int) -> Fraction:
     """V(s) = -2 * region invariant of {A <= s} & {j <= 0}.
 
-    Note the sign convention: V(0) of the positive trefoil is -2 here, i.e.
-    -2 times the non-negative local h/V invariants common elsewhere.
+    A generator at (A, j) enters that region at t = max(A - s, j), so one
+    `_least_top` reduction keyed by these integers gives the region
+    invariant, with no region built.  Note the sign convention: V(0) of the
+    positive trefoil is -2 here, i.e. -2 times the non-negative local h/V
+    invariants common elsewhere.
     """
-    return -2 * upsilon_region(k, v_region(_int(s, _V_PARAMETER)))
+    s = _int(s, _V_PARAMETER)
+    eng = _Engine.of(k)
+    return Fraction(-2 * _least_top(eng, [max(a - s, j) for a, j in eng.at0]))
 
 
 def nu_plus(k: KnotComplex) -> int:
@@ -408,14 +413,15 @@ def secondary(
 
     With gamma± the region invariants of C±, the exceptional cycles of C± are
     the generating cycles supported in C±_{gamma±} — an affine coset
-    z0± + V± where V± is the space of boundaries supported there; one
-    filtered reduction per region yields gamma±, z0± and a basis of V±.  If
-    z0+ + z0- reduces to zero against V+ + V-, the cosets intersect: no
-    obstruction.  Otherwise the least t with z0+ + z0- a boundary of a chain
-    in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t comes from one scan of the degree-1
-    columns outside the first two, by entering time into C, which stops at
-    the first column that closes the target.  Needs the filtration condition
-    (ValueError otherwise; `validate_complex` checks it).
+    z0± + V± where V± is the space of boundaries supported there; per region,
+    one `_least_top` reduction yields gamma± and one `_below` elimination
+    z0± and vectors spanning V±.  If z0+ + z0- reduces to zero against
+    V+ + V-, the cosets intersect: no obstruction.  Otherwise the least t
+    with z0+ + z0- a boundary of a chain in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t
+    comes from one scan of the degree-1 columns outside the first two, by
+    entering time into C, which stops at the first column that closes the
+    target.  Needs the filtration condition (ValueError otherwise;
+    `validate_complex` checks it).
     """
     eng = _Engine.of(k)
     sides = ([entering_numerators(r, p)[0] for p in (eng.at0, eng.at1)] for r in (cplus, cminus))
@@ -427,28 +433,31 @@ def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
     one key per position of the slice (`eng.at0`, `eng.at1`), ordered as
     the positions enter C±; returns gamma+, gamma- and the value.
 
-    A degree-1 generator x that is not late (keyed at most gamma+ on the
-    plus side, or at most gamma- on the minus side) has d1·x supported on
-    rows keyed at most its own key, by the filtration condition, so d1·x
-    already lies in V+ + V- and its column is skipped.  The reduced target
-    z+ + z- is stored as a pivot whose companion is one flag bit, and the
-    late columns follow by entering time into C: the first that reduces to
-    zero with the flag set closes a sum of columns, all entered by its time,
-    that is the target plus a vector of V+ + V-, so its entering time is the
-    value.  Raises ValueError on a complex with an arrow that increases the
-    filtration, where neither the skip nor the sub-complexes C±_{gamma±} and
-    C_t mean anything.
+    gamma± comes from `_least_top`, and z± and the spanning vectors of V±
+    from `_below` at gamma±; a basis column on the rows keyed at most gamma±
+    on both sides is in both lists and is echelonized once.  A degree-1
+    generator x that is not late (keyed at most gamma+ on the plus side, or
+    at most gamma- on the minus side) has d1·x supported on rows keyed at
+    most its own key, by the filtration condition, so d1·x already lies in
+    V+ + V- and its column is skipped.  The reduced target z+ + z- is
+    stored as a pivot whose companion is one flag bit, and the late columns
+    follow by entering time into C: the first that reduces to zero with the
+    flag set closes a sum of columns, all entered by its time, that is the
+    target plus a vector of V+ + V-, so its entering time is the value.
+    Raises ValueError on a complex with an arrow that increases the
+    filtration, where neither the skip nor the sub-complexes C±_{gamma±}
+    and C_t mean anything.
     """
     if eng.unfiltered is not None:
         src, dst, m = eng.unfiltered
         raise ValueError(f"the secondary invariant needs the filtration condition: "
                          f"arrow {src} -> U^{m}·{dst} increases the filtration")
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
-    gp, zp, basis_p = _reduce(eng, keys_p)
-    gm, zm, basis_m = _reduce(eng, keys_m)
-    base = [v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm]
+    gp, gm = _least_top(eng, keys_p), _least_top(eng, keys_m)
+    zp, span_p = _below(eng, keys_p, gp)
+    zm, span_m = _below(eng, keys_m, gm)
     pivots: dict[int, tuple[int, int]] = {}
-    _echelonize(pivots, ((v, 0) for v in base))
+    _echelonize(pivots, ((v, 0) for v in dict.fromkeys(span_p + span_m)))  # shared columns once
     rest = _reduce_pair(pivots, zp ^ zm, 0)[0]
     if not rest:
         return gp, gm, NO_OBSTRUCTION
@@ -485,11 +494,11 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
 
     The limit is exact: keyed by (value at t_star, ±slope), the generator
     lines of slices 0 and 1 sort as they enter H_{t_star±eps}, so the two
-    reductions of `_secondary` leave leading the lines that the engine value
-    follows just right and just left of t_star.  They must meet at t_star
-    (asserted), where they give the kink value; t_star is a breaking point
-    iff the right slope is less than the left.  Elsewhere a finite value
-    raises NotABreakingPoint (NoObstruction is still returned).
+    `_least_top` reductions of `_secondary` leave leading the lines that the
+    engine value follows just right and just left of t_star.  They must meet
+    at t_star (asserted), where they give the kink value; t_star is a
+    breaking point iff the right slope is less than the left.  Elsewhere a
+    finite value raises NotABreakingPoint (NoObstruction is still returned).
     """
     t_star, s = _kl_parameters(t_star, s)
     eng = _Engine.of(k)

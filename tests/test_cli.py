@@ -405,15 +405,15 @@ def test_exit_4_when_the_generating_cycle_is_a_boundary(capsys, monkeypatch):
 
 
 def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
-    reduce = invariants._reduce
+    least_top = invariants._least_top
     calls = []
 
     def corrupt(eng, keys):  # the reduction just left of t* leads one too high
         calls.append(keys)
-        (v, s), w, basis = reduce(eng, keys)
-        return ((v + 1, s) if len(calls) == 2 else (v, s)), w, basis
+        v, s = least_top(eng, keys)
+        return (v + 1, s) if len(calls) == 2 else (v, s)
 
-    monkeypatch.setattr(invariants, "_reduce", corrupt)
+    monkeypatch.setattr(invariants, "_least_top", corrupt)
     with pytest.raises(AssertionError, match="^kim_livingston: the two sides of t = 2/3 do not meet"):
         invariants.kim_livingston(zoo.torus_knot(4, 3), Fraction(2, 3), Fraction(2, 3))
     calls.clear()
@@ -423,15 +423,15 @@ def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
 
 
 def test_exit_4_when_the_secondary_target_is_not_a_boundary(capsys, monkeypatch):
-    reduce = invariants._reduce
+    below = invariants._below
     calls = []
 
-    def corrupt(eng, keys):  # C+'s reduced cycle leaves the generating coset
+    def corrupt(eng, keys, g):  # C+'s reduced cycle leaves the generating coset
         calls.append(keys)
-        key, w, basis = reduce(eng, keys)
-        return key, (w ^ eng.z_ref if len(calls) == 1 else w), basis
+        z, span = below(eng, keys, g)
+        return (z ^ eng.z_ref if len(calls) == 1 else z), span
 
-    monkeypatch.setattr(invariants, "_reduce", corrupt)
+    monkeypatch.setattr(invariants, "_below", corrupt)
     regions = [upsilon_halfplane(Fraction(t)) for t in ("1", "1/3", "2/3")]
     with pytest.raises(AssertionError, match=r"^secondary: z\+ \+ z- is not a boundary$"):
         invariants.secondary(zoo.torus_knot(4, 3), *regions)
@@ -440,6 +440,17 @@ def test_exit_4_when_the_secondary_target_is_not_a_boundary(capsys, monkeypatch)
                          "--region", "H(2/3)")
     assert code == 4 and out == ""
     assert err == "internal check failed: secondary: z+ + z- is not a boundary\n"
+
+
+def test_exit_4_when_no_cycle_stays_below_the_least_top(capsys, monkeypatch):
+    below = invariants._below
+    # each side's coset is asked for one key below its least top
+    monkeypatch.setattr(invariants, "_below", lambda eng, keys, g: below(eng, keys, g - 1))
+    code, out, err = run(capsys, "secondary", "T(4,3)", "--cplus", "H(1)", "--cminus", "H(1/3)",
+                         "--region", "H(2/3)")
+    assert code == 4 and out == ""
+    assert err == ("internal check failed: below reduction: no generating cycle stays on "
+                   "the rows keyed at most the least top\n")
 
 
 # ---------------------------------------------------------------------------

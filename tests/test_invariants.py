@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upsilonkit import complexes, invariants
+from upsilonkit import complexes, invariants, regions
 from upsilonkit.complexes import (
     BaseGenerator,
     KnotComplex,
@@ -1037,25 +1037,39 @@ def test_upsilon_curve_is_computed_once_per_complex(monkeypatch):
     ] != []
 
 
+def _record_kernel_calls(monkeypatch) -> list:
+    """A list to which each call of `invariants._least_top` or `_below`
+    appends the kernel's name."""
+    calls = []
+
+    def counted(name):
+        kernel = getattr(invariants, name)
+
+        def count(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return count
+
+    for name in ("_least_top", "_below"):
+        monkeypatch.setattr(invariants, name, counted(name))
+    return calls
+
+
 def test_kim_livingston_reduces_twice(monkeypatch):
     # the two one-sided reductions at t* answer everything: the kink value,
-    # the breaking-point test and both exceptional cosets
-    calls = []
-    reduce = invariants._reduce
-
-    def count(*args):
-        calls.append(args)
-        return reduce(*args)
+    # the breaking-point test and both exceptional cosets; each side is one
+    # `_least_top` for its key and one `_below` for its coset
+    calls = _record_kernel_calls(monkeypatch)
 
     def region(*args):
         raise AssertionError("kim_livingston made a region query")
 
-    monkeypatch.setattr(invariants, "_reduce", count)
     monkeypatch.setattr(invariants, "upsilon_region", region)
     for t, s, expected in ((F(2, 3), F(2, 3), F(-4, 3)), (F(1), F(1), NO_OBSTRUCTION)):
         calls.clear()
         assert kim_livingston(torus_knot(4, 3), t, s) == expected
-        assert len(calls) == 2
+        assert calls == ["_least_top", "_least_top", "_below", "_below"]
 
 
 def test_kim_livingston_decides_breaking_points_locally(monkeypatch):
@@ -1088,11 +1102,11 @@ def _perturbation_route(k, candidates, t):
     breaking-point test by the values there.  An error comes back as its
     message."""
     delta = invariants._kl_delta(candidates, t)
-    lo, kink, hi = (upsilon_region(k, upsilon_halfplane(x)) for x in (t - delta, t, t + delta))
+    minus, plus = upsilon_halfplane(t - delta), upsilon_halfplane(t + delta)
+    lo, kink, hi = (upsilon_region(k, r) for r in (minus, upsilon_halfplane(t), plus))
 
     def at(s):
-        value = secondary(k, upsilon_halfplane(t + delta), upsilon_halfplane(t - delta),
-                          upsilon_halfplane(s))
+        value = secondary(k, plus, minus, upsilon_halfplane(s))
         if value is NO_OBSTRUCTION:
             return NO_OBSTRUCTION
         if lo + hi - 2 * kink >= 0:
@@ -1157,6 +1171,34 @@ def _per_generator(at, pos, keys):
     return [key_at[p] for p in pos]
 
 
+def _reduce(eng, keys):
+    """The filtered reduction by columns, with one key per slice-0 position:
+    the route `_secondary` took before `_below`, and the reference for
+    `_least_top` and `_below`.  The rows are ordered by key and the engine's
+    basis of im d1 echelonized by its latest row, each vector carrying the
+    same chain in original row order; z_ref reduced against it leaves the
+    coset member whose latest row is earliest.  Returns that row's key (the
+    least top), the reduced cycle and the echelon basis as (leading key,
+    mask) pairs: those with leading key <= x span the boundaries on rows
+    keyed at most x."""
+    bit = [0] * len(eng.basis_rows)
+    row_keys = []  # the key of each row, in key order
+    for p in sorted(range(len(keys)), key=keys.__getitem__):
+        for i in eng.gens0[p]:
+            bit[i] = 1 << len(row_keys)
+            row_keys.append(keys[p])
+
+    def permute(rows):
+        return sum(bit[i] for i in rows)  # distinct bits: the sum is their union
+
+    pivots = {}
+    _echelonize(pivots, zip(map(permute, eng.basis_supports), eng.basis_cols))
+    z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
+    assert permute(_bits(w)) == z
+    basis = [(row_keys[lead], col) for lead, (_, col) in pivots.items()]
+    return row_keys[z.bit_length() - 1], w, basis
+
+
 def _full_column_reduce(eng, keys):
     """The filtered reduction over every d1 column, dependent ones included,
     with one key per slice-0 generator: the route before the engine fixed a
@@ -1203,10 +1245,16 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
     knots.append(_headline())  # past the oracles' guard
     seeds = [rng.random() for _ in knots]
     fast = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
-    monkeypatch.setattr(invariants, "_reduce", lambda eng, keys: _full_column_reduce(
-        eng, _per_generator(eng.at0, eng.pos0, keys)))
-    monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: _full_column_reduce(
-        eng, _per_generator(eng.at0, eng.pos0, keys))[0])
+
+    def full(eng, keys):
+        return _full_column_reduce(eng, _per_generator(eng.at0, eng.pos0, keys))
+
+    def below(eng, keys, g):
+        _, w, basis = full(eng, keys)
+        return w, [v for key, v in basis if key <= g]
+
+    monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: full(eng, keys)[0])
+    monkeypatch.setattr(invariants, "_below", below)
     full = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
     assert fast == full
     assert any(kl for _, kl, *_ in fast)  # some kink was evaluated
@@ -1227,7 +1275,7 @@ def test_region_query_stops_before_the_last_row(monkeypatch):
     eng = complexes._Engine.of(k)  # the build echelonizes every column, once
     r = upsilon_halfplane(F(2, 3))
     nums, d = invariants.entering_numerators(r, eng.at0)
-    expected = F(complexes._reduce(eng, nums)[0], d)
+    expected = F(_reduce(eng, nums)[0], d)
     groups = eng.groups0
     eng.groups0 = _CountedGroups(groups)
     eng.groups0.read = []
@@ -1261,11 +1309,11 @@ def test_least_top_matches_the_column_reduction():
         for _ in range(5):
             for keys in _key_draws(rng, len(eng.at0)):  # one key per position
                 expected = _least_top_by_generator(eng, _per_generator(eng.at0, eng.pos0, keys))
-                assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0] == expected
+                assert complexes._least_top(eng, keys) == _reduce(eng, keys)[0] == expected
                 cases += 1
         for t in (F(0), F(1, 3), F(1), F(2)):  # the engine's own keys
             keys = invariants.entering_numerators(upsilon_halfplane(t), eng.at0)[0]
-            assert complexes._least_top(eng, keys) == complexes._reduce(eng, keys)[0]
+            assert complexes._least_top(eng, keys) == _reduce(eng, keys)[0]
     assert cases == 21 * 15
 
 
@@ -1278,6 +1326,45 @@ def test_least_top_asserts_when_the_cycle_is_a_boundary():
     eng.z_ref = eng.basis_cols[0]
     with pytest.raises(AssertionError, match="^least-top reduction: the generating cycle is a boundary$"):
         complexes._least_top(eng, keys)
+
+
+def test_below_matches_the_column_reduction():
+    # on the draws of the least-top test and on entering times: z is z_ref
+    # plus a boundary on the rows keyed at most gamma, and the list spans
+    # what the column route's basis vectors led at most gamma span
+    rng = random.Random(1717)
+    knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()]
+    cases = 0
+    for k in knots:
+        eng = complexes._Engine.of(k)
+        boundaries = F2Space(eng.basis_cols)
+        draws = [keys for _ in range(2) for keys in _key_draws(rng, len(eng.at0))]
+        draws += [invariants.entering_numerators(upsilon_halfplane(t), eng.at0)[0]
+                  for t in (F(0), F(1, 3), F(1), F(2))]
+        for keys in draws:
+            gamma = complexes._least_top(eng, keys)
+            z, span = complexes._below(eng, keys, gamma)
+            key, _, basis = _reduce(eng, keys)
+            low = _mask(i for p, gens in enumerate(eng.gens0) if keys[p] <= gamma for i in gens)
+            assert key == gamma
+            assert z & ~low == 0 and boundaries.contains(z ^ eng.z_ref)
+            assert all(v & ~low == 0 for v in span)
+            led = [v for lead, v in basis if lead <= gamma]
+            assert F2Space(span).dim == F2Space(led).dim == F2Space(span + led).dim
+            cases += 1
+    assert cases == 21 * 10
+
+
+def test_below_asserts_below_the_least_top():
+    k = torus_knot(5, 3)
+    eng = complexes._Engine.of(k)
+    keys = [a for a, _ in eng.at0]
+    assert complexes._least_top(eng, keys) == 0
+    assert complexes._below(eng, keys, 0)[0] & ~_mask(
+        i for p, gens in enumerate(eng.gens0) if keys[p] <= 0 for i in gens) == 0
+    message = "^below reduction: no generating cycle stays on the rows keyed at most the least top$"
+    with pytest.raises(AssertionError, match=message):
+        complexes._below(eng, keys, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1302,8 +1389,8 @@ def _secondary_by_growing_span(eng, plus, minus, c):
     and reads the slice-1 keys per generator."""
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
     keys1_p, keys1_m = (_per_generator(eng.at1, eng.pos1, keys) for keys in (keys1_p, keys1_m))
-    gp, zp, basis_p = invariants._reduce(eng, keys_p)
-    gm, zm, basis_m = invariants._reduce(eng, keys_m)
+    gp, zp, basis_p = _reduce(eng, keys_p)
+    gm, zm, basis_m = _reduce(eng, keys_m)
     space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
     target = zp ^ zm
     if space.contains(target):
@@ -1328,6 +1415,21 @@ def _outcome(f, *args):
         return f(*args)
     except ValueError as e:
         return type(e), str(e)
+
+
+def test_vk_keys_positions_without_a_region(monkeypatch):
+    rng = random.Random(79)
+    knots = [_headline()] + [_random_torus_sum(rng) for _ in range(6)]
+    expected = [[upsilon_region(k, v_region(s)) for s in range(-6, 33)] for k in knots]
+    assert {-2 * v for vs in expected for v in vs} > {F(0), F(-2)}
+
+    def no_region(*args):
+        raise AssertionError("vk built or keyed a region")
+
+    for module, name in ((invariants, "entering_numerators"), (invariants, "upsilon_region"),
+                         (regions, "v_region"), (regions, "entering_numerators")):
+        monkeypatch.setattr(module, name, no_region)
+    assert [[-vk(k, s) / 2 for s in range(-6, 33)] for k in knots] == expected
 
 
 def test_nu_plus_matches_the_v_scan():
@@ -1374,22 +1476,11 @@ def _headline_values(k):
 def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
     expected = _headline_values(_headline())
     k = _headline()
-    calls = []
-
-    def counted(name):
-        kernel = getattr(invariants, name)
-
-        def count(*args):
-            calls.append(name)
-            return kernel(*args)
-
-        return count
+    calls = _record_kernel_calls(monkeypatch)
 
     def no_space(self, vectors=()):
         raise AssertionError("an engine route built an F2Space")
 
-    for name in ("_reduce", "_least_top"):
-        monkeypatch.setattr(invariants, name, counted(name))
     monkeypatch.setattr(F2Space, "__init__", no_space)
     assert nu_plus(k) == 1 and calls == ["_least_top"]
     t, d = F(2, 5), F(1, 8000)
@@ -1397,7 +1488,7 @@ def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
         calls.clear()
         plus, minus = upsilon_halfplane(tc + d), upsilon_halfplane(tc - d)
         assert secondary(k, plus, minus, upsilon_halfplane(F(1, 4))) == value
-        assert calls == ["_reduce", "_reduce"]
+        assert calls == ["_least_top", "_least_top", "_below", "_below"]
     assert _headline_values(k) == expected
 
 
@@ -1466,7 +1557,7 @@ def test_grouped_keys_equal_per_generator_keys(monkeypatch):
             assert _per_generator(eng.at0, eng.pos0, at) == per
             expected = _least_top_by_generator(eng, per)
             assert complexes._least_top(eng, at) == expected
-            assert complexes._reduce(eng, at)[0] == expected == _full_column_reduce(eng, per)[0]
+            assert _reduce(eng, at)[0] == expected == _full_column_reduce(eng, per)[0]
             cases += 1
     assert cases == len(knots) * 14
 

@@ -1,6 +1,7 @@
 """The module map's layering: each module imports only the ones above it."""
 
 import ast
+import re
 from pathlib import Path
 
 import upsilonkit
@@ -57,28 +58,10 @@ def test_only_complexes_reads_the_graded_layout():
         assert "_graded" not in names, f"{path.stem} references _graded"
 
 
-def _functions_naming(tree: ast.AST, name: str) -> set[str]:
-    """The functions whose bodies name `name` ("<module>" for code outside
-    any function); imports and definitions do not count."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        elif (isinstance(node, ast.Name) and node.id == name
-              or isinstance(node, ast.Attribute) and node.attr == name):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, "<module>")
-    return found
-
-
-def test_only_secondary_runs_the_column_reduction():
-    # `_reduce` returns the reduced cycle and the boundary basis as well as
-    # the key, and only `_secondary` needs them; every key-only query takes
-    # `_least_top`, which stops at the answer.
-    users = {(path.stem, function) for path in PACKAGE.glob("*.py")
-             for function in _functions_naming(ast.parse(path.read_text()), "_reduce")}
-    assert users == {("invariants", "_secondary")}
+def test_no_module_runs_the_column_reduction():
+    # Every least key comes from `_least_top`, which stops at the answer, and
+    # the secondary invariant's cosets from `_below`, which eliminates only
+    # the rows keyed above it; `_reduce`, the column route that sorts and
+    # permutes every row, is a reference in the tests only.
+    assert [path.stem for path in PACKAGE.glob("*.py")
+            if re.search(r"\b_reduce\b", path.read_text())] == []
