@@ -294,10 +294,12 @@ def _emit(args, command: str, value, provenance: list[str], *, knot: str | None 
 
 
 def _rational_flag(text: str) -> Fraction:
+    """A --t or --s value.  argparse shows the message of an
+    ArgumentTypeError, but replaces that of a ValueError with its own."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed rational {text!r}") from None
+        raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from None
 
 
 def _get_complex(args) -> tuple[complexes.KnotComplex, str]:
@@ -327,7 +329,7 @@ def _cmd_upsilon(args):
             t = Fraction(2 * i, args.samples)
             print(f"{float(t):.12f},{float(regions.pl_eval(f, t)):.12f}")
         return 0
-    return _emit(args, "upsilon", f, ["upsilon_function", "upsilon_region"], knot=name)
+    return _emit(args, "upsilon", f, ["upsilon_function"], knot=name)
 
 
 def _cmd_upsilon_at(args):
@@ -398,7 +400,7 @@ def _cmd_breaking_points(args):
     }
     if args.format == "json":
         return _emit(args, "breaking-points", value,
-                     ["breaking_points", "upsilon_function", "upsilon_region"], knot=name)
+                     ["breaking_points", "upsilon_function"], knot=name)
     for bp in bps:
         print(f"t = {rational_to_text(bp.t)}   jump = {rational_to_text(bp.jump)}")
     if not bps:

@@ -26,6 +26,12 @@ key is known, a generating cycle on the rows keyed at most it and the
 boundaries there, by eliminating only the rows keyed above it.  The oracles
 take their positions and cycle from `maslov_slice` and
 `representative_cycle`.
+
+The public `KnotComplex` constructor checks what it is given.  `tensor` and
+`mirror`, whose output is correct by construction, make it with
+`KnotComplex._built` instead, with no re-check, and leave with it the
+arrows as generator indices (`_index_arrows`), which is all `_graded`
+reads of the arrows.
 """
 
 from __future__ import annotations
@@ -134,6 +140,18 @@ class KnotComplex:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "arrows", tuple(sorted(seen)))
 
+    @classmethod
+    def _built(cls, generators: tuple, arrows: tuple, index_arrows: tuple) -> "KnotComplex":
+        """A complex from a builder whose output is correct by construction:
+        unique names, integer U-powers and arrows already cancelled and
+        sorted, with `index_arrows` their `_index_arrows`.  Nothing is
+        re-checked; untrusted input goes through the public constructor."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "generators", generators)
+        object.__setattr__(k, "arrows", arrows)
+        vars(k)["_index_arrows"] = index_arrows
+        return k
+
     @property
     def by_name(self) -> dict[str, BaseGenerator]:
         return {g.name: g for g in self.generators}
@@ -150,6 +168,14 @@ class KnotComplex:
 
     def arrows_from(self, name: str) -> list[tuple[str, int]]:
         return list(self._arrows_by_src.get(name, ()))
+
+    @cached_property
+    def _index_arrows(self) -> tuple[tuple[int, int, int], ...]:
+        """(source index, target index, upower) of each arrow, in arrow order,
+        indexing `generators`: found by name here, or left by the builder
+        (`_built`).  Kept in the instance dict like `_arrows_by_src`."""
+        index = {g.name: i for i, g in enumerate(self.generators)}
+        return tuple([(index[src], index[dst], m) for src, dst, m in self.arrows])
 
 
 @dataclass(frozen=True)
@@ -176,7 +202,8 @@ def maslov_slice(k: KnotComplex, d: int) -> tuple[LatticeGenerator, ...]:
 
 def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     """The slices of Maslov grading 0 and 1 and the differential out of
-    each, from one walk over the generators and one over the arrows.
+    each, from one walk over the generators and one over the index arrows
+    (`KnotComplex._index_arrows`).
 
     positions[p] lists, in generator order, the (A - u, j - u) of U^u times
     each base generator of grading parity p, u = M // 2; columns[p] lists
@@ -185,26 +212,27 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     d % 2, and an arrow x -> U^m y drops the grading by one from every
     slice exactly when M(y) - 2m = M(x) - 1, so the grading-d differential
     is that of d % 2 and dim H_d is dim H_(d % 2).  The third value is the
-    first arrow (src, dst, m) that increases the filtration (U^m y not
-    coordinatewise at most x), or None.  Raises ValueError on an arrow that
-    breaks the grading.
+    first arrow (src, dst, m), in arrow order, that increases the
+    filtration (U^m y not coordinatewise at most x), or None.  Raises
+    ValueError on an arrow that breaks the grading.
     """
-    where: dict[str, tuple] = {}  # name -> (parity, index, M, A, j)
+    gens = k.generators
+    where = []  # per generator: (parity, index in its slice, M, A, j)
     positions: tuple[list, list] = ([], [])
-    for g in k.generators:
+    for g in gens:
         p, u = g.maslov % 2, g.maslov // 2
-        where[g.name] = (p, len(positions[p]), g.maslov, g.alexander, g.algebraic)
+        where.append((p, len(positions[p]), g.maslov, g.alexander, g.algebraic))
         positions[p].append((g.alexander - u, g.algebraic - u))
     columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
     unfiltered = None
-    for arrow in k.arrows:
-        src, dst, m = arrow
-        p, c, mx, ax, jx = where[src]
-        _, i, my, ay, jy = where[dst]
+    for s, t, m in k._index_arrows:
+        p, c, mx, ax, jx = where[s]
+        _, i, my, ay, jy = where[t]
         if my - 2 * m != mx - 1:
-            raise ValueError(f"arrow {src} -> U^{m}·{dst} does not drop Maslov grading by 1")
+            raise ValueError(f"arrow {gens[s].name} -> U^{m}·{gens[t].name} "
+                             "does not drop Maslov grading by 1")
         if unfiltered is None and (ay - m > ax or jy - m > jx):
-            unfiltered = arrow
+            unfiltered = (gens[s].name, gens[t].name, m)
         columns[p][c].append(i)
     return (tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns),
             unfiltered)
@@ -468,8 +496,11 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     generators in the next factor, product generator c and its generator i
     make generator c·n + i, whose name is built once from the name of c.  An
     arrow s -> t of the product so far lifts to s·n + i -> t·n + i, and an
-    arrow a -> b of the factor to c·n + a -> c·n + b; arrows become names
-    only at the end.
+    arrow a -> b of the factor to c·n + a -> c·n + b.  The product is correct
+    by construction, so it is made by `KnotComplex._built`, with no re-check:
+    `_arranged` puts the index arrows in name order and cancels equal ones
+    (only self-loops of two factors can be equal), and they become names
+    only at the end.  The index arrows stay with the product for the engine.
     """
     names, alexander, algebraic, maslov = [""], [0], [0], [0]
     arrows: list[tuple[int, int, int]] = []
@@ -477,29 +508,53 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
         gens = k.generators
         n = len(gens)
         escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in gens]
-        index = {g.name: i for i, g in enumerate(gens)}
-        own = [(index[src], index[dst], m) for src, dst, m in k.arrows]
+        own = k._index_arrows
         arrows = [(s * n + i, t * n + i, m) for s, t, m in arrows for i in range(n)]
         arrows += [(c * n + a, c * n + b, m) for c in range(len(names)) for a, b, m in own]
         names = [prefix + "*" + e for prefix in names for e in escaped] if f else escaped
         alexander = [x + g.alexander for x in alexander for g in gens]
         algebraic = [x + g.algebraic for x in algebraic for g in gens]
         maslov = [x + g.maslov for x in maslov for g in gens]
-    return KnotComplex(tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
-                       tuple([(names[s], names[t], m) for s, t, m in arrows]))
+    return KnotComplex._built(tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
+                              *_arranged(names, arrows))
+
+
+def _arranged(names: list[str], arrows) -> tuple[tuple, tuple]:
+    """Index arrows between generators with these (distinct) names, as
+    `KnotComplex` keeps them: sorted by (source name, target name, upower),
+    with equal arrows cancelled in pairs.  Returns the name arrows and the
+    index arrows, in the same order.
+
+    One sort ranks the names; the arrows then sort as integer triples
+    (rank of source, rank of target, upower), which is their name order, and
+    equal arrows end up adjacent."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    kept: list[tuple[int, int, int]] = []
+    for arrow in sorted([(rank[s], rank[t], m) for s, t, m in arrows]):
+        if kept and kept[-1] == arrow:  # F2 coefficients: equal arrows cancel
+            kept.pop()
+        else:
+            kept.append(arrow)
+    index_arrows = tuple([(order[s], order[t], m) for s, t, m in kept])
+    return tuple([(names[s], names[t], m) for s, t, m in index_arrows]), index_arrows
 
 
 def mirror(k: KnotComplex) -> KnotComplex:
     """The dual complex (mirror knot): negate (A, j, M), reverse all arrows.
 
     Reversing an arrow keeps its U-power; the grading and filtration
-    conventions are preserved by the sign flips.
+    conventions are preserved by the sign flips.  The reversed arrows are
+    distinct, as k's are, so `_arranged` only sorts them, and the result is
+    made by `KnotComplex._built`.
     """
     gens = tuple(
         BaseGenerator(g.name, -g.alexander, -g.algebraic, -g.maslov) for g in k.generators
     )
-    arrows = tuple((dst, src, m) for src, dst, m in k.arrows)
-    return KnotComplex(gens, arrows)
+    reversed_arrows = [(t, s, m) for s, t, m in k._index_arrows]
+    return KnotComplex._built(gens, *_arranged([g.name for g in gens], reversed_arrows))
 
 
 def add_box(k: KnotComplex, corner: tuple[int, int], maslov: int) -> KnotComplex:

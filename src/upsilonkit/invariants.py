@@ -147,6 +147,14 @@ def _line_keys(positions, n: int, d: int, sign: int) -> list[tuple[int, int]]:
     return [(2 * d * j + n * (a - j), sign * (a - j)) for a, j in positions]
 
 
+def _halfplane_keys(positions, t: Fraction) -> tuple[list[int], int]:
+    """The entering times of these positions into the half-plane H(t),
+    t = n/d, as integer numerators over 2d: a generator at (A, j) enters at
+    L(t) = (2d·j + n(A - j)) / 2d, with no region built."""
+    n, d = t.numerator, t.denominator
+    return [2 * d * j + n * (a - j) for a, j in positions], 2 * d
+
+
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
     """True iff a degree-0 generating cycle lives inside the translate C_t."""
     return upsilon_region(k, r) <= _rat(t)
@@ -185,7 +193,7 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
     eng = _Engine.of(k)
     if eng.curve is None:
         curve = PLFunction(tuple((t, -2 * v) for t, v in _kinetic_sweep(eng)))
-        _check_chords(k, [t for t, _ in curve.points], [-v / 2 for _, v in curve.points])
+        _check_chords(eng, [t for t, _ in curve.points], [-v / 2 for _, v in curve.points])
         eng.curve = curve
     return eng.curve
 
@@ -220,11 +228,15 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
         n, d = bn // g, bd // g
 
 
-def _check_chords(k: KnotComplex, ts, vals) -> None:
-    """Assert that the region invariant of the half-plane at the midpoint of
-    each segment between these parameters lies on the chord of these values."""
+def _check_chords(eng: _Engine, ts, vals) -> None:
+    """Assert that the engine value at the midpoint of each segment between
+    these parameters lies on the chord of these values: one `_least_top`
+    per midpoint n/d, keyed by 2d·j + n(A - j) over `eng.at0`, the entering
+    times into the half-plane there (`_halfplane_keys`), so no region is
+    built."""
     for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        if 2 * upsilon_region(k, upsilon_halfplane((t0 + t1) / 2)) != v0 + v1:
+        keys, d = _halfplane_keys(eng.at0, (t0 + t1) / 2)
+        if 2 * Fraction(_least_top(eng, keys), d) != v0 + v1:
             raise AssertionError(f"upsilon not linear on [{t0}, {t1}]: a kink was missed")
 
 
@@ -425,13 +437,15 @@ def secondary(
     """
     eng = _Engine.of(k)
     sides = ([entering_numerators(r, p)[0] for p in (eng.at0, eng.at1)] for r in (cplus, cminus))
-    return _secondary(eng, *sides, c)[2]
+    return _secondary(eng, *sides, entering_numerators(c, eng.at1))[2]
 
 
-def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
+def _secondary(eng: _Engine, plus, minus, c: tuple[list, int]) -> tuple:
     """`secondary` with each side C± given as (slice-0 keys, slice-1 keys),
     one key per position of the slice (`eng.at0`, `eng.at1`), ordered as
-    the positions enter C±; returns gamma+, gamma- and the value.
+    the positions enter C±, and C as (slice-1 keys, d): the entering times
+    of the slice-1 positions into C as integer numerators over d, so no
+    region is read here.  Returns gamma+, gamma- and the value.
 
     gamma± comes from `_least_top`, and z± and the spanning vectors of V±
     from `_below` at gamma±; a basis column on the rows keyed at most gamma±
@@ -463,7 +477,7 @@ def _secondary(eng: _Engine, plus, minus, c: SouthWestRegion) -> tuple:
         return gp, gm, NO_OBSTRUCTION
 
     pivots[rest.bit_length() - 1] = (rest, 1)
-    times_c, d = entering_numerators(c, eng.at1)
+    times_c, d = c
     late = [p for p, (kp, km) in enumerate(zip(keys1_p, keys1_m)) if kp > gp and km > gm]
     cols = eng.d1_cols
     for p in sorted(late, key=times_c.__getitem__):
@@ -499,12 +513,14 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     at t_star (asserted), where they give the kink value; t_star is a
     breaking point iff the right slope is less than the left.  Elsewhere a
     finite value raises NotABreakingPoint (NoObstruction is still returned).
+    H_s is keyed the same way, by its entering times over the slice-1
+    positions (`_halfplane_keys`), with no region built.
     """
     t_star, s = _kl_parameters(t_star, s)
     eng = _Engine.of(k)
     n, d = t_star.numerator, t_star.denominator
     sides = ([_line_keys(pos, n, d, sign) for pos in (eng.at0, eng.at1)] for sign in (1, -1))
-    (v, right), (v_left, neg_left), value = _secondary(eng, *sides, upsilon_halfplane(s))
+    (v, right), (v_left, neg_left), value = _secondary(eng, *sides, _halfplane_keys(eng.at1, s))
     if v != v_left:
         raise AssertionError(f"kim_livingston: the two sides of t = {t_star} do not meet there")
     if value is NO_OBSTRUCTION:

@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -319,6 +320,16 @@ def test_exit_1_on_usage_errors(capsys):
     assert code == 1  # csv only exists for the full function
 
 
+@pytest.mark.parametrize("argv", [("upsilon-at", "T(3,2)", "--t", "abc"),
+                                  ("upsilon-at", "T(3,2)", "--t", "1/0"),
+                                  ("kl", "T(3,2)", "--t", "1", "--s", "x")])
+def test_malformed_rational_flag_names_its_value(capsys, argv):
+    flag, text = argv[-2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: argument {flag}: malformed rational {text!r}\n"
+
+
 def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "upsilon-at", "T(2,3)", "--t", "5/2")
     assert code == 2 and "error" in err
@@ -389,6 +400,23 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
     code, out, err = run(capsys, "upsilon", "T(5,3)")
     assert code == 4 and out == ""
     assert err.startswith("internal check failed: upsilon curve: ") and err.count("\n") == 1
+
+
+def test_exit_4_when_the_sweep_misses_a_kink(capsys, monkeypatch):
+    sweep = invariants._kinetic_sweep
+
+    def missed(eng):  # the sweep loses its middle event, the kink of T(5,3) at t = 1
+        points = sweep(eng)
+        return points[:len(points) // 2] + points[len(points) // 2 + 1:]
+
+    monkeypatch.setattr(invariants, "_kinetic_sweep", missed)
+    k = zoo.torus_knot(5, 3)
+    message = "upsilon not linear on [2/3, 4/3]: a kink was missed"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        invariants.upsilon_function(k)
+    assert complexes._Engine.of(k).curve is None  # nothing unchecked is kept
+    code, out, err = run(capsys, "upsilon", "T(5,3)")
+    assert (code, out, err) == (4, "", f"internal check failed: {message}\n")
 
 
 def test_exit_4_when_the_generating_cycle_is_a_boundary(capsys, monkeypatch):

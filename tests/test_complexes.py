@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from upsilonkit import complexes
 from upsilonkit.complexes import (
     BaseGenerator,
     KnotComplex,
     LatticeGenerator,
+    _graded,
     add_box,
     boundary_matrix,
     from_json_dict,
@@ -386,10 +388,120 @@ def test_tensor_matches_the_product_route(factors):
     assert json.dumps(to_json_dict(k)) == json.dumps(to_json_dict(ref))
 
 
-def test_mirror_is_involution():
-    for k in (trefoil_by_hand(), torus_knot(5, 3), thin_model(-2)):
-        assert mirror(mirror(k)) == k
+_AWKWARD_NAMES = ["", " ", "!", ")", "a", "a!", "ab", "*", "\\", "a*", "\\*", "b )"]
+
+
+def _random_small_complex(rng):
+    """1-4 generators named from `_AWKWARD_NAMES` (names that sort below
+    "*", prefixes of each other, "*", "\\" and the empty name) at random
+    positions and gradings, with random arrows: self-loops, ill-graded and
+    filtration-increasing ones included."""
+    names = rng.sample(_AWKWARD_NAMES, rng.randint(1, 4))
+    gens = tuple(BaseGenerator(n, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
+                 for n in names)
+    arrows = []
+    for _ in range(rng.randint(0, 3)):
+        x = rng.choice(gens)
+        graded = [g for g in gens if (g.maslov - x.maslov) % 2]  # some U-power grades x -> g
+        if graded and rng.random() < 0.85:
+            y = rng.choice(graded)
+            m = (y.maslov - x.maslov + 1) // 2
+        else:
+            y, m = rng.choice(gens), rng.randint(-1, 1)
+        arrows.append((x.name, y.name, m))
+    return KnotComplex(gens, tuple(arrows))
+
+
+def _random_factor_sets():
+    rng = random.Random(1818)
+    return [tuple(_random_small_complex(rng) for _ in range(rng.randint(2, 3)))
+            for _ in range(30)]
+
+
+def _graded_outcome(k):
+    """`_graded(k)`, or the type and message of the ValueError it raises."""
+    try:
+        return _graded(k)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _first_bad_arrow(k):
+    """By names, in arrow order: the ValueError `_graded` raises at the first
+    arrow that breaks the grading, else the first arrow that increases the
+    filtration, or None."""
+    by_name = k.by_name
+    for src, dst, m in k.arrows:
+        if by_name[dst].maslov - 2 * m != by_name[src].maslov - 1:
+            return ValueError, f"arrow {src} -> U^{m}·{dst} does not drop Maslov grading by 1"
+    for src, dst, m in k.arrows:
+        x, y = by_name[src], by_name[dst]
+        if y.alexander - m > x.alexander or y.algebraic - m > x.algebraic:
+            return src, dst, m
+    return None
+
+
+def _checked_twin(k):
+    """k through the public constructor, which checks and canonicalizes."""
+    return KnotComplex(k.generators, k.arrows)
+
+
+@pytest.mark.parametrize("factors", list(_tensor_cases()) + _random_factor_sets())
+def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
+    k = tensor(*factors)
+    assert "_index_arrows" in vars(k)  # left by tensor for the engine
+    assert k == _product_tensor(*factors)
+    twin = _checked_twin(k)
+    assert (k == twin, repr(k), hash(k)) == (True, repr(twin), hash(twin))
+    by_name = {g.name: i for i, g in enumerate(twin.generators)}
+    assert k._index_arrows == twin._index_arrows == tuple(
+        (by_name[src], by_name[dst], m) for src, dst, m in twin.arrows)
+    outcome = _graded_outcome(k)
+    assert outcome == _graded_outcome(twin)
+    assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
+
+    def refuse(self):
+        raise AssertionError("the product was re-checked")
+
+    monkeypatch.setattr(KnotComplex, "__post_init__", refuse)
+    assert tensor(*factors) == k
+    with pytest.raises(AssertionError, match="re-checked"):
+        _checked_twin(k)
+
+
+def test_built_products_reach_every_graded_outcome():
+    # the random and self-loop factors give ill-graded products (the same
+    # ValueError by both routes) and unfiltered ones (the same first arrow)
+    loop = KnotComplex((BaseGenerator("p", 0, 0, 0), BaseGenerator("q", 0, 0, 1)),
+                       (("p", "p", 0), ("q", "p", 1)))
+    outcomes = [_graded_outcome(tensor(*factors)) for factors in _random_factor_sets()]
+    assert _graded_outcome(tensor(loop, loop)) == (
+        ValueError, "arrow p*q -> U^1·p*p does not drop Maslov grading by 1")
+    assert any(o[0] is ValueError for o in outcomes)
+    assert any(o[0] is not ValueError and o[2] is not None for o in outcomes)
+    assert any(o[0] is not ValueError and o[2] is None for o in outcomes)
+
+
+def test_mirror_is_involution(monkeypatch):
+    rng = random.Random(1819)
+    knots = [trefoil_by_hand(), torus_knot(5, 3), thin_model(-2)]
+    for k in knots + [_random_small_complex(rng) for _ in range(20)]:
+        m = mirror(k)
+        twin = _checked_twin(m)
+        assert (m == twin, repr(m), hash(m)) == (True, repr(twin), hash(twin))
+        assert m._index_arrows == twin._index_arrows
+        outcome = _graded_outcome(m)
+        assert outcome == _graded_outcome(twin)
+        assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
+        assert mirror(m) == k
+    for k in knots:
         assert validate_complex(mirror(k)).ok
+
+    def refuse(self):
+        raise AssertionError("the mirror was re-checked")
+
+    monkeypatch.setattr(KnotComplex, "__post_init__", refuse)
+    assert mirror(mirror(knots[1])) == knots[1]
 
 
 def test_mirror_negates_positions():

@@ -56,6 +56,7 @@ from upsilonkit.invariants import (
 )
 from upsilonkit.regions import (
     PLFunction,
+    entering_time,
     intersect,
     make_halfplane,
     pl_add,
@@ -905,24 +906,37 @@ def test_ill_graded_arrow_of_either_parity_raises():
 
 
 def test_chord_checks_evaluate_in_order(monkeypatch):
-    seen = []
-    region = invariants.upsilon_region
+    calls = []
+    least_top = invariants._least_top
 
-    def record(k, r):
-        seen.append(r)
-        return region(k, r)
+    def record(eng, keys):
+        calls.append(keys)
+        return least_top(eng, keys)
 
-    monkeypatch.setattr(invariants, "upsilon_region", record)
+    def no_region(*args):
+        raise AssertionError("the curve or kim_livingston built or keyed a region")
+
+    monkeypatch.setattr(invariants, "_least_top", record)
+    for name in ("upsilon_region", "upsilon_halfplane", "entering_numerators"):
+        monkeypatch.setattr(invariants, name, no_region)
     k = torus_knot(5, 3)
     kinks = [t for t, _ in upsilon_function(k).points]
-    # the sweep's events reduce directly; the only region queries are the
-    # chord checks, one at the midpoint of each segment of the output curve
-    assert seen == [upsilon_halfplane((t0 + t1) / 2) for t0, t1 in zip(kinks, kinks[1:])]
+    at0 = complexes._Engine.of(k).at0
+    # the sweep's events reduce first, keyed by (value, slope); then one chord
+    # check at the midpoint n/d of each segment of the output curve, in order,
+    # keyed by 2d·j + n(A - j): the entering times into H(n/d) over 2d
+    mids = [(t0 + t1) / 2 for t0, t1 in zip(kinks, kinks[1:])]
+    expected = [[2 * t.denominator * j + t.numerator * (a - j) for a, j in at0] for t in mids]
+    for t, keys in zip(mids, expected):
+        r = upsilon_halfplane(t)
+        assert [F(n, 2 * t.denominator) for n in keys] == [entering_time(r, p) for p in at0]
+    assert len(calls) > len(mids) == 4 and calls[len(calls) - len(mids):] == expected
+    assert all(isinstance(key, tuple) for keys in calls[:len(calls) - len(mids)] for key in keys)
     # kim_livingston reads both sides of t* from its own two reductions
-    seen.clear()
+    calls.clear()
     t = breaking_points(k)[0].t
     kim_livingston(k, t, t)
-    assert seen == []
+    assert len(calls) == 2 and all(isinstance(key, tuple) for keys in calls for key in keys)
 
 
 def _every_crossing_curve(k):
@@ -1030,7 +1044,7 @@ def test_upsilon_curve_is_computed_once_per_complex(monkeypatch):
     def region(*args):
         raise AssertionError("the curve was evaluated again")
 
-    monkeypatch.setattr(invariants, "upsilon_region", region)
+    monkeypatch.setattr(invariants, "_least_top", region)
     assert upsilon_function(k) is f
     assert [(bp.t, bp.jump) for bp in breaking_points(k)] == [
         (t, jump) for t, jump in pl_singular_points(f) if jump > 0
@@ -1063,9 +1077,10 @@ def test_kim_livingston_reduces_twice(monkeypatch):
     calls = _record_kernel_calls(monkeypatch)
 
     def region(*args):
-        raise AssertionError("kim_livingston made a region query")
+        raise AssertionError("kim_livingston built, keyed or queried a region")
 
-    monkeypatch.setattr(invariants, "upsilon_region", region)
+    for name in ("upsilon_region", "upsilon_halfplane", "entering_numerators"):
+        monkeypatch.setattr(invariants, name, region)
     for t, s, expected in ((F(2, 3), F(2, 3), F(-4, 3)), (F(1), F(1), NO_OBSTRUCTION)):
         calls.clear()
         assert kim_livingston(torus_knot(4, 3), t, s) == expected
@@ -1077,8 +1092,11 @@ def test_kim_livingston_decides_breaking_points_locally(monkeypatch):
     # breaking-point test; its local decision must agree with the whole curve.
     secondary_body = invariants._secondary
 
-    def finite(*args):
-        return secondary_body(*args)[:2] + (F(0),)
+    def finite(eng, plus, minus, c):
+        times_c, d = c  # H(1): entering times of the slice-1 positions over d
+        assert [F(n, d) for n in times_c] == [entering_time(upsilon_halfplane(1), p)
+                                              for p in eng.at1]
+        return secondary_body(eng, plus, minus, c)[:2] + (F(0),)
 
     for k in SMALL_ZOO + [mirror(torus_knot(4, 3)), torus_knot(8, 5)]:
         f = upsilon_function(k)
@@ -1386,7 +1404,8 @@ def _secondary_by_growing_span(eng, plus, minus, c):
     """`invariants._secondary` by the route one column reduction replaced: an
     F2Space grown one entering time into C at a time, with a membership test
     after each.  It adds the columns of C±_{gamma±}, which `_secondary` skips,
-    and reads the slice-1 keys per generator."""
+    and reads the slice-1 keys, C's (numerators over d) included, per
+    generator."""
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
     keys1_p, keys1_m = (_per_generator(eng.at1, eng.pos1, keys) for keys in (keys1_p, keys1_m))
     gp, zp, basis_p = _reduce(eng, keys_p)
@@ -1395,7 +1414,7 @@ def _secondary_by_growing_span(eng, plus, minus, c):
     target = zp ^ zm
     if space.contains(target):
         return gp, gm, NO_OBSTRUCTION
-    times_c, d = invariants.entering_numerators(c, eng.pos1)
+    times_c, d = _per_generator(eng.at1, eng.pos1, c[0]), c[1]
     by_time = {}
     for col, kp, km, tc in zip(eng.d1_cols, keys1_p, keys1_m, times_c):
         if kp <= gp or km <= gm:
