@@ -332,15 +332,23 @@ def _cmd_upsilon(args):
     return _emit(args, "upsilon", f, ["upsilon_function"], knot=name)
 
 
+def _checked(args, value, prov, name, oracle):
+    """The provenance `prov`, with `name` appended once `oracle()` has
+    matched the engine's value, when --check-oracle asks for that check;
+    a mismatch raises AssertionError (exit 4)."""
+    if args.check_oracle:
+        expected = oracle()
+        if value != expected:
+            raise AssertionError(f"engine {value} != brute-force oracle {expected}")
+        prov.append(name)
+    return prov
+
+
 def _cmd_upsilon_at(args):
     k, name = _get_complex(args)
     value = invariants.upsilon_at(k, args.t)
-    prov = ["upsilon_at", "upsilon_region"]
-    if args.check_oracle:
-        oracle = -2 * invariants.brute_force_upsilon(k, upsilon_halfplane(args.t))
-        if oracle != value:
-            raise AssertionError(f"engine {value} != brute-force oracle {oracle}")
-        prov.append("brute_force_upsilon")
+    prov = _checked(args, value, ["upsilon_at", "upsilon_region"], "brute_force_upsilon",
+                    lambda: -2 * invariants.brute_force_upsilon(k, upsilon_halfplane(args.t)))
     return _emit(args, "upsilon-at", value, prov, knot=name)
 
 
@@ -348,12 +356,8 @@ def _cmd_region_upsilon(args):
     k, name = _get_complex(args)
     r = regions.parse_region(args.region)
     value = invariants.upsilon_region(k, r)
-    prov = ["upsilon_region"]
-    if args.check_oracle:
-        oracle = invariants.brute_force_upsilon(k, r)
-        if oracle != value:
-            raise AssertionError(f"engine {value} != brute-force oracle {oracle}")
-        prov.append("brute_force_upsilon")
+    prov = _checked(args, value, ["upsilon_region"], "brute_force_upsilon",
+                    lambda: invariants.brute_force_upsilon(k, r))
     return _emit(args, "region-upsilon", value, prov, knot=name, region=args.region)
 
 
@@ -411,12 +415,8 @@ def _cmd_breaking_points(args):
 def _cmd_kl(args):
     k, name = _get_complex(args)
     value = invariants.kim_livingston(k, args.t, args.s)
-    prov = ["kim_livingston"]
-    if args.check_oracle:
-        oracle = invariants.kim_livingston_oracle(k, args.t, args.s)
-        if value != oracle:
-            raise AssertionError(f"engine {value} != brute-force oracle {oracle}")
-        prov.append("kim_livingston_oracle")
+    prov = _checked(args, value, ["kim_livingston"], "kim_livingston_oracle",
+                    lambda: invariants.kim_livingston_oracle(k, args.t, args.s))
     return _emit(args, "kl", value, prov, knot=name)
 
 
@@ -426,12 +426,8 @@ def _cmd_secondary(args):
     cminus = regions.parse_region(args.cminus)
     c = regions.parse_region(args.region)
     value = invariants.secondary(k, cplus, cminus, c)
-    prov = ["secondary"]
-    if args.check_oracle:
-        oracle = invariants.brute_force_secondary(k, cplus, cminus, c)
-        if value != oracle:
-            raise AssertionError(f"engine {value} != brute-force oracle {oracle}")
-        prov.append("brute_force_secondary")
+    prov = _checked(args, value, ["secondary"], "brute_force_secondary",
+                    lambda: invariants.brute_force_secondary(k, cplus, cminus, c))
     return _emit(args, "secondary", value, prov, knot=name, region=args.region)
 
 

@@ -27,11 +27,14 @@ boundaries there, by eliminating only the rows keyed above it.  The oracles
 take their positions and cycle from `maslov_slice` and
 `representative_cycle`.
 
-The public `KnotComplex` constructor checks what it is given.  `tensor` and
-`mirror`, whose output is correct by construction, make it with
-`KnotComplex._built` instead, with no re-check, and leave with it the
-arrows as generator indices (`_index_arrows`), which is all `_graded`
-reads of the arrows.
+Every complex has one arrow layout, made once when the complex is made:
+`_arranged` cancels and sorts the arrows and gives them by name (the
+`arrows` field) and by generator index (`_index_arrows`, kept in the
+instance dict).  Validation and `_graded` read only the index arrows.  The
+public `KnotComplex` constructor checks what it is given and then arranges
+its arrows; `tensor` and `mirror`, whose output is correct by construction,
+arrange theirs and make the complex with `KnotComplex._built`, with no
+re-check.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
+from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask
 
 
 @dataclass(frozen=True, order=True)
@@ -111,9 +114,13 @@ class KnotComplex:
 
     Arrows are stored as (source name, target name, upower) with multiplicity
     reduced mod 2.  Construction enforces structural sanity (unique names,
-    arrow endpoints exist); the homological conditions are checked by
-    `validate_complex`, so that files describing broken complexes can still be
-    loaded and reported on.
+    arrow endpoints exist, integer U-powers); the homological conditions are
+    checked by `validate_complex`, so that files describing broken complexes
+    can still be loaded and reported on.
+
+    The same arrows by generator index, in arrow order, stay in the instance
+    dict (`_index_arrows`; equality, hash and repr read only the fields):
+    `_arranged` makes both once, here or for `_built`.
     """
 
     generators: tuple[BaseGenerator, ...]
@@ -122,30 +129,29 @@ class KnotComplex:
     def __post_init__(self):
         gens = tuple(self.generators)
         names = [g.name for g in gens]
-        if len(set(names)) != len(names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise ValueError("duplicate generator names")
-        known = set(names)
-        seen: set[tuple[str, str, int]] = set()
+        arrows = []
         for arrow in self.arrows:
             src, dst, m = arrow
-            if src not in known or dst not in known:
+            if (s := index.get(src)) is None or (t := index.get(dst)) is None:
                 raise ValueError(f"arrow endpoint not a generator: {_excerpt(arrow)}")
             if isinstance(m, bool) or not isinstance(m, int):
                 raise ValueError(f"arrow U-power must be an integer: {_excerpt(arrow)}")
-            key = (src, dst, m)
-            if key in seen:  # F2 coefficients: equal arrows cancel
-                seen.remove(key)
-            else:
-                seen.add(key)
+            arrows.append((s, t, m))
+        arrows, index_arrows = _arranged(names, arrows)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "arrows", tuple(sorted(seen)))
+        object.__setattr__(self, "arrows", arrows)
+        vars(self)["_index_arrows"] = index_arrows
 
     @classmethod
     def _built(cls, generators: tuple, arrows: tuple, index_arrows: tuple) -> "KnotComplex":
         """A complex from a builder whose output is correct by construction:
-        unique names, integer U-powers and arrows already cancelled and
-        sorted, with `index_arrows` their `_index_arrows`.  Nothing is
-        re-checked; untrusted input goes through the public constructor."""
+        unique names, integer U-powers, and `arrows` and `index_arrows` as
+        `_arranged` returns them.  Nothing is re-checked; untrusted input
+        goes through the public constructor, which arranges its arrows the
+        same way."""
         k = object.__new__(cls)
         object.__setattr__(k, "generators", generators)
         object.__setattr__(k, "arrows", arrows)
@@ -156,26 +162,8 @@ class KnotComplex:
     def by_name(self) -> dict[str, BaseGenerator]:
         return {g.name: g for g in self.generators}
 
-    @cached_property
-    def _arrows_by_src(self) -> dict[str, list[tuple[str, int]]]:
-        """(target, upower) of the arrows out of each generator, built once
-        and kept in the instance dict (equality, hash and repr read only
-        fields)."""
-        index: dict[str, list[tuple[str, int]]] = {}
-        for src, dst, m in self.arrows:
-            index.setdefault(src, []).append((dst, m))
-        return index
-
     def arrows_from(self, name: str) -> list[tuple[str, int]]:
-        return list(self._arrows_by_src.get(name, ()))
-
-    @cached_property
-    def _index_arrows(self) -> tuple[tuple[int, int, int], ...]:
-        """(source index, target index, upower) of each arrow, in arrow order,
-        indexing `generators`: found by name here, or left by the builder
-        (`_built`).  Kept in the instance dict like `_arrows_by_src`."""
-        index = {g.name: i for i, g in enumerate(self.generators)}
-        return tuple([(index[src], index[dst], m) for src, dst, m in self.arrows])
+        return [(dst, m) for src, dst, m in self.arrows if src == name]
 
 
 @dataclass(frozen=True)
@@ -346,7 +334,7 @@ def _least_top(eng: _Engine, keys: list):
     pivots: dict[int, tuple[int, int]] = {}
     get = pivots.get
     for p in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-        for v, c in groups[p]:  # `_reduce_pair` inlined: a call per row would slow every query
+        for v, c in groups[p]:  # `_echelonize` inlined: it stops at the answer
             while v and (pivot := get(v.bit_length() - 1)) is not None:
                 v ^= pivot[0]
                 c ^= pivot[1]
@@ -368,9 +356,9 @@ def _below(eng: _Engine, keys: list, g) -> tuple[int, list[int]]:
     no high part, and the companions of the columns that reduce to zero,
     span those boundaries (the basis columns are independent, so these are
     the kernel of the restriction to the high rows).  Reducing z_ref's high
-    part the same way, with z_ref as companion, leaves z_ref plus a boundary
-    off the high rows.  No order of the rows is needed, so none is sorted
-    and nothing is permuted.
+    part the same way, with z_ref as companion, reduces it to zero and
+    leaves as companion z_ref plus a boundary off the high rows.  No order
+    of the rows is needed, so none is sorted and nothing is permuted.
     """
     high = 0
     for key, mask in zip(keys, eng.masks0):
@@ -384,11 +372,11 @@ def _below(eng: _Engine, keys: list, g) -> tuple[int, list[int]]:
             span.append(col)
     pivots: dict[int, tuple[int, int]] = {}
     span += _echelonize(pivots, pairs)
-    z = _reduce_pair(pivots, eng.z_ref & high, eng.z_ref)[1]
-    if z & high:
+    z = _echelonize(pivots, ((eng.z_ref & high, eng.z_ref),))
+    if not z:
         raise AssertionError("below reduction: no generating cycle stays on the rows keyed "
                              "at most the least top")
-    return z, span
+    return z[0], span
 
 
 def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
@@ -420,27 +408,32 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     least greatest j and the least greatest A are both 0, which is
     Upsilon(0) = Upsilon(2) = 0.
 
-    The homology checks read the engine that later queries reuse: its
-    clearing gives the ranks, and `_least_top` keyed by A and by j the level.
+    The arrow checks walk the index arrows (`KnotComplex._index_arrows`)
+    and name generators only in the problems they report; d^2 terms are
+    listed by (name, U-power).  The homology checks read the engine that
+    later queries reuse: its clearing gives the ranks, and `_least_top`
+    keyed by A and by j the level.
     """
     problems: list[str] = []
-    by_name = k.by_name
-    for src, dst, m in k.arrows:
-        x, y = by_name[src], by_name[dst]
+    gens = k.generators
+    out: list[list[tuple[int, int]]] = [[] for _ in gens]  # (target, upower) per source
+    for s, t, m in k._index_arrows:
+        x, y = gens[s], gens[t]
         if y.maslov - 2 * m != x.maslov - 1:
-            problems.append(f"arrow {src} -> U^{m}·{dst} violates the Maslov convention")
+            problems.append(f"arrow {x.name} -> U^{m}·{y.name} violates the Maslov convention")
         if y.alexander - m > x.alexander or y.algebraic - m > x.algebraic:
-            problems.append(f"arrow {src} -> U^{m}·{dst} increases the filtration")
+            problems.append(f"arrow {x.name} -> U^{m}·{y.name} increases the filtration")
+        out[s].append((t, m))
 
     # d^2 = 0, tracked per (final target, total U-power): exact over the ring.
-    arrows_by_src = k._arrows_by_src
-    for g in k.generators:
-        acc: set[tuple[str, int]] = set()
-        for mid, m1 in arrows_by_src.get(g.name, ()):
-            for dst, m2 in arrows_by_src.get(mid, ()):
-                acc ^= {(dst, m1 + m2)}
+    for g, arrows in zip(gens, out):
+        acc: set[tuple[int, int]] = set()
+        for mid, m1 in arrows:
+            for t, m2 in out[mid]:
+                acc ^= {(t, m1 + m2)}
         if acc:
-            terms = ", ".join(f"U^{m}·{dst}" for dst, m in sorted(acc))
+            terms = ", ".join(f"U^{m}·{name}" for name, m in sorted(
+                (gens[t].name, m) for t, m in acc))
             problems.append(f"d^2({g.name}) = {terms} != 0")
 
     if problems:
@@ -521,9 +514,10 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
 
 def _arranged(names: list[str], arrows) -> tuple[tuple, tuple]:
     """Index arrows between generators with these (distinct) names, as
-    `KnotComplex` keeps them: sorted by (source name, target name, upower),
-    with equal arrows cancelled in pairs.  Returns the name arrows and the
-    index arrows, in the same order.
+    every `KnotComplex` keeps them: sorted by (source name, target name,
+    upower), with equal arrows cancelled in pairs.  Returns the name arrows
+    and the index arrows, in the same order.  It is the one cancel-and-sort
+    of arrows: the constructor, `tensor` and `mirror` all arrange theirs here.
 
     One sort ranks the names; the arrows then sort as integer triples
     (rank of source, rank of target, upower), which is their name order, and

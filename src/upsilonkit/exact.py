@@ -6,13 +6,14 @@ on bit-packed vectors (a Python int, bit i = coordinate i), so one XOR adds a
 whole row or column.  There is one echelon kernel, `_echelonize`: it reduces
 vectors by their leading bit against a dict of pivots, carrying a companion
 vector along to record which inputs were added; `_reduce_pair` is its
-one-vector step.  `F2Matrix` rank, solve and nullspace, the `F2Space` span
-tests (which serve `representative_cycle` and the oracles only), and the
-engine's clearing and its elimination of the rows above a key (`_below`)
-all run on `_echelonize`.  The engine's least-key reduction inlines
-`_reduce_pair` once per row, and the secondary invariant's column scan
-calls it once per column, since each stops at the first vector that
-answers its query.
+one-vector step, which only this module calls.  `F2Matrix` rank, solve and
+nullspace, the `F2Space` span tests (which serve `representative_cycle` and
+the oracles only), and every engine elimination run on `_echelonize`: the
+clearing, the elimination of the rows above a key (`_below`) and the
+secondary invariant's target and column scan, which echelonizes the
+columns of one position at a time.  Only the engine's least-key reduction
+(`_least_top`) inlines the kernel's loop, since it stops at the first row
+that answers its query.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ from math import gcd
 
 from .complexes import (KnotComplex, _below, _Engine, _least_top, boundary_matrix,
                         maslov_slice, representative_cycle)
-from .exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
+from .exact import F2Space, _bits, _columns, _echelonize, _mask
 from .regions import (
     PLFunction,
     SouthWestRegion,
@@ -453,11 +453,14 @@ def _secondary(eng: _Engine, plus, minus, c: tuple[list, int]) -> tuple:
     generator x that is not late (keyed at most gamma+ on the plus side, or
     at most gamma- on the minus side) has d1·x supported on rows keyed at
     most its own key, by the filtration condition, so d1·x already lies in
-    V+ + V- and its column is skipped.  The reduced target z+ + z- is
-    stored as a pivot whose companion is one flag bit, and the late columns
-    follow by entering time into C: the first that reduces to zero with the
-    flag set closes a sum of columns, all entered by its time, that is the
-    target plus a vector of V+ + V-, so its entering time is the value.
+    V+ + V- and its column is skipped.  The target z+ + z- goes through
+    `_echelonize` with one flag bit as companion: reduced to zero, it is no
+    obstruction; otherwise it stays as a pivot with that flag.  The late
+    columns follow, one position at a time by entering time into C (the
+    columns of a position share their time): the first position with a
+    column that reduces to zero with the flag set closes a sum of columns,
+    all entered by its time, that is the target plus a vector of V+ + V-,
+    so its entering time is the value.
     Raises ValueError on a complex with an arrow that increases the
     filtration, where neither the skip nor the sub-complexes C±_{gamma±}
     and C_t mean anything.
@@ -472,21 +475,15 @@ def _secondary(eng: _Engine, plus, minus, c: tuple[list, int]) -> tuple:
     zm, span_m = _below(eng, keys_m, gm)
     pivots: dict[int, tuple[int, int]] = {}
     _echelonize(pivots, ((v, 0) for v in dict.fromkeys(span_p + span_m)))  # shared columns once
-    rest = _reduce_pair(pivots, zp ^ zm, 0)[0]
-    if not rest:
+    if _echelonize(pivots, ((zp ^ zm, 1),)):  # else the reduced target is stored, flagged
         return gp, gm, NO_OBSTRUCTION
 
-    pivots[rest.bit_length() - 1] = (rest, 1)
     times_c, d = c
     late = [p for p, (kp, km) in enumerate(zip(keys1_p, keys1_m)) if kp > gp and km > gm]
     cols = eng.d1_cols
     for p in sorted(late, key=times_c.__getitem__):
-        for i in eng.gens1[p]:
-            v, flag = _reduce_pair(pivots, cols[i], 0)
-            if v:
-                pivots[v.bit_length() - 1] = (v, flag)
-            elif flag:
-                return gp, gm, Fraction(times_c[p], d)
+        if any(_echelonize(pivots, [(cols[i], 0) for i in eng.gens1[p]])):
+            return gp, gm, Fraction(times_c[p], d)
     raise AssertionError("secondary: z+ + z- is not a boundary")
 
 

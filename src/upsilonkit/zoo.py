@@ -246,6 +246,8 @@ class AlexanderPolynomial:
         return [((e - low) // 2, c) for e, c in self.terms]
 
     def to_t_string(self) -> str:
+        if not self.terms:
+            return "0"
         parts = []
         for e, c in self.normalized_t_terms():
             mag = "" if abs(c) == 1 else str(abs(c))

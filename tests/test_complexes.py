@@ -320,6 +320,35 @@ def test_arrow_index_is_invisible():
     assert tensor(k, trefoil_by_hand()) == tensor(twin, trefoil_by_hand())
 
 
+def _toggled_arrows(gens, arrows):
+    """The arrows `KnotComplex(gens, arrows)` keeps, or the ValueError
+    message it raises, by the route of name tuples: the constructor's checks
+    in its order, then each arrow toggled in a set (F2 coefficients: equal
+    arrows cancel) and the set sorted.  The reference for `_arranged`, which
+    ranks the names and sorts integer triples."""
+    names = [g.name for g in gens]
+    if len(set(names)) != len(names):
+        return "duplicate generator names"
+    known, seen = set(names), set()
+    for arrow in arrows:
+        try:
+            src, dst, m = arrow
+        except ValueError as e:
+            return str(e)
+        if src not in known or dst not in known:
+            return f"arrow endpoint not a generator: {complexes._excerpt(arrow)}"
+        if isinstance(m, bool) or not isinstance(m, int):
+            return f"arrow U-power must be an integer: {complexes._excerpt(arrow)}"
+        seen ^= {(src, dst, m)}
+    return tuple(sorted(seen))
+
+
+def _index_arrows_by_name(k):
+    """k's arrows as (source index, target index, upower), found by name."""
+    index = {g.name: i for i, g in enumerate(k.generators)}
+    return tuple((index[src], index[dst], m) for src, dst, m in k.arrows)
+
+
 def _product_tensor(*factors):
     """The tensor product by the route of itertools.product over generator
     tuples, joining the names of every arrow's ends: the reference the
@@ -341,7 +370,9 @@ def _product_tensor(*factors):
         for i, g in enumerate(combo):
             for dst, m in by_src[i].get(g.name, ()):
                 arrows.append((src, "*".join([*parts[:i], escaped[i][dst], *parts[i + 1:]]), m))
-    return KnotComplex(tuple(gens), tuple(arrows))
+    ref = KnotComplex(tuple(gens), tuple(arrows))
+    assert ref.arrows == _toggled_arrows(gens, arrows)  # its arrangement, by the other route
+    return ref
 
 
 def _renamed(k, rename):
@@ -453,9 +484,7 @@ def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
     assert k == _product_tensor(*factors)
     twin = _checked_twin(k)
     assert (k == twin, repr(k), hash(k)) == (True, repr(twin), hash(twin))
-    by_name = {g.name: i for i, g in enumerate(twin.generators)}
-    assert k._index_arrows == twin._index_arrows == tuple(
-        (by_name[src], by_name[dst], m) for src, dst, m in twin.arrows)
+    assert k._index_arrows == twin._index_arrows == _index_arrows_by_name(twin)
     outcome = _graded_outcome(k)
     assert outcome == _graded_outcome(twin)
     assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
@@ -482,6 +511,66 @@ def test_built_products_reach_every_graded_outcome():
     assert any(o[0] is not ValueError and o[2] is None for o in outcomes)
 
 
+def _random_raw_input(rng):
+    """Untrusted constructor input: 1-4 generators named from
+    `_AWKWARD_NAMES` (now and then a duplicate name) and 0-6 arrows, given
+    as tuples or lists, with repeats (odd and even multiplicities),
+    self-loops, and now and then a ghost endpoint, a U-power that is not an
+    integer or an arrow of the wrong length."""
+    names = rng.sample(_AWKWARD_NAMES, rng.randint(1, 4))
+    if rng.random() < 0.05:
+        names.append(rng.choice(names))
+    gens = tuple(BaseGenerator(n, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
+                 for n in names)
+    arrows = []
+    for _ in range(rng.randint(0, 6)):
+        if arrows and rng.random() < 0.3:
+            arrows.append(rng.choice(arrows))
+            continue
+        src, dst = rng.choice(names), rng.choice(names)
+        m = rng.randint(-1, 2)
+        roll = rng.random()
+        if roll < 0.03:
+            dst = "ghost"
+        elif roll < 0.05:
+            m = rng.choice((True, 0.0, "1"))
+        elif roll < 0.06:
+            arrows.append((src, dst))
+            continue
+        arrows.append([src, dst, m] if rng.random() < 0.2 else (src, dst, m))
+    return gens, arrows
+
+
+def test_constructor_arranges_arrows_as_the_name_route_does():
+    rng = random.Random(1919)
+    outcomes = {"arrows": 0, "error": 0}
+    for _ in range(2400):
+        gens, arrows = _random_raw_input(rng)
+        expected = _toggled_arrows(gens, arrows)
+        try:
+            k = KnotComplex(gens, tuple(arrows))
+        except ValueError as e:
+            assert str(e) == expected
+            outcomes["error"] += 1
+            continue
+        assert "_index_arrows" in vars(k)  # made with the arrows, not on first use
+        assert (k.arrows, vars(k)["_index_arrows"]) == (expected, _index_arrows_by_name(k))
+        outcomes["arrows"] += 1
+    assert min(outcomes.values()) > 200
+
+
+def test_every_complex_keeps_its_index_arrows():
+    # each route is checked straight after it makes its complex, before
+    # anything else reads it
+    t = trefoil_by_hand()
+    for build in (lambda: t, lambda: add_box(t, (2, 1), 1),
+                  lambda: from_json_dict(to_json_dict(torus_knot(5, 3))),
+                  lambda: tensor(t, t), lambda: mirror(t)):
+        k = build()
+        assert "_index_arrows" in vars(k)
+        assert vars(k)["_index_arrows"] == _index_arrows_by_name(k)
+
+
 def test_mirror_is_involution(monkeypatch):
     rng = random.Random(1819)
     knots = [trefoil_by_hand(), torus_knot(5, 3), thin_model(-2)]
@@ -489,7 +578,8 @@ def test_mirror_is_involution(monkeypatch):
         m = mirror(k)
         twin = _checked_twin(m)
         assert (m == twin, repr(m), hash(m)) == (True, repr(twin), hash(twin))
-        assert m._index_arrows == twin._index_arrows
+        assert m.arrows == _toggled_arrows(m.generators, [(t, s, u) for s, t, u in k.arrows])
+        assert m._index_arrows == twin._index_arrows == _index_arrows_by_name(m)
         outcome = _graded_outcome(m)
         assert outcome == _graded_outcome(twin)
         assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)

@@ -41,21 +41,32 @@ def test_each_layer_imports_only_layers_above_it():
         assert not below, f"{name} imports {sorted(below)}, which are not above it"
 
 
+def _names(path: Path) -> set[str]:
+    """The names, attributes and imported names that a module's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def test_only_complexes_reads_the_graded_layout():
     # The engine and validation read `_graded` inside `complexes`; every
     # other module goes through them, so the graded layout stays behind one module.
     for path in PACKAGE.glob("*.py"):
-        if path.stem == "complexes":
-            continue
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        assert "_graded" not in names, f"{path.stem} references _graded"
+        if path.stem != "complexes":
+            assert "_graded" not in _names(path), f"{path.stem} references _graded"
+
+
+def test_engine_eliminations_run_on_the_one_kernel():
+    # `_reduce_pair`, the one-vector step of `_echelonize`, serves only the
+    # kernels of `exact`; every engine elimination calls `_echelonize`.
+    assert [path.stem for path in PACKAGE.glob("*.py")
+            if "_reduce_pair" in _names(path)] == ["exact"]
 
 
 def test_no_module_runs_the_column_reduction():

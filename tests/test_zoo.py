@@ -132,6 +132,12 @@ def test_alexander_from_semigroup_frozen():
     assert ap35.to_t_string() == "1 - t + t^3 - t^4 + t^5 - t^7 + t^8"
 
 
+def test_alexander_text_of_zero_and_a_constant():
+    assert AlexanderPolynomial.from_dict({}).to_t_string() == "0"
+    assert AlexanderPolynomial.from_dict({0: 0}).to_t_string() == "0"  # zero terms drop
+    assert AlexanderPolynomial.from_dict({0: -3}).to_t_string() == "-3"
+
+
 def test_alexander_symmetry_and_determinant():
     for gens in [(2, 3), (2, 7), (3, 5), (5, 8)]:
         ap = alexander_from_semigroup(semigroup_from_generators(gens))
