@@ -302,13 +302,19 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from None
 
 
-def _get_complex(args) -> tuple[complexes.KnotComplex, str]:
-    if getattr(args, "complex_file", None):
-        expr: tuple = ("file", args.complex_file)
-    elif getattr(args, "expr", None):
-        expr = parse_knot_expr(args.expr)
-    else:
+def _source(args) -> tuple[str | None, str | None]:
+    """The command's --complex-file and knot expression: exactly one is given."""
+    path, text = getattr(args, "complex_file", None), getattr(args, "expr", None)
+    if path and text:
+        raise CliUsageError("give a knot expression or --complex-file, not both")
+    if not (path or text):
         raise CliUsageError("provide a knot expression or --complex-file")
+    return path, text
+
+
+def _get_complex(args) -> tuple[complexes.KnotComplex, str]:
+    path, text = _source(args)
+    expr = ("file", path) if path else parse_knot_expr(text)
     return build_complex(expr), knot_expr_to_text(expr)
 
 
@@ -432,14 +438,13 @@ def _cmd_secondary(args):
 
 
 def _cmd_validate(args):
-    if getattr(args, "complex_file", None):
-        k = _read_complex(args.complex_file)
-        name = f"file({args.complex_file})"
+    path, text = _source(args)
+    if path:
+        k = _read_complex(path)
+        name = f"file({path})"
     else:
-        if not args.expr:
-            raise CliUsageError("provide a knot expression or --complex-file")
-        k = build_complex(parse_knot_expr(args.expr))
-        name = args.expr
+        k = build_complex(parse_knot_expr(text))
+        name = text
     report = complexes.validate_complex(k)
     value = {"ok": report.ok, "problems": list(report.problems),
              "generators": len(k.generators)}

@@ -21,11 +21,15 @@ through its position, and the headline sum's 428 slice-0 generators sit at
 150 positions.  `_least_top` answers every least-key question (the
 tower's level here; Υ^C, the Υ sweep, V, ν⁺, η and both sides of the
 secondary invariant in `invariants`) from the rows, position by position,
-and stops at the answer.  `_below` gives the secondary invariant, once that
-key is known, a generating cycle on the rows keyed at most it and the
-boundaries there, by eliminating only the rows keyed above it.  The oracles
-take their positions and cycle from `maslov_slice` and
-`representative_cycle`.
+and stops at the answer.  Each row it reads is one int, the generator's
+basis row shifted up a bit with its z_ref bit in bit 0, and its pivots sit
+in a list by bit length, so an elimination step is one list read and one
+XOR; the wide-companion eliminations (the engine build, `_below` and the
+secondary invariant's column scan) stay on `_echelonize`'s pairs.
+`_below` gives the secondary invariant, once that key is known, a
+generating cycle on the rows keyed at most it and the boundaries there, by
+eliminating only the rows keyed above it.  The oracles take their positions
+and cycle from `maslov_slice` and `representative_cycle`.
 
 Every complex has one arrow layout, made once when the complex is made:
 `_arranged` cancels and sorts the arrows and gives them by name (the
@@ -245,7 +249,8 @@ class _Engine:
     slice-0 generator, the mask of the basis columns through it), the cycles
     that clearing leaves (slice-0 masks, a basis of H_0), rank d0, the
     reference generating cycle z_ref (the first of those cycles, or 0), the
-    rows that `_least_top` reads, grouped by slice-0 position (`groups0`),
+    packed rows that `_least_top` reads (basis row and z_ref bit in one
+    int), grouped by slice-0 position (`groups0`),
     the mask of each slice-0 position's generators (`masks0`), the first
     arrow that increases the filtration, or None (`unfiltered`), and the
     upsilon curve.  `of` builds it once per complex, for validation
@@ -293,10 +298,11 @@ class _Engine:
 
     @cached_property
     def groups0(self) -> tuple:
-        """Per slice-0 position, the (basis row, z_ref bit) pair of each
-        generator there: the rows `_least_top` reads, built on first use."""
+        """Per slice-0 position, one packed row per generator there: its
+        basis row shifted up one bit, with its z_ref bit in bit 0.  These
+        are the rows `_least_top` reads, built on first use."""
         rows, z_ref = self.basis_rows, self.z_ref
-        return tuple(tuple((rows[i], z_ref >> i & 1) for i in gens) for gens in self.gens0)
+        return tuple(tuple(rows[i] << 1 | (z_ref >> i & 1) for i in gens) for gens in self.gens0)
 
     @cached_property
     def masks0(self) -> tuple:
@@ -327,20 +333,26 @@ def _least_top(eng: _Engine, keys: list):
     never read.  The positions go by decreasing key and the rows of each in
     turn (`eng.groups0`); rows of one position share its key, so their order
     cannot change the answer.
+
+    The companion is one bit, so each row is packed with it in bit 0 and a
+    pivot is one int: a packed row above 1 has a nonzero basis row whose
+    leading bit is the packed row's, and 1 is a zero row with companion 1.
+    The pivots sit in a list indexed by bit length (0 for none), so each
+    elimination step is one list read and one XOR.  `_echelonize` keeps its
+    (vector, companion) pairs in a dict: its companions are wide (column
+    indices, whole columns), and packing them above the vector was slower.
     """
     if not eng.z_ref:
         raise ValueError("complex has no degree-0 homology generator (not knot-type)")
     groups = eng.groups0
-    pivots: dict[int, tuple[int, int]] = {}
-    get = pivots.get
+    pivots = [0] * (len(eng.basis_cols) + 2)
     for p in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-        for v, c in groups[p]:  # `_echelonize` inlined: it stops at the answer
-            while v and (pivot := get(v.bit_length() - 1)) is not None:
-                v ^= pivot[0]
-                c ^= pivot[1]
-            if v:
-                pivots[v.bit_length() - 1] = (v, c)
-            elif c:
+        for v in groups[p]:  # `_echelonize` inlined: it stops at the answer
+            while v > 1 and (pivot := pivots[v.bit_length()]):
+                v ^= pivot
+            if v > 1:
+                pivots[v.bit_length()] = v
+            elif v:
                 return keys[p]
     raise AssertionError("least-top reduction: the generating cycle is a boundary")
 

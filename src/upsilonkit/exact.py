@@ -13,7 +13,11 @@ clearing, the elimination of the rows above a key (`_below`) and the
 secondary invariant's target and column scan, which echelonizes the
 columns of one position at a time.  Only the engine's least-key reduction
 (`_least_top`) inlines the kernel's loop, since it stops at the first row
-that answers its query.
+that answers its query; its companion is one bit, so it packs each row and
+companion into one int and keeps its pivots in a list by bit length.  The
+companions `_echelonize` carries are wide (column indices at the engine
+build, whole columns in `_below`), and packing them measured slower, so
+its pivots stay (vector, companion) pairs in a dict.
 """
 
 from __future__ import annotations

@@ -541,6 +541,17 @@ def test_validate_and_file_expression(tmp_path, capsys):
     assert payload["value"]["breakpoints"] == [["0", "0"], ["1", "-1"], ["2", "0"]]
 
 
+def test_expression_and_complex_file_together_are_a_usage_error(tmp_path, capsys):
+    # the expression was once dropped: T(5,2)'s curve printed as file(...)
+    path = tmp_path / "t52.json"
+    save_complex(build_complex(parse_knot_expr("T(5,2)")), path)
+    for argv in (("upsilon", "T(3,2)", "--complex-file", str(path), "--format", "json"),
+                 ("validate", "T(3,2)", "--complex-file", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: give a knot expression or --complex-file, not both\n"
+
+
 def test_validate_rejects_non_knot_complex(tmp_path, capsys):
     # two degree-0 towers: constructible, but H_0 has rank 2
     bad = KnotComplex(

@@ -72,6 +72,7 @@ from upsilonkit.regions import (
 )
 from upsilonkit.zoo import (
     eta_closed_form,
+    fk_upsilon,
     jumps_from_semigroup,
     pretzel,
     semigroup_from_generators,
@@ -166,6 +167,15 @@ def test_upsilon_additivity_and_mirror():
         upsilon_function(k1), upsilon_function(k2)
     )
     assert upsilon_function(mirror(k1)) == pl_negate_scale(upsilon_function(k1), -1)
+
+
+def test_swept_curve_is_canonicalized():
+    # the sweep also reduces where the leading line continues: T(3,2) # -T(3,2)
+    # has a crossing at t = 1 with no kink, and PLFunction drops that point
+    k = tensor(torus_knot(3, 2), mirror(torus_knot(3, 2)))
+    f = upsilon_function(k)
+    assert len(invariants._kinetic_sweep(complexes._Engine.of(k))) > len(f.points)
+    assert f == pl_add(fk_upsilon(3, 2), pl_negate_scale(fk_upsilon(3, 2), -1))
 
 
 def test_region_monotonicity():
@@ -1304,10 +1314,10 @@ def test_region_query_stops_before_the_last_row(monkeypatch):
     monkeypatch.setattr(complexes, "_echelonize", no_columns)
     assert upsilon_region(k, r) == expected
     read = eng.groups0.read
-    rows = [row for p in read for row, _ in groups[p]]  # every row of each group read
+    rows = [(i, row) for p in read for i, row in zip(eng.gens0[p], groups[p])]  # every row read
     assert 0 < len(read) < len(eng.at0) == 150
     assert 0 < len(rows) < len(eng.pos0) == 428
-    assert set(rows) <= set(eng.basis_rows)
+    assert all(row >> 1 == eng.basis_rows[i] and row & 1 == eng.z_ref >> i & 1 for i, row in rows)
 
 
 def _key_draws(rng, n):
@@ -1320,7 +1330,10 @@ def _key_draws(rng, n):
 
 def test_least_top_matches_the_column_reduction():
     rng = random.Random(1515)
-    knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()]
+    # the unknot and the mirrored thin knot have no basis columns, so their
+    # packed rows are 0 or 1 and no pivot is stored; the box adds one column
+    small = [unknot(), add_box(unknot(), (0, 0), 1), mirror(thin_model(2))]
+    knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()] + small
     cases = 0
     for k in knots:
         eng = complexes._Engine.of(k)
@@ -1332,7 +1345,7 @@ def test_least_top_matches_the_column_reduction():
         for t in (F(0), F(1, 3), F(1), F(2)):  # the engine's own keys
             keys = invariants.entering_numerators(upsilon_halfplane(t), eng.at0)[0]
             assert complexes._least_top(eng, keys) == _reduce(eng, keys)[0]
-    assert cases == 21 * 15
+    assert cases == 24 * 15
 
 
 def test_least_top_asserts_when_the_cycle_is_a_boundary():
@@ -1523,10 +1536,10 @@ def test_headline_engine_groups_its_generators_by_position():
     for at, gens, pos in ((eng.at0, eng.gens0, eng.pos0), (eng.at1, eng.gens1, eng.pos1)):
         assert sorted(i for group in gens for i in group) == list(range(len(pos)))
         assert all(pos[i] == p for p, group in zip(at, gens) for i in group)
-    assert [[row for row, _ in group] for group in eng.groups0] == [
+    assert [[row >> 1 for row in group] for group in eng.groups0] == [
         [eng.basis_rows[i] for i in group] for group in eng.gens0]
-    assert sum(bit << i for group, bits in zip(eng.gens0, eng.groups0)
-               for i, (_, bit) in zip(group, bits)) == eng.z_ref
+    assert sum((row & 1) << i for group, rows in zip(eng.gens0, eng.groups0)
+               for i, row in zip(group, rows)) == eng.z_ref
 
 
 def _least_top_by_generator(eng, keys):
