@@ -345,7 +345,7 @@ def _checked(args, value, prov, name, oracle):
     if args.check_oracle:
         expected = oracle()
         if value != expected:
-            raise AssertionError(f"engine {value} != brute-force oracle {expected}")
+            raise AssertionError(f"oracle check: engine {value} != brute-force oracle {expected}")
         prov.append(name)
     return prov
 

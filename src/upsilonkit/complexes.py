@@ -31,14 +31,21 @@ generating cycle on the rows keyed at most it and the boundaries there, by
 eliminating only the rows keyed above it.  The oracles take their positions
 and cycle from `maslov_slice` and `representative_cycle`.
 
-Every complex has one arrow layout, made once when the complex is made:
-`_arranged` cancels and sorts the arrows and gives them by name (the
+Every named complex has one arrow layout, made once when the complex is
+made: `_arranged` cancels and sorts the arrows and gives them by name (the
 `arrows` field) and by generator index (`_index_arrows`, kept in the
-instance dict).  Validation and `_graded` read only the index arrows.  The
-public `KnotComplex` constructor checks what it is given and then arranges
-its arrows; `tensor` and `mirror`, whose output is correct by construction,
-arrange theirs and make the complex with `KnotComplex._built`, with no
-re-check.
+instance dict).  The public `KnotComplex` constructor checks what it is
+given and then arranges its arrows; `mirror`, whose output is correct by
+construction, arranges its own and makes the complex with
+`KnotComplex._built`, with no re-check.  A product from `tensor` is made
+lazily: `tensor` computes only its integer layout (`_layout`: per generator
+the A, j and M lists, and the lifted index arrows, unsorted), reading each
+factor through its layout too, and the names, generators and arranged
+arrows wait for the first read of a field (`_named`).  `_graded`, the
+engine's one reader of a complex, walks that layout, so a connected sum
+whose invariants are computed is never named; only an arrow that breaks
+the grading or raises the filtration sends it to the arranged arrows, to
+name the first such arrow.  Validation reads the arranged index arrows.
 """
 
 from __future__ import annotations
@@ -124,7 +131,13 @@ class KnotComplex:
 
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
-    `_arranged` makes both once, here or for `_built`.
+    `_arranged` makes both once, here or for `_built`.  A product made by
+    `tensor` starts with neither field, only its integer layout and its
+    factors: the first read of `generators`, `arrows` or `_index_arrows`
+    (through `__getattr__`, which Python calls only for an attribute the
+    instance lacks) builds all three, with `_named`.  Everything that reads
+    a field, equality, hash and repr included, therefore sees the same
+    complex as the eager product.
     """
 
     generators: tuple[BaseGenerator, ...]
@@ -162,6 +175,17 @@ class KnotComplex:
         vars(k)["_index_arrows"] = index_arrows
         return k
 
+    def __getattr__(self, name: str):
+        lazy = vars(self)
+        if name not in ("generators", "arrows", "_index_arrows") or "_factors" not in lazy:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        generators, arrows, index_arrows = _named(lazy["_factors"], lazy["_layout"])
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "arrows", arrows)
+        lazy["_index_arrows"] = index_arrows
+        del lazy["_factors"], lazy["_layout"]  # now named, as `_built` makes a complex
+        return lazy[name]
+
     @property
     def by_name(self) -> dict[str, BaseGenerator]:
         return {g.name: g for g in self.generators}
@@ -194,8 +218,9 @@ def maslov_slice(k: KnotComplex, d: int) -> tuple[LatticeGenerator, ...]:
 
 def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     """The slices of Maslov grading 0 and 1 and the differential out of
-    each, from one walk over the generators and one over the index arrows
-    (`KnotComplex._index_arrows`).
+    each, from one walk over the integer layout (`_layout`: per generator
+    (A, j, M), and the arrows by generator index), which every complex
+    gives and a product of `tensor` gives without naming anything.
 
     positions[p] lists, in generator order, the (A - u, j - u) of U^u times
     each base generator of grading parity p, u = M // 2; columns[p] lists
@@ -206,26 +231,43 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     is that of d % 2 and dim H_d is dim H_(d % 2).  The third value is the
     first arrow (src, dst, m), in arrow order, that increases the
     filtration (U^m y not coordinatewise at most x), or None.  Raises
-    ValueError on an arrow that breaks the grading.
+    ValueError on the first arrow that breaks the grading.
+
+    Arrow order is the arranged order of `KnotComplex._index_arrows`.  An
+    unnamed product's layout arrows are unsorted and may hold equal
+    self-loops, which no grading allows, so its columns list their rows in
+    another order (the masks the engine makes of them are the same).  When
+    some layout arrow breaks the grading or increases the filtration, the
+    walk starts over on the arranged index arrows (naming a product), and
+    reports the first such arrow by name.
     """
-    gens = k.generators
-    where = []  # per generator: (parity, index in its slice, M, A, j)
+    alexander, algebraic, maslov, arrows = _layout(k)
     positions: tuple[list, list] = ([], [])
-    for g in gens:
-        p, u = g.maslov % 2, g.maslov // 2
-        where.append((p, len(positions[p]), g.maslov, g.alexander, g.algebraic))
-        positions[p].append((g.alexander - u, g.algebraic - u))
+    index = []  # per generator: its index in its slice
+    for a, j, mas in zip(alexander, algebraic, maslov):
+        p, u = mas % 2, mas // 2
+        index.append(len(positions[p]))
+        positions[p].append((a - u, j - u))
+    columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
+    for s, t, m in arrows:
+        if (maslov[t] - 2 * m != maslov[s] - 1 or alexander[t] - m > alexander[s]
+                or algebraic[t] - m > algebraic[s]):
+            break
+        columns[maslov[s] % 2][index[s]].append(index[t])
+    else:
+        return (tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns),
+                None)
+    gens = k.generators
     columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
     unfiltered = None
     for s, t, m in k._index_arrows:
-        p, c, mx, ax, jx = where[s]
-        _, i, my, ay, jy = where[t]
-        if my - 2 * m != mx - 1:
+        if maslov[t] - 2 * m != maslov[s] - 1:
             raise ValueError(f"arrow {gens[s].name} -> U^{m}·{gens[t].name} "
                              "does not drop Maslov grading by 1")
-        if unfiltered is None and (ay - m > ax or jy - m > jx):
+        if unfiltered is None and (alexander[t] - m > alexander[s]
+                                   or algebraic[t] - m > algebraic[s]):
             unfiltered = (gens[s].name, gens[t].name, m)
-        columns[p][c].append(i)
+        columns[maslov[s] % 2][index[s]].append(index[t])
     return (tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns),
             unfiltered)
 
@@ -497,31 +539,62 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names; no
     factors give the unknot, as one generator named "".
 
-    The product is built by index arithmetic, one factor at a time: with n
-    generators in the next factor, product generator c and its generator i
-    make generator c·n + i, whose name is built once from the name of c.  An
-    arrow s -> t of the product so far lifts to s·n + i -> t·n + i, and an
-    arrow a -> b of the factor to c·n + a -> c·n + b.  The product is correct
-    by construction, so it is made by `KnotComplex._built`, with no re-check:
-    `_arranged` puts the index arrows in name order and cancels equal ones
-    (only self-loops of two factors can be equal), and they become names
-    only at the end.  The index arrows stay with the product for the engine.
+    Only the integer layout (`_layout`) is built here, by index arithmetic,
+    one factor at a time: with n generators in the next factor, product
+    generator c and its generator i make generator c·n + i, whose (A, j, M)
+    are the sums.  An arrow s -> t of the product so far lifts to
+    s·n + i -> t·n + i, and an arrow a -> b of the factor to
+    c·n + a -> c·n + b; the arrows stay unsorted, and equal ones (only
+    self-loops of two factors can be equal) stay uncancelled.  Each factor
+    is read through its layout too, so a product that is itself a factor is
+    never named.  The product keeps its layout and its factors; the names,
+    the generators and the arranged arrows are built on first read
+    (`KnotComplex.__getattr__`, `_named`).  The product is correct by
+    construction (escaped names are injective), so nothing is checked then
+    either, and it equals the complex the public constructor makes from the
+    same generators and arrows.
     """
-    names, alexander, algebraic, maslov = [""], [0], [0], [0]
+    alexander, algebraic, maslov = [0], [0], [0]
     arrows: list[tuple[int, int, int]] = []
-    for f, k in enumerate(factors):
+    for k in factors:
+        a, j, m, own = _layout(k)
+        n = len(a)
+        arrows = [(s * n + i, t * n + i, u) for s, t, u in arrows for i in range(n)]
+        arrows += [(c * n + x, c * n + y, u) for c in range(len(alexander)) for x, y, u in own]
+        alexander = [x + y for x in alexander for y in a]
+        algebraic = [x + y for x in algebraic for y in j]
+        maslov = [x + y for x in maslov for y in m]
+    product = object.__new__(KnotComplex)
+    vars(product).update(_layout=(alexander, algebraic, maslov, arrows), _factors=factors)
+    return product
+
+
+def _layout(k: KnotComplex) -> tuple[list, list, list, list | tuple]:
+    """The integer layout of k: per generator, in generator order, the A,
+    j and M lists, and the arrows by generator index.  A product made by
+    `tensor` keeps its own until it is named (its arrows unsorted, and
+    uncancelled where two self-loops meet); a named complex gives its fields
+    and its arranged index arrows."""
+    layout = vars(k).get("_layout")
+    if layout is None:
         gens = k.generators
-        n = len(gens)
-        escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in gens]
-        own = k._index_arrows
-        arrows = [(s * n + i, t * n + i, m) for s, t, m in arrows for i in range(n)]
-        arrows += [(c * n + a, c * n + b, m) for c in range(len(names)) for a, b, m in own]
+        layout = ([g.alexander for g in gens], [g.algebraic for g in gens],
+                  [g.maslov for g in gens], k._index_arrows)
+    return layout
+
+
+def _named(factors: tuple, layout: tuple) -> tuple[tuple, tuple, tuple]:
+    """The generators, name arrows and index arrows of the product of these
+    factors with this layout: the names by `tensor`'s rule, and the arrows
+    arranged by `_arranged`, which sorts them and cancels equal ones in
+    pairs."""
+    names = [""]
+    for f, factor in enumerate(factors):
+        escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in factor.generators]
         names = [prefix + "*" + e for prefix in names for e in escaped] if f else escaped
-        alexander = [x + g.alexander for x in alexander for g in gens]
-        algebraic = [x + g.algebraic for x in algebraic for g in gens]
-        maslov = [x + g.maslov for x in maslov for g in gens]
-    return KnotComplex._built(tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
-                              *_arranged(names, arrows))
+    alexander, algebraic, maslov, arrows = layout
+    return (tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
+            *_arranged(names, arrows))
 
 
 def _arranged(names: list[str], arrows) -> tuple[tuple, tuple]:
@@ -529,7 +602,8 @@ def _arranged(names: list[str], arrows) -> tuple[tuple, tuple]:
     every `KnotComplex` keeps them: sorted by (source name, target name,
     upower), with equal arrows cancelled in pairs.  Returns the name arrows
     and the index arrows, in the same order.  It is the one cancel-and-sort
-    of arrows: the constructor, `tensor` and `mirror` all arrange theirs here.
+    of arrows: the constructor, `mirror` and a product's first read
+    (`_named`) all arrange theirs here.
 
     One sort ranks the names; the arrows then sort as integer triples
     (rank of source, rank of target, upower), which is their name order, and

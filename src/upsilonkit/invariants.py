@@ -53,8 +53,10 @@ per crossing of any two generator lines.  A reduction at t keyed by each
 line's value and then its right slope returns the key of the line that is
 the curve just right of t; only where another line crosses that one can the
 curve bend, so the sweep reduces next at the nearest such crossing, and ends
-at 2.  It asserts continuity at every event (the new leading line meets the
-old one) and the chord at the midpoint of every segment of the output curve.
+at 2.  It records a point only where the leading line changes, so the
+points it returns are already the curve's kinks.  It asserts continuity at
+every event (the new leading line meets the old one) and the chord at the
+midpoint of every segment of the output curve.
 Kim-Livingston reads the same keys at t*, with the right and with the left
 slope: the limits of H_{t*+eps} and H_{t*-eps}, with no width to choose.
 
@@ -199,7 +201,11 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
 
 
 def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
-    """(t, engine value) at 0, at each crossing of the leading line, and at 2."""
+    """(t, engine value) at 0, at each event where the leading line changes,
+    and at 2.  Every event reduces and is checked for continuity, but one
+    where the same line leads on is not recorded: two different lines that
+    meet at an event differ in slope, so every recorded interior point is a
+    kink, and the points are the curve's canonical breakpoints."""
     lines = {(a - j, j) for a, j in eng.at0}  # (s, j): L(t) = j + (t/2)s
     points = []
     lead = None  # the line (s, j) leading after the last event
@@ -211,8 +217,10 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
                 f"upsilon curve: the line leading after t = {Fraction(n, d)} "
                 "does not meet the line leading before it"
             )
-        lead = s, (v - n * s) // (2 * d)
-        points.append((Fraction(n, d), Fraction(v, 2 * d)))
+        line = s, (v - n * s) // (2 * d)
+        if line != lead:
+            points.append((Fraction(n, d), Fraction(v, 2 * d)))
+            lead = line
         bn, bd = 2, 1  # the nearest crossing of lead after n/d, as bn/bd
         for s2, j2 in lines:
             if s2 != s:
@@ -237,7 +245,8 @@ def _check_chords(eng: _Engine, ts, vals) -> None:
     for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
         keys, d = _halfplane_keys(eng.at0, (t0 + t1) / 2)
         if 2 * Fraction(_least_top(eng, keys), d) != v0 + v1:
-            raise AssertionError(f"upsilon not linear on [{t0}, {t1}]: a kink was missed")
+            raise AssertionError(f"upsilon curve: not linear on [{t0}, {t1}]: "
+                                 "a kink was missed")
 
 
 def breaking_points(k: KnotComplex) -> list[BreakingPoint]:

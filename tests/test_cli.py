@@ -347,21 +347,21 @@ def test_exit_4_on_internal_check_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "region-upsilon", "T(3,2)", "--region", "H(1)",
                          "--check-oracle")
     assert code == 4 and out == ""
-    assert err == "internal check failed: engine 1/2 != brute-force oracle 7\n"
+    assert err == "internal check failed: oracle check: engine 1/2 != brute-force oracle 7\n"
 
 
 @pytest.mark.parametrize(
     "oracle, argv, err",
     [
         ("brute_force_upsilon", ("upsilon-at", "T(4,3)", "--t", "2/3"),
-         "engine -2 != brute-force oracle -14"),
+         "oracle check: engine -2 != brute-force oracle -14"),
         ("brute_force_upsilon", ("region-upsilon", "T(4,3)", "--region", "H(1/3)"),
-         "engine 1/2 != brute-force oracle 7"),
+         "oracle check: engine 1/2 != brute-force oracle 7"),
         ("kim_livingston_oracle", ("kl", "T(4,3)", "--t", "2/3", "--s", "2/3"),
-         "engine -4/3 != brute-force oracle 7"),
+         "oracle check: engine -4/3 != brute-force oracle 7"),
         ("brute_force_secondary", ("secondary", "T(4,3)", "--cplus", "H(1)", "--cminus",
                                    "H(1/3)", "--region", "H(2/3)"),
-         "engine 5/3 != brute-force oracle 7"),
+         "oracle check: engine 5/3 != brute-force oracle 7"),
     ],
     ids=["upsilon-at", "region-upsilon", "kl", "secondary"],
 )
@@ -411,7 +411,7 @@ def test_exit_4_when_the_sweep_misses_a_kink(capsys, monkeypatch):
 
     monkeypatch.setattr(invariants, "_kinetic_sweep", missed)
     k = zoo.torus_knot(5, 3)
-    message = "upsilon not linear on [2/3, 4/3]: a kink was missed"
+    message = "upsilon curve: not linear on [2/3, 4/3]: a kink was missed"
     with pytest.raises(AssertionError, match=re.escape(message)):
         invariants.upsilon_function(k)
     assert complexes._Engine.of(k).curve is None  # nothing unchecked is kept

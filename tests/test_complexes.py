@@ -27,6 +27,7 @@ from upsilonkit.complexes import (
     to_json_dict,
     validate_complex,
 )
+from upsilonkit.invariants import breaking_points, kim_livingston, upsilon_function
 from upsilonkit.zoo import staircase_from_jumps, thin_model, torus_knot, unknot
 
 
@@ -472,15 +473,35 @@ def _first_bad_arrow(k):
     return None
 
 
+def _unordered(outcome):
+    """A `_graded` outcome with each column's rows as a set: an unnamed
+    product lists them in the order of its layout's arrows."""
+    if outcome[0] is ValueError:
+        return outcome
+    positions, columns, unfiltered = outcome
+    return positions, tuple(tuple(map(frozenset, cols)) for cols in columns), unfiltered
+
+
 def _checked_twin(k):
     """k through the public constructor, which checks and canonicalizes."""
     return KnotComplex(k.generators, k.arrows)
 
 
+def _refuse_naming(patch):
+    """Make every BaseGenerator construction and every `_arranged` call
+    raise, so that a test sees whether a product was named."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was named")
+
+    patch.setattr(BaseGenerator, "__init__", refuse)
+    patch.setattr(complexes, "_arranged", refuse)
+
+
 @pytest.mark.parametrize("factors", list(_tensor_cases()) + _random_factor_sets())
 def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
-    k = tensor(*factors)
-    assert "_index_arrows" in vars(k)  # left by tensor for the engine
+    with monkeypatch.context() as patch:  # tensor leaves only the layout; names wait
+        _refuse_naming(patch)
+        k = tensor(*factors)
     assert k == _product_tensor(*factors)
     twin = _checked_twin(k)
     assert (k == twin, repr(k), hash(k)) == (True, repr(twin), hash(twin))
@@ -488,6 +509,7 @@ def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
     outcome = _graded_outcome(k)
     assert outcome == _graded_outcome(twin)
     assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
+    assert _unordered(_graded_outcome(tensor(*factors))) == _unordered(outcome)
 
     def refuse(self):
         raise AssertionError("the product was re-checked")
@@ -559,16 +581,60 @@ def test_constructor_arranges_arrows_as_the_name_route_does():
     assert min(outcomes.values()) > 200
 
 
-def test_every_complex_keeps_its_index_arrows():
+def test_every_complex_keeps_its_index_arrows(monkeypatch):
     # each route is checked straight after it makes its complex, before
     # anything else reads it
     t = trefoil_by_hand()
     for build in (lambda: t, lambda: add_box(t, (2, 1), 1),
                   lambda: from_json_dict(to_json_dict(torus_knot(5, 3))),
-                  lambda: tensor(t, t), lambda: mirror(t)):
+                  lambda: mirror(t)):
         k = build()
         assert "_index_arrows" in vars(k)
         assert vars(k)["_index_arrows"] == _index_arrows_by_name(k)
+    # a product makes them, with its names, on first read
+    _assert_named_on_first_read(lambda: tensor(t, t), _product_tensor(t, t), monkeypatch)
+
+
+_LAZY_SUMS = [
+    (torus_knot(3, 2), torus_knot(3, 2)),
+    (torus_knot(5, 2), mirror(torus_knot(3, 2))),
+    (torus_knot(4, 3), mirror(torus_knot(3, 2)), torus_knot(5, 2)),
+    (_renamed(trefoil_by_hand(), lambda n: {"x0": "a*", "x1": "b\\", "y0": "\\*c*\\"}[n]),
+     mirror(torus_knot(3, 2)), torus_knot(4, 3)),
+]
+
+
+def _assert_named_on_first_read(build, ref, monkeypatch):
+    """A fresh product from `build` gives its upsilon curve, its breaking
+    points and, on another fresh product, its Kim-Livingston values, all
+    without naming anything; read afterwards, it is the eager reference."""
+    with monkeypatch.context() as patch:
+        _refuse_naming(patch)
+        k = build()
+        curve, points = upsilon_function(k), breaking_points(k)
+        fresh = build()
+        values = [kim_livingston(fresh, p.t, s) for p in points for s in (p.t, 1)]
+    assert "_index_arrows" not in vars(k)
+    assert (curve, points) == (upsilon_function(ref), breaking_points(ref))
+    assert values == [kim_livingston(ref, p.t, s) for p in points for s in (p.t, 1)]
+    for k in (k, fresh):
+        assert (k == ref, repr(k), hash(k)) == (True, repr(ref), hash(ref))
+        assert to_json_dict(k) == to_json_dict(ref)
+        assert validate_complex(k).problems == validate_complex(ref).problems
+        assert k._index_arrows == ref._index_arrows == _index_arrows_by_name(k)
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["flat", "folded"])
+@pytest.mark.parametrize("summands", _LAZY_SUMS)
+def test_products_are_named_only_when_read(summands, folded, monkeypatch):
+    # folded as the benchmark's worker builds sums: tensor(tensor(a, b), c)
+    head, last = summands[:-1], summands[-1]
+    if folded:
+        _assert_named_on_first_read(lambda: tensor(tensor(*head), last),
+                                    _product_tensor(_product_tensor(*head), last), monkeypatch)
+    else:
+        _assert_named_on_first_read(lambda: tensor(*summands), _product_tensor(*summands),
+                                    monkeypatch)
 
 
 def test_mirror_is_involution(monkeypatch):

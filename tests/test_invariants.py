@@ -8,7 +8,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -169,13 +169,36 @@ def test_upsilon_additivity_and_mirror():
     assert upsilon_function(mirror(k1)) == pl_negate_scale(upsilon_function(k1), -1)
 
 
-def test_swept_curve_is_canonicalized():
-    # the sweep also reduces where the leading line continues: T(3,2) # -T(3,2)
-    # has a crossing at t = 1 with no kink, and PLFunction drops that point
+def test_swept_curve_is_canonicalized(monkeypatch):
+    # the sweep records only kinks: T(3,2) # -T(3,2) has an event at t = 1
+    # where the same line leads on, and no point is recorded there, so the
+    # swept points are the canonical curve as they stand
     k = tensor(torus_knot(3, 2), mirror(torus_knot(3, 2)))
     f = upsilon_function(k)
-    assert len(invariants._kinetic_sweep(complexes._Engine.of(k))) > len(f.points)
     assert f == pl_add(fk_upsilon(3, 2), pl_negate_scale(fk_upsilon(3, 2), -1))
+    events = []
+    least_top = invariants._least_top
+
+    def counted(eng, keys):
+        events.append(keys)
+        return least_top(eng, keys)
+
+    monkeypatch.setattr(invariants, "_least_top", counted)
+    points = invariants._kinetic_sweep(complexes._Engine.of(k))
+    assert len(events) == 2  # reductions at t = 0 and t = 1; points at t = 0 and t = 2
+    assert [(t, -2 * v) for t, v in points] == list(f.points) == [(0, 0), (2, 0)]
+    monkeypatch.undo()
+    rng = random.Random(2121)
+    parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
+    sums = 0
+    while sums < 20:
+        summands = [torus_knot(*rng.choice(parts)) for _ in range(rng.randint(2, 3))]
+        if prod(len(c.generators) for c in summands) > 250:
+            continue
+        k = tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands))
+        points = invariants._kinetic_sweep(complexes._Engine.of(k))
+        assert [(t, -2 * v) for t, v in points] == list(upsilon_function(k).points)
+        sums += 1
 
 
 def test_region_monotonicity():
