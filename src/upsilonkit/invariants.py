@@ -50,15 +50,19 @@ from the same pivots, the reference cycle by clearing.
 
 The upsilon curve is a kinetic sweep over these reductions rather than one
 per crossing of any two generator lines.  A reduction at t keyed by each
-line's value and then its right slope returns the key of the line that is
-the curve just right of t; only where another line crosses that one can the
-curve bend, so the sweep reduces next at the nearest such crossing, and ends
-at 2.  It records a point only where the leading line changes, so the
-points it returns are already the curve's kinks.  It asserts continuity at
-every event (the new leading line meets the old one) and the chord at the
-midpoint of every segment of the output curve.
-Kim-Livingston reads the same keys at t*, with the right and with the left
-slope: the limits of H_{t*+eps} and H_{t*-eps}, with no width to choose.
+line's value and then its right slope, packed in one int per position,
+returns the key of the line that is the curve just right of t; only where
+another line crosses that one can the curve bend, so the sweep reduces next
+at the nearest such crossing, and ends at 2.  It returns the leading lines
+as integers, each with the event where it takes over, and records one only
+where the leading line changes, so the events are already the curve's
+kinks.  It asserts continuity at every event (the new leading line meets
+the old one), and the curve asserts at the midpoint of every segment that
+the engine value lies on the segment's line.  The curve's points and its
+breaking points are read off the lines in integers, and only the returned
+values are made Fractions.  Kim-Livingston reads the same packed keys at
+t*, with the right and with the left slope: the limits of H_{t*+eps} and
+H_{t*-eps}, with no width to choose.
 
 `brute_force_upsilon` and `brute_force_secondary` recompute the same
 quantities by enumerating entire cycle cosets, as independent oracles in the
@@ -141,20 +145,32 @@ class BreakingPoint:
 # ---------------------------------------------------------------------------
 
 
-def _line_keys(positions, n: int, d: int, sign: int) -> list[tuple[int, int]]:
-    """The line L(t) = j + (t/2)(A - j) of each generator at (A, j), keyed at
-    t = n/d by (2d·L(n/d), sign·(A - j)): its value, then its slope.  With
-    sign 1 the keys order the lines as their values just right of n/d do, with
-    sign -1 as just left of it."""
-    return [(2 * d * j + n * (a - j), sign * (a - j)) for a, j in positions]
+def _slope_bound(eng: _Engine) -> int:
+    """h for `_line_keys`: the largest |A - j| over the positions of slices
+    0 and 1, so one width packs the keys of both."""
+    return max((abs(a - j) for a, j in eng.at0 + eng.at1), default=0)
 
 
-def _halfplane_keys(positions, t: Fraction) -> tuple[list[int], int]:
-    """The entering times of these positions into the half-plane H(t),
-    t = n/d, as integer numerators over 2d: a generator at (A, j) enters at
-    L(t) = (2d·j + n(A - j)) / 2d, with no region built."""
-    n, d = t.numerator, t.denominator
-    return [2 * d * j + n * (a - j) for a, j in positions], 2 * d
+def _line_keys(positions, n: int, d: int, sign: int, h: int) -> list[int]:
+    """The line L(t) = j + (t/2)(A - j) of each position (A, j), keyed at
+    t = n/d by its value and then its slope, (2d·L(n/d), sign·(A - j)),
+    packed in one int: (2d·L(n/d))·w + sign·(A - j) + h with w = 2h + 1.
+    With h at least every |A - j| the last two terms lie in [0, 2h], so the
+    ints order and tie as the pairs do, and divmod(key, w) gives back
+    (2d·L(n/d), sign·(A - j) + h).  With sign 1 the keys order the lines
+    as their values just right of n/d do, with sign -1 as just left of it."""
+    w = 2 * h + 1
+    ca = n * w + sign  # the key is ca·A + cj·j + h
+    cj = 2 * d * w - ca
+    return [ca * a + cj * j + h for a, j in positions]
+
+
+def _halfplane_keys(positions, n: int, d: int) -> list[int]:
+    """The entering times of these positions into the half-plane H(n/d) as
+    integer numerators over 2d: a generator at (A, j) enters at
+    L(n/d) = (2d·j + n(A - j)) / 2d, with no region built."""
+    cj = 2 * d - n
+    return [n * a + cj * j for a, j in positions]
 
 
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
@@ -182,36 +198,51 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
     """The exact knot-level upsilon function on [0, 2], computed once per complex.
 
     A kinetic sweep.  Each generator at (A, j) has the line
-    L(t) = j + (t/2)(A - j); the engine value at t is the least, over
-    generating cycles, of the top line on a support.  One reduction at t = n/d
-    keyed by (2d·L(t), A - j), the value and then the right slope, returns
-    the key of a line l that is the value on [t, t + eps].  Until another line
-    crosses l every line stays on its side of it, so the value is l up to the
-    nearest crossing of l after t; the sweep reduces there next, and ends at 2
-    when nothing crosses l before it.  Two checks guard it: at every event the
-    new leading line must meet the old one (continuity), and the value at the
-    midpoint of every segment of the output curve must lie on its chord.
+    L(t) = j + (t/2)(A - j), or (s, j) with slope s = A - j; the engine value
+    at t is the least, over generating cycles, of the top line on a support.
+    One reduction at t = n/d keyed by (2d·L(t), s), the value and then the
+    right slope packed in one int (`_line_keys`), returns the key of a line
+    that is the value on [t, t + eps].  Until another line crosses it every
+    line stays on its side of it, so the value is that line up to the
+    nearest crossing after t; the sweep reduces there next, and ends at 2
+    when nothing crosses before it.  The sweep returns the leading lines,
+    and the curve is read off them in integers: the value at an event n/d
+    is -(2d·j + n·s)/d and at 2 it is -2(j + s).  Two checks guard it: at
+    every event the new leading line must meet the old one (continuity),
+    and at the midpoint of every segment the engine value must lie on the
+    segment's line (`_check_chords`).  The engine keeps the curve with its
+    lines, for `breaking_points`, only once both checks have passed.
     """
     eng = _Engine.of(k)
     if eng.curve is None:
-        curve = PLFunction(tuple((t, -2 * v) for t, v in _kinetic_sweep(eng)))
-        _check_chords(eng, [t for t, _ in curve.points], [-v / 2 for _, v in curve.points])
-        eng.curve = curve
-    return eng.curve
+        lines = _kinetic_sweep(eng)
+        _check_chords(eng, lines)
+        points = [(Fraction(n, d), Fraction(-2 * d * j - n * s, d)) for (n, d), (s, j) in lines]
+        s, j = lines[-1][1]
+        points.append((Fraction(2), Fraction(-2 * (j + s))))
+        # two different lines that meet at an event differ in slope, so
+        # every interior point is a kink and the points are canonical
+        eng.curve = PLFunction._canonical(tuple(points)), lines
+    return eng.curve[0]
 
 
-def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
-    """(t, engine value) at 0, at each event where the leading line changes,
-    and at 2.  Every event reduces and is checked for continuity, but one
-    where the same line leads on is not recorded: two different lines that
-    meet at an event differ in slope, so every recorded interior point is a
-    kink, and the points are the curve's canonical breakpoints."""
+def _kinetic_sweep(eng: _Engine) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """((n, d), (s, j)) at t = 0 and at each event t = n/d where the leading
+    line changes: the event, in lowest terms, and the line
+    L(t) = j + (t/2)s leading after it.  Every event reduces, decodes the
+    packed key it returns into the line's value and slope, and is checked
+    for continuity, but one where the same line leads on is not recorded:
+    two different lines that meet at an event differ in slope, so every
+    recorded interior event is a kink."""
+    h = _slope_bound(eng)
+    w = 2 * h + 1
     lines = {(a - j, j) for a, j in eng.at0}  # (s, j): L(t) = j + (t/2)s
-    points = []
+    events = []
     lead = None  # the line (s, j) leading after the last event
     n, d = 0, 1  # the event t = n/d
     while True:
-        v, s = _least_top(eng, _line_keys(eng.at0, n, d, 1))
+        v, s = divmod(_least_top(eng, _line_keys(eng.at0, n, d, 1, h)), w)
+        s -= h
         if lead is not None and v != 2 * d * lead[1] + n * lead[0]:
             raise AssertionError(
                 f"upsilon curve: the line leading after t = {Fraction(n, d)} "
@@ -219,7 +250,7 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
             )
         line = s, (v - n * s) // (2 * d)
         if line != lead:
-            points.append((Fraction(n, d), Fraction(v, 2 * d)))
+            events.append(((n, d), line))
             lead = line
         bn, bd = 2, 1  # the nearest crossing of lead after n/d, as bn/bd
         for s2, j2 in lines:
@@ -230,36 +261,42 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[Fraction, Fraction]]:
                 if num * d > n * den and num * bd < bn * den:
                     bn, bd = num, den
         if (bn, bd) == (2, 1):  # nothing crosses lead before 2
-            points.append((Fraction(2), Fraction(sum(lead))))
-            return points
+            return events
         g = gcd(bn, bd)
         n, d = bn // g, bd // g
 
 
-def _check_chords(eng: _Engine, ts, vals) -> None:
-    """Assert that the engine value at the midpoint of each segment between
-    these parameters lies on the chord of these values: one `_least_top`
-    per midpoint n/d, keyed by 2d·j + n(A - j) over `eng.at0`, the entering
-    times into the half-plane there (`_halfplane_keys`), so no region is
-    built."""
-    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        keys, d = _halfplane_keys(eng.at0, (t0 + t1) / 2)
-        if 2 * Fraction(_least_top(eng, keys), d) != v0 + v1:
-            raise AssertionError(f"upsilon curve: not linear on [{t0}, {t1}]: "
-                                 "a kink was missed")
+def _check_chords(eng: _Engine, lines) -> None:
+    """Assert that the engine value at the midpoint of each segment of the
+    swept curve lies on the segment's line: one `_least_top` per midpoint
+    N/D, keyed by the entering times into the half-plane there as
+    numerators over 2D (`_halfplane_keys`), whose answer must be the line's
+    value 2D·j + N·s over 2D.  The ends of the segment lie on the line by
+    the sweep's own reduction and its continuity check, so this is the
+    chord test, in integers, with no region built."""
+    ends = [t for t, _ in lines[1:]] + [(2, 1)]
+    for ((n0, d0), (s, j)), (n1, d1) in zip(lines, ends):
+        num, den = n0 * d1 + n1 * d0, 2 * d0 * d1
+        g = gcd(num, den)
+        n, d = num // g, den // g
+        if _least_top(eng, _halfplane_keys(eng.at0, n, d)) != 2 * d * j + n * s:
+            raise AssertionError(f"upsilon curve: not linear on [{Fraction(n0, d0)}, "
+                                 f"{Fraction(n1, d1)}]: a kink was missed")
 
 
 def breaking_points(k: KnotComplex) -> list[BreakingPoint]:
     """Kinks of the knot-level upsilon function with positive derivative jump.
 
-    (The engine-level envelope is a min of lines, so its kinks have negative
-    jumps; the -2 scaling makes the knot-level jumps positive exactly there.)
+    The knot-level curve is -2L on the leading line L of each segment, so
+    its slope there is -s, and the jump at the event where (s0, j0) hands
+    over to (s1, j1) is the integer s0 - s1.  (The engine-level envelope is
+    a min of lines, so its kinks have negative jumps; the -2 scaling makes
+    the knot-level jumps positive exactly there.)
     """
-    return [
-        BreakingPoint(t, jump)
-        for t, jump in pl_singular_points(upsilon_function(k))
-        if jump > 0
-    ]
+    upsilon_function(k)  # sweeps and checks the curve once, keeping its lines
+    lines = _Engine.of(k).curve[1]
+    return [BreakingPoint(Fraction(n, d), Fraction(s0 - s1))
+            for (_, (s0, _)), ((n, d), (s1, _)) in zip(lines, lines[1:]) if s0 > s1]
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +556,26 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     at t_star (asserted), where they give the kink value; t_star is a
     breaking point iff the right slope is less than the left.  Elsewhere a
     finite value raises NotABreakingPoint (NoObstruction is still returned).
-    H_s is keyed the same way, by its entering times over the slice-1
-    positions (`_halfplane_keys`), with no region built.
+    H_s is keyed by its entering times over the slice-1 positions
+    (`_halfplane_keys`), with no region built.  The side keys are packed in
+    one int per position with one width for both slices (`_line_keys`,
+    `_slope_bound`), and the two keys `_secondary` returns decode to the
+    leading lines' values and slopes.
     """
     t_star, s = _kl_parameters(t_star, s)
     eng = _Engine.of(k)
     n, d = t_star.numerator, t_star.denominator
-    sides = ([_line_keys(pos, n, d, sign) for pos in (eng.at0, eng.at1)] for sign in (1, -1))
-    (v, right), (v_left, neg_left), value = _secondary(eng, *sides, _halfplane_keys(eng.at1, s))
+    h = _slope_bound(eng)
+    sides = ([_line_keys(pos, n, d, sign, h) for pos in (eng.at0, eng.at1)] for sign in (1, -1))
+    c = _halfplane_keys(eng.at1, s.numerator, s.denominator), 2 * s.denominator
+    g_right, g_left, value = _secondary(eng, *sides, c)
+    (v, right), (v_left, left) = divmod(g_right, 2 * h + 1), divmod(g_left, 2 * h + 1)
+    right, left = right - h, h - left  # the slopes, keyed as s on the right and -s on the left
     if v != v_left:
         raise AssertionError(f"kim_livingston: the two sides of t = {t_star} do not meet there")
     if value is NO_OBSTRUCTION:
         return NO_OBSTRUCTION
-    if right >= -neg_left:
+    if right >= left:
         raise NotABreakingPoint(f"t = {t_star} is not a breaking point")
     return -2 * (value - Fraction(v, 2 * d))
 

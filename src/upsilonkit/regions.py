@@ -178,6 +178,16 @@ class PLFunction:
         canon.append(pts[-1])
         object.__setattr__(self, "points", tuple(canon))
 
+    @classmethod
+    def _canonical(cls, points: tuple) -> "PLFunction":
+        """A PL function from breakpoints that are canonical by construction:
+        Fraction pairs, t strictly increasing, and a slope change at every
+        interior point.  Nothing is re-checked; other input goes through the
+        constructor, which canonicalizes."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "points", points)
+        return f
+
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.points[0][0], self.points[-1][0])

@@ -388,8 +388,8 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
 
     def corrupt(eng, keys):  # the sweep's second event comes back one too high
         calls.append(keys)
-        v, s = least_top(eng, keys)
-        return (v + 1, s) if len(calls) == 2 else (v, s)
+        key = least_top(eng, keys)  # the value is the packed key's quotient by w = 2h + 1
+        return key + 2 * invariants._slope_bound(eng) + 1 if len(calls) == 2 else key
 
     monkeypatch.setattr(invariants, "_least_top", corrupt)
     k = zoo.torus_knot(5, 3)
@@ -405,13 +405,12 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
 def test_exit_4_when_the_sweep_misses_a_kink(capsys, monkeypatch):
     sweep = invariants._kinetic_sweep
 
-    def missed(eng):  # the sweep loses its middle event, the kink of T(5,3) at t = 1
-        points = sweep(eng)
-        return points[:len(points) // 2] + points[len(points) // 2 + 1:]
+    def missed(eng):  # the sweep loses its last event, the kink of T(5,3) at t = 4/3,
+        return sweep(eng)[:-1]  # so the line leading after t = 1 runs on to 2
 
     monkeypatch.setattr(invariants, "_kinetic_sweep", missed)
     k = zoo.torus_knot(5, 3)
-    message = "upsilon curve: not linear on [2/3, 4/3]: a kink was missed"
+    message = "upsilon curve: not linear on [1, 2]: a kink was missed"
     with pytest.raises(AssertionError, match=re.escape(message)):
         invariants.upsilon_function(k)
     assert complexes._Engine.of(k).curve is None  # nothing unchecked is kept
@@ -438,8 +437,8 @@ def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
 
     def corrupt(eng, keys):  # the reduction just left of t* leads one too high
         calls.append(keys)
-        v, s = least_top(eng, keys)
-        return (v + 1, s) if len(calls) == 2 else (v, s)
+        key = least_top(eng, keys)  # the value is the packed key's quotient by w = 2h + 1
+        return key + 2 * invariants._slope_bound(eng) + 1 if len(calls) == 2 else key
 
     monkeypatch.setattr(invariants, "_least_top", corrupt)
     with pytest.raises(AssertionError, match="^kim_livingston: the two sides of t = 2/3 do not meet"):
@@ -695,6 +694,13 @@ def test_exit_2_when_the_input_is_too_large_for_memory(capsys, monkeypatch):
     monkeypatch.setattr(zoo.Semigroup, "_table", property(exhausted))
     code, out, err = run(capsys, "upsilon", "T(99999,99998)")
     assert (code, out, err) == (2, "", "error: out of memory: the input is too large to evaluate\n")
+
+
+def test_exit_2_when_a_connected_sum_is_over_the_generator_limit(capsys):
+    # 117^3 = 1,601,613 generators: refused before the product is allocated
+    code, out, err = run(capsys, "upsilon", "T(60,59) # T(60,59) # T(60,59)")
+    assert (code, out) == (2, "")
+    assert err == "error: the connected sum has 1601613 generators, over the limit of 100000\n"
 
 
 def test_thin_check_reports_other_errors(capsys, monkeypatch):

@@ -260,6 +260,14 @@ def test_tensor_generator_count_and_validity():
     assert validate_complex(k).ok
 
 
+def test_tensor_refuses_a_product_over_the_generator_limit(monkeypatch):
+    assert complexes.MAX_PRODUCT_GENERATORS == 100_000
+    monkeypatch.setattr(complexes, "MAX_PRODUCT_GENERATORS", 15)  # T(3,2) has 3, T(4,3) 5
+    assert len(tensor(torus_knot(3, 2), torus_knot(4, 3)).generators) == 15  # at the limit
+    with pytest.raises(ValueError, match="^the connected sum has 45 generators, over the limit of 15$"):
+        tensor(torus_knot(3, 2), torus_knot(4, 3), torus_knot(3, 2))
+
+
 def test_tensor_gradings_add():
     k = tensor(trefoil_by_hand(), trefoil_by_hand())
     by_name = k.by_name

@@ -171,8 +171,8 @@ def test_upsilon_additivity_and_mirror():
 
 def test_swept_curve_is_canonicalized(monkeypatch):
     # the sweep records only kinks: T(3,2) # -T(3,2) has an event at t = 1
-    # where the same line leads on, and no point is recorded there, so the
-    # swept points are the canonical curve as they stand
+    # where the same line leads on, and no line is recorded there, so the
+    # points read off the swept lines are the canonical curve as they stand
     k = tensor(torus_knot(3, 2), mirror(torus_knot(3, 2)))
     f = upsilon_function(k)
     assert f == pl_add(fk_upsilon(3, 2), pl_negate_scale(fk_upsilon(3, 2), -1))
@@ -184,9 +184,9 @@ def test_swept_curve_is_canonicalized(monkeypatch):
         return least_top(eng, keys)
 
     monkeypatch.setattr(invariants, "_least_top", counted)
-    points = invariants._kinetic_sweep(complexes._Engine.of(k))
-    assert len(events) == 2  # reductions at t = 0 and t = 1; points at t = 0 and t = 2
-    assert [(t, -2 * v) for t, v in points] == list(f.points) == [(0, 0), (2, 0)]
+    lines = invariants._kinetic_sweep(complexes._Engine.of(k))
+    assert len(events) == 2  # reductions at t = 0 and t = 1; one line, from t = 0 to 2
+    assert lines == [((0, 1), (0, 0))] and list(f.points) == [(0, 0), (2, 0)]
     monkeypatch.undo()
     rng = random.Random(2121)
     parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
@@ -196,8 +196,15 @@ def test_swept_curve_is_canonicalized(monkeypatch):
         if prod(len(c.generators) for c in summands) > 250:
             continue
         k = tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands))
-        points = invariants._kinetic_sweep(complexes._Engine.of(k))
-        assert [(t, -2 * v) for t, v in points] == list(upsilon_function(k).points)
+        lines = invariants._kinetic_sweep(complexes._Engine.of(k))
+        f = upsilon_function(k)
+        # a point at 0 and at each recorded event, and one at 2; on each
+        # segment the curve is -2 times the line leading there, of slope -s
+        assert [F(n, d) for (n, d), _ in lines] + [2] == [t for t, _ in f.points]
+        for ((n, d), (s, j)), (t1, v1) in zip(lines, f.points[1:]):
+            assert pl_eval(f, F(n, d)) == -2 * (j + F(n, d) * s / 2) and gcd(n, d) == 1
+            assert v1 == -2 * (j + t1 * s / 2)
+        assert f == PLFunction(f.points)  # re-canonicalizing changes nothing
         sums += 1
 
 
@@ -954,22 +961,29 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
         monkeypatch.setattr(invariants, name, no_region)
     k = torus_knot(5, 3)
     kinks = [t for t, _ in upsilon_function(k).points]
-    at0 = complexes._Engine.of(k).at0
-    # the sweep's events reduce first, keyed by (value, slope); then one chord
-    # check at the midpoint n/d of each segment of the output curve, in order,
-    # keyed by 2d·j + n(A - j): the entering times into H(n/d) over 2d
+    eng = complexes._Engine.of(k)
+    at0, h = eng.at0, invariants._slope_bound(eng)
+    # the sweep's events reduce first, keyed by (value, slope) packed in one
+    # int; then one chord check at the midpoint n/d of each segment of the
+    # output curve, in order, keyed by 2d·j + n(A - j): the entering times
+    # into H(n/d) over 2d
     mids = [(t0 + t1) / 2 for t0, t1 in zip(kinks, kinks[1:])]
     expected = [[2 * t.denominator * j + t.numerator * (a - j) for a, j in at0] for t in mids]
     for t, keys in zip(mids, expected):
         r = upsilon_halfplane(t)
         assert [F(n, 2 * t.denominator) for n in keys] == [entering_time(r, p) for p in at0]
     assert len(calls) > len(mids) == 4 and calls[len(calls) - len(mids):] == expected
-    assert all(isinstance(key, tuple) for keys in calls[:len(calls) - len(mids)] for key in keys)
+
+    def slopes(keys):  # the slope part of each packed key, decoded
+        return [divmod(key, 2 * h + 1)[1] - h for key in keys]
+
+    assert all(slopes(keys) == [a - j for a, j in at0] for keys in calls[:len(calls) - len(mids)])
     # kim_livingston reads both sides of t* from its own two reductions
     calls.clear()
     t = breaking_points(k)[0].t
     kim_livingston(k, t, t)
-    assert len(calls) == 2 and all(isinstance(key, tuple) for keys in calls for key in keys)
+    assert len(calls) == 2 and [slopes(keys) for keys in calls] == [
+        [sign * (a - j) for a, j in at0] for sign in (1, -1)]
 
 
 def _every_crossing_curve(k):
@@ -1017,9 +1031,17 @@ def test_headline_curve_reduces_only_at_events(monkeypatch):
         return least_top(*args)
 
     monkeypatch.setattr(invariants, "_least_top", count)
+    chords = invariants._check_chords
+    swept = []  # the reductions made before the chord checks began
+    monkeypatch.setattr(invariants, "_check_chords",
+                        lambda *args: (swept.append(len(calls)), chords(*args))[1])
     k = tensor(torus_knot(8, 5), mirror(torus_knot(6, 5)), mirror(torus_knot(4, 3)))
     f = upsilon_function(k)
-    assert 0 < len(calls) <= 80
+    # pinned: 58 sweep events and one chord check for each of the 2 segments
+    assert (len(calls), swept, len(f.points) - 1) == (60, [58], 2)
+    kernels = _record_kernel_calls(monkeypatch)
+    assert kim_livingston(k, 1, 1) == -1
+    assert kernels == ["_least_top", "_least_top", "_below", "_below"]
     minus = [pl_negate_scale(staircase_upsilon(torus_jumps(p, q)), -1) for p, q in ((6, 5), (4, 3))]
     assert f == pl_add(pl_add(staircase_upsilon(torus_jumps(8, 5)), minus[0]), minus[1])
 
@@ -1045,6 +1067,94 @@ def test_upsilon_function_is_canonical_pl():
     assert f.points[0][0] == 0 and f.points[-1][0] == 2
     assert pl_singular_points(pl_add(f, pl_negate_scale(f, -1))) == []
     assert pl_add(f, pl_negate_scale(f, -1)) == pl_constant(0)
+
+
+def _tuple_line_keys(positions, n, d, sign):
+    """The line keys as (value, slope) pairs, as the sweep and kim_livingston
+    read them before they were packed in one int: the reference for
+    `_line_keys`."""
+    return [(2 * d * j + n * (a - j), sign * (a - j)) for a, j in positions]
+
+
+def _kl_by_tuple_keys(k, t_star, s):
+    """kim_livingston on the pair keys: `_secondary` on (value, ±slope)
+    pairs, and the leading lines read from the pairs it returns."""
+    eng = complexes._Engine.of(k)
+    n, d = t_star.numerator, t_star.denominator
+    sides = ([_tuple_line_keys(pos, n, d, sign) for pos in (eng.at0, eng.at1)] for sign in (1, -1))
+    c = [s.numerator * a + (2 * s.denominator - s.numerator) * j for a, j in eng.at1], 2 * s.denominator
+    (v, right), (v_left, neg_left), value = invariants._secondary(eng, *sides, c)
+    assert v == v_left
+    if value is NO_OBSTRUCTION:
+        return NO_OBSTRUCTION
+    if right >= -neg_left:
+        raise NotABreakingPoint(f"t = {t_star} is not a breaking point")
+    return -2 * (value - F(v, 2 * d))
+
+
+def _wide_in_slice_1():
+    """T(3,2) plus an acyclic pair y -> z: y, in slice 1, has slope
+    A - j = 10, above every |A - j| of slice 0 (at most 2, at z), so a
+    width taken from slice 0 alone cannot pack the slice-1 keys."""
+    k = torus_knot(3, 2)
+    return KnotComplex(k.generators + (BaseGenerator("y", 5, -5, 1), BaseGenerator("z", -3, -5, 0)),
+                       k.arrows + (("y", "z", 0),))
+
+
+def _packed_key_knots():
+    """The headline, the slice-1-wide complex and 20 seeded two- and
+    three-summand torus sums of at most 250 generators."""
+    rng = random.Random(2222)
+    parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
+    knots = [_headline(), _wide_in_slice_1()]
+    while len(knots) < 22:
+        summands = [torus_knot(*rng.choice(parts)) for _ in range(rng.randint(2, 3))]
+        if prod(len(c.generators) for c in summands) <= 250:
+            knots.append(tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands)))
+    return knots
+
+
+def test_packed_line_keys_order_as_the_pairs_do():
+    rng = random.Random(2223)
+    wide = _wide_in_slice_1()
+    assert validate_complex(wide).ok
+    eng = complexes._Engine.of(wide)
+    assert max(abs(a - j) for a, j in eng.at0) < 10 == invariants._slope_bound(eng)
+    kl_values = []
+    for k in _packed_key_knots():
+        eng = complexes._Engine.of(k)
+        h = invariants._slope_bound(eng)
+        w = 2 * h + 1
+        bps = [bp.t for bp in breaking_points(k)]
+        for t in bps + [F(rng.randint(0, 24), rng.randint(1, 12)) for _ in range(4)]:
+            t = min(t, F(2))
+            n, d = t.numerator, t.denominator
+            for sign in (1, -1):
+                for pos in (eng.at0, eng.at1):
+                    packed = invariants._line_keys(pos, n, d, sign, h)
+                    pairs = _tuple_line_keys(pos, n, d, sign)
+                    # decoding is one-to-one, so equal ints are equal pairs: ties included
+                    assert [divmod(key, w) for key in packed] == [(v, s + h) for v, s in pairs]
+                    by = sorted(range(len(pos)), key=packed.__getitem__)
+                    assert by == sorted(range(len(pos)), key=pairs.__getitem__)
+                v, r = divmod(complexes._least_top(eng, invariants._line_keys(eng.at0, n, d, sign, h)), w)
+                assert (v, r - h) == complexes._least_top(eng, _tuple_line_keys(eng.at0, n, d, sign))
+            if 0 < t < 2:
+                for s in sorted({F(0), t, F(1), F(2)}):
+                    value = _outcome(kim_livingston, k, t, s)
+                    assert value == _outcome(_kl_by_tuple_keys, k, t, s)
+                    kl_values.append(value)
+    assert {type(v) for v in kl_values} >= {F, NoObstructionType}
+
+
+def test_breaking_points_and_curve_match_the_public_routes():
+    for k in _packed_key_knots():
+        f = upsilon_function(k)
+        assert f == PLFunction(f.points)
+        assert all(type(t) is F and type(v) is F for t, v in f.points)
+        bps = breaking_points(k)
+        assert bps == [BreakingPoint(t, j) for t, j in pl_singular_points(f) if j > 0]
+        assert all(type(bp.t) is F and type(bp.jump) is F for bp in bps)
 
 
 # ---------------------------------------------------------------------------
@@ -1605,8 +1715,9 @@ def test_grouped_keys_equal_per_generator_keys(monkeypatch):
             draws.append(([(n > gamma, a) for n, (a, _) in zip(at, eng.at0)],
                           [(n > gamma, a) for n, (a, _) in zip(per, eng.pos0)]))  # eta's keys
         t = F(rng.randint(1, 11), 6)
+        h = invariants._slope_bound(eng)
         for sign in (1, -1):
-            draws.append(tuple(invariants._line_keys(p, t.numerator, t.denominator, sign)
+            draws.append(tuple(invariants._line_keys(p, t.numerator, t.denominator, sign, h)
                                for p in (eng.at0, eng.pos0)))
         for at, per in draws:
             assert _per_generator(eng.at0, eng.pos0, at) == per
@@ -1684,23 +1795,43 @@ def _basis_change(k, rng, moves):
 
 def _invariants_at_breaking_points(k):
     f = upsilon_function(k)
-    return (f, [vk(k, s) for s in range(-2, 5)], nu_plus(k),
+    return (f, breaking_points(k), [vk(k, s) for s in range(-2, 5)], nu_plus(k),
             eta(k, upsilon_halfplane(F(2, 3))),
             [kim_livingston(k, bp.t, s) for bp in breaking_points(k)
              for s in sorted({F(0), bp.t, F(1), F(2)})])
 
 
-def test_a_change_of_basis_changes_no_invariant():
-    rng = random.Random(66)
+def _metamorphic_knots(rng):
+    """Six seeded two-summand torus sums and the mirrors of the first two."""
     parts = [(3, 2), (5, 2), (4, 3), (5, 3), (7, 2)]
     knots = []
     for _ in range(6):
         summands = [torus_knot(*rng.choice(parts)) for _ in range(2)]
         knots.append(tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands)))
+    return knots + [mirror(k) for k in knots[:2]]
+
+
+def test_a_change_of_basis_changes_no_invariant():
+    rng = random.Random(66)
     scrambled = 0
-    for k in knots + [mirror(k) for k in knots[:2]]:
+    for k in _metamorphic_knots(rng):
         moved = _basis_change(k, rng, rng.randint(1, 8))
         scrambled += moved.arrows != k.arrows
         assert validate_complex(moved).ok
         assert _invariants_at_breaking_points(moved) == _invariants_at_breaking_points(k)
     assert scrambled >= 6
+
+
+def test_a_permutation_of_the_generators_changes_no_invariant():
+    # listing the generators in another order reorders the engine's
+    # positions, the ties among their keys and the rows of every reduction
+    rng = random.Random(67)
+    knots = [_headline()] + _metamorphic_knots(random.Random(66))
+    reordered = 0
+    for k in knots:
+        gens = list(k.generators)
+        rng.shuffle(gens)
+        permuted = KnotComplex(tuple(gens), k.arrows)
+        reordered += complexes._Engine.of(permuted).at0 != complexes._Engine.of(k).at0
+        assert _invariants_at_breaking_points(permuted) == _invariants_at_breaking_points(k)
+    assert reordered == len(knots)
