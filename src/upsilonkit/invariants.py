@@ -57,8 +57,9 @@ at the nearest such crossing, and ends at 2.  It returns the leading lines
 as integers, each with the event where it takes over, and records one only
 where the leading line changes, so the events are already the curve's
 kinks.  It asserts continuity at every event (the new leading line meets
-the old one), and the curve asserts at the midpoint of every segment that
-the engine value lies on the segment's line.  The curve's points and its
+the old one), and the curve asserts that every segment's line meets the
+next recorded line at the segment's end and that the engine value lies on
+it at the segment's midpoint.  The curve's points and its
 breaking points are read off the lines in integers, and only the returned
 values are made Fractions.  Kim-Livingston reads the same packed keys at
 t*, with the right and with the left slope: the limits of H_{t*+eps} and
@@ -209,8 +210,9 @@ def upsilon_function(k: KnotComplex) -> PLFunction:
     and the curve is read off them in integers: the value at an event n/d
     is -(2d·j + n·s)/d and at 2 it is -2(j + s).  Two checks guard it: at
     every event the new leading line must meet the old one (continuity),
-    and at the midpoint of every segment the engine value must lie on the
-    segment's line (`_check_chords`).  The engine keeps the curve with its
+    and every segment's line must meet the next recorded line at its end
+    and carry the engine value at its midpoint (`_check_chords`).  The
+    engine keeps the curve with its
     lines, for `breaking_points`, only once both checks have passed.
     """
     eng = _Engine.of(k)
@@ -267,19 +269,22 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[tuple[int, int], tuple[int, int]]
 
 
 def _check_chords(eng: _Engine, lines) -> None:
-    """Assert that the engine value at the midpoint of each segment of the
-    swept curve lies on the segment's line: one `_least_top` per midpoint
-    N/D, keyed by the entering times into the half-plane there as
-    numerators over 2D (`_halfplane_keys`), whose answer must be the line's
-    value 2D·j + N·s over 2D.  The ends of the segment lie on the line by
-    the sweep's own reduction and its continuity check, so this is the
-    chord test, in integers, with no region built."""
-    ends = [t for t, _ in lines[1:]] + [(2, 1)]
-    for ((n0, d0), (s, j)), (n1, d1) in zip(lines, ends):
+    """Assert that each segment of the swept curve is one line of the
+    engine value.  At the segment's end n1/d1 its line (s, j) must meet the
+    next recorded line (s', j'): 2d1·j + n1·s == 2d1·j' + n1·s', in
+    integers.  At its midpoint N/D one `_least_top`, keyed by the entering
+    times into the half-plane there as numerators over 2D
+    (`_halfplane_keys`), must return the line's value 2D·j + N·s.  The
+    segment's start lies on its line by the sweep's own reduction there,
+    so with both checks this is the chord test, in integers, with no
+    region built."""
+    ends = lines[1:] + [((2, 1), None)]
+    for ((n0, d0), (s, j)), ((n1, d1), after) in zip(lines, ends):
         num, den = n0 * d1 + n1 * d0, 2 * d0 * d1
         g = gcd(num, den)
         n, d = num // g, den // g
-        if _least_top(eng, _halfplane_keys(eng.at0, n, d)) != 2 * d * j + n * s:
+        if (after is not None and 2 * d1 * j + n1 * s != 2 * d1 * after[1] + n1 * after[0]
+                or _least_top(eng, _halfplane_keys(eng.at0, n, d)) != 2 * d * j + n * s):
             raise AssertionError(f"upsilon curve: not linear on [{Fraction(n0, d0)}, "
                                  f"{Fraction(n1, d1)}]: a kink was missed")
 

@@ -402,20 +402,35 @@ def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
     assert err.startswith("internal check failed: upsilon curve: ") and err.count("\n") == 1
 
 
-def test_exit_4_when_the_sweep_misses_a_kink(capsys, monkeypatch):
+def _drop_a_sweep_event(capsys, monkeypatch, drop, message):
     sweep = invariants._kinetic_sweep
 
-    def missed(eng):  # the sweep loses its last event, the kink of T(5,3) at t = 4/3,
-        return sweep(eng)[:-1]  # so the line leading after t = 1 runs on to 2
+    def missed(eng):  # T(5,3)'s events are at t = 0, 2/3, 1 and 4/3
+        lines = sweep(eng)
+        assert [t for t, _ in lines] == [(0, 1), (2, 3), (1, 1), (4, 3)]
+        return lines[:drop] + lines[drop + 1:]
 
     monkeypatch.setattr(invariants, "_kinetic_sweep", missed)
     k = zoo.torus_knot(5, 3)
-    message = "upsilon curve: not linear on [1, 2]: a kink was missed"
     with pytest.raises(AssertionError, match=re.escape(message)):
         invariants.upsilon_function(k)
     assert complexes._Engine.of(k).curve is None  # nothing unchecked is kept
     code, out, err = run(capsys, "upsilon", "T(5,3)")
     assert (code, out, err) == (4, "", f"internal check failed: {message}\n")
+
+
+def test_exit_4_when_the_sweep_misses_a_kink(capsys, monkeypatch):
+    # the sweep loses its middle event, the kink at t = 1: the line leading
+    # after 2/3 passes the midpoint check at 1 but does not meet the line
+    # leading after 4/3
+    _drop_a_sweep_event(capsys, monkeypatch, 2,
+                        "upsilon curve: not linear on [2/3, 4/3]: a kink was missed")
+
+
+def test_exit_4_when_the_sweep_misses_its_last_kink(capsys, monkeypatch):
+    # the sweep loses the kink at t = 4/3, so the line leading after 1 runs on to 2
+    _drop_a_sweep_event(capsys, monkeypatch, 3,
+                        "upsilon curve: not linear on [1, 2]: a kink was missed")
 
 
 def test_exit_4_when_the_generating_cycle_is_a_boundary(capsys, monkeypatch):
