@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -580,7 +581,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`upsilonkit ... | head`).  Point stdout at
+        # devnull, as the Python docs advise, so that the flush at exit does
+        # not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -37,15 +37,16 @@ made: `_arranged` cancels and sorts the arrows and gives them by name (the
 instance dict).  The public `KnotComplex` constructor checks what it is
 given and then arranges its arrows; `mirror`, whose output is correct by
 construction, arranges its own and makes the complex with
-`KnotComplex._built`, with no re-check.  A product from `tensor` is made
-lazily: `tensor` computes only its integer layout (`_layout`: per generator
-the A, j and M lists, and the lifted index arrows, unsorted), reading each
-factor through its layout too, and the names, generators and arranged
-arrows wait for the first read of a field (`_named`).  `_graded`, the
-engine's one reader of a complex, walks that layout, so a connected sum
-whose invariants are computed is never named; only an arrow that breaks
-the grading or raises the filtration sends it to the arranged arrows, to
-name the first such arrow.  Validation reads the arranged index arrows.
+`KnotComplex._built`, with no re-check.  A product from `tensor` keeps only
+its factors; its names, generators and arranged arrows wait for the first
+read of a field (`_named`, which lifts the arrows in `_layout`).
+`_graded`, the engine's one build, lays out the slices of a complex from
+the named leaves of its factor tree (`_factor_build`), walking only the
+leaves' arrows, so a connected sum whose invariants are computed is never
+named and no product arrow is lifted.  An empty, ill-graded or unfiltered
+leaf sends it to the walk over the arranged arrows (`_arranged_walk`),
+which names the first bad arrow; that walk is `boundary_matrix`'s, so the
+oracles never read the factor build.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
-from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask
+from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask, _transpose
 
 
 @dataclass(frozen=True, order=True)
@@ -133,8 +134,8 @@ class KnotComplex:
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
     `_arranged` makes both once, here or for `_built`.  A product made by
-    `tensor` starts with neither field, only its integer layout and its
-    factors: the first read of `generators`, `arrows` or `_index_arrows`
+    `tensor` starts with neither field, only its factors (`_factors`): the
+    first read of `generators`, `arrows` or `_index_arrows`
     (through `__getattr__`, which Python calls only for an attribute the
     instance lacks) builds all three, with `_named`.  Everything that reads
     a field, equality, hash and repr included, therefore sees the same
@@ -180,11 +181,11 @@ class KnotComplex:
         lazy = vars(self)
         if name not in ("generators", "arrows", "_index_arrows") or "_factors" not in lazy:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        generators, arrows, index_arrows = _named(lazy["_factors"], lazy["_layout"])
+        generators, arrows, index_arrows = _named(lazy["_factors"])
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "arrows", arrows)
         lazy["_index_arrows"] = index_arrows
-        del lazy["_factors"], lazy["_layout"]  # now named, as `_built` makes a complex
+        del lazy["_factors"]  # now named, as `_built` makes a complex
         return lazy[name]
 
     @property
@@ -219,58 +220,122 @@ def maslov_slice(k: KnotComplex, d: int) -> tuple[LatticeGenerator, ...]:
 
 def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     """The slices of Maslov grading 0 and 1 and the differential out of
-    each, from one walk over the integer layout (`_layout`: per generator
-    (A, j, M), and the arrows by generator index), which every complex
-    gives and a product of `tensor` gives without naming anything.
+    each: the engine's one build.
 
     positions[p] lists, in generator order, the (A - u, j - u) of U^u times
     each base generator of grading parity p, u = M // 2; columns[p] lists
-    the row indices in slice 1 - p of the differential of each of them.
-    These are all the graded pieces: slice d is U^(-(d // 2)) times slice
-    d % 2, and an arrow x -> U^m y drops the grading by one from every
-    slice exactly when M(y) - 2m = M(x) - 1, so the grading-d differential
-    is that of d % 2 and dim H_d is dim H_(d % 2).  The third value is the
-    first arrow (src, dst, m), in arrow order, that increases the
-    filtration (U^m y not coordinatewise at most x), or None.  Raises
-    ValueError on the first arrow that breaks the grading.
+    the differential of each of them, as a mask of slice 1 - p.  These are
+    all the graded pieces: slice d is U^(-(d // 2)) times slice d % 2, and
+    an arrow x -> U^m y drops the grading by one from every slice exactly
+    when M(y) - 2m = M(x) - 1, so the grading-d differential is that of
+    d % 2 and dim H_d is dim H_(d % 2).  The third value is the first arrow
+    (src, dst, m), in arrow order, that increases the filtration (U^m y not
+    coordinatewise at most x), or None.  Raises ValueError on the first
+    arrow that breaks the grading.
 
-    Arrow order is the arranged order of `KnotComplex._index_arrows`.  An
-    unnamed product's layout arrows are unsorted and may hold equal
-    self-loops, which no grading allows, so its columns list their rows in
-    another order (the masks the engine makes of them are the same).  When
-    some layout arrow breaks the grading or increases the filtration, the
-    walk starts over on the arranged index arrows (naming a product), and
-    reports the first such arrow by name.
+    Built from the named leaves of k's factor tree (`_factor_build`; a
+    named complex is its own one leaf), else by `_arranged_walk`.
     """
-    alexander, algebraic, maslov, arrows = _layout(k)
+    return _factor_build(_leaves((k,))) or _arranged_walk(k)
+
+
+def _arranged_walk(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
+    """`_graded` by one walk over k's arranged index arrows
+    (`KnotComplex._index_arrows`), which names a product: the fallback of
+    `_graded` and the route of `boundary_matrix`, and so of the oracles."""
+    gens = k.generators
     positions: tuple[list, list] = ([], [])
     index = []  # per generator: its index in its slice
-    for a, j, mas in zip(alexander, algebraic, maslov):
-        p, u = mas % 2, mas // 2
+    for g in gens:
+        p, u = g.maslov % 2, g.maslov // 2
         index.append(len(positions[p]))
-        positions[p].append((a - u, j - u))
-    columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
-    for s, t, m in arrows:
-        if (maslov[t] - 2 * m != maslov[s] - 1 or alexander[t] - m > alexander[s]
-                or algebraic[t] - m > algebraic[s]):
-            break
-        columns[maslov[s] % 2][index[s]].append(index[t])
-    else:
-        return (tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns),
-                None)
-    gens = k.generators
-    columns = ([[] for _ in positions[0]], [[] for _ in positions[1]])
+        positions[p].append((g.alexander - u, g.algebraic - u))
+    columns = ([0] * len(positions[0]), [0] * len(positions[1]))
     unfiltered = None
     for s, t, m in k._index_arrows:
-        if maslov[t] - 2 * m != maslov[s] - 1:
-            raise ValueError(f"arrow {gens[s].name} -> U^{m}·{gens[t].name} "
-                             "does not drop Maslov grading by 1")
-        if unfiltered is None and (alexander[t] - m > alexander[s]
-                                   or algebraic[t] - m > algebraic[s]):
-            unfiltered = (gens[s].name, gens[t].name, m)
-        columns[maslov[s] % 2][index[s]].append(index[t])
-    return (tuple(map(tuple, positions)), tuple(tuple(map(tuple, cols)) for cols in columns),
-            unfiltered)
+        x, y = gens[s], gens[t]
+        if y.maslov - 2 * m != x.maslov - 1:
+            raise ValueError(f"arrow {x.name} -> U^{m}·{y.name} does not drop Maslov grading by 1")
+        if unfiltered is None and (y.alexander - m > x.alexander or y.algebraic - m > x.algebraic):
+            unfiltered = (x.name, y.name, m)
+        columns[x.maslov % 2][index[s]] |= 1 << index[t]
+    return tuple(map(tuple, positions)), tuple(map(tuple, columns)), unfiltered
+
+
+def _leaves(factors) -> list:
+    """The named complexes at the leaves of these complexes' factor trees,
+    in order: a product of `tensor` not yet named stands for its factors."""
+    leaves = []
+    for k in factors:
+        inner = vars(k).get("_factors")
+        leaves += [k] if inner is None else _leaves(inner)
+    return leaves
+
+
+def _graded_leaf(k: KnotComplex) -> tuple | None:
+    """A named leaf as `_factor_build` reads it: per generator its grading
+    parity and its slice position (A - u, j - u), u = M // 2, and its arrows
+    as (source, target) index pairs; None if it is empty or some arrow
+    breaks the grading or raises the filtration."""
+    gens = k.generators
+    if not gens:
+        return None
+    for s, t, m in k._index_arrows:
+        x, y = gens[s], gens[t]
+        if (y.maslov - 2 * m != x.maslov - 1 or y.alexander - m > x.alexander
+                or y.algebraic - m > x.algebraic):
+            return None
+    return ([g.maslov % 2 for g in gens],
+            [(g.alexander - g.maslov // 2, g.algebraic - g.maslov // 2) for g in gens],
+            [(s, t) for s, t, _ in k._index_arrows])
+
+
+def _factor_build(leaves: list) -> tuple | None:
+    """`_graded` of the product of these named leaves, walking only their
+    own arrows; None if there are none, or one is empty or has an arrow
+    that breaks the grading or raises the filtration.
+
+    It folds from the last leaf: each step makes K ⊗ F from a leaf K and
+    the product F of the leaves after it, as slices (the unit, one
+    generator at 0, before the first step).  Generator (c, i) lies in
+    slice p = (M_c + M_i) % 2 at index base_p[c] + rank(i): rank(i) is i's
+    index in F's slice, and base_p[c] counts the slice-p generators of the
+    blocks before c.  As d(c ⊗ i) = dc ⊗ i + c ⊗ di, its column is
+    (Kb_{1-p}(c) << rank(i)) ^ (Fcol(i) << base_{1-p}[c]), with Fcol(i)
+    F's column of i and Kb_q(c) one bit at base_q[t] per arrow c -> t of
+    K.  So no product arrow is lifted or walked.  A lifted arrow keeps the
+    grading and the filtration exactly when its leaf arrow does, so the
+    leaves' checks are the product's.
+    """
+    graded = [_graded_leaf(leaf) for leaf in leaves]
+    if not graded or None in graded:
+        return None
+    positions: tuple[list, list] = ([(0, 0)], [])
+    columns: tuple[list, list] = ([0], [])
+    for par, pos, arrows in reversed(graded):
+        base: tuple[list, list] = ([], [])
+        b0 = b1 = 0
+        for e in par:  # block c holds F's slice q in slice q ^ M_c % 2
+            base[0].append(b0)
+            base[1].append(b1)
+            b0 += len(positions[e])
+            b1 += len(positions[1 - e])
+        kb = ([0] * len(par), [0] * len(par))
+        for s, t in arrows:
+            kb[0][s] |= 1 << base[0][t]
+            kb[1][s] |= 1 << base[1][t]
+        product: tuple[list, list] = ([], [])
+        product_columns: tuple[list, list] = ([], [])
+        for c, ((a, j), e) in enumerate(zip(pos, par)):
+            for p in (0, 1):
+                q = p ^ e
+                a_c, j_c = a - (e & q), j - (e & q)  # (M_c + M_i) // 2 carries when both are odd
+                up, low = kb[1 - p][c], base[1 - p][c]
+                product[p].extend([(a_c + b, j_c + k) for b, k in positions[q]])
+                product_columns[p].extend([(up << r) ^ (col << low)
+                                           for r, col in enumerate(columns[q])])
+        positions, columns = product, product_columns
+    return tuple(map(tuple, positions)), tuple(map(tuple, columns)), None
 
 
 def _by_position(positions) -> tuple[tuple, tuple]:
@@ -287,9 +352,10 @@ class _Engine:
     every key a query builds depends on a generator only through its
     position, the distinct positions of each slice (`at0`, `at1`) with the
     generators at each (`gens0`, `gens1`): queries key positions, not
-    generators.  The degree-1 differential by columns (as slice-0 masks), a
-    basis of im d1 (as tuples of row indices, as masks, and by rows: per
-    slice-0 generator, the mask of the basis columns through it), the cycles
+    generators.  The degree-1 differential by columns (slice-0 masks, as
+    `_graded` gives them), a basis of im d1 (as masks, and by rows, one
+    transpose of those: per slice-0 generator, the mask of the basis
+    columns through it), the cycles
     that clearing leaves (slice-0 masks, a basis of H_0), rank d0, the
     reference generating cycle z_ref (the first of those cycles, or 0), the
     packed rows that `_least_top` reads (basis row and z_ref bit in one
@@ -303,24 +369,18 @@ class _Engine:
     """
 
     def __init__(self, k: KnotComplex):
-        (self.pos0, self.pos1), (d0_supports, d1_supports), self.unfiltered = _graded(k)
+        (self.pos0, self.pos1), (d0_cols, self.d1_cols), self.unfiltered = _graded(k)
         self.at0, self.gens0 = _by_position(self.pos0)
         self.at1, self.gens1 = _by_position(self.pos1)
-        self.d1_cols = tuple(map(_mask, d1_supports))
-        d0_cols = list(map(_mask, d0_supports))
         # The d1 columns that stay independent in column order are a basis of
         # im d1.  Each stored pivot's companion is its own column's bit plus
         # bits of earlier columns, so its top bit names the column it came from.
         tops: dict[int, tuple[int, int]] = {}
         _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
         kept = sorted(c.bit_length() - 1 for _, c in tops.values())
-        self.basis_supports = tuple(d1_supports[i] for i in kept)
         self.basis_cols = tuple(self.d1_cols[i] for i in kept)
-        rows = [0] * len(self.pos0)  # per slice-0 generator, the basis columns through it
-        for b, support in enumerate(self.basis_supports):
-            for i in support:
-                rows[i] |= 1 << b
-        self.basis_rows = tuple(rows)
+        # per slice-0 generator, the basis columns through it
+        self.basis_rows = tuple(_transpose(self.basis_cols, len(self.pos0)))
         # Clearing: a d0 column at the leading row of a boundary tops a cycle,
         # so it is skipped, and the other columns still reach rank d0.  The
         # set of leading rows of im d1 does not depend on the basis, so each
@@ -442,12 +502,9 @@ def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
     exactly one (raise otherwise; run `validate_complex` first on untrusted
     input).
     """
-    positions, columns, _ = _graded(k)
+    positions, columns, _ = _arranged_walk(k)
     p = d % 2
-    rows = [0] * len(positions[1 - p])
-    for j, col in enumerate(columns[p]):
-        for i in col:
-            rows[i] |= 1 << j
+    rows = _transpose(columns[p], len(positions[1 - p]))
     return F2Matrix(len(rows), len(columns[p]), rows)
 
 
@@ -547,66 +604,55 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names; no
     factors give the unknot, as one generator named "".
 
-    Only the integer layout (`_layout`) is built here, by index arithmetic,
-    one factor at a time: with n generators in the next factor, product
-    generator c and its generator i make generator c·n + i, whose (A, j, M)
-    are the sums.  An arrow s -> t of the product so far lifts to
-    s·n + i -> t·n + i, and an arrow a -> b of the factor to
-    c·n + a -> c·n + b; the arrows stay unsorted, and equal ones (only
-    self-loops of two factors can be equal) stay uncancelled.  Each factor
-    is read through its layout too, so a product that is itself a factor is
-    never named.  The product keeps its layout and its factors; the names,
-    the generators and the arranged arrows are built on first read
-    (`KnotComplex.__getattr__`, `_named`).  The product is correct by
-    construction (escaped names are injective), so nothing is checked then
-    either, and it equals the complex the public constructor makes from the
-    same generators and arrows.  A product of more than
-    `MAX_PRODUCT_GENERATORS` generators raises ValueError before anything
-    is allocated.
+    The product keeps only its factors, naming none: the engine reads the
+    leaves of that factor tree (`_factor_build`), and the names, generators
+    and arranged arrows are built on first read (`KnotComplex.__getattr__`,
+    `_named`).  It is correct by construction (escaped names are
+    injective), so nothing is checked then, and it equals the complex the
+    public constructor makes from the same generators and arrows.  A
+    product of more than `MAX_PRODUCT_GENERATORS` generators raises
+    ValueError before anything is allocated.
     """
-    layouts = [_layout(k) for k in factors]
-    size = prod(len(layout[0]) for layout in layouts)
+    size = prod(len(leaf.generators) for leaf in _leaves(factors))
     if size > MAX_PRODUCT_GENERATORS:
         raise ValueError(f"the connected sum has {size} generators, over the limit of "
                          f"{MAX_PRODUCT_GENERATORS}")
-    alexander, algebraic, maslov = [0], [0], [0]
-    arrows: list[tuple[int, int, int]] = []
-    for a, j, m, own in layouts:
-        n = len(a)
-        arrows = [(s * n + i, t * n + i, u) for s, t, u in arrows for i in range(n)]
-        arrows += [(c * n + x, c * n + y, u) for c in range(len(alexander)) for x, y, u in own]
-        alexander = [x + y for x in alexander for y in a]
-        algebraic = [x + y for x in algebraic for y in j]
-        maslov = [x + y for x in maslov for y in m]
     product = object.__new__(KnotComplex)
-    vars(product).update(_layout=(alexander, algebraic, maslov, arrows), _factors=factors)
+    vars(product)["_factors"] = factors
     return product
 
 
-def _layout(k: KnotComplex) -> tuple[list, list, list, list | tuple]:
-    """The integer layout of k: per generator, in generator order, the A,
-    j and M lists, and the arrows by generator index.  A product made by
-    `tensor` keeps its own until it is named (its arrows unsorted, and
-    uncancelled where two self-loops meet); a named complex gives its fields
-    and its arranged index arrows."""
-    layout = vars(k).get("_layout")
-    if layout is None:
+def _layout(factors: tuple) -> tuple[list, list, list, list]:
+    """The integer layout of the product of these factors, for `_named`:
+    per generator the A, j and M lists, and the arrows by index, lifted one
+    factor at a time.  With n generators in the next factor, generator c
+    and its generator i make c·n + i, whose (A, j, M) are the sums; an
+    arrow s -> t lifts to s·n + i -> t·n + i, and a factor arrow a -> b to
+    c·n + a -> c·n + b, unsorted and uncancelled."""
+    alexander, algebraic, maslov = [0], [0], [0]
+    arrows: list[tuple[int, int, int]] = []
+    for k in factors:
         gens = k.generators
-        layout = ([g.alexander for g in gens], [g.algebraic for g in gens],
-                  [g.maslov for g in gens], k._index_arrows)
-    return layout
+        n = len(gens)
+        arrows = [(s * n + i, t * n + i, u) for s, t, u in arrows for i in range(n)]
+        arrows += [(c * n + x, c * n + y, u)
+                   for c in range(len(alexander)) for x, y, u in k._index_arrows]
+        alexander = [x + g.alexander for x in alexander for g in gens]
+        algebraic = [x + g.algebraic for x in algebraic for g in gens]
+        maslov = [x + g.maslov for x in maslov for g in gens]
+    return alexander, algebraic, maslov, arrows
 
 
-def _named(factors: tuple, layout: tuple) -> tuple[tuple, tuple, tuple]:
+def _named(factors: tuple) -> tuple[tuple, tuple, tuple]:
     """The generators, name arrows and index arrows of the product of these
-    factors with this layout: the names by `tensor`'s rule, and the arrows
-    arranged by `_arranged`, which sorts them and cancels equal ones in
-    pairs."""
+    factors: the names by `tensor`'s rule, the integer layout by `_layout`,
+    and the arrows arranged by `_arranged`, which sorts them and cancels
+    equal ones in pairs."""
     names = [""]
     for f, factor in enumerate(factors):
         escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in factor.generators]
         names = [prefix + "*" + e for prefix in names for e in escaped] if f else escaped
-    alexander, algebraic, maslov, arrows = layout
+    alexander, algebraic, maslov, arrows = _layout(factors)
     return (tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
             *_arranged(names, arrows))
 

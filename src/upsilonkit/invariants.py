@@ -67,9 +67,10 @@ H_{t*-eps}, with no width to choose.
 
 `brute_force_upsilon` and `brute_force_secondary` recompute the same
 quantities by enumerating entire cycle cosets, as independent oracles in the
-tests.  They share the echelon kernel and the one-pass d1 layout (through
-`boundary_matrix`); their positions (`maslov_slice`) and generating cycle (a
-nullspace) are their own.
+tests.  They share the echelon kernel with the engine; their d1 columns
+come from `boundary_matrix`, which walks the arranged arrows, not the
+engine's factor build, and their positions (`maslov_slice`) and generating
+cycle (a nullspace) are their own.
 """
 
 from __future__ import annotations
@@ -664,9 +665,10 @@ class _Oracle:
     (`maslov_slice`, `boundary_matrix` and the nullspace route of
     `representative_cycle`): slice positions, the d1 columns, a generating
     cycle and a basis of the boundaries (at most `guard` vectors).  The d1
-    columns come from the engine's one-pass build; the positions and the
-    cycle do not, so a fault in the engine's positions or its clearing cannot
-    reach them."""
+    columns come from the walk over the arranged arrows (`boundary_matrix`),
+    not from the engine's factor build, and the positions and the cycle do
+    not come from the engine either, so a fault in the engine's build or its
+    clearing cannot reach them."""
 
     def __init__(self, k: KnotComplex, guard: int, what: str):
         slice0 = maslov_slice(k, 0)

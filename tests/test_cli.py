@@ -806,3 +806,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == {"num": -1, "den": 1}
+
+
+def test_closed_pipe_exits_1_quietly():
+    # `upsilonkit ... | head -c 200`: the reader closes after its first read,
+    # while the command still has far more than a pipe buffer to write
+    src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "upsilonkit", "upsilon", "T(3,2)", "--format", "csv",
+         "--samples", "10000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    first = os.read(proc.stdout.fileno(), 200)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(b"# display-only decimal samples")
+    assert (proc.wait(), err) == (1, b"")

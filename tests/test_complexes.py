@@ -4,6 +4,7 @@ import json
 import random
 import re
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -481,28 +482,21 @@ def _first_bad_arrow(k):
     return None
 
 
-def _unordered(outcome):
-    """A `_graded` outcome with each column's rows as a set: an unnamed
-    product lists them in the order of its layout's arrows."""
-    if outcome[0] is ValueError:
-        return outcome
-    positions, columns, unfiltered = outcome
-    return positions, tuple(tuple(map(frozenset, cols)) for cols in columns), unfiltered
-
-
 def _checked_twin(k):
     """k through the public constructor, which checks and canonicalizes."""
     return KnotComplex(k.generators, k.arrows)
 
 
 def _refuse_naming(patch):
-    """Make every BaseGenerator construction and every `_arranged` call
-    raise, so that a test sees whether a product was named."""
+    """Make every BaseGenerator construction, every `_arranged` call and
+    every lift of a product's layout (`_layout`) raise, so that a test sees
+    whether a product was named."""
     def refuse(*args, **kwargs):
         raise AssertionError("a product was named")
 
     patch.setattr(BaseGenerator, "__init__", refuse)
     patch.setattr(complexes, "_arranged", refuse)
+    patch.setattr(complexes, "_layout", refuse)
 
 
 @pytest.mark.parametrize("factors", list(_tensor_cases()) + _random_factor_sets())
@@ -517,7 +511,7 @@ def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
     outcome = _graded_outcome(k)
     assert outcome == _graded_outcome(twin)
     assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
-    assert _unordered(_graded_outcome(tensor(*factors))) == _unordered(outcome)
+    assert _graded_outcome(tensor(*factors)) == outcome
 
     def refuse(self):
         raise AssertionError("the product was re-checked")
@@ -539,6 +533,99 @@ def test_built_products_reach_every_graded_outcome():
     assert any(o[0] is ValueError for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is not None for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is None for o in outcomes)
+
+
+def _odd_shifted(k):
+    """k with every grading raised by one: an odd Maslov offset."""
+    return KnotComplex(tuple(BaseGenerator(g.name, g.alexander, g.algebraic, g.maslov + 1)
+                             for g in k.generators), k.arrows)
+
+
+def _factor_build_cases():
+    """A fixed seeded list of factor trees: 1-4 leaves drawn from torus
+    knots, mirrors, thin models, boxed complexes, awkward names and odd
+    Maslov offsets, now and then an empty, an ill-graded or an unfiltered
+    leaf, each tree flat, folded or split at random, with now and then a
+    named product as a leaf.  Each case is a function that builds the tree
+    afresh."""
+    t = trefoil_by_hand()
+    starry = _renamed(t, lambda n: {"x0": "a*", "x1": "b\\", "y0": "\\*c*\\"}[n])
+    sound = [torus_knot(3, 2), torus_knot(5, 2), torus_knot(4, 3), mirror(torus_knot(5, 3)),
+             thin_model(2), thin_model(-1), unknot(), add_box(torus_knot(4, 3), (1, -2), -1),
+             add_box(mirror(t), (-3, 0), 1), starry, _odd_shifted(torus_knot(3, 2)),
+             _odd_shifted(mirror(starry)), _renamed(mirror(torus_knot(5, 2)), lambda n: n + "*")]
+    empty = KnotComplex((), ())
+    ill = KnotComplex((BaseGenerator("x", 0, 0, 0), BaseGenerator("y", 0, 0, 0)),
+                      (("x", "y", 0),))
+    unfiltered = KnotComplex((BaseGenerator("x", 0, 0, 0), BaseGenerator("y", 1, 0, -1)),
+                             (("x", "y", 0),))
+    rng = random.Random(2323)
+
+    def tree(leaves, shape):
+        if shape == "flat" or len(leaves) == 1:
+            return tensor(*leaves)
+        if shape == "folded":
+            k = leaves[0]
+            for leaf in leaves[1:]:
+                k = tensor(k, leaf)
+            return k
+        cut = rng.randint(1, len(leaves) - 1)
+        head, tail = tree(leaves[:cut], "split"), tree(leaves[cut:], "split")
+        if rng.random() < 0.2:
+            head.generators  # a named product is a leaf
+        return tensor(head, tail)
+
+    cases = []
+    while len(cases) < 60:
+        leaves = [rng.choice(sound) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.25:
+            leaves[rng.randrange(len(leaves))] = rng.choice((empty, ill, unfiltered))
+        if prod(len(leaf.generators) for leaf in leaves) > 600:
+            continue
+        shape = rng.choice(("flat", "folded", "split"))
+        state = rng.getstate()
+
+        def build(leaves=leaves, shape=shape, state=state):
+            rng.setstate(state)  # the same split, and the same leaves named, on every build
+            return leaves, tree(leaves, shape)
+
+        cases.append(build)
+    return cases
+
+
+def _walk_outcome(k):
+    """`complexes._arranged_walk(k)`, or the type and message of the
+    ValueError it raises."""
+    try:
+        return complexes._arranged_walk(k)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("build", _factor_build_cases())
+def test_factor_build_matches_the_arranged_walk(build, monkeypatch):
+    leaves, k = build()
+    sound = all(leaf.generators and _first_bad_arrow(leaf) is None for leaf in leaves)
+    with monkeypatch.context() as patch:
+        if sound:  # the factor build names nothing and lifts no product arrow
+            _refuse_naming(patch)
+        outcome = _graded_outcome(k)
+    twin = _checked_twin(k)  # named afterwards
+    assert outcome == _walk_outcome(twin) == _graded_outcome(twin)
+    assert outcome == _graded_outcome(build()[1])
+    if outcome[0] is not ValueError:
+        positions, columns, unfiltered = outcome
+        assert [len(p) for p in positions] == [len(c) for c in columns]
+        assert sum(map(len, positions)) == len(twin.generators)
+        assert (unfiltered is None) == (sound or not twin.generators)  # or an empty leaf
+
+
+def test_factor_build_cases_reach_every_outcome():
+    outcomes = [_graded_outcome(build()[1]) for build in _factor_build_cases()]
+    assert any(o[0] is ValueError for o in outcomes)
+    assert any(o[0] is not ValueError and o[2] is not None for o in outcomes)
+    assert any(o[0] is not ValueError and o[2] is None and o[0] != ((), ()) for o in outcomes)
+    assert any(o == (((), ()), ((), ()), None) for o in outcomes)  # an empty leaf
 
 
 def _random_raw_input(rng):

@@ -697,6 +697,29 @@ def test_kim_livingston_oracle_leaves_no_engine():
             assert value == kim_livingston(k, bp.t, s)
 
 
+def test_oracles_read_the_arranged_walk_not_the_factor_build(monkeypatch):
+    # the oracles' d1 columns come from `boundary_matrix`, which walks the
+    # arranged arrows; the engine's come from the factor build
+    a, b = torus_knot(3, 2), mirror(torus_knot(5, 2))  # the staircase build runs the engine
+
+    def two_summands():
+        return tensor(a, b)
+
+    r, t = upsilon_halfplane(F(3, 2)), F(2, 3)
+    plus, minus, c = upsilon_halfplane(t + F(1, 50)), upsilon_halfplane(t - F(1, 50)), r
+    expected = (upsilon_region(two_summands(), r), kim_livingston(two_summands(), t, t),
+                secondary(two_summands(), plus, minus, c))
+
+    def refuse(leaves):
+        raise AssertionError("the factor build ran")
+
+    monkeypatch.setattr(complexes, "_factor_build", refuse)
+    with pytest.raises(AssertionError, match="the factor build ran"):
+        upsilon_region(two_summands(), r)
+    assert (brute_force_upsilon(two_summands(), r), kim_livingston_oracle(two_summands(), t, t),
+            brute_force_secondary(two_summands(), plus, minus, c)) == expected
+
+
 # ---------------------------------------------------------------------------
 # the engine's generating cycle, found by clearing
 # ---------------------------------------------------------------------------
@@ -742,7 +765,7 @@ def test_graded_build_matches_the_slices():
             shift = d // 2
             assert [lg.pos for lg in maslov_slice(k, d)] == [
                 (a + shift, j + shift) for a, j in positions[d % 2]]
-            cols = [sum(1 << i for i in rows) for rows in columns[d % 2]]
+            cols = list(columns[d % 2])
             assert cols == _columns(boundary_matrix(k, d)) == _slice_columns(k, d)
 
 
@@ -844,8 +867,8 @@ def _validate_by_separate_echelonizations(k):
 
     (pos0, pos1), (d0, d1), _ = complexes._graded(k)
     boundaries = {}
-    r1 = len(d1) - len(_echelonize(boundaries, ((_mask(rows), 0) for rows in d1)))
-    cycles = _echelonize({}, ((_mask(rows), 1 << j) for j, rows in enumerate(d0)))
+    r1 = len(d1) - len(_echelonize(boundaries, ((col, 0) for col in d1)))
+    cycles = _echelonize({}, ((col, 1 << j) for j, col in enumerate(d0)))
     r0 = len(d0) - len(cycles)
     h0, h1 = len(pos0) - r0 - r1, len(pos1) - r1 - r0
     if h0 != 1:
@@ -863,7 +886,7 @@ def _validate_by_separate_echelonizations(k):
     return tuple(problems)
 
 
-def _least_max(z, keys, d1_supports):
+def _least_max(z, keys, d1_cols):
     """The least, over the cycles z + im d1, of the greatest key on a support:
     reduce z against every d1 column, rows ordered by key."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -871,7 +894,7 @@ def _least_max(z, keys, d1_supports):
     for r, i in enumerate(order):
         bit[i] = 1 << r
     pivots = {}
-    _echelonize(pivots, ((sum(map(bit.__getitem__, col)), 0) for col in d1_supports))
+    _echelonize(pivots, ((sum(map(bit.__getitem__, _bits(col))), 0) for col in d1_cols))
     z = _reduce_pair(pivots, sum(map(bit.__getitem__, _bits(z))), 0)[0]
     return keys[order[z.bit_length() - 1]]
 
@@ -1319,7 +1342,9 @@ def test_engine_basis_spans_the_boundaries():
         eng = complexes._Engine.of(k)
         kept = set(eng.basis_cols)
         assert len(eng.basis_cols) == boundary_matrix(k, 1).rank() == F2Space(eng.basis_cols).dim
-        assert [sum(1 << i for i in rows) for rows in eng.basis_supports] == list(eng.basis_cols)
+        assert [list(_bits(col)) for col in eng.basis_cols] == [
+            [i for i, row in enumerate(eng.basis_rows) if row >> b & 1]
+            for b in range(len(eng.basis_cols))]
         assert kept <= set(eng.d1_cols)
         span = F2Space(eng.basis_cols)
         assert all(span.contains(col) for col in eng.d1_cols if col not in kept)
@@ -1353,7 +1378,7 @@ def _reduce(eng, keys):
         return sum(bit[i] for i in rows)  # distinct bits: the sum is their union
 
     pivots = {}
-    _echelonize(pivots, zip(map(permute, eng.basis_supports), eng.basis_cols))
+    _echelonize(pivots, ((permute(_bits(col)), col) for col in eng.basis_cols))
     z, w = _reduce_pair(pivots, permute(_bits(eng.z_ref)), eng.z_ref)
     assert permute(_bits(w)) == z
     basis = [(row_keys[lead], col) for lead, (_, col) in pivots.items()]

@@ -62,6 +62,17 @@ def test_only_complexes_reads_the_graded_layout():
             assert "_graded" not in _names(path), f"{path.stem} references _graded"
 
 
+def test_only_complexes_names_the_factor_build_or_the_lifting():
+    # A product's graded layout comes from its leaves inside `complexes`, and
+    # its arrows are lifted only when it is named; no other module reaches
+    # past `_graded`, `boundary_matrix` or the fields to either.
+    helpers = {"_factor_build", "_graded_leaf", "_leaves", "_layout", "_named"}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "complexes":
+            named = sorted(helpers & _names(path))
+            assert not named, f"{path.stem} references {named}"
+
+
 def test_engine_eliminations_run_on_the_one_kernel():
     # `_reduce_pair`, the one-vector step of `_echelonize`, serves only the
     # kernels of `exact`; every engine elimination calls `_echelonize`.
