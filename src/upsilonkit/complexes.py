@@ -313,7 +313,7 @@ def _factor_build(leaves: list) -> tuple | None:
     positions: tuple[list, list] = ([(0, 0)], [])
     columns: tuple[list, list] = ([0], [])
     for par, pos, arrows in reversed(graded):
-        base: tuple[list, list] = ([], [])
+        base = ([], [])
         b0 = b1 = 0
         for e in par:  # block c holds F's slice q in slice q ^ M_c % 2
             base[0].append(b0)
@@ -324,8 +324,7 @@ def _factor_build(leaves: list) -> tuple | None:
         for s, t in arrows:
             kb[0][s] |= 1 << base[0][t]
             kb[1][s] |= 1 << base[1][t]
-        product: tuple[list, list] = ([], [])
-        product_columns: tuple[list, list] = ([], [])
+        product, product_columns = ([], []), ([], [])
         for c, ((a, j), e) in enumerate(zip(pos, par)):
             for p in (0, 1):
                 q = p ^ e

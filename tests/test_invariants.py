@@ -738,7 +738,7 @@ def test_clearing_cycle_is_in_the_coset_of_the_nullspace_route():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass graded build
+# the graded build
 # ---------------------------------------------------------------------------
 
 
