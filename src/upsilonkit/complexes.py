@@ -39,14 +39,16 @@ given and then arranges its arrows; `mirror`, whose output is correct by
 construction, arranges its own and makes the complex with
 `KnotComplex._built`, with no re-check.  A product from `tensor` keeps only
 its factors; its names, generators and arranged arrows wait for the first
-read of a field (`_named`, which lifts the arrows in `_layout`).
-`_graded`, the engine's one build, lays out the slices of a complex from
-the named leaves of its factor tree (`_factor_build`), walking only the
-leaves' arrows, so a connected sum whose invariants are computed is never
-named and no product arrow is lifted.  An empty, ill-graded or unfiltered
-leaf sends it to the walk over the arranged arrows (`_arranged_walk`),
-which names the first bad arrow; that walk is `boundary_matrix`'s, so the
-oracles never read the factor build.
+read of a field (`_named`, which lifts the factors' arrows).  `_graded`,
+the engine's one build, lays out the slices of a complex from the named
+leaves of its factor tree, walking only the leaves' arrows, so a connected
+sum whose invariants are computed is never named and no product arrow is
+lifted.  `_arrow_faults` is the one check of the arrows' grading and
+filtration: `validate_complex` reports every fault it yields, and only
+when some leaf has one does `_graded` name the product, to raise at its
+first ill-graded arrow or record its first unfiltered one.  The oracles
+read none of this: `boundary_matrix` recomputes a slice's differential by
+name, from `maslov_slice` and the arrows.
 """
 
 from __future__ import annotations
@@ -233,86 +235,34 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     coordinatewise at most x), or None.  Raises ValueError on the first
     arrow that breaks the grading.
 
-    Built from the named leaves of k's factor tree (`_factor_build`; a
-    named complex is its own one leaf), else by `_arranged_walk`.
-    """
-    return _factor_build(_leaves((k,))) or _arranged_walk(k)
-
-
-def _arranged_walk(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
-    """`_graded` by one walk over k's arranged index arrows
-    (`KnotComplex._index_arrows`), which names a product: the fallback of
-    `_graded` and the route of `boundary_matrix`, and so of the oracles."""
-    gens = k.generators
-    positions: tuple[list, list] = ([], [])
-    index = []  # per generator: its index in its slice
-    for g in gens:
-        p, u = g.maslov % 2, g.maslov // 2
-        index.append(len(positions[p]))
-        positions[p].append((g.alexander - u, g.algebraic - u))
-    columns = ([0] * len(positions[0]), [0] * len(positions[1]))
-    unfiltered = None
-    for s, t, m in k._index_arrows:
-        x, y = gens[s], gens[t]
-        if y.maslov - 2 * m != x.maslov - 1:
-            raise ValueError(f"arrow {x.name} -> U^{m}·{y.name} does not drop Maslov grading by 1")
-        if unfiltered is None and (y.alexander - m > x.alexander or y.algebraic - m > x.algebraic):
-            unfiltered = (x.name, y.name, m)
-        columns[x.maslov % 2][index[s]] |= 1 << index[t]
-    return tuple(map(tuple, positions)), tuple(map(tuple, columns)), unfiltered
-
-
-def _leaves(factors) -> list:
-    """The named complexes at the leaves of these complexes' factor trees,
-    in order: a product of `tensor` not yet named stands for its factors."""
-    leaves = []
-    for k in factors:
-        inner = vars(k).get("_factors")
-        leaves += [k] if inner is None else _leaves(inner)
-    return leaves
-
-
-def _graded_leaf(k: KnotComplex) -> tuple | None:
-    """A named leaf as `_factor_build` reads it: per generator its grading
-    parity and its slice position (A - u, j - u), u = M // 2, and its arrows
-    as (source, target) index pairs; None if it is empty or some arrow
-    breaks the grading or raises the filtration."""
-    gens = k.generators
-    if not gens:
-        return None
-    for s, t, m in k._index_arrows:
-        x, y = gens[s], gens[t]
-        if (y.maslov - 2 * m != x.maslov - 1 or y.alexander - m > x.alexander
-                or y.algebraic - m > x.algebraic):
-            return None
-    return ([g.maslov % 2 for g in gens],
-            [(g.alexander - g.maslov // 2, g.algebraic - g.maslov // 2) for g in gens],
-            [(s, t) for s, t, _ in k._index_arrows])
-
-
-def _factor_build(leaves: list) -> tuple | None:
-    """`_graded` of the product of these named leaves, walking only their
-    own arrows; None if there are none, or one is empty or has an arrow
-    that breaks the grading or raises the filtration.
-
-    It folds from the last leaf: each step makes K ⊗ F from a leaf K and
-    the product F of the leaves after it, as slices (the unit, one
-    generator at 0, before the first step).  Generator (c, i) lies in
+    Built from the named leaves of k's factor tree (a named complex is its
+    own one leaf), folding from the last leaf: each step makes K ⊗ F from a
+    leaf K and the product F of the leaves after it, as slices (the unit,
+    one generator at 0, before the first step).  Generator (c, i) lies in
     slice p = (M_c + M_i) % 2 at index base_p[c] + rank(i): rank(i) is i's
     index in F's slice, and base_p[c] counts the slice-p generators of the
     blocks before c.  As d(c ⊗ i) = dc ⊗ i + c ⊗ di, its column is
     (Kb_{1-p}(c) << rank(i)) ^ (Fcol(i) << base_{1-p}[c]), with Fcol(i)
     F's column of i and Kb_q(c) one bit at base_q[t] per arrow c -> t of
     K.  So no product arrow is lifted or walked.  A lifted arrow keeps the
-    grading and the filtration exactly when its leaf arrow does, so the
-    leaves' checks are the product's.
+    grading and the filtration exactly when its leaf arrow does, so when
+    every leaf passes `_arrow_faults` the product does.  Otherwise the
+    product is named and walked through `_arrow_faults`, and its own layout
+    is folded as one leaf: the layout never depends on the filtration, but
+    ill-graded self-loops of two leaves can cancel in the product.
     """
-    graded = [_graded_leaf(leaf) for leaf in leaves]
-    if not graded or None in graded:
-        return None
+    graded = [_graded_leaf(leaf) for leaf in _leaves((k,))]
+    unfiltered = None
+    if not all(sound for *_, sound in graded):
+        for x, y, m, well_graded, _ in _arrow_faults(k):
+            if not well_graded:
+                raise ValueError(f"arrow {x.name} -> U^{m}·{y.name} does not drop Maslov grading by 1")
+            if unfiltered is None:
+                unfiltered = (x.name, y.name, m)
+        graded = [_graded_leaf(k)]
     positions: tuple[list, list] = ([(0, 0)], [])
     columns: tuple[list, list] = ([0], [])
-    for par, pos, arrows in reversed(graded):
+    for par, pos, arrows, _ in reversed(graded):
         base = ([], [])
         b0 = b1 = 0
         for e in par:  # block c holds F's slice q in slice q ^ M_c % 2
@@ -334,7 +284,42 @@ def _factor_build(leaves: list) -> tuple | None:
                 product_columns[p].extend([(up << r) ^ (col << low)
                                            for r, col in enumerate(columns[q])])
         positions, columns = product, product_columns
-    return tuple(map(tuple, positions)), tuple(map(tuple, columns)), None
+    return tuple(map(tuple, positions)), tuple(map(tuple, columns)), unfiltered
+
+
+def _leaves(factors) -> list:
+    """The named complexes at the leaves of these complexes' factor trees,
+    in order: a product of `tensor` not yet named stands for its factors."""
+    leaves = []
+    for k in factors:
+        inner = vars(k).get("_factors")
+        leaves += [k] if inner is None else _leaves(inner)
+    return leaves
+
+
+def _graded_leaf(k: KnotComplex) -> tuple:
+    """A named leaf as `_graded` folds it: per generator its grading parity
+    and its slice position (A - u, j - u), u = M // 2, its arrows as
+    (source, target) index pairs, and whether no arrow breaks the grading
+    or raises the filtration (`_arrow_faults` yields nothing)."""
+    gens = k.generators
+    return ([g.maslov % 2 for g in gens],
+            [(g.alexander - g.maslov // 2, g.algebraic - g.maslov // 2) for g in gens],
+            [(s, t) for s, t, _ in k._index_arrows],
+            next(_arrow_faults(k), None) is None)
+
+
+def _arrow_faults(k: KnotComplex):
+    """Each arrow x -> U^m y of k, in arrow order, that breaks the grading
+    (M(y) - 2m != M(x) - 1) or raises the filtration (U^m y not
+    coordinatewise at most x), as (x, y, m, graded, filtered)."""
+    gens = k.generators
+    for s, t, m in k._index_arrows:
+        x, y = gens[s], gens[t]
+        graded = y.maslov - 2 * m == x.maslov - 1
+        filtered = y.alexander - m <= x.alexander and y.algebraic - m <= x.algebraic
+        if not (graded and filtered):
+            yield x, y, m, graded, filtered
 
 
 def _by_position(positions) -> tuple[tuple, tuple]:
@@ -500,11 +485,24 @@ def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
     depends only on d % 2.  Requires every arrow to drop Maslov grading by
     exactly one (raise otherwise; run `validate_complex` first on untrusted
     input).
+
+    Recomputed by name, from the lattice generators of both slices
+    (`maslov_slice`) and the arrows: an arrow x -> U^m y takes U^u x to
+    U^(u+m) y.  It reads no engine layout, so the oracles, which read it,
+    check the engine's build.
     """
-    positions, columns, _ = _arranged_walk(k)
-    p = d % 2
-    rows = _transpose(columns[p], len(positions[1 - p]))
-    return F2Matrix(len(rows), len(columns[p]), rows)
+    by_name = k.by_name
+    sources = {lg.base.name: (c, lg.upower) for c, lg in enumerate(maslov_slice(k, d))}
+    targets = {lg: r for r, lg in enumerate(maslov_slice(k, d - 1))}
+    rows = [0] * len(targets)
+    for src, dst, m in k.arrows:
+        x, y = by_name[src], by_name[dst]
+        if y.maslov - 2 * m != x.maslov - 1:
+            raise ValueError(f"arrow {src} -> U^{m}·{dst} does not drop Maslov grading by 1")
+        if src in sources:
+            c, u = sources[src]
+            rows[targets[LatticeGenerator(y, u + m)]] ^= 1 << c
+    return F2Matrix(len(rows), len(sources), rows)
 
 
 def validate_complex(k: KnotComplex) -> ValidationReport:
@@ -519,21 +517,21 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     least greatest j and the least greatest A are both 0, which is
     Upsilon(0) = Upsilon(2) = 0.
 
-    The arrow checks walk the index arrows (`KnotComplex._index_arrows`)
-    and name generators only in the problems they report; d^2 terms are
-    listed by (name, U-power).  The homology checks read the engine that
-    later queries reuse: its clearing gives the ranks, and `_least_top`
-    keyed by A and by j the level.
+    The arrow checks report every fault of `_arrow_faults`, which names
+    generators only for the arrows it yields; d^2 terms are listed by
+    (name, U-power).  The homology checks read the engine that later
+    queries reuse: its clearing gives the ranks, and `_least_top` keyed by
+    A and by j the level.
     """
     problems: list[str] = []
+    for x, y, m, graded, filtered in _arrow_faults(k):
+        if not graded:
+            problems.append(f"arrow {x.name} -> U^{m}·{y.name} violates the Maslov convention")
+        if not filtered:
+            problems.append(f"arrow {x.name} -> U^{m}·{y.name} increases the filtration")
     gens = k.generators
     out: list[list[tuple[int, int]]] = [[] for _ in gens]  # (target, upower) per source
     for s, t, m in k._index_arrows:
-        x, y = gens[s], gens[t]
-        if y.maslov - 2 * m != x.maslov - 1:
-            problems.append(f"arrow {x.name} -> U^{m}·{y.name} violates the Maslov convention")
-        if y.alexander - m > x.alexander or y.algebraic - m > x.algebraic:
-            problems.append(f"arrow {x.name} -> U^{m}·{y.name} increases the filtration")
         out[s].append((t, m))
 
     # d^2 = 0, tracked per (final target, total U-power): exact over the ring.
@@ -603,8 +601,8 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names; no
     factors give the unknot, as one generator named "".
 
-    The product keeps only its factors, naming none: the engine reads the
-    leaves of that factor tree (`_factor_build`), and the names, generators
+    The product keeps only its factors, naming none: the engine's build
+    (`_graded`) reads the leaves of that factor tree, and the names, generators
     and arranged arrows are built on first read (`KnotComplex.__getattr__`,
     `_named`).  It is correct by construction (escaped names are
     injective), so nothing is checked then, and it equals the complex the
@@ -621,37 +619,27 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     return product
 
 
-def _layout(factors: tuple) -> tuple[list, list, list, list]:
-    """The integer layout of the product of these factors, for `_named`:
-    per generator the A, j and M lists, and the arrows by index, lifted one
-    factor at a time.  With n generators in the next factor, generator c
-    and its generator i make c·n + i, whose (A, j, M) are the sums; an
+def _named(factors: tuple) -> tuple[tuple, tuple, tuple]:
+    """The generators, name arrows and index arrows of the product of these
+    factors, lifted one factor at a time by index arithmetic.  With n
+    generators in the next factor, generator c and its generator i make
+    c·n + i, named by `tensor`'s rule, whose (A, j, M) are the sums; an
     arrow s -> t lifts to s·n + i -> t·n + i, and a factor arrow a -> b to
-    c·n + a -> c·n + b, unsorted and uncancelled."""
-    alexander, algebraic, maslov = [0], [0], [0]
+    c·n + a -> c·n + b.  `_arranged` then sorts the arrows and cancels
+    equal ones in pairs."""
+    names, alexander, algebraic, maslov = [""], [0], [0], [0]
     arrows: list[tuple[int, int, int]] = []
-    for k in factors:
+    for f, k in enumerate(factors):
         gens = k.generators
         n = len(gens)
+        escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in gens]
+        names = [prefix + "*" + e for prefix in names for e in escaped] if f else escaped
         arrows = [(s * n + i, t * n + i, u) for s, t, u in arrows for i in range(n)]
         arrows += [(c * n + x, c * n + y, u)
                    for c in range(len(alexander)) for x, y, u in k._index_arrows]
         alexander = [x + g.alexander for x in alexander for g in gens]
         algebraic = [x + g.algebraic for x in algebraic for g in gens]
         maslov = [x + g.maslov for x in maslov for g in gens]
-    return alexander, algebraic, maslov, arrows
-
-
-def _named(factors: tuple) -> tuple[tuple, tuple, tuple]:
-    """The generators, name arrows and index arrows of the product of these
-    factors: the names by `tensor`'s rule, the integer layout by `_layout`,
-    and the arrows arranged by `_arranged`, which sorts them and cancels
-    equal ones in pairs."""
-    names = [""]
-    for f, factor in enumerate(factors):
-        escaped = [g.name.replace("\\", "\\\\").replace("*", "\\*") for g in factor.generators]
-        names = [prefix + "*" + e for prefix in names for e in escaped] if f else escaped
-    alexander, algebraic, maslov, arrows = _layout(factors)
     return (tuple(map(BaseGenerator, names, alexander, algebraic, maslov)),
             *_arranged(names, arrows))
 

@@ -67,10 +67,10 @@ H_{t*-eps}, with no width to choose.
 
 `brute_force_upsilon` and `brute_force_secondary` recompute the same
 quantities by enumerating entire cycle cosets, as independent oracles in the
-tests.  They share the echelon kernel with the engine; their d1 columns
-come from `boundary_matrix`, which walks the arranged arrows, not the
-engine's factor build, and their positions (`maslov_slice`) and generating
-cycle (a nullspace) are their own.
+tests.  They share the echelon kernel with the engine and nothing of its
+build: their d1 columns come from `boundary_matrix`, which recomputes the
+differential by name from the lattice generators and the arrows, and their
+positions (`maslov_slice`) and generating cycle (a nullspace) are their own.
 """
 
 from __future__ import annotations
@@ -454,7 +454,7 @@ def d_invariant(k: KnotComplex, q: int, m: int) -> Fraction:
     q, m = (_int(x, _D_PARAMETERS) for x in (q, m))
     if q < 1:
         raise ValueError(f"surgery coefficient must be a positive integer, got {q}")
-    g = max(0, max(a for a, _ in _Engine.of(k).at0))
+    g = max(0, max((a for a, _ in _Engine.of(k).at0), default=0))
     if q < 2 * g - 1:
         raise ValueError(f"need q >= 2g - 1 = {2 * g - 1} (large surgery), got {q}")
     if not -q <= 2 * m < q:
@@ -665,10 +665,10 @@ class _Oracle:
     (`maslov_slice`, `boundary_matrix` and the nullspace route of
     `representative_cycle`): slice positions, the d1 columns, a generating
     cycle and a basis of the boundaries (at most `guard` vectors).  The d1
-    columns come from the walk over the arranged arrows (`boundary_matrix`),
-    not from the engine's factor build, and the positions and the cycle do
-    not come from the engine either, so a fault in the engine's build or its
-    clearing cannot reach them."""
+    columns are recomputed by name from the lattice generators and the
+    arrows (`boundary_matrix`), and the positions and the cycle do not come
+    from the engine either, so a fault in the engine's build (`_graded`) or
+    its clearing cannot reach them."""
 
     def __init__(self, k: KnotComplex, guard: int, what: str):
         slice0 = maslov_slice(k, 0)

@@ -28,6 +28,7 @@ from upsilonkit.complexes import (
     to_json_dict,
     validate_complex,
 )
+from upsilonkit.exact import _columns
 from upsilonkit.invariants import breaking_points, kim_livingston, upsilon_function
 from upsilonkit.zoo import staircase_from_jumps, thin_model, torus_knot, unknot
 
@@ -489,14 +490,14 @@ def _checked_twin(k):
 
 def _refuse_naming(patch):
     """Make every BaseGenerator construction, every `_arranged` call and
-    every lift of a product's layout (`_layout`) raise, so that a test sees
-    whether a product was named."""
+    every naming of a product (`_named`, which lifts its arrows) raise, so
+    that a test sees whether a product was named."""
     def refuse(*args, **kwargs):
         raise AssertionError("a product was named")
 
     patch.setattr(BaseGenerator, "__init__", refuse)
     patch.setattr(complexes, "_arranged", refuse)
-    patch.setattr(complexes, "_layout", refuse)
+    patch.setattr(complexes, "_named", refuse)
 
 
 @pytest.mark.parametrize("factors", list(_tensor_cases()) + _random_factor_sets())
@@ -533,6 +534,20 @@ def test_built_products_reach_every_graded_outcome():
     assert any(o[0] is ValueError for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is not None for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is None for o in outcomes)
+    # when every leaf generator carries a self-loop of U-power 0 and there is
+    # an even number of leaves, the lifted loops cancel in pairs: the product
+    # has no arrow, and its layout is the named product's, not the fold of
+    # the ill-graded leaves
+    loops = KnotComplex((BaseGenerator("a", 0, 0, 0), BaseGenerator("b", 1, 0, 1)),
+                        (("a", "a", 0), ("b", "b", 0)))
+    lone = KnotComplex((BaseGenerator("p", 0, 0, 0),), (("p", "p", 0),))
+    for factors in ((lone, loops), (loops, loops), (lone, loops, lone, loops)):
+        twin = _checked_twin(tensor(*factors))
+        positions, columns, unfiltered = _graded_outcome(tensor(*factors))
+        assert twin.arrows == () and (positions, columns, unfiltered) == _graded_outcome(twin)
+        assert unfiltered is None and not any(columns[0] + columns[1])
+        assert [list(positions[p]) for p in (0, 1)] == [
+            [lg.pos for lg in maslov_slice(twin, p)] for p in (0, 1)]
 
 
 def _odd_shifted(k):
@@ -593,31 +608,40 @@ def _factor_build_cases():
     return cases
 
 
-def _walk_outcome(k):
-    """`complexes._arranged_walk(k)`, or the type and message of the
-    ValueError it raises."""
-    try:
-        return complexes._arranged_walk(k)
-    except ValueError as e:
-        return type(e), str(e)
+def _slice_columns(k, d):
+    """The grading-d differential by columns, read off the lattice generators
+    of slices d and d - 1 and the arrows alone."""
+    rows = {(lg.base.name, lg.upower): i for i, lg in enumerate(maslov_slice(k, d - 1))}
+    return [sum(1 << rows[dst, lg.upower + m] for src, dst, m in k.arrows if src == lg.base.name)
+            for lg in maslov_slice(k, d)]
 
 
 @pytest.mark.parametrize("build", _factor_build_cases())
 def test_factor_build_matches_the_arranged_walk(build, monkeypatch):
+    # `_graded`'s fold over a fresh tree's leaves against the checked twin's
+    # arranged arrows walked by name: the slices, `boundary_matrix`, the
+    # arrows alone and the first bad arrow
     leaves, k = build()
-    sound = all(leaf.generators and _first_bad_arrow(leaf) is None for leaf in leaves)
+    sound = all(_first_bad_arrow(leaf) is None for leaf in leaves)
     with monkeypatch.context() as patch:
-        if sound:  # the factor build names nothing and lifts no product arrow
+        if sound:  # the fold names nothing and lifts no product arrow
             _refuse_naming(patch)
         outcome = _graded_outcome(k)
     twin = _checked_twin(k)  # named afterwards
-    assert outcome == _walk_outcome(twin) == _graded_outcome(twin)
-    assert outcome == _graded_outcome(build()[1])
-    if outcome[0] is not ValueError:
-        positions, columns, unfiltered = outcome
-        assert [len(p) for p in positions] == [len(c) for c in columns]
-        assert sum(map(len, positions)) == len(twin.generators)
-        assert (unfiltered is None) == (sound or not twin.generators)  # or an empty leaf
+    assert outcome == _graded_outcome(twin) == _graded_outcome(build()[1])
+    bad = _first_bad_arrow(twin)
+    if outcome[0] is ValueError:
+        assert outcome == bad
+        for p in (0, 1):
+            with pytest.raises(ValueError, match=re.escape(outcome[1])):
+                boundary_matrix(twin, p)
+        return
+    positions, columns, unfiltered = outcome
+    assert unfiltered == bad
+    assert (unfiltered is None) == (sound or not twin.generators)  # or an empty leaf
+    for p in (0, 1):
+        assert list(positions[p]) == [lg.pos for lg in maslov_slice(twin, p)]
+        assert list(columns[p]) == _columns(boundary_matrix(twin, p)) == _slice_columns(twin, p)
 
 
 def test_factor_build_cases_reach_every_outcome():

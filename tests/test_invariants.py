@@ -697,9 +697,9 @@ def test_kim_livingston_oracle_leaves_no_engine():
             assert value == kim_livingston(k, bp.t, s)
 
 
-def test_oracles_read_the_arranged_walk_not_the_factor_build(monkeypatch):
-    # the oracles' d1 columns come from `boundary_matrix`, which walks the
-    # arranged arrows; the engine's come from the factor build
+def test_oracles_read_no_engine_build(monkeypatch):
+    # the oracles' d1 columns come from `boundary_matrix`, which recomputes
+    # them by name; the engine's come from its one build, `_graded`
     a, b = torus_knot(3, 2), mirror(torus_knot(5, 2))  # the staircase build runs the engine
 
     def two_summands():
@@ -710,11 +710,11 @@ def test_oracles_read_the_arranged_walk_not_the_factor_build(monkeypatch):
     expected = (upsilon_region(two_summands(), r), kim_livingston(two_summands(), t, t),
                 secondary(two_summands(), plus, minus, c))
 
-    def refuse(leaves):
-        raise AssertionError("the factor build ran")
+    def refuse(k):
+        raise AssertionError("the engine build ran")
 
-    monkeypatch.setattr(complexes, "_factor_build", refuse)
-    with pytest.raises(AssertionError, match="the factor build ran"):
+    monkeypatch.setattr(complexes, "_graded", refuse)
+    with pytest.raises(AssertionError, match="the engine build ran"):
         upsilon_region(two_summands(), r)
     assert (brute_force_upsilon(two_summands(), r), kim_livingston_oracle(two_summands(), t, t),
             brute_force_secondary(two_summands(), plus, minus, c)) == expected
@@ -1078,9 +1078,20 @@ def test_kl_parameter_ranges_have_one_message():
 
 
 def test_lone_acyclic_box_is_not_knot_type():
-    k = add_box(KnotComplex((), ()), (0, 0), 0)
-    with pytest.raises(ValueError, match="not knot-type"):
-        upsilon_region(k, upsilon_halfplane(1))
+    # no degree-0 homology: every engine query says so, on an empty leaf too
+    t, half = F(1), upsilon_halfplane(F(2, 3))
+    queries = [lambda k: upsilon_region(k, upsilon_halfplane(1)), lambda k: upsilon_at(k, t),
+               upsilon_function, breaking_points, lambda k: h0_surjective(k, half, 0),
+               lambda k: vk(k, 0), nu_plus, lambda k: d_invariant(k, 1, 0),
+               lambda k: eta(k, half),
+               lambda k: secondary(k, upsilon_halfplane(F(3, 2)), half, upsilon_halfplane(1)),
+               lambda k: kim_livingston(k, t, t)]
+    empty = KnotComplex((), ())
+    for build in (lambda: empty, lambda: add_box(empty, (0, 0), 0),
+                  lambda: tensor(torus_knot(3, 2), empty)):
+        for query in queries:
+            with pytest.raises(ValueError, match="not knot-type"):
+                query(build())
 
 
 def test_upsilon_function_is_canonical_pl():

@@ -66,11 +66,22 @@ def test_only_complexes_names_the_factor_build_or_the_lifting():
     # A product's graded layout comes from its leaves inside `complexes`, and
     # its arrows are lifted only when it is named; no other module reaches
     # past `_graded`, `boundary_matrix` or the fields to either.
-    helpers = {"_factor_build", "_graded_leaf", "_leaves", "_layout", "_named"}
+    helpers = {"_graded_leaf", "_leaves", "_named", "_arrow_faults"}
     for path in PACKAGE.glob("*.py"):
         if path.stem != "complexes":
             named = sorted(helpers & _names(path))
             assert not named, f"{path.stem} references {named}"
+
+
+def test_the_oracle_routes_read_no_engine_build():
+    # `boundary_matrix`, `maslov_slice` and `representative_cycle` recompute
+    # the slices, the differential and a generating cycle by name, so that
+    # the oracles, which read them, check the engine's build
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("boundary_matrix", "maslov_slice", "representative_cycle"):
+        used = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
+        assert not used & {"_graded", "_Engine"}, f"{name} reads the engine's build"
 
 
 def test_engine_eliminations_run_on_the_one_kernel():
