@@ -117,7 +117,7 @@ __all__ = [
     "ValidationReport", "add_box", "alexander_from_semigroup", "alexander_pretzel",
     "boundary_matrix", "breaking_points", "brute_force_secondary",
     "brute_force_upsilon", "check_jumps", "contains", "d_invariant", "eta",
-    "eta_closed_form", "fk_upsilon", "from_json_dict", "h0_surjective",
+    "entering_time", "eta_closed_form", "fk_upsilon", "from_json_dict", "h0_surjective",
     "intersect", "jumps_from_alexander", "jumps_from_semigroup", "kim_livingston",
     "kim_livingston_oracle", "load_complex", "make_halfplane", "maslov_slice",
     "mirror", "n_of_semigroup", "nu_plus", "parse_region", "pl_add", "pl_constant",

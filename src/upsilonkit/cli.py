@@ -285,8 +285,6 @@ def _emit(args, command: str, value, provenance: list[str], *, knot: str | None 
             "provenance": provenance,
         }
         print(json.dumps(payload, indent=1))
-    elif args.format == "csv":
-        raise CliUsageError(f"command {command!r} has no CSV output")
     else:
         for line in extra_text or []:
             print(line)
@@ -486,7 +484,7 @@ def _cmd_pretzel_report(args):
     """The `zoo.pretzel_report` of P(-2,3,q)."""
     value = zoo.pretzel_report(args.q)
     name = f"P(-2,3,{args.q})"
-    prov = ["pretzel", "upsilon_function", "eta", "eta_closed_form", "n_of_semigroup"]
+    prov = ["pretzel", "upsilon_function", "eta", "n_of_semigroup"]
     if args.format == "json":
         return _emit(args, "pretzel-report", value, prov, knot=name)
     eta_h = value["eta_H_2_3"]

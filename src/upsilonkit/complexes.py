@@ -37,18 +37,20 @@ made: `_arranged` cancels and sorts the arrows and gives them by name (the
 instance dict).  The public `KnotComplex` constructor checks what it is
 given and then arranges its arrows; `mirror`, whose output is correct by
 construction, arranges its own and makes the complex with
-`KnotComplex._built`, with no re-check.  A product from `tensor` keeps only
-its factors; its names, generators and arranged arrows wait for the first
-read of a field (`_named`, which lifts the factors' arrows).  `_graded`,
-the engine's one build, lays out the slices of a complex from the named
-leaves of its factor tree, walking only the leaves' arrows, so a connected
-sum whose invariants are computed is never named and no product arrow is
-lifted.  `_arrow_faults` is the one check of the arrows' grading and
-filtration: `validate_complex` reports every fault it yields, and only
-when some leaf has one does `_graded` name the product, to raise at its
-first ill-graded arrow or record its first unfiltered one.  The oracles
-read none of this: `boundary_matrix` recomputes a slice's differential by
-name, from `maslov_slice` and the arrows.
+`KnotComplex._built`, with no re-check.  A product from `tensor` keeps its
+factors and the named leaves of its factor tree, as one flat tuple made
+once; its names, generators and arranged arrows wait for the first read of
+a field (`_named`, which lifts the factors' arrows and drops both).
+`_graded`, the engine's one build, lays out the slices of a complex from
+those leaves, walking only the leaves' arrows, so a connected sum whose
+invariants are computed is never named, no product arrow is lifted, and a
+sum folded one summand at a time is read at any depth.  `_arrow_faults` is
+the one check of the arrows' grading and filtration: `validate_complex`
+reports every fault it yields, and only when some leaf has one does
+`_graded` name the product, to raise at its first ill-graded arrow or
+record its first unfiltered one.  The oracles read none of this:
+`boundary_matrix` recomputes a slice's differential by name, from
+`maslov_slice` and the arrows.
 """
 
 from __future__ import annotations
@@ -136,12 +138,13 @@ class KnotComplex:
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
     `_arranged` makes both once, here or for `_built`.  A product made by
-    `tensor` starts with neither field, only its factors (`_factors`): the
-    first read of `generators`, `arrows` or `_index_arrows`
-    (through `__getattr__`, which Python calls only for an attribute the
-    instance lacks) builds all three, with `_named`.  Everything that reads
-    a field, equality, hash and repr included, therefore sees the same
-    complex as the eager product.
+    `tensor` starts with neither field, only its factors (`_factors`) and
+    its flat tuple of named leaves (`_leaves`): the first read of
+    `generators`, `arrows` or `_index_arrows` (through `__getattr__`, which
+    Python calls only for an attribute the instance lacks) builds all
+    three, with `_named`, and drops both; the named product is then its
+    own one leaf.  Everything that reads a field, equality, hash and repr
+    included, therefore sees the same complex as the eager product.
     """
 
     generators: tuple[BaseGenerator, ...]
@@ -187,7 +190,7 @@ class KnotComplex:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "arrows", arrows)
         lazy["_index_arrows"] = index_arrows
-        del lazy["_factors"]  # now named, as `_built` makes a complex
+        del lazy["_factors"], lazy["_leaves"]  # now named, as `_built` makes a complex
         return lazy[name]
 
     @property
@@ -235,13 +238,13 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     coordinatewise at most x), or None.  Raises ValueError on the first
     arrow that breaks the grading.
 
-    Built from the named leaves of k's factor tree (a named complex is its
-    own one leaf), folding from the last leaf: each step makes K ⊗ F from a
-    leaf K and the product F of the leaves after it, as slices (the unit,
-    one generator at 0, before the first step).  Generator (c, i) lies in
-    slice p = (M_c + M_i) % 2 at index base_p[c] + rank(i): rank(i) is i's
-    index in F's slice, and base_p[c] counts the slice-p generators of the
-    blocks before c.  As d(c ⊗ i) = dc ⊗ i + c ⊗ di, its column is
+    Built from the named leaves of k's factor tree, as `tensor` recorded
+    them (a named complex is its own one leaf), folding from the last
+    leaf: each step makes K ⊗ F from a leaf K and the product F of the
+    leaves after it, as slices (the unit, one generator at 0, before the
+    first step).  Generator (c, i) lies in slice p = (M_c + M_i) % 2 at
+    index base_p[c] + rank(i): rank(i) is i's index in F's slice, and
+    base_p[c] counts the slice-p generators of the blocks before c.  As d(c ⊗ i) = dc ⊗ i + c ⊗ di, its column is
     (Kb_{1-p}(c) << rank(i)) ^ (Fcol(i) << base_{1-p}[c]), with Fcol(i)
     F's column of i and Kb_q(c) one bit at base_q[t] per arrow c -> t of
     K.  So no product arrow is lifted or walked.  A lifted arrow keeps the
@@ -251,7 +254,7 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     is folded as one leaf: the layout never depends on the filtration, but
     ill-graded self-loops of two leaves can cancel in the product.
     """
-    graded = [_graded_leaf(leaf) for leaf in _leaves((k,))]
+    graded = [_graded_leaf(leaf) for leaf in vars(k).get("_leaves", (k,))]
     unfiltered = None
     if not all(sound for *_, sound in graded):
         for x, y, m, well_graded, _ in _arrow_faults(k):
@@ -285,16 +288,6 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
                                            for r, col in enumerate(columns[q])])
         positions, columns = product, product_columns
     return tuple(map(tuple, positions)), tuple(map(tuple, columns)), unfiltered
-
-
-def _leaves(factors) -> list:
-    """The named complexes at the leaves of these complexes' factor trees,
-    in order: a product of `tensor` not yet named stands for its factors."""
-    leaves = []
-    for k in factors:
-        inner = vars(k).get("_factors")
-        leaves += [k] if inner is None else _leaves(inner)
-    return leaves
 
 
 def _graded_leaf(k: KnotComplex) -> tuple:
@@ -332,30 +325,27 @@ def _by_position(positions) -> tuple[tuple, tuple]:
 
 
 class _Engine:
-    """Generator positions of slices 0 and 1 (`pos0`, `pos1`) and, since
-    every key a query builds depends on a generator only through its
-    position, the distinct positions of each slice (`at0`, `at1`) with the
-    generators at each (`gens0`, `gens1`): queries key positions, not
-    generators.  The degree-1 differential by columns (slice-0 masks, as
-    `_graded` gives them), a basis of im d1 (as masks, and by rows, one
-    transpose of those: per slice-0 generator, the mask of the basis
-    columns through it), the cycles
-    that clearing leaves (slice-0 masks, a basis of H_0), rank d0, the
-    reference generating cycle z_ref (the first of those cycles, or 0), the
-    packed rows that `_least_top` reads (basis row and z_ref bit in one
-    int), grouped by slice-0 position (`groups0`),
-    the mask of each slice-0 position's generators (`masks0`), the first
-    arrow that increases the filtration, or None (`unfiltered`), and the
-    upsilon curve with its leading lines.  `of` builds it once per complex,
+    """Since every key a query builds depends on a generator only through
+    its position, the distinct positions of slices 0 and 1 (`at0`, `at1`)
+    with the generators at each (`gens0`, `gens1`): queries key positions,
+    not generators.  The degree-1 differential by columns (slice-0 masks,
+    as `_graded` gives them), a basis of im d1 (`basis_cols`, as masks),
+    dim H_0 and dim H_1 (`h0`, `h1`, from clearing), the reference
+    generating cycle z_ref (the first cycle that clearing leaves, or 0),
+    the packed rows that `_least_top` reads (basis row and z_ref bit in one
+    int), grouped by slice-0 position (`groups0`), the mask of each
+    slice-0 position's generators (`masks0`), the first arrow that
+    increases the filtration, or None (`unfiltered`), and the upsilon curve
+    with its leading lines.  `of` builds it once per complex,
     for validation and queries alike, and keeps it in the complex's
     instance dict, so it lives exactly as long as the complex (KnotComplex
     equality, hash and repr read only fields).
     """
 
     def __init__(self, k: KnotComplex):
-        (self.pos0, self.pos1), (d0_cols, self.d1_cols), self.unfiltered = _graded(k)
-        self.at0, self.gens0 = _by_position(self.pos0)
-        self.at1, self.gens1 = _by_position(self.pos1)
+        (pos0, pos1), (d0_cols, self.d1_cols), self.unfiltered = _graded(k)
+        self.at0, self.gens0 = _by_position(pos0)
+        self.at1, self.gens1 = _by_position(pos1)
         # The d1 columns that stay independent in column order are a basis of
         # im d1.  Each stored pivot's companion is its own column's bit plus
         # bits of earlier columns, so its top bit names the column it came from.
@@ -363,19 +353,17 @@ class _Engine:
         _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
         kept = sorted(c.bit_length() - 1 for _, c in tops.values())
         self.basis_cols = tuple(self.d1_cols[i] for i in kept)
-        # per slice-0 generator, the basis columns through it
-        self.basis_rows = tuple(_transpose(self.basis_cols, len(self.pos0)))
         # Clearing: a d0 column at the leading row of a boundary tops a cycle,
         # so it is skipped, and the other columns still reach rank d0.  The
         # set of leading rows of im d1 does not depend on the basis, so each
         # column that reduces to zero tops a cycle that no sum of boundaries
         # and the other such cycles tops: the cycles are a basis of H_0.
         pivots: dict[int, tuple[int, int]] = {}
-        self.cycles = _echelonize(
+        cycles = _echelonize(
             pivots, ((col, 1 << j) for j, col in enumerate(d0_cols) if j not in tops)
         )
-        self.rank0 = len(pivots)
-        self.z_ref = self.cycles[0] if self.cycles else 0
+        self.h0, self.h1 = len(cycles), len(pos1) - len(self.basis_cols) - len(pivots)
+        self.z_ref = cycles[0] if cycles else 0
         boundary = 0
         for j in _bits(self.z_ref):
             boundary ^= d0_cols[j]
@@ -386,9 +374,10 @@ class _Engine:
     @cached_property
     def groups0(self) -> tuple:
         """Per slice-0 position, one packed row per generator there: its
-        basis row shifted up one bit, with its z_ref bit in bit 0.  These
-        are the rows `_least_top` reads, built on first use."""
-        rows, z_ref = self.basis_rows, self.z_ref
+        basis row (the mask of the basis columns through it, one transpose
+        of `basis_cols`) shifted up one bit, with its z_ref bit in bit 0.
+        These are the rows `_least_top` reads, built on first use."""
+        rows, z_ref = _transpose(self.basis_cols, sum(map(len, self.gens0))), self.z_ref
         return tuple(tuple(rows[i] << 1 | (z_ref >> i & 1) for i in gens) for gens in self.gens0)
 
     @cached_property
@@ -549,12 +538,10 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
         return ValidationReport(tuple(problems))
 
     eng = _Engine.of(k)
-    h0 = len(eng.cycles)
-    h1 = len(eng.pos1) - len(eng.basis_cols) - eng.rank0
-    if h0 != 1:
-        problems.append(f"dim H_0 = {h0}, expected 1 (not a single U-tower)")
-    if h1 != 0:
-        problems.append(f"dim H_1 = {h1}, expected 0")
+    if eng.h0 != 1:
+        problems.append(f"dim H_0 = {eng.h0}, expected 1 (not a single U-tower)")
+    if eng.h1 != 0:
+        problems.append(f"dim H_1 = {eng.h1}, expected 0")
     if problems:
         return ValidationReport(tuple(problems))
 
@@ -596,26 +583,30 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     A generator picks one generator of each factor (in lexicographic order)
     and is named by their names, each escaped once (a backslash before any
     "\\" or "*") and joined by "*": "a*b" for two factors.  So names are
-    injective and grow linearly with the number of factors.  Positions and
-    gradings add, and the differential obeys the Leibniz rule.
-    `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names; no
-    factors give the unknot, as one generator named "".
+    injective, and in one call they grow linearly with the number of
+    factors (each level of a nested call escapes its inner names again).
+    Positions and gradings add, and the differential obeys the Leibniz
+    rule.  `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names;
+    no factors give the unknot, as one generator named "".
 
-    The product keeps only its factors, naming none: the engine's build
-    (`_graded`) reads the leaves of that factor tree, and the names, generators
-    and arranged arrows are built on first read (`KnotComplex.__getattr__`,
-    `_named`).  It is correct by construction (escaped names are
-    injective), so nothing is checked then, and it equals the complex the
-    public constructor makes from the same generators and arrows.  A
-    product of more than `MAX_PRODUCT_GENERATORS` generators raises
-    ValueError before anything is allocated.
+    The product keeps its factors and the named leaves of its factor tree
+    (the factors' leaves, in order, as one flat tuple), naming none: the
+    engine's build (`_graded`) and the size check read the leaves, so the
+    invariants of a sum folded one summand at a time read its flat leaves
+    and never name it.  The names, generators and arranged arrows are built
+    on first read (`KnotComplex.__getattr__`, `_named`).  It is correct by
+    construction (escaped names are injective), so nothing is checked then,
+    and it equals the complex the public constructor makes from the same
+    generators and arrows.  A product of more than `MAX_PRODUCT_GENERATORS`
+    generators raises ValueError before anything is allocated.
     """
-    size = prod(len(leaf.generators) for leaf in _leaves(factors))
+    leaves = tuple(leaf for k in factors for leaf in vars(k).get("_leaves", (k,)))
+    size = prod(len(leaf.generators) for leaf in leaves)
     if size > MAX_PRODUCT_GENERATORS:
         raise ValueError(f"the connected sum has {size} generators, over the limit of "
                          f"{MAX_PRODUCT_GENERATORS}")
     product = object.__new__(KnotComplex)
-    vars(product)["_factors"] = factors
+    vars(product).update(_factors=factors, _leaves=leaves)
     return product
 
 

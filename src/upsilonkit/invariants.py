@@ -378,17 +378,22 @@ def staircase_vk(jumps, s: int) -> Fraction:
     return Fraction(-2 * min(max(n - s, m) for n, m in corners))
 
 
+def _corner_minimizers(corners, t) -> tuple[Fraction, int, int]:
+    """The envelope minimum of the corner lines at t, and the first and last
+    corner indices that reach it."""
+    vals = [_corner_line(t, n, m) for n, m in corners]
+    mn = min(vals)
+    return mn, vals.index(mn), len(vals) - 1 - vals[::-1].index(mn)
+
+
 def staircase_breaking_points(jumps) -> list[BreakingPoint]:
     """Breaking points of a staircase, with the extreme minimizing indices."""
     corners = staircase_corners(jumps)
     out = []
     for t, jump in pl_singular_points(_corner_envelope(corners)):
-        vals = [_corner_line(t, n, m) for n, m in corners]
-        mn = min(vals)
-        mins = [i for i, v in enumerate(vals) if v == mn]
-        i_minus, i_plus = mins[0], mins[-1]
         knot_jump = -2 * jump
         if knot_jump > 0:
+            _, i_minus, i_plus = _corner_minimizers(corners, t)
             out.append(BreakingPoint(t, knot_jump, i_minus, i_plus))
     return out
 
@@ -404,12 +409,9 @@ def staircase_kl(jumps, t_star, s) -> Fraction:
     """
     t_star, s = _rat(t_star), _rat(s)
     corners = staircase_corners(jumps)
-    vals = [_corner_line(t_star, n, m) for n, m in corners]
-    mn = min(vals)
-    mins = [i for i, v in enumerate(vals) if v == mn]
-    if len(mins) < 2 or not 0 < t_star < 2:
+    mn, i_minus, i_plus = _corner_minimizers(corners, t_star)
+    if i_minus == i_plus or not 0 < t_star < 2:
         raise ValueError(f"t = {t_star} is not a breaking point of this staircase")
-    i_minus, i_plus = mins[0], mins[-1]
     peak = max(_corner_line(s, corners[j][0], corners[j + 1][1]) for j in range(i_minus, i_plus))
     return -2 * (peak - mn)
 

@@ -431,7 +431,9 @@ def fk_upsilon(p: int, q: int) -> PLFunction:
     Upsilon(p,q) = Upsilon(p-q,q) + Upsilon(q+1,q), independent of the engine.
 
     Base cases: Upsilon(1,n) = 0; Upsilon(q+1,q) from the staircase min-max
-    formula.  Symmetric in p and q.
+    formula.  Symmetric in p and q.  The rule holds at p = q + 1 too, so the
+    p // q subtractions of q add p // q copies of Upsilon(q+1,q) and leave
+    Upsilon(q, p % q): the recursion runs as Euclid's loop, at any depth.
     """
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
         raise ValueError(f"torus parameters must be positive integers, got ({p}, {q})")
@@ -439,11 +441,12 @@ def fk_upsilon(p: int, q: int) -> PLFunction:
         raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")
     if p < q:
         p, q = q, p
-    if q == 1:
-        return pl_constant(0)
-    if p == q + 1:
-        return staircase_upsilon(jumps_from_semigroup(semigroup_from_generators((p, q))))
-    return pl_add(fk_upsilon(p - q, q), fk_upsilon(q + 1, q))
+    curve = pl_constant(0)
+    while q > 1:
+        step = staircase_upsilon(jumps_from_semigroup(semigroup_from_generators((q + 1, q))))
+        curve = pl_add(curve, pl_negate_scale(step, p // q))
+        p, q = q, p % q
+    return curve
 
 
 def n_of_semigroup(s: Semigroup, a: int) -> int:

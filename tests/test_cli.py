@@ -517,14 +517,10 @@ PROVENANCE_CASES = PROVENANCE_COMMANDS + [
 ]
 
 
-@pytest.mark.parametrize("case", PROVENANCE_CASES, ids=" ".join)
-def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, case):
-    command, knot, *flags = case
-    # The complex comes from a file: the zoo builders call invariants routines
-    # (staircase corners) that are no part of the command's route.
-    path = tmp_path / "knot.json"
-    save_complex(build_complex(parse_knot_expr(knot)), path)
-    called = []
+def _trace_routines(monkeypatch, modules) -> list:
+    """The names of the public routines of these modules, one per call, in
+    call order, traced wherever one of the modules looks them up."""
+    called, owners = [], {module.__name__ for module in modules}
 
     def traced(name, f):
         def wrapper(*args, **kwargs):
@@ -532,11 +528,32 @@ def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, c
             return f(*args, **kwargs)
         return wrapper
 
-    for name, f in vars(invariants).copy().items():
-        if inspect.isfunction(f) and f.__module__ == invariants.__name__ and not name.startswith("_"):
-            monkeypatch.setattr(invariants, name, traced(name, f))
+    for module in modules:
+        for name, f in vars(module).copy().items():
+            if inspect.isfunction(f) and f.__module__ in owners and not name.startswith("_"):
+                monkeypatch.setattr(module, name, traced(name, f))
+    return called
+
+
+@pytest.mark.parametrize("case", PROVENANCE_CASES, ids=" ".join)
+def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, case):
+    command, knot, *flags = case
+    # The complex comes from a file: the zoo builders call invariants routines
+    # (staircase corners) that are no part of the command's route.
+    path = tmp_path / "knot.json"
+    save_complex(build_complex(parse_knot_expr(knot)), path)
+    called = _trace_routines(monkeypatch, (invariants,))
     payload = run_json(capsys, command, "--complex-file", str(path), *flags)
     assert sorted(payload["provenance"]) == sorted(set(called))
+
+
+def test_pretzel_report_provenance_names_only_routines_that_ran(capsys, monkeypatch):
+    # `pretzel_report` calls zoo builders and invariants through zoo's own
+    # names, so both modules are traced; the report checks eta against
+    # (q - 3)/3 inline, with no call to `eta_closed_form`
+    called = _trace_routines(monkeypatch, (invariants, zoo))
+    payload = run_json(capsys, "pretzel-report", "--q", "7")
+    assert set(payload["provenance"]) <= set(called)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,28 @@ def test_tensor_of_no_factors_is_the_unknot():
     assert validate_complex(tensor()).ok
 
 
+def test_deep_folds_evaluate_from_their_flat_leaves():
+    # every `tensor` call records its product's leaves as one flat tuple, so
+    # folding a sum one summand at a time reaches no recursion limit, and
+    # the invariants, which read the leaves, never name the folded product
+    trefoil = torus_knot(3, 2)
+    k = trefoil
+    for _ in range(1200):
+        k = tensor(k, unknot())
+    assert len(vars(k)["_leaves"]) == 1201
+    assert upsilon_function(k) == upsilon_function(trefoil)
+    assert breaking_points(k) == breaking_points(trefoil)
+    assert kim_livingston(k, 1, 1) == kim_livingston(trefoil, 1, 1)
+    assert "_factors" in vars(k)  # still unnamed
+    # naming an inner product later leaves the outer product's leaves as
+    # they were, and its layout as the named inner product gives it
+    inner = tensor(trefoil, mirror(torus_knot(5, 2)))
+    outer = tensor(inner, trefoil)
+    layout = _graded(outer)
+    assert inner.generators and "_leaves" not in vars(inner)
+    assert _graded(outer) == layout == _graded(tensor(inner, trefoil))
+
+
 def test_arrow_index_is_invisible():
     k, twin = torus_knot(5, 3), torus_knot(5, 3)
     before = (hash(k), repr(k))

@@ -26,7 +26,7 @@ from upsilonkit.complexes import (
     tensor,
     validate_complex,
 )
-from upsilonkit.exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair
+from upsilonkit.exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair, _transpose
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     BreakingPoint,
@@ -1012,7 +1012,7 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
 def _every_crossing_curve(k):
     """The curve by the route the kinetic sweep replaced: the engine value at
     every crossing of any two generator lines."""
-    ts = invariants._candidate_ts(complexes._Engine.of(k).pos0)
+    ts = invariants._candidate_ts(complexes._Engine.of(k).at0)
     return PLFunction(tuple((t, -2 * upsilon_region(k, upsilon_halfplane(t))) for t in ts))
 
 
@@ -1322,7 +1322,7 @@ def test_kim_livingston_matches_perturbation_route():
     )
     errors = 0
     for k in knots:
-        candidates = invariants._candidate_ts(complexes._Engine.of(k).pos0)
+        candidates = invariants._candidate_ts(complexes._Engine.of(k).at0)
         points = [t for t, _ in upsilon_function(k).points]
         for t in points[1:-1] + [(t0 + t1) / 2 for t0, t1 in zip(points, points[1:])]:
             old = _perturbation_route(k, candidates, t)
@@ -1354,7 +1354,7 @@ def test_engine_basis_spans_the_boundaries():
         kept = set(eng.basis_cols)
         assert len(eng.basis_cols) == boundary_matrix(k, 1).rank() == F2Space(eng.basis_cols).dim
         assert [list(_bits(col)) for col in eng.basis_cols] == [
-            [i for i, row in enumerate(eng.basis_rows) if row >> b & 1]
+            [i for i, row in enumerate(_basis_rows(eng)) if row >> b & 1]
             for b in range(len(eng.basis_cols))]
         assert kept <= set(eng.d1_cols)
         span = F2Space(eng.basis_cols)
@@ -1362,10 +1362,20 @@ def test_engine_basis_spans_the_boundaries():
     assert (len(eng.basis_cols), len(eng.d1_cols)) == (215, 427)  # the headline
 
 
-def _per_generator(at, pos, keys):
-    """Keys of the positions `at` expanded to one key per generator at `pos`."""
-    key_at = dict(zip(at, keys))
-    return [key_at[p] for p in pos]
+def _per_generator(groups, keys):
+    """Keys of the positions expanded to one key per generator, by the
+    generators at each position (`eng.gens0` or `eng.gens1`)."""
+    per = [None] * sum(map(len, groups))
+    for gens, key in zip(groups, keys):
+        for i in gens:
+            per[i] = key
+    return per
+
+
+def _basis_rows(eng):
+    """Per slice-0 generator, the mask of the engine's basis columns through
+    it: the rows that `eng.groups0` packs."""
+    return _transpose(eng.basis_cols, sum(map(len, eng.gens0)))
 
 
 def _reduce(eng, keys):
@@ -1378,7 +1388,7 @@ def _reduce(eng, keys):
     least top), the reduced cycle and the echelon basis as (leading key,
     mask) pairs: those with leading key <= x span the boundaries on rows
     keyed at most x."""
-    bit = [0] * len(eng.basis_rows)
+    bit = [0] * sum(map(len, eng.gens0))
     row_keys = []  # the key of each row, in key order
     for p in sorted(range(len(keys)), key=keys.__getitem__):
         for i in eng.gens0[p]:
@@ -1444,7 +1454,7 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
     fast = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
 
     def full(eng, keys):
-        return _full_column_reduce(eng, _per_generator(eng.at0, eng.pos0, keys))
+        return _full_column_reduce(eng, _per_generator(eng.gens0, keys))
 
     def below(eng, keys, g):
         _, w, basis = full(eng, keys)
@@ -1485,8 +1495,9 @@ def test_region_query_stops_before_the_last_row(monkeypatch):
     read = eng.groups0.read
     rows = [(i, row) for p in read for i, row in zip(eng.gens0[p], groups[p])]  # every row read
     assert 0 < len(read) < len(eng.at0) == 150
-    assert 0 < len(rows) < len(eng.pos0) == 428
-    assert all(row >> 1 == eng.basis_rows[i] and row & 1 == eng.z_ref >> i & 1 for i, row in rows)
+    basis_rows = _basis_rows(eng)
+    assert 0 < len(rows) < len(basis_rows) == 428
+    assert all(row >> 1 == basis_rows[i] and row & 1 == eng.z_ref >> i & 1 for i, row in rows)
 
 
 def _key_draws(rng, n):
@@ -1508,7 +1519,7 @@ def test_least_top_matches_the_column_reduction():
         eng = complexes._Engine.of(k)
         for _ in range(5):
             for keys in _key_draws(rng, len(eng.at0)):  # one key per position
-                expected = _least_top_by_generator(eng, _per_generator(eng.at0, eng.pos0, keys))
+                expected = _least_top_by_generator(eng, _per_generator(eng.gens0, keys))
                 assert complexes._least_top(eng, keys) == _reduce(eng, keys)[0] == expected
                 cases += 1
         for t in (F(0), F(1, 3), F(1), F(2)):  # the engine's own keys
@@ -1575,7 +1586,7 @@ def test_below_asserts_below_the_least_top():
 def _nu_plus_by_v_scan(k):
     """nu+ by the route one keyed reduction replaced: V(s) for s = 0, 1, ...
     up to one past the largest Alexander grading."""
-    bound = max(0, max(a for a, _ in complexes._Engine.of(k).pos0)) + 1
+    bound = max(0, max(a for a, _ in complexes._Engine.of(k).at0)) + 1
     for s in range(bound + 1):
         if vk(k, s) == 0:
             return s
@@ -1589,14 +1600,14 @@ def _secondary_by_growing_span(eng, plus, minus, c):
     and reads the slice-1 keys, C's (numerators over d) included, per
     generator."""
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
-    keys1_p, keys1_m = (_per_generator(eng.at1, eng.pos1, keys) for keys in (keys1_p, keys1_m))
+    keys1_p, keys1_m = (_per_generator(eng.gens1, keys) for keys in (keys1_p, keys1_m))
     gp, zp, basis_p = _reduce(eng, keys_p)
     gm, zm, basis_m = _reduce(eng, keys_m)
     space = F2Space([v for key, v in basis_p if key <= gp] + [v for key, v in basis_m if key <= gm])
     target = zp ^ zm
     if space.contains(target):
         return gp, gm, NO_OBSTRUCTION
-    times_c, d = _per_generator(eng.at1, eng.pos1, c[0]), c[1]
+    times_c, d = _per_generator(eng.gens1, c[0]), c[1]
     by_time = {}
     for col, kp, km, tc in zip(eng.d1_cols, keys1_p, keys1_m, times_c):
         if kp <= gp or km <= gm:
@@ -1699,14 +1710,16 @@ def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
 
 
 def test_headline_engine_groups_its_generators_by_position():
-    eng = complexes._Engine.of(_headline())
-    assert (len(eng.pos0), len(eng.pos1)) == (428, 427)
+    k = _headline()
+    eng, (pos0, pos1) = complexes._Engine.of(k), complexes._graded(k)[0]
+    assert (len(pos0), len(pos1)) == (428, 427)
     assert (len(eng.at0), len(eng.at1)) == (150, 147)
-    for at, gens, pos in ((eng.at0, eng.gens0, eng.pos0), (eng.at1, eng.gens1, eng.pos1)):
+    for at, gens, pos in ((eng.at0, eng.gens0, pos0), (eng.at1, eng.gens1, pos1)):
         assert sorted(i for group in gens for i in group) == list(range(len(pos)))
         assert all(pos[i] == p for p, group in zip(at, gens) for i in group)
+    rows = _basis_rows(eng)
     assert [[row >> 1 for row in group] for group in eng.groups0] == [
-        [eng.basis_rows[i] for i in group] for group in eng.gens0]
+        [rows[i] for i in group] for group in eng.gens0]
     assert sum((row & 1) << i for group, rows in zip(eng.gens0, eng.groups0)
                for i, row in zip(group, rows)) == eng.z_ref
 
@@ -1714,9 +1727,9 @@ def test_headline_engine_groups_its_generators_by_position():
 def _least_top_by_generator(eng, keys):
     """`complexes._least_top` with one key per slice-0 generator: the rows
     one at a time by decreasing key, as before the engine grouped them."""
-    pivots = {}
+    pivots, rows = {}, _basis_rows(eng)
     for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
-        v, c = _reduce_pair(pivots, eng.basis_rows[i], eng.z_ref >> i & 1)
+        v, c = _reduce_pair(pivots, rows[i], eng.z_ref >> i & 1)
         if v:
             pivots[v.bit_length() - 1] = (v, c)
         elif c:
@@ -1740,23 +1753,23 @@ def test_grouped_keys_equal_per_generator_keys(monkeypatch):
     knots = [_random_torus_sum(rng) for _ in range(8)] + [_headline()]
     cases = 0
     for k in knots:
-        eng = complexes._Engine.of(k)
+        eng, pos0 = complexes._Engine.of(k), complexes._graded(k)[0][0]
         draws = []
         for _ in range(6):
             r = _any_region(rng)
-            (at, d), (per, d_per) = (invariants.entering_numerators(r, p) for p in (eng.at0, eng.pos0))
+            (at, d), (per, d_per) = (invariants.entering_numerators(r, p) for p in (eng.at0, pos0))
             assert d == d_per
             draws.append((at, per))
             gamma = _least_top_by_generator(eng, per)
             draws.append(([(n > gamma, a) for n, (a, _) in zip(at, eng.at0)],
-                          [(n > gamma, a) for n, (a, _) in zip(per, eng.pos0)]))  # eta's keys
+                          [(n > gamma, a) for n, (a, _) in zip(per, pos0)]))  # eta's keys
         t = F(rng.randint(1, 11), 6)
         h = invariants._slope_bound(eng)
         for sign in (1, -1):
             draws.append(tuple(invariants._line_keys(p, t.numerator, t.denominator, sign, h)
-                               for p in (eng.at0, eng.pos0)))
+                               for p in (eng.at0, pos0)))
         for at, per in draws:
-            assert _per_generator(eng.at0, eng.pos0, at) == per
+            assert _per_generator(eng.gens0, at) == per
             expected = _least_top_by_generator(eng, per)
             assert complexes._least_top(eng, at) == expected
             assert _reduce(eng, at)[0] == expected == _full_column_reduce(eng, per)[0]
@@ -1766,7 +1779,7 @@ def test_grouped_keys_equal_per_generator_keys(monkeypatch):
     # the sweep, its chord checks and its continuity check, by generator
     fast = [upsilon_function(KnotComplex(k.generators, k.arrows)) for k in knots]
     monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: _least_top_by_generator(
-        eng, _per_generator(eng.at0, eng.pos0, keys)))
+        eng, _per_generator(eng.gens0, keys)))
     assert [upsilon_function(KnotComplex(k.generators, k.arrows)) for k in knots] == fast
 
 
@@ -1778,7 +1791,7 @@ def test_secondary_refuses_a_complex_that_breaks_the_filtration():
                      BaseGenerator("w", 1, 1, 0)), (("y", "w", 0),))
     assert validate_complex(k).problems == ("arrow y -> U^0·w increases the filtration",)
     eng = complexes._Engine.of(k)
-    assert len(eng.cycles) == 1 and eng.unfiltered == ("y", "w", 0)
+    assert eng.h0 == 1 and eng.unfiltered == ("y", "w", 0)
     assert upsilon_region(k, upsilon_halfplane(1)) == 0  # key-only queries still answer
     message = ("^the secondary invariant needs the filtration condition: "
                "arrow y -> U\\^0·w increases the filtration$")

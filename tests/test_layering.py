@@ -3,6 +3,7 @@
 import ast
 import re
 from pathlib import Path
+from types import ModuleType
 
 import upsilonkit
 
@@ -32,6 +33,14 @@ def _package_imports(path: Path) -> set[str]:
 def test_every_module_has_a_layer():
     modules = {p.stem for p in PACKAGE.glob("*.py")} - EXEMPT
     assert modules == set(ORDER)
+
+
+def test_all_names_every_public_binding():
+    # `from upsilonkit import *` gives exactly what the package imports for
+    # its users: every public name it binds, except the submodules
+    bound = {name for name, value in vars(upsilonkit).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(upsilonkit.__all__) == bound
 
 
 def test_each_layer_imports_only_layers_above_it():
@@ -66,7 +75,7 @@ def test_only_complexes_names_the_factor_build_or_the_lifting():
     # A product's graded layout comes from its leaves inside `complexes`, and
     # its arrows are lifted only when it is named; no other module reaches
     # past `_graded`, `boundary_matrix` or the fields to either.
-    helpers = {"_graded_leaf", "_leaves", "_named", "_arrow_faults"}
+    helpers = {"_graded_leaf", "_named", "_arrow_faults"}
     for path in PACKAGE.glob("*.py"):
         if path.stem != "complexes":
             named = sorted(helpers & _names(path))

@@ -14,7 +14,14 @@ from upsilonkit.invariants import (
     upsilon_function,
     upsilon_region,
 )
-from upsilonkit.regions import pl_eval, pl_singular_points, upsilon_halfplane
+from upsilonkit.regions import (
+    PLFunction,
+    pl_add,
+    pl_constant,
+    pl_eval,
+    pl_singular_points,
+    upsilon_halfplane,
+)
 from upsilonkit.zoo import (
     AlexanderPolynomial,
     PuiseuxData,
@@ -263,6 +270,27 @@ def test_fk_upsilon_frozen_values():
 def test_fk_upsilon_matches_engine_small():
     for p, q in [(3, 2), (5, 2), (4, 3), (5, 3), (5, 4), (8, 5)]:
         assert fk_upsilon(p, q) == upsilon_function(torus_knot(p, q))
+
+
+def _fk_recursive(p, q):
+    """The torus recursion as stated, one call per subtraction of q."""
+    if p < q:
+        p, q = q, p
+    if q == 1:
+        return pl_constant(0)
+    if p == q + 1:
+        return staircase_upsilon(jumps_from_semigroup(semigroup_from_generators((p, q))))
+    return pl_add(_fk_recursive(p - q, q), _fk_recursive(q + 1, q))
+
+
+def test_fk_upsilon_loop_matches_the_recursion():
+    pairs = [(p, q) for p in range(1, 12) for q in range(1, 12) if math.gcd(p, q) == 1]
+    assert all(fk_upsilon(p, q) == _fk_recursive(p, q) for p, q in pairs)
+
+
+def test_fk_upsilon_runs_past_the_recursion_limit():
+    # 998 subtractions of 2: one call each would exceed Python's recursion limit
+    assert fk_upsilon(1999, 2) == PLFunction(((0, 0), (1, -999), (2, 0)))
 
 
 def test_fk_upsilon_validation():
