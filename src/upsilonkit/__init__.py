@@ -2,7 +2,10 @@
 
 The package is organized bottom-up:
 
-* ``exact``      — F2 linear algebra on bit-packed rows, exact rationals;
+* ``exact``      — F2 linear algebra on bit-packed rows, exact rationals, and
+                   the frozen value-class base that stands in for the
+                   standard library's dataclass (whose import is the largest
+                   start-up cost a command would pay);
 * ``complexes``  — filtered chain complexes over F2[U, U^-1], validation,
                    tensor/mirror/box operations, JSON persistence;
 * ``regions``    — south-west regions of the (A, j) plane, entering times,

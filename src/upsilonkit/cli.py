@@ -93,7 +93,7 @@ _ATOMS = {
     "T": (lambda p, q: zoo.check_torus_parameters(p, q),
           lambda p, q: f"T({p},{q})",
           lambda p, q: zoo.torus_knot(p, q)),
-    "P": (lambda q: zoo.alexander_pretzel(q),
+    "P": (lambda q: zoo.check_pretzel_parameter(q),
           lambda q: f"P(-2,3,{q})",
           lambda q: zoo.pretzel(q)),
     "alg": (lambda a, qs: zoo.PuiseuxData(a, qs),

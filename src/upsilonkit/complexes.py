@@ -56,33 +56,43 @@ record its first unfiltered one.  The oracles read none of this:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
-from .exact import F2Matrix, F2Space, _bits, _columns, _echelonize, _mask, _transpose
+from .exact import (F2Matrix, F2Space, _bits, _columns, _echelonize, _mask, _OrderedValue, _set,
+                    _transpose, _Value)
 
 
-@dataclass(frozen=True, order=True)
-class BaseGenerator:
+class BaseGenerator(_OrderedValue):
     """A named generator at bifiltration (alexander, algebraic), grading maslov."""
 
-    name: str
-    alexander: int
-    algebraic: int
-    maslov: int
+    _fields = ("name", "alexander", "algebraic", "maslov")
+
+    def __init__(self, name: str, alexander: int, algebraic: int, maslov: int):
+        _set(self, "name", name)
+        _set(self, "alexander", alexander)
+        _set(self, "algebraic", algebraic)
+        _set(self, "maslov", maslov)
+
+    def _key(self) -> tuple:
+        return (self.name, self.alexander, self.algebraic, self.maslov)
 
     @property
     def pos(self) -> tuple[int, int]:
         return (self.alexander, self.algebraic)
 
 
-@dataclass(frozen=True, order=True)
-class LatticeGenerator:
+class LatticeGenerator(_OrderedValue):
     """U^upower times a base generator: one F2 basis element of a graded piece."""
 
-    base: BaseGenerator
-    upower: int
+    _fields = ("base", "upower")
+
+    def __init__(self, base: BaseGenerator, upower: int):
+        _set(self, "base", base)
+        _set(self, "upower", upower)
+
+    def _key(self) -> tuple:
+        return (self.base, self.upower)
 
     @property
     def alexander(self) -> int:
@@ -106,11 +116,16 @@ class LatticeGenerator:
         return f"U^{self.upower}·{self.base.name}"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Value):
     """A formal F2 sum of lattice generators; + is symmetric difference."""
 
-    gens: frozenset[LatticeGenerator]
+    _fields = ("gens",)
+
+    def __init__(self, gens: frozenset[LatticeGenerator]):
+        _set(self, "gens", gens)
+
+    def _key(self) -> tuple:
+        return (self.gens,)
 
     def __add__(self, other: "Chain") -> "Chain":
         return Chain(self.gens ^ other.gens)
@@ -125,8 +140,7 @@ class Chain:
         return bool(self.gens)
 
 
-@dataclass(frozen=True)
-class KnotComplex:
+class KnotComplex(_Value):
     """A combinatorial presentation: base generators plus arrows x -> U^m y.
 
     Arrows are stored as (source name, target name, upower) with multiplicity
@@ -147,8 +161,16 @@ class KnotComplex:
     included, therefore sees the same complex as the eager product.
     """
 
-    generators: tuple[BaseGenerator, ...]
-    arrows: tuple[tuple[str, str, int], ...]
+    _fields = ("generators", "arrows")
+
+    def __init__(self, generators: tuple[BaseGenerator, ...],
+                 arrows: tuple[tuple[str, str, int], ...]):
+        _set(self, "generators", generators)
+        _set(self, "arrows", arrows)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (self.generators, self.arrows)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -165,8 +187,8 @@ class KnotComplex:
                 raise ValueError(f"arrow U-power must be an integer: {_excerpt(arrow)}")
             arrows.append((s, t, m))
         arrows, index_arrows = _arranged(names, arrows)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "arrows", arrows)
+        _set(self, "generators", gens)
+        _set(self, "arrows", arrows)
         vars(self)["_index_arrows"] = index_arrows
 
     @classmethod
@@ -177,8 +199,8 @@ class KnotComplex:
         goes through the public constructor, which arranges its arrows the
         same way."""
         k = object.__new__(cls)
-        object.__setattr__(k, "generators", generators)
-        object.__setattr__(k, "arrows", arrows)
+        _set(k, "generators", generators)
+        _set(k, "arrows", arrows)
         vars(k)["_index_arrows"] = index_arrows
         return k
 
@@ -187,8 +209,8 @@ class KnotComplex:
         if name not in ("generators", "arrows", "_index_arrows") or "_factors" not in lazy:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         generators, arrows, index_arrows = _named(lazy["_factors"])
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "arrows", arrows)
+        _set(self, "generators", generators)
+        _set(self, "arrows", arrows)
         lazy["_index_arrows"] = index_arrows
         del lazy["_factors"], lazy["_leaves"]  # now named, as `_built` makes a complex
         return lazy[name]
@@ -201,9 +223,14 @@ class KnotComplex:
         return [(dst, m) for src, dst, m in self.arrows if src == name]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[str, ...] = field(default_factory=tuple)
+class ValidationReport(_Value):
+    _fields = ("problems",)
+
+    def __init__(self, problems: tuple[str, ...] = ()):
+        _set(self, "problems", problems)
+
+    def _key(self) -> tuple:
+        return (self.problems,)
 
     @property
     def ok(self) -> bool:
@@ -574,6 +601,13 @@ def representative_cycle(k: KnotComplex) -> Chain:
 # took 21 s and 633 MB for the upsilon curve on a 2-core machine, and
 # T(60,59) # T(60,59) # T(60,59) would ask for 1,601,613.
 MAX_PRODUCT_GENERATORS = 100_000
+
+# The most that one summand built by `zoo` may need: generators of a thin or
+# pretzel staircase, and entries of the semigroup membership table that a
+# torus or algebraic knot fills, one Python loop step each, before its
+# staircase is known (T(1001,1000) fills 1,002,001 in about 1 s and 53 MB).
+# Both are refused before anything is allocated.
+MAX_ATOM_SIZE = 100_000
 
 
 def tensor(*factors: KnotComplex) -> KnotComplex:

@@ -18,6 +18,13 @@ companion into one int and keeps its pivots in a list by bit length.  The
 companions `_echelonize` carries are wide (column indices at the engine
 build, whole columns in `_below`), and packing them measured slower, so
 its pivots stay (vector, companion) pairs in a dict.
+
+`_Value` and `_OrderedValue` are the base of every frozen value class of
+the package (generators, complexes, regions, PL functions, semigroups).
+They stand in for the standard library's frozen dataclass: importing its
+module pulls in `inspect`, `ast` and `tokenize`, and it compiles each
+generated method with `exec`, which made it the largest start-up cost of
+every command that the package controls.
 """
 
 from __future__ import annotations
@@ -25,6 +32,69 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
+
+_set = object.__setattr__  # how a value class's `__init__` writes its fields
+
+
+class _Value:
+    """A frozen value: equality, hash and repr over its field tuple, as a
+    frozen dataclass has them.
+
+    Each subclass names its fields in the class-level `_fields`, writes its
+    own `__init__`, storing every field with `_set`, and returns the field
+    tuple from `_key`, reading each field as an attribute (faster, on the
+    region and generator paths, than any generic getter).  Instances keep a
+    `__dict__` (for `cached_property` and lazy fields), but assigning or
+    deleting an attribute raises AttributeError.  Equality holds only
+    between instances of one class; the hash is the hash of the field tuple.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _OrderedValue(_Value):
+    """A `_Value` ordered by its field tuple, within its class."""
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() <= other._key()
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() > other._key()
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() >= other._key()
+        return NotImplemented
 
 
 def rational_from_text(text: str) -> Fraction:

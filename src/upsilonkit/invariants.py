@@ -75,14 +75,13 @@ positions (`maslov_slice`) and generating cycle (a nullspace) are their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .complexes import (KnotComplex, _below, _Engine, _least_top, boundary_matrix,
                         maslov_slice, representative_cycle)
-from .exact import F2Space, _bits, _columns, _echelonize, _mask
+from .exact import F2Space, _bits, _columns, _echelonize, _mask, _set, _Value
 from .regions import (
     PLFunction,
     SouthWestRegion,
@@ -128,18 +127,24 @@ class NotABreakingPoint(ValueError):
 SecondaryValue = Fraction | NoObstructionType
 
 
-@dataclass(frozen=True)
-class BreakingPoint:
+class BreakingPoint(_Value):
     """A kink of the knot-level upsilon function with positive derivative jump.
 
     i_minus/i_plus are filled for staircases: the least and greatest corner
     index realizing the envelope minimum at t.
     """
 
-    t: Fraction
-    jump: Fraction
-    i_minus: int | None = None
-    i_plus: int | None = None
+    _fields = ("t", "jump", "i_minus", "i_plus")
+
+    def __init__(self, t: Fraction, jump: Fraction, i_minus: int | None = None,
+                 i_plus: int | None = None):
+        _set(self, "t", t)
+        _set(self, "jump", jump)
+        _set(self, "i_minus", i_minus)
+        _set(self, "i_plus", i_plus)
+
+    def _key(self) -> tuple:
+        return (self.t, self.jump, self.i_minus, self.i_plus)
 
 
 # ---------------------------------------------------------------------------

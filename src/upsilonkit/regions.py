@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
-from .exact import Rational
+from .exact import Rational, _OrderedValue, _set, _Value
 
 
 def _int(x, message: str) -> int:
@@ -38,13 +38,18 @@ def _rat(x) -> Fraction:
     raise ValueError(f"expected an exact rational, got {x!r}")
 
 
-@dataclass(frozen=True, order=True)
-class HalfPlane:
+class HalfPlane(_OrderedValue):
     """{(A, j) : alpha*A + beta*j <= c}, normalized to alpha + beta = 1."""
 
-    alpha: Fraction
-    beta: Fraction
-    c: Fraction
+    _fields = ("alpha", "beta", "c")
+
+    def __init__(self, alpha: Fraction, beta: Fraction, c: Fraction):
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "c", c)
+
+    def _key(self) -> tuple:
+        return (self.alpha, self.beta, self.c)
 
     def entering_time(self, p: tuple[Rational, Rational]) -> Fraction:
         return self.alpha * _rat(p[0]) + self.beta * _rat(p[1]) - self.c
@@ -66,17 +71,25 @@ def make_halfplane(alpha, beta, c) -> "SouthWestRegion":
     return SouthWestRegion(((hp,),))
 
 
-@dataclass(frozen=True)
-class SouthWestRegion:
+class SouthWestRegion(_Value):
     """A union of intersections of normalized half-planes (DNF atoms)."""
 
-    atoms: tuple[tuple[HalfPlane, ...], ...]
+    _fields = ("atoms",)
+
+    def __init__(self, atoms: tuple[tuple[HalfPlane, ...], ...]):
+        _set(self, "atoms", atoms)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (self.atoms,)
 
     def __post_init__(self):
-        atoms = tuple(sorted({tuple(sorted(set(atom))) for atom in self.atoms}))
+        # sorted, equal atoms are adjacent: each half-plane is hashed once
+        atoms = tuple(atom for atom, _ in groupby(sorted(
+            tuple(sorted(set(atom))) for atom in self.atoms)))
         if not atoms or any(not atom for atom in atoms):
             raise ValueError("region needs at least one half-plane per atom")
-        object.__setattr__(self, "atoms", atoms)
+        _set(self, "atoms", atoms)
 
 
 def union(r1: SouthWestRegion, r2: SouthWestRegion) -> SouthWestRegion:
@@ -152,8 +165,7 @@ def v_region(s) -> SouthWestRegion:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(_Value):
     """Continuous piecewise-linear function given by breakpoints (t, value).
 
     Canonical form: t strictly increasing, no interior breakpoint where the
@@ -161,7 +173,14 @@ class PLFunction:
     functions.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("points",)
+
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
+        _set(self, "points", points)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (self.points,)
 
     def __post_init__(self):
         pts = [(_rat(t), _rat(v)) for t, v in self.points]
@@ -176,7 +195,7 @@ class PLFunction:
             if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
                 canon.append(pts[i])
         canon.append(pts[-1])
-        object.__setattr__(self, "points", tuple(canon))
+        _set(self, "points", tuple(canon))
 
     @classmethod
     def _canonical(cls, points: tuple) -> "PLFunction":
@@ -185,7 +204,7 @@ class PLFunction:
         interior point.  Nothing is re-checked; other input goes through the
         constructor, which canonicalizes."""
         f = object.__new__(cls)
-        object.__setattr__(f, "points", points)
+        _set(f, "points", points)
         return f
 
     @property

@@ -24,12 +24,12 @@ data, the `value` of the command-line tool's JSON output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .complexes import BaseGenerator, KnotComplex, mirror, tensor, validate_complex
-from .exact import rational_to_text
+from .complexes import (MAX_ATOM_SIZE, BaseGenerator, KnotComplex, mirror, tensor,
+                        validate_complex)
+from .exact import _set, _Value, rational_to_text
 from .invariants import (
     NO_OBSTRUCTION,
     NotABreakingPoint,
@@ -60,11 +60,17 @@ from .regions import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Semigroup:
+class Semigroup(_Value):
     """The additive closure of a finite generating set with gcd 1."""
 
-    generators: tuple[int, ...]
+    _fields = ("generators",)
+
+    def __init__(self, generators: tuple[int, ...]):
+        _set(self, "generators", generators)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (self.generators,)
 
     def __post_init__(self):
         gens = tuple(sorted(set(self.generators)))
@@ -72,12 +78,15 @@ class Semigroup:
             raise ValueError("semigroup generators must be positive integers")
         if reduce(math.gcd, gens) != 1:
             raise ValueError(f"semigroup generators must have gcd 1: {gens}")
-        object.__setattr__(self, "generators", gens)
+        _set(self, "generators", gens)
 
     @cached_property
     def _table(self) -> list[bool]:
         # Membership table to min*max + 1, past every Frobenius bound (Schur).
         bound = self.generators[0] * self.generators[-1] + 1
+        if bound > MAX_ATOM_SIZE:
+            raise ValueError(f"the semigroup {self.generators} needs a membership table of "
+                             f"{bound} entries, over the limit of {MAX_ATOM_SIZE}")
         table = [False] * bound
         table[0] = True
         for n in range(1, bound):
@@ -112,16 +121,22 @@ def semigroup_from_generators(gens) -> Semigroup:
     return Semigroup(tuple(gens))
 
 
-@dataclass(frozen=True)
-class PuiseuxData:
+class PuiseuxData(_Value):
     """Characteristic sequence (a; q_1 < ... < q_n) of a cuspidal singularity.
 
     The gcd chain D_0 = a, D_i = gcd(D_{i-1}, q_i) must strictly decrease to 1
     (equivalently: D_i never divides q_{i+1}, and the overall gcd is 1).
     """
 
-    a: int
-    qs: tuple[int, ...]
+    _fields = ("a", "qs")
+
+    def __init__(self, a: int, qs: tuple[int, ...]):
+        _set(self, "a", a)
+        _set(self, "qs", qs)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (self.a, self.qs)
 
     def __post_init__(self):
         qs = tuple(self.qs)
@@ -140,7 +155,7 @@ class PuiseuxData:
                 )
         if ds[-1] != 1:
             raise ValueError(f"gcd(a, q_1, ..., q_n) = {ds[-1]} != 1")
-        object.__setattr__(self, "qs", qs)
+        _set(self, "qs", qs)
 
     @cached_property
     def d_chain(self) -> tuple[int, ...]:
@@ -204,12 +219,17 @@ def _add_u(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class AlexanderPolynomial:
+class AlexanderPolynomial(_Value):
     """A symmetric Laurent polynomial in u = t^(1/2) (integer exponents in u,
     so half-integer powers of t are representable mid-computation)."""
 
-    terms: tuple[tuple[int, int], ...]  # (u-exponent, coefficient), sorted
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
+        _set(self, "terms", terms)  # (u-exponent, coefficient), sorted
+
+    def _key(self) -> tuple:
+        return (self.terms,)
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "AlexanderPolynomial":
@@ -370,7 +390,9 @@ _TAU = "tau must be an integer"  # the one check of thin_model, thin_three_param
 def thin_model(tau: int) -> KnotComplex:
     """The thin-knot model: the unit staircase of tau (mirrored when tau < 0),
     acyclic square summands omitted — no invariant here can see them."""
-    if _int(tau, _TAU) < 0:
+    if (size := 2 * abs(_int(tau, _TAU)) + 1) > MAX_ATOM_SIZE:
+        raise ValueError(f"thin({tau}) has {size} generators, over the limit of {MAX_ATOM_SIZE}")
+    if tau < 0:
         return mirror(thin_model(-tau))
     return staircase_from_jumps((1,) * (2 * tau))
 
@@ -389,11 +411,16 @@ def _torus2_u(n: int) -> dict[int, int]:
     return {n - 1 - 2 * i: (1 if i % 2 == 0 else -1) for i in range(n)}
 
 
+def check_pretzel_parameter(q: int) -> None:
+    """Raise ValueError unless q names a pretzel knot P(-2, 3, q): odd, >= 7."""
+    if not isinstance(q, int) or q < 7 or q % 2 == 0:
+        raise ValueError(f"pretzel parameter must be an odd integer >= 7, got {q}")
+
+
 def alexander_pretzel(q: int) -> AlexanderPolynomial:
     """Alexander polynomial of P(-2, 3, q) by the skein relation:
     (t - 1 + t^-1) * Delta_{2,q} + (t^(1/2) - t^(-1/2)) * Delta_{2,q+3}."""
-    if not isinstance(q, int) or q < 7 or q % 2 == 0:
-        raise ValueError(f"pretzel parameter must be an odd integer >= 7, got {q}")
+    check_pretzel_parameter(q)
     first = _mul_u({2: 1, 0: -1, -2: 1}, _torus2_u(q))
     second = _mul_u({1: 1, -1: -1}, _torus2_u(q + 3))
     poly = AlexanderPolynomial.from_dict(_add_u(first, second))
@@ -411,6 +438,9 @@ def pretzel(q: int) -> KnotComplex:
     asserted against the expected pattern (1, 2, 1, ..., 1, 2, 1) with q - 3
     middle ones; genus (q + 3) / 2.
     """
+    check_pretzel_parameter(q)
+    if q + 2 > MAX_ATOM_SIZE:
+        raise ValueError(f"P(-2,3,{q}) has {q + 2} generators, over the limit of {MAX_ATOM_SIZE}")
     jumps = jumps_from_alexander(alexander_pretzel(q))
     expected = (1, 2) + (1,) * (q - 3) + (2, 1)
     if jumps != expected:

@@ -728,6 +728,25 @@ def test_exit_2_when_the_input_is_too_large_for_memory(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory: the input is too large to evaluate\n")
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("T(317,316)", "the semigroup (316, 317) needs a membership table of 100173 entries"),
+    ("alg(2; 50001)", "the semigroup (2, 50001) needs a membership table of 100003 entries"),
+    ("-thin(50000)", "thin(50000) has 100001 generators"),
+    ("P(-2,3,99999)", "P(-2,3,99999) has 100001 generators"),
+])
+def test_exit_2_when_an_atom_is_over_the_size_limit(capsys, monkeypatch, expr, message):
+    # each is refused before its semigroup table or staircase is allocated
+    # (T(20001,20000) would fill 4 * 10^8 table entries in a Python loop); the
+    # inputs are just over the limit, and no staircase is built, so that a
+    # missing check fails fast
+    def refuse(jumps):
+        raise AssertionError("an atom over the size limit was built")
+
+    monkeypatch.setattr(zoo, "staircase_from_jumps", refuse)
+    code, out, err = run(capsys, "upsilon", "--", expr)
+    assert (code, out, err) == (2, "", f"error: {message}, over the limit of 100000\n")
+
+
 def test_exit_2_when_a_connected_sum_is_over_the_generator_limit(capsys):
     # 117^3 = 1,601,613 generators: refused before the product is allocated
     code, out, err = run(capsys, "upsilon", "T(60,59) # T(60,59) # T(60,59)")
@@ -823,6 +842,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == {"num": -1, "den": 1}
+
+
+def test_a_command_starts_without_dataclasses_or_inspect():
+    # `python -m upsilonkit upsilon "T(3,2)"`, as runpy runs it: the value
+    # classes are plain frozen classes, since importing `dataclasses` (and
+    # with it `inspect`, `ast` and `tokenize`) was the largest start-up cost
+    src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['upsilonkit', 'upsilon', 'T(3,2)']\n"
+        "try:\n"
+        "    runpy.run_module('upsilonkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(0, 0)  (1, -1)  (2, 0)", "[]"]
 
 
 def test_closed_pipe_exits_1_quietly():

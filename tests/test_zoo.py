@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from upsilonkit import complexes, zoo
 from upsilonkit.complexes import validate_complex
 from upsilonkit.invariants import (
     staircase_corners,
@@ -223,6 +224,25 @@ def test_unknot_is_trivial():
     k = unknot()
     assert len(k.generators) == 1
     assert upsilon_function(k).points == ((F(0), F(0)), (F(2), F(0)))
+
+
+def test_atoms_over_the_size_limit_are_refused_before_building(monkeypatch):
+    assert zoo.MAX_ATOM_SIZE is complexes.MAX_ATOM_SIZE == 100_000
+    # at 9: the <2, 3> table has 7 entries, thin(4) and P(-2,3,7) 9 generators
+    monkeypatch.setattr(zoo, "MAX_ATOM_SIZE", 9)
+    assert len(torus_knot(3, 2).generators) == 3
+    assert len(staircase_from_jumps(jumps_from_semigroup(
+        semigroup_from_puiseux(PuiseuxData(2, (3,))))).generators) == 3
+    assert len(thin_model(-4).generators) == len(pretzel(7).generators) == 9
+    for build, message in [
+        (lambda: torus_knot(4, 3), r"the semigroup \(3, 4\) needs a membership table of 13 entries"),
+        (lambda: semigroup_from_puiseux(PuiseuxData(2, (5,))).genus,
+         r"the semigroup \(2, 5\) needs a membership table of 11 entries"),
+        (lambda: thin_model(-5), r"thin\(-5\) has 11 generators"),
+        (lambda: pretzel(9), r"P\(-2,3,9\) has 11 generators"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}, over the limit of 9$"):
+            build()
 
 
 # ---------------------------------------------------------------------------
