@@ -37,10 +37,10 @@ made: `_arranged` cancels and sorts the arrows and gives them by name (the
 instance dict).  The public `KnotComplex` constructor checks what it is
 given and then arranges its arrows; `mirror`, whose output is correct by
 construction, arranges its own and makes the complex with
-`KnotComplex._built`, with no re-check.  A product from `tensor` keeps its
-factors and the named leaves of its factor tree, as one flat tuple made
-once; its names, generators and arranged arrows wait for the first read of
-a field (`_named`, which lifts the factors' arrows and drops both).
+`KnotComplex._built`, with no re-check.  A product from `tensor` keeps
+only the named leaves of its factor tree, as one flat tuple; its names,
+generators and arranged arrows, those of the flat product, wait for the
+first read of a field (`_named`, which lifts the leaves' arrows).
 `_graded`, the engine's one build, lays out the slices of a complex from
 those leaves, walking only the leaves' arrows, so a connected sum whose
 invariants are computed is never named, no product arrow is lifted, and a
@@ -152,13 +152,13 @@ class KnotComplex(_Value):
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
     `_arranged` makes both once, here or for `_built`.  A product made by
-    `tensor` starts with neither field, only its factors (`_factors`) and
-    its flat tuple of named leaves (`_leaves`): the first read of
-    `generators`, `arrows` or `_index_arrows` (through `__getattr__`, which
-    Python calls only for an attribute the instance lacks) builds all
-    three, with `_named`, and drops both; the named product is then its
-    own one leaf.  Everything that reads a field, equality, hash and repr
-    included, therefore sees the same complex as the eager product.
+    `tensor` starts with neither field, only its flat tuple of named leaves
+    (`_leaves`): the first read of `generators`, `arrows` or
+    `_index_arrows` (through `__getattr__`, which Python calls only for an
+    attribute the instance lacks) builds all three with `_named`.  The
+    leaves stay, so a product of it is the same read or not.  Everything
+    that reads a field, equality, hash and repr included, sees the same
+    complex as the eager product of the leaves.
     """
 
     _fields = ("generators", "arrows")
@@ -206,13 +206,12 @@ class KnotComplex(_Value):
 
     def __getattr__(self, name: str):
         lazy = vars(self)
-        if name not in ("generators", "arrows", "_index_arrows") or "_factors" not in lazy:
+        if name not in ("generators", "arrows", "_index_arrows") or "_leaves" not in lazy:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        generators, arrows, index_arrows = _named(lazy["_factors"])
+        generators, arrows, index_arrows = _named(lazy["_leaves"])
         _set(self, "generators", generators)
         _set(self, "arrows", arrows)
         lazy["_index_arrows"] = index_arrows
-        del lazy["_factors"], lazy["_leaves"]  # now named, as `_built` makes a complex
         return lazy[name]
 
     @property
@@ -266,7 +265,7 @@ def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
     arrow that breaks the grading.
 
     Built from the named leaves of k's factor tree, as `tensor` recorded
-    them (a named complex is its own one leaf), folding from the last
+    them (any other complex is its own one leaf), folding from the last
     leaf: each step makes K ⊗ F from a leaf K and the product F of the
     leaves after it, as slices (the unit, one generator at 0, before the
     first step).  Generator (c, i) lies in slice p = (M_c + M_i) % 2 at
@@ -617,14 +616,14 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
     A generator picks one generator of each factor (in lexicographic order)
     and is named by their names, each escaped once (a backslash before any
     "\\" or "*") and joined by "*": "a*b" for two factors.  So names are
-    injective, and in one call they grow linearly with the number of
-    factors (each level of a nested call escapes its inner names again).
-    Positions and gradings add, and the differential obeys the Leibniz
-    rule.  `tensor(a, b, c)` is `tensor(tensor(a, b), c)` up to the names;
-    no factors give the unknot, as one generator named "".
+    injective and grow linearly with the number of factors.  Positions and
+    gradings add, and the differential obeys the Leibniz rule.  A product
+    factor counts as its own factors, so `tensor(tensor(a, b), c)` equals
+    `tensor(a, b, c)`, names included; no factors give the unknot, as one
+    generator named "".
 
-    The product keeps its factors and the named leaves of its factor tree
-    (the factors' leaves, in order, as one flat tuple), naming none: the
+    The product records only the named leaves of its factor tree (the
+    factors' leaves, in order, as one flat tuple), naming none: the
     engine's build (`_graded`) and the size check read the leaves, so the
     invariants of a sum folded one summand at a time read its flat leaves
     and never name it.  The names, generators and arranged arrows are built
@@ -640,13 +639,13 @@ def tensor(*factors: KnotComplex) -> KnotComplex:
         raise ValueError(f"the connected sum has {size} generators, over the limit of "
                          f"{MAX_PRODUCT_GENERATORS}")
     product = object.__new__(KnotComplex)
-    vars(product).update(_factors=factors, _leaves=leaves)
+    vars(product)["_leaves"] = leaves
     return product
 
 
 def _named(factors: tuple) -> tuple[tuple, tuple, tuple]:
     """The generators, name arrows and index arrows of the product of these
-    factors, lifted one factor at a time by index arithmetic.  With n
+    named factors, lifted one factor at a time by index arithmetic.  With n
     generators in the next factor, generator c and its generator i make
     c·n + i, named by `tensor`'s rule, whose (A, j, M) are the sums; an
     arrow s -> t lifts to s·n + i -> t·n + i, and a factor arrow a -> b to

@@ -89,7 +89,6 @@ from .regions import (
     _rat,
     entering_numerators,
     entering_time,
-    pl_singular_points,
     upsilon_halfplane,
 )
 
@@ -130,8 +129,8 @@ SecondaryValue = Fraction | NoObstructionType
 class BreakingPoint(_Value):
     """A kink of the knot-level upsilon function with positive derivative jump.
 
-    i_minus/i_plus are filled for staircases: the least and greatest corner
-    index realizing the envelope minimum at t.
+    i_minus/i_plus are filled for staircases: the first and last corner
+    realizing the envelope minimum at t (`staircase_breaking_points`).
     """
 
     _fields = ("t", "jump", "i_minus", "i_plus")
@@ -350,27 +349,33 @@ def staircase_corners(jumps) -> tuple[tuple[int, int], ...]:
     return tuple(corners)
 
 
-def _corner_line(t: Fraction, n: int, m: int) -> Fraction:
-    """(t/2) n + (1 - t/2) m: the line of a corner (n, m), at a rational t."""
-    return t * n / 2 + (1 - t / 2) * m
-
-
-def _corner_envelope(corners) -> PLFunction:
-    """min_i [(t/2) n_i + (1 - t/2) m_i] on [0, 2], exactly."""
-    cands = {Fraction(0), Fraction(2)}
-    for (n1, m1), (n2, m2) in combinations(set(corners), 2):
-        if n1 - m1 != n2 - m2:
-            t = Fraction(2 * (m2 - m1), (n1 - m1) - (n2 - m2))
-            if 0 < t < 2:
-                cands.add(t)
-    return PLFunction(tuple((t, min(_corner_line(t, n, m) for n, m in corners))
-                            for t in sorted(cands)))
+def _corner_hull(corners) -> list[tuple[Fraction, int]]:
+    """(t, i) for each line L_i(t) = m_i + (t/2)(n_i - m_i) of the corners'
+    lower envelope on [0, 2], in order, with the t where it takes over (0
+    for the first).  The slopes fall strictly, so it is one stack pass in
+    integers (the convex-hull trick).  A line that leads at most at a point
+    is dropped, so the lines on either side of a kink are its first and
+    last minimizing corners."""
+    hull = [(0, 0, 1)]  # (i, num, den): line i leads from t = num/den
+    for c, (n, m) in enumerate(corners[1:], 1):
+        while True:  # stops at line 0 (m = 0) at the latest
+            b, b_num, b_den = hull[-1]
+            nb, mb = corners[b]
+            num, den = 2 * (m - mb), (nb - mb) - (n - m)  # c takes over from b at num/den
+            if num * b_den > b_num * den:
+                break
+            hull.pop()  # no later than b takes over: b leads at most at a point
+        hull.append((c, num, den))
+    return [(Fraction(num, den), i) for i, num, den in hull]
 
 
 def staircase_upsilon(jumps) -> PLFunction:
-    """Knot-level upsilon of a staircase by the direct min-of-lines formula."""
-    envelope = _corner_envelope(staircase_corners(jumps))
-    return PLFunction(tuple((t, -2 * v) for t, v in envelope.points))
+    """Knot-level upsilon of a staircase, -2 min_i L_i(t) over its corner
+    lines: the envelope's lines read at each takeover and at t = 2."""
+    corners = staircase_corners(jumps)
+    points = [(t, -2 * corners[i][1] - t * (corners[i][0] - corners[i][1]))
+              for t, i in _corner_hull(corners)]
+    return PLFunction((*points, (Fraction(2), Fraction(-2 * corners[-1][0]))))
 
 
 _V_PARAMETER = "V takes an integer parameter"  # the one check of vk and staircase_vk
@@ -383,42 +388,36 @@ def staircase_vk(jumps, s: int) -> Fraction:
     return Fraction(-2 * min(max(n - s, m) for n, m in corners))
 
 
-def _corner_minimizers(corners, t) -> tuple[Fraction, int, int]:
-    """The envelope minimum of the corner lines at t, and the first and last
-    corner indices that reach it."""
-    vals = [_corner_line(t, n, m) for n, m in corners]
-    mn = min(vals)
-    return mn, vals.index(mn), len(vals) - 1 - vals[::-1].index(mn)
-
-
 def staircase_breaking_points(jumps) -> list[BreakingPoint]:
-    """Breaking points of a staircase, with the extreme minimizing indices."""
+    """Breaking points of a staircase: every kink of its envelope, with the
+    first and last minimizing corners, the envelope's lines a and b on
+    either side.  The knot-level jump there is the slope difference
+    (n_a - m_a) - (n_b - m_b) > 0."""
     corners = staircase_corners(jumps)
-    out = []
-    for t, jump in pl_singular_points(_corner_envelope(corners)):
-        knot_jump = -2 * jump
-        if knot_jump > 0:
-            _, i_minus, i_plus = _corner_minimizers(corners, t)
-            out.append(BreakingPoint(t, knot_jump, i_minus, i_plus))
-    return out
+    hull = _corner_hull(corners)
+    slopes = [n - m for n, m in corners]
+    return [BreakingPoint(t, Fraction(slopes[a] - slopes[b]), a, b)
+            for (_, a), (t, b) in zip(hull, hull[1:])]
 
 
 def staircase_kl(jumps, t_star, s) -> Fraction:
     """The secondary invariant of a staircase at a breaking point, closed form.
 
-    With i_minus/i_plus the extreme corner indices realizing the envelope
-    minimum at t_star, the connecting degree-1 chain is y_{i_minus} + ... +
-    y_{i_plus - 1} (y_j sits at (n_j, m_{j+1})), and the value is
+    With i_minus/i_plus the first and last corners realizing the envelope
+    minimum at the kink t_star, the connecting degree-1 chain is
+    y_{i_minus} + ... + y_{i_plus - 1} (y_j at (n_j, m_{j+1})), and the value is
     -2 * (max_{i_minus <= j < i_plus} [(s/2) n_j + (1 - s/2) m_{j+1}]
           - envelope minimum at t_star).
     """
     t_star, s = _rat(t_star), _rat(s)
-    corners = staircase_corners(jumps)
-    mn, i_minus, i_plus = _corner_minimizers(corners, t_star)
-    if i_minus == i_plus or not 0 < t_star < 2:
+    kinks = {b.t: b for b in staircase_breaking_points(jumps)}
+    if t_star not in kinks:
         raise ValueError(f"t = {t_star} is not a breaking point of this staircase")
-    peak = max(_corner_line(s, corners[j][0], corners[j + 1][1]) for j in range(i_minus, i_plus))
-    return -2 * (peak - mn)
+    corners, kink = staircase_corners(jumps), kinks[t_star]
+    n, m = corners[kink.i_minus]
+    twice_peak = max(2 * corners[j + 1][1] + s * (corners[j][0] - corners[j + 1][1])
+                     for j in range(kink.i_minus, kink.i_plus))
+    return 2 * m + t_star * (n - m) - twice_peak
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_tensor_of_three_factors():
     k = tensor(a, b, a)
     assert len({g.name for g in k.generators}) == 27
     assert "a\\*b*c*c\\\\" in {g.name for g in k.generators}  # each factor escaped once
-    assert _same_up_to_names(k, tensor(tensor(a, b), a))
+    assert tensor(tensor(a, b), a) == k  # a fold is named as the flat product
     t, m = trefoil_by_hand(), mirror(torus_knot(5, 2))
     k = tensor(t, m, t)
     assert validate_complex(k).ok and _same_up_to_names(k, tensor(tensor(t, m), t))
@@ -331,14 +331,19 @@ def test_deep_folds_evaluate_from_their_flat_leaves():
     assert upsilon_function(k) == upsilon_function(trefoil)
     assert breaking_points(k) == breaking_points(trefoil)
     assert kim_livingston(k, 1, 1) == kim_livingston(trefoil, 1, 1)
-    assert "_factors" in vars(k)  # still unnamed
-    # naming an inner product later leaves the outer product's leaves as
-    # they were, and its layout as the named inner product gives it
+    assert "_index_arrows" not in vars(k)  # still unnamed
+    # its fields are named from the flat leaves too, with no recursion
+    assert validate_complex(k).ok
+    assert from_json_dict(to_json_dict(k)) == k == tensor(trefoil, *[unknot()] * 1200)
+    # naming an inner product keeps its leaves, so a later product of it
+    # has the same leaves, layout and names as one made before the naming
     inner = tensor(trefoil, mirror(torus_knot(5, 2)))
     outer = tensor(inner, trefoil)
     layout = _graded(outer)
-    assert inner.generators and "_leaves" not in vars(inner)
-    assert _graded(outer) == layout == _graded(tensor(inner, trefoil))
+    assert inner.generators and len(vars(inner)["_leaves"]) == 2
+    later = tensor(inner, trefoil)
+    assert vars(later)["_leaves"] == vars(outer)["_leaves"]
+    assert _graded(later) == layout and later == outer
 
 
 def test_arrow_index_is_invisible():
@@ -768,14 +773,11 @@ def _assert_named_on_first_read(build, ref, monkeypatch):
 @pytest.mark.parametrize("folded", [False, True], ids=["flat", "folded"])
 @pytest.mark.parametrize("summands", _LAZY_SUMS)
 def test_products_are_named_only_when_read(summands, folded, monkeypatch):
-    # folded as the benchmark's worker builds sums: tensor(tensor(a, b), c)
+    # folded as the benchmark's worker builds sums: tensor(tensor(a, b), c),
+    # which is named as the flat product
     head, last = summands[:-1], summands[-1]
-    if folded:
-        _assert_named_on_first_read(lambda: tensor(tensor(*head), last),
-                                    _product_tensor(_product_tensor(*head), last), monkeypatch)
-    else:
-        _assert_named_on_first_read(lambda: tensor(*summands), _product_tensor(*summands),
-                                    monkeypatch)
+    build = (lambda: tensor(tensor(*head), last)) if folded else (lambda: tensor(*summands))
+    _assert_named_on_first_read(build, _product_tensor(*summands), monkeypatch)
 
 
 def test_mirror_is_involution(monkeypatch):

@@ -312,6 +312,50 @@ def test_staircase_breaking_point_indices_t85():
     assert (bps[F(1)].i_minus, bps[F(1)].i_plus) == (4, 5)
 
 
+def _hull_cases():
+    """T(59, 58), every torus knot with p < 22, thin models and seeded
+    random stairs, the last of 300 corners.  Its jumps of at most 2 tie
+    many lines at each crossing and keep it to about 5,000 candidates."""
+    yield torus_jumps(59, 58)
+    for p in range(3, 22):
+        for q in range(2, p):
+            if gcd(p, q) == 1:
+                yield torus_jumps(p, q)
+    for tau in range(1, 7):
+        yield (1,) * (2 * tau)
+    rng = random.Random(2741)
+    for k, top in [(rng.randint(1, 12), 4) for _ in range(30)] + [(299, 2)]:
+        odd = [rng.randint(1, top) for _ in range(k)]
+        cuts = sorted(rng.sample(range(1, sum(odd)), k - 1))
+        even = [b - a for a, b in zip([0, *cuts], [*cuts, sum(odd)])]
+        yield tuple(x for pair in zip(odd, even) for x in pair)
+
+
+def test_staircase_hull_matches_the_direct_minimum():
+    # the closed forms read one convex hull of the corner lines; here every
+    # line L(t) = m + (t/2)(n - m) of a corner (n, m) is evaluated at every
+    # pairwise crossing (the oracle's candidate parameters), in integers as
+    # 2d·L(t) = d·2m + t'·(n - m) at t = t'/d.  The slopes n - m differ, so
+    # the direct minimum bends exactly where two or more lines tie: the
+    # curve takes the direct value at every candidate exactly when its
+    # points are the ends and the ties, with the direct values there
+    for jumps in _hull_cases():
+        corners = staircase_corners(jumps)
+        coefficients = [(2 * m, n - m) for n, m in corners]
+        lowest, ties = {}, {}  # ties: t: the first and last of two or more minimizing corners
+        for t in invariants._candidate_ts(corners):
+            n, d = t.numerator, t.denominator
+            lines = [d * c + n * s for c, s in coefficients]
+            lowest[t] = low = min(lines)
+            if lines.count(low) > 1:
+                ties[t] = lines.index(low), len(lines) - 1 - lines[::-1].index(low)
+        bends = [F(0), *sorted(ties), F(2)]
+        assert staircase_upsilon(jumps).points == tuple((t, F(-lowest[t], t.denominator))
+                                                        for t in bends)
+        kinks = staircase_breaking_points(jumps)
+        assert {b.t: (b.i_minus, b.i_plus) for b in kinks} == ties
+
+
 def test_staircase_kl_rejects_non_breaking():
     with pytest.raises(ValueError, match="not a breaking point"):
         staircase_kl((1, 1, 1, 1), F(2, 3), F(2, 3))

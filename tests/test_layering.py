@@ -100,6 +100,19 @@ def test_the_oracle_routes_read_no_engine_build():
         assert not used & {"_graded", "_Engine"}, f"{name} reads the engine's build"
 
 
+def test_the_staircase_closed_forms_read_no_engine():
+    # the closed forms take the corner lines' hull in `_corner_hull`, so that
+    # the tests, which hold the engine to them, check it by a second route
+    tree = ast.parse((PACKAGE / "invariants.py").read_text())
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name == "_corner_hull" or node.name.startswith("staircase_"))}
+    assert len(bodies) == 6
+    for name, body in bodies.items():
+        used = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        engine = used & {"_Engine", "_least_top", "_line_keys", "_kinetic_sweep"}
+        assert not engine, f"{name} reads the engine: {sorted(engine)}"
+
+
 def test_engine_eliminations_run_on_the_one_kernel():
     # `_reduce_pair`, the one-vector step of `_echelonize`, serves only the
     # kernels of `exact`; every engine elimination calls `_echelonize`.
