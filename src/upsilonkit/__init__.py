@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-* ``exact``      — F2 linear algebra on bit-packed rows, exact rationals, and
+* ``exact``      — F2 elimination on bit-packed vectors, exact rationals, and
                    the frozen value-class base that stands in for the
                    standard library's dataclass (whose import is the largest
                    start-up cost a command would pay);
@@ -12,125 +12,70 @@ The package is organized bottom-up:
                    exact piecewise-linear functions, the region DSL;
 * ``invariants`` — the region invariant and everything derived from it
                    (upsilon, V/nu+/d, secondary and Kim-Livingston-type
-                   invariants, eta), plus brute-force oracle counterparts;
+                   invariants, eta), and the staircase closed forms;
+* ``oracles``    — the brute-force oracles, with the slices, the
+                   differential and the F2 matrices they read by name;
 * ``zoo``        — complex builders: semigroups, Puiseux data, Alexander
                    polynomials, staircases, torus/thin/pretzel families,
-                   and their closed-form invariants;
+                   the torus recursion and the eta closed form;
+* ``reports``    — the thin-check and pretzel-report pipelines and the
+                   thin-knot closed forms;
 * ``cli``        — the ``upsilonkit`` command-line tool.
+
+Importing the package loads none of them: each exported name loads its
+module on first use (a module ``__getattr__``), so a command starts with
+only the modules it runs.
 """
 
-from .complexes import (
-    BaseGenerator,
-    Chain,
-    KnotComplex,
-    LatticeGenerator,
-    ValidationReport,
-    add_box,
-    boundary_matrix,
-    from_json_dict,
-    load_complex,
-    maslov_slice,
-    mirror,
-    representative_cycle,
-    save_complex,
-    tensor,
-    to_json_dict,
-    validate_complex,
-)
-from .exact import F2Matrix, F2Space, Rational, rational_from_text, rational_to_text
-from .invariants import (
-    NO_OBSTRUCTION,
-    BreakingPoint,
-    GuardExceeded,
-    NoObstructionType,
-    NotABreakingPoint,
-    SecondaryValue,
-    breaking_points,
-    brute_force_secondary,
-    brute_force_upsilon,
-    check_jumps,
-    d_invariant,
-    eta,
-    h0_surjective,
-    kim_livingston,
-    kim_livingston_oracle,
-    nu_plus,
-    secondary,
-    staircase_breaking_points,
-    staircase_corners,
-    staircase_kl,
-    staircase_upsilon,
-    staircase_vk,
-    upsilon_at,
-    upsilon_function,
-    upsilon_region,
-    vk,
-)
-from .regions import (
-    HalfPlane,
-    PLFunction,
-    RegionParseError,
-    SouthWestRegion,
-    contains,
-    entering_time,
-    intersect,
-    make_halfplane,
-    parse_region,
-    pl_add,
-    pl_constant,
-    pl_eval,
-    pl_negate_scale,
-    pl_singular_points,
-    translate,
-    truncate,
-    union,
-    upsilon_halfplane,
-    v_region,
-)
-from .zoo import (
-    AlexanderPolynomial,
-    PuiseuxData,
-    Semigroup,
-    alexander_from_semigroup,
-    alexander_pretzel,
-    eta_closed_form,
-    fk_upsilon,
-    jumps_from_alexander,
-    jumps_from_semigroup,
-    n_of_semigroup,
-    pretzel,
-    semigroup_from_generators,
-    semigroup_from_puiseux,
-    staircase_from_jumps,
-    thin_kl_closed,
-    thin_model,
-    thin_three_param,
-    torus_knot,
-    unknot,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlexanderPolynomial", "BaseGenerator", "BreakingPoint", "Chain", "F2Matrix",
-    "F2Space", "GuardExceeded", "HalfPlane", "KnotComplex", "LatticeGenerator",
-    "NO_OBSTRUCTION", "NoObstructionType", "NotABreakingPoint", "PLFunction",
-    "PuiseuxData", "Rational", "RegionParseError", "SecondaryValue", "Semigroup",
-    "SouthWestRegion",
-    "ValidationReport", "add_box", "alexander_from_semigroup", "alexander_pretzel",
-    "boundary_matrix", "breaking_points", "brute_force_secondary",
-    "brute_force_upsilon", "check_jumps", "contains", "d_invariant", "eta",
-    "entering_time", "eta_closed_form", "fk_upsilon", "from_json_dict", "h0_surjective",
-    "intersect", "jumps_from_alexander", "jumps_from_semigroup", "kim_livingston",
-    "kim_livingston_oracle", "load_complex", "make_halfplane", "maslov_slice",
-    "mirror", "n_of_semigroup", "nu_plus", "parse_region", "pl_add", "pl_constant",
-    "pl_eval", "pl_negate_scale", "pl_singular_points", "pretzel",
-    "rational_from_text", "rational_to_text", "representative_cycle",
-    "save_complex", "secondary", "semigroup_from_generators",
-    "semigroup_from_puiseux", "staircase_breaking_points", "staircase_corners",
-    "staircase_from_jumps", "staircase_kl", "staircase_upsilon", "staircase_vk",
-    "tensor", "thin_kl_closed", "thin_model", "thin_three_param", "to_json_dict",
-    "torus_knot", "translate", "truncate", "union", "unknot", "upsilon_at",
-    "upsilon_function", "upsilon_halfplane", "upsilon_region", "v_region",
-    "validate_complex", "vk",
-]
+_EXPORTS = {
+    "exact": ("Rational", "rational_from_text", "rational_to_text"),
+    "complexes": (
+        "BaseGenerator", "KnotComplex", "ValidationReport", "add_box", "from_json_dict",
+        "load_complex", "mirror", "save_complex", "tensor", "to_json_dict", "validate_complex",
+    ),
+    "regions": (
+        "HalfPlane", "PLFunction", "RegionParseError", "SouthWestRegion", "contains",
+        "entering_time", "intersect", "make_halfplane", "parse_region", "pl_add", "pl_constant",
+        "pl_eval", "pl_negate_scale", "pl_singular_points", "translate", "truncate", "union",
+        "upsilon_halfplane", "v_region",
+    ),
+    "invariants": (
+        "NO_OBSTRUCTION", "BreakingPoint", "GuardExceeded", "NoObstructionType",
+        "NotABreakingPoint", "SecondaryValue", "breaking_points", "check_jumps", "d_invariant",
+        "eta", "h0_surjective", "kim_livingston", "nu_plus", "secondary",
+        "staircase_breaking_points", "staircase_corners", "staircase_kl", "staircase_upsilon",
+        "staircase_vk", "upsilon_at", "upsilon_function", "upsilon_region", "vk",
+    ),
+    "oracles": (
+        "Chain", "F2Matrix", "F2Space", "LatticeGenerator", "boundary_matrix",
+        "brute_force_secondary", "brute_force_upsilon", "kim_livingston_oracle", "maslov_slice",
+        "representative_cycle",
+    ),
+    "zoo": (
+        "AlexanderPolynomial", "PuiseuxData", "Semigroup", "alexander_from_semigroup",
+        "alexander_pretzel", "eta_closed_form", "fk_upsilon", "jumps_from_alexander",
+        "jumps_from_semigroup", "n_of_semigroup", "pretzel", "semigroup_from_generators",
+        "semigroup_from_puiseux", "staircase_from_jumps", "thin_model", "torus_knot", "unknot",
+    ),
+    "reports": ("thin_kl_closed", "thin_three_param"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -338,11 +338,13 @@ def _cmd_upsilon(args):
 
 
 def _checked(args, value, prov, name, oracle):
-    """The provenance `prov`, with `name` appended once `oracle()` has
-    matched the engine's value, when --check-oracle asks for that check;
-    a mismatch raises AssertionError (exit 4)."""
+    """The provenance `prov`, with `name` appended once `oracle(f)` has
+    matched the engine's value, with f the routine `name` of `oracles`,
+    when --check-oracle asks for that check; a mismatch raises
+    AssertionError (exit 4).  Only this check loads `oracles`."""
     if args.check_oracle:
-        expected = oracle()
+        from . import oracles
+        expected = oracle(getattr(oracles, name))
         if value != expected:
             raise AssertionError(f"oracle check: engine {value} != brute-force oracle {expected}")
         prov.append(name)
@@ -353,7 +355,7 @@ def _cmd_upsilon_at(args):
     k, name = _get_complex(args)
     value = invariants.upsilon_at(k, args.t)
     prov = _checked(args, value, ["upsilon_at", "upsilon_region"], "brute_force_upsilon",
-                    lambda: -2 * invariants.brute_force_upsilon(k, upsilon_halfplane(args.t)))
+                    lambda f: -2 * f(k, upsilon_halfplane(args.t)))
     return _emit(args, "upsilon-at", value, prov, knot=name)
 
 
@@ -362,7 +364,7 @@ def _cmd_region_upsilon(args):
     r = regions.parse_region(args.region)
     value = invariants.upsilon_region(k, r)
     prov = _checked(args, value, ["upsilon_region"], "brute_force_upsilon",
-                    lambda: invariants.brute_force_upsilon(k, r))
+                    lambda f: f(k, r))
     return _emit(args, "region-upsilon", value, prov, knot=name, region=args.region)
 
 
@@ -421,7 +423,7 @@ def _cmd_kl(args):
     k, name = _get_complex(args)
     value = invariants.kim_livingston(k, args.t, args.s)
     prov = _checked(args, value, ["kim_livingston"], "kim_livingston_oracle",
-                    lambda: invariants.kim_livingston_oracle(k, args.t, args.s))
+                    lambda f: f(k, args.t, args.s))
     return _emit(args, "kl", value, prov, knot=name)
 
 
@@ -432,7 +434,7 @@ def _cmd_secondary(args):
     c = regions.parse_region(args.region)
     value = invariants.secondary(k, cplus, cminus, c)
     prov = _checked(args, value, ["secondary"], "brute_force_secondary",
-                    lambda: invariants.brute_force_secondary(k, cplus, cminus, c))
+                    lambda f: f(k, cplus, cminus, c))
     return _emit(args, "secondary", value, prov, knot=name, region=args.region)
 
 
@@ -460,15 +462,26 @@ def _cmd_validate(args):
 
 def _cmd_thin_check(args):
     """Test whether the expression could be concordant to a thin knot: the
-    summands of K = A # -B are split by sign and `zoo.thin_check` compares
-    the two sides."""
+    summands of K = A # -B are split by sign and `reports.thin_check`
+    compares the two sides.  The provenance names what the report ran: the
+    breaking points only when the curve has the thin shape, Kim-Livingston
+    only for a comparison that was not skipped, and the thin closed form
+    only for the one at t = 1."""
+    from . import reports
     expr = parse_knot_expr(args.expr)
     name = knot_expr_to_text(expr)
     terms = _flatten_sum(expr)
-    value = zoo.thin_check([build_complex(e) for e, sign in terms if sign > 0],
-                           [build_complex(e) for e, sign in terms if sign < 0])
-    prov = ["upsilon_function", "breaking_points", "kim_livingston", "thin_kl_closed"]
+    value = reports.thin_check([build_complex(e) for e, sign in terms if sign > 0],
+                               [build_complex(e) for e, sign in terms if sign < 0])
     if args.format == "json":
+        ran = [c["t"] for c in value["comparisons"] if c["equal"] is not None]
+        prov = ["upsilon_function"]
+        if value["upsilon_shape_matches_thin"]:
+            prov.append("breaking_points")
+        if ran:
+            prov.append("kim_livingston")
+        if "1" in ran:
+            prov.append("thin_kl_closed")
         return _emit(args, "thin-check", value, prov, knot=name)
     print(f"upsilon shape matches a thin knot: {value['upsilon_shape_matches_thin']} "
           f"(tau = {value['tau']})")
@@ -481,8 +494,9 @@ def _cmd_thin_check(args):
 
 
 def _cmd_pretzel_report(args):
-    """The `zoo.pretzel_report` of P(-2,3,q)."""
-    value = zoo.pretzel_report(args.q)
+    """The `reports.pretzel_report` of P(-2,3,q)."""
+    from . import reports
+    value = reports.pretzel_report(args.q)
     name = f"P(-2,3,{args.q})"
     prov = ["pretzel", "upsilon_function", "eta", "n_of_semigroup"]
     if args.format == "json":
@@ -505,78 +519,111 @@ def _cmd_pretzel_report(args):
 # ---------------------------------------------------------------------------
 
 
-def _command(subs, name: str, help: str, func, formats=("text", "json")):
-    """A subcommand that reads a knot expression or --complex-file."""
-    sub = subs.add_parser(name, help=help)
+def _knot_source(sub, formats=("text", "json")):
+    """The arguments of a command that reads a knot expression or --complex-file."""
     sub.add_argument("expr", nargs="?", help="knot expression")
     sub.add_argument("--complex-file", help="load the complex from JSON instead")
     sub.add_argument("--format", choices=formats, default="text")
-    sub.set_defaults(func=func)
-    return sub
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="upsilonkit", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = _command(subs, "upsilon", "the full upsilon function", _cmd_upsilon,
-                   formats=("text", "json", "csv"))
+def _upsilon_args(sub):
+    _knot_source(sub, formats=("text", "json", "csv"))
     sub.add_argument("--samples", type=int, default=64,
                      help="sample count for CSV output (default 64)")
 
-    sub = _command(subs, "upsilon-at", "upsilon at one parameter", _cmd_upsilon_at)
+
+def _upsilon_at_args(sub):
+    _knot_source(sub)
     sub.add_argument("--t", type=_rational_flag, required=True)
     sub.add_argument("--check-oracle", action="store_true",
                      help="cross-check against the brute-force oracle")
 
-    sub = _command(subs, "region-upsilon", "region invariant (unscaled)", _cmd_region_upsilon)
+
+def _region_upsilon_args(sub):
+    _knot_source(sub)
     sub.add_argument("--region", required=True)
     sub.add_argument("--check-oracle", action="store_true")
 
-    sub = _command(subs, "vk", "V(s), -2-scaled convention", _cmd_vk)
+
+def _vk_args(sub):
+    _knot_source(sub)
     sub.add_argument("--s", type=int, required=True)
 
-    _command(subs, "nu-plus", "least s with V(s) = 0", _cmd_nu_plus)
 
-    sub = _command(subs, "dinv", "surgery correction term", _cmd_dinv)
+def _dinv_args(sub):
+    _knot_source(sub)
     sub.add_argument("--q", type=int, required=True, help="surgery coefficient")
     sub.add_argument("--m", type=int, required=True, help="spin-c index")
 
-    sub = _command(subs, "eta", "Alexander-truncation invariant", _cmd_eta)
+
+def _eta_args(sub):
+    _knot_source(sub)
     sub.add_argument("--region", required=True)
 
-    _command(subs, "breaking-points", "kinks with positive jump", _cmd_breaking_points)
 
-    sub = _command(subs, "kl", "secondary invariant at a breaking point", _cmd_kl)
+def _kl_args(sub):
+    _knot_source(sub)
     sub.add_argument("--t", type=_rational_flag, required=True, help="breaking point")
     sub.add_argument("--s", type=_rational_flag, required=True, help="evaluation parameter")
     sub.add_argument("--check-oracle", action="store_true")
 
-    sub = _command(subs, "secondary", "raw secondary invariant for three regions",
-                   _cmd_secondary)
+
+def _secondary_args(sub):
+    _knot_source(sub)
     sub.add_argument("--cplus", required=True)
     sub.add_argument("--cminus", required=True)
     sub.add_argument("--region", required=True)
     sub.add_argument("--check-oracle", action="store_true")
 
-    _command(subs, "validate", "check the knot-type conditions", _cmd_validate)
 
-    sub = subs.add_parser("thin-check", help="obstruct concordance to a thin knot")
+def _thin_check_args(sub):
     sub.add_argument("expr", help="knot expression")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(func=_cmd_thin_check)
 
-    sub = subs.add_parser("pretzel-report", help="decomposition constraints for P(-2,3,q)")
+
+def _pretzel_report_args(sub):
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(func=_cmd_pretzel_report)
 
+
+# (name, help, handler, argument builder) of each subcommand, in help order.
+_COMMANDS = (
+    ("upsilon", "the full upsilon function", _cmd_upsilon, _upsilon_args),
+    ("upsilon-at", "upsilon at one parameter", _cmd_upsilon_at, _upsilon_at_args),
+    ("region-upsilon", "region invariant (unscaled)", _cmd_region_upsilon, _region_upsilon_args),
+    ("vk", "V(s), -2-scaled convention", _cmd_vk, _vk_args),
+    ("nu-plus", "least s with V(s) = 0", _cmd_nu_plus, _knot_source),
+    ("dinv", "surgery correction term", _cmd_dinv, _dinv_args),
+    ("eta", "Alexander-truncation invariant", _cmd_eta, _eta_args),
+    ("breaking-points", "kinks with positive jump", _cmd_breaking_points, _knot_source),
+    ("kl", "secondary invariant at a breaking point", _cmd_kl, _kl_args),
+    ("secondary", "raw secondary invariant for three regions", _cmd_secondary, _secondary_args),
+    ("validate", "check the knot-type conditions", _cmd_validate, _knot_source),
+    ("thin-check", "obstruct concordance to a thin knot", _cmd_thin_check, _thin_check_args),
+    ("pretzel-report", "decomposition constraints for P(-2,3,q)", _cmd_pretzel_report,
+     _pretzel_report_args),
+)
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser for these arguments.  When the first names a subcommand,
+    only that one is registered, since nothing else of the parser is read
+    then; otherwise (help, no arguments, an unknown command) all are, for
+    the listing and the error that name them."""
+    parser = _Parser(prog="upsilonkit", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    for name, summary, func, add_arguments in named or _COMMANDS:
+        sub = subs.add_parser(name, help=summary)
+        add_arguments(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         code = args.func(args) or 0

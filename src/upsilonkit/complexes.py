@@ -28,8 +28,9 @@ XOR; the wide-companion eliminations (the engine build, `_below` and the
 secondary invariant's column scan) stay on `_echelonize`'s pairs.
 `_below` gives the secondary invariant, once that key is known, a
 generating cycle on the rows keyed at most it and the boundaries there, by
-eliminating only the rows keyed above it.  The oracles take their positions
-and cycle from `maslov_slice` and `representative_cycle`.
+eliminating only the rows keyed above it.  The oracles read none of the
+engine: `oracles` takes its positions, cycle and differential from its own
+routes by name (`maslov_slice`, `representative_cycle`, `boundary_matrix`).
 
 Every named complex has one arrow layout, made once when the complex is
 made: `_arranged` cancels and sorts the arrows and gives them by name (the
@@ -48,9 +49,7 @@ sum folded one summand at a time is read at any depth.  `_arrow_faults` is
 the one check of the arrows' grading and filtration: `validate_complex`
 reports every fault it yields, and only when some leaf has one does
 `_graded` name the product, to raise at its first ill-graded arrow or
-record its first unfiltered one.  The oracles read none of this:
-`boundary_matrix` recomputes a slice's differential by name, from
-`maslov_slice` and the arrows.
+record its first unfiltered one.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ import json
 from functools import cached_property
 from math import prod
 
-from .exact import (F2Matrix, F2Space, _bits, _columns, _echelonize, _mask, _OrderedValue, _set,
-                    _transpose, _Value)
+from .exact import _bits, _echelonize, _mask, _OrderedValue, _set, _transpose, _Value
 
 
 class BaseGenerator(_OrderedValue):
@@ -80,64 +78,6 @@ class BaseGenerator(_OrderedValue):
     @property
     def pos(self) -> tuple[int, int]:
         return (self.alexander, self.algebraic)
-
-
-class LatticeGenerator(_OrderedValue):
-    """U^upower times a base generator: one F2 basis element of a graded piece."""
-
-    _fields = ("base", "upower")
-
-    def __init__(self, base: BaseGenerator, upower: int):
-        _set(self, "base", base)
-        _set(self, "upower", upower)
-
-    def _key(self) -> tuple:
-        return (self.base, self.upower)
-
-    @property
-    def alexander(self) -> int:
-        return self.base.alexander - self.upower
-
-    @property
-    def algebraic(self) -> int:
-        return self.base.algebraic - self.upower
-
-    @property
-    def maslov(self) -> int:
-        return self.base.maslov - 2 * self.upower
-
-    @property
-    def pos(self) -> tuple[int, int]:
-        return (self.alexander, self.algebraic)
-
-    def __str__(self) -> str:
-        if self.upower == 0:
-            return self.base.name
-        return f"U^{self.upower}·{self.base.name}"
-
-
-class Chain(_Value):
-    """A formal F2 sum of lattice generators; + is symmetric difference."""
-
-    _fields = ("gens",)
-
-    def __init__(self, gens: frozenset[LatticeGenerator]):
-        _set(self, "gens", gens)
-
-    def _key(self) -> tuple:
-        return (self.gens,)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        return Chain(self.gens ^ other.gens)
-
-    def __iter__(self):
-        return iter(sorted(self.gens))
-
-    def __len__(self) -> int:
-        return len(self.gens)
-
-    def __bool__(self) -> bool:
-        return bool(self.gens)
 
 
 class KnotComplex(_Value):
@@ -234,19 +174,6 @@ class ValidationReport(_Value):
     @property
     def ok(self) -> bool:
         return not self.problems
-
-
-def maslov_slice(k: KnotComplex, d: int) -> tuple[LatticeGenerator, ...]:
-    """All lattice generators of Maslov grading d, in generator order.
-
-    Each base generator of matching Maslov parity contributes exactly one:
-    U^((M-d)/2) of it.  Slices repeat with period two up to a U shift.
-    """
-    out = []
-    for g in k.generators:
-        if (g.maslov - d) % 2 == 0:
-            out.append(LatticeGenerator(g, (g.maslov - d) // 2))
-    return tuple(out)
 
 
 def _graded(k: KnotComplex) -> tuple[tuple, tuple, tuple | None]:
@@ -493,33 +420,6 @@ def _below(eng: _Engine, keys: list, g) -> tuple[int, list[int]]:
     return z[0], span
 
 
-def boundary_matrix(k: KnotComplex, d: int) -> F2Matrix:
-    """The differential from the grading-d slice to the grading-(d-1) slice.
-
-    Rows are indexed by the (d-1)-slice, columns by the d-slice; the matrix
-    depends only on d % 2.  Requires every arrow to drop Maslov grading by
-    exactly one (raise otherwise; run `validate_complex` first on untrusted
-    input).
-
-    Recomputed by name, from the lattice generators of both slices
-    (`maslov_slice`) and the arrows: an arrow x -> U^m y takes U^u x to
-    U^(u+m) y.  It reads no engine layout, so the oracles, which read it,
-    check the engine's build.
-    """
-    by_name = k.by_name
-    sources = {lg.base.name: (c, lg.upower) for c, lg in enumerate(maslov_slice(k, d))}
-    targets = {lg: r for r, lg in enumerate(maslov_slice(k, d - 1))}
-    rows = [0] * len(targets)
-    for src, dst, m in k.arrows:
-        x, y = by_name[src], by_name[dst]
-        if y.maslov - 2 * m != x.maslov - 1:
-            raise ValueError(f"arrow {src} -> U^{m}·{dst} does not drop Maslov grading by 1")
-        if src in sources:
-            c, u = sources[src]
-            rows[targets[LatticeGenerator(y, u + m)]] ^= 1 << c
-    return F2Matrix(len(rows), len(sources), rows)
-
-
 def validate_complex(k: KnotComplex) -> ValidationReport:
     """Check the knot-type conditions and report every violation found.
 
@@ -576,23 +476,6 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
         problems.append(f"H_0 is generated at filtration level (A, j) = ({a}, {j}), "
                         "expected (0, 0)")
     return ValidationReport(tuple(problems))
-
-
-def representative_cycle(k: KnotComplex) -> Chain:
-    """A degree-0 cycle generating H_0 (any representative of the U-tower top).
-
-    Found by taking a nullspace basis of the degree-0 differential and picking
-    a member that is not a boundary; one exists whenever the complex is
-    knot-type.
-    """
-    slice0 = maslov_slice(k, 0)
-    d0 = boundary_matrix(k, 0)
-    d1 = boundary_matrix(k, 1)
-    boundaries = F2Space(_columns(d1))
-    for z in d0.nullspace():
-        if not boundaries.contains(z):
-            return Chain(frozenset(slice0[i] for i in _bits(z)))
-    raise ValueError("complex has no degree-0 homology generator (not knot-type)")
 
 
 # The most generators `tensor` makes.  Engine memory grows faster than the

@@ -65,32 +65,20 @@ values are made Fractions.  Kim-Livingston reads the same packed keys at
 t*, with the right and with the left slope: the limits of H_{t*+eps} and
 H_{t*-eps}, with no width to choose.
 
-`brute_force_upsilon` and `brute_force_secondary` recompute the same
-quantities by enumerating entire cycle cosets, as independent oracles in the
-tests.  They share the echelon kernel with the engine and nothing of its
-build: their d1 columns come from `boundary_matrix`, which recomputes the
-differential by name from the lattice generators and the arrows, and their
-positions (`maslov_slice`) and generating cycle (a nullspace) are their own.
+The brute-force oracles that recompute these values by enumeration live in
+`oracles`, which no command loads unless asked for an oracle check;
+`GuardExceeded`, which they raise, stays here so that callers can catch it
+without loading them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .complexes import (KnotComplex, _below, _Engine, _least_top, boundary_matrix,
-                        maslov_slice, representative_cycle)
-from .exact import F2Space, _bits, _columns, _echelonize, _mask, _set, _Value
-from .regions import (
-    PLFunction,
-    SouthWestRegion,
-    _int,
-    _rat,
-    entering_numerators,
-    entering_time,
-    upsilon_halfplane,
-)
+from .complexes import KnotComplex, _below, _Engine, _least_top
+from .exact import _echelonize, _set, _Value
+from .regions import PLFunction, SouthWestRegion, _int, _rat, entering_numerators, upsilon_halfplane
 
 
 class GuardExceeded(Exception):
@@ -592,51 +580,6 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     return -2 * (value - Fraction(v, 2 * d))
 
 
-def kim_livingston_oracle(k: KnotComplex, t_star, s, guard: int = 20) -> SecondaryValue:
-    """Brute-force route to kim_livingston: the perturbed half-planes at an
-    explicit width, from the oracle's own generator positions, and both the
-    secondary invariant and the kink value from the enumerating oracles;
-    nothing reads or builds the engine.  No breaking-point check (single-shot
-    oracle)."""
-    t_star, s = _kl_parameters(t_star, s)
-    orc = _Oracle(k, guard, "brute_force_secondary")  # the guard names the enumeration
-    delta = _kl_delta(_candidate_ts(orc.pos0), t_star)
-    res = _brute_secondary(
-        orc,
-        upsilon_halfplane(t_star + delta),
-        upsilon_halfplane(t_star - delta),
-        upsilon_halfplane(s),
-        guard,
-    )
-    if isinstance(res, NoObstructionType):
-        return NO_OBSTRUCTION
-    return -2 * (res - orc.upsilon(upsilon_halfplane(t_star)))
-
-
-def _candidate_ts(positions) -> tuple[Fraction, ...]:
-    """Candidate kink locations of t -> upsilon for generators at these (A, j)
-    positions: every t in (0,2) where two generator lines (t/2)A + (1-t/2)j
-    cross, plus the endpoints."""
-    lines = {(a - j, j) for a, j in positions}  # L(t) = j + (t/2)(A - j)
-    crossings = set()  # t = num / den in lowest terms, den > 0
-    for (d1, j1), (d2, j2) in combinations(lines, 2):
-        num, den = 2 * (j2 - j1), d1 - d2
-        if den < 0:
-            num, den = -num, -den
-        if 0 < num < 2 * den:
-            g = gcd(num, den)
-            crossings.add((num // g, den // g))
-    cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
-    return tuple(sorted(cands))
-
-
-def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:
-    """Perturbation width at t_star: half the gap to the nearest other
-    candidate kink or interval endpoint (so no kink sits strictly between
-    t_star - delta and t_star + delta)."""
-    return min(abs(t_star - c) for c in candidate_ts if c != t_star) / 2
-
-
 # ---------------------------------------------------------------------------
 # eta: Alexander-direction truncation
 # ---------------------------------------------------------------------------
@@ -659,110 +602,3 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     if outside:
         raise AssertionError("eta: no generating cycle below the largest truncation")
     return a - Fraction(gamma, d)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles (independent enumeration; no engine data shared)
-# ---------------------------------------------------------------------------
-
-
-class _Oracle:
-    """What the oracles read of a complex, built from the exported routes
-    (`maslov_slice`, `boundary_matrix` and the nullspace route of
-    `representative_cycle`): slice positions, the d1 columns, a generating
-    cycle and a basis of the boundaries (at most `guard` vectors).  The d1
-    columns are recomputed by name from the lattice generators and the
-    arrows (`boundary_matrix`), and the positions and the cycle do not come
-    from the engine either, so a fault in the engine's build (`_graded`) or
-    its clearing cannot reach them."""
-
-    def __init__(self, k: KnotComplex, guard: int, what: str):
-        slice0 = maslov_slice(k, 0)
-        index0 = {lg: i for i, lg in enumerate(slice0)}
-        self.pos0 = [lg.pos for lg in slice0]
-        self.pos1 = [lg.pos for lg in maslov_slice(k, 1)]
-        self.d1_cols = _columns(boundary_matrix(k, 1))
-        self.z_ref = _mask(index0[lg] for lg in representative_cycle(k))
-        space = F2Space()
-        self.basis = [col for col in self.d1_cols if space.add(col)]  # True if it grew
-        if len(self.basis) > guard:
-            raise GuardExceeded(
-                f"{what}: boundary space dimension {len(self.basis)} exceeds guard {guard}; "
-                "use the main engine"
-            )
-
-    def cycles(self):
-        """Every generating cycle: z_ref + each element of span(basis)."""
-        return _gray_sums(self.basis, self.z_ref)
-
-    def upsilon(self, r: SouthWestRegion) -> Fraction:
-        times = [entering_time(r, p) for p in self.pos0]
-        return min(max(times[i] for i in _bits(z)) for z in self.cycles())
-
-
-def _gray_sums(vectors, start: int = 0):
-    """start plus each subset sum of vectors, in Gray-code order: step i
-    flips the vector at the lowest set bit of i, so each sum is one XOR."""
-    yield start
-    for i in range(1, 1 << len(vectors)):
-        start ^= vectors[(i & -i).bit_length() - 1]
-        yield start
-
-
-def brute_force_upsilon(k: KnotComplex, r: SouthWestRegion, guard: int = 20) -> Fraction:
-    """Region invariant by enumerating every generating cycle.
-
-    Minimum over the coset z_ref + B_0 of the maximal entering time over the
-    support.  Exponential in dim B_0 (guarded); exact; shares no data and no
-    code path with the engine beyond the echelon kernel.
-    """
-    return _Oracle(k, guard, "brute_force_upsilon").upsilon(r)
-
-
-def brute_force_secondary(
-    k: KnotComplex,
-    cplus: SouthWestRegion,
-    cminus: SouthWestRegion,
-    c: SouthWestRegion,
-    guard: int = 20,
-) -> SecondaryValue:
-    """Secondary invariant by enumerating cycle pairs and degree-1 subsets.
-
-    Lists the exceptional cycles of C+ and C- by filtering the full generating
-    coset; reports NoObstruction on overlap; otherwise scans the candidate
-    translates in increasing order and, at each, enumerates every subset of
-    the allowed degree-1 generators, comparing boundaries against all pair
-    sums.  Exact and exponential (guarded).
-    """
-    return _brute_secondary(_Oracle(k, guard, "brute_force_secondary"), cplus, cminus, c, guard)
-
-
-def _brute_secondary(orc: _Oracle, cplus, cminus, c, guard: int) -> SecondaryValue:
-    gp = orc.upsilon(cplus)
-    gm = orc.upsilon(cminus)
-    mask_p = _mask(i for i, p in enumerate(orc.pos0) if entering_time(cplus, p) <= gp)
-    mask_m = _mask(i for i, p in enumerate(orc.pos0) if entering_time(cminus, p) <= gm)
-    zplus = []
-    zminus = []
-    for z in orc.cycles():
-        if z & ~mask_p == 0:
-            zplus.append(z)
-        if z & ~mask_m == 0:
-            zminus.append(z)
-    if set(zplus) & set(zminus):
-        return NO_OBSTRUCTION
-    targets = {a ^ b for a in zplus for b in zminus}
-
-    base = [entering_time(cplus, p) <= gp or entering_time(cminus, p) <= gm for p in orc.pos1]
-    times_c = [entering_time(c, p) for p in orc.pos1]
-    for t in sorted(set(times_c)):
-        allowed = [j for j, (b, tc) in enumerate(zip(base, times_c)) if b or tc <= t]
-        if len(allowed) > guard:
-            raise GuardExceeded(
-                f"brute_force_secondary: {len(allowed)} allowed degree-1 generators "
-                f"exceed guard {guard}; use the main engine"
-            )
-        for bound in _gray_sums([orc.d1_cols[j] for j in allowed]):
-            if bound in targets:  # not the empty sum 0: the cycle sets do not overlap
-                return t
-    raise AssertionError("brute_force_secondary: no candidate translate worked")

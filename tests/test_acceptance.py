@@ -14,11 +14,9 @@ from fractions import Fraction as F
 from upsilonkit.complexes import add_box, mirror, tensor
 from upsilonkit.invariants import (
     breaking_points,
-    brute_force_upsilon,
     d_invariant,
     eta,
     kim_livingston,
-    kim_livingston_oracle,
     nu_plus,
     secondary,
     staircase_kl,
@@ -28,6 +26,7 @@ from upsilonkit.invariants import (
     upsilon_region,
     vk,
 )
+from upsilonkit.oracles import brute_force_upsilon, kim_livingston_oracle
 from upsilonkit.regions import (
     PLFunction,
     make_halfplane,
@@ -47,9 +46,9 @@ from upsilonkit.zoo import (
     semigroup_from_generators,
     staircase_from_jumps,
     thin_model,
-    thin_three_param,
     torus_knot,
 )
+from upsilonkit.reports import thin_three_param
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import upsilonkit
-from upsilonkit import complexes, invariants, zoo
+from upsilonkit import cli, complexes, invariants, oracles, reports, zoo
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
@@ -343,7 +343,7 @@ def test_exit_3_on_guard(capsys):
 
 
 def test_exit_4_on_internal_check_failure(capsys, monkeypatch):
-    monkeypatch.setattr(invariants, "brute_force_upsilon", lambda k, r: 7)
+    monkeypatch.setattr(oracles, "brute_force_upsilon", lambda k, r: 7)
     code, out, err = run(capsys, "region-upsilon", "T(3,2)", "--region", "H(1)",
                          "--check-oracle")
     assert code == 4 and out == ""
@@ -366,7 +366,7 @@ def test_exit_4_on_internal_check_failure(capsys, monkeypatch):
     ids=["upsilon-at", "region-upsilon", "kl", "secondary"],
 )
 def test_oracle_mismatch_prints_values_as_text(capsys, monkeypatch, oracle, argv, err):
-    monkeypatch.setattr(invariants, oracle, lambda *args: 7)
+    monkeypatch.setattr(oracles, oracle, lambda *args: 7)
     code, out, printed = run(capsys, *argv, "--check-oracle")
     assert (code, out, printed) == (4, "", f"internal check failed: {err}\n")
 
@@ -535,6 +535,11 @@ def _trace_routines(monkeypatch, modules) -> list:
     return called
 
 
+# The routes by name that the oracles read (`oracles._Oracle`): part of the
+# oracle routine that a provenance names, not routines of their own.
+ORACLE_ROUTES = {"maslov_slice", "boundary_matrix", "representative_cycle"}
+
+
 @pytest.mark.parametrize("case", PROVENANCE_CASES, ids=" ".join)
 def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, case):
     command, knot, *flags = case
@@ -542,18 +547,37 @@ def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, c
     # (staircase corners) that are no part of the command's route.
     path = tmp_path / "knot.json"
     save_complex(build_complex(parse_knot_expr(knot)), path)
-    called = _trace_routines(monkeypatch, (invariants,))
+    called = _trace_routines(monkeypatch, (invariants, oracles))
     payload = run_json(capsys, command, "--complex-file", str(path), *flags)
-    assert sorted(payload["provenance"]) == sorted(set(called))
+    assert sorted(payload["provenance"]) == sorted(set(called) - ORACLE_ROUTES)
 
 
 def test_pretzel_report_provenance_names_only_routines_that_ran(capsys, monkeypatch):
-    # `pretzel_report` calls zoo builders and invariants through zoo's own
-    # names, so both modules are traced; the report checks eta against
-    # (q - 3)/3 inline, with no call to `eta_closed_form`
-    called = _trace_routines(monkeypatch, (invariants, zoo))
+    # `pretzel_report` calls zoo builders and invariants through the names of
+    # `reports`, so all three modules are traced; the report checks eta
+    # against (q - 3)/3 inline, with no call to `eta_closed_form`
+    called = _trace_routines(monkeypatch, (invariants, zoo, reports))
     payload = run_json(capsys, "pretzel-report", "--q", "7")
     assert set(payload["provenance"]) <= set(called)
+
+
+@pytest.mark.parametrize("knot, expected", [
+    ("T(8,5) # -T(6,5) # -T(4,3)",
+     ["upsilon_function", "breaking_points", "kim_livingston", "thin_kl_closed"]),
+    ("T(5,3) # -T(5,3)", ["upsilon_function", "breaking_points", "kim_livingston"]),
+    ("T(5,2) # -T(3,2)", ["upsilon_function", "breaking_points"]),  # t = 1 skipped
+    ("T(4,3)", ["upsilon_function"]),  # not thin-shaped: no comparison
+])
+def test_thin_check_provenance_names_only_routines_that_ran(capsys, monkeypatch, knot, expected):
+    # the summands are built before the tracer is installed, since the zoo
+    # builders call invariants routines (staircase corners) that are no part
+    # of the report; the command's entry point, `thin_check`, is none either
+    built = {atom: build_complex(atom) for atom, _ in cli._flatten_sum(parse_knot_expr(knot))}
+    monkeypatch.setattr(cli, "build_complex", built.__getitem__)
+    called = _trace_routines(monkeypatch, (invariants, reports))
+    payload = run_json(capsys, "thin-check", knot)
+    assert payload["provenance"] == expected
+    assert set(expected) == set(called) - {"thin_check"}
 
 
 # ---------------------------------------------------------------------------
@@ -774,14 +798,14 @@ def test_thin_check_reports_other_errors(capsys, monkeypatch):
     ],
 )
 def test_thin_check_library_matches_cli(capsys, text, positive, negative):
-    value = zoo.thin_check([zoo.torus_knot(*pq) for pq in positive],
-                           [zoo.torus_knot(*pq) for pq in negative])
+    value = reports.thin_check([zoo.torus_knot(*pq) for pq in positive],
+                               [zoo.torus_knot(*pq) for pq in negative])
     assert value == run_json(capsys, "thin-check", text)["value"]
 
 
 def test_thin_check_self_check_exits_4(capsys, monkeypatch):
     # the shape test forces equal breaking points away from t = 1
-    real = zoo.breaking_points
+    real = reports.breaking_points
     sides = []
 
     def skewed(k):
@@ -789,7 +813,7 @@ def test_thin_check_self_check_exits_4(capsys, monkeypatch):
         extra = [invariants.BreakingPoint(Fraction(1, 2), Fraction(1))] if len(sides) == 1 else []
         return real(k) + extra
 
-    monkeypatch.setattr(zoo, "breaking_points", skewed)
+    monkeypatch.setattr(reports, "breaking_points", skewed)
     code, out, err = run(capsys, "thin-check", "T(2,3)")
     assert code == 4 and out == ""
     assert err.startswith("internal check failed: thin-check: ") and err.count("\n") == 1
@@ -831,6 +855,51 @@ def test_pretzel_report_q9(capsys):
 # ---------------------------------------------------------------------------
 
 
+# One malformed option per command: its parse fails before the command runs.
+MALFORMED = {
+    "upsilon": ["T(3,2)", "--samples", "x"],
+    "upsilon-at": ["T(3,2)", "--t", "x"],
+    "region-upsilon": ["T(3,2)", "--region"],
+    "vk": ["T(3,2)", "--s", "1/2"],
+    "nu-plus": ["T(3,2)", "--format", "csv"],
+    "dinv": ["T(3,2)", "--q", "x", "--m", "0"],
+    "eta": ["T(3,2)", "--region"],
+    "breaking-points": ["T(3,2)", "--format", "csv"],
+    "kl": ["T(3,2)", "--t", "1", "--s", "1/0"],
+    "secondary": ["T(3,2)", "--cplus"],
+    "validate": ["T(3,2)", "--complex-file"],
+    "thin-check": ["T(3,2)", "--format", "yaml"],
+    "pretzel-report": ["--q", "7.5"],
+}
+PARSER_CASES = ([["--help"], [], ["bogus"]] + [[name, "--help"] for name in MALFORMED]
+                + [[name, *flags] for name, flags in MALFORMED.items()])
+
+
+def test_every_command_has_a_malformed_case():
+    assert list(MALFORMED) == [name for name, *_ in cli._COMMANDS]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_parser_answers_as_the_one_with_every_command(capsys, monkeypatch, argv):
+    # `_build_parser` registers only the command that the first argument
+    # names; help texts, usage errors and exit codes stay those of the
+    # parser with all thirteen
+    outcome = _outcome(capsys, argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    assert outcome == _outcome(capsys, argv)
+    assert outcome[0] in (0, 1) and outcome[1] + outcome[2]
+
+
 def test_module_entry_point():
     # the child imports the same package as this test, installed or not
     src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
@@ -847,7 +916,9 @@ def test_module_entry_point():
 def test_a_command_starts_without_dataclasses_or_inspect():
     # `python -m upsilonkit upsilon "T(3,2)"`, as runpy runs it: the value
     # classes are plain frozen classes, since importing `dataclasses` (and
-    # with it `inspect`, `ast` and `tokenize`) was the largest start-up cost
+    # with it `inspect`, `ast` and `tokenize`) was the largest start-up cost,
+    # and a command compiles neither the oracles nor the report pipelines,
+    # which it does not run
     src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
@@ -857,7 +928,8 @@ def test_a_command_starts_without_dataclasses_or_inspect():
         "    runpy.run_module('upsilonkit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'upsilonkit.oracles', 'upsilonkit.reports'}\n"
+        "             & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})

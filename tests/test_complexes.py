@@ -14,22 +14,19 @@ from upsilonkit import complexes
 from upsilonkit.complexes import (
     BaseGenerator,
     KnotComplex,
-    LatticeGenerator,
     _graded,
     add_box,
-    boundary_matrix,
     from_json_dict,
     load_complex,
-    maslov_slice,
     mirror,
-    representative_cycle,
     save_complex,
     tensor,
     to_json_dict,
     validate_complex,
 )
-from upsilonkit.exact import _columns
 from upsilonkit.invariants import breaking_points, kim_livingston, upsilon_function
+from upsilonkit.oracles import (LatticeGenerator, _columns, boundary_matrix, maslov_slice,
+                                representative_cycle)
 from upsilonkit.zoo import staircase_from_jumps, thin_model, torus_knot, unknot
 
 

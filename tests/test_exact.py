@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from upsilonkit.exact import F2Matrix, F2Space, rational_from_text, rational_to_text
+from upsilonkit.exact import rational_from_text, rational_to_text
+from upsilonkit.oracles import F2Matrix, F2Space
 
 
 # ---------------------------------------------------------------------------

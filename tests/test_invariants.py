@@ -14,19 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upsilonkit import complexes, invariants, regions
+from upsilonkit import complexes, invariants, oracles, regions
 from upsilonkit.complexes import (
     BaseGenerator,
     KnotComplex,
     add_box,
-    boundary_matrix,
-    maslov_slice,
     mirror,
-    representative_cycle,
     tensor,
     validate_complex,
 )
-from upsilonkit.exact import F2Space, _bits, _columns, _echelonize, _mask, _reduce_pair, _transpose
+from upsilonkit.exact import _bits, _echelonize, _mask, _transpose
 from upsilonkit.invariants import (
     NO_OBSTRUCTION,
     BreakingPoint,
@@ -34,14 +31,11 @@ from upsilonkit.invariants import (
     NoObstructionType,
     NotABreakingPoint,
     breaking_points,
-    brute_force_secondary,
-    brute_force_upsilon,
     check_jumps,
     d_invariant,
     eta,
     h0_surjective,
     kim_livingston,
-    kim_livingston_oracle,
     nu_plus,
     secondary,
     staircase_breaking_points,
@@ -53,6 +47,17 @@ from upsilonkit.invariants import (
     upsilon_function,
     upsilon_region,
     vk,
+)
+from upsilonkit.oracles import (
+    F2Space,
+    _columns,
+    _reduce_pair,
+    boundary_matrix,
+    brute_force_secondary,
+    brute_force_upsilon,
+    kim_livingston_oracle,
+    maslov_slice,
+    representative_cycle,
 )
 from upsilonkit.regions import (
     PLFunction,
@@ -77,12 +82,11 @@ from upsilonkit.zoo import (
     pretzel,
     semigroup_from_generators,
     staircase_from_jumps,
-    thin_kl_closed,
     thin_model,
-    thin_three_param,
     torus_knot,
     unknot,
 )
+from upsilonkit.reports import thin_kl_closed, thin_three_param
 
 
 def torus_jumps(p, q):
@@ -343,7 +347,7 @@ def test_staircase_hull_matches_the_direct_minimum():
         corners = staircase_corners(jumps)
         coefficients = [(2 * m, n - m) for n, m in corners]
         lowest, ties = {}, {}  # ties: t: the first and last of two or more minimizing corners
-        for t in invariants._candidate_ts(corners):
+        for t in oracles._candidate_ts(corners):
             n, d = t.numerator, t.denominator
             lines = [d * c + n * s for c, s in coefficients]
             lowest[t] = low = min(lines)
@@ -836,10 +840,8 @@ def test_engine_and_validation_build_no_slices(monkeypatch):
     def refuse(*args):
         raise AssertionError("a slice was built")
 
-    monkeypatch.setattr(complexes, "maslov_slice", refuse)
-    monkeypatch.setattr(complexes, "boundary_matrix", refuse)
-    monkeypatch.setattr(invariants, "maslov_slice", refuse)
-    monkeypatch.setattr(invariants, "boundary_matrix", refuse)
+    monkeypatch.setattr(oracles, "maslov_slice", refuse)
+    monkeypatch.setattr(oracles, "boundary_matrix", refuse)
     k = big()
     assert upsilon_function(k) == upsilon_function(torus_knot(3, 2))
     assert values(k) == expected
@@ -1056,7 +1058,7 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
 def _every_crossing_curve(k):
     """The curve by the route the kinetic sweep replaced: the engine value at
     every crossing of any two generator lines."""
-    ts = invariants._candidate_ts(complexes._Engine.of(k).at0)
+    ts = oracles._candidate_ts(complexes._Engine.of(k).at0)
     return PLFunction(tuple((t, -2 * upsilon_region(k, upsilon_halfplane(t))) for t in ts))
 
 
@@ -1340,7 +1342,7 @@ def _perturbation_route(k, candidates, t):
     nearest crossing of any two generator lines (the candidates), and the
     breaking-point test by the values there.  An error comes back as its
     message."""
-    delta = invariants._kl_delta(candidates, t)
+    delta = oracles._kl_delta(candidates, t)
     minus, plus = upsilon_halfplane(t - delta), upsilon_halfplane(t + delta)
     lo, kink, hi = (upsilon_region(k, r) for r in (minus, upsilon_halfplane(t), plus))
 
@@ -1366,7 +1368,7 @@ def test_kim_livingston_matches_perturbation_route():
     )
     errors = 0
     for k in knots:
-        candidates = invariants._candidate_ts(complexes._Engine.of(k).at0)
+        candidates = oracles._candidate_ts(complexes._Engine.of(k).at0)
         points = [t for t, _ in upsilon_function(k).points]
         for t in points[1:-1] + [(t0 + t1) / 2 for t0, t1 in zip(points, points[1:])]:
             old = _perturbation_route(k, candidates, t)

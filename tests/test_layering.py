@@ -1,21 +1,24 @@
 """The module map's layering: each module imports only the ones above it."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
-from types import ModuleType
 
 import upsilonkit
 
-ORDER = ["exact", "complexes", "regions", "invariants", "zoo", "cli"]
+ORDER = ["exact", "complexes", "regions", "invariants", "oracles", "zoo", "reports", "cli"]
 EXEMPT = {"__init__", "__main__"}
 PACKAGE = Path(upsilonkit.__file__).parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
-def _package_imports(path: Path) -> set[str]:
-    """The package modules that a module imports, at any nesting depth."""
+def _package_imports(path: Path, at_load: bool = False) -> set[str]:
+    """The package modules that a module imports, at any nesting depth, or
+    only where they run when it is loaded (outside every function)."""
+    tree = ast.parse(path.read_text())
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in _at_load(tree) if at_load else ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:  # from . import a, b
                 found.update(alias.name for alias in node.names)
@@ -30,17 +33,42 @@ def _package_imports(path: Path) -> set[str]:
     return found
 
 
+def _at_load(tree: ast.Module):
+    """The nodes of a module that run when it is loaded: all but those inside
+    a function or lambda."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def test_every_module_has_a_layer():
     modules = {p.stem for p in PACKAGE.glob("*.py")} - EXEMPT
     assert modules == set(ORDER)
 
 
 def test_all_names_every_public_binding():
-    # `from upsilonkit import *` gives exactly what the package imports for
-    # its users: every public name it binds, except the submodules
-    bound = {name for name, value in vars(upsilonkit).items()
-             if not name.startswith("_") and not isinstance(value, ModuleType)}
-    assert set(upsilonkit.__all__) == bound
+    # the exports load on first use: each name of `__all__` resolves to its
+    # module's binding, `dir` lists it, and `from upsilonkit import *` gives
+    # exactly these names
+    for name in upsilonkit.__all__:
+        module = importlib.import_module(f"upsilonkit.{upsilonkit._MODULE_OF[name]}")
+        assert getattr(upsilonkit, name) is vars(module)[name]
+    assert set(upsilonkit.__all__) <= set(dir(upsilonkit))
+    star: dict = {}
+    exec("from upsilonkit import *", star)
+    assert set(star) - {"__builtins__"} == set(upsilonkit.__all__)
+
+
+def test_the_package_and_the_cli_load_on_demand():
+    # importing the package loads no submodule, and a command loads the
+    # oracles only for an oracle check and the reports only for a report
+    assert _package_imports(PACKAGE / "__init__.py", at_load=True) == set()
+    at_load = _package_imports(PACKAGE / "cli.py", at_load=True)
+    assert {"invariants", "zoo"} <= at_load and not at_load & {"oracles", "reports"}
+    assert {"oracles", "reports"} <= _package_imports(PACKAGE / "cli.py")
 
 
 def test_no_module_imports_dataclasses():
@@ -93,11 +121,8 @@ def test_the_oracle_routes_read_no_engine_build():
     # `boundary_matrix`, `maslov_slice` and `representative_cycle` recompute
     # the slices, the differential and a generating cycle by name, so that
     # the oracles, which read them, check the engine's build
-    tree = ast.parse((PACKAGE / "complexes.py").read_text())
-    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("boundary_matrix", "maslov_slice", "representative_cycle"):
-        used = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
-        assert not used & {"_graded", "_Engine"}, f"{name} reads the engine's build"
+    engine = {"_Engine", "_least_top", "_below", "_graded"} & _names(PACKAGE / "oracles.py")
+    assert not engine, f"oracles reads the engine: {sorted(engine)}"
 
 
 def test_the_staircase_closed_forms_read_no_engine():
@@ -115,9 +140,10 @@ def test_the_staircase_closed_forms_read_no_engine():
 
 def test_engine_eliminations_run_on_the_one_kernel():
     # `_reduce_pair`, the one-vector step of `_echelonize`, serves only the
-    # kernels of `exact`; every engine elimination calls `_echelonize`.
+    # F2 matrices and spans of `oracles`; every engine elimination calls
+    # `_echelonize`.
     assert [path.stem for path in PACKAGE.glob("*.py")
-            if "_reduce_pair" in _names(path)] == ["exact"]
+            if "_reduce_pair" in _names(path)] == ["oracles"]
 
 
 def test_no_module_runs_the_column_reduction():
@@ -127,3 +153,20 @@ def test_no_module_runs_the_column_reduction():
     # permutes every row, is a reference in the tests only.
     assert [path.stem for path in PACKAGE.glob("*.py")
             if re.search(r"\b_reduce\b", path.read_text())] == []
+
+
+def test_the_bench_reads_only_names_the_modules_bind():
+    # the bench's workloads and worker read the package through these four
+    # modules; a name moved out of one would make their output checks raise
+    modules = {name: importlib.import_module(f"upsilonkit.{name}")
+               for name in ("complexes", "invariants", "regions", "zoo")}
+    read = set()
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "worker.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                read.add((node.value.id, node.attr))
+    assert len(read) > 20
+    missing = sorted(f"{module}.{attr}" for module, attr in read
+                     if not hasattr(modules[module], attr))
+    assert not missing, f"the bench reads names that are gone: {missing}"

@@ -35,16 +35,14 @@ from upsilonkit.zoo import (
     jumps_from_semigroup,
     n_of_semigroup,
     pretzel,
-    pretzel_report,
     semigroup_from_generators,
     semigroup_from_puiseux,
     staircase_from_jumps,
-    thin_kl_closed,
     thin_model,
-    thin_three_param,
     torus_knot,
     unknot,
 )
+from upsilonkit.reports import pretzel_report, thin_kl_closed, thin_three_param
 
 
 # ---------------------------------------------------------------------------
