@@ -330,9 +330,9 @@ def _cmd_upsilon(args):
     if args.format == "csv":
         print("# display-only decimal samples; exact values via --format json")
         print("t,value")
-        for i in range(args.samples + 1):
-            t = Fraction(2 * i, args.samples)
-            print(f"{float(t):.12f},{float(regions.pl_eval(f, t)):.12f}")
+        ts = [Fraction(2 * i, args.samples) for i in range(args.samples + 1)]
+        for t, value in zip(ts, regions._pl_at(f, ts)):
+            print(f"{float(t):.12f},{float(value):.12f}")
         return 0
     return _emit(args, "upsilon", f, ["upsilon_function"], knot=name)
 

@@ -28,9 +28,14 @@ XOR; the wide-companion eliminations (the engine build, `_below` and the
 secondary invariant's column scan) stay on `_echelonize`'s pairs.
 `_below` gives the secondary invariant, once that key is known, a
 generating cycle on the rows keyed at most it and the boundaries there, by
-eliminating only the rows keyed above it.  The oracles read none of the
-engine: `oracles` takes its positions, cycle and differential from its own
-routes by name (`maslov_slice`, `representative_cycle`, `boundary_matrix`).
+eliminating only the rows keyed above it.  It answers in coordinates over
+the engine's basis of im d1: for each d1 column, the basis columns that
+sum to it (`coords`), read off the companions of the build's one
+echelonization, so a boundary is a mask of column indices and the
+secondary invariant never echelonizes a slice-0 vector.  The oracles
+read none of the engine: `oracles` takes its positions, cycle and
+differential from its own routes by name (`maslov_slice`,
+`representative_cycle`, `boundary_matrix`).
 
 Every named complex has one arrow layout, made once when the complex is
 made: `_arranged` cancels and sorts the arrows and gives them by name (the
@@ -282,10 +287,13 @@ class _Engine:
     its position, the distinct positions of slices 0 and 1 (`at0`, `at1`)
     with the generators at each (`gens0`, `gens1`): queries key positions,
     not generators.  The degree-1 differential by columns (slice-0 masks,
-    as `_graded` gives them), a basis of im d1 (`basis_cols`, as masks),
-    dim H_0 and dim H_1 (`h0`, `h1`, from clearing), the reference
-    generating cycle z_ref (the first cycle that clearing leaves, or 0),
-    the packed rows that `_least_top` reads (basis row and z_ref bit in one
+    as `_graded` gives them), a basis of im d1 (`basis_cols`, as masks,
+    with the bit of each one's column index in `basis_bits`), the
+    companions of the other d1 columns at build (`dependent`) and the
+    coordinates of every d1 column over the basis (`coords`), dim H_0 and
+    dim H_1 (`h0`, `h1`, from clearing), the reference generating cycle
+    z_ref (the first cycle that clearing leaves, or 0), the packed rows
+    that `_least_top` reads (basis row and z_ref bit in one
     int), grouped by slice-0 position (`groups0`), the mask of each
     slice-0 position's generators (`masks0`), the first arrow that
     increases the filtration, or None (`unfiltered`), and the upsilon curve
@@ -301,11 +309,15 @@ class _Engine:
         self.at1, self.gens1 = _by_position(pos1)
         # The d1 columns that stay independent in column order are a basis of
         # im d1.  Each stored pivot's companion is its own column's bit plus
-        # bits of earlier columns, so its top bit names the column it came from.
+        # bits of earlier basis columns, so its top bit names the column it
+        # came from.  The other columns reduce to zero with such companions
+        # (`dependent`), which give their coordinates (`coords`); a basis
+        # column's coordinates are its own bit (`basis_bits`).
         tops: dict[int, tuple[int, int]] = {}
-        _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
+        self.dependent = _echelonize(tops, ((col, 1 << i) for i, col in enumerate(self.d1_cols)))
         kept = sorted(c.bit_length() - 1 for _, c in tops.values())
         self.basis_cols = tuple(self.d1_cols[i] for i in kept)
+        self.basis_bits = tuple(map((1).__lshift__, kept))
         # Clearing: a d0 column at the leading row of a boundary tops a cycle,
         # so it is skipped, and the other columns still reach rank d0.  The
         # set of leading rows of im d1 does not depend on the basis, so each
@@ -332,6 +344,19 @@ class _Engine:
         These are the rows `_least_top` reads, built on first use."""
         rows, z_ref = _transpose(self.basis_cols, sum(map(len, self.gens0))), self.z_ref
         return tuple(tuple(rows[i] << 1 | (z_ref >> i & 1) for i in gens) for gens in self.gens0)
+
+    @cached_property
+    def coords(self) -> tuple:
+        """Per d1 column, its coordinates over the basis of im d1: the mask
+        of the indices of the basis columns that sum to it.  A basis
+        column's is its own bit; a dependent column's is its `dependent`
+        companion without its top bit, its own index.  Built on first use:
+        only the secondary invariant reads them."""
+        coords = list(map((1).__lshift__, range(len(self.d1_cols))))
+        for c in self.dependent:
+            top = c.bit_length() - 1
+            coords[top] ^= c
+        return tuple(coords)
 
     @cached_property
     def masks0(self) -> tuple:
@@ -369,7 +394,7 @@ def _least_top(eng: _Engine, keys: list):
     The pivots sit in a list indexed by bit length (0 for none), so each
     elimination step is one list read and one XOR.  `_echelonize` keeps its
     (vector, companion) pairs in a dict: its companions are wide (column
-    indices, whole columns), and packing them above the vector was slower.
+    indices, coordinate masks), and packing them above the vector was slower.
     """
     if not eng.z_ref:
         raise ValueError("complex has no degree-0 homology generator (not knot-type)")
@@ -386,38 +411,44 @@ def _least_top(eng: _Engine, keys: list):
     raise AssertionError("least-top reduction: the generating cycle is a boundary")
 
 
-def _below(eng: _Engine, keys: list, g) -> tuple[int, list[int]]:
-    """A generating cycle supported on the rows keyed at most g, and vectors
-    that span the boundaries supported there, with one key per slice-0
-    position (`eng.at0`); g is `_least_top`'s answer for these keys, or more.
+def _below(eng: _Engine, keys: list, g) -> tuple[int, int, list[int]]:
+    """A generating cycle supported on the rows keyed at most g, and the
+    boundaries supported there, in coordinates over the engine's basis of
+    im d1 (`eng.coords`: bit i stands for the d1 column i), with one key per
+    slice-0 position (`eng.at0`); g is `_least_top`'s answer for these keys,
+    or more.  Returns (c, unit, relations): the cycle is
+    z_ref + Σ_{i∈c} d1_cols[i], and those boundaries are the span of the
+    unit vectors in `unit` and of the coordinate vectors in `relations`.
 
-    A sum of basis columns of im d1 lies on those rows exactly when its part
-    on the rows keyed above g (`high`) is zero.  So each basis column's high
-    part is echelonized with the whole column as companion: the columns with
-    no high part, and the companions of the columns that reduce to zero,
-    span those boundaries (the basis columns are independent, so these are
-    the kernel of the restriction to the high rows).  Reducing z_ref's high
-    part the same way, with z_ref as companion, reduces it to zero and
-    leaves as companion z_ref plus a boundary off the high rows.  No order
+    A sum of basis columns lies on those rows exactly when its part on the
+    rows keyed above g (`high`) is zero.  So the basis columns with no high
+    part are units (`unit`, a mask of their bits), and the other columns'
+    high parts are echelonized, each with its coordinate bit as companion:
+    the companions of those that reduce to zero are the relations (the basis
+    columns are independent, so units and relations span the kernel of the
+    restriction to the high rows).  Reducing z_ref's high part the same way,
+    with a flag bit above every column index as companion (so that it is
+    never empty), reduces it to zero and leaves the flag plus c.  No order
     of the rows is needed, so none is sorted and nothing is permuted.
     """
     high = 0
     for key, mask in zip(keys, eng.masks0):
         if key > g:
             high |= mask
-    span, pairs = [], []
-    for col in eng.basis_cols:
+    unit, pairs = 0, []
+    for col, bit in zip(eng.basis_cols, eng.basis_bits):
         if col & high:
-            pairs.append((col & high, col))
+            pairs.append((col & high, bit))
         else:
-            span.append(col)
+            unit |= bit
     pivots: dict[int, tuple[int, int]] = {}
-    span += _echelonize(pivots, pairs)
-    z = _echelonize(pivots, ((eng.z_ref & high, eng.z_ref),))
+    relations = _echelonize(pivots, pairs)
+    flag = 1 << len(eng.d1_cols)
+    z = _echelonize(pivots, ((eng.z_ref & high, flag),))
     if not z:
         raise AssertionError("below reduction: no generating cycle stays on the rows keyed "
                              "at most the least top")
-    return z[0], span
+    return z[0] ^ flag, unit, relations
 
 
 def validate_complex(k: KnotComplex) -> ValidationReport:

@@ -7,14 +7,16 @@ whole row or column.  There is one echelon kernel, `_echelonize`: it reduces
 vectors by their leading bit against a dict of pivots, carrying a companion
 vector along to record which inputs were added.  Every engine elimination
 runs on it: the clearing, the elimination of the rows above a key
-(`_below`) and the secondary invariant's target and column scan, which
-echelonizes the columns of one position at a time; so do `F2Matrix` and
-`F2Space` of `oracles`, which serve the brute-force oracles only.  Only the
-engine's least-key reduction (`_least_top`) inlines the kernel's loop, since
+(`_below`) and the secondary invariant's relations, target and column
+scan, which echelonizes the coordinates of one position's columns at a
+time; so do `F2Matrix` and `F2Space` of `oracles`, which serve the
+brute-force oracles only.  Only the engine's least-key reduction
+(`_least_top`) inlines the kernel's loop, since
 it stops at the first row that answers its query; its companion is one bit,
 so it packs each row and companion into one int and keeps its pivots in a
 list by bit length.  The companions `_echelonize` carries are wide (column
-indices at the engine build, whole columns in `_below`), and packing them
+indices at the engine build, coordinate masks over the basis of im d1 with
+a flag bit above every column index in `_below`), and packing them
 measured slower, so its pivots stay (vector, companion) pairs in a dict.
 
 `_Value` and `_OrderedValue` are the base of every frozen value class of

@@ -28,21 +28,26 @@ reference generating cycle as companion; the first row that reduces to zero
 with companion 1 gives the answer, and the rest are never read.
 `_secondary` also needs, on each side, a cycle that attains that key and
 the boundaries supported on the rows keyed at most it.  `_below` finds both
-once the key is known, by eliminating only the rows keyed above it: the
-basis columns' parts there are echelonized with the whole columns as
-companions, so the columns that vanish there and the companions that reduce
-to zero span those boundaries, and the reference cycle reduced the same way
-attains the key.  `_secondary` then stores the reduced target boundary as a
-pivot with a flag bit and echelonizes the degree-1 columns that can still
-matter in key order; the first that reduces to zero with the flag set names
-the least key whose columns span the target.  Every key depends on a
-generator only through its (A, j) position, so each query keys the engine's
-distinct positions of a slice (`at0`, `at1`), not its generators, and the
-reductions expand them to rows.  Keys are exact integers (entering times as
-numerators over the region's common denominator, Alexander gradings), so
-every value is exact, and only the returned value is made a Fraction.  The
-engine and both kernels live in `complexes` (`_Engine`, `_least_top`,
-`_below`), where validation reads them too.  One echelonization of the d1
+once the key is known, by eliminating only the rows keyed above it, in
+coordinates over the engine's basis of im d1 (`eng.coords`): the basis
+columns' parts there are echelonized with their coordinate bits as
+companions, so the columns that vanish there (units) and the companions
+that reduce to zero (relations) span those boundaries, and the reference
+cycle reduced the same way gives the coordinates of a boundary that moves
+it onto the rows keyed at most the key.  `_secondary` projects out the
+units of both sides with one mask, echelonizes the relations, stores the
+reduced target as a pivot with a flag bit and echelonizes the projected
+coordinates of the degree-1 columns that can still matter in key order;
+the first that reduces to zero with the flag set names the least key
+whose columns span the target.  Every key depends on a generator only
+through its (A, j) position, so each query keys the engine's distinct
+positions of a slice (`at0`, `at1`), not its generators, and the
+reductions expand them to rows.  Keys are exact integers (entering times
+as numerators over the region's common denominator, Alexander gradings,
+and pairs of them packed in one int), so every value is exact, and only
+the returned value is made a Fraction.  The engine and both kernels live
+in `complexes` (`_Engine`, `_least_top`, `_below`), where validation reads
+them too.  One echelonization of the d1
 columns at build fixes the basis of im d1 (the columns independent of the
 earlier ones; which columns are dependent does not depend on any key, so no
 reduction needs the others: the clearing idea of persistent homology) and,
@@ -418,24 +423,39 @@ def vk(k: KnotComplex, s: int) -> Fraction:
 
     A generator at (A, j) enters that region at t = max(A - s, j), so one
     `_least_top` reduction keyed by these integers gives the region
-    invariant, with no region built.  Note the sign convention: V(0) of the
-    positive trefoil is -2 here, i.e. -2 times the non-negative local h/V
-    invariants common elsewhere.
+    invariant, with no region built (and no call of `max` per position).
+    Note the sign convention: V(0) of the positive trefoil is -2 here, i.e.
+    -2 times the non-negative local h/V invariants common elsewhere.
     """
     s = _int(s, _V_PARAMETER)
     eng = _Engine.of(k)
-    return Fraction(-2 * _least_top(eng, [max(a - s, j) for a, j in eng.at0]))
+    return Fraction(-2 * _least_top(eng, [a - s if a - s > j else j for a, j in eng.at0]))
 
 
 def nu_plus(k: KnotComplex) -> int:
     """The least s >= 0 with V(s) = 0, i.e. with a generating cycle in
-    {A <= s} & {j <= 0}: one reduction keyed by (j > 0, A), as in `eta`.  Below
-    A = 0 (no knot's case) the cycle may sit below j = 0 too; V(0) decides."""
+    {A <= s} & {j <= 0}: one reduction keyed by (j > 0, A), packed in one int
+    per position as in `eta` (`_flagged_alexander`).  Below A = 0 (no knot's
+    case) the cycle may sit below j = 0 too; V(0) decides."""
     eng = _Engine.of(k)
-    outside, a = _least_top(eng, [(j > 0, a) for a, j in eng.at0])
+    keys, w, low = _flagged_alexander(eng, [j > 0 for _, j in eng.at0])
+    outside, a = divmod(_least_top(eng, keys), w)
+    a += low
     if outside or a < 0 and vk(k, 0) != 0:
         raise ValueError("V(s) did not vanish up to the Alexander range; not knot-type?")
     return max(0, a)
+
+
+def _flagged_alexander(eng: _Engine, flags) -> tuple[list[int], int, int]:
+    """The key (flag, A) of each slice-0 position (`eng.at0`), one flag per
+    position, packed in one int: flag·w + A - low, with low the least A and
+    w the width of the A range.  A - low lies in [0, w), so the ints order
+    and tie as the pairs do, and divmod(key, w) gives back (flag, A - low).
+    Returns the keys, w and low."""
+    alexander = [a for a, _ in eng.at0]
+    low = min(alexander, default=0)
+    w = max(alexander, default=0) - low + 1
+    return [w * f + a - low for f, a in zip(flags, alexander)], w, low
 
 
 _D_PARAMETERS = "d takes an integer surgery coefficient q and an integer spin-c index m"
@@ -473,13 +493,14 @@ def secondary(
     the generating cycles supported in C±_{gamma±} — an affine coset
     z0± + V± where V± is the space of boundaries supported there; per region,
     one `_least_top` reduction yields gamma± and one `_below` elimination
-    z0± and vectors spanning V±.  If z0+ + z0- reduces to zero against
-    V+ + V-, the cosets intersect: no obstruction.  Otherwise the least t
-    with z0+ + z0- a boundary of a chain in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t
-    comes from one scan of the degree-1 columns outside the first two, by
-    entering time into C, which stops at the first column that closes the
-    target.  Needs the filtration condition (ValueError otherwise;
-    `validate_complex` checks it).
+    z0± and vectors spanning V±, in coordinates over the engine's basis of
+    im d1.  If z0+ + z0- reduces to zero against V+ + V-, the cosets
+    intersect: no obstruction.  Otherwise the least t with z0+ + z0- a
+    boundary of a chain in C+_{gamma+} ∪ C-_{gamma-} ∪ C_t comes from one
+    scan of the degree-1 columns outside the first two, by entering time
+    into C, which stops at the first column that closes the target.  Needs
+    the filtration condition (ValueError otherwise; `validate_complex`
+    checks it).
     """
     eng = _Engine.of(k)
     sides = ([entering_numerators(r, p)[0] for p in (eng.at0, eng.at1)] for r in (cplus, cminus))
@@ -493,20 +514,26 @@ def _secondary(eng: _Engine, plus, minus, c: tuple[list, int]) -> tuple:
     of the slice-1 positions into C as integer numerators over d, so no
     region is read here.  Returns gamma+, gamma- and the value.
 
-    gamma± comes from `_least_top`, and z± and the spanning vectors of V±
-    from `_below` at gamma±; a basis column on the rows keyed at most gamma±
-    on both sides is in both lists and is echelonized once.  A degree-1
-    generator x that is not late (keyed at most gamma+ on the plus side, or
-    at most gamma- on the minus side) has d1·x supported on rows keyed at
-    most its own key, by the filtration condition, so d1·x already lies in
-    V+ + V- and its column is skipped.  The target z+ + z- goes through
-    `_echelonize` with one flag bit as companion: reduced to zero, it is no
-    obstruction; otherwise it stays as a pivot with that flag.  The late
-    columns follow, one position at a time by entering time into C (the
-    columns of a position share their time): the first position with a
-    column that reduces to zero with the flag set closes a sum of columns,
-    all entered by its time, that is the target plus a vector of V+ + V-,
-    so its entering time is the value.
+    gamma± comes from `_least_top`, and from `_below` at gamma± the
+    cycle z± = z_ref + d1·c± and V± = span(unit±) + span(relations±), all
+    in coordinates over the engine's basis of im d1 (`eng.coords`).  The
+    target z+ + z- is then the boundary of c+ + c-, and every vector here
+    lies in im d1, where coordinates are exact, so the question is asked
+    of coordinate vectors.  The unit vectors of either side (U) are
+    projected out: a vector lies in span(U) + W exactly when its projection
+    (AND NOT U, the mask `keep`) lies in the projection of W.  So only the
+    relations are echelonized, a few per side.  A degree-1 generator x that
+    is not late (keyed at most gamma+ on the plus side, or at most gamma- on
+    the minus side) has d1·x supported on rows keyed at most its own key,
+    by the filtration condition, so d1·x already lies in V+ + V- and its
+    column is skipped.  The projected target goes through `_echelonize`
+    with one flag bit as companion: reduced to zero, it is no obstruction;
+    otherwise it stays as a pivot with that flag.  The late columns'
+    projected coordinates follow, one position at a time by entering time
+    into C (the columns of a position share their time): the first
+    position with a column that reduces to zero with the flag set closes a
+    sum of columns, all entered by its time, that is the target plus a
+    vector of V+ + V-, so its entering time is the value.
     Raises ValueError on a complex with an arrow that increases the
     filtration, where neither the skip nor the sub-complexes C±_{gamma±}
     and C_t mean anything.
@@ -517,18 +544,19 @@ def _secondary(eng: _Engine, plus, minus, c: tuple[list, int]) -> tuple:
                          f"arrow {src} -> U^{m}·{dst} increases the filtration")
     (keys_p, keys1_p), (keys_m, keys1_m) = plus, minus
     gp, gm = _least_top(eng, keys_p), _least_top(eng, keys_m)
-    zp, span_p = _below(eng, keys_p, gp)
-    zm, span_m = _below(eng, keys_m, gm)
+    cp, unit_p, relations_p = _below(eng, keys_p, gp)
+    cm, unit_m, relations_m = _below(eng, keys_m, gm)
+    keep = ~(unit_p | unit_m)
     pivots: dict[int, tuple[int, int]] = {}
-    _echelonize(pivots, ((v, 0) for v in dict.fromkeys(span_p + span_m)))  # shared columns once
-    if _echelonize(pivots, ((zp ^ zm, 1),)):  # else the reduced target is stored, flagged
+    _echelonize(pivots, ((v & keep, 0) for v in relations_p + relations_m))
+    if _echelonize(pivots, (((cp ^ cm) & keep, 1),)):  # else the reduced target is stored, flagged
         return gp, gm, NO_OBSTRUCTION
 
     times_c, d = c
     late = [p for p, (kp, km) in enumerate(zip(keys1_p, keys1_m)) if kp > gp and km > gm]
-    cols = eng.d1_cols
+    coords = eng.coords
     for p in sorted(late, key=times_c.__getitem__):
-        if any(_echelonize(pivots, [(cols[i], 0) for i in eng.gens1[p]])):
+        if any(_echelonize(pivots, [(coords[i] & keep, 0) for i in eng.gens1[p]])):
             return gp, gm, Fraction(times_c[p], d)
     raise AssertionError("secondary: z+ + z- is not a boundary")
 
@@ -593,12 +621,14 @@ def eta(k: KnotComplex, c: SouthWestRegion) -> Fraction:
     does C_gamma ∩ {A <= x + gamma} still support a generating cycle?  One
     filtered reduction keyed by (outside C_gamma, A) answers it for every x
     at once: the least key over the generating cycles is (False, eta + gamma).
+    The pairs are packed in one int per position (`_flagged_alexander`), so
+    the reduction sorts ints, and one divmod decodes its answer.
     """
     eng = _Engine.of(k)
     nums, d = entering_numerators(c, eng.at0)
     gamma = _least_top(eng, nums)
-    keys = [(n > gamma, p[0]) for n, p in zip(nums, eng.at0)]
-    outside, a = _least_top(eng, keys)
+    keys, w, low = _flagged_alexander(eng, [n > gamma for n in nums])
+    outside, a = divmod(_least_top(eng, keys), w)
     if outside:
         raise AssertionError("eta: no generating cycle below the largest truncation")
-    return a - Fraction(gamma, d)
+    return a + low - Fraction(gamma, d)

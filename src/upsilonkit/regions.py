@@ -122,18 +122,25 @@ def entering_numerators(r: SouthWestRegion, points) -> tuple[list[int], int]:
     Fraction(n, d) == entering_time(r, p) for each point p and its n.
 
     Scaling by d > 0 keeps both the order and the ties, so the engine sorts
-    and compares these ints and makes a Fraction only for its answer.
+    and compares these ints and makes a Fraction only for its answer.  Each
+    coefficient x scales as x.numerator * (d // x.denominator), with no
+    Fraction arithmetic, and the half-planes of an atom (max) and the atoms
+    (min) merge pairwise in comprehensions, with no call per position.
     """
     d = math.lcm(*(x.denominator for atom in r.atoms for hp in atom
                    for x in (hp.alpha, hp.beta, hp.c)))
-    per_atom = []
+    times = None
     for atom in r.atoms:
-        per_hp = []
+        entering = None
         for hp in atom:
-            a, b, c = int(hp.alpha * d), int(hp.beta * d), int(hp.c * d)
-            per_hp.append([a * x + b * y - c for x, y in points])
-        per_atom.append(per_hp[0] if len(per_hp) == 1 else list(map(max, *per_hp)))
-    return (per_atom[0] if len(per_atom) == 1 else list(map(min, *per_atom))), d
+            al, be, ce = hp.alpha, hp.beta, hp.c
+            a, b = al.numerator * (d // al.denominator), be.numerator * (d // be.denominator)
+            c = ce.numerator * (d // ce.denominator)
+            keys = [a * x + b * y - c for x, y in points]
+            entering = keys if entering is None else [u if u > v else v
+                                                      for u, v in zip(entering, keys)]
+        times = entering if times is None else [u if u < v else v for u, v in zip(times, entering)]
+    return times, d
 
 
 def contains(r: SouthWestRegion, p: tuple[Rational, Rational], t) -> bool:
@@ -228,11 +235,33 @@ def pl_eval(f: PLFunction, t) -> Fraction:
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
+def _pl_at(f: PLFunction, ts) -> list[Fraction]:
+    """f at each of these abscissae, increasing and inside f's domain, from
+    one walk over its points: the values `pl_eval` gives, with no list of
+    abscissae rebuilt and no bisection per point."""
+    points = f.points
+    last = len(points) - 1
+    values = []
+    i = 0
+    for t in ts:
+        while i < last and points[i + 1][0] <= t:
+            i += 1
+        t0, v0 = points[i]
+        if t == t0:  # at the last point too, which only the domain's end reaches
+            values.append(v0)
+        else:
+            t1, v1 = points[i + 1]
+            values.append(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+    return values
+
+
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
+    """f + g, from both functions at the sorted union of their breakpoints,
+    each read in one walk (`_pl_at`)."""
     if f.domain != g.domain:
         raise ValueError("cannot add PL functions on different domains")
     ts = sorted({p[0] for p in f.points} | {p[0] for p in g.points})
-    return PLFunction(tuple((t, pl_eval(f, t) + pl_eval(g, t)) for t in ts))
+    return PLFunction(tuple([(t, u + v) for t, u, v in zip(ts, _pl_at(f, ts), _pl_at(g, ts))]))
 
 
 def pl_negate_scale(f: PLFunction, c) -> PLFunction:

@@ -468,10 +468,10 @@ def test_exit_4_when_the_secondary_target_is_not_a_boundary(capsys, monkeypatch)
     below = invariants._below
     calls = []
 
-    def corrupt(eng, keys, g):  # C+'s reduced cycle leaves the generating coset
+    def corrupt(eng, keys, g):  # C+'s cycle gains a coordinate that names no column
         calls.append(keys)
-        z, span = below(eng, keys, g)
-        return (z ^ eng.z_ref if len(calls) == 1 else z), span
+        c, unit, relations = below(eng, keys, g)
+        return (c ^ 1 << len(eng.d1_cols) if len(calls) == 1 else c), unit, relations
 
     monkeypatch.setattr(invariants, "_below", corrupt)
     regions = [upsilon_halfplane(Fraction(t)) for t in ("1", "1/3", "2/3")]

@@ -1418,6 +1418,26 @@ def _per_generator(groups, keys):
     return per
 
 
+def _expand(eng, coords):
+    """The slice-0 vector with these coordinates over the engine's basis of
+    im d1: the sum of the d1 columns they name."""
+    v = 0
+    for i in _bits(coords):
+        v ^= eng.d1_cols[i]
+    return v
+
+
+def _coordinates(eng, boundaries):
+    """The coordinates of these boundaries over the engine's basis of im d1,
+    from reductions against the basis columns with their bits as
+    companions."""
+    pivots = {}
+    _echelonize(pivots, zip(eng.basis_cols, eng.basis_bits))
+    reduced = [_reduce_pair(pivots, v, 0) for v in boundaries]
+    assert not any(v for v, _ in reduced)
+    return [c for _, c in reduced]
+
+
 def _basis_rows(eng):
     """Per slice-0 generator, the mask of the engine's basis columns through
     it: the rows that `eng.groups0` packs."""
@@ -1502,9 +1522,10 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
     def full(eng, keys):
         return _full_column_reduce(eng, _per_generator(eng.gens0, keys))
 
-    def below(eng, keys, g):
+    def below(eng, keys, g):  # in coordinates, as `_below` returns them, with no units
         _, w, basis = full(eng, keys)
-        return w, [v for key, v in basis if key <= g]
+        c, *relations = _coordinates(eng, [w ^ eng.z_ref] + [v for key, v in basis if key <= g])
+        return c, 0, relations
 
     monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: full(eng, keys)[0])
     monkeypatch.setattr(invariants, "_below", below)
@@ -1586,9 +1607,10 @@ def test_least_top_asserts_when_the_cycle_is_a_boundary():
 
 
 def test_below_matches_the_column_reduction():
-    # on the draws of the least-top test and on entering times: z is z_ref
-    # plus a boundary on the rows keyed at most gamma, and the list spans
-    # what the column route's basis vectors led at most gamma span
+    # on the draws of the least-top test and on entering times, with the
+    # coordinates expanded to columns: z is z_ref plus a boundary on the rows
+    # keyed at most gamma, and the units and relations span what the column
+    # route's basis vectors led at most gamma span
     rng = random.Random(1717)
     knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()]
     cases = 0
@@ -1600,7 +1622,10 @@ def test_below_matches_the_column_reduction():
                   for t in (F(0), F(1, 3), F(1), F(2))]
         for keys in draws:
             gamma = complexes._least_top(eng, keys)
-            z, span = complexes._below(eng, keys, gamma)
+            c, unit, relations = complexes._below(eng, keys, gamma)
+            assert all(v & ~sum(eng.basis_bits) == 0 for v in (c, unit, *relations))
+            z = eng.z_ref ^ _expand(eng, c)
+            span = [eng.d1_cols[i] for i in _bits(unit)] + [_expand(eng, v) for v in relations]
             key, _, basis = _reduce(eng, keys)
             low = _mask(i for p, gens in enumerate(eng.gens0) if keys[p] <= gamma for i in gens)
             assert key == gamma
@@ -1617,11 +1642,66 @@ def test_below_asserts_below_the_least_top():
     eng = complexes._Engine.of(k)
     keys = [a for a, _ in eng.at0]
     assert complexes._least_top(eng, keys) == 0
-    assert complexes._below(eng, keys, 0)[0] & ~_mask(
-        i for p, gens in enumerate(eng.gens0) if keys[p] <= 0 for i in gens) == 0
+    z = eng.z_ref ^ _expand(eng, complexes._below(eng, keys, 0)[0])
+    assert z & ~_mask(i for p, gens in enumerate(eng.gens0) if keys[p] <= 0 for i in gens) == 0
     message = "^below reduction: no generating cycle stays on the rows keyed at most the least top$"
     with pytest.raises(AssertionError, match=message):
         complexes._below(eng, keys, -1)
+
+
+def test_coordinates_name_the_columns():
+    # every d1 column is the sum of the basis columns its coordinates name,
+    # and `_below`'s coordinates, expanded, lie on the rows keyed at most
+    # the least top: the cycle, each unit column and each relation
+    rng = random.Random(2929)
+    knots = [_headline()]
+    while len(knots) < 13:
+        k = _random_torus_sum(rng)
+        if len(vars(k).get("_leaves", ())) >= 2:
+            knots.append(k)
+    cases = related = 0
+    for k in knots:
+        eng = complexes._Engine.of(k)
+        assert len(eng.coords) == len(eng.d1_cols)
+        basis = sum(eng.basis_bits)
+        assert all(c & ~basis == 0 and _expand(eng, c) == col
+                   for c, col in zip(eng.coords, eng.d1_cols))
+        index = [b.bit_length() - 1 for b in eng.basis_bits]  # aligned with `basis_cols`
+        assert [eng.d1_cols[i] for i in index] == list(eng.basis_cols)
+        assert [eng.coords[i] for i in index] == list(eng.basis_bits)
+        regions = [upsilon_halfplane(F(rng.randint(0, 24), 12)) for _ in range(3)]
+        regions += [_random_region(rng) for _ in range(3)]
+        for r in regions:
+            keys = invariants.entering_numerators(r, eng.at0)[0]
+            gamma = complexes._least_top(eng, keys)
+            c, unit, relations = complexes._below(eng, keys, gamma)
+            high = _mask(i for p, gens in enumerate(eng.gens0) if keys[p] > gamma for i in gens)
+            assert (eng.z_ref ^ _expand(eng, c)) & high == 0
+            assert all(eng.d1_cols[i] & high == 0 for i in _bits(unit))
+            assert all(v and _expand(eng, v) & high == 0 for v in relations)
+            cases += 1
+            related += len(relations)
+    assert cases == 13 * 6 and related > 0
+
+
+def test_headline_secondary_echelonizes_only_the_relations(monkeypatch):
+    # pinned: before the late scan, `_secondary` echelonizes the relations
+    # of both sides and the target, 7 vectors; the slice-0 route took the
+    # 170 distinct spanning vectors of V+ + V- and the target
+    k = _headline()
+    t, d = F(1), F(1, 8000)
+    regions = (upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(1, 4)))
+    secondary(k, *regions)  # builds the engine and its rows
+    counts = []
+
+    def count(pivots, pairs):
+        pairs = list(pairs)
+        counts.append(len(pairs))
+        return _echelonize(pivots, pairs)
+
+    monkeypatch.setattr(invariants, "_echelonize", count)
+    assert secondary(k, *regions) == 1
+    assert counts[:2] == [6, 1]  # the relations, then the target
 
 
 # ---------------------------------------------------------------------------

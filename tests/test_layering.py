@@ -155,6 +155,18 @@ def test_no_module_runs_the_column_reduction():
             if re.search(r"\b_reduce\b", path.read_text())] == []
 
 
+def test_the_secondary_invariant_reads_coordinates_only():
+    # `_secondary` works in coordinates over the engine's basis of im d1
+    # (`eng.coords`); no slice-0 column route stays beside it
+    tree = ast.parse((PACKAGE / "invariants.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_secondary")
+    read = {node.attr for node in ast.walk(body)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "eng"}
+    assert "coords" in read and "d1_cols" not in read
+
+
 def test_the_bench_reads_only_names_the_modules_bind():
     # the bench's workloads and worker read the package through these four
     # modules; a name moved out of one would make their output checks raise

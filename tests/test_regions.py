@@ -12,6 +12,7 @@ from upsilonkit.regions import (
     MAX_NESTING,
     PLFunction,
     RegionParseError,
+    _pl_at,
     contains,
     entering_numerators,
     entering_time,
@@ -224,6 +225,26 @@ def pl_functions(draw):
 @given(pl_functions(), pl_functions(), fractions(0, 2, 16))
 def test_pl_add_is_pointwise(f, g, t):
     assert pl_eval(pl_add(f, g), t) == pl_eval(f, t) + pl_eval(g, t)
+
+
+def test_pl_walk_matches_pl_eval():
+    # `_pl_at` reads a function at increasing abscissae in one walk: at its
+    # breakpoints, between them and at both ends of the domain, it gives
+    # what `pl_eval` gives at each; and `pl_add` equals the sum read off
+    # `pl_eval` at every breakpoint of either function
+    rng = random.Random(2718)
+
+    def draw():
+        inner = {F(rng.randint(1, 47), 24) for _ in range(rng.randint(0, 6))}
+        xs = [F(0), *sorted(inner), F(2)]
+        return PLFunction(tuple((x, F(rng.randint(-9, 9), rng.randint(1, 4))) for x in xs))
+
+    for _ in range(60):
+        f, g = draw(), draw()
+        ts = sorted({t for t, _ in f.points} | {F(rng.randint(0, 60), 30) for _ in range(5)})
+        assert _pl_at(f, ts) == [pl_eval(f, t) for t in ts]
+        knots = sorted({t for t, _ in f.points} | {t for t, _ in g.points})
+        assert pl_add(f, g) == PLFunction(tuple((t, pl_eval(f, t) + pl_eval(g, t)) for t in knots))
 
 
 @given(pl_functions(), rationals, fractions(0, 2, 16))
