@@ -41,12 +41,11 @@ Every named complex has one arrow layout, made once when the complex is
 made: `_arranged` cancels and sorts the arrows and gives them by name (the
 `arrows` field) and by generator index (`_index_arrows`, kept in the
 instance dict).  The public `KnotComplex` constructor checks what it is
-given and then arranges its arrows; `mirror`, whose output is correct by
-construction, arranges its own and makes the complex with
-`KnotComplex._built`, with no re-check.  A product from `tensor` keeps
-only the named leaves of its factor tree, as one flat tuple; its names,
-generators and arranged arrows, those of the flat product, wait for the
-first read of a field (`_named`, which lifts the leaves' arrows).
+given and then arranges its arrows; it makes every complex but a
+product, `mirror`'s included.  A product from `tensor` is the one other
+kind: it keeps only the named leaves of its factor tree, as one flat
+tuple; its names, generators and arranged arrows, those of the flat
+product, wait for the first read of a field (`_named`, which lifts the leaves' arrows).
 `_graded`, the engine's one build, lays out the slices of a complex from
 those leaves, walking only the leaves' arrows, so a connected sum whose
 invariants are computed is never named, no product arrow is lifted, and a
@@ -77,9 +76,6 @@ class BaseGenerator(_OrderedValue):
         _set(self, "algebraic", algebraic)
         _set(self, "maslov", maslov)
 
-    def _key(self) -> tuple:
-        return (self.name, self.alexander, self.algebraic, self.maslov)
-
     @property
     def pos(self) -> tuple[int, int]:
         return (self.alexander, self.algebraic)
@@ -96,9 +92,10 @@ class KnotComplex(_Value):
 
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
-    `_arranged` makes both once, here or for `_built`.  A product made by
-    `tensor` starts with neither field, only its flat tuple of named leaves
-    (`_leaves`): the first read of `generators`, `arrows` or
+    `_arranged` makes both once, here.  This constructor makes every
+    complex but a product, `mirror`'s and the builders' included.  A
+    product made by `tensor` starts with neither field, only its flat
+    tuple of named leaves (`_leaves`): the first read of `generators`, `arrows` or
     `_index_arrows` (through `__getattr__`, which Python calls only for an
     attribute the instance lacks) builds all three with `_named`.  The
     leaves stay, so a product of it is the same read or not.  Everything
@@ -113,9 +110,6 @@ class KnotComplex(_Value):
         _set(self, "generators", generators)
         _set(self, "arrows", arrows)
         self.__post_init__()
-
-    def _key(self) -> tuple:
-        return (self.generators, self.arrows)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -135,19 +129,6 @@ class KnotComplex(_Value):
         _set(self, "generators", gens)
         _set(self, "arrows", arrows)
         vars(self)["_index_arrows"] = index_arrows
-
-    @classmethod
-    def _built(cls, generators: tuple, arrows: tuple, index_arrows: tuple) -> "KnotComplex":
-        """A complex from a builder whose output is correct by construction:
-        unique names, integer U-powers, and `arrows` and `index_arrows` as
-        `_arranged` returns them.  Nothing is re-checked; untrusted input
-        goes through the public constructor, which arranges its arrows the
-        same way."""
-        k = object.__new__(cls)
-        _set(k, "generators", generators)
-        _set(k, "arrows", arrows)
-        vars(k)["_index_arrows"] = index_arrows
-        return k
 
     def __getattr__(self, name: str):
         lazy = vars(self)
@@ -172,9 +153,6 @@ class ValidationReport(_Value):
 
     def __init__(self, problems: tuple[str, ...] = ()):
         _set(self, "problems", problems)
-
-    def _key(self) -> tuple:
-        return (self.problems,)
 
     @property
     def ok(self) -> bool:
@@ -587,8 +565,8 @@ def _arranged(names: list[str], arrows) -> tuple[tuple, tuple]:
     every `KnotComplex` keeps them: sorted by (source name, target name,
     upower), with equal arrows cancelled in pairs.  Returns the name arrows
     and the index arrows, in the same order.  It is the one cancel-and-sort
-    of arrows: the constructor, `mirror` and a product's first read
-    (`_named`) all arrange theirs here.
+    of arrows: the constructor (and so `mirror`) and a product's first
+    read (`_named`) arrange theirs here.
 
     One sort ranks the names; the arrows then sort as integer triples
     (rank of source, rank of target, upower), which is their name order, and
@@ -611,15 +589,13 @@ def mirror(k: KnotComplex) -> KnotComplex:
     """The dual complex (mirror knot): negate (A, j, M), reverse all arrows.
 
     Reversing an arrow keeps its U-power; the grading and filtration
-    conventions are preserved by the sign flips.  The reversed arrows are
-    distinct, as k's are, so `_arranged` only sorts them, and the result is
-    made by `KnotComplex._built`.
+    conventions are preserved by the sign flips.  The result is made by the
+    public constructor, which checks it and arranges its arrows.
     """
     gens = tuple(
         BaseGenerator(g.name, -g.alexander, -g.algebraic, -g.maslov) for g in k.generators
     )
-    reversed_arrows = [(t, s, m) for s, t, m in k._index_arrows]
-    return KnotComplex._built(gens, *_arranged([g.name for g in gens], reversed_arrows))
+    return KnotComplex(gens, tuple((dst, src, m) for src, dst, m in k.arrows))
 
 
 def add_box(k: KnotComplex, corner: tuple[int, int], maslov: int) -> KnotComplex:

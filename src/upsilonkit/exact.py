@@ -21,15 +21,19 @@ measured slower, so its pivots stay (vector, companion) pairs in a dict.
 
 `_Value` and `_OrderedValue` are the base of every frozen value class of
 the package (generators, complexes, regions, PL functions, semigroups).
-They stand in for the standard library's frozen dataclass: importing its
-module pulls in `inspect`, `ast` and `tokenize`, and it compiles each
-generated method with `exec`, which made it the largest start-up cost of
-every command that the package controls.
+A class states its fields once, in `_fields`: equality, hash, repr and
+the order all read the field tuple `_Value._key` builds from it, and
+`_OrderedValue` writes only `__lt__` (`functools.total_ordering` derives
+the rest).  They stand in for the standard library's frozen dataclass:
+importing its module pulls in `inspect`, `ast` and `tokenize`, and it
+compiles each generated method with `exec`, which made it the largest
+start-up cost of every command that the package controls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 Rational = Fraction
 
@@ -40,19 +44,18 @@ class _Value:
     """A frozen value: equality, hash and repr over its field tuple, as a
     frozen dataclass has them.
 
-    Each subclass names its fields in the class-level `_fields`, writes its
-    own `__init__`, storing every field with `_set`, and returns the field
-    tuple from `_key`, reading each field as an attribute (faster, on the
-    region and generator paths, than any generic getter).  Instances keep a
-    `__dict__` (for `cached_property` and lazy fields), but assigning or
-    deleting an attribute raises AttributeError.  Equality holds only
-    between instances of one class; the hash is the hash of the field tuple.
+    Each subclass names its fields in the class-level `_fields` and writes
+    its own `__init__`, storing every field with `_set`; `_key` reads the
+    fields in that order.  Instances keep a `__dict__` (for
+    `cached_property` and lazy fields), but assigning or deleting an
+    attribute raises AttributeError.  Equality holds only between instances
+    of one class; the hash is the hash of the field tuple.
     """
 
     _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -73,27 +76,14 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class _OrderedValue(_Value):
-    """A `_Value` ordered by its field tuple, within its class."""
+    """A `_Value` ordered by its field tuple, within its class: `__lt__`
+    compares the tuples and `total_ordering` derives the other three."""
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key() < other._key()
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() <= other._key()
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() > other._key()
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() >= other._key()
         return NotImplemented
 
 

@@ -135,9 +135,6 @@ class BreakingPoint(_Value):
         _set(self, "i_minus", i_minus)
         _set(self, "i_plus", i_plus)
 
-    def _key(self) -> tuple:
-        return (self.t, self.jump, self.i_minus, self.i_plus)
-
 
 # ---------------------------------------------------------------------------
 # Region invariants and the upsilon curve: reductions on the complex's engine
@@ -157,19 +154,14 @@ def _line_keys(positions, n: int, d: int, sign: int, h: int) -> list[int]:
     With h at least every |A - j| the last two terms lie in [0, 2h], so the
     ints order and tie as the pairs do, and divmod(key, w) gives back
     (2d·L(n/d), sign·(A - j) + h).  With sign 1 the keys order the lines
-    as their values just right of n/d do, with sign -1 as just left of it."""
+    as their values just right of n/d do, with sign -1 as just left of it.
+    Sign 0 and h 0 (w = 1) drop the slope: each key is 2d·L(n/d) =
+    n·A + (2d - n)·j, the position's entering time into the half-plane
+    H(n/d) as a numerator over 2d, with no region built."""
     w = 2 * h + 1
     ca = n * w + sign  # the key is ca·A + cj·j + h
     cj = 2 * d * w - ca
     return [ca * a + cj * j + h for a, j in positions]
-
-
-def _halfplane_keys(positions, n: int, d: int) -> list[int]:
-    """The entering times of these positions into the half-plane H(n/d) as
-    integer numerators over 2d: a generator at (A, j) enters at
-    L(n/d) = (2d·j + n(A - j)) / 2d, with no region built."""
-    cj = 2 * d - n
-    return [n * a + cj * j for a, j in positions]
 
 
 def h0_surjective(k: KnotComplex, r: SouthWestRegion, t) -> bool:
@@ -271,18 +263,18 @@ def _check_chords(eng: _Engine, lines) -> None:
     engine value.  At the segment's end n1/d1 its line (s, j) must meet the
     next recorded line (s', j'): 2d1·j + n1·s == 2d1·j' + n1·s', in
     integers.  At its midpoint N/D one `_least_top`, keyed by the entering
-    times into the half-plane there as numerators over 2D
-    (`_halfplane_keys`), must return the line's value 2D·j + N·s.  The
-    segment's start lies on its line by the sweep's own reduction there,
-    so with both checks this is the chord test, in integers, with no
-    region built."""
+    times into the half-plane there as numerators over 2D (`_line_keys`
+    with sign 0 and h 0: the value alone, no slope), must return the
+    line's value 2D·j + N·s.  The segment's start lies on its line by the
+    sweep's own reduction there, so with both checks this is the chord
+    test, in integers, with no region built."""
     ends = lines[1:] + [((2, 1), None)]
     for ((n0, d0), (s, j)), ((n1, d1), after) in zip(lines, ends):
         num, den = n0 * d1 + n1 * d0, 2 * d0 * d1
         g = gcd(num, den)
         n, d = num // g, den // g
         if (after is not None and 2 * d1 * j + n1 * s != 2 * d1 * after[1] + n1 * after[0]
-                or _least_top(eng, _halfplane_keys(eng.at0, n, d)) != 2 * d * j + n * s):
+                or _least_top(eng, _line_keys(eng.at0, n, d, 0, 0)) != 2 * d * j + n * s):
             raise AssertionError(f"upsilon curve: not linear on [{Fraction(n0, d0)}, "
                                  f"{Fraction(n1, d1)}]: a kink was missed")
 
@@ -317,7 +309,7 @@ def check_jumps(jumps) -> tuple[int, ...]:
     jumps = tuple(jumps)
     if len(jumps) % 2:
         raise ValueError("jump sequence must have even length")
-    if any(not isinstance(a, int) or a < 1 for a in jumps):
+    if any(isinstance(a, bool) or not isinstance(a, int) or a < 1 for a in jumps):
         raise ValueError("jumps must be positive integers")
     if sum(jumps[0::2]) != sum(jumps[1::2]):
         raise ValueError("jump sequence must balance: sum of odd-indexed entries "
@@ -584,18 +576,19 @@ def kim_livingston(k: KnotComplex, t_star, s) -> SecondaryValue:
     at t_star (asserted), where they give the kink value; t_star is a
     breaking point iff the right slope is less than the left.  Elsewhere a
     finite value raises NotABreakingPoint (NoObstruction is still returned).
-    H_s is keyed by its entering times over the slice-1 positions
-    (`_halfplane_keys`), with no region built.  The side keys are packed in
-    one int per position with one width for both slices (`_line_keys`,
-    `_slope_bound`), and the two keys `_secondary` returns decode to the
-    leading lines' values and slopes.
+    H_s is keyed by its entering times over the slice-1 positions as
+    numerators over 2D for s = N/D (`_line_keys` with sign 0 and h 0: the
+    value alone, no slope), with no region built.  The side keys are
+    packed in one int per position with one width for both slices
+    (`_line_keys`, `_slope_bound`), and the two keys `_secondary` returns
+    decode to the leading lines' values and slopes.
     """
     t_star, s = _kl_parameters(t_star, s)
     eng = _Engine.of(k)
     n, d = t_star.numerator, t_star.denominator
     h = _slope_bound(eng)
     sides = ([_line_keys(pos, n, d, sign, h) for pos in (eng.at0, eng.at1)] for sign in (1, -1))
-    c = _halfplane_keys(eng.at1, s.numerator, s.denominator), 2 * s.denominator
+    c = _line_keys(eng.at1, s.numerator, s.denominator, 0, 0), 2 * s.denominator
     g_right, g_left, value = _secondary(eng, *sides, c)
     (v, right), (v_left, left) = divmod(g_right, 2 * h + 1), divmod(g_left, 2 * h + 1)
     right, left = right - h, h - left  # the slopes, keyed as s on the right and -s on the left

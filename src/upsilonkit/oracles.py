@@ -158,9 +158,6 @@ class LatticeGenerator(_OrderedValue):
         _set(self, "base", base)
         _set(self, "upower", upower)
 
-    def _key(self) -> tuple:
-        return (self.base, self.upower)
-
     @property
     def alexander(self) -> int:
         return self.base.alexander - self.upower
@@ -190,9 +187,6 @@ class Chain(_Value):
 
     def __init__(self, gens: frozenset[LatticeGenerator]):
         _set(self, "gens", gens)
-
-    def _key(self) -> tuple:
-        return (self.gens,)
 
     def __add__(self, other: "Chain") -> "Chain":
         return Chain(self.gens ^ other.gens)

@@ -48,9 +48,6 @@ class HalfPlane(_OrderedValue):
         _set(self, "beta", beta)
         _set(self, "c", c)
 
-    def _key(self) -> tuple:
-        return (self.alpha, self.beta, self.c)
-
     def entering_time(self, p: tuple[Rational, Rational]) -> Fraction:
         return self.alpha * _rat(p[0]) + self.beta * _rat(p[1]) - self.c
 
@@ -79,9 +76,6 @@ class SouthWestRegion(_Value):
     def __init__(self, atoms: tuple[tuple[HalfPlane, ...], ...]):
         _set(self, "atoms", atoms)
         self.__post_init__()
-
-    def _key(self) -> tuple:
-        return (self.atoms,)
 
     def __post_init__(self):
         # sorted, equal atoms are adjacent: each half-plane is hashed once
@@ -185,9 +179,6 @@ class PLFunction(_Value):
     def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
         _set(self, "points", points)
         self.__post_init__()
-
-    def _key(self) -> tuple:
-        return (self.points,)
 
     def __post_init__(self):
         pts = [(_rat(t), _rat(v)) for t, v in self.points]

@@ -45,12 +45,9 @@ class Semigroup(_Value):
         _set(self, "generators", generators)
         self.__post_init__()
 
-    def _key(self) -> tuple:
-        return (self.generators,)
-
     def __post_init__(self):
         gens = tuple(sorted(set(self.generators)))
-        if not gens or any(not isinstance(g, int) or g < 1 for g in gens):
+        if not gens or any(isinstance(g, bool) or not isinstance(g, int) or g < 1 for g in gens):
             raise ValueError("semigroup generators must be positive integers")
         if reduce(math.gcd, gens) != 1:
             raise ValueError(f"semigroup generators must have gcd 1: {gens}")
@@ -110,9 +107,6 @@ class PuiseuxData(_Value):
         _set(self, "a", a)
         _set(self, "qs", qs)
         self.__post_init__()
-
-    def _key(self) -> tuple:
-        return (self.a, self.qs)
 
     def __post_init__(self):
         qs = tuple(self.qs)
@@ -203,9 +197,6 @@ class AlexanderPolynomial(_Value):
 
     def __init__(self, terms: tuple[tuple[int, int], ...]):
         _set(self, "terms", terms)  # (u-exponent, coefficient), sorted
-
-    def _key(self) -> tuple:
-        return (self.terms,)
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "AlexanderPolynomial":
@@ -441,7 +432,7 @@ def fk_upsilon(p: int, q: int) -> PLFunction:
     p // q subtractions of q add p // q copies of Upsilon(q+1,q) and leave
     Upsilon(q, p % q): the recursion runs as Euclid's loop, at any depth.
     """
-    if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, q)) or p < 1 or q < 1:
         raise ValueError(f"torus parameters must be positive integers, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")

@@ -110,6 +110,8 @@ PARSE_ERRORS = [
     "stair(1)",
     "T(2,3) extra",
     "T(2,3) T(2,5)",
+    "file(abc",        # unterminated path
+    "file( )",         # empty path
 ]
 
 
@@ -267,6 +269,7 @@ def test_breaking_points(capsys):
     assert payload["value"] == {
         "breaking_points": [{"t": "1", "jump": "6", "i_minus": None, "i_plus": None}]
     }
+    assert run(capsys, "breaking-points", "thin(3)") == (0, "t = 1   jump = 6\n", "")
     code, out, _ = run(capsys, "breaking-points", "thin(0)")
     assert code == 0 and out.strip() == "no breaking points"
 
@@ -594,6 +597,16 @@ def test_validate_and_file_expression(tmp_path, capsys):
 
     payload = run_json(capsys, "upsilon", f"file({path})")
     assert payload["value"]["breakpoints"] == [["0", "0"], ["1", "-1"], ["2", "0"]]
+
+
+def test_validate_by_expression(capsys):
+    # by expression, not by file: the JSON names the knot by the text as given,
+    # and the sum of two three-generator trefoils has 3 × 3 generators
+    text = "T(3,2) # -T(3,2)"
+    assert run(capsys, "validate", text) == (0, "ok: knot-type complex with 9 generators\n", "")
+    payload = run_json(capsys, "validate", text)
+    assert (payload["knot"], payload["value"]) == (
+        text, {"ok": True, "problems": [], "generators": 9})
 
 
 def test_expression_and_complex_file_together_are_a_usage_error(tmp_path, capsys):

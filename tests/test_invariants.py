@@ -76,6 +76,7 @@ from upsilonkit.regions import (
     v_region,
 )
 from upsilonkit.zoo import (
+    Semigroup,
     eta_closed_form,
     fk_upsilon,
     jumps_from_semigroup,
@@ -569,6 +570,10 @@ _EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
     ("thin_model(tau)", thin_model, "tau must be an integer"),
     ("thin_three_param(tau)", lambda x: thin_three_param(x, 0, 0, 0), "tau must be an integer"),
     ("thin_kl_closed(tau)", lambda x: thin_kl_closed(x, 1), "tau must be an integer"),
+    ("check_jumps", lambda x: check_jumps((x, x)), "jumps must be positive integers"),
+    ("fk_upsilon(p)", lambda x: fk_upsilon(x, 2), "torus parameters must be positive integers"),
+    ("fk_upsilon(q)", lambda x: fk_upsilon(3, x), "torus parameters must be positive integers"),
+    ("Semigroup", lambda x: Semigroup((x, 2)), "semigroup generators must be positive integers"),
 ]
 
 

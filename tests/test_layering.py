@@ -182,3 +182,27 @@ def test_the_bench_reads_only_names_the_modules_bind():
     missing = sorted(f"{module}.{attr}" for module, attr in read
                      if not hasattr(modules[module], attr))
     assert not missing, f"the bench reads names that are gone: {missing}"
+
+
+def test_each_value_states_its_fields_once():
+    # a value class names its fields in `_fields` only: `_Value._key` reads
+    # them in that order, and `_OrderedValue` writes `__lt__` alone
+    # (`total_ordering` derives the rest), so no class repeats the tuple
+    methods = {f"{path.stem}.{node.name}": {f.name for f in node.body
+                                             if isinstance(f, ast.FunctionDef)}
+               for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)}
+    assert [name for name, defs in methods.items() if "_key" in defs] == ["exact._Value"]
+    assert methods["exact._OrderedValue"] & {"__lt__", "__le__", "__gt__", "__ge__"} == {"__lt__"}
+
+
+def test_only_tensor_makes_a_complex_past_the_constructor():
+    # every complex but a product goes through the checked `KnotComplex`
+    # constructor; `tensor`'s lazy product is the one other way
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    makers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "object"}
+    assert makers == {"tensor"}

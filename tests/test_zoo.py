@@ -254,6 +254,14 @@ def test_alexander_pretzel_frozen_q7():
     assert ap.to_t_string() == "1 - t + t^3 - t^4 + t^5 - t^6 + t^7 - t^9 + t^10"
     assert ap.evaluate_at_one() == 1
     assert ap.is_symmetric()
+    # the skein relation (t - 1 + t^-1)·Δ(T(2,7)) + (t^(1/2) - t^(-1/2))·Δ(T(2,10)),
+    # built with the public methods, in u = t^(1/2); Δ(T(2,n)) = sum (-1)^i u^(n-1-2i)
+    def torus2(n):
+        return AlexanderPolynomial.from_dict({n - 1 - 2 * i: (-1) ** i for i in range(n)})
+
+    skein = AlexanderPolynomial.from_dict({2: 1, 0: -1, -2: 1}).mul(torus2(7)).add(
+        AlexanderPolynomial.from_dict({1: 1, -1: -1}).mul(torus2(10)))
+    assert skein == ap
 
 
 def test_alexander_pretzel_validation():
