@@ -26,6 +26,13 @@ failure, or an input too large for memory; 3 brute-force oracle guard
 exceeded; 4 internal check failed (an oracle mismatch or a self-check).
 """
 
+# The docstring above is the description that `upsilonkit --help` prints.
+# The eight commands that print one engine value (upsilon-at, region-upsilon,
+# vk, nu-plus, dinv, eta, kl, secondary) share one handler, `_cmd_value`,
+# which the table `_VALUES` drives; the other five keep handlers of their own.
+# Each `_COMMANDS` row ends with the command's arguments as data, (flag,
+# argparse keywords) pairs that `_build_parser` adds in one loop.
+
 from __future__ import annotations
 
 import argparse
@@ -37,7 +44,7 @@ from fractions import Fraction
 from . import complexes, invariants, regions, zoo
 from .exact import rational_to_text
 from .invariants import GuardExceeded, NoObstructionType
-from .regions import RegionParseError, _Scanner, upsilon_halfplane
+from .regions import RegionParseError, _Scanner
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, command: str, value, provenance: list[str], *, knot: str | None = None,
-          region: str | None = None, extra_text: list[str] | None = None):
+          region: str | None = None):
     if args.format == "json":
         payload = {
             "command": command,
@@ -286,8 +293,6 @@ def _emit(args, command: str, value, provenance: list[str], *, knot: str | None 
         }
         print(json.dumps(payload, indent=1))
     else:
-        for line in extra_text or []:
-            print(line)
         print(_value_text(value))
     return 0
 
@@ -337,62 +342,51 @@ def _cmd_upsilon(args):
     return _emit(args, "upsilon", f, ["upsilon_function"], knot=name)
 
 
-def _checked(args, value, prov, name, oracle):
-    """The provenance `prov`, with `name` appended once `oracle(f)` has
-    matched the engine's value, with f the routine `name` of `oracles`,
-    when --check-oracle asks for that check; a mismatch raises
-    AssertionError (exit 4).  Only this check loads `oracles`."""
-    if args.check_oracle:
+# Command -> (value routine, provenance, oracle check, text line) of each
+# command that prints one engine value.  The value routine takes the complex,
+# the arguments and the command's regions (--cplus, --cminus, --region, those
+# it has); the oracle check, or None, is the name of the routine of `oracles`
+# that recomputes the value and how to call it; the text line, or None, goes
+# before the value in text output.  Routines are looked up at call time, so a
+# replaced one (a test's monkeypatch, a tracing wrapper) is the one called.
+_VALUES = {
+    "upsilon-at": (lambda k, a: invariants.upsilon_at(k, a.t), ["upsilon_at", "upsilon_region"],
+                   ("brute_force_upsilon",
+                    lambda f, k, a: -2 * f(k, regions.upsilon_halfplane(a.t))), None),
+    "region-upsilon": (lambda k, a, r: invariants.upsilon_region(k, r), ["upsilon_region"],
+                       ("brute_force_upsilon", lambda f, k, a, r: f(k, r)), None),
+    "vk": (lambda k, a: invariants.vk(k, a.s), ["vk"], None,
+           lambda a: f"V({a.s}), -2-scaled convention (V(0) of the positive trefoil is -2):"),
+    "nu-plus": (lambda k, a: invariants.nu_plus(k), ["nu_plus"], None, None),
+    "dinv": (lambda k, a: invariants.d_invariant(k, a.q, a.m), ["d_invariant", "vk"], None, None),
+    "eta": (lambda k, a, r: invariants.eta(k, r), ["eta"], None, None),
+    "kl": (lambda k, a: invariants.kim_livingston(k, a.t, a.s), ["kim_livingston"],
+           ("kim_livingston_oracle", lambda f, k, a: f(k, a.t, a.s)), None),
+    "secondary": (lambda k, a, *rs: invariants.secondary(k, *rs), ["secondary"],
+                  ("brute_force_secondary", lambda f, k, a, *rs: f(k, *rs)), None),
+}
+
+
+def _cmd_value(args):
+    """The value of a command of `_VALUES`.  Under --check-oracle the oracle
+    recomputes it and its name joins the provenance; a mismatch raises
+    AssertionError (exit 4).  Only that check loads `oracles`."""
+    value_of, provenance, oracle, line = _VALUES[args.command]
+    k, name = _get_complex(args)
+    rs = [regions.parse_region(getattr(args, flag))
+          for flag in ("cplus", "cminus", "region") if flag in args]
+    value = value_of(k, args, *rs)
+    if oracle and args.check_oracle:
         from . import oracles
-        expected = oracle(getattr(oracles, name))
+        routine, call = oracle
+        expected = call(getattr(oracles, routine), k, args, *rs)
         if value != expected:
             raise AssertionError(f"oracle check: engine {value} != brute-force oracle {expected}")
-        prov.append(name)
-    return prov
-
-
-def _cmd_upsilon_at(args):
-    k, name = _get_complex(args)
-    value = invariants.upsilon_at(k, args.t)
-    prov = _checked(args, value, ["upsilon_at", "upsilon_region"], "brute_force_upsilon",
-                    lambda f: -2 * f(k, upsilon_halfplane(args.t)))
-    return _emit(args, "upsilon-at", value, prov, knot=name)
-
-
-def _cmd_region_upsilon(args):
-    k, name = _get_complex(args)
-    r = regions.parse_region(args.region)
-    value = invariants.upsilon_region(k, r)
-    prov = _checked(args, value, ["upsilon_region"], "brute_force_upsilon",
-                    lambda f: f(k, r))
-    return _emit(args, "region-upsilon", value, prov, knot=name, region=args.region)
-
-
-def _cmd_vk(args):
-    k, name = _get_complex(args)
-    value = invariants.vk(k, args.s)
-    return _emit(
-        args, "vk", value, ["vk"], knot=name,
-        extra_text=[f"V({args.s}), -2-scaled convention (V(0) of the positive trefoil is -2):"],
-    )
-
-
-def _cmd_nu_plus(args):
-    k, name = _get_complex(args)
-    return _emit(args, "nu-plus", invariants.nu_plus(k), ["nu_plus"], knot=name)
-
-
-def _cmd_dinv(args):
-    k, name = _get_complex(args)
-    value = invariants.d_invariant(k, args.q, args.m)
-    return _emit(args, "dinv", value, ["d_invariant", "vk"], knot=name)
-
-
-def _cmd_eta(args):
-    k, name = _get_complex(args)
-    r = regions.parse_region(args.region)
-    value = invariants.eta(k, r)
-    return _emit(args, "eta", value, ["eta"], knot=name, region=args.region)
+        provenance = [*provenance, routine]
+    if line and args.format == "text":
+        print(line(args))
+    return _emit(args, args.command, value, provenance, knot=name,
+                 region=getattr(args, "region", None))
 
 
 def _cmd_breaking_points(args):
@@ -417,25 +411,6 @@ def _cmd_breaking_points(args):
     if not bps:
         print("no breaking points")
     return 0
-
-
-def _cmd_kl(args):
-    k, name = _get_complex(args)
-    value = invariants.kim_livingston(k, args.t, args.s)
-    prov = _checked(args, value, ["kim_livingston"], "kim_livingston_oracle",
-                    lambda f: f(k, args.t, args.s))
-    return _emit(args, "kl", value, prov, knot=name)
-
-
-def _cmd_secondary(args):
-    k, name = _get_complex(args)
-    cplus = regions.parse_region(args.cplus)
-    cminus = regions.parse_region(args.cminus)
-    c = regions.parse_region(args.region)
-    value = invariants.secondary(k, cplus, cminus, c)
-    prov = _checked(args, value, ["secondary"], "brute_force_secondary",
-                    lambda f: f(k, cplus, cminus, c))
-    return _emit(args, "secondary", value, prov, knot=name, region=args.region)
 
 
 def _cmd_validate(args):
@@ -519,89 +494,46 @@ def _cmd_pretzel_report(args):
 # ---------------------------------------------------------------------------
 
 
-def _knot_source(sub, formats=("text", "json")):
-    """The arguments of a command that reads a knot expression or --complex-file."""
-    sub.add_argument("expr", nargs="?", help="knot expression")
-    sub.add_argument("--complex-file", help="load the complex from JSON instead")
-    sub.add_argument("--format", choices=formats, default="text")
+# The arguments of the commands: (flag, argparse keywords) pairs.
+_KNOT = (("expr", {"nargs": "?", "help": "knot expression"}),
+         ("--complex-file", {"help": "load the complex from JSON instead"}))
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_SOURCE = (*_KNOT, _FORMAT)
+_REGION = ("--region", {"required": True})
+_CHECK = ("--check-oracle", {"action": "store_true"})
 
-
-def _upsilon_args(sub):
-    _knot_source(sub, formats=("text", "json", "csv"))
-    sub.add_argument("--samples", type=int, default=64,
-                     help="sample count for CSV output (default 64)")
-
-
-def _upsilon_at_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--t", type=_rational_flag, required=True)
-    sub.add_argument("--check-oracle", action="store_true",
-                     help="cross-check against the brute-force oracle")
-
-
-def _region_upsilon_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--region", required=True)
-    sub.add_argument("--check-oracle", action="store_true")
-
-
-def _vk_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--s", type=int, required=True)
-
-
-def _dinv_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--q", type=int, required=True, help="surgery coefficient")
-    sub.add_argument("--m", type=int, required=True, help="spin-c index")
-
-
-def _eta_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--region", required=True)
-
-
-def _kl_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--t", type=_rational_flag, required=True, help="breaking point")
-    sub.add_argument("--s", type=_rational_flag, required=True, help="evaluation parameter")
-    sub.add_argument("--check-oracle", action="store_true")
-
-
-def _secondary_args(sub):
-    _knot_source(sub)
-    sub.add_argument("--cplus", required=True)
-    sub.add_argument("--cminus", required=True)
-    sub.add_argument("--region", required=True)
-    sub.add_argument("--check-oracle", action="store_true")
-
-
-def _thin_check_args(sub):
-    sub.add_argument("expr", help="knot expression")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _pretzel_report_args(sub):
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
-# (name, help, handler, argument builder) of each subcommand, in help order.
+# (name, help, handler, arguments) of each subcommand, in help order; the
+# arguments are added in their order.
 _COMMANDS = (
-    ("upsilon", "the full upsilon function", _cmd_upsilon, _upsilon_args),
-    ("upsilon-at", "upsilon at one parameter", _cmd_upsilon_at, _upsilon_at_args),
-    ("region-upsilon", "region invariant (unscaled)", _cmd_region_upsilon, _region_upsilon_args),
-    ("vk", "V(s), -2-scaled convention", _cmd_vk, _vk_args),
-    ("nu-plus", "least s with V(s) = 0", _cmd_nu_plus, _knot_source),
-    ("dinv", "surgery correction term", _cmd_dinv, _dinv_args),
-    ("eta", "Alexander-truncation invariant", _cmd_eta, _eta_args),
-    ("breaking-points", "kinks with positive jump", _cmd_breaking_points, _knot_source),
-    ("kl", "secondary invariant at a breaking point", _cmd_kl, _kl_args),
-    ("secondary", "raw secondary invariant for three regions", _cmd_secondary, _secondary_args),
-    ("validate", "check the knot-type conditions", _cmd_validate, _knot_source),
-    ("thin-check", "obstruct concordance to a thin knot", _cmd_thin_check, _thin_check_args),
+    ("upsilon", "the full upsilon function", _cmd_upsilon,
+     (*_KNOT, ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+      ("--samples", {"type": int, "default": 64,
+                     "help": "sample count for CSV output (default 64)"}))),
+    ("upsilon-at", "upsilon at one parameter", _cmd_value,
+     (*_SOURCE, ("--t", {"type": _rational_flag, "required": True}),
+      ("--check-oracle", {"action": "store_true",
+                          "help": "cross-check against the brute-force oracle"}))),
+    ("region-upsilon", "region invariant (unscaled)", _cmd_value, (*_SOURCE, _REGION, _CHECK)),
+    ("vk", "V(s), -2-scaled convention", _cmd_value,
+     (*_SOURCE, ("--s", {"type": int, "required": True}))),
+    ("nu-plus", "least s with V(s) = 0", _cmd_value, _SOURCE),
+    ("dinv", "surgery correction term", _cmd_value,
+     (*_SOURCE, ("--q", {"type": int, "required": True, "help": "surgery coefficient"}),
+      ("--m", {"type": int, "required": True, "help": "spin-c index"}))),
+    ("eta", "Alexander-truncation invariant", _cmd_value, (*_SOURCE, _REGION)),
+    ("breaking-points", "kinks with positive jump", _cmd_breaking_points, _SOURCE),
+    ("kl", "secondary invariant at a breaking point", _cmd_value,
+     (*_SOURCE, ("--t", {"type": _rational_flag, "required": True, "help": "breaking point"}),
+      ("--s", {"type": _rational_flag, "required": True, "help": "evaluation parameter"}),
+      _CHECK)),
+    ("secondary", "raw secondary invariant for three regions", _cmd_value,
+     (*_SOURCE, ("--cplus", {"required": True}), ("--cminus", {"required": True}), _REGION,
+      _CHECK)),
+    ("validate", "check the knot-type conditions", _cmd_validate, _SOURCE),
+    ("thin-check", "obstruct concordance to a thin knot", _cmd_thin_check,
+     (("expr", {"help": "knot expression"}), _FORMAT)),
     ("pretzel-report", "decomposition constraints for P(-2,3,q)", _cmd_pretzel_report,
-     _pretzel_report_args),
+     (("--q", {"type": int, "required": True}), _FORMAT)),
 )
 
 
@@ -614,9 +546,10 @@ def _build_parser(argv) -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
     named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
-    for name, summary, func, add_arguments in named or _COMMANDS:
+    for name, summary, func, arguments in named or _COMMANDS:
         sub = subs.add_parser(name, help=summary)
-        add_arguments(sub)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
         sub.set_defaults(func=func)
     return parser
 

@@ -674,13 +674,22 @@ def from_json_dict(data: dict) -> KnotComplex:
     return KnotComplex(tuple(gens), tuple(arrows))
 
 
-def save_complex(k: KnotComplex, path: str) -> None:
-    with open(path, "w") as fh:
+def _file_path(path):
+    """A str or os.PathLike path; `open` would take an int as a file
+    descriptor (and close it), so one is refused before anything opens."""
+    if isinstance(path, int):
+        raise ValueError(f"a complex file path must be a str or os.PathLike, "
+                         f"not {type(path).__name__}")
+    return path
+
+
+def save_complex(k: KnotComplex, path) -> None:
+    with open(_file_path(path), "w") as fh:
         json.dump(to_json_dict(k), fh, indent=1)
 
 
-def load_complex(path: str) -> KnotComplex:
-    with open(path) as fh:
+def load_complex(path) -> KnotComplex:
+    with open(_file_path(path)) as fh:
         try:
             return from_json_dict(json.load(fh))
         except RecursionError:  # the decoder recurses once per nested array or object

@@ -46,9 +46,12 @@ class Semigroup(_Value):
         self.__post_init__()
 
     def __post_init__(self):
-        gens = tuple(sorted(set(self.generators)))
+        # Each generator is checked before any comparison: sorting first would
+        # raise a TypeError on a generator that does not compare with ints.
+        gens = self.generators
         if not gens or any(isinstance(g, bool) or not isinstance(g, int) or g < 1 for g in gens):
             raise ValueError("semigroup generators must be positive integers")
+        gens = tuple(sorted(set(gens)))
         if reduce(math.gcd, gens) != 1:
             raise ValueError(f"semigroup generators must have gcd 1: {gens}")
         _set(self, "generators", gens)

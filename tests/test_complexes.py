@@ -1,6 +1,7 @@
 """Complex construction, validation, slices, and the structural operations."""
 
 import json
+import os
 import random
 import re
 from itertools import combinations_with_replacement, product
@@ -842,6 +843,26 @@ def test_json_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert set(data) == {"generators", "arrows"}
     assert all(set(g) == {"id", "A", "j", "M"} for g in data["generators"])
+
+
+def test_a_complex_file_path_is_never_a_file_descriptor(tmp_path):
+    # `open` takes an int as a file descriptor and closes it when done: an
+    # int path (a bool too) is refused before anything is opened, and the
+    # descriptors stay open.  A pathlib path still works.
+    k = torus_knot(3, 2)
+    r, w = os.pipe()
+    try:
+        for call in (lambda: save_complex(k, w), lambda: load_complex(r),
+                     lambda: save_complex(k, True), lambda: load_complex(False)):
+            with pytest.raises(ValueError, match="str or os.PathLike, not (int|bool)"):
+                call()
+        os.fstat(r)
+        os.fstat(w)
+    finally:
+        os.close(r)
+        os.close(w)
+    save_complex(k, tmp_path / "k.json")
+    assert load_complex(tmp_path / "k.json") == k
 
 
 def test_from_json_dict_round_trip_in_memory():

@@ -206,3 +206,24 @@ def test_only_tensor_makes_a_complex_past_the_constructor():
               and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
               and node.func.value.id == "object"}
     assert makers == {"tensor"}
+
+
+def test_each_command_is_stated_once():
+    # the commands that print one engine value share `_cmd_value`, driven by
+    # `_VALUES`, and every command's arguments are data in its `_COMMANDS`
+    # row, (flag, argparse keywords) pairs that `_build_parser` alone adds
+    from upsilonkit import cli
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    adds = lambda node: [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                         and isinstance(call.func, ast.Attribute)
+                         and call.func.attr == "add_argument"]
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_parser")
+    assert adds(build) and set(adds(tree)) == set(adds(build))
+    for name, _, func, arguments in cli._COMMANDS:
+        assert isinstance(arguments, tuple) and arguments, name
+        assert all(isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+                   and isinstance(pair[1], dict) for pair in arguments), name
+        assert (func is cli._cmd_value) == (name in cli._VALUES), name
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not {f"_cmd_{name.replace('-', '_')}" for name in cli._VALUES} & defined

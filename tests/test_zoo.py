@@ -85,6 +85,11 @@ def test_semigroup_validation():
         semigroup_from_generators((0, 3))
     with pytest.raises(ValueError):
         semigroup_from_generators(())
+    # each generator is checked before they are sorted: one that does not
+    # compare with an int is a ValueError, not a TypeError from the sort
+    for bad in ("a", None):
+        with pytest.raises(ValueError, match="positive integers"):
+            Semigroup((bad, 2))
 
 
 def test_semigroup_torus_genus_formula():
