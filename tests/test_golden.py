@@ -2,10 +2,10 @@
 
 The corpus is the commands of the bench's `cli` rounds for seeds 0-5 (each
 run in a directory holding that round's files), the top-level `--help`, no
-arguments, an unknown command, every command's `--help` and one malformed
-option per command, and errors past the parser.  `golden/cli.json` records argv, exit code, stdout and
-stderr of each; a declared output change regenerates it with
-`python tests/golden/regen.py`.
+arguments, an unknown command, every command's `--help`, one malformed
+option per command and some errors past the parser.  `golden/cli.json`
+records argv, exit code, stdout and stderr of each; a declared output change
+regenerates it with `python tests/golden/regen.py`.
 """
 
 import contextlib
@@ -24,8 +24,9 @@ HERE = Path(__file__).parent
 GOLDEN = HERE / "golden" / "cli.json"
 WORKLOADS = HERE.parent / "perfbench" / "workloads.py"
 SEEDS = range(6)
-# Errors past the parser, in the order a command meets them: the knot source,
-# the knot, then the regions in the order --cplus, --cminus, --region.
+# Errors past the parser: a missing or doubled knot source, an unreadable
+# file, a bad knot before bad regions and then the regions in the order
+# --cplus, --cminus, --region, and out-of-range values.
 ERRORS = (
     ["upsilon-at", "--t", "1"],
     ["eta", "T(3,2)", "--complex-file", "a.json", "--region", "H(1)"],
