@@ -73,7 +73,12 @@ H_{t*-eps}, with no width to choose.
 The brute-force oracles that recompute these values by enumeration live in
 `oracles`, which no command loads unless asked for an oracle check;
 `GuardExceeded`, which they raise, stays here so that callers can catch it
-without loading them.
+without loading them.  The staircase closed forms (`staircase_upsilon`,
+`staircase_vk`, `staircase_breaking_points`, `staircase_kl`), which read
+none of the engine, live in `closedforms`, which of the commands only
+`pretzel-report` loads; this module hands out their names on first use.
+The jumps and corners they read (`check_jumps`, `staircase_corners`) stay
+here, since every staircase atom is built from them.
 """
 
 from __future__ import annotations
@@ -82,8 +87,14 @@ from fractions import Fraction
 from math import gcd
 
 from .complexes import KnotComplex, _below, _Engine, _least_top
-from .exact import _echelonize, _set, _Value
+from .exact import _echelonize, _lazy, _set, _Value
 from .regions import PLFunction, SouthWestRegion, _int, _rat, entering_numerators, upsilon_halfplane
+
+# the names split off into `closedforms` (see the module docstring)
+__getattr__ = _lazy(globals(), {
+    "closedforms": ("staircase_breaking_points", "staircase_kl", "staircase_upsilon",
+                    "staircase_vk"),
+})
 
 
 class GuardExceeded(Exception):
@@ -225,7 +236,9 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[tuple[int, int], tuple[int, int]]
     packed key it returns into the line's value and slope, and is checked
     for continuity, but one where the same line leads on is not recorded:
     two different lines that meet at an event differ in slope, so every
-    recorded interior event is a kink."""
+    recorded interior event is a kink.  Each next event must come strictly
+    after the last (the progress guard): a sweep that stalled would never
+    end, so it raises AssertionError instead."""
     h = _slope_bound(eng)
     w = 2 * h + 1
     lines = {(a - j, j) for a, j in eng.at0}  # (s, j): L(t) = j + (t/2)s
@@ -254,6 +267,9 @@ def _kinetic_sweep(eng: _Engine) -> list[tuple[tuple[int, int], tuple[int, int]]
                     bn, bd = num, den
         if (bn, bd) == (2, 1):  # nothing crosses lead before 2
             return events
+        if bn * d <= n * bd:  # the progress guard: a sweep that stalls would never end
+            raise AssertionError(f"upsilon sweep: the event after t = {Fraction(n, d)} "
+                                 "does not come after it")
         g = gcd(bn, bd)
         n, d = bn // g, bd // g
 
@@ -295,7 +311,7 @@ def breaking_points(k: KnotComplex) -> list[BreakingPoint]:
 
 
 # ---------------------------------------------------------------------------
-# Staircase closed forms (independent of the homology engine)
+# Staircase jumps and corners (the closed forms on them are in `closedforms`)
 # ---------------------------------------------------------------------------
 
 
@@ -334,75 +350,7 @@ def staircase_corners(jumps) -> tuple[tuple[int, int], ...]:
     return tuple(corners)
 
 
-def _corner_hull(corners) -> list[tuple[Fraction, int]]:
-    """(t, i) for each line L_i(t) = m_i + (t/2)(n_i - m_i) of the corners'
-    lower envelope on [0, 2], in order, with the t where it takes over (0
-    for the first).  The slopes fall strictly, so it is one stack pass in
-    integers (the convex-hull trick).  A line that leads at most at a point
-    is dropped, so the lines on either side of a kink are its first and
-    last minimizing corners."""
-    hull = [(0, 0, 1)]  # (i, num, den): line i leads from t = num/den
-    for c, (n, m) in enumerate(corners[1:], 1):
-        while True:  # stops at line 0 (m = 0) at the latest
-            b, b_num, b_den = hull[-1]
-            nb, mb = corners[b]
-            num, den = 2 * (m - mb), (nb - mb) - (n - m)  # c takes over from b at num/den
-            if num * b_den > b_num * den:
-                break
-            hull.pop()  # no later than b takes over: b leads at most at a point
-        hull.append((c, num, den))
-    return [(Fraction(num, den), i) for i, num, den in hull]
-
-
-def staircase_upsilon(jumps) -> PLFunction:
-    """Knot-level upsilon of a staircase, -2 min_i L_i(t) over its corner
-    lines: the envelope's lines read at each takeover and at t = 2."""
-    corners = staircase_corners(jumps)
-    points = [(t, -2 * corners[i][1] - t * (corners[i][0] - corners[i][1]))
-              for t, i in _corner_hull(corners)]
-    return PLFunction((*points, (Fraction(2), Fraction(-2 * corners[-1][0]))))
-
-
 _V_PARAMETER = "V takes an integer parameter"  # the one check of vk and staircase_vk
-
-
-def staircase_vk(jumps, s: int) -> Fraction:
-    """V(s) of a staircase: -2 * min over corners of max(n_i - s, m_i)."""
-    s = _int(s, _V_PARAMETER)
-    corners = staircase_corners(jumps)
-    return Fraction(-2 * min(max(n - s, m) for n, m in corners))
-
-
-def staircase_breaking_points(jumps) -> list[BreakingPoint]:
-    """Breaking points of a staircase: every kink of its envelope, with the
-    first and last minimizing corners, the envelope's lines a and b on
-    either side.  The knot-level jump there is the slope difference
-    (n_a - m_a) - (n_b - m_b) > 0."""
-    corners = staircase_corners(jumps)
-    hull = _corner_hull(corners)
-    slopes = [n - m for n, m in corners]
-    return [BreakingPoint(t, Fraction(slopes[a] - slopes[b]), a, b)
-            for (_, a), (t, b) in zip(hull, hull[1:])]
-
-
-def staircase_kl(jumps, t_star, s) -> Fraction:
-    """The secondary invariant of a staircase at a breaking point, closed form.
-
-    With i_minus/i_plus the first and last corners realizing the envelope
-    minimum at the kink t_star, the connecting degree-1 chain is
-    y_{i_minus} + ... + y_{i_plus - 1} (y_j at (n_j, m_{j+1})), and the value is
-    -2 * (max_{i_minus <= j < i_plus} [(s/2) n_j + (1 - s/2) m_{j+1}]
-          - envelope minimum at t_star).
-    """
-    t_star, s = _rat(t_star), _rat(s)
-    kinks = {b.t: b for b in staircase_breaking_points(jumps)}
-    if t_star not in kinks:
-        raise ValueError(f"t = {t_star} is not a breaking point of this staircase")
-    corners, kink = staircase_corners(jumps), kinks[t_star]
-    n, m = corners[kink.i_minus]
-    twice_peak = max(2 * corners[j + 1][1] + s * (corners[j][0] - corners[j + 1][1])
-                     for j in range(kink.i_minus, kink.i_plus))
-    return 2 * m + t_star * (n - m) - twice_peak
 
 
 # ---------------------------------------------------------------------------

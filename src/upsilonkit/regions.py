@@ -11,17 +11,27 @@ atoms, of an intersection the max over half-planes.
 
 `PLFunction` is an exact continuous piecewise-linear function on a rational
 interval, stored by its breakpoints; invariant curves (upsilon as a function
-of t) live here.
+of t) live here.  The arithmetic on them (`pl_eval`, `pl_add`,
+`pl_negate_scale`, `pl_singular_points`) is in `plfunctions`, which only
+`upsilon --format csv` and the two reports load, and the region DSL's
+parser (`parse_region`) in `regiondsl`, which only the commands that take a
+region load; this module hands out their names on first use.  The lexing
+both DSLs share (`_Scanner`) stays here, since every command parses a knot.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from itertools import groupby
 
-from .exact import Rational, _OrderedValue, _set, _Value
+from .exact import Rational, _lazy, _OrderedValue, _set, _Value
+
+# the names split off into `plfunctions` and `regiondsl` (see the module docstring)
+__getattr__ = _lazy(globals(), {
+    "plfunctions": ("_pl_at", "pl_add", "pl_eval", "pl_negate_scale", "pl_singular_points"),
+    "regiondsl": ("parse_region",),
+})
 
 
 def _int(x, message: str) -> int:
@@ -210,69 +220,7 @@ class PLFunction(_Value):
         return (self.points[0][0], self.points[-1][0])
 
     def __call__(self, t) -> Fraction:
-        return pl_eval(self, t)
-
-
-def pl_eval(f: PLFunction, t) -> Fraction:
-    t = _rat(t)
-    lo, hi = f.domain
-    if not lo <= t <= hi:
-        raise ValueError(f"argument {t} outside the domain [{lo}, {hi}]")
-    ts = [p[0] for p in f.points]
-    i = bisect.bisect_right(ts, t) - 1
-    if i == len(ts) - 1:
-        return f.points[-1][1]
-    (t0, v0), (t1, v1) = f.points[i], f.points[i + 1]
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-
-def _pl_at(f: PLFunction, ts) -> list[Fraction]:
-    """f at each of these abscissae, increasing and inside f's domain, from
-    one walk over its points: the values `pl_eval` gives, with no list of
-    abscissae rebuilt and no bisection per point."""
-    points = f.points
-    last = len(points) - 1
-    values = []
-    i = 0
-    for t in ts:
-        while i < last and points[i + 1][0] <= t:
-            i += 1
-        t0, v0 = points[i]
-        if t == t0:  # at the last point too, which only the domain's end reaches
-            values.append(v0)
-        else:
-            t1, v1 = points[i + 1]
-            values.append(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
-    return values
-
-
-def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
-    """f + g, from both functions at the sorted union of their breakpoints,
-    each read in one walk (`_pl_at`)."""
-    if f.domain != g.domain:
-        raise ValueError("cannot add PL functions on different domains")
-    ts = sorted({p[0] for p in f.points} | {p[0] for p in g.points})
-    return PLFunction(tuple([(t, u + v) for t, u, v in zip(ts, _pl_at(f, ts), _pl_at(g, ts))]))
-
-
-def pl_negate_scale(f: PLFunction, c) -> PLFunction:
-    """The function c * f (use c = -1 for negation)."""
-    c = _rat(c)
-    if c == 0:
-        return PLFunction(((f.points[0][0], Fraction(0)), (f.points[-1][0], Fraction(0))))
-    return PLFunction(tuple((t, c * v) for t, v in f.points))
-
-
-def pl_singular_points(f: PLFunction) -> list[tuple[Fraction, Fraction]]:
-    """Interior breakpoints with their derivative jumps (right minus left slope).
-
-    Canonical form guarantees every listed jump is nonzero.
-    """
-    out = []
-    for (t0, v0), (t1, v1), (t2, v2) in zip(f.points, f.points[1:], f.points[2:]):
-        jump = (v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)
-        out.append((t1, jump))
-    return out
+        return __getattr__("pl_eval")(self, t)  # `plfunctions.pl_eval`, loaded on first use
 
 
 def pl_constant(value, domain=(Fraction(0), Fraction(2))) -> PLFunction:
@@ -280,7 +228,7 @@ def pl_constant(value, domain=(Fraction(0), Fraction(2))) -> PLFunction:
 
 
 # ---------------------------------------------------------------------------
-# Region DSL:  H(t) | Q(s) | hp(a,b,c) | trunc(R, x) | R & R | R | R | (R)
+# The lexing of the region and knot DSLs (the region parser is `regiondsl`)
 # ---------------------------------------------------------------------------
 
 
@@ -355,85 +303,3 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         return start
-
-
-class _RegionParser(_Scanner):
-    """Recursive descent over the region DSL; & binds tighter than |."""
-
-    error = RegionParseError
-
-    def expr(self) -> SouthWestRegion:
-        """A union of intersections."""
-        region = self.intersect_expr()
-        while self.peek() == "|":
-            self.pos += 1
-            region = union(region, self.intersect_expr())
-        return region
-
-    def intersect_expr(self) -> SouthWestRegion:
-        region = self.atom()
-        while self.peek() == "&":
-            self.pos += 1
-            region = intersect(region, self.atom())
-        return region
-
-    def atom(self) -> SouthWestRegion:
-        if self.peek() == "(":
-            self.descend()
-            self.pos += 1
-            region = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return region
-        start, name = self.term_name("region")
-        try:
-            if name == "H":
-                self.expect("(")
-                t = self.rational()
-                self.expect(")")
-                return upsilon_halfplane(t)
-            if name == "Q":
-                self.expect("(")
-                s = self.rational()
-                self.expect(")")
-                return v_region(s)
-            if name == "hp":
-                self.expect("(")
-                a = self.rational()
-                self.expect(",")
-                b = self.rational()
-                self.expect(",")
-                c = self.rational()
-                self.expect(")")
-                return make_halfplane(a, b, c)
-            if name == "trunc":
-                self.descend()
-                self.expect("(")
-                region = self.expr()
-                self.depth -= 1
-                self.expect(",")
-                x = self.rational()
-                self.expect(")")
-                return truncate(region, x)
-        except ValueError as exc:
-            if isinstance(exc, RegionParseError):
-                raise
-            raise RegionParseError(str(exc), start) from None
-        raise RegionParseError(f"unknown region term {name!r}", start)
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.digits(signed=True)
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            self.digits()
-        token = self.text[start:self.pos]
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise RegionParseError(f"malformed rational {token!r}", start) from None
-
-
-def parse_region(text: str) -> SouthWestRegion:
-    """Parse the region DSL; raises RegionParseError with a position on failure."""
-    return _RegionParser(text).parse()

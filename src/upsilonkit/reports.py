@@ -7,19 +7,22 @@ to a sum of algebraic knots.  Each returns plain data, the `value` of the
 command-line tool's JSON output.  `thin_three_param` and `thin_kl_closed`
 are the closed forms of a thin knot's region and secondary invariants.
 Only the `thin-check` and `pretzel-report` commands load this module.
+`pretzel_report` reads `zoo.pretzel` and `zoo.n_of_semigroup` when it runs,
+so `thin-check` loads neither `alexander` nor `closedforms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import zoo
 from .complexes import KnotComplex, tensor
 from .exact import rational_to_text
 from .invariants import (NO_OBSTRUCTION, NotABreakingPoint, SecondaryValue, breaking_points, eta,
                          kim_livingston, upsilon_function)
 from .regions import (PLFunction, _int, _rat, pl_add, pl_eval, pl_negate_scale,
                       pl_singular_points, upsilon_halfplane)
-from .zoo import _TAU, n_of_semigroup, pretzel, semigroup_from_generators
+from .zoo import _TAU, semigroup_from_generators
 
 # ---------------------------------------------------------------------------
 # Thin-knot closed forms
@@ -124,7 +127,7 @@ def pretzel_report(q: int) -> dict:
     constraint table for P(-2,3,q): which algebraic summands a concordance to
     a sum of algebraic knots could use.  tau, genus and eta are asserted
     against their closed forms."""
-    k = pretzel(q)
+    k = zoo.pretzel(q)
     f = upsilon_function(k)
     genus = max(g.alexander for g in k.generators)
     (t0, v0), (t1, v1) = f.points[0], f.points[1]
@@ -142,7 +145,7 @@ def pretzel_report(q: int) -> dict:
     # each exponent-3 summand, while tau is additive.  The deficit
     # (2/3) tau - eta therefore equals 2 * sum of n(S) over exponent-3 summands.
     n_sum = (Fraction(2, 3) * tau - eta_engine) / 2
-    n_table = {f"(3,{p})": n_of_semigroup(semigroup_from_generators((3, p)), 3)
+    n_table = {f"(3,{p})": zoo.n_of_semigroup(semigroup_from_generators((3, p)), 3)
                for p in range(4, 21) if p % 3}
     return {
         "tau": rational_to_text(tau),

@@ -1,10 +1,11 @@
-"""Rewrite golden/cli.json from the current program.
+"""Rewrite golden/cli.json, golden/sums.txt and golden/session.txt from the
+current program.
 
 Run it only for a declared output change, from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-then review the diff of tests/golden/cli.json before committing it.
+then review the diff of those files before committing them.
 """
 
 import json
@@ -36,6 +37,12 @@ def main() -> None:
         json.dump(entries, fh, indent=1, ensure_ascii=False)
         fh.write("\n")
     print(f"wrote {len(entries)} entries to {test_golden.GOLDEN}")
+    for workload in ("sums", "session"):
+        lines = [line for seed in test_golden.WORKER_SEEDS
+                 for line in test_golden.worker_lines(workload, seed)]
+        path = test_golden.worker_file(workload)
+        path.write_text("".join(f"{line}\n" for line in lines))
+        print(f"wrote {len(lines)} values to {path}")
 
 
 if __name__ == "__main__":

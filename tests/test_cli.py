@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import upsilonkit
-from upsilonkit import cli, complexes, invariants, oracles, reports, zoo
+from upsilonkit import alexander, cli, closedforms, complexes, invariants, oracles, reports, zoo
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
@@ -436,6 +436,24 @@ def test_exit_4_when_the_sweep_misses_its_last_kink(capsys, monkeypatch):
                         "upsilon curve: not linear on [1, 2]: a kink was missed")
 
 
+def test_exit_4_when_the_sweep_stalls(capsys, monkeypatch):
+    # with `>=` for `>` in its nearest-crossing test the sweep takes the
+    # event it is at as the next one: at T(3,2)'s kink, t = 1, the line that
+    # led before crosses the new leading line there.  The progress guard
+    # turns what would be an endless loop into exit 4.
+    source = inspect.getsource(invariants._kinetic_sweep)
+    mutant = source.replace("num * d > n * den", "num * d >= n * den")
+    assert mutant != source
+    namespace = dict(vars(invariants))
+    exec(compile(mutant, invariants.__file__, "exec"), namespace)
+    monkeypatch.setattr(invariants, "_kinetic_sweep", namespace["_kinetic_sweep"])
+    message = "upsilon sweep: the event after t = 1 does not come after it"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        invariants.upsilon_function(zoo.torus_knot(3, 2))
+    code, out, err = run(capsys, "upsilon", "T(3,2)")
+    assert (code, out, err) == (4, "", f"internal check failed: {message}\n")
+
+
 def test_exit_4_when_the_generating_cycle_is_a_boundary(capsys, monkeypatch):
     build = complexes._Engine.__init__
 
@@ -557,9 +575,12 @@ def test_provenance_names_the_routines_that_ran(tmp_path, capsys, monkeypatch, c
 
 def test_pretzel_report_provenance_names_only_routines_that_ran(capsys, monkeypatch):
     # `pretzel_report` calls zoo builders and invariants through the names of
-    # `reports`, so all three modules are traced; the report checks eta
-    # against (q - 3)/3 inline, with no call to `eta_closed_form`
-    called = _trace_routines(monkeypatch, (invariants, zoo, reports))
+    # `reports` and `zoo`, so every module that holds one is traced (`zoo`
+    # binds the two it hands out first, so that their tracers are undone
+    # there too); the report checks eta against (q - 3)/3 inline, with no
+    # call to `eta_closed_form`
+    assert zoo.pretzel is alexander.pretzel and zoo.n_of_semigroup is closedforms.n_of_semigroup
+    called = _trace_routines(monkeypatch, (invariants, zoo, alexander, closedforms, reports))
     payload = run_json(capsys, "pretzel-report", "--q", "7")
     assert set(payload["provenance"]) <= set(called)
 
@@ -780,6 +801,7 @@ def test_exit_2_when_an_atom_is_over_the_size_limit(capsys, monkeypatch, expr, m
         raise AssertionError("an atom over the size limit was built")
 
     monkeypatch.setattr(zoo, "staircase_from_jumps", refuse)
+    monkeypatch.setattr(alexander, "staircase_from_jumps", refuse)  # `pretzel`'s binding
     code, out, err = run(capsys, "upsilon", "--", expr)
     assert (code, out, err) == (2, "", f"error: {message}, over the limit of 100000\n")
 
@@ -930,8 +952,10 @@ def test_a_command_starts_without_dataclasses_or_inspect():
     # `python -m upsilonkit upsilon "T(3,2)"`, as runpy runs it: the value
     # classes are plain frozen classes, since importing `dataclasses` (and
     # with it `inspect`, `ast` and `tokenize`) was the largest start-up cost,
-    # and a command compiles neither the oracles nor the report pipelines,
-    # which it does not run
+    # and a command compiles only the package modules it runs: not the
+    # oracles, the reports or any module split off for the code few commands
+    # run (complex files, PL arithmetic, the region parser, the Alexander,
+    # Puiseux and closed-form routes)
     src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
@@ -941,13 +965,15 @@ def test_a_command_starts_without_dataclasses_or_inspect():
         "    runpy.run_module('upsilonkit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(sorted({'dataclasses', 'inspect', 'upsilonkit.oracles', 'upsilonkit.reports'}\n"
-        "             & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('upsilonkit')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["(0, 0)  (1, -1)  (2, 0)", "[]"]
+    assert proc.stdout.splitlines() == ["(0, 0)  (1, -1)  (2, 0)", "[]", str([
+        "upsilonkit", "upsilonkit.cli", "upsilonkit.complexes", "upsilonkit.exact",
+        "upsilonkit.invariants", "upsilonkit.regions", "upsilonkit.zoo"])]
 
 
 def test_closed_pipe_exits_1_quietly():

@@ -1,11 +1,15 @@
-"""Golden outputs: every command of a fixed corpus answers as recorded.
+"""Golden outputs: every command of a fixed corpus answers as recorded, and
+so does every value of the bench's worker rounds.
 
 The corpus is the commands of the bench's `cli` rounds for seeds 0-5 (each
 run in a directory holding that round's files), the top-level `--help`, no
 arguments, an unknown command, every command's `--help`, one malformed
 option per command and some errors past the parser.  `golden/cli.json`
-records argv, exit code, stdout and stderr of each; a declared output change
-regenerates it with `python tests/golden/regen.py`.
+records argv, exit code, stdout and stderr of each.  `golden/sums.txt` and
+`golden/session.txt` record the `repr` of each value of the `sums` and
+`session` rounds of seeds 1-20, one line per value, as the bench's worker
+shows it; the tests recompute the first two seeds.  A declared output
+change regenerates all three files with `python tests/golden/regen.py`.
 """
 
 import contextlib
@@ -13,11 +17,12 @@ import functools
 import importlib.util
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from upsilonkit import cli
+from upsilonkit import cli, complexes, invariants, regions, zoo
 from test_cli import MALFORMED
 
 HERE = Path(__file__).parent
@@ -107,3 +112,83 @@ def test_the_command_answers_as_recorded(tmp_path, monkeypatch, index):
     got = outcome(argv)
     for field in ("argv", "code", "stdout", "stderr"):  # one at a time, for a string diff
         assert got[field] == RECORDED[index][field], field
+
+
+# ---------------------------------------------------------------------------
+# The values of the bench's worker rounds
+# ---------------------------------------------------------------------------
+
+WORKER_SEEDS = range(1, 21)
+CHECKED_SEEDS = (1, 2)  # all 20 seeds take about 0.6 s; `regen.py` runs them all
+
+
+def worker_file(workload: str) -> Path:
+    return HERE / "golden" / f"{workload}.txt"
+
+
+def _sum_value(op) -> str:
+    """One `sums` operation of `perfbench/worker.py`: the torus summands
+    folded by `tensor`, then the curve and its breaking points, or
+    Kim-Livingston at t* = s = t."""
+    k = None
+    for sign, p, q in op["parts"]:
+        part = zoo.torus_knot(p, q) if sign > 0 else complexes.mirror(zoo.torus_knot(p, q))
+        k = part if k is None else complexes.tensor(k, part)
+    if op["kind"] == "curve":
+        return repr((invariants.upsilon_function(k).points, invariants.breaking_points(k)))
+    t = Fraction(op["t"])
+    return repr(invariants.kim_livingston(k, t, t))
+
+
+@functools.cache
+def _headline():
+    """The `session` worker's complex, warmed as it warms it."""
+    k = _workloads().build_torus_sum(_workloads().HEADLINE)
+    invariants.h0_surjective(k, regions.upsilon_halfplane(0), 0)
+    return k
+
+
+def _session_value(q) -> str:
+    """One `session` query of `perfbench/worker.py`."""
+    k = _headline()
+    if q["kind"] == "region":
+        value = invariants.upsilon_region(k, _workloads().region_from_spec(q["region"]))
+    elif q["kind"] == "vk":
+        value = invariants.vk(k, q["s"])
+    elif q["kind"] == "eta":
+        value = invariants.eta(k, _workloads().region_from_spec(q["region"]))
+    else:
+        delta = Fraction(q["delta"])
+        value = invariants.secondary(k, regions.upsilon_halfplane(1 + delta),
+                                     regions.upsilon_halfplane(1 - delta),
+                                     regions.upsilon_halfplane(Fraction(q["s"])))
+    return repr(value)
+
+
+def worker_lines(workload: str, seed: int) -> list[str]:
+    """"seed<TAB>index<TAB>repr" of each value of the round, in order."""
+    if workload == "sums":
+        values = map(_sum_value, _workloads().sums_round(seed))
+    else:
+        values = map(_session_value, _workloads().session_round(seed))
+    return [f"{seed}\t{i}\t{value}" for i, value in enumerate(values)]
+
+
+def _recorded_lines(workload: str) -> list[str]:
+    path = worker_file(workload)
+    return path.read_text().splitlines() if path.exists() else []
+
+
+@pytest.mark.parametrize("workload", ("sums", "session"))
+def test_the_worker_files_hold_every_round(workload):
+    rounds = {"sums": _workloads().sums_round, "session": _workloads().session_round}[workload]
+    expected = [(seed, i) for seed in WORKER_SEEDS for i in range(len(rounds(seed)))]
+    assert [tuple(map(int, line.split("\t")[:2])) for line in _recorded_lines(workload)] \
+        == expected
+
+
+@pytest.mark.parametrize("workload", ("sums", "session"))
+@pytest.mark.parametrize("seed", CHECKED_SEEDS)
+def test_the_worker_values_are_as_recorded(workload, seed):
+    recorded = [line for line in _recorded_lines(workload) if line.startswith(f"{seed}\t")]
+    assert worker_lines(workload, seed) == recorded

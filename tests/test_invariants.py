@@ -361,6 +361,23 @@ def test_staircase_hull_matches_the_direct_minimum():
         assert {b.t: (b.i_minus, b.i_plus) for b in kinks} == ties
 
 
+def test_the_canonical_curves_are_those_of_the_checked_constructor():
+    # `staircase_upsilon` and a nonzero `pl_negate_scale` make their curves
+    # with `PLFunction._canonical`, which checks nothing: their points must
+    # be the Fraction pairs that the canonicalizing constructor makes of them
+    def checked(f):
+        assert all(type(x) is F for point in f.points for x in point)
+        assert PLFunction(f.points).points == f.points
+        return f
+
+    for p in range(3, 22):
+        for q in range(2, p):
+            if gcd(p, q) == 1:
+                curve = checked(staircase_upsilon(torus_jumps(p, q)))
+                for c in (-1, F(3, 2), F(-7, 3)):
+                    checked(pl_negate_scale(curve, c))
+
+
 def test_staircase_kl_rejects_non_breaking():
     with pytest.raises(ValueError, match="not a breaking point"):
         staircase_kl((1, 1, 1, 1), F(2, 3), F(2, 3))

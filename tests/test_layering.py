@@ -3,11 +3,19 @@
 import ast
 import importlib
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import upsilonkit
 
-ORDER = ["exact", "complexes", "regions", "invariants", "oracles", "zoo", "reports", "cli"]
+ORDER = ["exact", "complexes", "complexfiles", "regions", "plfunctions", "regiondsl", "invariants",
+         "oracles", "zoo", "alexander", "puiseux", "closedforms", "reports", "cli"]
+# (module, module split off from it): the only pairs where a module's lazy
+# lookup (`exact._lazy`) names a module, which may lie below it
+SPLIT = {("complexes", "complexfiles"), ("regions", "plfunctions"), ("regions", "regiondsl"),
+         ("invariants", "closedforms"), ("zoo", "alexander"), ("zoo", "puiseux"),
+         ("zoo", "closedforms")}
 EXEMPT = {"__init__", "__main__"}
 PACKAGE = Path(upsilonkit.__file__).parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -85,6 +93,38 @@ def test_each_layer_imports_only_layers_above_it():
         assert not below, f"{name} imports {sorted(below)}, which are not above it"
 
 
+def _lazy_table(path: Path) -> dict | None:
+    """The table of a module's `__getattr__ = _lazy(globals(), table)`, or
+    None; any other module-level `__getattr__` fails."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+            raise AssertionError(f"{path.stem} writes its own __getattr__")
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__getattr__"]:
+            call = node.value
+            assert ast.unparse(call.func) == "_lazy" and ast.unparse(call.args[0]) == "globals()"
+            return ast.literal_eval(call.args[1])
+    return None
+
+
+def test_only_a_split_module_loads_on_a_lazy_lookup():
+    # each module hands out the names it no longer holds through one shared
+    # helper, `exact._lazy`, and each table names only the modules split off
+    # from it; every name resolves to the same object in its new home
+    pairs = set()
+    for name in ORDER:
+        table = _lazy_table(PACKAGE / f"{name}.py")
+        if table is None:
+            continue
+        module = importlib.import_module(f"upsilonkit.{name}")
+        for home, names in table.items():
+            pairs.add((name, home))
+            held = vars(importlib.import_module(f"upsilonkit.{home}"))
+            for attr in names:
+                assert attr in held, f"{home} holds no {attr}"
+                assert getattr(module, attr) is held[attr], f"{name}.{attr}"
+    assert pairs == SPLIT
+
+
 def _names(path: Path) -> set[str]:
     """The names, attributes and imported names that a module's code uses."""
     names = set()
@@ -127,15 +167,25 @@ def test_the_oracle_routes_read_no_engine_build():
 
 def test_the_staircase_closed_forms_read_no_engine():
     # the closed forms take the corner lines' hull in `_corner_hull`, so that
-    # the tests, which hold the engine to them, check it by a second route
-    tree = ast.parse((PACKAGE / "invariants.py").read_text())
-    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and (node.name == "_corner_hull" or node.name.startswith("staircase_"))}
-    assert len(bodies) == 6
+    # the tests, which hold the engine to them, check it by a second route;
+    # they live in `closedforms`, and the corners they read in `invariants`
+    engine = {"_Engine", "_least_top", "_line_keys", "_kinetic_sweep"}
+    bodies = {}
+    for module in ("closedforms", "invariants"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        bodies.update({f"{module}.{node.name}": node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and (node.name == "_corner_hull" or node.name.startswith("staircase_"))})
+    assert sorted(bodies) == [
+        "closedforms._corner_hull", "closedforms.staircase_breaking_points",
+        "closedforms.staircase_kl", "closedforms.staircase_upsilon", "closedforms.staircase_vk",
+        "invariants.staircase_corners"]
     for name, body in bodies.items():
         used = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-        engine = used & {"_Engine", "_least_top", "_line_keys", "_kinetic_sweep"}
-        assert not engine, f"{name} reads the engine: {sorted(engine)}"
+        assert not used & engine, f"{name} reads the engine: {sorted(used & engine)}"
+    # nor does any other closed form there (the torus recursion, eta's)
+    assert not _names(PACKAGE / "closedforms.py") & engine
+    assert "complexes" not in _package_imports(PACKAGE / "closedforms.py")
 
 
 def test_engine_eliminations_run_on_the_one_kernel():
@@ -182,6 +232,40 @@ def test_the_bench_reads_only_names_the_modules_bind():
     missing = sorted(f"{module}.{attr}" for module, attr in read
                      if not hasattr(modules[module], attr))
     assert not missing, f"the bench reads names that are gone: {missing}"
+
+
+def test_the_timed_bench_routines_load_no_split_module():
+    # the `sums` and `session` workers import these four modules before their
+    # timed operations, which must then load nothing more: a module loaded
+    # inside one would be compiled inside it, in every fresh-process round.
+    # So a fresh import of the package runs every routine those operations
+    # reach on a small sum, and no split-off module may load.
+    def loaded() -> set[str]:
+        return {name for name in sys.modules if name.partition(".")[0] == "upsilonkit"}
+
+    saved = {name: sys.modules.pop(name) for name in loaded()}
+    try:
+        complexes, invariants, regions, zoo = (importlib.import_module(f"upsilonkit.{name}")
+                                               for name in ("complexes", "invariants", "regions",
+                                                            "zoo"))
+        h = regions.upsilon_halfplane
+        k = complexes.tensor(zoo.torus_knot(5, 3), complexes.mirror(zoo.torus_knot(3, 2)))
+        assert invariants.h0_surjective(k, h(0), 0)
+        curve, kinks = invariants.upsilon_function(k), invariants.breaking_points(k)
+        t = kinks[0].t
+        values = [curve.points, kinks, invariants.kim_livingston(k, t, t),
+                  invariants.upsilon_region(k, regions.union(h(Fraction(2, 3)),
+                                                             regions.v_region(1))),
+                  invariants.vk(k, 1), invariants.nu_plus(k), invariants.eta(k, h(1)),
+                  invariants.secondary(k, h(t + Fraction(1, 99)), h(t - Fraction(1, 99)), h(1))]
+        assert all(map(repr, values))
+        modules = loaded()
+    finally:
+        for name in loaded():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    assert modules == {"upsilonkit", *(f"upsilonkit.{name}" for name in
+                                       ("complexes", "exact", "invariants", "regions", "zoo"))}
 
 
 def test_each_value_states_its_fields_once():

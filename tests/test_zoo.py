@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from upsilonkit import complexes, zoo
+from upsilonkit import alexander, complexes, zoo
 from upsilonkit.complexes import validate_complex
 from upsilonkit.invariants import (
     staircase_corners,
@@ -233,6 +233,7 @@ def test_atoms_over_the_size_limit_are_refused_before_building(monkeypatch):
     assert zoo.MAX_ATOM_SIZE is complexes.MAX_ATOM_SIZE == 100_000
     # at 9: the <2, 3> table has 7 entries, thin(4) and P(-2,3,7) 9 generators
     monkeypatch.setattr(zoo, "MAX_ATOM_SIZE", 9)
+    monkeypatch.setattr(alexander, "MAX_ATOM_SIZE", 9)  # the pretzels' check
     assert len(torus_knot(3, 2).generators) == 3
     assert len(staircase_from_jumps(jumps_from_semigroup(
         semigroup_from_puiseux(PuiseuxData(2, (3,))))).generators) == 3
