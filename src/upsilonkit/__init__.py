@@ -5,8 +5,7 @@ The package is organized bottom-up:
 * ``exact``        — F2 elimination on bit-packed vectors, exact rationals,
                      the frozen value-class base that stands in for the
                      standard library's dataclass (whose import is the
-                     largest start-up cost a command would pay), and
-                     ``_lazy``, which hands out a module's split-off names;
+                     largest start-up cost a command would pay);
 * ``complexes``    — filtered chain complexes over F2[U, U^-1], validation,
                      tensor/mirror, the engine;
 * ``complexfiles`` — JSON persistence and ``add_box`` (the commands that read
@@ -34,17 +33,38 @@ The package is organized bottom-up:
 * ``cli``          — the ``upsilonkit`` command-line tool.
 
 Importing the package loads none of them: each exported name loads its
-module on first use (a module ``__getattr__``), so a command starts with
-only the modules it runs.  ``complexfiles``, ``plfunctions``, ``regiondsl``,
-``alexander``, ``puiseux`` and ``closedforms`` hold code that few commands
-run (those in parentheses above load them).  They were split off from
-``complexes``, ``regions``, ``invariants`` and ``zoo``, which hand out
-their names on first use too, so every name still resolves there.
+module on first use, so a command starts with only the modules it runs.
+``_lazy``, defined here, is the one way a module hands out names it does
+not hold: it makes a module ``__getattr__`` (PEP 562) from a table of
+home modules, and the package takes its own from ``_EXPORTS``.
+``complexfiles``, ``plfunctions``, ``regiondsl``, ``alexander``,
+``puiseux`` and ``closedforms`` hold code that few commands run (those in
+parentheses above load them).  They were split off from ``complexes``,
+``regions``, ``invariants`` and ``zoo``, which hand out their names through
+``_lazy`` too, so every name still resolves there.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+
+def _lazy(namespace: dict, homes: dict):
+    """A module `__getattr__` (PEP 562) for the module of this namespace:
+    each name of `homes` (sibling module -> names) loads that module on its
+    first read and is bound here, so later reads find it as an attribute."""
+    home_of = {name: home for home, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        home = home_of.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(
+            import_module(f".{home}", namespace["__package__"]), name)
+        return value
+
+    return __getattr__
+
 
 _EXPORTS = {
     "exact": ("Rational", "rational_from_text", "rational_to_text"),
@@ -86,17 +106,9 @@ _EXPORTS = {
     "reports": ("thin_kl_closed", "thin_three_param"),
 }
 
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
-__all__ = sorted(_MODULE_OF)
-
-
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
-    return value
+__getattr__ = _lazy(globals(), _EXPORTS)
 
 
 def __dir__() -> list[str]:

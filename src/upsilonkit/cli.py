@@ -27,9 +27,10 @@ exceeded; 4 internal check failed (an oracle mismatch or a self-check).
 """
 
 # The docstring above is the description that `upsilonkit --help` prints.
-# The eight commands that print one engine value (upsilon-at, region-upsilon,
-# vk, nu-plus, dinv, eta, kl, secondary) share one handler, `_cmd_value`,
-# which the table `_VALUES` drives; the other five keep handlers of their own.
+# The nine commands that print one engine value (upsilon-at, region-upsilon,
+# vk, nu-plus, dinv, eta, breaking-points, kl, secondary) share one handler,
+# `_cmd_value`, which the table `_VALUES` drives; the other four keep
+# handlers of their own.
 # Each `_COMMANDS` row ends with the command's arguments as data, (flag,
 # argparse keywords) pairs that `_build_parser` adds in one loop.
 
@@ -44,7 +45,7 @@ from fractions import Fraction
 from . import complexes, invariants, regions, zoo
 from .exact import rational_to_text
 from .invariants import GuardExceeded, NoObstructionType
-from .regions import RegionParseError, _Scanner
+from .regions import _ParseError, _Scanner
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +57,8 @@ from .regions import RegionParseError, _Scanner
 # or ("file", path).
 
 
-class KnotParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class KnotParseError(_ParseError):
+    """A parse error in a knot expression."""
 
 
 class CliUsageError(Exception):
@@ -163,12 +162,7 @@ class _KnotParser(_Scanner):
 
     def atom(self):
         if self.peek() == "(":
-            self.descend()
-            self.pos += 1
-            expr = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return expr
+            return self.group()
         start, name = self.term_name("knot")
         if name not in _ATOMS:
             raise KnotParseError(f"unknown knot term {name!r}", start)
@@ -260,6 +254,10 @@ def _flatten_sum(expr: tuple, sign: int = 1) -> list[tuple[tuple, int]]:
 
 
 def _value_json(value):
+    if isinstance(value, list):  # breaking points
+        return {"breaking_points": [{"t": rational_to_text(bp.t),
+                                     "jump": rational_to_text(bp.jump),
+                                     "i_minus": bp.i_minus, "i_plus": bp.i_plus} for bp in value]}
     if isinstance(value, NoObstructionType):
         return "no-obstruction"
     if isinstance(value, regions.PLFunction):
@@ -271,6 +269,9 @@ def _value_json(value):
 
 
 def _value_text(value) -> str:
+    if isinstance(value, list):  # breaking points
+        return "\n".join(f"t = {rational_to_text(bp.t)}   jump = {rational_to_text(bp.jump)}"
+                         for bp in value) or "no breaking points"
     if isinstance(value, regions.PLFunction):
         return "  ".join(f"({rational_to_text(t)}, {rational_to_text(v)})" for t, v in value.points)
     return str(value)  # a Fraction's str is its canonical text
@@ -281,11 +282,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _emit(args, command: str, value, provenance: list[str], *, knot: str | None = None,
+def _emit(args, value, provenance: list[str], *, knot: str | None = None,
           region: str | None = None):
     if args.format == "json":
         payload = {
-            "command": command,
+            "command": args.command,
             "knot": knot,
             "region": region,
             "value": _value_json(value),
@@ -339,7 +340,7 @@ def _cmd_upsilon(args):
         for t, value in zip(ts, regions._pl_at(f, ts)):
             print(f"{float(t):.12f},{float(value):.12f}")
         return 0
-    return _emit(args, "upsilon", f, ["upsilon_function"], knot=name)
+    return _emit(args, f, ["upsilon_function"], knot=name)
 
 
 # Command -> (value routine, provenance, oracle check, text line) of each
@@ -360,6 +361,8 @@ _VALUES = {
     "nu-plus": (lambda k, a: invariants.nu_plus(k), ["nu_plus"], None, None),
     "dinv": (lambda k, a: invariants.d_invariant(k, a.q, a.m), ["d_invariant", "vk"], None, None),
     "eta": (lambda k, a, r: invariants.eta(k, r), ["eta"], None, None),
+    "breaking-points": (lambda k, a: invariants.breaking_points(k),
+                        ["breaking_points", "upsilon_function"], None, None),
     "kl": (lambda k, a: invariants.kim_livingston(k, a.t, a.s), ["kim_livingston"],
            ("kim_livingston_oracle", lambda f, k, a: f(k, a.t, a.s)), None),
     "secondary": (lambda k, a, *rs: invariants.secondary(k, *rs), ["secondary"],
@@ -385,32 +388,7 @@ def _cmd_value(args):
         provenance = [*provenance, routine]
     if line and args.format == "text":
         print(line(args))
-    return _emit(args, args.command, value, provenance, knot=name,
-                 region=getattr(args, "region", None))
-
-
-def _cmd_breaking_points(args):
-    k, name = _get_complex(args)
-    bps = invariants.breaking_points(k)
-    value = {
-        "breaking_points": [
-            {
-                "t": rational_to_text(bp.t),
-                "jump": rational_to_text(bp.jump),
-                "i_minus": bp.i_minus,
-                "i_plus": bp.i_plus,
-            }
-            for bp in bps
-        ]
-    }
-    if args.format == "json":
-        return _emit(args, "breaking-points", value,
-                     ["breaking_points", "upsilon_function"], knot=name)
-    for bp in bps:
-        print(f"t = {rational_to_text(bp.t)}   jump = {rational_to_text(bp.jump)}")
-    if not bps:
-        print("no breaking points")
-    return 0
+    return _emit(args, value, provenance, knot=name, region=getattr(args, "region", None))
 
 
 def _cmd_validate(args):
@@ -425,7 +403,7 @@ def _cmd_validate(args):
     value = {"ok": report.ok, "problems": list(report.problems),
              "generators": len(k.generators)}
     if args.format == "json":
-        _emit(args, "validate", value, ["validate_complex"], knot=name)
+        _emit(args, value, ["validate_complex"], knot=name)
     else:
         if report.ok:
             print(f"ok: knot-type complex with {len(k.generators)} generators")
@@ -457,7 +435,7 @@ def _cmd_thin_check(args):
             prov.append("kim_livingston")
         if "1" in ran:
             prov.append("thin_kl_closed")
-        return _emit(args, "thin-check", value, prov, knot=name)
+        return _emit(args, value, prov, knot=name)
     print(f"upsilon shape matches a thin knot: {value['upsilon_shape_matches_thin']} "
           f"(tau = {value['tau']})")
     for c in value["comparisons"]:
@@ -475,7 +453,7 @@ def _cmd_pretzel_report(args):
     name = f"P(-2,3,{args.q})"
     prov = ["pretzel", "upsilon_function", "eta", "n_of_semigroup"]
     if args.format == "json":
-        return _emit(args, "pretzel-report", value, prov, knot=name)
+        return _emit(args, value, prov, knot=name)
     eta_h = value["eta_H_2_3"]
     constraints = value["decomposition_constraints"]
     print(f"{name}: tau = {value['tau']}, genus = {value['genus']}")
@@ -521,7 +499,7 @@ _COMMANDS = (
      (*_SOURCE, ("--q", {"type": int, "required": True, "help": "surgery coefficient"}),
       ("--m", {"type": int, "required": True, "help": "spin-c index"}))),
     ("eta", "Alexander-truncation invariant", _cmd_value, (*_SOURCE, _REGION)),
-    ("breaking-points", "kinks with positive jump", _cmd_breaking_points, _SOURCE),
+    ("breaking-points", "kinks with positive jump", _cmd_value, _SOURCE),
     ("kl", "secondary invariant at a breaking point", _cmd_value,
      (*_SOURCE, ("--t", {"type": _rational_flag, "required": True, "help": "breaking point"}),
       ("--s", {"type": _rational_flag, "required": True, "help": "evaluation parameter"}),
@@ -571,7 +549,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (KnotParseError, RegionParseError) as exc:
+    except _ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except GuardExceeded as exc:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .invariants import _V_PARAMETER, BreakingPoint, staircase_corners
+from .invariants import _V_PARAMETER, BreakingPoint, _kl_parameters, staircase_corners
 from .plfunctions import pl_add, pl_negate_scale
-from .regions import PLFunction, _int, _rat, pl_constant
+from .regions import PLFunction, _int, pl_constant
 from .zoo import Semigroup, jumps_from_semigroup, semigroup_from_generators
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def staircase_kl(jumps, t_star, s) -> Fraction:
     -2 * (max_{i_minus <= j < i_plus} [(s/2) n_j + (1 - s/2) m_{j+1}]
           - envelope minimum at t_star).
     """
-    t_star, s = _rat(t_star), _rat(s)
+    t_star, s = _kl_parameters(t_star, s)  # the engine's checks: both refuse the same inputs
     kinks = {b.t: b for b in staircase_breaking_points(jumps)}
     if t_star not in kinks:
         raise ValueError(f"t = {t_star} is not a breaking point of this staircase")
@@ -127,9 +127,13 @@ def fk_upsilon(p: int, q: int) -> PLFunction:
     return curve
 
 
+_GENERATOR = "the generator a must be an integer"
+
+
 def n_of_semigroup(s: Semigroup, a: int) -> int:
     """The largest n >= 0 such that the members up to n*a are exactly
     {0, a, 2a, ..., na}."""
+    a = _int(a, _GENERATOR)  # 2.0 == 2 would pass the membership check
     if a not in s.generators:
         raise ValueError(f"{a} is not a generator of {s.generators}")
     if a == 1:
@@ -154,6 +158,7 @@ def eta_closed_form(s: Semigroup, a: int) -> Fraction:
     The matching region is {(1/a)A + (1 - 1/a)j <= 0}; the engine value is
     authoritative outside the algebraic-knot hypothesis.
     """
+    a = _int(a, _GENERATOR)
     if a != s.generators[0]:
         raise ValueError(f"closed form needs the smallest generator, got {a}")
     return (1 - Fraction(1, a)) * s.genus - (a - 1) * n_of_semigroup(s, a)

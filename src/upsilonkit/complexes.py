@@ -66,7 +66,8 @@ from __future__ import annotations
 from functools import cached_property
 from math import prod
 
-from .exact import _bits, _echelonize, _lazy, _mask, _OrderedValue, _set, _transpose, _Value
+from . import _lazy
+from .exact import _bits, _echelonize, _mask, _OrderedValue, _set, _transpose, _Value
 
 # the names split off into `complexfiles` (see the module docstring)
 __getattr__ = _lazy(globals(), {
@@ -94,10 +95,10 @@ class KnotComplex(_Value):
     """A combinatorial presentation: base generators plus arrows x -> U^m y.
 
     Arrows are stored as (source name, target name, upower) with multiplicity
-    reduced mod 2.  Construction enforces structural sanity (unique names,
-    arrow endpoints exist, integer U-powers); the homological conditions are
-    checked by `validate_complex`, so that files describing broken complexes
-    can still be loaded and reported on.
+    reduced mod 2.  Construction enforces structural sanity (unique string
+    names, integer gradings, arrow endpoints exist, integer U-powers); the
+    homological conditions are checked by `validate_complex`, so that files
+    describing broken complexes can still be loaded and reported on.
 
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
@@ -122,6 +123,12 @@ class KnotComplex(_Value):
 
     def __post_init__(self):
         gens = tuple(self.generators)
+        for g in gens:
+            if not isinstance(g.name, str):
+                raise ValueError(f"generator name must be a string: {_excerpt(g._key())}")
+            for x in (g.alexander, g.algebraic, g.maslov):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError(f"generator gradings must be integers: {_excerpt(g._key())}")
         names = [g.name for g in gens]
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):

@@ -28,18 +28,12 @@ the rest).  They stand in for the standard library's frozen dataclass:
 importing its module pulls in `inspect`, `ast` and `tokenize`, and it
 compiles each generated method with `exec`, which made it the largest
 start-up cost of every command that the package controls.
-
-`_lazy` is the one way a module hands out names it does not hold: the
-code that few commands run lives in modules of its own, and the module it
-was split off from names it in a table, so that a command compiles only
-the modules it runs and every name still resolves where it always did.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from importlib import import_module
 
 Rational = Fraction
 
@@ -91,24 +85,6 @@ class _OrderedValue(_Value):
         if other.__class__ is self.__class__:
             return self._key() < other._key()
         return NotImplemented
-
-
-def _lazy(namespace: dict, homes: dict):
-    """A module `__getattr__` (PEP 562) for the module of this namespace:
-    each name of `homes` (sibling module -> names) loads that module on its
-    first read and is bound here, so later reads find it as an attribute,
-    as the package `__init__` binds its exports."""
-    home_of = {name: home for home, names in homes.items() for name in names}
-
-    def __getattr__(name: str):
-        home = home_of.get(name)
-        if home is None:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(
-            import_module(f".{home}", namespace["__package__"]), name)
-        return value
-
-    return __getattr__
 
 
 def rational_from_text(text: str) -> Fraction:

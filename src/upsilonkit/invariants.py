@@ -87,7 +87,8 @@ from fractions import Fraction
 from math import gcd
 
 from .complexes import KnotComplex, _below, _Engine, _least_top
-from .exact import _echelonize, _lazy, _set, _Value
+from . import _lazy
+from .exact import _echelonize, _set, _Value
 from .regions import PLFunction, SouthWestRegion, _int, _rat, entering_numerators, upsilon_halfplane
 
 # the names split off into `closedforms` (see the module docstring)

@@ -1,17 +1,16 @@
 """Arithmetic on exact piecewise-linear functions (`regions.PLFunction`).
 
-`pl_eval` reads a function at one point (`PLFunction.__call__`), `_pl_at`
-at increasing points in one walk; `pl_add`, `pl_negate_scale` and
-`pl_singular_points` serve the torus recursion (`closedforms.fk_upsilon`),
-the report pipelines, the tests and the bench.  The engine builds its
-curves from their points alone, so of the commands only `upsilon --format
-csv` and the two reports load this module; `regions` hands out its names
-on first use.
+`_pl_at` reads a function at increasing points in one walk, and `pl_eval`
+(`PLFunction.__call__`) at one point through it; `pl_add`,
+`pl_negate_scale` and `pl_singular_points` serve the torus recursion
+(`closedforms.fk_upsilon`), the report pipelines, the tests and the bench.
+The engine builds its curves from their points alone, so of the commands
+only `upsilon --format csv` and the two reports load this module;
+`regions` hands out its names on first use.
 """
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 from .regions import PLFunction, _rat
@@ -22,18 +21,12 @@ def pl_eval(f: PLFunction, t) -> Fraction:
     lo, hi = f.domain
     if not lo <= t <= hi:
         raise ValueError(f"argument {t} outside the domain [{lo}, {hi}]")
-    ts = [p[0] for p in f.points]
-    i = bisect.bisect_right(ts, t) - 1
-    if i == len(ts) - 1:
-        return f.points[-1][1]
-    (t0, v0), (t1, v1) = f.points[i], f.points[i + 1]
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return _pl_at(f, (t,))[0]
 
 
 def _pl_at(f: PLFunction, ts) -> list[Fraction]:
     """f at each of these abscissae, increasing and inside f's domain, from
-    one walk over its points: the values `pl_eval` gives, with no list of
-    abscissae rebuilt and no bisection per point."""
+    one walk over its points: the segment through each is interpolated."""
     points = f.points
     last = len(points) - 1
     values = []

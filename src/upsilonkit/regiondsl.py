@@ -2,11 +2,11 @@
 
     H(t) | Q(s) | hp(a,b,c) | trunc(R, x) | R & R | R | R | (R)
 
-with & binding tighter than |.  It rides on the lexing that the knot DSL
-shares (`regions._Scanner`) and raises `regions.RegionParseError` with a
-position.  Only the commands that take a region (`--region`, `--cplus`,
-`--cminus`) load this module; `regions` hands out `parse_region` on first
-use.
+with & binding tighter than |.  It rides on the lexing and the bracket
+rule that the knot DSL shares (`regions._Scanner`) and raises
+`regions.RegionParseError`, a positioned `regions._ParseError`.  Only the
+commands that take a region (`--region`, `--cplus`, `--cminus`) load this
+module; `regions` hands out `parse_region` on first use.
 """
 
 from __future__ import annotations
@@ -39,12 +39,7 @@ class _RegionParser(_Scanner):
 
     def atom(self) -> SouthWestRegion:
         if self.peek() == "(":
-            self.descend()
-            self.pos += 1
-            region = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return region
+            return self.group()
         start, name = self.term_name("region")
         try:
             if name == "H":

@@ -15,8 +15,10 @@ of t) live here.  The arithmetic on them (`pl_eval`, `pl_add`,
 `pl_negate_scale`, `pl_singular_points`) is in `plfunctions`, which only
 `upsilon --format csv` and the two reports load, and the region DSL's
 parser (`parse_region`) in `regiondsl`, which only the commands that take a
-region load; this module hands out their names on first use.  The lexing
-both DSLs share (`_Scanner`) stays here, since every command parses a knot.
+region load; this module hands out their names on first use.  What both
+DSLs share stays here, since every command parses a knot: the lexing and
+the bracket rule '(' expr ')' (`_Scanner`, `_Scanner.group`), and the base
+of their positioned parse errors (`_ParseError`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import math
 from fractions import Fraction
 from itertools import groupby
 
-from .exact import Rational, _lazy, _OrderedValue, _set, _Value
+from . import _lazy
+from .exact import Rational, _OrderedValue, _set, _Value
 
 # the names split off into `plfunctions` and `regiondsl` (see the module docstring)
 __getattr__ = _lazy(globals(), {
@@ -228,14 +231,22 @@ def pl_constant(value, domain=(Fraction(0), Fraction(2))) -> PLFunction:
 
 
 # ---------------------------------------------------------------------------
-# The lexing of the region and knot DSLs (the region parser is `regiondsl`)
+# The lexing and errors of the region and knot DSLs (the region parser is
+# `regiondsl`)
 # ---------------------------------------------------------------------------
 
 
-class RegionParseError(ValueError):
+class _ParseError(ValueError):
+    """A DSL's parse error at a position of its input: the base of
+    `RegionParseError` and the knot DSL's `cli.KnotParseError`."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class RegionParseError(_ParseError):
+    """A parse error in the region DSL."""
 
 
 # The deepest nesting either DSL accepts: the parsers recurse three frames a
@@ -250,7 +261,7 @@ class _Scanner:
     and a position; `expr` is the subclass's top-level rule.  `depth` counts
     the levels entered by `descend` and not yet left (by decrementing it)."""
 
-    error: type[ValueError]
+    error: type[_ParseError]
 
     def __init__(self, text: str):
         self.text = text
@@ -280,6 +291,15 @@ class _Scanner:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+
+    def group(self):
+        """'(' expr ')' at a '(': the subclass's `expr`, one level deeper."""
+        self.descend()
+        self.pos += 1
+        result = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return result
 
     def peek(self) -> str:
         self.skip_ws()

@@ -26,7 +26,8 @@ import math
 from functools import cached_property, reduce
 
 from .complexes import MAX_ATOM_SIZE, BaseGenerator, KnotComplex, mirror, validate_complex
-from .exact import _lazy, _set, _Value
+from . import _lazy
+from .exact import _set, _Value
 from .invariants import check_jumps, staircase_corners
 from .regions import _int
 

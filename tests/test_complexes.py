@@ -136,6 +136,17 @@ def test_list_arrow_is_stored_as_a_sorted_tuple():
         (XY, (("y", "x", False),), "arrow U-power must be an integer: ('y', 'x', False)"),
         (XY, (("y", "x", 0), ("y", "x", True)),
          "arrow U-power must be an integer: ('y', 'x', True)"),
+        # a name that is not a string broke the naming of products, a float
+        # grading broke validation and upsilon, and a bool read as 0 or 1
+        (XY + (BaseGenerator(3, 0, 0, 0),), (), "generator name must be a string: (3, 0, 0, 0)"),
+        ((BaseGenerator("x", 0, 0, 0.0),), (),
+         "generator gradings must be integers: ('x', 0, 0, 0.0)"),
+        ((BaseGenerator("x", 0.5, 0, 0),), (),
+         "generator gradings must be integers: ('x', 0.5, 0, 0)"),
+        ((BaseGenerator("x", True, 0, 0),), (),
+         "generator gradings must be integers: ('x', True, 0, 0)"),
+        ((BaseGenerator("x", 0, False, 0),), (),
+         "generator gradings must be integers: ('x', 0, False, 0)"),
     ],
 )
 def test_construction_errors_keep_their_messages(gens, arrows, message):

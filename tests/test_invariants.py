@@ -80,6 +80,7 @@ from upsilonkit.zoo import (
     eta_closed_form,
     fk_upsilon,
     jumps_from_semigroup,
+    n_of_semigroup,
     pretzel,
     semigroup_from_generators,
     staircase_from_jumps,
@@ -538,13 +539,16 @@ def test_kim_livingston_no_obstruction_at_smooth_points():
 
 
 def test_kim_livingston_domain_errors():
-    k = torus_knot(4, 3)
-    with pytest.raises(ValueError, match="t_star"):
-        kim_livingston(k, 0, 1)
-    with pytest.raises(ValueError, match="t_star"):
-        kim_livingston(k, 2, 1)
-    with pytest.raises(ValueError, match="s must"):
-        kim_livingston(k, F(2, 3), F(5, 2))
+    # the staircase closed form reads its parameters as the engine does, so
+    # both refuse a t_star outside (0, 2) or an s outside [0, 2] alike
+    k, jumps = torus_knot(4, 3), torus_jumps(4, 3)
+    for t_star, s, message in ((0, 1, "t_star"), (2, 1, "t_star"), (-2, 1, "t_star"),
+                               (F(2, 3), F(5, 2), "s must"), (F(2, 3), 5, "s must"),
+                               (F(2, 3), -1, "s must")):
+        for route in (lambda: kim_livingston(k, t_star, s),
+                      lambda: staircase_kl(jumps, t_star, s)):
+            with pytest.raises(ValueError, match=message):
+                route()
 
 
 def test_kim_livingston_rejects_inexact_parameters():
@@ -591,6 +595,10 @@ _EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
     ("fk_upsilon(p)", lambda x: fk_upsilon(x, 2), "torus parameters must be positive integers"),
     ("fk_upsilon(q)", lambda x: fk_upsilon(3, x), "torus parameters must be positive integers"),
     ("Semigroup", lambda x: Semigroup((x, 2)), "semigroup generators must be positive integers"),
+    ("n_of_semigroup", lambda x: n_of_semigroup(Semigroup((2, 3)), x),
+     "the generator a must be an integer"),
+    ("eta_closed_form", lambda x: eta_closed_form(Semigroup((2, 3)), x),
+     "the generator a must be an integer"),
 ]
 
 
@@ -598,8 +606,9 @@ _EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
     "call,message", [pytest.param(call, message, id=name) for name, call, message in _EXACT_PARAMETERS]
 )
 def test_exact_parameters_reject_floats_and_bools(call, message):
-    # a bool is an int to isinstance, and a float is never exact
-    for x in (0.5, 1.0, True, False):
+    # a bool is an int to isinstance, and a float is never exact (2.0 == 2
+    # passed the eta closed form's membership check, to a TypeError)
+    for x in (0.5, 1.0, 2.0, True, False):
         with pytest.raises(ValueError, match=message):
             call(x)
 

@@ -12,7 +12,7 @@ import upsilonkit
 ORDER = ["exact", "complexes", "complexfiles", "regions", "plfunctions", "regiondsl", "invariants",
          "oracles", "zoo", "alexander", "puiseux", "closedforms", "reports", "cli"]
 # (module, module split off from it): the only pairs where a module's lazy
-# lookup (`exact._lazy`) names a module, which may lie below it
+# lookup (the package's `_lazy`) names a module, which may lie below it
 SPLIT = {("complexes", "complexfiles"), ("regions", "plfunctions"), ("regions", "regiondsl"),
          ("invariants", "closedforms"), ("zoo", "alexander"), ("zoo", "puiseux"),
          ("zoo", "closedforms")}
@@ -23,13 +23,14 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 def _package_imports(path: Path, at_load: bool = False) -> set[str]:
     """The package modules that a module imports, at any nesting depth, or
-    only where they run when it is loaded (outside every function)."""
+    only where they run when it is loaded (outside every function).  The
+    package's lazy-lookup helper (`from . import _lazy`) is no module."""
     tree = ast.parse(path.read_text())
     found = set()
     for node in _at_load(tree) if at_load else ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:  # from . import a, b
-                found.update(alias.name for alias in node.names)
+                found.update(alias.name for alias in node.names if alias.name != "_lazy")
             else:
                 found.add(node.module.split(".")[0])
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("upsilonkit."):
@@ -61,9 +62,12 @@ def test_all_names_every_public_binding():
     # the exports load on first use: each name of `__all__` resolves to its
     # module's binding, `dir` lists it, and `from upsilonkit import *` gives
     # exactly these names
-    for name in upsilonkit.__all__:
-        module = importlib.import_module(f"upsilonkit.{upsilonkit._MODULE_OF[name]}")
-        assert getattr(upsilonkit, name) is vars(module)[name]
+    for home, names in upsilonkit._EXPORTS.items():
+        module = importlib.import_module(f"upsilonkit.{home}")
+        for name in names:
+            assert getattr(upsilonkit, name) is vars(module)[name]
+    assert sorted(name for names in upsilonkit._EXPORTS.values() for name in names) == \
+        upsilonkit.__all__
     assert set(upsilonkit.__all__) <= set(dir(upsilonkit))
     star: dict = {}
     exec("from upsilonkit import *", star)
@@ -93,31 +97,38 @@ def test_each_layer_imports_only_layers_above_it():
         assert not below, f"{name} imports {sorted(below)}, which are not above it"
 
 
-def _lazy_table(path: Path) -> dict | None:
+def _lazy_table(path: Path, module) -> dict | None:
     """The table of a module's `__getattr__ = _lazy(globals(), table)`, or
-    None; any other module-level `__getattr__` fails."""
+    None; any other module-level `__getattr__` fails.  A table given by name
+    is read off the loaded module."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
             raise AssertionError(f"{path.stem} writes its own __getattr__")
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__getattr__"]:
             call = node.value
             assert ast.unparse(call.func) == "_lazy" and ast.unparse(call.args[0]) == "globals()"
-            return ast.literal_eval(call.args[1])
+            table = call.args[1]
+            return vars(module)[table.id] if isinstance(table, ast.Name) else \
+                ast.literal_eval(table)
     return None
 
 
 def test_only_a_split_module_loads_on_a_lazy_lookup():
-    # each module hands out the names it no longer holds through one shared
-    # helper, `exact._lazy`, and each table names only the modules split off
-    # from it; every name resolves to the same object in its new home
+    # the package and each module hand out the names they do not hold
+    # through one shared helper, the package's `_lazy`; the package's table
+    # is its exports, and each module's names only the modules split off
+    # from it; every name resolves to the same object in its home
     pairs = set()
-    for name in ORDER:
-        table = _lazy_table(PACKAGE / f"{name}.py")
+    for name in ["__init__", *ORDER]:
+        module = upsilonkit if name == "__init__" else importlib.import_module(f"upsilonkit.{name}")
+        table = _lazy_table(PACKAGE / f"{name}.py", module)
         if table is None:
             continue
-        module = importlib.import_module(f"upsilonkit.{name}")
+        if name == "__init__":
+            assert table is upsilonkit._EXPORTS
+        else:
+            pairs.update((name, home) for home in table)
         for home, names in table.items():
-            pairs.add((name, home))
             held = vars(importlib.import_module(f"upsilonkit.{home}"))
             for attr in names:
                 assert attr in held, f"{home} holds no {attr}"

@@ -230,9 +230,15 @@ def test_pl_add_is_pointwise(f, g, t):
 def test_pl_walk_matches_pl_eval():
     # `_pl_at` reads a function at increasing abscissae in one walk: at its
     # breakpoints, between them and at both ends of the domain, it gives
-    # what `pl_eval` gives at each; and `pl_add` equals the sum read off
-    # `pl_eval` at every breakpoint of either function
+    # the value on a segment through each, interpolated here (`pl_eval`
+    # reads the walk too); and `pl_add` equals the sum read off `pl_eval`
+    # at every breakpoint of either function
     rng = random.Random(2718)
+
+    def on_segment(f, t):
+        (t0, v0), (t1, v1) = next((p, q) for p, q in zip(f.points, f.points[1:])
+                                  if p[0] <= t <= q[0])
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def draw():
         inner = {F(rng.randint(1, 47), 24) for _ in range(rng.randint(0, 6))}
@@ -242,7 +248,7 @@ def test_pl_walk_matches_pl_eval():
     for _ in range(60):
         f, g = draw(), draw()
         ts = sorted({t for t, _ in f.points} | {F(rng.randint(0, 60), 30) for _ in range(5)})
-        assert _pl_at(f, ts) == [pl_eval(f, t) for t in ts]
+        assert _pl_at(f, ts) == [on_segment(f, t) for t in ts] == [pl_eval(f, t) for t in ts]
         knots = sorted({t for t, _ in f.points} | {t for t, _ in g.points})
         assert pl_add(f, g) == PLFunction(tuple((t, pl_eval(f, t) + pl_eval(g, t)) for t in knots))
 
