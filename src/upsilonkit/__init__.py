@@ -11,7 +11,9 @@ The package is organized bottom-up:
 * ``complexfiles`` — JSON persistence and ``add_box`` (the commands that read
                      a complex file);
 * ``regions``      — south-west regions of the (A, j) plane, entering times,
-                     exact piecewise-linear functions, the DSLs' lexing;
+                     exact piecewise-linear functions, what the two DSLs
+                     share (lexing, the bracket rule, the positioned
+                     parse error);
 * ``plfunctions``  — PL arithmetic: evaluation, sums, scaling, kinks
                      (``upsilon --format csv`` and the reports);
 * ``regiondsl``    — the region DSL's parser (the commands that take a
