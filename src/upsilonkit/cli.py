@@ -32,15 +32,20 @@ exceeded; 4 internal check failed (an oracle mismatch or a self-check).
 # `_cmd_value`, which the table `_VALUES` drives; the other four keep
 # handlers of their own.
 # Each `_COMMANDS` row ends with the command's arguments as data, (flag,
-# argparse keywords) pairs that `_build_parser` adds in one loop.
+# argparse keywords) pairs, and two readers read that one table: `_fast_args`
+# parses a well-formed command line straight from its row, and
+# `_build_parser` adds the pairs to argparse in one loop.  argparse (with the
+# `gettext` and `locale` it loads) is imported only for help and for the
+# command lines that the fast path declines, which it then reports.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import complexes, invariants, regions, zoo
 from .exact import rational_to_text
@@ -277,11 +282,6 @@ def _value_text(value) -> str:
     return str(value)  # a Fraction's str is its canonical text
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # do not sys.exit(2); route to exit code 1
-        raise CliUsageError(message)
-
-
 def _emit(args, value, provenance: list[str], *, knot: str | None = None,
           region: str | None = None):
     if args.format == "json":
@@ -304,6 +304,7 @@ def _rational_flag(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from None
 
 
@@ -377,7 +378,7 @@ def _cmd_value(args):
     value_of, provenance, oracle, line = _VALUES[args.command]
     k, name = _get_complex(args)
     rs = [regions.parse_region(getattr(args, flag))
-          for flag in ("cplus", "cminus", "region") if flag in args]
+          for flag in ("cplus", "cminus", "region") if hasattr(args, flag)]
     value = value_of(k, args, *rs)
     if oracle and args.check_oracle:
         from . import oracles
@@ -515,16 +516,69 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv) -> _Parser:
-    """The parser for these arguments.  When the first names a subcommand,
-    only that one is registered, since nothing else of the parser is read
-    then; otherwise (help, no arguments, an unknown command) all are, for
-    the listing and the error that name them."""
+def _fast_args(argv):
+    """The namespace that argparse makes of a well-formed command line, read
+    straight from the command's `_COMMANDS` row; None for any other, which
+    argparse then parses, so that help texts, usage errors and exit codes
+    stay its own.  Well-formed: the first argument names a command exactly;
+    each later one is an exact flag of it (a switch, or a flag and one value)
+    or its one positional; a value or the positional starts with '-' only as
+    a negative number, which argparse also reads as a value; each value
+    passes the flag's type and choices, and every required argument is
+    given.  A repeated flag keeps its last value, as in argparse."""
+    row = next((row for row in _COMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return None
+    name, _, func, arguments = row
+    flags = {flag: options for flag, options in arguments if flag[0] == "-"}
+    positional = next((pair for pair in arguments if pair[0][0] != "-"), None)
+    given = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        if token in flags:
+            flag, options = token, flags[token]
+            if options.get("action") == "store_true":
+                given[flag] = True
+                continue
+            text = next(rest, "-")  # a missing value declines below
+        elif positional and positional[0] not in given:
+            (flag, options), text = positional, token
+        else:
+            return None
+        if text[:1] == "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", text, re.ASCII):
+            return None
+        try:
+            value = options.get("type", str)(text)
+        except Exception:  # whatever it raises, argparse reports it
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, options in arguments:
+        if flag in given:
+            value = given[flag]
+        elif options.get("required") or flag[0] != "-" and "nargs" not in options:
+            return None  # a required argument is missing
+        else:
+            value = options.get("default", False if "action" in options else None)
+        values[flag.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(command=name, func=func, **values)
+
+
+def _build_parser():
+    """The argparse parser of all thirteen commands, for help and for the
+    command lines that `_fast_args` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # do not sys.exit(2); route to exit code 1
+            raise CliUsageError(message)
+
     parser = _Parser(prog="upsilonkit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-    named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
-    for name, summary, func, arguments in named or _COMMANDS:
+    for name, summary, func, arguments in _COMMANDS:
         sub = subs.add_parser(name, help=summary)
         for flag, options in arguments:
             sub.add_argument(flag, **options)
@@ -534,9 +588,8 @@ def _build_parser(argv) -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _fast_args(argv) or _build_parser().parse_args(argv)
         code = args.func(args) or 0
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code

@@ -96,9 +96,10 @@ class KnotComplex(_Value):
 
     Arrows are stored as (source name, target name, upower) with multiplicity
     reduced mod 2.  Construction enforces structural sanity (unique string
-    names, integer gradings, arrow endpoints exist, integer U-powers); the
-    homological conditions are checked by `validate_complex`, so that files
-    describing broken complexes can still be loaded and reported on.
+    names, integer gradings, arrows are triples whose endpoints exist, integer
+    U-powers); the homological conditions are checked by `validate_complex`,
+    so that files describing broken complexes can still be loaded and
+    reported on.
 
     The same arrows by generator index, in arrow order, stay in the instance
     dict (`_index_arrows`; equality, hash and repr read only the fields):
@@ -124,6 +125,8 @@ class KnotComplex(_Value):
     def __post_init__(self):
         gens = tuple(self.generators)
         for g in gens:
+            if not isinstance(g, BaseGenerator):
+                raise ValueError(f"generator must be a BaseGenerator: {_excerpt(g)}")
             if not isinstance(g.name, str):
                 raise ValueError(f"generator name must be a string: {_excerpt(g._key())}")
             for x in (g.alexander, g.algebraic, g.maslov):
@@ -135,6 +138,9 @@ class KnotComplex(_Value):
             raise ValueError("duplicate generator names")
         arrows = []
         for arrow in self.arrows:
+            if not isinstance(arrow, (tuple, list)) or len(arrow) != 3:
+                raise ValueError(
+                    f"arrow must be a (source, target, U-power) triple: {_excerpt(arrow)}")
             src, dst, m = arrow
             if (s := index.get(src)) is None or (t := index.get(dst)) is None:
                 raise ValueError(f"arrow endpoint not a generator: {_excerpt(arrow)}")

@@ -925,14 +925,76 @@ def _outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_the_parser_answers_as_the_one_with_every_command(capsys, monkeypatch, argv):
-    # `_build_parser` registers only the command that the first argument
-    # names; help texts, usage errors and exit codes stay those of the
-    # parser with all thirteen
+    # `main` tries `_fast_args` before argparse; help texts, usage errors and
+    # exit codes stay those of the argparse parser with all thirteen commands
     outcome = _outcome(capsys, argv)
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+    monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
     assert outcome == _outcome(capsys, argv)
     assert outcome[0] in (0, 1) and outcome[1] + outcome[2]
+
+
+def _mutations(argv):
+    """(kind, argv) variants of a well-formed command line: the ways of
+    bending it that argparse reads, or rejects, in ways of its own."""
+    name, rest = argv[0], argv[1:]
+    options = dict(next(row for row in cli._COMMANDS if row[0] == name)[3])
+    for i, token in enumerate(rest):
+        if not token.startswith("--"):
+            continue
+        if options[token].get("action") == "store_true":
+            yield "repeated", [*argv, token]
+            yield "dropped", [name, *rest[:i], *rest[i + 1:]]
+            continue
+        before, value, after = rest[:i], rest[i + 1], rest[i + 2:]
+        yield "dropped", [name, *before, *after]
+        if len(token) > 3:
+            yield "abbreviated", [name, *before, token[:-1], value, *after]
+        yield "joined", [name, *before, f"{token}={value}", *after]
+        yield "repeated", [name, token, "1", *rest]  # the last one wins
+        for bad in ("-1", "-1.5", "-1/2", "-x", ""):
+            yield "value", [name, *before, token, bad, *after]
+    for i in range(1, len(argv) + 1):
+        yield "separator", [*argv[:i], "--", *argv[i:]]
+        yield "help", [*argv[:i], "-h", *argv[i:]]
+    yield "lone dash", [*argv, "-"]
+    if rest and not rest[0].startswith("-"):  # the positional
+        for bad in ("-1", "-1.5", "-x", ""):
+            yield "value", [name, bad, *rest[1:]]
+        yield "second positional", [*argv, "T(2,3)"]
+        yield "flags first", [name, *rest[1:], rest[0]]
+
+
+def test_the_fast_path_reads_as_argparse():
+    # over the golden corpus, the parser cases and mutations of the bench's
+    # commands of seeds 0-5, the fast path either declines or makes
+    # argparse's namespace (`tests/test_golden.py` holds `main`'s outcome of
+    # the corpus to the golden file)
+    from test_golden import RECORDED, cli_round  # not at the top: it imports this module
+    mutated = [(kind, variant) for seed in range(6) for argv in cli_round(seed)[0]
+               for kind, variant in _mutations(argv)]
+    parser = cli._build_parser()
+    read = set()
+    for argv in [entry["argv"] for entry in RECORDED] + PARSER_CASES + [v for _, v in mutated]:
+        fast = cli._fast_args(argv)
+        if fast is not None:
+            assert vars(fast) == vars(parser.parse_args(argv)), argv
+            read.add(tuple(argv))
+    assert not {tuple(argv) for argv in PARSER_CASES} & read
+    kinds = {}
+    for kind, variant in mutated:
+        kinds.setdefault(kind, set()).add(tuple(variant) in read)
+    # flags before the positional are read, and so are repeated flags,
+    # negative numbers that pass the type and choices, and lines without a
+    # flag that is not required; the rest goes to argparse
+    assert kinds.pop("flags first") == {True}
+    assert kinds.pop("repeated") == kinds.pop("value") == kinds.pop("dropped") == {True, False}
+    assert all(seen == {False} for seen in kinds.values()), kinds
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_fast_path_reads_every_bench_command(seed):
+    from test_golden import cli_round  # not at the top: it imports this module
+    assert [argv for argv in cli_round(seed)[0] if cli._fast_args(argv) is None] == []
 
 
 def test_module_entry_point():
@@ -951,11 +1013,12 @@ def test_module_entry_point():
 def test_a_command_starts_without_dataclasses_or_inspect():
     # `python -m upsilonkit upsilon "T(3,2)"`, as runpy runs it: the value
     # classes are plain frozen classes, since importing `dataclasses` (and
-    # with it `inspect`, `ast` and `tokenize`) was the largest start-up cost,
-    # and a command compiles only the package modules it runs: not the
-    # oracles, the reports or any module split off for the code few commands
-    # run (complex files, PL arithmetic, the region parser, the Alexander,
-    # Puiseux and closed-form routes)
+    # with it `inspect`, `ast` and `tokenize`) was the largest start-up cost;
+    # a well-formed command line is parsed without argparse (and the
+    # `gettext` and `locale` it loads); and a command compiles only the
+    # package modules it runs: not the oracles, the reports or any module
+    # split off for the code few commands run (complex files, PL arithmetic,
+    # the region parser, the Alexander, Puiseux and closed-form routes)
     src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
@@ -965,7 +1028,8 @@ def test_a_command_starts_without_dataclasses_or_inspect():
         "    runpy.run_module('upsilonkit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+        "             & set(sys.modules)))\n"
         "print(sorted(name for name in sys.modules if name.startswith('upsilonkit')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

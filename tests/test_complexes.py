@@ -147,6 +147,13 @@ def test_list_arrow_is_stored_as_a_sorted_tuple():
          "generator gradings must be integers: ('x', True, 0, 0)"),
         ((BaseGenerator("x", 0, False, 0),), (),
          "generator gradings must be integers: ('x', 0, False, 0)"),
+        # a tuple for a generator raised AttributeError, and an arrow that is
+        # not a triple a bare unpacking error
+        ((("x", 0, 0, 0),), (), "generator must be a BaseGenerator: ('x', 0, 0, 0)"),
+        (XY, (("x", "x"),), "arrow must be a (source, target, U-power) triple: ('x', 'x')"),
+        (XY, (("y", "x", 0, 0),),
+         "arrow must be a (source, target, U-power) triple: ('y', 'x', 0, 0)"),
+        (XY, ("yx0",), "arrow must be a (source, target, U-power) triple: 'yx0'"),
     ],
 )
 def test_construction_errors_keep_their_messages(gens, arrows, message):
@@ -378,10 +385,9 @@ def _toggled_arrows(gens, arrows):
         return "duplicate generator names"
     known, seen = set(names), set()
     for arrow in arrows:
-        try:
-            src, dst, m = arrow
-        except ValueError as e:
-            return str(e)
+        if not isinstance(arrow, (tuple, list)) or len(arrow) != 3:
+            return f"arrow must be a (source, target, U-power) triple: {complexes._excerpt(arrow)}"
+        src, dst, m = arrow
         if src not in known or dst not in known:
             return f"arrow endpoint not a generator: {complexes._excerpt(arrow)}"
         if isinstance(m, bool) or not isinstance(m, int):

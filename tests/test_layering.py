@@ -306,7 +306,10 @@ def test_only_tensor_makes_a_complex_past_the_constructor():
 def test_each_command_is_stated_once():
     # the commands that print one engine value share `_cmd_value`, driven by
     # `_VALUES`, and every command's arguments are data in its `_COMMANDS`
-    # row, (flag, argparse keywords) pairs that `_build_parser` alone adds
+    # row, (flag, argparse keywords) pairs: `_fast_args` parses well-formed
+    # command lines straight from them, and `_build_parser` alone adds them
+    # to argparse, which loads only for help and for the lines the fast path
+    # declines
     from upsilonkit import cli
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     adds = lambda node: [call for call in ast.walk(node) if isinstance(call, ast.Call)
