@@ -1,5 +1,5 @@
-"""Rewrite golden/cli.json, golden/sums.txt and golden/session.txt from the
-current program.
+"""Rewrite golden/cli.json, golden/sums.txt, golden/session.txt and
+golden/parse.txt from the current program.
 
 Run it only for a declared output change, from the repository root:
 
@@ -43,6 +43,9 @@ def main() -> None:
         path = test_golden.worker_file(workload)
         path.write_text("".join(f"{line}\n" for line in lines))
         print(f"wrote {len(lines)} values to {path}")
+    lines = test_golden.parse_lines()
+    test_golden.PARSE_FILE.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    print(f"wrote {len(lines)} parse outcomes to {test_golden.PARSE_FILE}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ option per command and some errors past the parser.  `golden/cli.json`
 records argv, exit code, stdout and stderr of each.  `golden/sums.txt` and
 `golden/session.txt` record the `repr` of each value of the `sums` and
 `session` rounds of seeds 1-20, one line per value, as the bench's worker
-shows it; the tests recompute the first two seeds.  A declared output
-change regenerates all three files with `python tests/golden/regen.py`.
+shows it; the tests recompute the first two seeds.  `golden/parse.txt`
+records what each DSL's parser makes of a fixed set of texts: the value's
+`repr`, or the error's class, message and position.  A declared output
+change regenerates all four files with `python tests/golden/regen.py`.
 """
 
 import contextlib
@@ -17,13 +19,15 @@ import functools
 import importlib.util
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from upsilonkit import cli, complexes, invariants, regions, zoo
-from test_cli import MALFORMED
+from test_cli import MALFORMED, PARSE_ERRORS, ROUND_TRIP_EXPRESSIONS
+from test_regions import REGION_PARSE_ERRORS
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden" / "cli.json"
@@ -192,3 +196,83 @@ def test_the_worker_files_hold_every_round(workload):
 def test_the_worker_values_are_as_recorded(workload, seed):
     recorded = [line for line in _recorded_lines(workload) if line.startswith(f"{seed}\t")]
     assert worker_lines(workload, seed) == recorded
+
+
+# ---------------------------------------------------------------------------
+# The parse outcomes of the knot and region DSLs
+# ---------------------------------------------------------------------------
+
+PARSE_FILE = HERE / "golden" / "parse.txt"
+PARSERS = {"knot": cli.parse_knot_expr, "region": regions.parse_region}
+REGION_TEXTS = ["H(2/3)", "Q(2)", "hp(1/4, 3/4, 1)", "trunc(H(1), 3)", " ( H( 1 ) ) ",
+                "Q(2) | hp(1/4,3/4,1) & H(1)", "trunc(H(2/3) | Q(0), 5) & H(1)", "Q(-3)",
+                "hp(0, 0, 1)", "trunc(H(1), 1/0)", "H(+1/2)", "trunc(H(1); 3)"]
+MUTATIONS = 400  # per DSL
+# What a mutation inserts: the characters of both grammars, and a few that
+# pass `isdigit`, `isalpha` or `isspace` but not `int` or `Fraction`.
+ALPHABET = "0123456789+-/,;#|&() TPHQalgthinsrupcfe²é\t"
+
+
+def _nested(dsl: str, levels: int) -> list[str]:
+    """Texts nested `levels` deep by each rule that descends."""
+    if dsl == "knot":
+        return ["(" * levels + "T(3,2)" + ")" * levels, "-" * levels + "thin(0)",
+                " # ".join(["thin(0)"] * (levels + 1)), "-" * levels + "(T(3,2)"]
+    return ["(" * levels + "H(1)" + ")" * levels,
+            "trunc(" * levels + "H(1)" + ", 3)" * levels,
+            "trunc (" * levels + "Q(0)" + ",1)" * levels]
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """`text` after one to three random edits: a character inserted, deleted
+    or replaced, a slice of the text repeated, a space inserted or a digit
+    changed (the last two often keep the text well-formed)."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        kind = rng.randrange(6)
+        if kind == 0:
+            text = text[:i] + rng.choice(ALPHABET) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + 1:]
+        elif kind == 2:
+            text = text[:i] + rng.choice(ALPHABET) + text[i + 1:]
+        elif kind == 3:
+            j = rng.randint(i, len(text))
+            text = text[:j] + text[i:j] + text[j:]
+        elif kind == 4:
+            text = text[:i] + " " + text[i:]
+        elif digits := [j for j, ch in enumerate(text) if ch in "0123456789"]:
+            j = rng.choice(digits)
+            text = text[:j] + str(rng.randrange(10)) + text[j + 1:]
+    return text
+
+
+def parse_texts(dsl: str) -> list[str]:
+    """The parser tests' texts of the DSL, texts at and past the nesting cap,
+    and `MUTATIONS` seeded mutants of them."""
+    if dsl == "knot":
+        base = ROUND_TRIP_EXPRESSIONS + PARSE_ERRORS + ["file(a.json) # -file( b c )"]
+    else:
+        base = REGION_TEXTS + [text for text, _ in REGION_PARSE_ERRORS]
+    base += _nested(dsl, regions.MAX_NESTING) + _nested(dsl, regions.MAX_NESTING + 1)
+    rng = random.Random(len(dsl))
+    return base + [_mutant(rng, rng.choice(base)) for _ in range(MUTATIONS)]
+
+
+def parse_outcome(dsl: str, text: str) -> str:
+    """The value's `repr`, or the error's class, message and position."""
+    try:
+        return repr(PARSERS[dsl](text))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc} @ {getattr(exc, 'position', None)}"
+
+
+def parse_lines() -> list[str]:
+    """"dsl<TAB>repr of the text<TAB>outcome" of every text, in order."""
+    return [f"{dsl}\t{text!r}\t{parse_outcome(dsl, text)}"
+            for dsl in PARSERS for text in parse_texts(dsl)]
+
+
+def test_the_parsers_answer_as_recorded():
+    recorded = PARSE_FILE.read_text(encoding="utf-8").splitlines() if PARSE_FILE.exists() else []
+    assert parse_lines() == recorded

@@ -287,20 +287,20 @@ def test_parse_nested():
     assert got == expected
 
 
-@pytest.mark.parametrize(
-    "text,pos_ge",
-    [
-        ("", 0),
-        ("H", 1),
-        ("H(3)", 0),  # domain error attributed to the atom
-        ("hp(-1,1,0)", 0),
-        ("H(1/0)", 2),
-        ("H(2/3) Q(1)", 7),
-        ("H(2/3) |", 8),
-        ("frob(1)", 0),
-        ("Q(1))", 4),
-    ],
-)
+REGION_PARSE_ERRORS = [  # (text, least position of its error)
+    ("", 0),
+    ("H", 1),
+    ("H(3)", 0),  # domain error attributed to the atom
+    ("hp(-1,1,0)", 0),
+    ("H(1/0)", 2),
+    ("H(2/3) Q(1)", 7),
+    ("H(2/3) |", 8),
+    ("frob(1)", 0),
+    ("Q(1))", 4),
+]
+
+
+@pytest.mark.parametrize("text,pos_ge", REGION_PARSE_ERRORS)
 def test_parse_errors_carry_positions(text, pos_ge):
     with pytest.raises(RegionParseError) as exc:
         parse_region(text)
