@@ -97,27 +97,37 @@ def _list_text(values) -> str:
     return ", ".join(map(str, values))
 
 
-# Atom name -> (parse-time check or None, printer, builder), each called with
-# the atom's arguments.  The zoo functions are looked up at call time, so a
+def _refuse(message: str):
+    """Raise ValueError(message): a raise that a lambda can hold."""
+    raise ValueError(message)
+
+
+# Atom name -> (argument shape, check or None, printer, builder).
+# `_Scanner.arguments` reads the shape: 'i' an integer, 'l' a comma list of
+# integers, 'p' a file path.  The check, called with the arguments read,
+# raises ValueError on a bad atom and returns the arguments of the atom's
+# expression (no check keeps them as read); the printer and the builder are
+# called with those.  The zoo functions are looked up at call time, so a
 # replaced one (a test's monkeypatch, a tracing wrapper) is the one called.
 _ATOMS = {
-    "T": (lambda p, q: zoo.check_torus_parameters(p, q),
+    "T": ("i,i", lambda p, q: zoo.check_torus_parameters(p, q) or (p, q),
           lambda p, q: f"T({p},{q})",
           lambda p, q: zoo.torus_knot(p, q)),
-    "P": (lambda q: zoo.check_pretzel_parameter(q),
+    "P": ("i,i,i", lambda a, b, q: zoo.check_pretzel_parameter(q) or (q,) if (a, b) == (-2, 3)
+          else _refuse(f"only the P(-2,3,q) family is supported, got P({a},{b},{q})"),
           lambda q: f"P(-2,3,{q})",
           lambda q: zoo.pretzel(q)),
-    "alg": (lambda a, qs: zoo.PuiseuxData(a, qs),
+    "alg": ("i;l", lambda a, qs: zoo.PuiseuxData(a, qs) and (a, qs),
             lambda a, qs: f"alg({a}; {_list_text(qs)})",
             lambda a, qs: zoo.staircase_from_jumps(
                 zoo.jumps_from_semigroup(zoo.semigroup_from_puiseux(zoo.PuiseuxData(a, qs))))),
-    "thin": (None,
+    "thin": ("i", None,
              lambda tau: f"thin({tau})",
              lambda tau: zoo.thin_model(tau)),
-    "stair": (lambda jumps: invariants.check_jumps(jumps),
+    "stair": ("l", lambda jumps: (invariants.check_jumps(jumps),),
               lambda jumps: f"stair({_list_text(jumps)})",
               lambda jumps: zoo.staircase_from_jumps(jumps)),
-    "file": (None,
+    "file": ("p", None,
              lambda path: f"file({path})",
              _file_complex),
 }
@@ -145,6 +155,17 @@ class _KnotParser(_Scanner):
             values.append(self.integer())
         return tuple(values)
 
+    def path(self):
+        """A file(...) path: the text up to the next ')', stripped."""
+        end = self.text.find(")", self.pos)
+        if end < 0:
+            raise KnotParseError("unterminated file(...) path", self.pos)
+        path = self.text[self.pos:end].strip()
+        if not path:
+            raise KnotParseError("empty file(...) path", self.pos)
+        self.pos = end
+        return path
+
     def expr(self):
         expr = self.term()
         while self.peek() == "#":
@@ -171,47 +192,14 @@ class _KnotParser(_Scanner):
         start, name = self.term_name("knot")
         if name not in _ATOMS:
             raise KnotParseError(f"unknown knot term {name!r}", start)
-        self.expect("(")
-        if name == "file":
-            end = self.text.find(")", self.pos)
-            if end < 0:
-                raise KnotParseError("unterminated file(...) path", self.pos)
-            path = self.text[self.pos:end].strip()
-            if not path:
-                raise KnotParseError("empty file(...) path", self.pos)
-            self.pos = end + 1
-            return ("file", path)
-        if name == "T":
-            p = self.integer()
-            self.expect(",")
-            args = (p, self.integer())
-        elif name == "P":
-            first = self.integer()
-            self.expect(",")
-            second = self.integer()
-            self.expect(",")
-            args = (self.integer(),)
-        elif name == "alg":
-            a = self.integer()
-            self.expect(";")
-            args = (a, self.integers())
-        elif name == "thin":
-            args = (self.integer(),)
-        else:  # stair
-            args = (self.integers(),)
-        self.expect(")")
-        if name == "P" and (first, second) != (-2, 3):
-            raise KnotParseError(
-                f"only the P(-2,3,q) family is supported, got P({first},{second},{args[0]})",
-                start,
-            )
-        check = _ATOMS[name][0]
-        if check is not None:
-            try:
-                check(*args)
-            except ValueError as exc:
-                raise KnotParseError(str(exc), start) from None
-        return (name, *args)
+        shape, check = _ATOMS[name][:2]
+        args = self.arguments(shape)
+        try:
+            return (name, *(check(*args) if check else args))
+        except ValueError as exc:
+            raise KnotParseError(str(exc), start) from None
+
+    readers = {"i": integer, "l": integers, "p": path}
 
 
 def parse_knot_expr(text: str) -> tuple:
@@ -230,7 +218,7 @@ def knot_expr_to_text(expr: tuple) -> str:
     if head == "-":
         inner = knot_expr_to_text(expr[1])
         return f"-({inner})" if expr[1][0] == "#" else f"-{inner}"
-    return _ATOMS[head][1](*expr[1:])
+    return _ATOMS[head][2](*expr[1:])
 
 
 def build_complex(expr: tuple) -> complexes.KnotComplex:
@@ -238,7 +226,7 @@ def build_complex(expr: tuple) -> complexes.KnotComplex:
     each mirrored under an odd number of '-' (a lone summand as built)."""
     parts = []
     for atom, sign in _flatten_sum(expr):
-        k = _ATOMS[atom[0]][2](*atom[1:])
+        k = _ATOMS[atom[0]][3](*atom[1:])
         parts.append(k if sign > 0 else complexes.mirror(k))
     return parts[0] if len(parts) == 1 else complexes.tensor(*parts)
 

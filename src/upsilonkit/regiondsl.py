@@ -41,40 +41,14 @@ class _RegionParser(_Scanner):
         if self.peek() == "(":
             return self.group()
         start, name = self.term_name("region")
+        if name not in _ATOMS:
+            raise RegionParseError(f"unknown region term {name!r}", start)
+        shape, build = _ATOMS[name]
+        args = self.arguments(shape)
         try:
-            if name == "H":
-                self.expect("(")
-                t = self.rational()
-                self.expect(")")
-                return upsilon_halfplane(t)
-            if name == "Q":
-                self.expect("(")
-                s = self.rational()
-                self.expect(")")
-                return v_region(s)
-            if name == "hp":
-                self.expect("(")
-                a = self.rational()
-                self.expect(",")
-                b = self.rational()
-                self.expect(",")
-                c = self.rational()
-                self.expect(")")
-                return make_halfplane(a, b, c)
-            if name == "trunc":
-                self.descend()
-                self.expect("(")
-                region = self.expr()
-                self.depth -= 1
-                self.expect(",")
-                x = self.rational()
-                self.expect(")")
-                return truncate(region, x)
+            return build(*args)
         except ValueError as exc:
-            if isinstance(exc, RegionParseError):
-                raise
             raise RegionParseError(str(exc), start) from None
-        raise RegionParseError(f"unknown region term {name!r}", start)
 
     def rational(self) -> Fraction:
         self.skip_ws()
@@ -87,6 +61,15 @@ class _RegionParser(_Scanner):
             return Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise RegionParseError(f"malformed rational {token!r}", start) from None
+
+    readers = {"r": rational, "e": expr}
+
+
+# Region term -> (argument shape, builder): `_Scanner.arguments` reads the
+# shape, 'r' a rational and 'e' a nested region, and the builder makes the
+# region of the arguments read.
+_ATOMS = {"H": ("r", upsilon_halfplane), "Q": ("r", v_region), "hp": ("r,r,r", make_halfplane),
+          "trunc": ("e,r", truncate)}
 
 
 def parse_region(text: str) -> SouthWestRegion:

@@ -258,8 +258,10 @@ MAX_NESTING = 100
 class _Scanner:
     """The lexing shared by the hand-rolled LL(1) parsers of the region and
     knot DSLs.  `error` is the exception class raised, called with a message
-    and a position; `expr` is the subclass's top-level rule.  `depth` counts
-    the levels entered by `descend` and not yet left (by decrementing it)."""
+    and a position; `expr` is the subclass's top-level rule; `readers` maps
+    each letter of the subclass's atom shapes to its reader of one argument
+    (see `arguments`).  `depth` counts the levels entered by `descend` and
+    not yet left (by decrementing it)."""
 
     error: type[_ParseError]
 
@@ -300,6 +302,25 @@ class _Scanner:
         self.expect(")")
         self.depth -= 1
         return result
+
+    def arguments(self, shape: str):
+        """An atom's '(' arguments ')', read by the atom's shape: a ',' or ';'
+        is that separator, and each other letter one argument, read by the
+        subclass's reader of that letter.  An 'e' reads a nested expression:
+        its level is entered before the '(', as `group` enters it."""
+        nested = "e" in shape
+        if nested:
+            self.descend()
+        self.expect("(")
+        args = []
+        for letter in shape:
+            if letter in ",;":
+                self.expect(letter)
+            else:
+                args.append(self.readers[letter](self))
+        self.expect(")")
+        self.depth -= nested
+        return args
 
     def peek(self) -> str:
         self.skip_ws()
