@@ -27,6 +27,9 @@ exceeded; 4 internal check failed (an oracle mismatch or a self-check).
 """
 
 # The docstring above is the description that `upsilonkit --help` prints.
+# Each knot atom is a row of `_ATOMS`: its argument shape, which
+# `regions._Scanner.arguments` reads for both DSLs, its check, its printer
+# and its builder.
 # The nine commands that print one engine value (upsilon-at, region-upsilon,
 # vk, nu-plus, dinv, eta, breaking-points, kl, secondary) share one handler,
 # `_cmd_value`, which the table `_VALUES` drives; the other four keep
@@ -381,18 +384,16 @@ def _cmd_value(args):
 
 
 def _cmd_validate(args):
+    """The knot-type check; a --complex-file loads without validation, so
+    that its problems are reported."""
     path, text = _source(args)
-    if path:
-        k = _read_complex(path)
-        name = f"file({path})"
-    else:
-        k = build_complex(parse_knot_expr(text))
-        name = text
+    expr = ("file", path) if path else parse_knot_expr(text)
+    k = _read_complex(path) if path else build_complex(expr)
     report = complexes.validate_complex(k)
     value = {"ok": report.ok, "problems": list(report.problems),
              "generators": len(k.generators)}
     if args.format == "json":
-        _emit(args, value, ["validate_complex"], knot=name)
+        _emit(args, value, ["validate_complex"], knot=knot_expr_to_text(expr))
     else:
         if report.ok:
             print(f"ok: knot-type complex with {len(k.generators)} generators")

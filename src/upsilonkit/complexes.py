@@ -612,8 +612,12 @@ def mirror(k: KnotComplex) -> KnotComplex:
 
     Reversing an arrow keeps its U-power; the grading and filtration
     conventions are preserved by the sign flips.  The result is made by the
-    public constructor, which checks it and arranges its arrows.
+    public constructor, which checks it and arranges its arrows.  The mirror
+    of a product from `tensor` is the product of its mirrored leaves, which
+    equals the mirror of the named product and names nothing.
     """
+    if "_leaves" in vars(k):
+        return tensor(*map(mirror, vars(k)["_leaves"]))
     gens = tuple(
         BaseGenerator(g.name, -g.alexander, -g.algebraic, -g.maslov) for g in k.generators
     )

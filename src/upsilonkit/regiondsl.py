@@ -2,8 +2,9 @@
 
     H(t) | Q(s) | hp(a,b,c) | trunc(R, x) | R & R | R | R | (R)
 
-with & binding tighter than |.  It rides on the lexing and the bracket
-rule that the knot DSL shares (`regions._Scanner`) and raises
+with & binding tighter than |.  It rides on the lexing, the bracket rule
+and the atom rule that the knot DSL shares (`regions._Scanner`): each term
+is a row of `_ATOMS`, its argument shape and its builder.  It raises
 `regions.RegionParseError`, a positioned `regions._ParseError`.  Only the
 commands that take a region (`--region`, `--cplus`, `--cminus`) load this
 module; `regions` hands out `parse_region` on first use.

@@ -16,9 +16,11 @@ of t) live here.  The arithmetic on them (`pl_eval`, `pl_add`,
 `upsilon --format csv` and the two reports load, and the region DSL's
 parser (`parse_region`) in `regiondsl`, which only the commands that take a
 region load; this module hands out their names on first use.  What both
-DSLs share stays here, since every command parses a knot: the lexing and
-the bracket rule '(' expr ')' (`_Scanner`, `_Scanner.group`), and the base
-of their positioned parse errors (`_ParseError`).
+DSLs share stays here, since every command parses a knot: the lexing, the
+bracket rule '(' expr ')' (`_Scanner.group`), the atom rule, which reads an
+atom's '(' arguments ')' by the argument shape in its table row
+(`_Scanner.arguments`), and the base of their positioned parse errors
+(`_ParseError`).
 """
 
 from __future__ import annotations
@@ -52,11 +54,20 @@ def _rat(x) -> Fraction:
 
 
 class HalfPlane(_OrderedValue):
-    """{(A, j) : alpha*A + beta*j <= c}, normalized to alpha + beta = 1."""
+    """{(A, j) : alpha*A + beta*j <= c}, normalized to alpha + beta = 1.
+
+    The coefficients are exact rationals with alpha, beta >= 0; anything
+    else raises ValueError, since the entering times assume it.
+    `make_halfplane` normalizes any non-negative pair.
+    """
 
     _fields = ("alpha", "beta", "c")
 
     def __init__(self, alpha: Fraction, beta: Fraction, c: Fraction):
+        alpha, beta, c = _rat(alpha), _rat(beta), _rat(c)
+        if alpha < 0 or beta < 0 or alpha + beta != 1:
+            raise ValueError(f"half-plane needs alpha, beta >= 0 with alpha + beta = 1, "
+                             f"got {alpha}, {beta}")
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
         _set(self, "c", c)
@@ -91,6 +102,10 @@ class SouthWestRegion(_Value):
         self.__post_init__()
 
     def __post_init__(self):
+        for atom in self.atoms:
+            for hp in atom:
+                if not isinstance(hp, HalfPlane):
+                    raise ValueError(f"region atom member must be a HalfPlane: {hp!r}")
         # sorted, equal atoms are adjacent: each half-plane is hashed once
         atoms = tuple(atom for atom, _ in groupby(sorted(
             tuple(sorted(set(atom))) for atom in self.atoms)))

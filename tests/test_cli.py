@@ -621,13 +621,29 @@ def test_validate_and_file_expression(tmp_path, capsys):
 
 
 def test_validate_by_expression(capsys):
-    # by expression, not by file: the JSON names the knot by the text as given,
-    # and the sum of two three-generator trefoils has 3 × 3 generators
+    # by expression, not by file: the JSON names the knot by its canonical
+    # text, and the sum of two three-generator trefoils has 3 × 3 generators
     text = "T(3,2) # -T(3,2)"
     assert run(capsys, "validate", text) == (0, "ok: knot-type complex with 9 generators\n", "")
     payload = run_json(capsys, "validate", text)
     assert (payload["knot"], payload["value"]) == (
         text, {"ok": True, "problems": [], "generators": 9})
+
+
+def test_validate_names_its_knot_as_every_command_does(tmp_path, capsys):
+    # validate's JSON once carried the raw text, "T(3,2)#-(T(5,2))"
+    for text in ("T(3,2)#-(T(5,2))", " -(-T(3,2))"):
+        names = {run_json(capsys, command, text)["knot"]
+                 for command in ("validate", "upsilon", "nu-plus")}
+        assert names == {knot_expr_to_text(parse_knot_expr(text))}
+    # a --complex-file still loads unvalidated, so its problems are reported
+    path = tmp_path / "bad.json"
+    save_complex(KnotComplex((BaseGenerator("x0", 0, 0, 0), BaseGenerator("x1", 0, 0, 0)), ()),
+                 path)
+    code, out, _ = run(capsys, "validate", "--complex-file", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["knot"], payload["value"]["ok"]) == (2, f"file({path})", False)
+    assert payload["value"]["problems"]
 
 
 def test_expression_and_complex_file_together_are_a_usage_error(tmp_path, capsys):

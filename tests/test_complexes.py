@@ -530,15 +530,17 @@ def _checked_twin(k):
     return KnotComplex(k.generators, k.arrows)
 
 
-def _refuse_naming(patch):
-    """Make every BaseGenerator construction, every `_arranged` call and
-    every naming of a product (`_named`, which lifts its arrows) raise, so
-    that a test sees whether a product was named."""
+def _refuse_naming(patch, leaves: bool = True):
+    """Make every naming of a product (`_named`, which lifts its arrows)
+    raise and, if `leaves`, every BaseGenerator construction and every
+    `_arranged` call too, so that a test sees whether a product was named.
+    Without `leaves` a test may still build leaves, as `mirror` does."""
     def refuse(*args, **kwargs):
         raise AssertionError("a product was named")
 
-    patch.setattr(BaseGenerator, "__init__", refuse)
-    patch.setattr(complexes, "_arranged", refuse)
+    if leaves:
+        patch.setattr(BaseGenerator, "__init__", refuse)
+        patch.setattr(complexes, "_arranged", refuse)
     patch.setattr(complexes, "_named", refuse)
 
 
@@ -793,6 +795,20 @@ def test_products_are_named_only_when_read(summands, folded, monkeypatch):
     head, last = summands[:-1], summands[-1]
     build = (lambda: tensor(tensor(*head), last)) if folded else (lambda: tensor(*summands))
     _assert_named_on_first_read(build, _product_tensor(*summands), monkeypatch)
+
+
+@pytest.mark.parametrize("summands", _LAZY_SUMS)
+def test_mirror_of_a_product_mirrors_its_leaves(summands, monkeypatch):
+    # the mirror of the named product, by the checked constructor
+    named = tensor(*summands)
+    expected = mirror(KnotComplex(named.generators, named.arrows))
+    with monkeypatch.context() as patch:
+        _refuse_naming(patch, leaves=False)
+        k = mirror(tensor(*summands))
+        assert vars(k)["_leaves"] == tuple(map(mirror, summands))
+    assert "_index_arrows" not in vars(k)
+    assert (k == expected, repr(k), hash(k)) == (True, repr(expected), hash(expected))
+    assert mirror(k) == named
 
 
 def test_mirror_is_involution():

@@ -584,6 +584,9 @@ _EXACT_PARAMETERS = [  # (name, a call with x in the checked slot, message)
     ("make_halfplane(beta)", lambda x: make_halfplane(1, x, 0), _RATIONAL),
     ("make_halfplane(c)", lambda x: make_halfplane(1, 1, x), _RATIONAL),
     ("translate", lambda x: translate(_H1, x), _RATIONAL),
+    ("HalfPlane(alpha)", lambda x: regions.HalfPlane(x, F(1), F(0)), _RATIONAL),
+    ("HalfPlane(beta)", lambda x: regions.HalfPlane(F(1), x, F(0)), _RATIONAL),
+    ("HalfPlane(c)", lambda x: regions.HalfPlane(F(1), F(0), x), _RATIONAL),
     ("vk", lambda x: vk(_K53, x), "V takes an integer parameter"),
     ("staircase_vk", lambda x: staircase_vk(_J53, x), "V takes an integer parameter"),
     ("d_invariant(q)", lambda x: d_invariant(_K53, x, 0), _D_PARAMETERS),

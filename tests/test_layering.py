@@ -325,3 +325,29 @@ def test_each_command_is_stated_once():
         assert (func is cli._cmd_value) == (name in cli._VALUES), name
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert not {f"_cmd_{name.replace('-', '_')}" for name in cli._VALUES} & defined
+
+
+def test_each_dsl_states_its_atoms_once():
+    # each atom's argument grammar is the shape in its table row, read by
+    # `_Scanner.arguments`: no `atom` method tests the atom name (bound from
+    # `term_name`) against a string literal, and every row has a shape that
+    # the DSL's readers read
+    from upsilonkit import cli, regiondsl
+    for module, parser in ((cli, cli._KnotParser), (regiondsl, regiondsl._RegionParser)):
+        tree = ast.parse(Path(module.__file__).read_text())
+        atom = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and node.name == "atom")
+        named = {node.targets[0].elts[1].id for node in ast.walk(atom)
+                 if isinstance(node, ast.Assign) and "term_name" in ast.unparse(node.value)}
+        assert named, parser.__name__
+        for node in ast.walk(atom):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                literal = any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                              for operand in operands for c in ast.walk(operand))
+                assert not (literal and named & {n.id for n in operands
+                                                 if isinstance(n, ast.Name)}), ast.unparse(node)
+        assert module._ATOMS, parser.__name__
+        for name, (shape, *_) in module._ATOMS.items():
+            assert isinstance(shape, str) and shape, name
+            assert set(shape) - set(",;") <= set(parser.readers), name

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from upsilonkit.regions import (
     MAX_NESTING,
+    HalfPlane,
     PLFunction,
     RegionParseError,
+    SouthWestRegion,
     _pl_at,
     contains,
     entering_numerators,
@@ -76,6 +78,29 @@ def test_halfplane_rejects_bad_coefficients():
         make_halfplane(-1, 1, 0)
     with pytest.raises(ValueError):
         make_halfplane(0, 0, 1)
+
+
+_HP = make_halfplane(1, 0, 0).atoms[0][0]
+_NORMALIZED = "half-plane needs alpha, beta >= 0 with alpha + beta = 1"
+
+
+@pytest.mark.parametrize("build, message", [
+    # not normalized: the set of make_halfplane(2, 0, 2), but its translates
+    # moved at half speed, so upsilon_region of T(3,2) gave -2 against -1
+    (lambda: HalfPlane(F(2), F(0), F(2)), f"{_NORMALIZED}, got 2, 0"),
+    (lambda: HalfPlane(F(1, 2), F(1, 3), F(0)), f"{_NORMALIZED}, got 1/2, 1/3"),
+    # a negative coefficient: a set that is not south-west
+    (lambda: HalfPlane(F(-1), F(2), F(0)), f"{_NORMALIZED}, got -1, 2"),
+    (lambda: HalfPlane(F(1), F(0), 0.5), "expected an exact rational, got 0.5"),
+    # a member that is not a HalfPlane failed later with AttributeError
+    (lambda: SouthWestRegion(((_HP, (F(1), F(0), F(0))),)),
+     "region atom member must be a HalfPlane: (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))"),
+    (lambda: SouthWestRegion(((1,),)), "region atom member must be a HalfPlane: 1"),
+])
+def test_region_constructors_refuse_what_they_would_miscompute(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_upsilon_halfplane_domain():
