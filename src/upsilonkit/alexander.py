@@ -12,7 +12,7 @@ load this module; `zoo` hands out its names on first use.
 from __future__ import annotations
 
 from .complexes import MAX_ATOM_SIZE, KnotComplex
-from .exact import _set, _Value
+from .exact import _Value
 from .invariants import check_jumps
 from .zoo import Semigroup, staircase_from_jumps
 
@@ -39,12 +39,10 @@ def _add_u(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
 
 class AlexanderPolynomial(_Value):
     """A symmetric Laurent polynomial in u = t^(1/2) (integer exponents in u,
-    so half-integer powers of t are representable mid-computation)."""
+    so half-integer powers of t are representable mid-computation).  Its
+    `terms` are (u-exponent, coefficient) pairs, sorted."""
 
     _fields = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[int, int], ...]):
-        _set(self, "terms", terms)  # (u-exponent, coefficient), sorted
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "AlexanderPolynomial":

@@ -80,12 +80,6 @@ class BaseGenerator(_OrderedValue):
 
     _fields = ("name", "alexander", "algebraic", "maslov")
 
-    def __init__(self, name: str, alexander: int, algebraic: int, maslov: int):
-        _set(self, "name", name)
-        _set(self, "alexander", alexander)
-        _set(self, "algebraic", algebraic)
-        _set(self, "maslov", maslov)
-
     @property
     def pos(self) -> tuple[int, int]:
         return (self.alexander, self.algebraic)
@@ -115,12 +109,6 @@ class KnotComplex(_Value):
     """
 
     _fields = ("generators", "arrows")
-
-    def __init__(self, generators: tuple[BaseGenerator, ...],
-                 arrows: tuple[tuple[str, str, int], ...]):
-        _set(self, "generators", generators)
-        _set(self, "arrows", arrows)
-        self.__post_init__()
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -172,9 +160,7 @@ class KnotComplex(_Value):
 
 class ValidationReport(_Value):
     _fields = ("problems",)
-
-    def __init__(self, problems: tuple[str, ...] = ()):
-        _set(self, "problems", problems)
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:

@@ -21,10 +21,14 @@ measured slower, so its pivots stay (vector, companion) pairs in a dict.
 
 `_Value` and `_OrderedValue` are the base of every frozen value class of
 the package (generators, complexes, regions, PL functions, semigroups).
-A class states its fields once, in `_fields`: equality, hash, repr and
-the order all read the field tuple `_Value._key` builds from it, and
-`_OrderedValue` writes only `__lt__` (`functools.total_ordering` derives
-the rest).  They stand in for the standard library's frozen dataclass:
+A class states its fields once, in `_fields`: the one constructor,
+`_Value.__init__`, binds them from positional and keyword arguments (the
+last ones may default, from the class's `_defaults`) and then calls the
+class's `__post_init__`, the one hook where a class checks or normalizes
+its fields; equality, hash, repr and the order all read the field tuple
+`_Value._key` builds from them, and `_OrderedValue` writes only `__lt__`
+(`functools.total_ordering` derives the rest).  They stand in for the
+standard library's frozen dataclass:
 importing its module pulls in `inspect`, `ast` and `tokenize`, and it
 compiles each generated method with `exec`, which made it the largest
 start-up cost of every command that the package controls.
@@ -37,22 +41,54 @@ from functools import total_ordering
 
 Rational = Fraction
 
-_set = object.__setattr__  # how a value class's `__init__` writes its fields
+_set = object.__setattr__  # how a value class writes a field past `_Value.__init__`
 
 
 class _Value:
-    """A frozen value: equality, hash and repr over its field tuple, as a
-    frozen dataclass has them.
+    """A frozen value: a constructor, equality, hash and repr over its field
+    tuple, as a frozen dataclass has them.
 
-    Each subclass names its fields in the class-level `_fields` and writes
-    its own `__init__`, storing every field with `_set`; `_key` reads the
-    fields in that order.  Instances keep a `__dict__` (for
-    `cached_property` and lazy fields), but assigning or deleting an
-    attribute raises AttributeError.  Equality holds only between instances
-    of one class; the hash is the hash of the field tuple.
+    Each subclass names its fields in the class-level `_fields`, and the
+    defaults of the last ones, if any, in `_defaults`.  The constructor
+    takes the fields as parameters, in that order, by position or keyword,
+    raises TypeError where a function with those parameters would, and
+    then calls `__post_init__`, which checks or normalizes the fields (with
+    `_set`) in a subclass and does nothing here.  `_key` reads the fields
+    in order.  Instances keep a `__dict__` (for `cached_property` and lazy
+    fields), but assigning or deleting an attribute raises AttributeError.
+    Equality holds only between instances of one class; the hash is the
+    hash of the field tuple.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bound as a function with these parameters
+            name = type(self).__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                                f"but {len(args)} were given")
+            given = dict(zip(fields, args))
+            for key in kwargs:
+                if key not in fields:
+                    raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+                if key in given:
+                    raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
+            values |= given | kwargs
+            if missing := [key for key in fields if key not in values]:
+                raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+            args = [values[key] for key in fields]
+        # field by field: writing `vars(self)` would give each instance a dict
+        # of its own, where `_set` keeps CPython's smaller shared-key layout
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """A subclass's checks of its fields, run by the constructor."""
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

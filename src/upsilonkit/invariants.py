@@ -88,7 +88,7 @@ from math import gcd
 
 from .complexes import KnotComplex, _below, _Engine, _least_top
 from . import _lazy
-from .exact import _echelonize, _set, _Value
+from .exact import _echelonize, _Value
 from .regions import PLFunction, SouthWestRegion, _int, _rat, entering_numerators, upsilon_halfplane
 
 # the names split off into `closedforms` (see the module docstring)
@@ -139,13 +139,7 @@ class BreakingPoint(_Value):
     """
 
     _fields = ("t", "jump", "i_minus", "i_plus")
-
-    def __init__(self, t: Fraction, jump: Fraction, i_minus: int | None = None,
-                 i_plus: int | None = None):
-        _set(self, "t", t)
-        _set(self, "jump", jump)
-        _set(self, "i_minus", i_minus)
-        _set(self, "i_plus", i_plus)
+    _defaults = (None, None)
 
 
 # ---------------------------------------------------------------------------

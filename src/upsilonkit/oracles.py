@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .complexes import BaseGenerator, KnotComplex
-from .exact import _bits, _echelonize, _mask, _OrderedValue, _set, _transpose, _Value
+from .complexes import KnotComplex
+from .exact import _bits, _echelonize, _mask, _OrderedValue, _transpose, _Value
 from .invariants import (NO_OBSTRUCTION, GuardExceeded, NoObstructionType, SecondaryValue,
                          _kl_parameters)
 from .regions import SouthWestRegion, entering_time, upsilon_halfplane
@@ -154,10 +154,6 @@ class LatticeGenerator(_OrderedValue):
 
     _fields = ("base", "upower")
 
-    def __init__(self, base: BaseGenerator, upower: int):
-        _set(self, "base", base)
-        _set(self, "upower", upower)
-
     @property
     def alexander(self) -> int:
         return self.base.alexander - self.upower
@@ -184,9 +180,6 @@ class Chain(_Value):
     """A formal F2 sum of lattice generators; + is symmetric difference."""
 
     _fields = ("gens",)
-
-    def __init__(self, gens: frozenset[LatticeGenerator]):
-        _set(self, "gens", gens)
 
     def __add__(self, other: "Chain") -> "Chain":
         return Chain(self.gens ^ other.gens)
@@ -391,7 +384,7 @@ def _candidate_ts(positions) -> tuple[Fraction, ...]:
     positions: every t in (0,2) where two generator lines (t/2)A + (1-t/2)j
     cross, plus the endpoints."""
     lines = {(a - j, j) for a, j in positions}  # L(t) = j + (t/2)(A - j)
-    crossings = set()  # t = num / den in lowest terms, den > 0
+    crossings = {(0, 1), (2, 1)}  # t = num / den in lowest terms, den > 0
     for (d1, j1), (d2, j2) in combinations(lines, 2):
         num, den = 2 * (j2 - j1), d1 - d2
         if den < 0:
@@ -399,8 +392,11 @@ def _candidate_ts(positions) -> tuple[Fraction, ...]:
         if 0 < num < 2 * den:
             g = gcd(num, den)
             crossings.add((num // g, den // g))
-    cands = {Fraction(0), Fraction(2)} | {Fraction(n, d) for n, d in crossings}
-    return tuple(sorted(cands))
+    if max(den for _, den in crossings) < 1 << 26:
+        # two of these fractions in [0, 2] differ by more than 2^-52, the
+        # spacing of floats in [1, 2), so their float quotients sort as they do
+        return tuple([Fraction(n, d) for n, d in sorted(crossings, key=lambda c: c[0] / c[1])])
+    return tuple(sorted(Fraction(n, d) for n, d in crossings))
 
 
 def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:

@@ -24,11 +24,6 @@ class PuiseuxData(_Value):
 
     _fields = ("a", "qs")
 
-    def __init__(self, a: int, qs: tuple[int, ...]):
-        _set(self, "a", a)
-        _set(self, "qs", qs)
-        self.__post_init__()
-
     def __post_init__(self):
         qs = tuple(self.qs)
         if not isinstance(self.a, int) or self.a < 2:

@@ -63,8 +63,8 @@ class HalfPlane(_OrderedValue):
 
     _fields = ("alpha", "beta", "c")
 
-    def __init__(self, alpha: Fraction, beta: Fraction, c: Fraction):
-        alpha, beta, c = _rat(alpha), _rat(beta), _rat(c)
+    def __post_init__(self):
+        alpha, beta, c = _rat(self.alpha), _rat(self.beta), _rat(self.c)
         if alpha < 0 or beta < 0 or alpha + beta != 1:
             raise ValueError(f"half-plane needs alpha, beta >= 0 with alpha + beta = 1, "
                              f"got {alpha}, {beta}")
@@ -96,10 +96,6 @@ class SouthWestRegion(_Value):
     """A union of intersections of normalized half-planes (DNF atoms)."""
 
     _fields = ("atoms",)
-
-    def __init__(self, atoms: tuple[tuple[HalfPlane, ...], ...]):
-        _set(self, "atoms", atoms)
-        self.__post_init__()
 
     def __post_init__(self):
         for atom in self.atoms:
@@ -203,10 +199,6 @@ class PLFunction(_Value):
     """
 
     _fields = ("points",)
-
-    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
-        _set(self, "points", points)
-        self.__post_init__()
 
     def __post_init__(self):
         pts = [(_rat(t), _rat(v)) for t, v in self.points]
@@ -352,10 +344,11 @@ class _Scanner:
         return start, self.text[start:self.pos]
 
     def digits(self, signed: bool = False) -> int:
-        """Scan a digit run, after an optional sign if `signed`; returns its start."""
+        """Scan a run of ASCII digits, after an optional sign if `signed`;
+        returns its start."""
         start = self.pos
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         return start

@@ -50,10 +50,6 @@ class Semigroup(_Value):
 
     _fields = ("generators",)
 
-    def __init__(self, generators: tuple[int, ...]):
-        _set(self, "generators", generators)
-        self.__post_init__()
-
     def __post_init__(self):
         # Each generator is checked before any comparison: sorting first would
         # raise a TypeError on a generator that does not compare with ints.

@@ -2031,6 +2031,31 @@ def test_a_change_of_basis_changes_no_invariant():
     assert scrambled >= 6
 
 
+def test_a_concordance_changes_no_invariant():
+    # K # J # -J is concordant to K (J # -J is slice), and every value here
+    # is a concordance invariant; the headline takes only a trefoil as J,
+    # which keeps its sum to 7,695 generators
+    rng = random.Random(68)
+    parts = [torus_knot(3, 2), torus_knot(5, 2), torus_knot(4, 3)]
+    parts += [mirror(j) for j in parts]
+    trefoils = [parts[0], parts[3]]
+    knots = [(k, parts) for k in _metamorphic_knots(random.Random(66))]
+    knots += [(add_box(torus_knot(5, 3), (1, -2), -1), parts), (_headline(), trefoils)]
+    for k, js in knots:
+        j = rng.choice(js)
+        summed = tensor(k, j, mirror(j))
+        # q >= 2g - 1 of both complexes, g read as `d_invariant` reads it
+        g = max(a for knot in (k, summed) for a, _ in complexes._Engine.of(knot).at0)
+        q = max(3, 2 * g - 1)
+        chosen = [_random_region(rng) for _ in range(3)]
+        values = [(_invariants_at_breaking_points(knot), d_invariant(knot, q, 1),
+                   [(upsilon_region(knot, r), eta(knot, r)) for r in chosen[:2]],
+                   secondary(knot, upsilon_halfplane(1 + F(1, 100)),
+                             upsilon_halfplane(1 - F(1, 100)), chosen[2]))
+                  for knot in (k, summed)]
+        assert values[0] == values[1]
+
+
 def test_a_permutation_of_the_generators_changes_no_invariant():
     # listing the generators in another order reorders the engine's
     # positions, the ties among their keys and the rows of every reduction

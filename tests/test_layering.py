@@ -280,15 +280,25 @@ def test_the_timed_bench_routines_load_no_split_module():
 
 
 def test_each_value_states_its_fields_once():
-    # a value class names its fields in `_fields` only: `_Value._key` reads
-    # them in that order, and `_OrderedValue` writes `__lt__` alone
-    # (`total_ordering` derives the rest), so no class repeats the tuple
+    # a value class names its fields in `_fields` only: `_Value.__init__`
+    # binds them and `_Value._key` reads them in that order, and
+    # `_OrderedValue` writes `__lt__` alone (`total_ordering` derives the
+    # rest), so no class repeats the tuple
     methods = {f"{path.stem}.{node.name}": {f.name for f in node.body
                                              if isinstance(f, ast.FunctionDef)}
                for path in PACKAGE.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)}
     assert [name for name, defs in methods.items() if "_key" in defs] == ["exact._Value"]
     assert methods["exact._OrderedValue"] & {"__lt__", "__le__", "__gt__", "__ge__"} == {"__lt__"}
+    # and no value class of the package writes its own constructor
+    for name in ORDER:
+        importlib.import_module(f"upsilonkit.{name}")
+    values = [upsilonkit.exact._Value]
+    for cls in values:  # every subclass, at any depth
+        values += cls.__subclasses__()
+    ours = [cls for cls in values if cls.__module__.startswith("upsilonkit.")]
+    assert len(ours) == 14
+    assert [cls.__qualname__ for cls in ours if "__init__" in vars(cls)] == ["_Value"]
 
 
 def test_only_tensor_makes_a_complex_past_the_constructor():

@@ -333,6 +333,19 @@ def test_parse_errors_carry_positions(text, pos_ge):
     assert "position" in str(exc.value)
 
 
+@pytest.mark.parametrize("dsl, text, position", [
+    ("knot", "T(٣,2)", 2), ("knot", "T(3,2)#T(٥,2)", 9), ("region", "H(١/٢)", 2)])
+def test_only_ascii_digits_are_digits(dsl, text, position):
+    # both DSLs scan a number as a run of 0-9: other Unicode digits, which
+    # `int` and `Fraction` would read, are a parse error at the number
+    from upsilonkit.cli import KnotParseError, parse_knot_expr
+    parse, error = {"knot": (parse_knot_expr, KnotParseError),
+                    "region": (parse_region, RegionParseError)}[dsl]
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert exc.value.position == position
+
+
 def test_parse_rejects_nesting_past_the_cap():
     # a parse error, not a RecursionError
     for wrap in (lambda r: f"({r})", lambda r: f"trunc({r}, 3)"):

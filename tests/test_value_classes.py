@@ -95,3 +95,14 @@ def test_defaults():
     assert ValidationReport().ok and not ValidationReport(("bad",)).ok
     with pytest.raises(TypeError):
         BaseGenerator("x", 0, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BaseGenerator("x", 0, 0, 0, 0),  # a positional argument too many
+    lambda: HalfPlane(F(1), F(0), F(0), gamma=F(0)),  # an unknown keyword
+    lambda: Semigroup((2, 3), generators=(2, 3)),  # a field given twice
+    lambda: BreakingPoint(F(1)),  # a field with no default missing
+], ids=["extra_positional", "unknown_keyword", "given_twice", "missing"])
+def test_construction_refuses_what_a_signature_would(make):
+    with pytest.raises(TypeError):
+        make()
