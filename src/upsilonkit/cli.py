@@ -289,14 +289,32 @@ def _emit(args, value, provenance: list[str], *, knot: str | None = None,
     return 0
 
 
+def _plain(text: str) -> str:
+    """A numeric flag's text, if it is ASCII with no '_' or whitespace; else
+    ValueError.  `int` and `Fraction` also read other Unicode digits, '_'
+    between digits and surrounding whitespace, which the DSLs refuse."""
+    if not text.isascii() or re.search(r"[\s_]", text):
+        raise ValueError(text)
+    return text
+
+
 def _rational_flag(text: str) -> Fraction:
     """A --t or --s value.  argparse shows the message of an
     ArgumentTypeError, but replaces that of a ValueError with its own."""
     try:
-        return Fraction(text)
+        return Fraction(_plain(text))
     except (ValueError, ZeroDivisionError):
         import argparse
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from None
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag's value.  It is named "int", so that argparse refuses
+    a value with the message it gives `int`: "invalid int value: '...'"."""
+    return int(_plain(text))
+
+
+_int_flag.__name__ = "int"
 
 
 def _source(args) -> tuple[str | None, str | None]:
@@ -475,7 +493,7 @@ _CHECK = ("--check-oracle", {"action": "store_true"})
 _COMMANDS = (
     ("upsilon", "the full upsilon function", _cmd_upsilon,
      (*_KNOT, ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
-      ("--samples", {"type": int, "default": 64,
+      ("--samples", {"type": _int_flag, "default": 64,
                      "help": "sample count for CSV output (default 64)"}))),
     ("upsilon-at", "upsilon at one parameter", _cmd_value,
      (*_SOURCE, ("--t", {"type": _rational_flag, "required": True}),
@@ -483,11 +501,11 @@ _COMMANDS = (
                           "help": "cross-check against the brute-force oracle"}))),
     ("region-upsilon", "region invariant (unscaled)", _cmd_value, (*_SOURCE, _REGION, _CHECK)),
     ("vk", "V(s), -2-scaled convention", _cmd_value,
-     (*_SOURCE, ("--s", {"type": int, "required": True}))),
+     (*_SOURCE, ("--s", {"type": _int_flag, "required": True}))),
     ("nu-plus", "least s with V(s) = 0", _cmd_value, _SOURCE),
     ("dinv", "surgery correction term", _cmd_value,
-     (*_SOURCE, ("--q", {"type": int, "required": True, "help": "surgery coefficient"}),
-      ("--m", {"type": int, "required": True, "help": "spin-c index"}))),
+     (*_SOURCE, ("--q", {"type": _int_flag, "required": True, "help": "surgery coefficient"}),
+      ("--m", {"type": _int_flag, "required": True, "help": "spin-c index"}))),
     ("eta", "Alexander-truncation invariant", _cmd_value, (*_SOURCE, _REGION)),
     ("breaking-points", "kinks with positive jump", _cmd_value, _SOURCE),
     ("kl", "secondary invariant at a breaking point", _cmd_value,
@@ -501,7 +519,7 @@ _COMMANDS = (
     ("thin-check", "obstruct concordance to a thin knot", _cmd_thin_check,
      (("expr", {"help": "knot expression"}), _FORMAT)),
     ("pretzel-report", "decomposition constraints for P(-2,3,q)", _cmd_pretzel_report,
-     (("--q", {"type": int, "required": True}), _FORMAT)),
+     (("--q", {"type": _int_flag, "required": True}), _FORMAT)),
 )
 
 

@@ -398,7 +398,12 @@ _D_PARAMETERS = "d takes an integer surgery coefficient q and an integer spin-c 
 
 def d_invariant(k: KnotComplex, q: int, m: int) -> Fraction:
     """Correction term of q-surgery in the spin-c structure indexed by m:
-    ((q - 2m)^2 - q) / (4q) + V(m), valid for large surgeries.
+    ((q - 2m)^2 - q) / (4q) + V(m), valid for large surgeries, q >= 2g - 1.
+
+    g is read off the complex: the largest Alexander grading of slice 0.
+    That is an upper bound on the genus, not the genus, so a stabilized
+    complex can need a larger q than its knot: K # J # -J refuses some q
+    that the concordant K accepts.  Every q it accepts gives the right value.
     """
     q, m = (_int(x, _D_PARAMETERS) for x in (q, m))
     if q < 1:

@@ -24,13 +24,13 @@ def main() -> None:
     os.environ["COLUMNS"] = test_golden.COLUMNS
     home = os.getcwd()
     entries = []
-    for seed, argv in test_golden.corpus():
+    for seed, argv in test_golden.cli_corpus():
         with tempfile.TemporaryDirectory() as tmp:
             if seed is not None:
                 test_golden.write_files(seed, Path(tmp))
             os.chdir(tmp)
             try:
-                entries.append(test_golden.outcome(argv))
+                entries.append(test_golden.main_outcome(argv))
             finally:
                 os.chdir(home)
     with open(test_golden.GOLDEN, "w") as fh:

@@ -50,6 +50,8 @@ from upsilonkit.zoo import (
 )
 from upsilonkit.reports import thin_three_param
 
+from corpus import torus_jumps
+
 
 @contextmanager
 def criterion(number: int, label: str, budget_seconds: float):
@@ -64,10 +66,6 @@ def criterion(number: int, label: str, budget_seconds: float):
         f"criterion {number} exceeded its budget: {elapsed:.2f}s >= {budget_seconds}s"
     )
     print(f"criterion {number}: PASS — {label} ({elapsed:.2f}s, budget {budget_seconds:g}s)")
-
-
-def torus_jumps(p: int, q: int) -> tuple[int, ...]:
-    return jumps_from_semigroup(semigroup_from_generators((p, q)))
 
 
 def singular_set(k) -> set:

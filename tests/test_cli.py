@@ -24,14 +24,18 @@ from upsilonkit.complexes import (
     BaseGenerator,
     KnotComplex,
     save_complex,
-    to_json_dict,
     validate_complex,
 )
 from upsilonkit.regions import upsilon_halfplane
 
+from corpus import refuse, renamed
+
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -129,10 +133,7 @@ def test_parse_error_position_points_at_atom():
 
 
 def test_parse_validates_torus_without_building(monkeypatch):
-    def no_build(p, q):
-        raise AssertionError("parsing built a torus complex")
-
-    monkeypatch.setattr(zoo, "torus_knot", no_build)
+    refuse(monkeypatch, zoo, "torus_knot", "parsing built a torus complex")
     assert knot_expr_to_text(parse_knot_expr("T(8,5) # -T(6,5)")) == "T(8,5) # -T(6,5)"
     with pytest.raises(KnotParseError, match=r"coprime, got \(4, 6\) \(at position 9\)"):
         parse_knot_expr("T(2,3) # T(4,6)")
@@ -333,6 +334,29 @@ def test_malformed_rational_flag_names_its_value(capsys, argv):
     assert err == f"usage error: argument {flag}: malformed rational {text!r}\n"
 
 
+@pytest.mark.parametrize("argv", [("upsilon-at", "T(3,2)", "--t", "١/٢"),
+                                  ("kl", "T(4,3)", "--t", "2/3", "--s", "2/3 "),
+                                  ("upsilon-at", "T(3,2)", "--t", "1_0"),
+                                  ("vk", "T(3,2)", "--s", "٣"),
+                                  ("vk", "T(3,2)", "--s", "1_0"),
+                                  ("vk", "T(3,2)", "--s", " 3"),
+                                  ("dinv", "T(3,2)", "--q", "7", "--m", "\u00a01"),
+                                  ("upsilon", "T(3,2)", "--format", "csv", "--samples", "６４"),
+                                  ("pretzel-report", "--q", "7\t")],
+                         ids=" ".join)
+def test_numeric_flags_read_only_ascii_numbers(capsys, monkeypatch, argv):
+    # `int` and `Fraction` also read other Unicode digits, '_' between digits
+    # and surrounding whitespace; the flags refuse them as the DSLs do, the
+    # fast path by declining and argparse with its own message
+    flag, text = argv[-2:]
+    kind = "malformed rational" if flag == "--t" or argv[0] == "kl" else "invalid int value:"
+    expected = (1, "", f"usage error: argument {flag}: {kind} {text!r}\n")
+    assert cli._fast_args(list(argv)) is None
+    assert run(capsys, *argv) == expected
+    monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
+    assert run(capsys, *argv) == expected
+
+
 def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "upsilon-at", "T(2,3)", "--t", "5/2")
     assert code == 2 and "error" in err
@@ -385,16 +409,24 @@ def test_exit_2_on_a_tower_off_level_zero(tmp_path, capsys):
     assert (code, out, err) == (2, f"problem: {problem}\n", "")
 
 
-def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
+def _corrupt_the_second_least_top(monkeypatch) -> list:
+    """Make the second `_least_top` call after each clearing of the returned
+    list lead one too high: the value is the packed key's quotient by
+    w = 2h + 1."""
     least_top = invariants._least_top
     calls = []
 
-    def corrupt(eng, keys):  # the sweep's second event comes back one too high
+    def corrupt(eng, keys):
         calls.append(keys)
-        key = least_top(eng, keys)  # the value is the packed key's quotient by w = 2h + 1
+        key = least_top(eng, keys)
         return key + 2 * invariants._slope_bound(eng) + 1 if len(calls) == 2 else key
 
     monkeypatch.setattr(invariants, "_least_top", corrupt)
+    return calls
+
+
+def test_exit_4_when_the_curve_sweep_loses_continuity(capsys, monkeypatch):
+    calls = _corrupt_the_second_least_top(monkeypatch)  # the sweep's second event
     k = zoo.torus_knot(5, 3)
     with pytest.raises(AssertionError, match="^upsilon curve: the line leading after t = "):
         invariants.upsilon_function(k)
@@ -468,15 +500,7 @@ def test_exit_4_when_the_generating_cycle_is_a_boundary(capsys, monkeypatch):
 
 
 def test_exit_4_when_the_kl_sides_do_not_meet(capsys, monkeypatch):
-    least_top = invariants._least_top
-    calls = []
-
-    def corrupt(eng, keys):  # the reduction just left of t* leads one too high
-        calls.append(keys)
-        key = least_top(eng, keys)  # the value is the packed key's quotient by w = 2h + 1
-        return key + 2 * invariants._slope_bound(eng) + 1 if len(calls) == 2 else key
-
-    monkeypatch.setattr(invariants, "_least_top", corrupt)
+    calls = _corrupt_the_second_least_top(monkeypatch)  # the reduction just left of t*
     with pytest.raises(AssertionError, match="^kim_livingston: the two sides of t = 2/3 do not meet"):
         invariants.kim_livingston(zoo.torus_knot(4, 3), Fraction(2, 3), Fraction(2, 3))
     calls.clear()
@@ -727,12 +751,8 @@ def test_file_with_wrong_shapes_is_rejected(tmp_path, capsys, data, field):
 
 
 def _renamed_trefoil(path, names):
-    data = to_json_dict(build_complex(parse_knot_expr("T(2,3)")))
-    rename = dict(zip(sorted(g["id"] for g in data["generators"]), names))
-    for g in data["generators"]:
-        g["id"] = rename[g["id"]]
-    data["arrows"] = [[rename[a], rename[b], m] for a, b, m in data["arrows"]]
-    path.write_text(json.dumps(data))
+    k = build_complex(parse_knot_expr("T(2,3)"))
+    save_complex(renamed(k, dict(zip(sorted(g.name for g in k.generators), names)).__getitem__), path)
 
 
 def test_sum_of_files_with_starred_names(tmp_path, capsys):
@@ -813,11 +833,8 @@ def test_exit_2_when_an_atom_is_over_the_size_limit(capsys, monkeypatch, expr, m
     # (T(20001,20000) would fill 4 * 10^8 table entries in a Python loop); the
     # inputs are just over the limit, and no staircase is built, so that a
     # missing check fails fast
-    def refuse(jumps):
-        raise AssertionError("an atom over the size limit was built")
-
-    monkeypatch.setattr(zoo, "staircase_from_jumps", refuse)
-    monkeypatch.setattr(alexander, "staircase_from_jumps", refuse)  # `pretzel`'s binding
+    for module in (zoo, alexander):  # `alexander` holds `pretzel`'s binding
+        refuse(monkeypatch, module, "staircase_from_jumps", "an atom over the size limit was built")
     code, out, err = run(capsys, "upsilon", "--", expr)
     assert (code, out, err) == (2, "", f"error: {message}, over the limit of 100000\n")
 
@@ -930,22 +947,13 @@ def test_every_command_has_a_malformed_case():
     assert list(MALFORMED) == [name for name, *_ in cli._COMMANDS]
 
 
-def _outcome(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # --help
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_the_parser_answers_as_the_one_with_every_command(capsys, monkeypatch, argv):
     # `main` tries `_fast_args` before argparse; help texts, usage errors and
     # exit codes stay those of the argparse parser with all thirteen commands
-    outcome = _outcome(capsys, argv)
+    outcome = run(capsys, *argv)
     monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
-    assert outcome == _outcome(capsys, argv)
+    assert outcome == run(capsys, *argv)
     assert outcome[0] in (0, 1) and outcome[1] + outcome[2]
 
 
@@ -1013,14 +1021,19 @@ def test_the_fast_path_reads_every_bench_command(seed):
     assert [argv for argv in cli_round(seed)[0] if cli._fast_args(argv) is None] == []
 
 
-def test_module_entry_point():
-    # the child imports the same package as this test, installed or not
+def _child_env():
+    """The environment of a child process that imports the same package as
+    this test, installed or not."""
     src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "upsilonkit", "upsilon-at", "T(2,3)", "--t", "1",
          "--format", "json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == {"num": -1, "den": 1}
@@ -1035,8 +1048,6 @@ def test_a_command_starts_without_dataclasses_or_inspect():
     # package modules it runs: not the oracles, the reports or any module
     # split off for the code few commands run (complex files, PL arithmetic,
     # the region parser, the Alexander, Puiseux and closed-form routes)
-    src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
         "import runpy, sys\n"
         "sys.argv = ['upsilonkit', 'upsilon', 'T(3,2)']\n"
@@ -1049,7 +1060,7 @@ def test_a_command_starts_without_dataclasses_or_inspect():
         "print(sorted(name for name in sys.modules if name.startswith('upsilonkit')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["(0, 0)  (1, -1)  (2, 0)", "[]", str([
         "upsilonkit", "upsilonkit.cli", "upsilonkit.complexes", "upsilonkit.exact",
@@ -1059,12 +1070,10 @@ def test_a_command_starts_without_dataclasses_or_inspect():
 def test_closed_pipe_exits_1_quietly():
     # `upsilonkit ... | head -c 200`: the reader closes after its first read,
     # while the command still has far more than a pipe buffer to write
-    src = os.path.dirname(os.path.dirname(upsilonkit.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "upsilonkit", "upsilon", "T(3,2)", "--format", "csv",
          "--samples", "10000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
     first = os.read(proc.stdout.fileno(), 200)
     proc.stdout.close()

@@ -30,16 +30,17 @@ from upsilonkit.oracles import (LatticeGenerator, _columns, boundary_matrix, mas
                                 representative_cycle)
 from upsilonkit.zoo import staircase_from_jumps, thin_model, torus_knot, unknot
 
-
-def trefoil_by_hand() -> KnotComplex:
-    return KnotComplex(
-        (
-            BaseGenerator("x0", 1, 0, 0),
-            BaseGenerator("x1", 0, 1, 0),
-            BaseGenerator("y0", 1, 1, 1),
-        ),
-        (("y0", "x0", 0), ("y0", "x1", 0)),
-    )
+from corpus import (
+    AWKWARD_NAMES,
+    outcome,
+    random_small_complex,
+    refuse,
+    renamed,
+    shifted,
+    slice_columns,
+    starry_trefoil,
+    trefoil_by_hand,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +206,13 @@ def test_validate_reports_d_squared():
     assert any(p.startswith("d^2(a)") for p in report.problems)
 
 
-def _shifted(k, da, dj):
-    return KnotComplex(tuple(BaseGenerator(g.name, g.alexander + da, g.algebraic + dj, g.maslov)
-                             for g in k.generators), k.arrows)
-
-
 def test_validate_reports_a_tower_off_level_zero():
     low = KnotComplex((BaseGenerator("x", -2, -1, 0),), ())
     assert validate_complex(low).problems == (
         "H_0 is generated at filtration level (A, j) = (-2, -1), expected (0, 0)",)
     for da, dj in [(1, 0), (0, -1), (3, 2), (-1, -1)]:
         for k in (trefoil_by_hand(), torus_knot(5, 3), mirror(torus_knot(4, 3))):
-            assert validate_complex(_shifted(k, da, dj)).problems == (
+            assert validate_complex(shifted(k, da, dj)).problems == (
                 f"H_0 is generated at filtration level (A, j) = ({da}, {dj}), expected (0, 0)",)
     # x0 sits at j = 0 and x1 at A = 0: each level needs the other cycle, x0 + d(y0) = x1
     assert validate_complex(trefoil_by_hand()).ok
@@ -294,11 +290,13 @@ def test_tensor_gradings_add():
     assert by_name["y0*y0"].pos == (2, 2)
 
 
-def test_tensor_names_are_injective():
-    def named(*names):
-        return KnotComplex(tuple(BaseGenerator(n, 0, 0, 0) for n in names), ())
+def _at_origin(*names):
+    """Generators of these names at (0, 0) in grading 0, with no arrows."""
+    return KnotComplex(tuple(BaseGenerator(n, 0, 0, 0) for n in names), ())
 
-    k = tensor(named("a", "a*b", "c\\"), named("b*c", "c", "\\*d"))
+
+def test_tensor_names_are_injective():
+    k = tensor(_at_origin("a", "a*b", "c\\"), _at_origin("b*c", "c", "\\*d"))
     names = [g.name for g in k.generators]
     assert len(set(names)) == 9
     assert "a*b\\*c" in names and "a\\*b*c" in names
@@ -316,10 +314,7 @@ def _same_up_to_names(k1, k2) -> bool:
 
 
 def test_tensor_of_three_factors():
-    def named(*names):
-        return KnotComplex(tuple(BaseGenerator(n, 0, 0, 0) for n in names), ())
-
-    a, b = named("a", "a*b", "c\\"), named("b*c", "c", "\\*d")
+    a, b = _at_origin("a", "a*b", "c\\"), _at_origin("b*c", "c", "\\*d")
     k = tensor(a, b, a)
     assert len({g.name for g in k.generators}) == 27
     assert "a\\*b*c*c\\\\" in {g.name for g in k.generators}  # each factor escaped once
@@ -428,12 +423,10 @@ def _product_tensor(*factors):
     return ref
 
 
-def _renamed(k, rename):
-    return KnotComplex(
-        tuple(BaseGenerator(rename(g.name), g.alexander, g.algebraic, g.maslov)
-              for g in k.generators),
-        tuple((rename(src), rename(dst), m) for src, dst, m in k.arrows),
-    )
+def _self_looped():
+    """p with a self-loop, and q -> U·p."""
+    return KnotComplex((BaseGenerator("p", 0, 0, 0), BaseGenerator("q", 0, 0, 1)),
+                       (("p", "p", 0), ("q", "p", 1)))
 
 
 def _tensor_cases():
@@ -450,13 +443,12 @@ def _tensor_cases():
     boxed = add_box(add_box(torus_knot(4, 3), (1, -2), -1), (0, 0), 2)
     yield boxed, mirror(boxed)
     yield t, add_box(mirror(t), (-3, 0), 1), boxed
-    starry = _renamed(t, lambda n: {"x0": "a*", "x1": "b\\", "y0": "\\*c*\\"}[n])
+    starry = starry_trefoil()
     yield starry, t
     yield starry, starry, mirror(starry)
-    yield _renamed(m, lambda n: "*" + n + "\\"), starry
+    yield renamed(m, lambda n: "*" + n + "\\"), starry
     # self-loops are legal arrows: the product has two copies of one, which cancel
-    loop = KnotComplex((BaseGenerator("p", 0, 0, 0), BaseGenerator("q", 0, 0, 1)),
-                       (("p", "p", 0), ("q", "p", 1)))
+    loop = _self_looped()
     yield loop, loop
     yield loop, loop, loop
     yield ()
@@ -472,42 +464,10 @@ def test_tensor_matches_the_product_route(factors):
     assert json.dumps(to_json_dict(k)) == json.dumps(to_json_dict(ref))
 
 
-_AWKWARD_NAMES = ["", " ", "!", ")", "a", "a!", "ab", "*", "\\", "a*", "\\*", "b )"]
-
-
-def _random_small_complex(rng):
-    """1-4 generators named from `_AWKWARD_NAMES` (names that sort below
-    "*", prefixes of each other, "*", "\\" and the empty name) at random
-    positions and gradings, with random arrows: self-loops, ill-graded and
-    filtration-increasing ones included."""
-    names = rng.sample(_AWKWARD_NAMES, rng.randint(1, 4))
-    gens = tuple(BaseGenerator(n, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
-                 for n in names)
-    arrows = []
-    for _ in range(rng.randint(0, 3)):
-        x = rng.choice(gens)
-        graded = [g for g in gens if (g.maslov - x.maslov) % 2]  # some U-power grades x -> g
-        if graded and rng.random() < 0.85:
-            y = rng.choice(graded)
-            m = (y.maslov - x.maslov + 1) // 2
-        else:
-            y, m = rng.choice(gens), rng.randint(-1, 1)
-        arrows.append((x.name, y.name, m))
-    return KnotComplex(gens, tuple(arrows))
-
-
 def _random_factor_sets():
     rng = random.Random(1818)
-    return [tuple(_random_small_complex(rng) for _ in range(rng.randint(2, 3)))
+    return [tuple(random_small_complex(rng) for _ in range(rng.randint(2, 3)))
             for _ in range(30)]
-
-
-def _graded_outcome(k):
-    """`_graded(k)`, or the type and message of the ValueError it raises."""
-    try:
-        return _graded(k)
-    except ValueError as e:
-        return type(e), str(e)
 
 
 def _first_bad_arrow(k):
@@ -535,13 +495,10 @@ def _refuse_naming(patch, leaves: bool = True):
     raise and, if `leaves`, every BaseGenerator construction and every
     `_arranged` call too, so that a test sees whether a product was named.
     Without `leaves` a test may still build leaves, as `mirror` does."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a product was named")
-
     if leaves:
-        patch.setattr(BaseGenerator, "__init__", refuse)
-        patch.setattr(complexes, "_arranged", refuse)
-    patch.setattr(complexes, "_named", refuse)
+        refuse(patch, BaseGenerator, "__init__", "a product was named")
+        refuse(patch, complexes, "_arranged", "a product was named")
+    refuse(patch, complexes, "_named", "a product was named")
 
 
 @pytest.mark.parametrize("factors", list(_tensor_cases()) + _random_factor_sets())
@@ -553,15 +510,12 @@ def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
     twin = _checked_twin(k)
     assert (k == twin, repr(k), hash(k)) == (True, repr(twin), hash(twin))
     assert k._index_arrows == twin._index_arrows == _index_arrows_by_name(twin)
-    outcome = _graded_outcome(k)
-    assert outcome == _graded_outcome(twin)
-    assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
-    assert _graded_outcome(tensor(*factors)) == outcome
+    graded = outcome(_graded, k)
+    assert graded == outcome(_graded, twin)
+    assert (graded if graded[0] is ValueError else graded[2]) == _first_bad_arrow(twin)
+    assert outcome(_graded, tensor(*factors)) == graded
 
-    def refuse(self):
-        raise AssertionError("the product was re-checked")
-
-    monkeypatch.setattr(KnotComplex, "__post_init__", refuse)
+    refuse(monkeypatch, KnotComplex, "__post_init__", "the product was re-checked")
     assert tensor(*factors) == k
     with pytest.raises(AssertionError, match="re-checked"):
         _checked_twin(k)
@@ -570,10 +524,9 @@ def test_built_tensor_matches_the_checked_constructor(factors, monkeypatch):
 def test_built_products_reach_every_graded_outcome():
     # the random and self-loop factors give ill-graded products (the same
     # ValueError by both routes) and unfiltered ones (the same first arrow)
-    loop = KnotComplex((BaseGenerator("p", 0, 0, 0), BaseGenerator("q", 0, 0, 1)),
-                       (("p", "p", 0), ("q", "p", 1)))
-    outcomes = [_graded_outcome(tensor(*factors)) for factors in _random_factor_sets()]
-    assert _graded_outcome(tensor(loop, loop)) == (
+    loop = _self_looped()
+    outcomes = [outcome(_graded, tensor(*factors)) for factors in _random_factor_sets()]
+    assert outcome(_graded, tensor(loop, loop)) == (
         ValueError, "arrow p*q -> U^1·p*p does not drop Maslov grading by 1")
     assert any(o[0] is ValueError for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is not None for o in outcomes)
@@ -587,17 +540,11 @@ def test_built_products_reach_every_graded_outcome():
     lone = KnotComplex((BaseGenerator("p", 0, 0, 0),), (("p", "p", 0),))
     for factors in ((lone, loops), (loops, loops), (lone, loops, lone, loops)):
         twin = _checked_twin(tensor(*factors))
-        positions, columns, unfiltered = _graded_outcome(tensor(*factors))
-        assert twin.arrows == () and (positions, columns, unfiltered) == _graded_outcome(twin)
+        positions, columns, unfiltered = outcome(_graded, tensor(*factors))
+        assert twin.arrows == () and (positions, columns, unfiltered) == outcome(_graded, twin)
         assert unfiltered is None and not any(columns[0] + columns[1])
         assert [list(positions[p]) for p in (0, 1)] == [
             [lg.pos for lg in maslov_slice(twin, p)] for p in (0, 1)]
-
-
-def _odd_shifted(k):
-    """k with every grading raised by one: an odd Maslov offset."""
-    return KnotComplex(tuple(BaseGenerator(g.name, g.alexander, g.algebraic, g.maslov + 1)
-                             for g in k.generators), k.arrows)
 
 
 def _factor_build_cases():
@@ -608,11 +555,11 @@ def _factor_build_cases():
     named product as a leaf.  Each case is a function that builds the tree
     afresh."""
     t = trefoil_by_hand()
-    starry = _renamed(t, lambda n: {"x0": "a*", "x1": "b\\", "y0": "\\*c*\\"}[n])
+    starry = starry_trefoil()
     sound = [torus_knot(3, 2), torus_knot(5, 2), torus_knot(4, 3), mirror(torus_knot(5, 3)),
              thin_model(2), thin_model(-1), unknot(), add_box(torus_knot(4, 3), (1, -2), -1),
-             add_box(mirror(t), (-3, 0), 1), starry, _odd_shifted(torus_knot(3, 2)),
-             _odd_shifted(mirror(starry)), _renamed(mirror(torus_knot(5, 2)), lambda n: n + "*")]
+             add_box(mirror(t), (-3, 0), 1), starry, shifted(torus_knot(3, 2), 0, 0, 1),
+             shifted(mirror(starry), 0, 0, 1), renamed(mirror(torus_knot(5, 2)), lambda n: n + "*")]
     empty = KnotComplex((), ())
     ill = KnotComplex((BaseGenerator("x", 0, 0, 0), BaseGenerator("y", 0, 0, 0)),
                       (("x", "y", 0),))
@@ -652,14 +599,6 @@ def _factor_build_cases():
     return cases
 
 
-def _slice_columns(k, d):
-    """The grading-d differential by columns, read off the lattice generators
-    of slices d and d - 1 and the arrows alone."""
-    rows = {(lg.base.name, lg.upower): i for i, lg in enumerate(maslov_slice(k, d - 1))}
-    return [sum(1 << rows[dst, lg.upower + m] for src, dst, m in k.arrows if src == lg.base.name)
-            for lg in maslov_slice(k, d)]
-
-
 @pytest.mark.parametrize("build", _factor_build_cases())
 def test_factor_build_matches_the_arranged_walk(build, monkeypatch):
     # `_graded`'s fold over a fresh tree's leaves against the checked twin's
@@ -670,26 +609,26 @@ def test_factor_build_matches_the_arranged_walk(build, monkeypatch):
     with monkeypatch.context() as patch:
         if sound:  # the fold names nothing and lifts no product arrow
             _refuse_naming(patch)
-        outcome = _graded_outcome(k)
+        graded = outcome(_graded, k)
     twin = _checked_twin(k)  # named afterwards
-    assert outcome == _graded_outcome(twin) == _graded_outcome(build()[1])
+    assert graded == outcome(_graded, twin) == outcome(_graded, build()[1])
     bad = _first_bad_arrow(twin)
-    if outcome[0] is ValueError:
-        assert outcome == bad
+    if graded[0] is ValueError:
+        assert graded == bad
         for p in (0, 1):
-            with pytest.raises(ValueError, match=re.escape(outcome[1])):
+            with pytest.raises(ValueError, match=re.escape(graded[1])):
                 boundary_matrix(twin, p)
         return
-    positions, columns, unfiltered = outcome
+    positions, columns, unfiltered = graded
     assert unfiltered == bad
     assert (unfiltered is None) == (sound or not twin.generators)  # or an empty leaf
     for p in (0, 1):
         assert list(positions[p]) == [lg.pos for lg in maslov_slice(twin, p)]
-        assert list(columns[p]) == _columns(boundary_matrix(twin, p)) == _slice_columns(twin, p)
+        assert list(columns[p]) == _columns(boundary_matrix(twin, p)) == slice_columns(twin, p)
 
 
 def test_factor_build_cases_reach_every_outcome():
-    outcomes = [_graded_outcome(build()[1]) for build in _factor_build_cases()]
+    outcomes = [outcome(_graded, build()[1]) for build in _factor_build_cases()]
     assert any(o[0] is ValueError for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is not None for o in outcomes)
     assert any(o[0] is not ValueError and o[2] is None and o[0] != ((), ()) for o in outcomes)
@@ -698,11 +637,11 @@ def test_factor_build_cases_reach_every_outcome():
 
 def _random_raw_input(rng):
     """Untrusted constructor input: 1-4 generators named from
-    `_AWKWARD_NAMES` (now and then a duplicate name) and 0-6 arrows, given
+    `AWKWARD_NAMES` (now and then a duplicate name) and 0-6 arrows, given
     as tuples or lists, with repeats (odd and even multiplicities),
     self-loops, and now and then a ghost endpoint, a U-power that is not an
     integer or an arrow of the wrong length."""
-    names = rng.sample(_AWKWARD_NAMES, rng.randint(1, 4))
+    names = rng.sample(AWKWARD_NAMES, rng.randint(1, 4))
     if rng.random() < 0.05:
         names.append(rng.choice(names))
     gens = tuple(BaseGenerator(n, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
@@ -762,7 +701,7 @@ _LAZY_SUMS = [
     (torus_knot(3, 2), torus_knot(3, 2)),
     (torus_knot(5, 2), mirror(torus_knot(3, 2))),
     (torus_knot(4, 3), mirror(torus_knot(3, 2)), torus_knot(5, 2)),
-    (_renamed(trefoil_by_hand(), lambda n: {"x0": "a*", "x1": "b\\", "y0": "\\*c*\\"}[n]),
+    (starry_trefoil(),
      mirror(torus_knot(3, 2)), torus_knot(4, 3)),
 ]
 
@@ -814,15 +753,15 @@ def test_mirror_of_a_product_mirrors_its_leaves(summands, monkeypatch):
 def test_mirror_is_involution():
     rng = random.Random(1819)
     knots = [trefoil_by_hand(), torus_knot(5, 3), thin_model(-2)]
-    for k in knots + [_random_small_complex(rng) for _ in range(20)]:
+    for k in knots + [random_small_complex(rng) for _ in range(20)]:
         m = mirror(k)
         twin = _checked_twin(m)
         assert (m == twin, repr(m), hash(m)) == (True, repr(twin), hash(twin))
         assert m.arrows == _toggled_arrows(m.generators, [(t, s, u) for s, t, u in k.arrows])
         assert m._index_arrows == twin._index_arrows == _index_arrows_by_name(m)
-        outcome = _graded_outcome(m)
-        assert outcome == _graded_outcome(twin)
-        assert (outcome if outcome[0] is ValueError else outcome[2]) == _first_bad_arrow(twin)
+        graded = outcome(_graded, m)
+        assert graded == outcome(_graded, twin)
+        assert (graded if graded[0] is ValueError else graded[2]) == _first_bad_arrow(twin)
         assert mirror(m) == k
     for k in knots:
         assert validate_complex(mirror(k)).ok

@@ -67,7 +67,7 @@ def cli_round(seed: int):
     return [cmd["argv"] for cmd in cmds], files
 
 
-def corpus() -> list[tuple[int | None, list[str]]]:
+def cli_corpus() -> list[tuple[int | None, list[str]]]:
     """(seed of the round whose files the command reads or None, argv) of
     every entry, in the order of the golden file."""
     entries = [(seed, argv) for seed in SEEDS for argv in cli_round(seed)[0]]
@@ -85,7 +85,7 @@ def write_files(seed: int, directory: Path) -> None:
             json.dump(data, fh)
 
 
-def outcome(argv: list[str]) -> dict:
+def main_outcome(argv: list[str]) -> dict:
     """argv, exit code, stdout and stderr of `cli.main(argv)`, in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -101,19 +101,19 @@ RECORDED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
 
 
 def test_the_golden_file_holds_the_corpus():
-    assert [entry["argv"] for entry in RECORDED] == [argv for _, argv in corpus()]
+    assert [entry["argv"] for entry in RECORDED] == [argv for _, argv in cli_corpus()]
 
 
 @pytest.mark.parametrize("index", range(len(RECORDED)),
                          ids=[f"{i}:{' '.join(e['argv']) or 'no-arguments'}"
                               for i, e in enumerate(RECORDED)])
 def test_the_command_answers_as_recorded(tmp_path, monkeypatch, index):
-    seed, argv = corpus()[index]
+    seed, argv = cli_corpus()[index]
     if seed is not None:
         write_files(seed, tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    got = outcome(argv)
+    got = main_outcome(argv)
     for field in ("argv", "code", "stdout", "stderr"):  # one at a time, for a string diff
         assert got[field] == RECORDED[index][field], field
 
@@ -145,7 +145,7 @@ def _sum_value(op) -> str:
 
 
 @functools.cache
-def _headline():
+def _warmed_headline():
     """The `session` worker's complex, warmed as it warms it."""
     k = _workloads().build_torus_sum(_workloads().HEADLINE)
     invariants.h0_surjective(k, regions.upsilon_halfplane(0), 0)
@@ -154,7 +154,7 @@ def _headline():
 
 def _session_value(q) -> str:
     """One `session` query of `perfbench/worker.py`."""
-    k = _headline()
+    k = _warmed_headline()
     if q["kind"] == "region":
         value = invariants.upsilon_region(k, _workloads().region_from_spec(q["region"]))
     elif q["kind"] == "vk":

@@ -8,7 +8,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
-from math import gcd, prod
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -62,7 +62,6 @@ from upsilonkit.oracles import (
 from upsilonkit.regions import (
     PLFunction,
     entering_time,
-    intersect,
     make_halfplane,
     pl_add,
     pl_constant,
@@ -90,10 +89,29 @@ from upsilonkit.zoo import (
 )
 from upsilonkit.reports import thin_kl_closed, thin_three_param
 
-
-def torus_jumps(p, q):
-    return jumps_from_semigroup(semigroup_from_generators((q, p)))
-
+from corpus import (
+    any_region,
+    awkwardly_named,
+    basis_change,
+    boxed_knots,
+    headline,
+    least_q,
+    metamorphic_knots,
+    outcome,
+    profile,
+    random_complex,
+    random_region,
+    random_sum,
+    random_torus_sum,
+    refuse,
+    shifted,
+    slice_columns,
+    torus_jumps,
+    torus_pairs,
+    torus_sum_of_two_or_three,
+    trefoil_by_hand,
+    two_summand_sum,
+)
 
 SMALL_ZOO = [
     unknot(),
@@ -182,26 +200,14 @@ def test_swept_curve_is_canonicalized(monkeypatch):
     k = tensor(torus_knot(3, 2), mirror(torus_knot(3, 2)))
     f = upsilon_function(k)
     assert f == pl_add(fk_upsilon(3, 2), pl_negate_scale(fk_upsilon(3, 2), -1))
-    events = []
-    least_top = invariants._least_top
-
-    def counted(eng, keys):
-        events.append(keys)
-        return least_top(eng, keys)
-
-    monkeypatch.setattr(invariants, "_least_top", counted)
+    events = _record_kernel_calls(monkeypatch)
     lines = invariants._kinetic_sweep(complexes._Engine.of(k))
-    assert len(events) == 2  # reductions at t = 0 and t = 1; one line, from t = 0 to 2
+    assert events == ["_least_top"] * 2  # at t = 0 and t = 1; one line, from t = 0 to 2
     assert lines == [((0, 1), (0, 0))] and list(f.points) == [(0, 0), (2, 0)]
     monkeypatch.undo()
     rng = random.Random(2121)
-    parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
-    sums = 0
-    while sums < 20:
-        summands = [torus_knot(*rng.choice(parts)) for _ in range(rng.randint(2, 3))]
-        if prod(len(c.generators) for c in summands) > 250:
-            continue
-        k = tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands))
+    for _ in range(20):
+        k = torus_sum_of_two_or_three(rng)
         lines = invariants._kinetic_sweep(complexes._Engine.of(k))
         f = upsilon_function(k)
         # a point at 0 and at each recorded event, and one at 2; on each
@@ -211,7 +217,6 @@ def test_swept_curve_is_canonicalized(monkeypatch):
             assert pl_eval(f, F(n, d)) == -2 * (j + F(n, d) * s / 2) and gcd(n, d) == 1
             assert v1 == -2 * (j + t1 * s / 2)
         assert f == PLFunction(f.points)  # re-canonicalizing changes nothing
-        sums += 1
 
 
 def test_region_monotonicity():
@@ -323,10 +328,8 @@ def _hull_cases():
     random stairs, the last of 300 corners.  Its jumps of at most 2 tie
     many lines at each crossing and keep it to about 5,000 candidates."""
     yield torus_jumps(59, 58)
-    for p in range(3, 22):
-        for q in range(2, p):
-            if gcd(p, q) == 1:
-                yield torus_jumps(p, q)
+    for p, q in torus_pairs(22):
+        yield torus_jumps(p, q)
     for tau in range(1, 7):
         yield (1,) * (2 * tau)
     rng = random.Random(2741)
@@ -371,12 +374,10 @@ def test_the_canonical_curves_are_those_of_the_checked_constructor():
         assert PLFunction(f.points).points == f.points
         return f
 
-    for p in range(3, 22):
-        for q in range(2, p):
-            if gcd(p, q) == 1:
-                curve = checked(staircase_upsilon(torus_jumps(p, q)))
-                for c in (-1, F(3, 2), F(-7, 3)):
-                    checked(pl_negate_scale(curve, c))
+    for p, q in torus_pairs(22):
+        curve = checked(staircase_upsilon(torus_jumps(p, q)))
+        for c in (-1, F(3, 2), F(-7, 3)):
+            checked(pl_negate_scale(curve, c))
 
 
 def test_staircase_kl_rejects_non_breaking():
@@ -663,82 +664,18 @@ def test_eta_at_h1():
 
 
 # ---------------------------------------------------------------------------
-# stable-equivalence invariance (box moves)
-# ---------------------------------------------------------------------------
-
-
-def test_box_insertion_preserves_everything():
-    rng = random.Random(3)
-    k0 = torus_knot(4, 3)
-    h23 = upsilon_halfplane(F(2, 3))
-    baseline = (
-        upsilon_function(k0),
-        vk(k0, 1),
-        nu_plus(k0),
-        eta(k0, h23),
-        kim_livingston(k0, F(2, 3), F(2, 3)),
-        d_invariant(k0, 7, 1),
-    )
-    k = k0
-    for _ in range(5):
-        k = add_box(k, (rng.randint(-4, 4), rng.randint(-4, 4)), rng.randint(-3, 3))
-    assert validate_complex(k).ok
-    assert (
-        upsilon_function(k),
-        vk(k, 1),
-        nu_plus(k),
-        eta(k, h23),
-        kim_livingston(k, F(2, 3), F(2, 3)),
-        d_invariant(k, 7, 1),
-    ) == baseline
-
-
-# ---------------------------------------------------------------------------
 # the filtered reduction against the oracles on random boxed sums
 # ---------------------------------------------------------------------------
-
-
-def _random_sum(rng):
-    """A sum of 1-3 small torus knots or mirrors, with 0-2 acyclic squares,
-    small enough that the oracles stay under their guard."""
-    parts = [(3, 2), (5, 2), (4, 3)]
-    while True:
-        chosen = [rng.choice(parts) for _ in range(rng.randint(1, 3))]
-        size = 1
-        for p, q in chosen:
-            size *= p if q == 2 else 5
-        if size <= 27:
-            break
-    k = None
-    for p, q in chosen:
-        part = torus_knot(p, q) if rng.random() < 0.5 else mirror(torus_knot(p, q))
-        k = part if k is None else tensor(k, part)
-    for _ in range(rng.randint(0, 2)):
-        k = add_box(k, (rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-2, 2))
-    return k
-
-
-def _random_region(rng):
-    kind = rng.choice(("H", "Q", "hp", "union", "trunc"))
-    if kind == "H":
-        return upsilon_halfplane(F(rng.randint(0, 12), 6))
-    if kind == "Q":
-        return v_region(rng.randint(-2, 2))
-    if kind == "hp":
-        return make_halfplane(rng.randint(0, 3), rng.randint(1, 3), rng.randint(-2, 2))
-    if kind == "union":
-        return union(upsilon_halfplane(F(rng.randint(0, 8), 4)), v_region(rng.randint(-2, 2)))
-    return truncate(upsilon_halfplane(F(rng.randint(0, 8), 4)), rng.randint(-1, 3))
 
 
 def test_filtered_reduction_matches_oracles_on_random_sums():
     rng = random.Random(2024)
     finite = 0
     for _ in range(12):
-        k = _random_sum(rng)
+        k = random_sum(rng)
         assert validate_complex(k).ok
         for _ in range(3):
-            r = _random_region(rng)
+            r = random_region(rng)
             gamma = upsilon_region(k, r)
             assert gamma == brute_force_upsilon(k, r)
             x = eta(k, r)
@@ -746,8 +683,8 @@ def test_filtered_reduction_matches_oracles_on_random_sums():
             assert brute_force_upsilon(k, truncate(r, x - F(1, 1000))) > gamma
         t, d = F(rng.randint(2, 10), 6), F(1, 100)
         for regions in (
-            (upsilon_halfplane(t + d), upsilon_halfplane(t - d), _random_region(rng)),
-            (_random_region(rng), _random_region(rng), _random_region(rng)),
+            (upsilon_halfplane(t + d), upsilon_halfplane(t - d), random_region(rng)),
+            (random_region(rng), random_region(rng), random_region(rng)),
         ):
             value = secondary(k, *regions)
             assert value == brute_force_secondary(k, *regions)
@@ -792,10 +729,7 @@ def test_oracles_read_no_engine_build(monkeypatch):
     expected = (upsilon_region(two_summands(), r), kim_livingston(two_summands(), t, t),
                 secondary(two_summands(), plus, minus, c))
 
-    def refuse(k):
-        raise AssertionError("the engine build ran")
-
-    monkeypatch.setattr(complexes, "_graded", refuse)
+    refuse(monkeypatch, complexes, "_graded", "the engine build ran")
     with pytest.raises(AssertionError, match="the engine build ran"):
         upsilon_region(two_summands(), r)
     assert (brute_force_upsilon(two_summands(), r), kim_livingston_oracle(two_summands(), t, t),
@@ -809,7 +743,7 @@ def test_oracles_read_no_engine_build(monkeypatch):
 
 def test_clearing_cycle_is_in_the_coset_of_the_nullspace_route():
     rng = random.Random(77)
-    for k in SMALL_ZOO + [_random_sum(rng) for _ in range(12)]:
+    for k in SMALL_ZOO + [random_sum(rng) for _ in range(12)]:
         eng = complexes._Engine.of(k)
         assert boundary_matrix(k, 0).mat_vec(eng.z_ref) == 0
         index0 = {lg: i for i, lg in enumerate(maslov_slice(k, 0))}
@@ -826,17 +760,8 @@ def test_clearing_cycle_is_in_the_coset_of_the_nullspace_route():
 
 def _graded_cases():
     rng = random.Random(5)
-    boxed = [add_box(torus_knot(4, 3), (1, -2), -1), add_box(mirror(torus_knot(5, 2)), (-3, 0), 1),
-             add_box(add_box(torus_knot(3, 2), (0, 0), -3), (2, 2), 2)]
-    return SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + boxed + [_random_sum(rng) for _ in range(12)]
-
-
-def _slice_columns(k, d):
-    """The grading-d differential by columns, read off the lattice generators
-    of slices d and d - 1 and the arrows alone."""
-    rows = {(lg.base.name, lg.upower): i for i, lg in enumerate(maslov_slice(k, d - 1))}
-    return [sum(1 << rows[dst, lg.upower + m] for src, dst, m in k.arrows if src == lg.base.name)
-            for lg in maslov_slice(k, d)]
+    return (SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + boxed_knots()
+            + [random_sum(rng) for _ in range(12)])
 
 
 def test_graded_build_matches_the_slices():
@@ -848,7 +773,7 @@ def test_graded_build_matches_the_slices():
             assert [lg.pos for lg in maslov_slice(k, d)] == [
                 (a + shift, j + shift) for a, j in positions[d % 2]]
             cols = list(columns[d % 2])
-            assert cols == _columns(boundary_matrix(k, d)) == _slice_columns(k, d)
+            assert cols == _columns(boundary_matrix(k, d)) == slice_columns(k, d)
 
 
 def test_boundary_matrix_has_period_two():
@@ -859,32 +784,16 @@ def test_boundary_matrix_has_period_two():
 
 
 def test_engine_and_validation_build_no_slices(monkeypatch):
-    def big():
-        return tensor(tensor(torus_knot(8, 5), mirror(torus_knot(6, 5))), mirror(torus_knot(4, 3)))
-
-    t, d = F(1), F(1, 100)
-    regions = (upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(2, 3)))
-
     def values(k):
-        return ([vk(k, s) for s in range(3)], eta(k, upsilon_halfplane(F(2, 3))),
-                secondary(k, *regions), kim_livingston(k, 1, F(1, 2)), validate_complex(k))
+        return _headline_profile(k), validate_complex(k)
 
-    expected = values(big())
+    expected = values(headline())
 
-    def refuse(*args):
-        raise AssertionError("a slice was built")
-
-    monkeypatch.setattr(oracles, "maslov_slice", refuse)
-    monkeypatch.setattr(oracles, "boundary_matrix", refuse)
-    k = big()
+    refuse(monkeypatch, oracles, "maslov_slice boundary_matrix", "a slice was built")
+    k = headline()
     assert upsilon_function(k) == upsilon_function(torus_knot(3, 2))
     assert values(k) == expected
     assert expected[-1].ok
-
-
-def _shifted(k, da, dj):
-    return KnotComplex(tuple(BaseGenerator(g.name, g.alexander + da, g.algebraic + dj, g.maslov)
-                             for g in k.generators), k.arrows)
 
 
 def test_validation_finds_the_tower_level_the_engine_finds():
@@ -894,15 +803,14 @@ def test_validation_finds_the_tower_level_the_engine_finds():
     rng = random.Random(53)
     hand = [
         KnotComplex((BaseGenerator("x", 0, 0, 0),), ()),
-        KnotComplex((BaseGenerator("x0", 1, 0, 0), BaseGenerator("x1", 0, 1, 0),
-                     BaseGenerator("y0", 1, 1, 1)), (("y0", "x0", 0), ("y0", "x1", 0))),
+        trefoil_by_hand(),
         add_box(mirror(torus_knot(4, 3)), (4, 4), 0),
     ]
-    knots = SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + hand + [_random_sum(rng) for _ in range(12)]
+    knots = SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + hand + [random_sum(rng) for _ in range(12)]
     checked = 0
     for k in knots:
         for da, dj in [(0, 0), (1, 0), (0, -2), (-1, 3), (rng.randint(-4, 4), rng.randint(-4, 4))]:
-            moved = _shifted(k, da, dj)
+            moved = shifted(k, da, dj)
             a, j = -upsilon_at(moved, 2) / 2, -upsilon_at(moved, 0) / 2
             assert (a, j) == (da, dj)
             expected = () if (a, j) == (0, 0) else (
@@ -979,28 +887,11 @@ def _least_max(z, keys, d1_cols):
     return keys[order[z.bit_length() - 1]]
 
 
-def _random_complex(rng):
-    """1-7 generators at A, j, M in {0, 1} and random arrows, nearly all of
-    them legal in grading and filtration, so that the complexes fail every
-    check that `validate_complex` makes, and some pass them all."""
-    n = rng.randint(1, 7)
-    gens = [BaseGenerator(f"g{i}", *(rng.randint(0, 1) for _ in range(3))) for i in range(n)]
-    arrows = []
-    for _ in range(rng.randint(n // 2, 2 * n)):
-        x, y = rng.choice(gens), rng.choice(gens)
-        m = (y.maslov - x.maslov + 1) // 2  # drops the grading by one if the parities differ
-        legal = ((y.maslov - x.maslov) % 2 and y.alexander - m <= x.alexander
-                 and y.algebraic - m <= x.algebraic)
-        if legal or rng.random() < 0.1:
-            arrows.append((x.name, y.name, m))
-    return KnotComplex(tuple(gens), tuple(arrows))
-
-
 def test_validation_matches_the_separate_echelonization_route():
     rng = random.Random(2024)
     zoo = SMALL_ZOO + [mirror(k) for k in SMALL_ZOO]
-    cases = ([_random_complex(rng) for _ in range(1500)] + zoo
-             + [_shifted(k, rng.randint(-3, 3), rng.randint(-3, 3)) for k in zoo]
+    cases = ([random_complex(rng) for _ in range(1500)] + zoo
+             + [shifted(k, rng.randint(-3, 3), rng.randint(-3, 3)) for k in zoo]
              + [add_box(k, (rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-2, 2))
                 for k in zoo])
     seen = set()
@@ -1028,11 +919,7 @@ def test_one_engine_build_serves_validation_and_every_query(monkeypatch):
     fresh = KnotComplex(built.generators, built.arrows)
     assert validate_complex(fresh).ok
     for k in (built, fresh):
-        upsilon_function(k)
-        vk(k, 1)
-        eta(k, upsilon_halfplane(F(2, 3)))
-        bp = breaking_points(k)[0]
-        kim_livingston(k, bp.t, F(1))
+        assert profile(k, [upsilon_halfplane(F(2, 3))], [], 27)["Kim-Livingston"]
         assert validate_complex(k).ok
     assert len(calls) == 2  # one build for each complex
 
@@ -1056,12 +943,9 @@ def test_chord_checks_evaluate_in_order(monkeypatch):
         calls.append(keys)
         return least_top(eng, keys)
 
-    def no_region(*args):
-        raise AssertionError("the curve or kim_livingston built or keyed a region")
-
     monkeypatch.setattr(invariants, "_least_top", record)
-    for name in ("upsilon_region", "upsilon_halfplane", "entering_numerators"):
-        monkeypatch.setattr(invariants, name, no_region)
+    refuse(monkeypatch, invariants, "upsilon_region upsilon_halfplane entering_numerators",
+           "the curve or kim_livingston built or keyed a region")
     k = torus_knot(5, 3)
     kinks = [t for t, _ in upsilon_function(k).points]
     eng = complexes._Engine.of(k)
@@ -1096,29 +980,16 @@ def _every_crossing_curve(k):
     return PLFunction(tuple((t, -2 * upsilon_region(k, upsilon_halfplane(t))) for t in ts))
 
 
-def _random_torus_sum(rng):
-    """A sum of 1-3 torus knots or mirrors (at most 250 generators), with 0-2
-    acyclic squares."""
-    parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
-    while True:
-        summands = [torus_knot(*rng.choice(parts)) for _ in range(rng.randint(1, 3))]
-        k = tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands))
-        if len(k.generators) <= 250:
-            break
-    for _ in range(rng.randint(0, 2)):
-        k = add_box(k, (rng.randint(-3, 3), rng.randint(-3, 3)), rng.randint(-2, 2))
-    return k
+def _curve_knots(rng):
+    """`SMALL_ZOO`, the torus knots with p <= 10 and their mirrors, three
+    pretzels, seven thin models and 40 random torus sums."""
+    torus = [torus_knot(p, q) for p, q in torus_pairs(11)]
+    return (SMALL_ZOO + torus + [mirror(k) for k in torus] + [pretzel(q) for q in range(7, 12, 2)]
+            + [thin_model(n) for n in range(-3, 4)] + [random_torus_sum(rng) for _ in range(40)])
 
 
 def test_kinetic_curve_matches_every_crossing_route():
-    rng = random.Random(909)
-    torus = [torus_knot(p, q) for p in range(3, 11) for q in range(2, p) if gcd(p, q) == 1]
-    knots = (
-        SMALL_ZOO + torus + [mirror(k) for k in torus]
-        + [pretzel(q) for q in range(7, 12, 2)] + [thin_model(n) for n in range(-3, 4)]
-        + [_random_torus_sum(rng) for _ in range(40)]
-    )
-    for k in knots:
+    for k in _curve_knots(random.Random(909)):
         f = _every_crossing_curve(k)
         assert upsilon_function(k) == f
         assert breaking_points(k) == [BreakingPoint(t, j) for t, j in pl_singular_points(f) if j > 0]
@@ -1126,25 +997,18 @@ def test_kinetic_curve_matches_every_crossing_route():
 
 def test_headline_curve_reduces_only_at_events(monkeypatch):
     # the every-crossing route ran 481 reductions on this curve
-    calls = []
-    least_top = invariants._least_top
-
-    def count(*args):
-        calls.append(args)
-        return least_top(*args)
-
-    monkeypatch.setattr(invariants, "_least_top", count)
+    calls = _record_kernel_calls(monkeypatch)
     chords = invariants._check_chords
     swept = []  # the reductions made before the chord checks began
     monkeypatch.setattr(invariants, "_check_chords",
                         lambda *args: (swept.append(len(calls)), chords(*args))[1])
-    k = tensor(torus_knot(8, 5), mirror(torus_knot(6, 5)), mirror(torus_knot(4, 3)))
+    k = headline()
     f = upsilon_function(k)
     # pinned: 58 sweep events and one chord check for each of the 2 segments
-    assert (len(calls), swept, len(f.points) - 1) == (60, [58], 2)
-    kernels = _record_kernel_calls(monkeypatch)
+    assert (calls, swept, len(f.points) - 1) == (["_least_top"] * 60, [58], 2)
+    calls.clear()
     assert kim_livingston(k, 1, 1) == -1
-    assert kernels == ["_least_top", "_least_top", "_below", "_below"]
+    assert calls == ["_least_top", "_least_top", "_below", "_below"]
     minus = [pl_negate_scale(staircase_upsilon(torus_jumps(p, q)), -1) for p, q in ((6, 5), (4, 3))]
     assert f == pl_add(pl_add(staircase_upsilon(torus_jumps(8, 5)), minus[0]), minus[1])
 
@@ -1219,13 +1083,7 @@ def _packed_key_knots():
     """The headline, the slice-1-wide complex and 20 seeded two- and
     three-summand torus sums of at most 250 generators."""
     rng = random.Random(2222)
-    parts = [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4)]
-    knots = [_headline(), _wide_in_slice_1()]
-    while len(knots) < 22:
-        summands = [torus_knot(*rng.choice(parts)) for _ in range(rng.randint(2, 3))]
-        if prod(len(c.generators) for c in summands) <= 250:
-            knots.append(tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands)))
-    return knots
+    return [headline(), _wide_in_slice_1()] + [torus_sum_of_two_or_three(rng) for _ in range(20)]
 
 
 def test_packed_line_keys_order_as_the_pairs_do():
@@ -1255,8 +1113,8 @@ def test_packed_line_keys_order_as_the_pairs_do():
                 assert (v, r - h) == complexes._least_top(eng, _tuple_line_keys(eng.at0, n, d, sign))
             if 0 < t < 2:
                 for s in sorted({F(0), t, F(1), F(2)}):
-                    value = _outcome(kim_livingston, k, t, s)
-                    assert value == _outcome(_kl_by_tuple_keys, k, t, s)
+                    value = outcome(kim_livingston, k, t, s)
+                    assert value == outcome(_kl_by_tuple_keys, k, t, s)
                     kl_values.append(value)
     assert {type(v) for v in kl_values} >= {F, NoObstructionType}
 
@@ -1298,10 +1156,7 @@ def test_upsilon_curve_is_computed_once_per_complex(monkeypatch):
     other = upsilon_function(torus_knot(5, 3))  # an equal complex has its own engine
     assert other == f and other is not f
 
-    def region(*args):
-        raise AssertionError("the curve was evaluated again")
-
-    monkeypatch.setattr(invariants, "_least_top", region)
+    refuse(monkeypatch, invariants, "_least_top", "the curve was evaluated again")
     assert upsilon_function(k) is f
     assert [(bp.t, bp.jump) for bp in breaking_points(k)] == [
         (t, jump) for t, jump in pl_singular_points(f) if jump > 0
@@ -1333,11 +1188,8 @@ def test_kim_livingston_reduces_twice(monkeypatch):
     # `_least_top` for its key and one `_below` for its coset
     calls = _record_kernel_calls(monkeypatch)
 
-    def region(*args):
-        raise AssertionError("kim_livingston built, keyed or queried a region")
-
-    for name in ("upsilon_region", "upsilon_halfplane", "entering_numerators"):
-        monkeypatch.setattr(invariants, name, region)
+    refuse(monkeypatch, invariants, "upsilon_region upsilon_halfplane entering_numerators",
+           "kim_livingston built, keyed or queried a region")
     for t, s, expected in ((F(2, 3), F(2, 3), F(-4, 3)), (F(1), F(1), NO_OBSTRUCTION)):
         calls.clear()
         assert kim_livingston(torus_knot(4, 3), t, s) == expected
@@ -1393,15 +1245,8 @@ def _perturbation_route(k, candidates, t):
 
 def test_kim_livingston_matches_perturbation_route():
     # every kink and segment midpoint of the curve of each knot, at several s
-    rng = random.Random(1010)
-    torus = [torus_knot(p, q) for p in range(3, 11) for q in range(2, p) if gcd(p, q) == 1]
-    knots = (
-        SMALL_ZOO + torus + [mirror(k) for k in torus]
-        + [pretzel(q) for q in range(7, 12, 2)] + [thin_model(n) for n in range(-3, 4)]
-        + [_random_torus_sum(rng) for _ in range(40)]
-    )
     errors = 0
-    for k in knots:
+    for k in _curve_knots(random.Random(1010)):
         candidates = oracles._candidate_ts(complexes._Engine.of(k).at0)
         points = [t for t, _ in upsilon_function(k).points]
         for t in points[1:-1] + [(t0 + t1) / 2 for t0, t1 in zip(points, points[1:])]:
@@ -1421,15 +1266,9 @@ def test_kim_livingston_matches_perturbation_route():
 # ---------------------------------------------------------------------------
 
 
-def _headline():
-    return tensor(torus_knot(8, 5), mirror(torus_knot(6, 5)), mirror(torus_knot(4, 3)))
-
-
 def test_engine_basis_spans_the_boundaries():
     rng = random.Random(31)
-    boxed = [add_box(torus_knot(4, 3), (1, -2), -1), add_box(mirror(torus_knot(5, 2)), (-3, 0), 1),
-             add_box(add_box(torus_knot(3, 2), (0, 0), -3), (2, 2), 2)]
-    for k in SMALL_ZOO + boxed + [_random_torus_sum(rng) for _ in range(12)] + [_headline()]:
+    for k in SMALL_ZOO + boxed_knots() + [random_torus_sum(rng) for _ in range(12)] + [headline()]:
         eng = complexes._Engine.of(k)
         kept = set(eng.basis_cols)
         assert len(eng.basis_cols) == boundary_matrix(k, 1).rank() == F2Space(eng.basis_cols).dim
@@ -1526,32 +1365,22 @@ def _full_column_reduce(eng, keys):
     return keys[order[z.bit_length() - 1]], w, basis
 
 
-def _engine_values(k, rng):
-    """Every engine value on k, on a fresh equal complex (so nothing cached
-    is read): the curve, its kinks' Kim-Livingston values and a sample of
-    region, V, eta and secondary queries drawn from rng."""
-    k = KnotComplex(k.generators, k.arrows)
-    f = upsilon_function(k)
-    regions = [_random_region(rng) for _ in range(4)]
-    t, d = F(rng.randint(2, 10), 6), F(1, 100)
-    triples = [(upsilon_halfplane(t + d), upsilon_halfplane(t - d), regions[0]),
-               tuple(regions[1:])]
-    return (
-        f,
-        [kim_livingston(k, bp.t, s) for bp in breaking_points(k) for s in (F(0), bp.t, F(1))],
-        [upsilon_region(k, r) for r in regions],
-        [vk(k, s) for s in range(-2, 3)],
-        [eta(k, r) for r in regions],
-        [secondary(k, *triple) for triple in triples],
-    )
-
-
 def test_basis_reduction_matches_the_full_column_route(monkeypatch):
     rng = random.Random(4242)
-    knots = [_random_sum(rng) for _ in range(6)] + [_random_torus_sum(rng) for _ in range(6)]
-    knots.append(_headline())  # past the oracles' guard
+    knots = [random_sum(rng) for _ in range(6)] + [random_torus_sum(rng) for _ in range(6)]
+    knots.append(headline())  # past the oracles' guard
     seeds = [rng.random() for _ in knots]
-    fast = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
+
+    def sampled(k, seed):
+        # on a fresh equal complex, so that nothing cached is read
+        draws, k = random.Random(seed), KnotComplex(k.generators, k.arrows)
+        regions = [random_region(draws) for _ in range(4)]
+        t, d = F(draws.randint(2, 10), 6), F(1, 100)
+        triples = [(upsilon_halfplane(t + d), upsilon_halfplane(t - d), regions[0]),
+                   tuple(regions[1:])]
+        return profile(k, regions, triples, least_q(k))
+
+    fast = [sampled(k, seed) for k, seed in zip(knots, seeds)]
 
     def full(eng, keys):
         return _full_column_reduce(eng, _per_generator(eng.gens0, keys))
@@ -1563,9 +1392,9 @@ def test_basis_reduction_matches_the_full_column_route(monkeypatch):
 
     monkeypatch.setattr(invariants, "_least_top", lambda eng, keys: full(eng, keys)[0])
     monkeypatch.setattr(invariants, "_below", below)
-    full = [_engine_values(k, random.Random(seed)) for k, seed in zip(knots, seeds)]
+    full = [sampled(k, seed) for k, seed in zip(knots, seeds)]
     assert fast == full
-    assert any(kl for _, kl, *_ in fast)  # some kink was evaluated
+    assert any(p["Kim-Livingston"] for p in fast)  # some kink was evaluated
 
 
 class _CountedGroups(tuple):
@@ -1579,7 +1408,7 @@ class _CountedGroups(tuple):
 def test_region_query_stops_before_the_last_row(monkeypatch):
     # the key-only kernel reads the rows from the latest key down, position
     # by position, and stops at the answer; it echelonizes no columns
-    k = _headline()
+    k = headline()
     eng = complexes._Engine.of(k)  # the build echelonizes every column, once
     r = upsilon_halfplane(F(2, 3))
     nums, d = invariants.entering_numerators(r, eng.at0)
@@ -1588,10 +1417,7 @@ def test_region_query_stops_before_the_last_row(monkeypatch):
     eng.groups0 = _CountedGroups(groups)
     eng.groups0.read = []
 
-    def no_columns(pivots, pairs):
-        raise AssertionError("a region query echelonized columns")
-
-    monkeypatch.setattr(complexes, "_echelonize", no_columns)
+    refuse(monkeypatch, complexes, "_echelonize", "a region query echelonized columns")
     assert upsilon_region(k, r) == expected
     read = eng.groups0.read
     rows = [(i, row) for p in read for i, row in zip(eng.gens0[p], groups[p])]  # every row read
@@ -1614,7 +1440,7 @@ def test_least_top_matches_the_column_reduction():
     # the unknot and the mirrored thin knot have no basis columns, so their
     # packed rows are 0 or 1 and no pivot is stored; the box adds one column
     small = [unknot(), add_box(unknot(), (0, 0), 1), mirror(thin_model(2))]
-    knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()] + small
+    knots = [random_torus_sum(rng) for _ in range(20)] + [headline()] + small
     cases = 0
     for k in knots:
         eng = complexes._Engine.of(k)
@@ -1646,7 +1472,7 @@ def test_below_matches_the_column_reduction():
     # keyed at most gamma, and the units and relations span what the column
     # route's basis vectors led at most gamma span
     rng = random.Random(1717)
-    knots = [_random_torus_sum(rng) for _ in range(20)] + [_headline()]
+    knots = [random_torus_sum(rng) for _ in range(20)] + [headline()]
     cases = 0
     for k in knots:
         eng = complexes._Engine.of(k)
@@ -1688,9 +1514,9 @@ def test_coordinates_name_the_columns():
     # and `_below`'s coordinates, expanded, lie on the rows keyed at most
     # the least top: the cycle, each unit column and each relation
     rng = random.Random(2929)
-    knots = [_headline()]
+    knots = [headline()]
     while len(knots) < 13:
-        k = _random_torus_sum(rng)
+        k = random_torus_sum(rng)
         if len(vars(k).get("_leaves", ())) >= 2:
             knots.append(k)
     cases = related = 0
@@ -1704,7 +1530,7 @@ def test_coordinates_name_the_columns():
         assert [eng.d1_cols[i] for i in index] == list(eng.basis_cols)
         assert [eng.coords[i] for i in index] == list(eng.basis_bits)
         regions = [upsilon_halfplane(F(rng.randint(0, 24), 12)) for _ in range(3)]
-        regions += [_random_region(rng) for _ in range(3)]
+        regions += [random_region(rng) for _ in range(3)]
         for r in regions:
             keys = invariants.entering_numerators(r, eng.at0)[0]
             gamma = complexes._least_top(eng, keys)
@@ -1722,7 +1548,7 @@ def test_headline_secondary_echelonizes_only_the_relations(monkeypatch):
     # pinned: before the late scan, `_secondary` echelonizes the relations
     # of both sides and the target, 7 vectors; the slice-0 route took the
     # 170 distinct spanning vectors of V+ + V- and the target
-    k = _headline()
+    k = headline()
     t, d = F(1), F(1, 8000)
     regions = (upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(1, 4)))
     secondary(k, *regions)  # builds the engine and its rows
@@ -1781,26 +1607,14 @@ def _secondary_by_growing_span(eng, plus, minus, c):
     raise AssertionError("secondary invariant: homologous at no candidate translate")
 
 
-def _outcome(f, *args):
-    """f(*args), or the type and message of the ValueError it raises."""
-    try:
-        return f(*args)
-    except ValueError as e:
-        return type(e), str(e)
-
-
 def test_vk_keys_positions_without_a_region(monkeypatch):
     rng = random.Random(79)
-    knots = [_headline()] + [_random_torus_sum(rng) for _ in range(6)]
+    knots = [headline()] + [random_torus_sum(rng) for _ in range(6)]
     expected = [[upsilon_region(k, v_region(s)) for s in range(-6, 33)] for k in knots]
     assert {-2 * v for vs in expected for v in vs} > {F(0), F(-2)}
 
-    def no_region(*args):
-        raise AssertionError("vk built or keyed a region")
-
-    for module, name in ((invariants, "entering_numerators"), (invariants, "upsilon_region"),
-                         (regions, "v_region"), (regions, "entering_numerators")):
-        monkeypatch.setattr(module, name, no_region)
+    refuse(monkeypatch, invariants, "entering_numerators upsilon_region", "vk built or keyed a region")
+    refuse(monkeypatch, regions, "v_region entering_numerators", "vk built or keyed a region")
     assert [[-vk(k, s) / 2 for s in range(-6, 33)] for k in knots] == expected
 
 
@@ -1809,10 +1623,10 @@ def test_nu_plus_matches_the_v_scan():
     # Lone generators, each a single U-tower but no knot's: no cycle in {j <= 0},
     # and a cycle below A = 0 at j = 0 and at j < 0 (V(0) = 0, and V(0) = 2).
     lone = [KnotComplex((BaseGenerator("x", a, j, 0),), ()) for a, j in ((0, 1), (-2, 0), (-2, -1))]
-    knots = (SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + [_random_sum(rng) for _ in range(6)]
-             + [_random_torus_sum(rng) for _ in range(6)] + [_headline()] + lone)
-    new = [_outcome(nu_plus, k) for k in knots]
-    assert new == [_outcome(_nu_plus_by_v_scan, k) for k in knots]
+    knots = (SMALL_ZOO + [mirror(k) for k in SMALL_ZOO] + [random_sum(rng) for _ in range(6)]
+             + [random_torus_sum(rng) for _ in range(6)] + [headline()] + lone)
+    new = [outcome(nu_plus, k) for k in knots]
+    assert new == [outcome(_nu_plus_by_v_scan, k) for k in knots]
     error = (ValueError, "V(s) did not vanish up to the Alexander range; not knot-type?")
     assert new[-3:] == [error, 0, error]
     assert len(set(new)) > 3
@@ -1820,8 +1634,8 @@ def test_nu_plus_matches_the_v_scan():
 
 def test_secondary_matches_the_growing_span(monkeypatch):
     rng = random.Random(78)
-    knots = SMALL_ZOO[1:] + [_random_sum(rng) for _ in range(4)] + [_headline()]
-    triples = [(k, tuple(_random_region(rng) for _ in range(3))) for k in knots for _ in range(6)]
+    knots = SMALL_ZOO[1:] + [random_sum(rng) for _ in range(4)] + [headline()]
+    triples = [(k, tuple(random_region(rng) for _ in range(3))) for k in knots for _ in range(6)]
     sides = [(k, bp.t, s) for k in knots for bp in breaking_points(k)
              for s in {F(0), F(1, 2), bp.t, F(1), F(7, 5), F(2)}]
 
@@ -1836,24 +1650,20 @@ def test_secondary_matches_the_growing_span(monkeypatch):
     assert len(finite) >= 10 and len(finite) < len(triples) + len(sides)
 
 
-def _headline_values(k):
-    """Every engine query type on the headline sum, each at one argument."""
+def _headline_profile(k):
+    """`profile` of the headline sum, with Υ^C and η on H(2/3) and
+    `secondary` at t* = 1 ± 1/8000 with C = H(1/4)."""
     t, d = F(1), F(1, 8000)
-    return (upsilon_function(k), vk(k, 1), nu_plus(k), d_invariant(k, 27, 3),
-            eta(k, upsilon_halfplane(F(2, 3))),
-            secondary(k, upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(1, 4))),
-            kim_livingston(k, t, t))
+    triple = (upsilon_halfplane(t + d), upsilon_halfplane(t - d), upsilon_halfplane(F(1, 4)))
+    return profile(k, [upsilon_halfplane(F(2, 3))], [triple], 27)
 
 
 def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
-    expected = _headline_values(_headline())
-    k = _headline()
+    expected = _headline_profile(headline())
+    k = headline()
     calls = _record_kernel_calls(monkeypatch)
 
-    def no_space(self, vectors=()):
-        raise AssertionError("an engine route built an F2Space")
-
-    monkeypatch.setattr(F2Space, "__init__", no_space)
+    refuse(monkeypatch, F2Space, "__init__", "an engine route built an F2Space")
     assert nu_plus(k) == 1 and calls == ["_least_top"]
     t, d = F(2, 5), F(1, 8000)
     for tc, value in ((F(1), 1), (t, NO_OBSTRUCTION)):  # finite, and the early exit
@@ -1861,7 +1671,7 @@ def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
         plus, minus = upsilon_halfplane(tc + d), upsilon_halfplane(tc - d)
         assert secondary(k, plus, minus, upsilon_halfplane(F(1, 4))) == value
         assert calls == ["_least_top", "_least_top", "_below", "_below"]
-    assert _headline_values(k) == expected
+    assert _headline_profile(k) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1870,7 +1680,7 @@ def test_nu_plus_and_secondary_reduce_once_per_question(monkeypatch):
 
 
 def test_headline_engine_groups_its_generators_by_position():
-    k = _headline()
+    k = headline()
     eng, (pos0, pos1) = complexes._Engine.of(k), complexes._graded(k)[0]
     assert (len(pos0), len(pos1)) == (428, 427)
     assert (len(eng.at0), len(eng.at1)) == (150, 147)
@@ -1897,26 +1707,15 @@ def _least_top_by_generator(eng, keys):
     raise AssertionError("least-top reduction: the generating cycle is a boundary")
 
 
-def _any_region(rng):
-    """A region of `_random_region`'s kinds, or an intersection or a
-    translate of them."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return _random_region(rng)
-    if kind == 1:
-        return intersect(_random_region(rng), _random_region(rng))
-    return translate(_random_region(rng), F(rng.randint(-6, 6), 4))
-
-
 def test_grouped_keys_equal_per_generator_keys(monkeypatch):
     rng = random.Random(1616)
-    knots = [_random_torus_sum(rng) for _ in range(8)] + [_headline()]
+    knots = [random_torus_sum(rng) for _ in range(8)] + [headline()]
     cases = 0
     for k in knots:
         eng, pos0 = complexes._Engine.of(k), complexes._graded(k)[0][0]
         draws = []
         for _ in range(6):
-            r = _any_region(rng)
+            r = any_region(rng)
             (at, d), (per, d_per) = (invariants.entering_numerators(r, p) for p in (eng.at0, pos0))
             assert d == d_per
             draws.append((at, per))
@@ -1962,7 +1761,7 @@ def test_secondary_refuses_a_complex_that_breaks_the_filtration():
     # the engine names the first arrow that validation reports as climbing
     rng = random.Random(616)
     climbing = 0
-    for k in [_random_complex(rng) for _ in range(300)]:
+    for k in [random_complex(rng) for _ in range(300)]:
         problems = validate_complex(k).problems
         if any("Maslov" in p for p in problems):
             continue
@@ -1975,97 +1774,91 @@ def test_secondary_refuses_a_complex_that_breaks_the_filtration():
 
 
 # ---------------------------------------------------------------------------
-# metamorphic: a change of basis changes no invariant
+# metamorphic: relations that change no invariant
 # ---------------------------------------------------------------------------
 
 
-def _basis_change(k, rng, moves):
-    """k after `moves` seeded changes of basis x -> x + U^m·y, with
-    M(y) - 2m = M(x) and U^m·y at or below x in both filtrations, and the
-    differential rewritten in the new basis.  Each is a bifiltered, graded
-    isomorphism, so no invariant may change; unlike `add_box`, it scrambles
-    the arrows of the generators already there."""
-    gens = k.generators
-    d = {g.name: set() for g in gens}  # name -> {(target, U-power)}
-    for src, dst, m in k.arrows:
-        d[src] ^= {(dst, m)}
-    legal = [(x.name, y.name, m) for x in gens for y in gens if x is not y
-             for m, odd in [divmod(y.maslov - x.maslov, 2)]
-             if not odd and y.alexander - m <= x.alexander and y.algebraic - m <= x.algebraic]
-    for x, y, m in (rng.choice(legal) for _ in range(moves)):
-        # d(x + U^m·y) = dx + U^m·dy, and a term U^i·x elsewhere is now
-        # U^i·(x + U^m·y) + U^(i+m)·y; neither dx nor dy has an x term.
-        d[x] ^= {(t, i + m) for t, i in d[y]}
-        for targets in d.values():
-            for i in [i for t, i in targets if t == x]:
-                targets ^= {(y, i + m)}
-    return KnotComplex(gens, tuple((src, dst, i) for src, targets in d.items() for dst, i in targets))
+def _queries(rng):
+    """The regions and triples a relation's profiles are read on: H(2/3) and
+    two random regions, and H(1 ± 1/100) with a third."""
+    chosen = [random_region(rng) for _ in range(3)]
+    near_one = (upsilon_halfplane(1 + F(1, 100)), upsilon_halfplane(1 - F(1, 100)))
+    return [upsilon_halfplane(F(2, 3)), *chosen[:2]], [(*near_one, chosen[2])]
 
 
-def _invariants_at_breaking_points(k):
-    f = upsilon_function(k)
-    return (f, breaking_points(k), [vk(k, s) for s in range(-2, 5)], nu_plus(k),
-            eta(k, upsilon_halfplane(F(2, 3))),
-            [kim_livingston(k, bp.t, s) for bp in breaking_points(k)
-             for s in sorted({F(0), bp.t, F(1), F(2)})])
+def _box_insertion():
+    # five acyclic squares: a stable equivalence
+    rng = random.Random(3)
+    k0 = k = torus_knot(4, 3)
+    for _ in range(5):
+        k = add_box(k, (rng.randint(-4, 4), rng.randint(-4, 4)), rng.randint(-3, 3))
+    assert validate_complex(k).ok
+    return [(k0, k, *_queries(rng))]
 
 
-def _metamorphic_knots(rng):
-    """Six seeded two-summand torus sums and the mirrors of the first two."""
-    parts = [(3, 2), (5, 2), (4, 3), (5, 3), (7, 2)]
-    knots = []
-    for _ in range(6):
-        summands = [torus_knot(*rng.choice(parts)) for _ in range(2)]
-        knots.append(tensor(*(c if rng.random() < 0.5 else mirror(c) for c in summands)))
-    return knots + [mirror(k) for k in knots[:2]]
-
-
-def test_a_change_of_basis_changes_no_invariant():
+def _change_of_basis():
     rng = random.Random(66)
-    scrambled = 0
-    for k in _metamorphic_knots(rng):
-        moved = _basis_change(k, rng, rng.randint(1, 8))
-        scrambled += moved.arrows != k.arrows
-        assert validate_complex(moved).ok
-        assert _invariants_at_breaking_points(moved) == _invariants_at_breaking_points(k)
-    assert scrambled >= 6
+    pairs = [(k, basis_change(k, rng, rng.randint(1, 8))) for k in metamorphic_knots(rng)]
+    assert all(validate_complex(moved).ok for _, moved in pairs)
+    assert sum(moved.arrows != k.arrows for k, moved in pairs) >= 6
+    return [(k, moved, *_queries(rng)) for k, moved in pairs]
 
 
-def test_a_concordance_changes_no_invariant():
-    # K # J # -J is concordant to K (J # -J is slice), and every value here
-    # is a concordance invariant; the headline takes only a trefoil as J,
-    # which keeps its sum to 7,695 generators
+def _concordance():
+    # K # J # -J is concordant to K (J # -J is slice), and every value of the
+    # profile is a concordance invariant.  J is first a torus knot or mirror,
+    # only a trefoil for the headline (which keeps its sum to 7,695
+    # generators); then a two-summand sum, where K # J # -J has at most 5,000
     rng = random.Random(68)
     parts = [torus_knot(3, 2), torus_knot(5, 2), torus_knot(4, 3)]
     parts += [mirror(j) for j in parts]
     trefoils = [parts[0], parts[3]]
-    knots = [(k, parts) for k in _metamorphic_knots(random.Random(66))]
-    knots += [(add_box(torus_knot(5, 3), (1, -2), -1), parts), (_headline(), trefoils)]
+    knots = [(k, parts) for k in metamorphic_knots(random.Random(66))]
+    knots += [(add_box(torus_knot(5, 3), (1, -2), -1), parts), (headline(), trefoils)]
+    cases = []
     for k, js in knots:
         j = rng.choice(js)
-        summed = tensor(k, j, mirror(j))
-        # q >= 2g - 1 of both complexes, g read as `d_invariant` reads it
-        g = max(a for knot in (k, summed) for a, _ in complexes._Engine.of(knot).at0)
-        q = max(3, 2 * g - 1)
-        chosen = [_random_region(rng) for _ in range(3)]
-        values = [(_invariants_at_breaking_points(knot), d_invariant(knot, q, 1),
-                   [(upsilon_region(knot, r), eta(knot, r)) for r in chosen[:2]],
-                   secondary(knot, upsilon_halfplane(1 + F(1, 100)),
-                             upsilon_halfplane(1 - F(1, 100)), chosen[2]))
-                  for knot in (k, summed)]
-        assert values[0] == values[1]
+        cases.append((k, tensor(k, j, mirror(j)), *_queries(rng)))
+    for k, _ in knots:
+        j = two_summand_sum(rng)
+        if len(k.generators) * len(j.generators) ** 2 <= 5000:
+            cases.append((k, tensor(k, j, mirror(j)), *_queries(rng)))
+    assert len(cases) > len(knots)
+    return cases
 
 
-def test_a_permutation_of_the_generators_changes_no_invariant():
+def _permutation():
     # listing the generators in another order reorders the engine's
     # positions, the ties among their keys and the rows of every reduction
     rng = random.Random(67)
-    knots = [_headline()] + _metamorphic_knots(random.Random(66))
-    reordered = 0
-    for k in knots:
+    pairs = []
+    for k in [headline()] + metamorphic_knots(random.Random(66)):
         gens = list(k.generators)
         rng.shuffle(gens)
-        permuted = KnotComplex(tuple(gens), k.arrows)
-        reordered += complexes._Engine.of(permuted).at0 != complexes._Engine.of(k).at0
-        assert _invariants_at_breaking_points(permuted) == _invariants_at_breaking_points(k)
-    assert reordered == len(knots)
+        pairs.append((k, KnotComplex(tuple(gens), k.arrows)))
+    assert all(complexes._Engine.of(p).at0 != complexes._Engine.of(k).at0 for k, p in pairs)
+    return [(k, p, *_queries(rng)) for k, p in pairs]
+
+
+def _awkward_names():
+    # the engine reads no generator name: awkward ones, "" and "*" included
+    rng = random.Random(69)
+    return [(k, awkwardly_named(k), *_queries(rng)) for k in metamorphic_knots(random.Random(66))]
+
+
+RELATIONS = [  # (test id, the cases: (K, its image, regions, triples))
+    ("test_box_insertion_preserves_everything", _box_insertion),
+    ("test_a_change_of_basis_changes_no_invariant", _change_of_basis),
+    ("test_a_concordance_changes_no_invariant", _concordance),
+    ("test_a_permutation_of_the_generators_changes_no_invariant", _permutation),
+    ("test_awkward_names_change_no_invariant", _awkward_names),
+]
+
+
+@pytest.mark.parametrize("cases", [pytest.param(cases, id=name) for name, cases in RELATIONS])
+def test_a_relation_changes_no_invariant(cases):
+    # the whole profile on both sides, with q read off the larger complex;
+    # an exception on either side fails the row, it is no agreement
+    for k, image, regions, triples in cases():
+        q = least_q(k, image)
+        assert profile(image, regions, triples, q) == profile(k, regions, triples, q)

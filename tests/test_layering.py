@@ -361,3 +361,15 @@ def test_each_dsl_states_its_atoms_once():
         for name, (shape, *_) in module._ATOMS.items():
             assert isinstance(shape, str) and shape, name
             assert set(shape) - set(",;") <= set(parser.readers), name
+
+
+def test_no_test_helper_is_defined_twice():
+    # a helper that two test modules need lives once, in `tests/corpus.py`:
+    # no top-level `def` or `class` but a test's is defined in two modules
+    homes = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith(("test", "Test"))):
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: paths for name, paths in homes.items() if len(paths) > 1} == {}

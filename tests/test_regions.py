@@ -33,6 +33,8 @@ from upsilonkit.regions import (
     v_region,
 )
 
+from corpus import random_nested_region
+
 
 @st.composite
 def fractions(draw, lo, hi, max_den):
@@ -126,34 +128,10 @@ def test_contains_matches_entering_time():
     assert contains(r, (2, 0), 1)
 
 
-def _random_region(rng, depth=2):
-    """H, Q and hp atoms with rational coefficients and signed c, combined by
-    union, intersect, translate and truncate."""
-    def rat():
-        return F(rng.randint(-12, 12), rng.randint(1, 6))
-
-    kind = rng.choice(("H", "Q", "hp") + ("union", "intersect", "translate", "trunc") * (depth > 0))
-    if kind == "H":
-        return upsilon_halfplane(F(rng.randint(0, 12), 6))
-    if kind == "Q":
-        return v_region(rat())
-    if kind == "hp":
-        return make_halfplane(F(rng.randint(0, 5), rng.randint(1, 4)),
-                              F(rng.randint(1, 5), rng.randint(1, 4)), rat())
-    r = _random_region(rng, depth - 1)
-    if kind == "union":
-        return union(r, _random_region(rng, depth - 1))
-    if kind == "intersect":
-        return intersect(r, _random_region(rng, depth - 1))
-    if kind == "translate":
-        return translate(r, rat())
-    return truncate(r, rat())
-
-
 def test_entering_numerators_match_entering_time():
     rng = random.Random(11)
     for _ in range(200):
-        r = _random_region(rng)
+        r = random_nested_region(rng)
         pts = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(rng.randint(0, 12))]
         nums, d = entering_numerators(r, pts)
         assert isinstance(d, int) and d > 0
@@ -213,28 +191,28 @@ def test_pl_requires_increasing_breakpoints():
         PLFunction(((F(0), F(0)),))
 
 
+HAT = PLFunction(((F(0), F(0)), (F(1), F(-1)), (F(2), F(0))))  # -(1 - |1 - t|)
+
+
 def test_pl_eval_and_domain():
-    hat = PLFunction(((F(0), F(0)), (F(1), F(-1)), (F(2), F(0))))
-    assert pl_eval(hat, F(1, 2)) == F(-1, 2)
-    assert pl_eval(hat, 1) == -1
-    assert pl_eval(hat, 2) == 0
+    assert pl_eval(HAT, F(1, 2)) == F(-1, 2)
+    assert pl_eval(HAT, 1) == -1
+    assert pl_eval(HAT, 2) == 0
     with pytest.raises(ValueError):
-        pl_eval(hat, F(5, 2))
+        pl_eval(HAT, F(5, 2))
     with pytest.raises(ValueError):
-        pl_eval(hat, -1)
+        pl_eval(HAT, -1)
 
 
 def test_pl_add_and_scale():
-    hat = PLFunction(((F(0), F(0)), (F(1), F(-1)), (F(2), F(0))))
-    zero = pl_add(hat, pl_negate_scale(hat, -1))
+    zero = pl_add(HAT, pl_negate_scale(HAT, -1))
     assert zero == pl_constant(0)
-    doubled = pl_add(hat, hat)
+    doubled = pl_add(HAT, HAT)
     assert pl_eval(doubled, 1) == -2
 
 
 def test_pl_singular_points_of_hat():
-    hat = PLFunction(((F(0), F(0)), (F(1), F(-1)), (F(2), F(0))))
-    assert pl_singular_points(hat) == [(F(1), F(2))]
+    assert pl_singular_points(HAT) == [(F(1), F(2))]
     assert pl_singular_points(pl_constant(5)) == []
 
 

@@ -1,5 +1,5 @@
 """Print the code tokens and code lines of each module of `src/upsilonkit`,
-with totals.
+then of each module of `tests/`, with totals.
 
 A token is every `tokenize` token but COMMENT, NL, NEWLINE, INDENT, DEDENT
 and ENDMARKER, so a docstring is one token.  A code line is a line that
@@ -17,7 +17,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "upsilonkit"
+ROOT = Path(__file__).resolve().parent.parent
+TABLES = {"src/upsilonkit": ROOT / "src" / "upsilonkit", "tests": ROOT / "tests"}
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENDMARKER}
 
@@ -34,15 +35,25 @@ def size(source: str) -> tuple[int, int]:
     return len(tokens), len(lines)
 
 
-def main() -> int:
+def table(title: str, directory: Path) -> None:
+    """One row for each module of the directory, then the totals."""
+    paths = sorted(directory.glob("*.py"))
+    width = max(len(name) for name in [title] + [path.stem for path in paths]) + 2
     total_tokens = total_lines = 0
-    print(f"{'module':<16}{'tokens':>8}{'lines':>8}")
-    for path in sorted(PACKAGE.glob("*.py")):
+    print(f"{title:<{width}}{'tokens':>8}{'lines':>8}")
+    for path in paths:
         tokens, lines = size(path.read_text(encoding="utf-8"))
         total_tokens += tokens
         total_lines += lines
-        print(f"{path.stem:<16}{tokens:>8,}{lines:>8,}")
-    print(f"{'total':<16}{total_tokens:>8,}{total_lines:>8,}")
+        print(f"{path.stem:<{width}}{tokens:>8,}{lines:>8,}")
+    print(f"{'total':<{width}}{total_tokens:>8,}{total_lines:>8,}")
+
+
+def main() -> int:
+    for i, (title, directory) in enumerate(TABLES.items()):
+        if i:
+            print()
+        table(title, directory)
     return 0
 
 
