@@ -27,8 +27,8 @@ exceeded; 4 internal check failed (an oracle mismatch or a self-check).
 """
 
 # The docstring above is the description that `upsilonkit --help` prints.
-# Each knot atom is a row of `_ATOMS`: its argument shape, which
-# `regions._Scanner.arguments` reads for both DSLs, its check, its printer
+# Each knot atom is a row of `_ATOMS`: its argument shape, which the atom
+# rule of both DSLs (`regions._Scanner.atom`) reads, its check, its printer
 # and its builder.
 # The nine commands that print one engine value (upsilon-at, region-upsilon,
 # vk, nu-plus, dinv, eta, breaking-points, kl, secondary) share one handler,
@@ -139,7 +139,11 @@ _ATOMS = {
 class _KnotParser(_Scanner):
     """Recursive descent over the knot expression grammar above."""
 
-    error = KnotParseError
+    error, what, atoms = KnotParseError, "knot", _ATOMS
+
+    def make(self, name, row, args):
+        check = row[1]
+        return (name, *(check(*args) if check else args))
 
     def integer(self) -> int:
         self.skip_ws()
@@ -188,19 +192,6 @@ class _KnotParser(_Scanner):
             self.depth -= 1
             return expr
         return self.atom()
-
-    def atom(self):
-        if self.peek() == "(":
-            return self.group()
-        start, name = self.term_name("knot")
-        if name not in _ATOMS:
-            raise KnotParseError(f"unknown knot term {name!r}", start)
-        shape, check = _ATOMS[name][:2]
-        args = self.arguments(shape)
-        try:
-            return (name, *(check(*args) if check else args))
-        except ValueError as exc:
-            raise KnotParseError(str(exc), start) from None
 
     readers = {"i": integer, "l": integers, "p": path}
 

@@ -495,10 +495,11 @@ def validate_complex(k: KnotComplex) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-# The most generators `tensor` makes.  Engine memory grows faster than the
-# generator count: the 99,937 generators of T(20,19) # T(20,19) # T(38,37)
-# took 21 s and 633 MB for the upsilon curve on a 2-core machine, and
-# T(60,59) # T(60,59) # T(60,59) would ask for 1,601,613.
+# The most generators `tensor` makes, or a complex file may hold.  Engine
+# memory grows faster than the generator count: the 99,937 generators of
+# T(20,19) # T(20,19) # T(38,37) took 21 s and 633 MB for the upsilon curve
+# on a 2-core machine, and T(60,59) # T(60,59) # T(60,59) would ask for
+# 1,601,613.
 MAX_PRODUCT_GENERATORS = 100_000
 
 # The most that one summand built by `zoo` may need: generators of a thin or

@@ -1,7 +1,8 @@
 """Complexes in JSON files, and the acyclic square the tests add to them.
 
 `to_json_dict`, `from_json_dict`, `save_complex` and `load_complex` carry a
-complex to and from JSON; loading checks every field's kind and makes the
+complex to and from JSON; loading refuses more than `MAX_PRODUCT_GENERATORS`
+generators before it builds any, checks every field's kind and makes the
 complex with the checked `KnotComplex` constructor, so the homological
 conditions are left to `validate_complex`.  `add_box` direct-sums an
 acyclic square, the stable-equivalence move of the tests and the bench.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import BaseGenerator, KnotComplex, _excerpt
+from .complexes import MAX_PRODUCT_GENERATORS, BaseGenerator, KnotComplex, _excerpt
 
 
 def add_box(k: KnotComplex, corner: tuple[int, int], maslov: int) -> KnotComplex:
@@ -66,8 +67,12 @@ def _json_field(value, kind: type, field: str):
 def from_json_dict(data: dict) -> KnotComplex:
     if not isinstance(data, dict) or "generators" not in data:
         raise ValueError("complex JSON must be an object with a 'generators' list")
+    entries = _json_field(data["generators"], list, "generators")
+    if len(entries) > MAX_PRODUCT_GENERATORS:
+        raise ValueError(f"the complex has {len(entries)} generators, over the limit of "
+                         f"{MAX_PRODUCT_GENERATORS}")
     gens = []
-    for entry in _json_field(data["generators"], list, "generators"):
+    for entry in entries:
         try:
             gens.append(BaseGenerator(_json_field(entry["id"], str, "id"),
                                       *(_json_field(entry[f], int, f) for f in "AjM")))

@@ -392,11 +392,11 @@ def _candidate_ts(positions) -> tuple[Fraction, ...]:
         if 0 < num < 2 * den:
             g = gcd(num, den)
             crossings.add((num // g, den // g))
-    if max(den for _, den in crossings) < 1 << 26:
-        # two of these fractions in [0, 2] differ by more than 2^-52, the
-        # spacing of floats in [1, 2), so their float quotients sort as they do
-        return tuple([Fraction(n, d) for n, d in sorted(crossings, key=lambda c: c[0] / c[1])])
-    return tuple(sorted(Fraction(n, d) for n, d in crossings))
+    # with m the square of the largest denominator, two distinct crossings
+    # n1/d1 and n2/d2 differ by at least 1/(d1 d2) >= 1/m, so their integer
+    # keys floor(n m / d) differ and sort as they do
+    m = max(den for _, den in crossings) ** 2
+    return tuple([Fraction(n, d) for n, d in sorted(crossings, key=lambda c: c[0] * m // c[1])])
 
 
 def _kl_delta(candidate_ts, t_star: Fraction) -> Fraction:

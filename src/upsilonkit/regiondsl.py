@@ -18,10 +18,17 @@ from .regions import (RegionParseError, SouthWestRegion, _Scanner, intersect, ma
                       truncate, union, upsilon_halfplane, v_region)
 
 
+# Region term -> (argument shape, builder): `_Scanner.arguments` reads the
+# shape, 'r' a rational and 'e' a nested region, and the builder makes the
+# region of the arguments read.
+_ATOMS = {"H": ("r", upsilon_halfplane), "Q": ("r", v_region), "hp": ("r,r,r", make_halfplane),
+          "trunc": ("e,r", truncate)}
+
+
 class _RegionParser(_Scanner):
     """Recursive descent over the region DSL; & binds tighter than |."""
 
-    error = RegionParseError
+    error, what, atoms = RegionParseError, "region", _ATOMS
 
     def expr(self) -> SouthWestRegion:
         """A union of intersections."""
@@ -38,18 +45,8 @@ class _RegionParser(_Scanner):
             region = intersect(region, self.atom())
         return region
 
-    def atom(self) -> SouthWestRegion:
-        if self.peek() == "(":
-            return self.group()
-        start, name = self.term_name("region")
-        if name not in _ATOMS:
-            raise RegionParseError(f"unknown region term {name!r}", start)
-        shape, build = _ATOMS[name]
-        args = self.arguments(shape)
-        try:
-            return build(*args)
-        except ValueError as exc:
-            raise RegionParseError(str(exc), start) from None
+    def make(self, name, row, args):
+        return row[1](*args)
 
     def rational(self) -> Fraction:
         self.skip_ws()
@@ -64,13 +61,6 @@ class _RegionParser(_Scanner):
             raise RegionParseError(f"malformed rational {token!r}", start) from None
 
     readers = {"r": rational, "e": expr}
-
-
-# Region term -> (argument shape, builder): `_Scanner.arguments` reads the
-# shape, 'r' a rational and 'e' a nested region, and the builder makes the
-# region of the arguments read.
-_ATOMS = {"H": ("r", upsilon_halfplane), "Q": ("r", v_region), "hp": ("r,r,r", make_halfplane),
-          "trunc": ("e,r", truncate)}
 
 
 def parse_region(text: str) -> SouthWestRegion:

@@ -263,12 +263,15 @@ MAX_NESTING = 100
 
 
 class _Scanner:
-    """The lexing shared by the hand-rolled LL(1) parsers of the region and
-    knot DSLs.  `error` is the exception class raised, called with a message
-    and a position; `expr` is the subclass's top-level rule; `readers` maps
-    each letter of the subclass's atom shapes to its reader of one argument
-    (see `arguments`).  `depth` counts the levels entered by `descend` and
-    not yet left (by decrementing it)."""
+    """The lexing and the atom rule shared by the hand-rolled LL(1) parsers
+    of the region and knot DSLs.  `error` is the exception class raised,
+    called with a message and a position; `expr` is the subclass's top-level
+    rule; `readers` maps each letter of the subclass's atom shapes to its
+    reader of one argument (see `arguments`); `what` names its terms,
+    `atoms` maps each term name to its row, the argument shape first, and
+    `make` makes a term's value from its row and arguments (see `atom`).
+    `depth` counts the levels entered by `descend` and not yet left (by
+    decrementing it)."""
 
     error: type[_ParseError]
 
@@ -309,6 +312,22 @@ class _Scanner:
         self.expect(")")
         self.depth -= 1
         return result
+
+    def atom(self):
+        """A group, or a term of `atoms`: its arguments read by its row's
+        shape and its value made by `make`, where a ValueError is a parse
+        error at the term."""
+        if self.peek() == "(":
+            return self.group()
+        start, name = self.term_name(self.what)
+        if name not in self.atoms:
+            raise self.error(f"unknown {self.what} term {name!r}", start)
+        row = self.atoms[name]
+        args = self.arguments(row[0])
+        try:
+            return self.make(name, row, args)
+        except ValueError as exc:
+            raise self.error(str(exc), start) from None
 
     def arguments(self, shape: str):
         """An atom's '(' arguments ')', read by the atom's shape: a ',' or ';'

@@ -1,6 +1,7 @@
 """The shared test corpus: the input builders of the test modules, seeded
-random knots, regions and complexes among them, and `profile`, every engine
-query on one complex.
+random knots, regions and complexes among them, `examples`, the seeded draws
+of the property tests, `profile`, every engine query on one complex, and
+`run_main`, the command line run in-process.
 
 pytest does not collect this module; the test modules import it.  Each
 builder makes fresh complexes on every call, since several tests count
@@ -9,10 +10,11 @@ leak between them.  A random builder draws from the rng it is given, always
 in the same order, so a test's seed fixes its inputs.
 """
 
+import random
 from fractions import Fraction as F
-from math import gcd, prod
+from math import ceil, floor, gcd, prod
 
-from upsilonkit import complexes
+from upsilonkit import cli, complexes
 from upsilonkit.complexes import BaseGenerator, KnotComplex, add_box, mirror, tensor
 from upsilonkit.invariants import (
     breaking_points,
@@ -36,6 +38,26 @@ from upsilonkit.regions import (
     v_region,
 )
 from upsilonkit.zoo import jumps_from_semigroup, semigroup_from_generators, torus_knot
+
+# ---------------------------------------------------------------------------
+# seeded draws
+# ---------------------------------------------------------------------------
+
+
+def examples(seed, *makers, n=100):
+    """n draws from `random.Random(seed)`, each a tuple of one value of each
+    maker, a function of the rng, made in order."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield tuple(make(rng) for make in makers)
+
+
+def fraction(rng, lo, hi, max_den):
+    """A rational in [lo, hi] with denominator at most max_den, any of them
+    drawable, the bounds included."""
+    d = rng.randint(1, max_den)
+    return F(rng.randint(ceil(lo * d), floor(hi * d)), d)
+
 
 # ---------------------------------------------------------------------------
 # fixed knots and complexes
@@ -310,6 +332,15 @@ def refuse(patch, owner, names, message):
 
     for name in names.split():
         patch.setattr(owner, name, refused)
+
+
+def run_main(argv):
+    """The exit code of `cli.main(argv)`, run in-process; `--help` exits
+    through SystemExit, whose code it gives."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def outcome(f, *args):

@@ -12,12 +12,12 @@ from fractions import Fraction
 import pytest
 
 import upsilonkit
-from upsilonkit import alexander, cli, closedforms, complexes, invariants, oracles, reports, zoo
+from upsilonkit import (alexander, cli, closedforms, complexes, complexfiles, invariants, oracles,
+                        reports, zoo)
 from upsilonkit.cli import (
     KnotParseError,
     build_complex,
     knot_expr_to_text,
-    main,
     parse_knot_expr,
 )
 from upsilonkit.complexes import (
@@ -28,14 +28,11 @@ from upsilonkit.complexes import (
 )
 from upsilonkit.regions import upsilon_halfplane
 
-from corpus import refuse, renamed
+from corpus import refuse, renamed, run_main
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # --help
-        code = exc.code
+    code = run_main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -714,6 +711,16 @@ def test_bad_complex_entries_are_short_error_lines(tmp_path, capsys):
         code, out, err = run(capsys, "validate", "--complex-file", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and named in err and err.count("\n") == 1 and len(err) < 200
+
+
+def test_exit_2_when_a_complex_file_is_over_the_generator_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(complexfiles, "MAX_PRODUCT_GENERATORS", 2)  # T(3,2) has 3
+    path = tmp_path / "t32.json"
+    save_complex(zoo.torus_knot(3, 2), path)
+    for argv in (("validate", "--complex-file", str(path)), ("upsilon", f"file({path})")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the complex has 3 generators, over the limit of 2\n"
 
 
 def test_missing_complex_file(capsys):

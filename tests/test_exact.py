@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from upsilonkit.exact import rational_from_text, rational_to_text
 from upsilonkit.oracles import F2Matrix, F2Space
+
+from corpus import examples
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +30,16 @@ def test_rational_malformed(bad):
         rational_from_text(bad)
 
 
-@given(st.fractions())
-def test_rational_round_trip(x):
-    assert rational_from_text(rational_to_text(x)) == x
+def any_rational(rng):
+    """A rational of either sign or zero, with a numerator and a denominator
+    of 1, 2, 4, ... or 128 random bits: up to 2^128 > 10^38 in magnitude."""
+    num, den = (rng.getrandbits(rng.choice((1, 2, 4, 8, 16, 32, 64, 128))) for _ in "nd")
+    return Fraction(num if rng.random() < 0.5 else -num, den + 1)
+
+
+def test_rational_round_trip():
+    for (x,) in examples(9, any_rational):
+        assert rational_from_text(rational_to_text(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -90,70 +97,71 @@ def test_matrix_validates_row_bits():
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def matrices(draw, max_dim=8):
-    nrows = draw(st.integers(0, max_dim))
-    ncols = draw(st.integers(0, max_dim))
-    rows = [draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
-    return F2Matrix(nrows, ncols, rows)
+def matrix(rng):
+    """0-8 rows of 0-8 columns."""
+    nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+    return F2Matrix(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
 
 
-@given(matrices())
-def test_rank_bounded(a):
-    assert 0 <= a.rank() <= min(a.nrows, a.ncols)
+def vector(rng):
+    """8 bits: `mat_vec` reads only those of a matrix's columns."""
+    return rng.getrandbits(8)
 
 
-@given(matrices(), st.data())
-def test_solve_recovers_images(a, data):
-    x = data.draw(st.integers(0, max(0, (1 << a.ncols) - 1)))
-    b = a.mat_vec(x)
-    y = a.solve(b)
-    assert y is not None
-    assert a.mat_vec(y) == b
+def test_rank_bounded():
+    for (a,) in examples(10, matrix):
+        assert 0 <= a.rank() <= min(a.nrows, a.ncols)
 
 
-@given(matrices())
-def test_rank_nullity(a):
-    basis = a.nullspace()
-    assert a.rank() + len(basis) == a.ncols
-    for v in basis:
-        assert a.mat_vec(v) == 0
-    # basis vectors are independent
-    space = F2Space()
-    for v in basis:
-        assert space.add(v)
+def test_solve_recovers_images():
+    for a, x in examples(11, matrix, vector):
+        b = a.mat_vec(x)
+        y = a.solve(b)
+        assert y is not None, a
+        assert a.mat_vec(y) == b
 
 
-@given(matrices(), st.data())
-def test_nullspace_spans_kernel(a, data):
-    if a.ncols == 0:
-        return
-    space = F2Space(a.nullspace())
-    x = data.draw(st.integers(0, (1 << a.ncols) - 1))
-    if a.mat_vec(x) == 0:
-        assert space.contains(x)
-    else:
-        assert not space.contains(x)
+def test_rank_nullity():
+    for (a,) in examples(12, matrix):
+        basis = a.nullspace()
+        assert a.rank() + len(basis) == a.ncols
+        for v in basis:
+            assert a.mat_vec(v) == 0
+        # basis vectors are independent
+        space = F2Space()
+        for v in basis:
+            assert space.add(v), a
 
 
-@given(matrices(), st.data())
-def test_nullspace_and_solve_are_the_reduced_echelon_ones(a, data):
+def test_nullspace_spans_kernel():
+    for a, x in examples(13, matrix, vector):
+        if a.ncols == 0:
+            continue
+        space = F2Space(a.nullspace())
+        x &= (1 << a.ncols) - 1
+        if a.mat_vec(x) == 0:
+            assert space.contains(x), a
+        else:
+            assert not space.contains(x), a
+
+
+def test_nullspace_and_solve_are_the_reduced_echelon_ones():
     # Column j is independent when it is not in the span of the earlier
     # columns.  The nullspace has one vector per dependent column j, with top
     # bit j and its other bits on independent columns, and solve returns the
     # solution supported on independent columns: both are unique.
-    independent = 0
-    span = F2Space()
-    for j in range(a.ncols):
-        if span.add(sum(((row >> j) & 1) << i for i, row in enumerate(a.rows))):
-            independent |= 1 << j
-    basis = a.nullspace()
-    dependent = [j for j in range(a.ncols) if not (independent >> j) & 1]
-    assert [v.bit_length() - 1 for v in basis] == dependent
-    for j, v in zip(dependent, basis):
-        assert (v ^ (1 << j)) & ~independent == 0
-    x = data.draw(st.integers(0, max(0, (1 << a.ncols) - 1)))
-    assert a.solve(a.mat_vec(x)) & ~independent == 0
+    for a, x in examples(14, matrix, vector):
+        independent = 0
+        span = F2Space()
+        for j in range(a.ncols):
+            if span.add(sum(((row >> j) & 1) << i for i, row in enumerate(a.rows))):
+                independent |= 1 << j
+        basis = a.nullspace()
+        dependent = [j for j in range(a.ncols) if not (independent >> j) & 1]
+        assert [v.bit_length() - 1 for v in basis] == dependent, a
+        for j, v in zip(dependent, basis):
+            assert (v ^ (1 << j)) & ~independent == 0, a
+        assert a.solve(a.mat_vec(x)) & ~independent == 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +180,13 @@ def test_space_membership():
     assert s.dim == 3
 
 
-@given(st.lists(st.integers(0, 255), max_size=10), st.data())
-def test_space_closed_under_addition(vecs, data):
-    s = F2Space(vecs)
-    if not vecs:
-        assert s.dim == 0
-        return
-    a = data.draw(st.sampled_from(vecs))
-    b = data.draw(st.sampled_from(vecs))
-    assert s.contains(a ^ b)
+def test_space_closed_under_addition():
+    # the sum of any two of the vectors, or of one with itself
+    for (vecs,) in examples(15, lambda rng: [vector(rng) for _ in range(rng.randint(0, 10))]):
+        s = F2Space(vecs)
+        if not vecs:
+            assert s.dim == 0
+            continue
+        for a in vecs:
+            for b in vecs:
+                assert s.contains(a ^ b), vecs

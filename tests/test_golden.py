@@ -29,6 +29,8 @@ from upsilonkit import cli, complexes, invariants, regions, zoo
 from test_cli import MALFORMED, PARSE_ERRORS, ROUND_TRIP_EXPRESSIONS
 from test_regions import REGION_PARSE_ERRORS
 
+from corpus import run_main
+
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden" / "cli.json"
 WORKLOADS = HERE.parent / "perfbench" / "workloads.py"
@@ -89,10 +91,7 @@ def main_outcome(argv: list[str]) -> dict:
     """argv, exit code, stdout and stderr of `cli.main(argv)`, in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # --help
-            code = exc.code
+        code = run_main(argv)
     return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

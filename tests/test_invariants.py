@@ -11,8 +11,6 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from upsilonkit import complexes, invariants, oracles, regions
 from upsilonkit.complexes import (
@@ -94,6 +92,7 @@ from corpus import (
     awkwardly_named,
     basis_change,
     boxed_knots,
+    examples,
     headline,
     least_q,
     metamorphic_knots,
@@ -288,32 +287,29 @@ def test_staircase_formulas_match_engine():
         ]
 
 
-@st.composite
-def balanced_jumps(draw):
-    """A staircase jump sequence: k odd-indexed jumps and a composition of
-    their sum into k even-indexed ones."""
-    k = draw(st.integers(0, 3))
-    odd = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+def balanced_jumps(rng):
+    """A staircase jump sequence: k odd-indexed jumps of 1-3, k from 0 to 3,
+    and a composition of their sum into k even-indexed ones."""
+    k = rng.randint(0, 3)
+    odd = [rng.randint(1, 3) for _ in range(k)]
     total = sum(odd)
-    cuts = sorted(draw(st.sets(st.integers(1, max(total - 1, 1)),
-                               min_size=max(k - 1, 0), max_size=max(k - 1, 0))))
+    cuts = sorted(rng.sample(range(1, total), max(k - 1, 0)))
     even = [b - a for a, b in zip([0] + cuts, cuts + [total])] if k else []
     return tuple(x for pair in zip(odd, even) for x in pair)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(balanced_jumps())
-def test_engine_matches_staircase_closed_forms(jumps):
-    k = staircase_from_jumps(jumps)
-    assert upsilon_function(k) == staircase_upsilon(jumps)
-    g = sum(jumps) // 2
-    for s in range(-g - 1, g + 2):
-        assert vk(k, s) == staircase_vk(jumps, s)
-    bps = staircase_breaking_points(jumps)
-    assert [(b.t, b.jump) for b in breaking_points(k)] == [(b.t, b.jump) for b in bps]
-    for b in bps:
-        for s in {b.t, F(0), F(1, 2), F(1), F(2)}:
-            assert kim_livingston(k, b.t, s) == staircase_kl(jumps, b.t, s)
+def test_engine_matches_staircase_closed_forms():
+    for (jumps,) in examples(17, balanced_jumps, n=40):
+        k = staircase_from_jumps(jumps)
+        assert upsilon_function(k) == staircase_upsilon(jumps)
+        g = sum(jumps) // 2
+        for s in range(-g - 1, g + 2):
+            assert vk(k, s) == staircase_vk(jumps, s)
+        bps = staircase_breaking_points(jumps)
+        assert [(b.t, b.jump) for b in breaking_points(k)] == [(b.t, b.jump) for b in bps], jumps
+        for b in bps:
+            for s in {b.t, F(0), F(1, 2), F(1), F(2)}:
+                assert kim_livingston(k, b.t, s) == staircase_kl(jumps, b.t, s)
 
 
 def test_staircase_breaking_point_indices_t85():

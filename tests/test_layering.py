@@ -338,29 +338,81 @@ def test_each_command_is_stated_once():
 
 
 def test_each_dsl_states_its_atoms_once():
-    # each atom's argument grammar is the shape in its table row, read by
-    # `_Scanner.arguments`: no `atom` method tests the atom name (bound from
-    # `term_name`) against a string literal, and every row has a shape that
-    # the DSL's readers read
-    from upsilonkit import cli, regiondsl
+    # both DSLs parse an atom by the one rule, `_Scanner.atom`, and each
+    # atom's argument grammar is the shape in its table row, read by
+    # `_Scanner.arguments`: the rule tests no atom name (bound from
+    # `term_name`) against a string literal, each parser's table is its
+    # module's `_ATOMS`, and every row has a shape that the DSL's readers read
+    from upsilonkit import cli, regiondsl, regions
+    tree = ast.parse((PACKAGE / "regions.py").read_text())
+    scanner = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Scanner")
+    atom = next(node for node in scanner.body
+                if isinstance(node, ast.FunctionDef) and node.name == "atom")
+    named = {node.targets[0].elts[1].id for node in ast.walk(atom)
+             if isinstance(node, ast.Assign) and "term_name" in ast.unparse(node.value)}
+    assert named
+    for node in ast.walk(atom):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            literal = any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                          for operand in operands for c in ast.walk(operand))
+            assert not (literal and named & {n.id for n in operands
+                                             if isinstance(n, ast.Name)}), ast.unparse(node)
     for module, parser in ((cli, cli._KnotParser), (regiondsl, regiondsl._RegionParser)):
-        tree = ast.parse(Path(module.__file__).read_text())
-        atom = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                    and node.name == "atom")
-        named = {node.targets[0].elts[1].id for node in ast.walk(atom)
-                 if isinstance(node, ast.Assign) and "term_name" in ast.unparse(node.value)}
-        assert named, parser.__name__
-        for node in ast.walk(atom):
-            if isinstance(node, ast.Compare):
-                operands = [node.left, *node.comparators]
-                literal = any(isinstance(c, ast.Constant) and isinstance(c.value, str)
-                              for operand in operands for c in ast.walk(operand))
-                assert not (literal and named & {n.id for n in operands
-                                                 if isinstance(n, ast.Name)}), ast.unparse(node)
-        assert module._ATOMS, parser.__name__
+        assert parser.atom is regions._Scanner.atom, parser.__name__
+        assert parser.atoms is module._ATOMS and module._ATOMS, parser.__name__
         for name, (shape, *_) in module._ATOMS.items():
             assert isinstance(shape, str) and shape, name
             assert set(shape) - set(",;") <= set(parser.readers), name
+
+
+def _shape(node, names: list) -> str:
+    """node as `ast.dump` writes it, less its name ids, which are appended to
+    `names` in the order of their use, and with every string constant empty."""
+    if isinstance(node, list):
+        return f"[{','.join(_shape(item, names) for item in node)}]"
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return "''"
+    if not isinstance(node, ast.AST):
+        return repr(node)
+    fields = (_shape(value, names) for field, value in ast.iter_fields(node) if field != "id")
+    return f"{type(node).__name__}({','.join(fields)})"
+
+
+def _statement_runs(tree: ast.Module):
+    """Each run of three consecutive statements of one body, at any depth,
+    as (line, key): the key is the statements' `_shape`s and their names
+    renamed by the order of first use in the run.  Module-level imports and
+    docstrings are left out."""
+    bodies = [[node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))]]
+    bodies += [getattr(node, field) for node in ast.walk(tree)
+               for field in ("body", "orelse", "finalbody")
+               if node is not tree and isinstance(getattr(node, field, None), list)]
+    for body in bodies:
+        shapes = []  # (line, shape, names) of each statement
+        for node in body:
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                names: list = []
+                shapes.append((node.lineno, _shape(node, names), names))
+        for run in zip(shapes, shapes[1:], shapes[2:]):
+            renamed: dict = {}
+            order = [renamed.setdefault(name, len(renamed)) for *_, names in run for name in names]
+            yield run[0][0], repr(([shape for _, shape, _ in run], order))
+
+
+def test_no_statement_run_is_written_twice():
+    # a copy that was renamed still shows: no three consecutive statements of
+    # the package repeat three others up to the names they use and their
+    # string constants
+    seen: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, key in _statement_runs(ast.parse(path.read_text())):
+            seen.setdefault(key, []).append(f"{path.stem}:{line}")
+    assert [places for places in seen.values() if len(places) > 1] == []
 
 
 def test_no_test_helper_is_defined_twice():

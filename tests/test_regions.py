@@ -2,11 +2,8 @@
 
 import random
 from fractions import Fraction as F
-from math import ceil, floor
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from upsilonkit.regions import (
     MAX_NESTING,
@@ -33,34 +30,28 @@ from upsilonkit.regions import (
     v_region,
 )
 
-from corpus import random_nested_region
+from corpus import examples, fraction, random_nested_region
 
 
-@st.composite
-def fractions(draw, lo, hi, max_den):
-    """The rationals in [lo, hi] with denominator at most max_den, the value
-    set of `st.fractions(lo, hi, max_den)`, from two integer draws: those are
-    several times cheaper to generate."""
-    d = draw(st.integers(1, max_den))
-    return F(draw(st.integers(ceil(lo * d), floor(hi * d))), d)
+def rational(rng):
+    return fraction(rng, -50, 50, 8)
 
 
-rationals = fractions(-50, 50, 8)
-points = st.tuples(rationals, rationals)
+def point(rng):
+    return rational(rng), rational(rng)
 
 
-@st.composite
-def halfplanes(draw):
-    alpha = draw(fractions(0, 1, 6))
-    return make_halfplane(alpha, 1 - alpha, draw(rationals))
+def halfplane(rng):
+    alpha = fraction(rng, 0, 1, 6)
+    return make_halfplane(alpha, 1 - alpha, rational(rng))
 
 
-@st.composite
-def regions(draw):
-    r = draw(halfplanes())
-    for _ in range(draw(st.integers(0, 3))):
-        other = draw(halfplanes())
-        r = union(r, other) if draw(st.booleans()) else intersect(r, other)
+def region(rng):
+    """One half-plane, then 0-3 unions or intersections with more."""
+    r = halfplane(rng)
+    for _ in range(rng.randint(0, 3)):
+        other = halfplane(rng)
+        r = union(r, other) if rng.random() < 0.5 else intersect(r, other)
     return r
 
 
@@ -146,32 +137,32 @@ def test_entering_numerators_match_entering_time():
 # ---------------------------------------------------------------------------
 
 
-@given(regions(), regions(), points)
-def test_union_is_min(r1, r2, p):
-    assert entering_time(union(r1, r2), p) == min(entering_time(r1, p), entering_time(r2, p))
+def test_union_is_min():
+    for r1, r2, p in examples(1, region, region, point):
+        assert entering_time(union(r1, r2), p) == min(entering_time(r1, p), entering_time(r2, p))
 
 
-@given(regions(), regions(), points)
-def test_intersect_is_max(r1, r2, p):
-    assert entering_time(intersect(r1, r2), p) == max(
-        entering_time(r1, p), entering_time(r2, p)
-    )
+def test_intersect_is_max():
+    for r1, r2, p in examples(2, region, region, point):
+        assert entering_time(intersect(r1, r2), p) == max(
+            entering_time(r1, p), entering_time(r2, p)
+        )
 
 
-@given(regions(), rationals, points)
-def test_translate_shifts(r, t, p):
-    assert entering_time(translate(r, t), p) == entering_time(r, p) - t
+def test_translate_shifts():
+    for r, t, p in examples(3, region, rational, point):
+        assert entering_time(translate(r, t), p) == entering_time(r, p) - t
 
 
-@given(regions(), rationals, points)
-def test_truncate_is_alexander_cap(r, x, p):
-    assert entering_time(truncate(r, x), p) == max(entering_time(r, p), p[0] - x)
+def test_truncate_is_alexander_cap():
+    for r, x, p in examples(4, region, rational, point):
+        assert entering_time(truncate(r, x), p) == max(entering_time(r, p), p[0] - x)
 
 
-@given(regions(), regions())
-def test_union_commutes(r1, r2):
-    assert union(r1, r2) == union(r2, r1)
-    assert intersect(r1, r2) == intersect(r2, r1)
+def test_union_commutes():
+    for r1, r2 in examples(5, region, region):
+        assert union(r1, r2) == union(r2, r1)
+        assert intersect(r1, r2) == intersect(r2, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +207,19 @@ def test_pl_singular_points_of_hat():
     assert pl_singular_points(pl_constant(5)) == []
 
 
-@st.composite
-def pl_functions(draw):
-    n = draw(st.integers(0, 4))
-    ts = sorted(set(draw(st.lists(fractions(F(1, 8), F(15, 8), 8), max_size=n))))
-    xs = [F(0), *ts, F(2)]
-    ys = [draw(rationals) for _ in xs]
-    return PLFunction(tuple(zip(xs, ys)))
+def pl_function(rng):
+    """0-4 breakpoints in [1/8, 15/8] of denominator at most 8 between 0 and 2."""
+    ts = sorted({fraction(rng, F(1, 8), F(15, 8), 8) for _ in range(rng.randint(0, 4))})
+    return PLFunction(tuple((x, rational(rng)) for x in [F(0), *ts, F(2)]))
 
 
-@given(pl_functions(), pl_functions(), fractions(0, 2, 16))
-def test_pl_add_is_pointwise(f, g, t):
-    assert pl_eval(pl_add(f, g), t) == pl_eval(f, t) + pl_eval(g, t)
+def abscissa(rng):
+    return fraction(rng, 0, 2, 16)
+
+
+def test_pl_add_is_pointwise():
+    for f, g, t in examples(6, pl_function, pl_function, abscissa):
+        assert pl_eval(pl_add(f, g), t) == pl_eval(f, t) + pl_eval(g, t)
 
 
 def test_pl_walk_matches_pl_eval():
@@ -256,9 +248,9 @@ def test_pl_walk_matches_pl_eval():
         assert pl_add(f, g) == PLFunction(tuple((t, pl_eval(f, t) + pl_eval(g, t)) for t in knots))
 
 
-@given(pl_functions(), rationals, fractions(0, 2, 16))
-def test_pl_negate_scale_is_pointwise(f, c, t):
-    assert pl_eval(pl_negate_scale(f, c), t) == c * pl_eval(f, t)
+def test_pl_negate_scale_is_pointwise():
+    for f, c, t in examples(7, pl_function, rational, abscissa):
+        assert pl_eval(pl_negate_scale(f, c), t) == c * pl_eval(f, t)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +327,8 @@ def test_parse_rejects_nesting_past_the_cap():
             parse_region(wrap(text))
 
 
-@given(regions())
-def test_union_intersect_idempotent(r):
+def test_union_intersect_idempotent():
     p = (F(1), F(0))
-    assert entering_time(union(r, r), p) == entering_time(r, p)
-    assert entering_time(intersect(r, r), p) == entering_time(r, p)
+    for (r,) in examples(8, region):
+        assert entering_time(union(r, r), p) == entering_time(r, p)
+        assert entering_time(intersect(r, r), p) == entering_time(r, p)

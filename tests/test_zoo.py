@@ -2,10 +2,9 @@
 
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from upsilonkit import alexander, complexes, zoo
 from upsilonkit.complexes import validate_complex
@@ -43,6 +42,8 @@ from upsilonkit.zoo import (
     unknot,
 )
 from upsilonkit.reports import pretzel_report, thin_kl_closed, thin_three_param
+
+from corpus import examples, fraction
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +367,14 @@ def test_thin_three_param_frozen():
         thin_three_param(F(1, 2), F(1, 2), F(1, 2), 0)
 
 
-@given(
-    st.integers(-3, 3).filter(bool),
-    st.fractions(min_value=0, max_value=1, max_denominator=6),
-    st.fractions(min_value=0, max_value=1, max_denominator=6),
-    st.fractions(min_value=-4, max_value=4, max_denominator=4),
-)
-def test_thin_three_param_matches_engine(tau, t, s, q):
+def test_thin_three_param_matches_engine():
     from upsilonkit.regions import make_halfplane, union
 
-    region = union(upsilon_halfplane(t), make_halfplane(s / 2, 1 - s / 2, q))
-    assert thin_three_param(tau, t, s, q) == upsilon_region(thin_model(tau), region)
+    unit = lambda rng: fraction(rng, 0, 1, 6)
+    for tau, t, s, q in examples(16, lambda rng: rng.choice((-3, -2, -1, 1, 2, 3)), unit, unit,
+                                 lambda rng: fraction(rng, -4, 4, 4)):
+        region = union(upsilon_halfplane(t), make_halfplane(s / 2, 1 - s / 2, q))
+        assert thin_three_param(tau, t, s, q) == upsilon_region(thin_model(tau), region)
 
 
 def test_thin_kl_closed_values():
@@ -397,16 +395,16 @@ def test_thin_kl_closed_values():
 # ---------------------------------------------------------------------------
 
 
-@given(st.integers(2, 5), st.integers(3, 17))
-def test_first_singularity_at_2_over_multiplicity(a, b):
-    if math.gcd(a, b) != 1 or b <= a:
-        return
-    f = staircase_upsilon(jumps_from_semigroup(semigroup_from_generators((a, b))))
-    kinks = [t for t, _ in pl_singular_points(f)]
-    assert kinks[0] == F(2, a)
-    # slope on [0, 2/a] is minus the genus
-    g = (a - 1) * (b - 1) // 2
-    assert pl_eval(f, F(1, a)) == -F(1, a) * g
+def test_first_singularity_at_2_over_multiplicity():
+    for a, b in product(range(2, 6), range(3, 18)):
+        if math.gcd(a, b) != 1 or b <= a:
+            continue
+        f = staircase_upsilon(jumps_from_semigroup(semigroup_from_generators((a, b))))
+        kinks = [t for t, _ in pl_singular_points(f)]
+        assert kinks[0] == F(2, a)
+        # slope on [0, 2/a] is minus the genus
+        g = (a - 1) * (b - 1) // 2
+        assert pl_eval(f, F(1, a)) == -F(1, a) * g
 
 
 def test_staircase_corners_consistency_with_builders():
